@@ -1,9 +1,10 @@
-"""Modules over the duplicated algebra as triples (X, Y, theta).
+"""Modules over the duplicated algebra.
 
-X and Y are the restrictions to the two copies of the base algebra and
-theta : nu(Y) -> X records the dual-bimodule action.  The projective at a
-primed vertex is (nu P_x, P_x, id): injective with simple socle at x and
-simple top at x'.
+A module is a representation of the duplicated quiver, and its triple
+(X, Y, theta) is derived from it: X and Y are the restrictions to the two
+copies of the base algebra, and theta : nu(Y) -> X records the action of the
+connecting arrows (the dual bimodule).  The projective at a primed vertex is
+(nu P_x, P_x, id): injective with simple socle at x and simple top at x'.
 """
 
 from dupcat import (

@@ -10,6 +10,7 @@ import json
 from fractions import Fraction
 
 from .dup import DupCatalog, dup_category, dup_quiver_report, rep_to_triple
+from .errors import CatalogError
 from .hereditary import path_category
 from .linalg import RMatrix
 from .modcat import ARCatalog
@@ -98,7 +99,6 @@ def _ar_catalog_from_body(category, quiver, body) -> ARCatalog:
     return ARCatalog(
         category,
         entries,
-        tuple(("import", i) for i in range(len(entries))),
         tuple(bool(b) for b in body["projective"]),
         tuple(bool(b) for b in body["injective"]),
         tau_inv_of,
@@ -109,14 +109,18 @@ def _ar_catalog_from_body(category, quiver, body) -> ARCatalog:
 
 
 def catalog_from_dict(body: dict):
-    """Rebuild a catalog (and, for the duplicated kind, its triples)."""
+    """Rebuild a catalog.  For the duplicated kind every entry's theta is
+    solved here, so a body that is not a module raises CatalogError."""
     base = _quiver_from_json(body["quiver"])
     if body["kind"] == "hereditary":
         return _ar_catalog_from_body(path_category(base), base, body)
-    assert body["kind"] == "duplicated"
+    if body["kind"] != "duplicated":
+        raise CatalogError(f"unknown catalog kind {body['kind']!r}")
     report = dup_quiver_report(base)
     ar = _ar_catalog_from_body(dup_category(base), report.dup, body)
     modules = tuple(rep_to_triple(e, base) for e in ar.entries)
+    for m in modules:
+        m.theta  # solving for theta proves the entry is a module
     flags = body["flags"]
     return DupCatalog(
         base,

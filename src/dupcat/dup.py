@@ -1,23 +1,26 @@
-"""The module category of the duplicated algebra, in the triple model.
+"""The module category of the duplicated algebra.
 
-A module over the duplicated algebra is a triple (X, Y, theta) where X and Y
-are representations of the base quiver (the restrictions to the two copies
-of the path algebra) and theta : nu(Y) -> X records the action of the dual
-bimodule, nu being the Nakayama functor of the base category.
+A module over the duplicated algebra is a representation of the duplicated
+quiver: the base quiver, its primed copy, and one connecting arrow x' -> y
+for every maximal path p from y to x.  :class:`DupModule` holds exactly that
+representation, and morphisms, covers, syzygies, AR translates and knitting
+all run on it through the generic engine of :mod:`dupcat.modcat`.
 
-Internally every triple is realized as a single representation of the
-duplicated quiver: the two copies act through their own arrows and each
-connecting arrow x' -> y (one per maximal path p from y to x) acts by the
-matrix of theta against the dual-path generator of p.  Morphisms, covers,
-syzygies, AR translates and knitting then all run through the generic
-engine of :mod:`dupcat.modcat`.
+The triple (X, Y, theta: nu(Y) -> X) is derived from the representation on
+demand: X and Y are its restrictions to the two copies of the base quiver,
+nu is the Nakayama functor of the base category, and theta is the unique map
+whose composite with the dual-path generator of p is the action of the
+connecting arrow of p.  :func:`triple_to_rep` goes the other way; it builds
+the standard modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
+from .errors import CatalogError
 from .linalg import RMatrix, nullspace_basis, solve_matrix
 from .modcat import ARCatalog, ModuleCategory
 from .quiver import Quiver, duplicated_quiver, opposite, paths_from, prime
@@ -43,50 +46,149 @@ def dup_quiver_report(q: Quiver):
     return _report_cache[q]
 
 
-@dataclass
+def _unprimed(name: str) -> str:
+    return name
+
+
+def _restrict(rep: Rep, base: Quiver, rename) -> Rep:
+    """Restriction of a duplicated-quiver representation to one copy of the
+    base quiver; ``rename`` gives a base vertex or arrow its name there."""
+    return Rep(
+        base,
+        {v: rep.dims[rename(v)] for v in base.vertices},
+        {a.name: rep.mats[rename(a.name)] for a in base.arrows},
+    )
+
+
 class DupModule:
-    """Triple (X, Y, theta: nu(Y) -> X) over a base quiver."""
+    """A module over the duplicated algebra of ``base_quiver``: one
+    representation of the duplicated quiver.
 
-    x_part: Rep
-    y_part: Rep
-    theta: RepMap
+    ``x_part``, ``y_part`` and ``theta`` are read-only views on it, derived
+    on first read and kept.
+    """
 
-    def __post_init__(self):
-        nu = path_category(self.base_quiver).nakayama(self.y_part)
-        if self.theta.source.dim_vector() != nu.dim_vector():
-            raise ValueError("theta must start at the canonical Nakayama image")
-        object.__setattr__(self, "_rep", None)
-
-    @property
-    def base_quiver(self) -> Quiver:
-        return self.x_part.quiver
-
-    def dim_vectors(self):
-        return self.x_part.dim_vector(), self.y_part.dim_vector()
-
-    def total_dim(self) -> int:
-        return self.x_part.total_dim() + self.y_part.total_dim()
-
-    def is_zero(self) -> bool:
-        return self.total_dim() == 0
+    def __init__(self, rep: Rep, base: Quiver, triple=None):
+        self._rep = rep
+        self.base_quiver = base
+        self._x, self._y, self._theta = triple or (None, None, None)
 
     def rep(self) -> Rep:
-        if self._rep is None:
-            object.__setattr__(self, "_rep", triple_to_rep(self))
         return self._rep
 
+    @property
+    def x_part(self) -> Rep:
+        """X: the restriction to the base quiver."""
+        if self._x is None:
+            self._x = _restrict(self._rep, self.base_quiver, _unprimed)
+        return self._x
+
+    @property
+    def y_part(self) -> Rep:
+        """Y: the restriction to the primed copy, over the base quiver."""
+        if self._y is None:
+            self._y = _restrict(self._rep, self.base_quiver, prime)
+        return self._y
+
+    @property
+    def theta(self) -> RepMap:
+        """theta: nu(Y) -> X, the unique solution of the joint linear system
+        given by its naturality squares and by matching the connecting-arrow
+        actions.  Raises CatalogError when the system has no solution or more
+        than one, i.e. when the representation is not a module."""
+        if self._theta is not None:
+            return self._theta
+        base = self.base_quiver
+        x, y = self.x_part, self.y_part
+        base_cat = path_category(base)
+        nu = base_cat.nakayama(y)
+        offsets = {}
+        total = 0
+        for v in base.vertices:
+            offsets[v] = total
+            total += x.dims[v] * nu.dims[v]
+
+        def var(v, i, j):
+            return offsets[v] + i * nu.dims[v] + j
+
+        rows, rhs = [], []
+        for a in base.arrows:
+            yv, xv = a.source, a.target
+            na, xa = nu.mats[a.name], x.mats[a.name]
+            for i in range(x.dims[xv]):
+                for j in range(nu.dims[yv]):
+                    row = [0] * total
+                    for k in range(nu.dims[xv]):
+                        row[var(xv, i, k)] += na.data[k][j]
+                    for k in range(x.dims[yv]):
+                        row[var(yv, k, j)] -= xa.data[i][k]
+                    rows.append(row)
+                    rhs.append(0)
+        for name, _, tgt, mp in dup_quiver_report(base).connecting:
+            b = _dual_path_matrix(base_cat, y, mp)
+            c = self._rep.mats[name]
+            for i in range(x.dims[tgt]):
+                for j in range(y.dims[mp.end]):
+                    row = [0] * total
+                    for k in range(nu.dims[tgt]):
+                        row[var(tgt, i, k)] += b.data[k][j]
+                    rows.append(row)
+                    rhs.append(c.data[i][j])
+        system = RMatrix(rows, len(rows), total)
+        sol = solve_matrix(system, RMatrix.column(rhs))
+        if sol is None:
+            raise CatalogError("no compatible dual-bimodule action: not a module")
+        if nullspace_basis(system):
+            raise CatalogError("dual-bimodule action not unique")
+        mats = {
+            v: RMatrix(
+                [
+                    [sol.data[var(v, i, j)][0] for j in range(nu.dims[v])]
+                    for i in range(x.dims[v])
+                ],
+                x.dims[v],
+                nu.dims[v],
+            )
+            for v in base.vertices
+        }
+        self._theta = RepMap(nu, x, mats, check=False)
+        return self._theta
+
+    def dim_vectors(self):
+        dims, vertices = self._rep.dims, self.base_quiver.vertices
+        return tuple(dims[v] for v in vertices), tuple(dims[prime(v)] for v in vertices)
+
+    def total_dim(self) -> int:
+        return self._rep.total_dim()
+
+    def is_zero(self) -> bool:
+        return self._rep.is_zero()
+
     def __repr__(self):
-        return f"DupModule(X{self.x_part.dim_vector()}, Y{self.y_part.dim_vector()})"
+        x, y = self.dim_vectors()
+        return f"DupModule(X{x}, Y{y})"
 
 
 @dataclass
 class DupMap:
-    """Morphism of triples: compatible pair of base-quiver morphisms."""
+    """Morphism of duplicated modules; ``f`` and ``g`` are its restrictions
+    to the two copies of the base quiver."""
 
     source: DupModule
     target: DupModule
-    f: RepMap  # x_part -> x_part
-    g: RepMap  # y_part -> y_part
+    h: RepMap  # source.rep() -> target.rep()
+
+    def _restrict(self, source: Rep, target: Rep, rename) -> RepMap:
+        mats = {v: self.h.mats[rename(v)] for v in source.quiver.vertices}
+        return RepMap(source, target, mats, check=False)
+
+    @property
+    def f(self) -> RepMap:  # x_part -> x_part
+        return self._restrict(self.source.x_part, self.target.x_part, _unprimed)
+
+    @property
+    def g(self) -> RepMap:  # y_part -> y_part
+        return self._restrict(self.source.y_part, self.target.y_part, prime)
 
 
 def _dual_path_matrix(base_cat, y_rep: Rep, mp) -> RMatrix:
@@ -106,90 +208,34 @@ def _dual_path_matrix(base_cat, y_rep: Rep, mp) -> RMatrix:
     return RMatrix(rows, len(bases[y]), y_rep.dims[x])
 
 
-def triple_to_rep(dm: DupModule) -> Rep:
-    """Realize a triple as a representation of the duplicated quiver."""
-    q = dm.base_quiver
+def triple_to_rep(x: Rep, y: Rep, theta: RepMap) -> Rep:
+    """The duplicated-quiver representation of the triple (X, Y, theta)."""
+    q = x.quiver
     report = dup_quiver_report(q)
     base_cat = path_category(q)
-    dims = {}
-    for v in q.vertices:
-        dims[v] = dm.x_part.dims[v]
-        dims[prime(v)] = dm.y_part.dims[v]
-    mats = {}
-    for a in q.arrows:
-        mats[a.name] = dm.x_part.mats[a.name]
-        mats[prime(a.name)] = dm.y_part.mats[a.name]
+    if theta.source.dim_vector() != base_cat.nakayama(y).dim_vector():
+        raise ValueError("theta must start at the canonical Nakayama image")
+    dims = {v: x.dims[v] for v in q.vertices}
+    dims.update({prime(v): y.dims[v] for v in q.vertices})
+    mats = {a.name: x.mats[a.name] for a in q.arrows}
+    mats.update({prime(a.name): y.mats[a.name] for a in q.arrows})
     for name, _, tgt, mp in report.connecting:
-        b = _dual_path_matrix(base_cat, dm.y_part, mp)
-        mats[name] = dm.theta.mats[tgt] @ b
+        mats[name] = theta.mats[tgt] @ _dual_path_matrix(base_cat, y, mp)
     return Rep(report.dup, dims, mats)
 
 
 def rep_to_triple(rep: Rep, base: Quiver) -> DupModule:
-    """Recover the triple from a duplicated-quiver representation.
+    """View a duplicated-quiver representation as a module over the
+    duplicated algebra of ``base``; its triple is derived on first read."""
+    if rep.quiver != dup_quiver_report(base).dup:
+        raise ValueError("representation is not over the duplicated quiver")
+    return DupModule(rep, base)
 
-    theta is the unique solution of the joint linear system given by its
-    naturality squares and by matching the connecting-arrow actions.
-    """
-    report = dup_quiver_report(base)
-    assert rep.quiver == report.dup, "representation is not over the duplicated quiver"
-    x = Rep(base, {v: rep.dims[v] for v in base.vertices},
-            {a.name: rep.mats[a.name] for a in base.arrows})
-    y = Rep(base, {v: rep.dims[prime(v)] for v in base.vertices},
-            {a.name: rep.mats[prime(a.name)] for a in base.arrows})
-    base_cat = path_category(base)
-    nu = base_cat.nakayama(y)
-    offsets = {}
-    total = 0
-    for v in base.vertices:
-        offsets[v] = total
-        total += x.dims[v] * nu.dims[v]
-    if total == 0:
-        theta = reps.zero_map(nu, x)
-        return DupModule(x, y, theta)
 
-    def var(v, i, j):
-        return offsets[v] + i * nu.dims[v] + j
-
-    rows, rhs = [], []
-    for a in base.arrows:
-        yv, xv = a.source, a.target
-        na, xa = nu.mats[a.name], x.mats[a.name]
-        for i in range(x.dims[xv]):
-            for j in range(nu.dims[yv]):
-                row = [0] * total
-                for k in range(nu.dims[xv]):
-                    row[var(xv, i, k)] += na.data[k][j]
-                for k in range(x.dims[yv]):
-                    row[var(yv, k, j)] -= xa.data[i][k]
-                rows.append(row)
-                rhs.append(0)
-    for name, _, tgt, mp in report.connecting:
-        b = _dual_path_matrix(base_cat, y, mp)
-        c = rep.mats[name]
-        for i in range(x.dims[tgt]):
-            for j in range(y.dims[mp.end]):
-                row = [0] * total
-                for k in range(nu.dims[tgt]):
-                    row[var(tgt, i, k)] += b.data[k][j]
-                rows.append(row)
-                rhs.append(c.data[i][j])
-    system = RMatrix(rows, len(rows), total)
-    sol = solve_matrix(system, RMatrix.column(rhs))
-    assert sol is not None, "no compatible dual-bimodule action: not a module"
-    assert not nullspace_basis(system), "dual-bimodule action not unique"
-    mats = {}
-    for v in base.vertices:
-        o = offsets[v]
-        mats[v] = RMatrix(
-            [
-                [sol.data[o + i * nu.dims[v] + j][0] for j in range(nu.dims[v])]
-                for i in range(x.dims[v])
-            ],
-            x.dims[v],
-            nu.dims[v],
-        )
-    return DupModule(x, y, RepMap(nu, x, mats, check=False))
+def _from_triple(x: Rep, y: Rep, theta: RepMap) -> DupModule:
+    # the given parts become the views, so the X of an embedded A-module is
+    # that very A-module and isomorphism tests against it stop at identity
+    return DupModule(triple_to_rep(x, y, theta), x.quiver, (x, y, theta))
 
 
 # -- standard modules and the category ---------------------------------------
@@ -197,10 +243,8 @@ def rep_to_triple(rep: Rep, base: Quiver) -> DupModule:
 
 def embed_A(x: Rep) -> DupModule:
     """The module (X, 0, 0): an A-module seen over the duplicated algebra."""
-    q = x.quiver
-    y = reps.zero_rep(q)
-    nu = path_category(q).nakayama(y)
-    return DupModule(x, y, reps.zero_map(nu, x))
+    y = reps.zero_rep(x.quiver)
+    return _from_triple(x, y, reps.zero_map(path_category(x.quiver).nakayama(y), x))
 
 
 def proj_primed(q: Quiver, x: str) -> DupModule:
@@ -208,20 +252,22 @@ def proj_primed(q: Quiver, x: str) -> DupModule:
     cat = path_category(q)
     p = cat.proj[x]
     nu = cat.nakayama(p)
-    return DupModule(nu, p, reps.identity_map(nu))
+    return _from_triple(nu, p, reps.identity_map(nu))
 
 
 def inj_primed(q: Quiver, x: str) -> DupModule:
     """The injective at the primed vertex: (0, I_x, 0)."""
-    i = injective_rep(q, x)
-    nu = path_category(q).nakayama(i)
-    return DupModule(reps.zero_rep(q), i, reps.zero_map(nu, reps.zero_rep(q)))
+    return _primed_only(injective_rep(q, x))
 
 
 def simple_primed(q: Quiver, x: str) -> DupModule:
-    s = simple_rep(q, x)
-    nu = path_category(q).nakayama(s)
-    return DupModule(reps.zero_rep(q), s, reps.zero_map(nu, reps.zero_rep(q)))
+    return _primed_only(simple_rep(q, x))
+
+
+def _primed_only(y: Rep) -> DupModule:
+    """The module (0, Y, 0)."""
+    zero = reps.zero_rep(y.quiver)
+    return _from_triple(zero, y, reps.zero_map(path_category(y.quiver).nakayama(y), zero))
 
 
 @dataclass
@@ -293,25 +339,12 @@ def dup_category(q: Quiver) -> ModuleCategory:
     return cat
 
 
-# -- public operations on triples ---------------------------------------------
+# -- public operations on modules ---------------------------------------------
 
 
 def hom_basis_dup(m: DupModule, n: DupModule):
-    """Basis of the morphism space, as pairs of base-quiver morphisms."""
-    q = m.base_quiver
-    out = []
-    for h in dup_category(q).hom(m.rep(), n.rep()):
-        f = RepMap(
-            m.x_part, n.x_part, {v: h.mats[v] for v in q.vertices}, check=False
-        )
-        g = RepMap(
-            m.y_part,
-            n.y_part,
-            {v: h.mats[prime(v)] for v in q.vertices},
-            check=False,
-        )
-        out.append(DupMap(m, n, f, g))
-    return out
+    """Basis of the morphism space."""
+    return [DupMap(m, n, h) for h in dup_category(m.base_quiver).hom(m.rep(), n.rep())]
 
 
 def hom_dim_dup(m: DupModule, n: DupModule) -> int:
@@ -348,15 +381,6 @@ class CoversEnvelopes:
     envelope_map: DupMap
 
 
-def _as_dup_map(h: RepMap, m: DupModule, n: DupModule) -> DupMap:
-    q = m.base_quiver
-    f = RepMap(m.x_part, n.x_part, {v: h.mats[v] for v in q.vertices}, check=False)
-    g = RepMap(
-        m.y_part, n.y_part, {v: h.mats[prime(v)] for v in q.vertices}, check=False
-    )
-    return DupMap(m, n, f, g)
-
-
 def covers_and_envelopes(m: DupModule) -> CoversEnvelopes:
     q = m.base_quiver
     cat = dup_category(q)
@@ -364,9 +388,7 @@ def covers_and_envelopes(m: DupModule) -> CoversEnvelopes:
     p0 = rep_to_triple(cover.p0, q)
     _, i0_rep, j = cat.envelope(m.rep())
     i0 = rep_to_triple(i0_rep, q)
-    return CoversEnvelopes(
-        p0, _as_dup_map(cover.q, p0, m), i0, _as_dup_map(j, m, i0)
-    )
+    return CoversEnvelopes(p0, DupMap(p0, m, cover.q), i0, DupMap(m, i0, j))
 
 
 @dataclass
@@ -430,8 +452,40 @@ class DupCatalog:
     def entries(self):
         return self.catalog.entries
 
+    @cached_property
+    def reach(self):
+        """reach[i][j]: a chain of nonzero morphisms leads from entry i to j."""
+        return hom_reach(self.modules)
+
+    @cached_property
+    def pd_table(self):
+        """Projective dimension of every entry."""
+        ctx = dup_category(self.base)
+        return tuple(ctx.pd(e) for e in self.entries)
+
     def find_module(self, m: DupModule) -> Optional[int]:
         return self.catalog.find(m.rep())
+
+
+def hom_reach(modules):
+    """Reflexive-transitive closure of the nonzero-hom relation."""
+    n = len(modules)
+    if n == 0:
+        return []
+    cat = dup_category(modules[0].base_quiver)
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and cat.hom_dim(modules[i].rep(), modules[j].rep()) > 0:
+                reach[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                row_i, row_k = reach[i], reach[k]
+                for j in range(n):
+                    if row_k[j]:
+                        row_i[j] = True
+    return reach
 
 
 def knit_ind_dup(q: Quiver, cap: int = 10000) -> DupCatalog:

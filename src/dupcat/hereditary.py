@@ -21,11 +21,6 @@ def simple_rep(q: Quiver, x: str) -> Rep:
     return Rep(q, {x: 1}, {})
 
 
-def projective_paths(q: Quiver, x: str):
-    """Per-vertex ordered path bases of the projective at x."""
-    return paths_from(q, x)
-
-
 def projective_rep(q: Quiver, x: str) -> Rep:
     table = paths_from(q, x)
     dims = {v: len(table[v]) for v in q.vertices}

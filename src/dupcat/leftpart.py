@@ -27,6 +27,7 @@ from .dup import (
     proj_primed,
     tau_dup_pair,
 )
+from .dup import hom_reach as _hom_reach  # noqa: F401  (used by the verification tests)
 from .hereditary import injective_rep, knit_ind_A
 from .reps import cokernel as rep_cokernel, split_pair
 
@@ -53,28 +54,6 @@ def _require_dynkin(q: Quiver):
     return d
 
 
-def _hom_reach(modules):
-    """Reflexive-transitive closure of the nonzero-hom relation."""
-    n = len(modules)
-    if n == 0:
-        return []
-    q = modules[0].base_quiver
-    cat = dup_category(q)
-    reach = [[i == j for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and cat.hom_dim(modules[i].rep(), modules[j].rep()) > 0:
-                reach[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                row_i, row_k = reach[i], reach[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return reach
-
-
 @dataclass
 class LeftPartCatalog:
     """Members of the left part, partitioned by how they arise."""
@@ -98,7 +77,7 @@ class LeftPartCatalog:
 
     def member_index(self, m: DupModule) -> Optional[int]:
         for i, e in enumerate(self.members):
-            if e.dim_vectors() == m.dim_vectors() and is_isomorphic_dup(e, m):
+            if is_isomorphic_dup(e, m):
                 return i
         return None
 
@@ -200,8 +179,7 @@ def left_part_catalog(q: Quiver) -> LeftPartCatalog:
     for i, m in enumerate(lpc.members):
         assert pd_dup(m) <= 1, f"left-part member {i} has projective dimension > 1"
         for j in range(i + 1, len(lpc.members)):
-            if lpc.members[j].dim_vectors() == m.dim_vectors():
-                assert not is_isomorphic_dup(m, lpc.members[j]), "duplicate member"
+            assert not is_isomorphic_dup(m, lpc.members[j]), "duplicate member"
     return lpc
 
 
@@ -250,13 +228,10 @@ def verify_ext_injectives(lpc: LeftPartCatalog) -> Report:
 def definition_left_part_indices(cat: DupCatalog):
     """First-principles left part inside a knitted catalog: predecessor
     closure of the nonzero-hom relation plus projective dimensions."""
-    modules = list(cat.modules)
-    reach = _hom_reach(modules)
-    ctx = dup_category(cat.base)
-    pd_table = [ctx.pd(e) for e in cat.entries]
+    reach, pd_table = cat.reach, cat.pd_table
     out = []
-    for j in range(len(modules)):
-        preds = [i for i in range(len(modules)) if reach[i][j]]
+    for j in range(len(cat.modules)):
+        preds = [i for i in range(len(cat.modules)) if reach[i][j]]
         if all(pd_table[i] <= 1 for i in preds):
             out.append(j)
     return tuple(out)
@@ -286,11 +261,10 @@ def verify_sink_reachability(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
     path from a projective-injective at a sink."""
     q = cat.base
     sinks, _ = sinks_and_sources(q)
-    modules = list(cat.modules)
-    reach = _hom_reach(modules)
+    reach = cat.reach
     pi_idx = {a: cat.catalog.entries.index(dup_category(q).proj[prime(a)]) for a in sinks}
     witnesses = []
-    for j, m in enumerate(modules):
+    for j, m in enumerate(cat.modules):
         if m.y_part.is_zero():
             continue
         if not any(reach[pi_idx[a]][j] for a in sinks):
@@ -305,7 +279,7 @@ def verify_pd_criterion(cat: DupCatalog) -> Report:
     injectives = [ctx.inj[z] for z in ctx.quiver.vertices]
     witnesses = []
     for i, e in enumerate(cat.entries):
-        pd = ctx.pd(e)
+        pd = cat.pd_table[i]
         t = ctx.tau(e)
         if t is None:
             hom_from_inj = 0
@@ -347,9 +321,8 @@ def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
     ctx = dup_category(q)
     tau_of = cat.catalog.tau_of
     witnesses = []
-    modules = list(cat.modules)
-    reach = _hom_reach(modules)
-    pd_table = [ctx.pd(e) for e in cat.entries]
+    modules = cat.modules
+    reach, pd_table = cat.reach, cat.pd_table
     for a in sinks:
         start = cat.catalog.entries.index(ctx.proj[prime(a)])
         try:

@@ -71,7 +71,6 @@ class ARCatalog:
 
     category: "ModuleCategory"
     entries: tuple
-    labels: tuple  # diagnostic labels, e.g. ("P", z) for projectives
     projective: tuple
     injective: tuple
     tau_inv_of: dict  # index -> index of tau^{-1}
@@ -497,11 +496,7 @@ class ModuleCategory:
     # -- knitting ----------------------------------------------------------------
 
     def knit(self, cap: int = 10000) -> ARCatalog:
-        entries = []
-        labels = []
-        for z in self.quiver.vertices:
-            entries.append(self.proj[z])
-            labels.append(("P", z))
+        entries = [self.proj[z] for z in self.quiver.vertices]
         tau_inv_of = {}
         tau_of = {}
         i = 0
@@ -519,7 +514,6 @@ class ModuleCategory:
                         break
                 if j is None:
                     entries.append(n)
-                    labels.append(("tauinv", i))
                     j = len(entries) - 1
                     if len(entries) > cap:
                         raise CapExceededError(cap)
@@ -536,7 +530,6 @@ class ModuleCategory:
         catalog = ARCatalog(
             self,
             tuple(entries),
-            tuple(labels),
             projective,
             injective,
             tau_inv_of,

@@ -89,9 +89,6 @@ class Quiver:
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
 
-    def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
-
     def as_text(self) -> str:
         lines = ["vertices " + " ".join(self.vertices)]
         lines += [f"arrow {a.name} {a.source} {a.target}" for a in self.arrows]
@@ -270,16 +267,6 @@ def maximal_paths(q: Quiver):
 
 def prime(v: str) -> str:
     return v + "'"
-
-
-def unprime(v: str) -> str:
-    if not v.endswith("'"):
-        raise ValueError(f"{v!r} is not a primed vertex")
-    return v[:-1]
-
-
-def is_primed(v: str) -> bool:
-    return v.endswith("'")
 
 
 @dataclass

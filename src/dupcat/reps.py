@@ -322,12 +322,6 @@ def dualize(m: Rep, op_quiver: Quiver, vertex_map, arrow_map) -> Rep:
     return Rep(op_quiver, dims, mats)
 
 
-def dualize_map(f: RepMap, dual_source: Rep, dual_target: Rep, vertex_map) -> RepMap:
-    """Dual of f: a map dual(target) -> dual(source); contravariant."""
-    mats = {vertex_map[v]: f.mats[v].transpose() for v in f.mats}
-    return RepMap(dual_target, dual_source, mats, check=False)
-
-
 # -- isomorphism and splitting ---------------------------------------------
 
 

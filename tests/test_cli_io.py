@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,7 @@ from dupcat.catalog_io import (
 from dupcat.cli import RunConfig, main
 from dupcat.dot import ar_quiver_dot
 from dupcat.dup import knit_ind_dup
+from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A
 from dupcat.leftpart import annotate_catalog, left_part_catalog
@@ -158,3 +161,32 @@ def test_catalog_json_roundtrip_dup():
     # triples were rebuilt from the serialized representations
     for a, b in zip(cat.modules, back.modules):
         assert a.dim_vectors() == b.dim_vectors()
+
+
+_LOAD_EXPECTING_CATALOG_ERROR = """
+import sys
+from dupcat.catalog_io import loads
+from dupcat.errors import CatalogError
+try:
+    loads(open(sys.argv[1], encoding="utf-8").read())
+except CatalogError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_catalog_json_import_rejects_non_module(tmp_path, src_env):
+    """A connecting-arrow entry zeroed in a D4 export leaves no compatible
+    theta: the import raises CatalogError, also under python -O."""
+    body = json.loads(dumps(dup_catalog_to_dict(knit_ind_dup(d4_subspace()))))
+    assert len(catalog_from_dict(body).modules) == 36  # the untouched export loads
+    body["entries"][4]["matrices"]["D[al]"]["entries"][0][0] = "0"
+    with pytest.raises(CatalogError):
+        catalog_from_dict(body)
+    path = tmp_path / "tampered.json"
+    path.write_text(dumps(body), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _LOAD_EXPECTING_CATALOG_ERROR, str(path)],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

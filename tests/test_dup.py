@@ -14,6 +14,7 @@ from dupcat.dup import (
     structure,
     syzygy_pair,
     tau_dup_pair,
+    triple_to_rep,
 )
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import (
@@ -188,6 +189,15 @@ def test_a2_long_path_vanishes():
     assert not path_action_vanishes(q, ("D[a2]", "a2"), prime("1"))
 
 
+def _assert_triple_rebuilds(m):
+    """triple_to_rep(X, Y, theta) reproduces every arrow action of m."""
+    again = triple_to_rep(m.x_part, m.y_part, m.theta)
+    rep = m.rep()
+    assert again.dims == rep.dims
+    for a in rep.quiver.arrows:
+        assert again.mats[a.name].data == rep.mats[a.name].data, a.name
+
+
 def test_rep_to_triple_roundtrip():
     q = a_n(2)
     std = standard_dup_modules(q)
@@ -196,3 +206,11 @@ def test_rep_to_triple_roundtrip():
         again = rep_to_triple(m.rep(), q)
         assert is_isomorphic_dup(m, again)
         assert again.rep().dim_vector() == m.rep().dim_vector()
+        _assert_triple_rebuilds(again)
+    # every knitted D4 module is a view on its catalog entry, and its derived
+    # triple rebuilds the connecting-arrow actions entry by entry
+    cat = knit_ind_dup(d4_subspace())
+    assert len(cat.modules) == 36
+    for m, entry in zip(cat.modules, cat.catalog.entries):
+        assert m.rep() is entry
+        _assert_triple_rebuilds(m)
