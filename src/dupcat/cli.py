@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .catalog_io import catalog_to_dict, dup_catalog_to_dict, dumps
-from .cluster import describe_object, enumerate_cluster_tilting
+from .cluster import describe_object
 from .dot import ar_quiver_dot
 from .dup import knit_ind_dup
 from .errors import CapExceededError, DupcatError
@@ -114,9 +114,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_enumerate(cfg: RunConfig) -> int:
     q = _load(cfg)
     dynkin = classify_dynkin(q)
-    records = enumerate_L_tilting(q)
-    cluster_sets = enumerate_cluster_tilting(q)
     bij = verify_bijection(q)
+    records, cluster_sets = bij.records, bij.cluster_sets
     cat_a = knit_ind_A(q, cfg.cap)
     lpc = left_part_catalog(q)
     lines = [

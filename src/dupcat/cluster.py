@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import NotDynkinError, NotInDomainError
+from .errors import CatalogError, NotDynkinError, NotInDomainError
 from .quiver import Quiver, classify_dynkin
 from .dup import DupModule, embed_A, is_isomorphic_dup, proj_primed, tau_dup_pair
 from .hereditary import injective_rep, knit_ind_A, path_category
@@ -110,7 +110,8 @@ def ext1_cluster_dim(o1: ClusterObject, o2: ClusterObject) -> int:
     module/module: both-direction base Ext; shift(x)/module(M): the dimension
     of M at x; shift/shift: zero.
     """
-    assert o1.quiver == o2.quiver
+    if o1.quiver != o2.quiver:
+        raise CatalogError("cluster objects over different quivers")
     ctx = _ctx(o1.quiver)
     cat = path_category(o1.quiver)
     if o1.kind == "module" and o2.kind == "module":
@@ -145,7 +146,8 @@ def enumerate_cluster_tilting(q: Quiver):
     n = len(q.vertices)
     count = len(objects)
     for i, o in enumerate(objects):
-        assert ext1_cluster_dim(o, o) == 0, "fundamental-domain object not rigid"
+        if ext1_cluster_dim(o, o) != 0:
+            raise CatalogError("fundamental-domain object not rigid")
     compat = [[False] * count for _ in range(count)]
     for i in range(count):
         for j in range(i + 1, count):

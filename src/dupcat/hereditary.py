@@ -151,7 +151,8 @@ def knit_ind_A(q: Quiver, cap: int = 10000) -> ARCatalog:
     """The complete AR catalog of ind A for a representation-finite quiver.
 
     Raises CapExceededError past the cap, which diagnoses representation-
-    infinite type.
+    infinite type.  The catalog is knitted once per quiver and shared (see
+    ``ModuleCategory.knit``).
     """
     return path_category(q).knit(cap)
 

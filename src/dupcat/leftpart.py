@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import NotDynkinError
+from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
 from . import dup as dupmod
 from .dup import (
@@ -54,9 +54,13 @@ def _require_dynkin(q: Quiver):
     return d
 
 
-@dataclass
+@dataclass(frozen=True)
 class LeftPartCatalog:
-    """Members of the left part, partitioned by how they arise."""
+    """Members of the left part, partitioned by how they arise.
+
+    Frozen: one catalog per quiver is shared by every caller of
+    :func:`left_part_catalog`.
+    """
 
     base: Quiver
     members: tuple  # DupModules
@@ -90,8 +94,14 @@ def sigma_catalog(q: Quiver):
     return left_part_catalog(q).sigma
 
 
+_lpc_cache: dict = {}
+
+
 def left_part_catalog(q: Quiver) -> LeftPartCatalog:
     """Structure-based left part: embedded ind A plus the Ext-injectives.
+
+    Built once per quiver; every later call returns the same catalog, so the
+    checks that read it share its members and their Hom/Ext caches.
 
     A projective-injective lies in the left part iff all its predecessors
     do, and its predecessors are itself plus those of its radical summands.
@@ -101,14 +111,22 @@ def left_part_catalog(q: Quiver) -> LeftPartCatalog:
     recursing along the primed arrows.  No knitting of the duplicated
     category is needed.
     """
-    _require_dynkin(q)
+    if q not in _lpc_cache:
+        _require_dynkin(q)
+        _lpc_cache[q] = _build_left_part_catalog(q)
+    return _lpc_cache[q]
+
+
+def _build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
     cat_a = knit_ind_A(q)
     embeds = [embed_A(e) for e in cat_a.entries]
     cosyz = {}
     for x in q.vertices:
         t = tau_dup_pair(embed_A(injective_rep(q, x))).tau_inv
-        assert isinstance(t, DupModule), "embedded injective cannot be injective here"
-        assert not t.y_part.is_zero(), "cosyzygy candidate fell into ind A"
+        if not isinstance(t, DupModule):
+            raise CatalogError("embedded injective cannot be injective here")
+        if t.y_part.is_zero():
+            raise CatalogError("cosyzygy candidate fell into ind A")
         cosyz[x] = t
     pis = {x: proj_primed(q, x) for x in q.vertices}
     ctx = dup_category(q)
@@ -175,11 +193,14 @@ def left_part_catalog(q: Quiver) -> LeftPartCatalog:
         tuple(sigma_indices),
     )
     # structural invariants
-    assert sum(lpc.cosyzygy_flags) == n
+    if sum(lpc.cosyzygy_flags) != n:
+        raise CatalogError("expected one cosyzygy member per vertex")
     for i, m in enumerate(lpc.members):
-        assert pd_dup(m) <= 1, f"left-part member {i} has projective dimension > 1"
+        if pd_dup(m) > 1:
+            raise CatalogError(f"left-part member {i} has projective dimension > 1")
         for j in range(i + 1, len(lpc.members)):
-            assert not is_isomorphic_dup(m, lpc.members[j]), "duplicate member"
+            if is_isomorphic_dup(m, lpc.members[j]):
+                raise CatalogError("duplicate member")
     return lpc
 
 

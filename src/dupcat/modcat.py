@@ -106,6 +106,7 @@ class ModuleCategory:
         self._nak_cache = {}
         self._lam_cache = {}
         self._inj_flag_cache = {}
+        self._catalog: Optional[ARCatalog] = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -496,6 +497,18 @@ class ModuleCategory:
     # -- knitting ----------------------------------------------------------------
 
     def knit(self, cap: int = 10000) -> ARCatalog:
+        """The AR catalog: the tau^{-1}-closure of the projectives.
+
+        The first successful knit is kept and returned by every later call,
+        so all callers share one set of entries (and the hom, presentation
+        and Nakayama caches keyed by them).  A later call whose ``cap`` is
+        below the kept entry count still raises CapExceededError, exactly as
+        a fresh knit would.  A knit that raises is not kept.
+        """
+        if self._catalog is not None:
+            if len(self._catalog.entries) > cap:
+                raise CapExceededError(cap)
+            return self._catalog
         entries = [self.proj[z] for z in self.quiver.vertices]
         tau_inv_of = {}
         tau_of = {}
@@ -536,6 +549,7 @@ class ModuleCategory:
             tau_of,
         )
         self._fill_ar_structure(catalog)
+        self._catalog = catalog
         return catalog
 
     def try_decompose(self, e: Rep, candidates):

@@ -8,10 +8,10 @@ is the n-subsets of the non-projective-injective left-part members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotDynkinError
+from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin
 from .cluster import enumerate_cluster_tilting, pi_bar
 from .dup import ext1_dup, is_isomorphic_dup, pd_dup, proj_primed
@@ -78,7 +78,8 @@ def enumerate_L_tilting(q: Quiver):
     count = len(candidates)
     rigid = [[False] * count for _ in range(count)]
     for i in range(count):
-        assert ext1_dup(candidates[i], candidates[i]) == 0, "candidate not rigid"
+        if ext1_dup(candidates[i], candidates[i]) != 0:
+            raise CatalogError("candidate not rigid")
         for j in range(i + 1, count):
             ok = (
                 ext1_dup(candidates[i], candidates[j]) == 0
@@ -111,6 +112,9 @@ class BijectionReport:
     right_count: int
     matched: bool
     witnesses: list
+    # what was compared: the tilting-module records and the cluster side
+    records: list = field(default_factory=list)
+    cluster_sets: list = field(default_factory=list)
 
     @property
     def passed(self):
@@ -133,11 +137,15 @@ def verify_bijection(q: Quiver) -> BijectionReport:
     """Project every enumerated tilting module summand-wise and compare the
     image, as a set of sets, with the cluster-side enumeration."""
     records = enumerate_L_tilting(q)
-    cluster_sets = {frozenset(s) for s in enumerate_cluster_tilting(q)}
+    cluster_side = enumerate_cluster_tilting(q)
+    cluster_sets = {frozenset(s) for s in cluster_side}
+    # records share their summands: project each distinct one once
+    distinct = dict.fromkeys(m for rec in records for m in rec.free)
+    projected = {m: pi_bar(m) for m in distinct}
     witnesses = []
     images = set()
     for rec in records:
-        img = frozenset(pi_bar(m) for m in rec.free)
+        img = frozenset(projected[m] for m in rec.free)
         if len(img) != len(rec.free):
             witnesses.append(f"projection not injective on {rec.free}")
         if img in images:
@@ -148,7 +156,9 @@ def verify_bijection(q: Quiver) -> BijectionReport:
     for extra in cluster_sets - images:
         witnesses.append(f"cluster-tilting set not hit: {extra}")
     matched = not witnesses and len(records) == len(cluster_sets)
-    return BijectionReport(len(records), len(cluster_sets), matched, witnesses)
+    return BijectionReport(
+        len(records), len(cluster_sets), matched, witnesses, records, cluster_side
+    )
 
 
 _DEGREES = {
@@ -178,5 +188,6 @@ def expected_count(dynkin) -> int:
     prod = Fraction(1)
     for d in degrees:
         prod *= Fraction(d + h, d)
-    assert prod.denominator == 1
+    if prod.denominator != 1:
+        raise CatalogError(f"degree product {prod} is not an integer")
     return int(prod)

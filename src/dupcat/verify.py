@@ -186,9 +186,10 @@ def check_ext_symmetry_and_cross_model(q: Quiver, lpc) -> Report:
             if ext1_cluster_dim(o1, o2) != ext1_cluster_dim(o2, o1):
                 witnesses.append(f"asymmetric pair {o1}, {o2}")
     members = lpc.non_proj_inj_members()
-    for m in members:
-        for n in members:
-            lhs = ext1_cluster_dim(pi_bar(m), pi_bar(n)) == 0
+    projected = [pi_bar(m) for m in members]
+    for m, pm in zip(members, projected):
+        for n, pn in zip(members, projected):
+            lhs = ext1_cluster_dim(pm, pn) == 0
             rhs = ext1_dup(m, n) == 0 and ext1_dup(n, m) == 0
             if lhs != rhs:
                 witnesses.append(

@@ -190,3 +190,20 @@ def test_catalog_json_import_rejects_non_module(tmp_path, src_env):
         env=src_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_verify_same_bytes_under_optimize(fixture_dir, tmp_path, src_env):
+    """Stripping asserts changes nothing: ``python -O`` prints the same
+    report and writes the same JSON as a normal run."""
+    quiver = str(fixture_dir / "d4.quiver")
+    runs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"verify{''.join(flags)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "dupcat.cli", "verify", "--quiver", quiver,
+             "--out", str(out)],
+            env=src_env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, out.read_bytes()))
+    assert runs[0] == runs[1]

@@ -162,3 +162,20 @@ def test_pd_hereditary_at_most_one():
     ctx = path_category(q)
     for m in knit_ind_A(q).entries:
         assert ctx.pd(m) <= 1
+
+
+def test_knit_is_kept_per_category():
+    q = d4_subspace()
+    cat = knit_ind_A(q)
+    assert knit_ind_A(q) is cat
+    assert len(cat.entries) == 12
+    # the kept catalog still answers a lower cap as a fresh knit would
+    with pytest.raises(CapExceededError):
+        knit_ind_A(q, cap=5)
+    assert knit_ind_A(q, cap=12) is cat
+
+
+def test_failed_knit_is_not_kept():
+    for _ in range(2):
+        with pytest.raises(CapExceededError):
+            knit_ind_A(kronecker(), cap=10)

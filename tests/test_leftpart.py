@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dupcat.dup import embed_A, knit_ind_dup
@@ -84,20 +86,21 @@ def test_corrupted_catalog_is_detected():
     q = a_n(2)
     lpc = left_part_catalog(q)
     cat = knit_ind_dup(q)
-    # drop a genuine member from the structural side by lying about sigma
-    broken = left_part_catalog(q)
-    object.__setattr__(broken, "members", broken.members[:-1])
-    object.__setattr__(broken, "proj_inj_flags", broken.proj_inj_flags[:-1])
-    object.__setattr__(broken, "ind_a_flags", broken.ind_a_flags[:-1])
-    object.__setattr__(broken, "cosyzygy_flags", broken.cosyzygy_flags[:-1])
-    object.__setattr__(
-        broken,
-        "sigma_indices",
-        tuple(i for i in broken.sigma_indices if i < len(broken.members)),
+    # drop a genuine member from the structural side by lying about sigma;
+    # the catalog is shared, so the lie goes into a copy
+    members = lpc.members[:-1]
+    broken = dataclasses.replace(
+        lpc,
+        members=members,
+        proj_inj_flags=lpc.proj_inj_flags[:-1],
+        ind_a_flags=lpc.ind_a_flags[:-1],
+        cosyzygy_flags=lpc.cosyzygy_flags[:-1],
+        sigma_indices=tuple(i for i in lpc.sigma_indices if i < len(members)),
     )
     report = verify_left_part_definition(broken, cat)
     assert not report.passed
     assert report.witnesses
+    assert verify_left_part_definition(left_part_catalog(q), cat).passed
 
 
 def test_canonical_tilting():
@@ -123,3 +126,11 @@ def test_lemma_embeds_and_their_tau_inverse_in_left_part():
         ti = tau_dup_pair(em).tau_inv
         if ti is not INJECTIVE:
             assert lpc.member_index(ti) is not None
+
+
+def test_left_part_built_once_and_frozen():
+    q = d4_subspace()
+    lpc = left_part_catalog(q)
+    assert left_part_catalog(q) is lpc
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lpc.members = ()

@@ -1,4 +1,4 @@
-from dupcat import cli
+from dupcat import cli, tilting, verify
 from dupcat.dup import knit_ind_dup
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A
@@ -84,3 +84,27 @@ def test_cli_verify_fails_on_injected_failure(fixture_dir, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[FAIL] injected-check" in out
     assert "synthetic witness" in out
+
+
+def test_each_member_projected_at_most_twice(monkeypatch):
+    """The full suite projects each non-projective-injective left-part
+    member once for the cross-model check and once for the bijection."""
+    calls = []
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(m):
+            calls.append(m)
+            return inner(m)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(verify, "pi_bar")
+    counting(tilting, "pi_bar")
+    q = d4_subspace()
+    checks = run_all_checks(q)
+    assert all(c.passed for c in checks)
+    members = left_part_catalog(q).non_proj_inj_members()
+    assert calls
+    assert len(calls) <= 2 * len(members)
