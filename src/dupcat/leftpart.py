@@ -314,21 +314,24 @@ def verify_pd_criterion(cat: DupCatalog) -> Report:
 
 
 def _ar_paths(cat: DupCatalog, start: int):
-    """All directed paths in the AR quiver from ``start`` (DAG assumed)."""
+    """Yield every directed path in the AR quiver from ``start``, in preorder
+    with successors in increasing order.  Raises ValueError on an oriented
+    cycle.  An explicit stack (no self-referencing closure) leaves no
+    reference cycle behind."""
     adj = {}
     for s, t, _ in cat.catalog.arrows:
         adj.setdefault(s, set()).add(t)
-    paths = []
-
-    def walk(path):
-        paths.append(tuple(path))
-        for t in sorted(adj.get(path[-1], ())):
+    # successors in decreasing order, so the stack pops the least first
+    succ = {s: sorted(ts, reverse=True) for s, ts in adj.items()}
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
+        yield path
+        nxt = succ.get(path[-1], ())
+        for t in nxt:
             if t in path:
                 raise ValueError("AR quiver has an oriented cycle")
-            walk(path + [t])
-
-    walk([start])
-    return paths
+        stack.extend([path + (t,) for t in nxt])
 
 
 def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
@@ -346,23 +349,22 @@ def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
     reach, pd_table = cat.reach, cat.pd_table
     for a in sinks:
         start = cat.catalog.entries.index(ctx.proj[prime(a)])
+        nonsectional_targets = set()
         try:
-            paths = _ar_paths(cat, start)
+            for path in _ar_paths(cat, start):
+                sectional = True
+                for k in range(1, len(path) - 1):
+                    if tau_of.get(path[k + 1]) == path[k - 1]:
+                        sectional = False
+                        break
+                if not sectional:
+                    nonsectional_targets.add(path[-1])
+                    if cat.in_L[path[-1]]:
+                        witnesses.append(
+                            f"non-sectional path {path} from sink {a} ends inside the left part"
+                        )
         except ValueError as exc:
             return Report("sectional-paths", False, [str(exc)])
-        nonsectional_targets = set()
-        for path in paths:
-            sectional = True
-            for k in range(1, len(path) - 1):
-                if tau_of.get(path[k + 1]) == path[k - 1]:
-                    sectional = False
-                    break
-            if not sectional:
-                nonsectional_targets.add(path[-1])
-                if cat.in_L[path[-1]]:
-                    witnesses.append(
-                        f"non-sectional path {path} from sink {a} ends inside the left part"
-                    )
         for j in range(len(modules)):
             if cat.in_L[j] or not reach[start][j]:
                 continue

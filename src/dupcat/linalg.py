@@ -2,15 +2,24 @@
 
 Everything downstream (Hom spaces, Ext groups, AR translates) reduces to
 kernels, cokernels and ranks of matrices with Fraction entries.  No floating
-point is used anywhere.  Ranks run through fraction-free (Bareiss) elimination
-on an integer rescaling of the rows; solving and nullspaces use plain
-Gauss-Jordan over Fraction, which auto-normalizes via gcd.
+point is used anywhere.
+
+Elimination runs on Python integers.  Each row is first scaled by the lcm of
+its denominators.  Ranks then use fraction-free (Bareiss) elimination;
+reduced row echelon forms use Gauss-Jordan with integer row operations, each
+updated row divided by its content (the gcd of its entries), and every pivot
+row divided by its pivot once at the end.  The reduced row echelon form is
+unique, so rref, nullspace, solve and cokernel return the same Fractions as
+Gauss-Jordan over Fraction would.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -36,6 +45,17 @@ class RMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
 
+    @staticmethod
+    def _raw(data, rows: int, cols: int) -> "RMatrix":
+        """Internal constructor: ``data`` is already a ``rows``-tuple of
+        ``cols``-tuples of Fractions, so it is neither re-wrapped nor
+        checked."""
+        m = _new(RMatrix)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_data(m, data)
+        return m
+
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("RMatrix is immutable")
 
@@ -43,11 +63,15 @@ class RMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RMatrix":
-        return RMatrix([[0] * cols for _ in range(rows)], rows, cols)
+        return RMatrix._raw(((_ZERO,) * cols,) * rows, rows, cols)
 
     @staticmethod
     def identity(n: int) -> "RMatrix":
-        return RMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
+        return RMatrix._raw(
+            tuple((_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i) for i in range(n)),
+            n,
+            n,
+        )
 
     @staticmethod
     def from_columns(columns, rows: int) -> "RMatrix":
@@ -82,11 +106,11 @@ class RMatrix:
     def __add__(self, other: "RMatrix") -> "RMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return RMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
+        return RMatrix._raw(
+            tuple(
+                tuple([a + b for a, b in zip(r1, r2)])
                 for r1, r2 in zip(self.data, other.data)
-            ],
+            ),
             self.rows,
             self.cols,
         )
@@ -96,29 +120,33 @@ class RMatrix:
 
     def scale(self, c) -> "RMatrix":
         c = _frac(c)
-        return RMatrix(
-            [[c * x for x in row] for row in self.data], self.rows, self.cols
+        return RMatrix._raw(
+            tuple(tuple([c * x for x in row]) for row in self.data),
+            self.rows,
+            self.cols,
         )
 
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ot = other.transpose().data
-        return RMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in ot]
-                for row in self.data
-            ],
-            self.rows,
-            other.cols,
-        )
+        # Row i of the product combines the rows of ``other`` with the
+        # weights in row i of ``self``; zero weights and zero entries are
+        # skipped, unit weights copy the row.
+        out = []
+        for row in self.data:
+            acc = None
+            for a, orow in zip(row, other.data):
+                if not a:
+                    continue
+                term = orow if a == 1 else [a * x if x else _ZERO for x in orow]
+                acc = term if acc is None else [x + y if y else x for x, y in zip(acc, term)]
+            out.append((_ZERO,) * other.cols if acc is None else tuple(acc))
+        return RMatrix._raw(tuple(out), self.rows, other.cols)
 
     def transpose(self) -> "RMatrix":
-        return RMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
+        if self.rows == 0:
+            return RMatrix.zeros(self.cols, 0)
+        return RMatrix._raw(tuple(zip(*self.data)), self.cols, self.rows)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -138,8 +166,8 @@ class RMatrix:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValueError("row mismatch in hstack")
-        data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-        return RMatrix(data, rows, sum(m.cols for m in mats))
+        data = tuple(sum((m.data[i] for m in mats), ()) for i in range(rows))
+        return RMatrix._raw(data, rows, sum(m.cols for m in mats))
 
     @staticmethod
     def vstack(mats) -> "RMatrix":
@@ -147,36 +175,48 @@ class RMatrix:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("column mismatch in vstack")
-        data = [row for m in mats for row in m.data]
-        return RMatrix(data, sum(m.rows for m in mats), cols)
+        data = tuple(row for m in mats for row in m.data)
+        return RMatrix._raw(data, sum(m.rows for m in mats), cols)
 
     @staticmethod
     def block_diag(mats) -> "RMatrix":
         mats = list(mats)
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        out = []
+        c0 = 0
         for m in mats:
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    out[r0 + i][c0 + j] = m.data[i][j]
-            r0 += m.rows
+            left, right = (_ZERO,) * c0, (_ZERO,) * (cols - c0 - m.cols)
+            out.extend(left + row + right for row in m.data)
             c0 += m.cols
-        return RMatrix(out, rows, cols)
+        return RMatrix._raw(tuple(out), rows, cols)
+
+
+# Slot setters for RMatrix._raw: the immutability guard in __setattr__ is
+# bypassed at construction only.
+_new = object.__new__
+_set_rows = RMatrix.rows.__set__
+_set_cols = RMatrix.cols.__set__
+_set_data = RMatrix.data.__set__
 
 
 # -- elimination -------------------------------------------------------
+
+
+def _int_rows(m: RMatrix):
+    """Each row of ``m`` times the lcm of its denominators, as int lists."""
+    out = []
+    for row in m.data:
+        den = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
 
 
 def rank(m: RMatrix) -> int:
     """Rank over Q via Bareiss fraction-free elimination on integer rows."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    a = []
-    for row in m.data:
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        a.append([int(x * den) for x in row])
+    a = _int_rows(m)
     nrows, ncols = m.rows, m.cols
     prev = 1
     r = 0
@@ -197,28 +237,57 @@ def rank(m: RMatrix) -> int:
     return r
 
 
-def rref(m: RMatrix):
-    """Reduced row echelon form.  Returns (rows as lists, pivot columns)."""
-    a = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
+def _int_rref(m: RMatrix):
+    """Integer Gauss-Jordan: (rows, pivot columns).
+
+    Row k < len(pivots) divided by its entry at ``pivots[k]`` is row k of
+    the reduced row echelon form of ``m``; the remaining rows are zero.
+    Every row is kept primitive (content 1), so entries stay small.
+    """
+    a = []
+    for row in _int_rows(m):
+        g = gcd(*row)
+        a.append([x // g for x in row] if g > 1 else row)
+    nrows = m.rows
     pivots = []
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+    for c in range(m.cols):
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                pp, ff = p // g, f // g
+                if pp == 1:
+                    new = [x - ff * y for x, y in zip(row, prow)]
+                else:
+                    new = [pp * x - ff * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                a[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return a, pivots
+
+
+def rref(m: RMatrix):
+    """Reduced row echelon form.  Returns (rows as lists, pivot columns)."""
+    a, pivots = _int_rref(m)
+    out = []
+    for k, row in enumerate(a):
+        if k < len(pivots):
+            p = row[pivots[k]]
+            out.append([Fraction(x, p) if x else _ZERO for x in row])
+        else:
+            out.append([_ZERO] * m.cols)
+    return out, pivots
 
 
 def nullspace_basis(m: RMatrix):
@@ -227,18 +296,20 @@ def nullspace_basis(m: RMatrix):
         return []
     if m.rows == 0:
         return [
-            tuple(Fraction(1) if i == j else Fraction(0) for i in range(m.cols))
+            tuple(_ONE if i == j else _ZERO for i in range(m.cols))
             for j in range(m.cols)
         ]
-    a, pivots = rref(m)
+    a, pivots = _int_rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
+        v = [_ZERO] * m.cols
+        v[f] = _ONE
         for r, p in enumerate(pivots):
-            v[p] = -a[r][f]
+            x = a[r][f]
+            if x:
+                v[p] = Fraction(-x, a[r][p])
         basis.append(tuple(v))
     return basis
 
@@ -250,7 +321,7 @@ def cokernel_basis(m: RMatrix):
     quotient of the target space by the column space of ``m``.
     """
     left = nullspace_basis(m.transpose())
-    q = RMatrix([list(v) for v in left], len(left), m.rows)
+    q = RMatrix._raw(tuple(left), len(left), m.rows)
     return q, len(left)
 
 
@@ -263,16 +334,14 @@ def solve_matrix(a: RMatrix, b: RMatrix):
         raise ValueError("shape mismatch in solve")
     if a.cols == 0:
         return None if not b.is_zero() else RMatrix.zeros(0, b.cols)
-    aug = RMatrix.hstack([a, b])
-    red, pivots = rref(aug)
-    for c in pivots:
-        if c >= a.cols:
-            return None
-    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    red, pivots = _int_rref(RMatrix.hstack([a, b]))
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    x = [(_ZERO,) * b.cols] * a.cols
     for r, p in enumerate(pivots):
-        for j in range(b.cols):
-            x[p][j] = red[r][a.cols + j]
-    return RMatrix(x, a.cols, b.cols)
+        row, d = red[r], red[r][p]
+        x[p] = tuple([Fraction(y, d) if y else _ZERO for y in row[a.cols:]])
+    return RMatrix._raw(tuple(x), a.cols, b.cols)
 
 
 def right_inverse(q: RMatrix):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .errors import CatalogError
 from .linalg import (
     RMatrix,
     coordinates_in_span,
@@ -62,7 +63,8 @@ class Rep:
         v = start
         for name in path:
             a = self.quiver.arrow_by_name[name]
-            assert a.source == v, "path does not start where claimed"
+            if a.source != v:
+                raise ValueError("path does not start where claimed")
             m = self.mats[name] @ m
             v = a.target
         return m
@@ -100,7 +102,8 @@ class RepMap:
 
     def compose(self, other: "RepMap") -> "RepMap":
         """self after other (other first)."""
-        assert other.target is self.source or other.target.dims == self.source.dims
+        if other.target is not self.source and other.target.dims != self.source.dims:
+            raise ValueError("composition of maps with mismatched middle modules")
         return RepMap(
             other.source,
             self.target,
@@ -180,35 +183,36 @@ def hom_basis(m: Rep, n: Rep):
     if total == 0:
         return []
 
-    def var(v, i, j):
-        return offsets[v] + i * m.dims[v] + j
-
+    # Row (a, i, j) says (h_x M_a - N_a h_y)[i][j] = 0 for a: y -> x.  Loops
+    # are rejected by Quiver, so the h_x and h_y unknowns of a row are
+    # disjoint and each coefficient is written once.
+    zero = Fraction(0)
     rows = []
     for a in q.arrows:
         y, x = a.source, a.target
-        ma, na = m.mats[a.name], n.mats[a.name]
+        ma, na = m.mats[a.name].data, n.mats[a.name].data
+        mx, my, ny, oy = m.dims[x], m.dims[y], n.dims[y], offsets[y]
         for i in range(n.dims[x]):
-            for j in range(m.dims[y]):
-                row = [Fraction(0)] * total
-                for k in range(m.dims[x]):
-                    row[var(x, i, k)] += ma.data[k][j]
-                for k in range(n.dims[y]):
-                    row[var(y, k, j)] -= na.data[i][k]
-                if any(c != 0 for c in row):
-                    rows.append(row)
-    system = RMatrix(rows, len(rows), total)
+            ni, xi = na[i], offsets[x] + i * mx
+            for j in range(my):
+                row = [zero] * total
+                for k in range(mx):
+                    row[xi + k] = ma[k][j]
+                for k in range(ny):
+                    if ni[k]:
+                        row[oy + k * my + j] = -ni[k]
+                if any(row):
+                    rows.append(tuple(row))
+    system = RMatrix._raw(tuple(rows), len(rows), total)
     basis = []
     for vec in nullspace_basis(system):
         mats = {}
         for v in q.vertices:
-            o = offsets[v]
-            mats[v] = RMatrix(
-                [
-                    [vec[o + i * m.dims[v] + j] for j in range(m.dims[v])]
-                    for i in range(n.dims[v])
-                ],
+            o, c = offsets[v], m.dims[v]
+            mats[v] = RMatrix._raw(
+                tuple(vec[o + i * c : o + (i + 1) * c] for i in range(n.dims[v])),
                 n.dims[v],
-                m.dims[v],
+                c,
             )
         basis.append(RepMap(m, n, mats, check=False))
     return basis
@@ -271,16 +275,16 @@ def cokernel(f: RepMap) -> tuple:
     coker = Rep(n.quiver, dims, mats)
     proj = RepMap(n, coker, projs, check=False)
     for a in n.quiver.arrows:
-        assert (
-            coker.mats[a.name] @ projs[a.source] == projs[a.target] @ n.mats[a.name]
-        ), "cokernel structure map ill-defined"
+        if coker.mats[a.name] @ projs[a.source] != projs[a.target] @ n.mats[a.name]:
+            raise CatalogError("cokernel structure map ill-defined")
     return coker, proj
 
 
 def direct_sum(parts) -> tuple:
     """Direct sum with canonical injections and projections."""
     parts = list(parts)
-    assert parts, "empty direct sum needs an explicit quiver; use zero_rep"
+    if not parts:
+        raise ValueError("empty direct sum needs an explicit quiver; use zero_rep")
     q = parts[0].quiver
     dims = {v: sum(p.dims[v] for p in parts) for v in q.vertices}
     mats = {
@@ -295,13 +299,10 @@ def direct_sum(parts) -> tuple:
         imats = {}
         pmats = {}
         for v in q.vertices:
-            rows_i = []
-            for i in range(dims[v]):
-                row = [Fraction(0)] * p.dims[v]
-                if offset[v] <= i < offset[v] + p.dims[v]:
-                    row[i - offset[v]] = Fraction(1)
-                rows_i.append(row)
-            imats[v] = RMatrix(rows_i, dims[v], p.dims[v])
+            d, o = p.dims[v], offset[v]
+            imats[v] = RMatrix.vstack(
+                [RMatrix.zeros(o, d), RMatrix.identity(d), RMatrix.zeros(dims[v] - o - d, d)]
+            )
             pmats[v] = imats[v].transpose()
         injections.append(RepMap(p, total, imats, check=False))
         projections.append(RepMap(total, p, pmats, check=False))
@@ -335,8 +336,10 @@ def split_pair(c: Rep, e: Rep):
     if c.is_zero():
         return None
     fs = hom_basis(c, e)
+    if not fs:
+        return None
     gs = hom_basis(e, c)
-    if not fs or not gs:
+    if not gs:
         return None
     composites = [(g.compose(f), i, j) for i, f in enumerate(fs) for j, g in enumerate(gs)]
     target = identity_map(c).flatten()

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 
@@ -80,6 +81,34 @@ def test_annotate_and_auxiliary_checks_a2():
     assert verify_pd_criterion(cat).passed
     assert verify_sink_reachability(lpc, cat).passed
     assert sectional_check(lpc, cat).passed
+
+
+def test_sectional_check_leaves_no_reference_cycles():
+    q = d4_subspace()
+    lpc = left_part_catalog(q)
+    cat = annotate_catalog(knit_ind_dup(q), lpc)
+    first = sectional_check(lpc, cat)
+    gc.collect()
+    gc.disable()
+    try:
+        report = sectional_check(lpc, cat)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
+    assert report == first and report.passed and report.witnesses == []
+
+
+def test_sectional_check_reports_an_oriented_cycle():
+    q = a_n(2)
+    lpc = left_part_catalog(q)
+    cat = annotate_catalog(knit_ind_dup(q), lpc)
+    arrows = cat.catalog.arrows
+    back = tuple((t, s, k) for s, t, k in arrows)
+    cyclic = dataclasses.replace(cat, catalog=dataclasses.replace(cat.catalog, arrows=arrows + back))
+    report = sectional_check(lpc, cyclic)
+    assert not report.passed
+    assert report.witnesses == ["AR quiver has an oriented cycle"]
 
 
 def test_corrupted_catalog_is_detected():

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dupcat.linalg import (
     RMatrix,
     cokernel_basis,
@@ -129,3 +133,172 @@ def test_generic_max_rank_beats_random_sampling():
             if sampled == 3:
                 break
         assert got >= sampled
+
+
+
+# -- property tests against a Fraction Gauss-Jordan oracle ------------------
+
+
+def _oracle_rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fraction: (reduced rows, pivot columns)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _oracle_nullspace(rows, ncols):
+    a, pivots = _oracle_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -a[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _oracle_solve(a_rows, b_rows, acols, bcols):
+    a, pivots = _oracle_rref([ra + rb for ra, rb in zip(a_rows, b_rows)], acols + bcols)
+    if any(p >= acols for p in pivots):
+        return None
+    x = [[Fraction(0)] * bcols for _ in range(acols)]
+    for r, p in enumerate(pivots):
+        x[p] = a[r][acols:]
+    return x
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def _matrices(draw, max_rows=6, max_cols=6):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    data = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["zero", "copy", "fresh", "fresh"]))
+        if kind == "zero" or (kind == "copy" and not data):
+            data.append([Fraction(0)] * cols)
+        elif kind == "copy":
+            # a rational multiple of an earlier row: forces dependent rows
+            src = draw(st.sampled_from(data))
+            c = draw(_ENTRY)
+            data.append([c * x for x in src])
+        else:
+            data.append([draw(_ENTRY) for _ in range(cols)])
+    return RMatrix(data, rows, cols)
+
+
+_PROPS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+@_PROPS
+@given(_matrices())
+def test_rref_rank_nullspace_match_oracle(m):
+    rows = [list(r) for r in m.data]
+    want, want_pivots = _oracle_rref(rows, m.cols)
+    got, pivots = rref(m)
+    assert (got, pivots) == (want, want_pivots)
+    assert _all_fractions(got)
+    assert rank(m) == len(want_pivots)
+    basis = nullspace_basis(m)
+    if m.cols and m.rows:
+        assert basis == _oracle_nullspace(rows, m.cols)
+    assert _all_fractions(basis)
+    assert len(basis) == m.cols - rank(m)
+
+
+@_PROPS
+@given(_matrices())
+def test_cokernel_matches_oracle(m):
+    q, d = cokernel_basis(m)
+    if m.rows and m.cols:
+        want = _oracle_nullspace([list(c) for c in zip(*m.data)], m.rows)
+        assert [tuple(r) for r in q.data] == want
+    assert (q.rows, q.cols) == (d, m.rows)
+    assert _all_fractions(q.data)
+    assert (q @ m).is_zero()
+
+
+@_PROPS
+@given(_matrices(max_cols=5), st.data())
+def test_solve_matches_oracle(a, data):
+    bcols = data.draw(st.integers(0, 3))
+    b = RMatrix([[data.draw(_ENTRY) for _ in range(bcols)] for _ in range(a.rows)], a.rows, bcols)
+    got = solve_matrix(a, b)
+    if a.cols == 0:
+        assert (got is None) == (not b.is_zero())
+        return
+    want = _oracle_solve([list(r) for r in a.data], [list(r) for r in b.data], a.cols, bcols)
+    if want is None:
+        assert got is None
+    else:
+        assert [list(r) for r in got.data] == want
+        assert (got.rows, got.cols) == (a.cols, bcols)
+        assert _all_fractions(got.data)
+        assert a @ got == b
+
+
+@_PROPS
+@given(_matrices(), _matrices(), _ENTRY)
+def test_matrix_algebra_matches_entrywise_definition(m, n, c):
+    """Sums, products, transposes and stacks equal their entrywise definitions."""
+    def check(mat, rows, nrows, ncols):
+        assert mat == RMatrix(rows, nrows, ncols)
+        assert (mat.rows, mat.cols) == (nrows, ncols) and len(mat.data) == nrows
+        assert all(type(r) is tuple and len(r) == ncols for r in mat.data)
+        assert _all_fractions(mat.data)
+
+    d = m.data
+    t = [[d[i][j] for i in range(m.rows)] for j in range(m.cols)]
+    check(m.transpose(), t, m.cols, m.rows)
+    check(m.scale(c), [[c * x for x in r] for r in d], m.rows, m.cols)
+    check(m + m.scale(c), [[x + c * x for x in r] for r in d], m.rows, m.cols)
+    check(m - m, [[0] * m.cols for _ in d], m.rows, m.cols)
+    check(RMatrix.zeros(m.rows, m.cols), [[0] * m.cols for _ in d], m.rows, m.cols)
+    check(RMatrix.identity(m.cols), [[int(i == j) for j in range(m.cols)] for i in range(m.cols)], m.cols, m.cols)
+    check(m @ m.transpose(), [[sum((x * y for x, y in zip(r, s)), Fraction(0)) for s in d] for r in d], m.rows, m.rows)
+    check(m.transpose() @ m, [[sum((x * y for x, y in zip(r, s)), Fraction(0)) for s in t] for r in t], m.cols, m.cols)
+    check(RMatrix.hstack([m, m.scale(c)]), [list(r) + [c * x for x in r] for r in d], m.rows, 2 * m.cols)
+    check(RMatrix.vstack([m, m.scale(c)]), [list(r) for r in d] + [[c * x for x in r] for r in d], 2 * m.rows, m.cols)
+    z = [Fraction(0)]
+    check(
+        RMatrix.block_diag([m, n]),
+        [list(r) + z * n.cols for r in d] + [z * m.cols + list(r) for r in n.data],
+        m.rows + n.rows,
+        m.cols + n.cols,
+    )
+
+
+def test_ragged_input_is_rejected():
+    with pytest.raises(ValueError):
+        RMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        RMatrix([[1, 2]], 1, 3)
+    with pytest.raises(ValueError):
+        RMatrix([[1], [2]], 1, 1)
+    with pytest.raises(ValueError):
+        RMatrix([], 2, 0)
+    assert RMatrix([[1, Fraction(1, 2)]]).data == ((Fraction(1), Fraction(1, 2)),)

@@ -35,7 +35,7 @@ def test_four_way_sigma_equivalence_pointwise():
         reach = _hom_reach(list(cat.modules))
         starts = {a: cat.catalog.entries.index(ctx.proj[prime(a)]) for a in sinks}
         tau_of = cat.catalog.tau_of
-        all_paths = {a: _ar_paths(cat, s) for a, s in starts.items()}
+        all_paths = {a: list(_ar_paths(cat, s)) for a, s in starts.items()}
         for i in range(len(cat.modules)):
             a_flag = cat.in_sigma[i]
             b_flag = cat.in_L[i] and not cat.in_ind_A[i]
