@@ -7,8 +7,13 @@ z-component), the indecomposable injective I_z (with an evaluation
 functional on its z-component) and the simple S_z.  Everything else is
 generic:
 
-* projective covers lift a basis of the top, injective envelopes extend the
-  socle, syzygies and cosyzygies are their kernels/cokernels;
+* projective covers lift a basis of the top through Yoneda evaluation at the
+  generator: a per-vertex frame of arrow paths from the generator, built once,
+  gives the map P_z -> N with generator |-> v without a Hom solve;
+  injective envelopes extend the socle, syzygies and cosyzygies are their
+  kernels/cokernels;
+* the direct sum of a list of projectives (or of their Nakayama images) is
+  built once per category, and so is the dual of each module;
 * Ext^1(M, N) is the cokernel of Hom(P0, N) -> Hom(Omega M, N);
 * the Nakayama functor is D Hom(-, A), realized on one module at a time via
   bases of Hom(M, P_z), and the AR translate tau M is the kernel of its
@@ -51,7 +56,8 @@ class Presentation:
 
     @property
     def f1(self) -> RepMap:
-        assert self.cover1 is not None
+        if self.cover1 is None:
+            raise CatalogError("presentation of a projective has no f1")
         return self.incl.compose(self.cover1.q)
 
 
@@ -106,6 +112,9 @@ class ModuleCategory:
         self._nak_cache = {}
         self._lam_cache = {}
         self._inj_flag_cache = {}
+        self._frames = {}
+        self._sum_cache = {}
+        self._dual_cache = {}
         self._catalog: Optional[ARCatalog] = None
 
     # -- plumbing ----------------------------------------------------------
@@ -127,18 +136,65 @@ class ModuleCategory:
     def hom_dim(self, m: Rep, n: Rep) -> int:
         return len(self.hom(m, n))
 
+    def _frame(self, z):
+        """Arrow steps from the generator of P_z whose images form a basis of
+        every P_z(v), and the inverse of that basis per vertex.
+
+        ``steps[i] = (vertex, parent step or None, arrow)``; ``order[v]`` lists
+        the steps at v.  Built once per vertex by greedy rank over a worklist:
+        a step is kept when its image is independent of those kept at its
+        vertex, so the kept images span an arrow-stable subspace containing
+        the generator, i.e. the submodule it generates.  Raises CatalogError
+        when that is not all of P_z.
+        """
+        if z in self._frames:
+            return self._frames[z]
+        p = self.proj[z]
+        steps, images = [], []
+        order = {v: [] for v in self.quiver.vertices}
+
+        def keep(v, parent, arrow, image):
+            cand = RMatrix.hstack([images[i] for i in order[v]] + [image])
+            if rank(cand) > len(order[v]):
+                order[v].append(len(steps))
+                steps.append((v, parent, arrow))
+                images.append(image)
+
+        keep(z, None, None, self.gen[z])
+        i = 0
+        while i < len(steps):
+            v = steps[i][0]
+            for a in self.quiver.arrows_from[v]:
+                keep(a.target, i, a.name, p.mats[a.name] @ images[i])
+            i += 1
+        binv = {}
+        for v, idx in order.items():
+            if len(idx) != p.dims[v]:
+                raise CatalogError(f"projective at {z} is not generated by its generator")
+            if idx:
+                basis = RMatrix.hstack([images[i] for i in idx])
+                binv[v] = solve_matrix(basis, RMatrix.identity(basis.rows))
+        self._frames[z] = (steps, order, binv)
+        return self._frames[z]
+
     def yoneda_map(self, z, n: Rep, vec: RMatrix) -> RepMap:
-        """The unique map P_z -> n sending the generator to ``vec``."""
-        basis = self.hom(self.proj[z], n)
-        assert len(basis) == n.dims[z], "projective hom dimension mismatch"
-        cols = [(b.mats[z] @ self.gen[z]).column_at(0) for b in basis]
-        coeffs = coordinates_in_span(cols, vec.column_at(0))
-        assert coeffs is not None, "generator image not realizable"
-        out = reps.zero_map(self.proj[z], n)
-        for c, b in zip(coeffs, basis):
-            if c != 0:
-                out = out.add(b.scale(c))
-        return out
+        """The unique map P_z -> n sending the generator to ``vec``.
+
+        Evaluated on the frame of P_z: the image of the step along a path is
+        n(path) @ vec.  The commuting squares certify a module map (a
+        ValueError when n breaks a relation P_z satisfies), and it is unique
+        because the generator generates P_z.
+        """
+        steps, order, binv = self._frame(z)
+        images = []
+        for _, parent, arrow in steps:
+            images.append(vec if parent is None else n.mats[arrow] @ images[parent])
+        mats = {
+            v: RMatrix.hstack([images[i] for i in idx]) @ binv[v]
+            for v, idx in order.items()
+            if idx
+        }
+        return RepMap(self.proj[z], n, mats)
 
     def lam(self, arrow_name: str) -> RepMap:
         """Left multiplication P_z -> P_w along the arrow w -> z."""
@@ -217,17 +273,18 @@ class ModuleCategory:
         if not parts:
             p0 = reps.zero_rep(self.quiver)
             q = reps.zero_map(p0, m)
-            assert m.is_zero(), "nonzero module with zero top"
+            if not m.is_zero():
+                raise CatalogError("nonzero module with zero top")
             return CoverData([], p0, [], [], q)
-        summands = [self.proj[z] for z, _ in parts]
-        p0, injections, projections = direct_sum(summands)
+        p0, injections, projections = self._proj_sum(tuple(z for z, _ in parts))
         part_maps = [self.yoneda_map(z, m, vec) for z, vec in parts]
         mats = {
             v: RMatrix.hstack([pm.mats[v] for pm in part_maps])
             for v in self.quiver.vertices
         }
         q = RepMap(p0, m, mats, check=False)
-        assert q.is_surjective(), "projective cover not surjective"
+        if not q.is_surjective():
+            raise CatalogError("projective cover not surjective")
         return CoverData(parts, p0, injections, projections, q)
 
     def presentation(self, m: Rep) -> Presentation:
@@ -243,9 +300,7 @@ class ModuleCategory:
 
     def is_injective(self, m: Rep) -> bool:
         if m.uid not in self._inj_flag_cache:
-            op, vmap, amap, _, _ = self.opposite()
-            dm = reps.dualize(m, op.quiver, vmap, amap)
-            self._inj_flag_cache[m.uid] = op.is_projective(dm)
+            self._inj_flag_cache[m.uid] = self.opposite()[0].is_projective(self._dual(m))
         return self._inj_flag_cache[m.uid]
 
     def syzygy(self, m: Rep):
@@ -268,21 +323,25 @@ class ModuleCategory:
                 continue
             completion = RMatrix.hstack([soc_basis] + self._complement_columns(soc_basis))
             inv = solve_matrix(completion, RMatrix.identity(completion.rows))
-            assert inv is not None
+            if inv is None:
+                raise CatalogError("socle completion is not invertible")
             for jrow in range(s):
                 functional = RMatrix([list(inv.data[jrow])], 1, m.dims[z])
                 soc_parts.append((z, functional))
         if not soc_parts:
-            assert m.is_zero(), "nonzero module with zero socle"
+            if not m.is_zero():
+                raise CatalogError("nonzero module with zero socle")
             i0 = reps.zero_rep(self.quiver)
             return [], i0, reps.zero_map(m, i0)
         part_maps = []
         for z, functional in soc_parts:
             basis = self.hom(m, self.inj[z])
-            assert len(basis) == m.dims[z], "injective hom dimension mismatch"
+            if len(basis) != m.dims[z]:
+                raise CatalogError("injective hom dimension mismatch")
             rows = [(self.inj_eval[z] @ b.mats[z]).data[0] for b in basis]
             sol = coordinates_in_span(rows, functional.data[0])
-            assert sol is not None, "socle functional not realizable"
+            if sol is None:
+                raise CatalogError("socle functional not realizable")
             f = reps.zero_map(m, self.inj[z])
             for c, b in zip(sol, basis):
                 if c != 0:
@@ -295,7 +354,8 @@ class ModuleCategory:
             for v in self.quiver.vertices
         }
         j = RepMap(m, i0, mats, check=False)
-        assert j.is_injective(), "envelope map not injective"
+        if not j.is_injective():
+            raise CatalogError("envelope map not injective")
         return [z for z, _ in soc_parts], i0, j
 
     def cosyzygy(self, m: Rep):
@@ -363,9 +423,12 @@ class ModuleCategory:
             )
             gmats[v] = rhs @ right_inverse(proj.mats[v]) if proj.mats[v].rows else RMatrix.zeros(n.dims[v], 0)
         g = RepMap(e, n, gmats)
-        assert f.is_injective() and g.is_surjective()
-        assert g.compose(f).is_zero()
-        assert e.total_dim() == m.total_dim() + n.total_dim()
+        if not (f.is_injective() and g.is_surjective()):
+            raise CatalogError("extension f is not injective or g is not surjective")
+        if not g.compose(f).is_zero():
+            raise CatalogError("extension maps do not compose to zero")
+        if e.total_dim() != m.total_dim() + n.total_dim():
+            raise CatalogError("extension middle term has the wrong dimension")
         return e, f, g
 
     # -- Nakayama and AR translates -------------------------------------------
@@ -385,7 +448,8 @@ class ModuleCategory:
             for b in bases[z]:
                 comp = lam.compose(b)
                 coords = coordinates_in_span(flat[w], comp.flatten()) if flat[w] else ()
-                assert coords is not None, "postcomposition left the hom span"
+                if coords is None:
+                    raise CatalogError("postcomposition left the hom span")
                 cols.append(coords)
             post = RMatrix.from_columns(cols, dims[w]) if cols else RMatrix.zeros(dims[w], 0)
             mats[a.name] = post.transpose()
@@ -411,7 +475,8 @@ class ModuleCategory:
                     if flat_m[z]
                     else ()
                 )
-                assert coords is not None
+                if coords is None:
+                    raise CatalogError("precomposition left the hom span")
                 cols.append(coords)
             pre = (
                 RMatrix.from_columns(cols, nu_m.dims[z])
@@ -421,13 +486,23 @@ class ModuleCategory:
             mats[z] = pre.transpose()
         return RepMap(nu_m, nu_n, mats, check=False)
 
+    def _proj_sum(self, zs, nakayama=False):
+        """(sum, injections, projections) of the P_z, or of the nu(P_z), for
+        the vertex tuple ``zs``; built once per tuple and shared."""
+        key = (zs, nakayama)
+        if key not in self._sum_cache:
+            if nakayama:
+                summands = [self.nak_data(self.proj[z])[0] for z in zs]
+            else:
+                summands = [self.proj[z] for z in zs]
+            self._sum_cache[key] = direct_sum(summands)
+        return self._sum_cache[key]
+
     def _nak_of_parts(self, parts):
         """nu(P_{z1} + ... + P_{zk}) assembled blockwise."""
-        summands = [self.nak_data(self.proj[z])[0] for z, _ in parts]
-        if not summands:
+        if not parts:
             return reps.zero_rep(self.quiver)
-        total, _, _ = direct_sum(summands)
-        return total
+        return self._proj_sum(tuple(z for z, _ in parts), nakayama=True)[0]
 
     def tau(self, m: Rep) -> Optional[Rep]:
         """D Tr of m via the Nakayama image of a minimal presentation.
@@ -463,24 +538,32 @@ class ModuleCategory:
                             if flat_j
                             else ()
                         )
-                        assert coords is not None
+                        if coords is None:
+                            raise CatalogError("presentation component left the hom span")
                         col.extend(coords)
                     col_groups.append(tuple(col))
             pre = RMatrix.from_columns(col_groups, sum(n_rows_per_j))
             mats[z] = pre.transpose()
         nu_f1 = RepMap(nu1, nu0, mats, check=False)
         t, _ = kernel(nu_f1)
-        assert not t.is_zero(), "tau of a non-projective came out zero"
+        if t.is_zero():
+            raise CatalogError("tau of a non-projective came out zero")
         return t
 
     def tau_inv(self, m: Rep) -> Optional[Rep]:
         """Tr D of m by duality through the opposite category; None if injective."""
-        op, vmap, amap, inv_v, inv_a = self.opposite()
-        dm = reps.dualize(m, op.quiver, vmap, amap)
-        t = op.tau(dm)
+        op, _, _, inv_v, inv_a = self.opposite()
+        t = op.tau(self._dual(m))
         if t is None:
             return None
         return reps.dualize(t, self.quiver, inv_v, inv_a)
+
+    def _dual(self, m: Rep) -> Rep:
+        """D m over the opposite quiver, built once per module."""
+        if m.uid not in self._dual_cache:
+            op, vmap, amap, _, _ = self.opposite()
+            self._dual_cache[m.uid] = reps.dualize(m, op.quiver, vmap, amap)
+        return self._dual_cache[m.uid]
 
     def pd(self, m: Rep, cap: int = 64) -> int:
         k = 0
@@ -517,7 +600,8 @@ class ModuleCategory:
             m = entries[i]
             if not self.is_injective(m):
                 n = self.tau_inv(m)
-                assert n is not None
+                if n is None:
+                    raise CatalogError("tau^-1 of a non-injective came out None")
                 j = None
                 for k, e in enumerate(entries):
                     if e.dim_vector() == n.dim_vector() and reps.is_isomorphic(
@@ -596,7 +680,8 @@ class ModuleCategory:
                 continue
             left_idx = catalog.tau_of[idx]
             left = catalog.entries[left_idx]
-            assert self.ext1_dim(n, left) == 1, "almost split extension not unique"
+            if self.ext1_dim(n, left) != 1:
+                raise CatalogError("almost split extension not unique")
             e, f, g = self.ext1_middle(n, left)
             middle = tuple(self.decompose(e, catalog))
             for sidx, mult in middle:

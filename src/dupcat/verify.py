@@ -153,12 +153,12 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
             witnesses.append(f"sink {a}: sequence does not compose to zero")
         if middle.total_dim() != ia.total_dim() + pia_mod.total_dim():
             witnesses.append(f"sink {a}: middle dimension off")
-        # non-split and the translate relation
-        summed, _, _ = reps.direct_sum([ia, pia_mod])
-        if reps.is_isomorphic(middle, summed):
+        # non-split (exactly: the right map has no section) and the translate
+        # relation; the embedded injective is indecomposable
+        if reps.has_section(right_map):
             witnesses.append(f"sink {a}: sequence splits")
         t = ctx.tau(pia_mod)
-        if t is None or not reps.is_isomorphic(t, ia):
+        if t is None or not reps.is_isomorphic(t, ia, assume_indecomposable=True):
             witnesses.append(f"sink {a}: left term is not the translate of the right term")
     return Report("socle-quotient-sequences", not witnesses, witnesses)
 

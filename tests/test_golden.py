@@ -1,6 +1,9 @@
 """Golden bytes: ``export`` and ``emit-dot`` on the six Dynkin fixtures must
 reproduce the SHA-256 digests the benchmark records in
-``perfbench/reference.py`` (loaded by path, never copied)."""
+``perfbench/reference.py`` (loaded by path, never copied); ``enumerate`` on
+the fixtures and ``export`` on one D5 orientation must reproduce the digests
+written below, recorded before the projective side of the engine was
+reworked (Yoneda maps by evaluation, shared sums and duals)."""
 
 import hashlib
 import importlib.util
@@ -29,3 +32,42 @@ def test_output_bytes_match_recorded_digest(fixture_dir, tmp_path, capsys, comma
     assert cli.main([command, "--quiver", quiver, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _digests()[(command, name)]
+
+
+ENUMERATE_DIGESTS = {
+    "a1": "8dc2d2d8a9357d808119b50691b98b775cc7e223237238bd0cf39e8c92e696c0",
+    "a2": "6aee2dbbdf1dbffb6e1eb38e6d1f6750e819c64d02ec78e7b84343dd60972667",
+    "a3_linear": "3d5b1e970233ffefc0a58df21b106be598ecdae3ca7ffb03a6db0befc1b28750",
+    "a3_zigzag": "4c39ea02b7fee5a2093f1f0d8dc24f09af2d9104a8bef1432d0290675fb7e9de",
+    "a4": "dd95105345f857f79d1358df75bbc7c3e7840f48167de5fe7491527eefcb39b2",
+    "d4": "acc6870d032be5694900186767edb0aab62180c65a8169f77d27199acc8187ce",
+}
+
+# D5 (the chain 1-2-3-4 with 5 attached to 3) oriented 2>1, 3>2, 4>3, 5>3.
+D5_QUIVER = """# type D5, seeded orientation
+vertices 1 2 3 4 5
+arrow a1 2 1
+arrow a2 3 2
+arrow a3 4 3
+arrow a4 5 3
+"""
+D5_EXPORT_DIGEST = "c58e5ac324662735b6b1eda0d1b2861a9ebd2457ed51367c2ea06678238e5d20"
+
+
+def _digest_of_run(tmp_path, capsys, command, quiver):
+    out = tmp_path / "run.out"
+    assert cli.main([command, "--quiver", str(quiver), "--out", str(out)]) == 0
+    capsys.readouterr()
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_enumerate_bytes_match_recorded_digest(fixture_dir, tmp_path, capsys, name):
+    quiver = fixture_dir / f"{name}.quiver"
+    assert _digest_of_run(tmp_path, capsys, "enumerate", quiver) == ENUMERATE_DIGESTS[name]
+
+
+def test_d5_export_bytes_match_recorded_digest(tmp_path, capsys):
+    quiver = tmp_path / "d5.quiver"
+    quiver.write_text(D5_QUIVER, encoding="utf-8")
+    assert _digest_of_run(tmp_path, capsys, "export", quiver) == D5_EXPORT_DIGEST

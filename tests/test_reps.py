@@ -1,14 +1,16 @@
-"""Representation-level invariants raise typed errors (kept under python -O)
-and split_pair solves only the Hom spaces its verdict needs."""
+"""Representation-level invariants raise typed errors (kept under python -O),
+split_pair solves only the Hom spaces its verdict needs, and has_section
+decides split epimorphisms exactly."""
 
 import pytest
 
 from dupcat import reps
 from dupcat.errors import CatalogError
-from dupcat.fixtures import a_n
-from dupcat.hereditary import projective_rep, simple_rep
+from dupcat.dup import dup_category
+from dupcat.fixtures import a_n, d4_subspace
+from dupcat.hereditary import path_category, projective_rep, simple_rep
 from dupcat.linalg import RMatrix
-from dupcat.reps import RepMap, cokernel, direct_sum, identity_map, split_pair
+from dupcat.reps import RepMap, cokernel, direct_sum, has_section, identity_map, split_pair
 
 
 def test_act_path_rejects_path_from_wrong_vertex():
@@ -55,3 +57,23 @@ def test_split_pair_skips_reverse_hom_when_forward_is_zero(monkeypatch):
     calls.clear()
     f, g = split_pair(p2, p2)
     assert g.compose(f).is_isomorphism() and len(calls) == 2
+
+
+def test_has_section_on_direct_sum_projections():
+    q = d4_subspace()
+    p2, s1, s3 = projective_rep(q, "2"), simple_rep(q, "1"), simple_rep(q, "3")
+    _, _, projections = direct_sum([p2, s1, s3])
+    assert all(has_section(g) for g in projections)
+    # P_2 -> S_2 is onto but not split; S_1 -> 0 splits trivially
+    _, top = cokernel(path_category(q).radical(p2)[1])
+    assert not has_section(top)
+    assert has_section(reps.zero_map(s1, reps.zero_rep(q)))
+
+
+@pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
+def test_has_section_false_on_almost_split_sequences(category):
+    catalog = category(d4_subspace()).knit()
+    assert catalog.sequences
+    for seq in catalog.sequences.values():
+        assert seq.g.is_surjective()
+        assert not has_section(seq.g)

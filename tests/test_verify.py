@@ -1,4 +1,4 @@
-from dupcat import cli, tilting, verify
+from dupcat import cli, cluster, dup, hereditary, leftpart, modcat, tilting, verify
 from dupcat.dup import knit_ind_dup
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A
@@ -12,6 +12,26 @@ from dupcat.leftpart import (
 from dupcat.quiver import prime, sinks_and_sources
 from dupcat.reps import is_isomorphic
 from dupcat.verify import run_all_checks
+
+
+def test_direct_sum_budget(monkeypatch):
+    """One cold D4 run_all_checks builds each sum of projectives (and of
+    their Nakayama images) once: at most 200 engine direct sums."""
+    for module, name in ((hereditary, "_plain_cache"), (dup, "_dup_cache"),
+                         (dup, "_report_cache"), (cluster, "_ctx_cache"),
+                         (leftpart, "_lpc_cache")):
+        monkeypatch.setattr(module, name, {})
+    calls = []
+    inner = modcat.direct_sum
+
+    def counting(parts):
+        calls.append(parts)
+        return inner(parts)
+
+    monkeypatch.setattr(modcat, "direct_sum", counting)
+    checks = run_all_checks(d4_subspace())
+    assert all(c.passed for c in checks)
+    assert 0 < len(calls) <= 200
 
 
 def test_run_all_checks_remaining_fixtures():
