@@ -91,7 +91,7 @@ def pi_bar(m: DupModule) -> ClusterObject:
     q = m.base_quiver
     ctx = _ctx(q)
     for x in q.vertices:
-        if is_isomorphic_dup(m, ctx.proj_inj[x]):
+        if is_isomorphic_dup(m, ctx.proj_inj[x], assume_indecomposable=True):
             raise NotInDomainError("projective-injectives vanish under projection")
     if m.y_part.is_zero():
         idx = ctx.cat_a.find(m.x_part)
@@ -99,7 +99,7 @@ def pi_bar(m: DupModule) -> ClusterObject:
             raise NotInDomainError("not an indecomposable of the base category")
         return module_object(q, idx)
     for x in q.vertices:
-        if is_isomorphic_dup(m, ctx.cosyzygy[x]):
+        if is_isomorphic_dup(m, ctx.cosyzygy[x], assume_indecomposable=True):
             return shifted_projective(q, x)
     raise NotInDomainError("module is not in the left part")
 

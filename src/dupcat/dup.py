@@ -12,6 +12,11 @@ nu is the Nakayama functor of the base category, and theta is the unique map
 whose composite with the dual-path generator of p is the action of the
 connecting arrow of p.  :func:`triple_to_rep` goes the other way; it builds
 the standard modules.
+
+:func:`embed_A` returns one module per A-module ``Rep``, kept on the
+duplicated category, so the Hom, Ext^1 and presentation caches of an
+embedded module are shared by every caller.  :func:`tau_dup_pair` is lazy:
+tau and tau^{-1} are each computed on first read.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from .modcat import ARCatalog, ModuleCategory
 from .quiver import Quiver, duplicated_quiver, opposite, paths_from, prime
 from . import reps
 from .hereditary import (
-    INJECTIVE,
-    PROJECTIVE,
     TauPair,
     injective_rep,
     path_category,
@@ -242,7 +245,18 @@ def _from_triple(x: Rep, y: Rep, theta: RepMap) -> DupModule:
 
 
 def embed_A(x: Rep) -> DupModule:
-    """The module (X, 0, 0): an A-module seen over the duplicated algebra."""
+    """The module (X, 0, 0): an A-module seen over the duplicated algebra.
+
+    One module per Rep x, kept on the duplicated category, so every caller
+    shares its presentation, Hom and Ext^1 caches.
+    """
+    embedded = dup_category(x.quiver).embedded
+    if x.uid not in embedded:
+        embedded[x.uid] = _embed(x)
+    return embedded[x.uid]
+
+
+def _embed(x: Rep) -> DupModule:
     y = reps.zero_rep(x.quiver)
     return _from_triple(x, y, reps.zero_map(path_category(x.quiver).nakayama(y), x))
 
@@ -289,10 +303,25 @@ def standard_dup_modules(q: Quiver) -> StandardDupModules:
     )
 
 
+class DupCategory(ModuleCategory):
+    """The module category of a duplicated algebra; ``embedded`` keeps the
+    module of :func:`embed_A` per A-module uid."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.embedded = {}
+
+
+def _one_dim_at(m: Rep, v: str, what: str) -> Rep:
+    if m.dims[v] != 1:
+        raise CatalogError(f"{what} must be 1-dimensional at {v}, not {m.dims[v]}")
+    return m
+
+
 _dup_cache: dict = {}
 
 
-def dup_category(q: Quiver) -> ModuleCategory:
+def dup_category(q: Quiver) -> DupCategory:
     """The module category of the duplicated algebra (cached per quiver)."""
     if q in _dup_cache:
         return _dup_cache[q]
@@ -301,21 +330,16 @@ def dup_category(q: Quiver) -> ModuleCategory:
     projectives = {}
     injectives = {}
     simples = {}
-    prim = {x: proj_primed(q, x).rep() for x in q.vertices}
     for x in q.vertices:
-        pbar = embed_A(projective_rep(q, x)).rep()
-        assert pbar.dims[x] == 1
+        pbar = _one_dim_at(_embed(projective_rep(q, x)).rep(), x, f"projective at {x}")
         projectives[x] = (pbar, RMatrix.column([1]))
-        ppr = prim[x]
-        assert ppr.dims[prime(x)] == 1
+        ppr = _one_dim_at(proj_primed(q, x).rep(), prime(x), f"projective at {prime(x)}")
         projectives[prime(x)] = (ppr, RMatrix.column([1]))
         # the injective at the unprimed vertex is the projective-injective
-        assert ppr.dims[x] == 1
-        injectives[x] = (ppr, RMatrix([[1]], 1, 1))
-        ipr = inj_primed(q, x).rep()
-        assert ipr.dims[prime(x)] == 1
+        injectives[x] = (_one_dim_at(ppr, x, f"injective at {x}"), RMatrix([[1]], 1, 1))
+        ipr = _one_dim_at(inj_primed(q, x).rep(), prime(x), f"injective at {prime(x)}")
         injectives[prime(x)] = (ipr, RMatrix([[1]], 1, 1))
-        simples[x] = embed_A(simple_rep(q, x)).rep()
+        simples[x] = _embed(simple_rep(q, x)).rep()
         simples[prime(x)] = simple_primed(q, x).rep()
 
     def op_builder():
@@ -334,7 +358,7 @@ def dup_category(q: Quiver) -> ModuleCategory:
             amap[mp.name] = rev.name
         return op, vmap, amap
 
-    cat = ModuleCategory(dq, projectives, injectives, simples, op_builder)
+    cat = DupCategory(dq, projectives, injectives, simples, op_builder)
     _dup_cache[q] = cat
     return cat
 
@@ -348,11 +372,14 @@ def hom_basis_dup(m: DupModule, n: DupModule):
 
 
 def hom_dim_dup(m: DupModule, n: DupModule) -> int:
-    return len(dup_category(m.base_quiver).hom(m.rep(), n.rep()))
+    return dup_category(m.base_quiver).hom_dim(m.rep(), n.rep())
 
 
-def is_isomorphic_dup(m: DupModule, n: DupModule) -> bool:
-    return reps.is_isomorphic(m.rep(), n.rep())
+def is_isomorphic_dup(
+    m: DupModule, n: DupModule, assume_indecomposable: bool = False
+) -> bool:
+    """Decide m = n up to isomorphism (see ``reps.is_isomorphic``)."""
+    return reps.is_isomorphic(m.rep(), n.rep(), assume_indecomposable)
 
 
 @dataclass
@@ -407,28 +434,18 @@ def syzygy_pair(m: DupModule) -> SyzygyPair:
 
 def tau_dup_pair(m: DupModule) -> TauPair:
     q = m.base_quiver
-    cat = dup_category(q)
-    t = cat.tau(m.rep())
-    ti = cat.tau_inv(m.rep())
-    return TauPair(
-        PROJECTIVE if t is None else rep_to_triple(t, q),
-        INJECTIVE if ti is None else rep_to_triple(ti, q),
-    )
+    return TauPair(dup_category(q), m.rep(), lambda r: rep_to_triple(r, q))
 
 
 def ext1_dup(m: DupModule, n: DupModule) -> int:
     return dup_category(m.base_quiver).ext1_dim(m.rep(), n.rep())
 
 
-def algebra_dimension(q: Quiver) -> int:
-    """k-dimension of the duplicated algebra: three copies of dim A."""
-    dim_a = sum(projective_rep(q, x).total_dim() for x in q.vertices)
-    return 3 * dim_a
-
-
 def pd_dup(m: DupModule) -> int:
-    q = m.base_quiver
-    return dup_category(q).pd(m.rep(), cap=algebra_dimension(q))
+    """Projective dimension, capped at the dimension of the duplicated
+    algebra (the sum of its projectives' dimensions, three copies of dim A)."""
+    cat = dup_category(m.base_quiver)
+    return cat.pd(m.rep(), cap=sum(p.total_dim() for p in cat.proj.values()))
 
 
 # -- the knitted catalog -------------------------------------------------------

@@ -8,8 +8,9 @@ x, and arrows act by composition (resp. by stripping the first arrow).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
 
+from .errors import CatalogError
 from .linalg import RMatrix
 from .modcat import ARCatalog, ModuleCategory
 from .quiver import Quiver, opposite, paths_from, paths_into
@@ -77,10 +78,12 @@ def path_category(q: Quiver) -> ModuleCategory:
     simples = {}
     for x in q.vertices:
         p = projective_rep(q, x)
-        assert p.dims[x] == 1, "acyclic quiver must have a 1-dim top at x"
+        if p.dims[x] != 1:
+            raise CatalogError(f"projective at {x} must be 1-dimensional at {x}")
         projectives[x] = (p, RMatrix.column([1]))
         i = injective_rep(q, x)
-        assert i.dims[x] == 1
+        if i.dims[x] != 1:
+            raise CatalogError(f"injective at {x} must be 1-dimensional at {x}")
         injectives[x] = (i, RMatrix([[1]], 1, 1))
         simples[x] = simple_rep(q, x)
 
@@ -110,10 +113,23 @@ PROJECTIVE = _Flag("PROJECTIVE")
 INJECTIVE = _Flag("INJECTIVE")
 
 
-@dataclass
 class TauPair:
-    tau: Union[Rep, _Flag]
-    tau_inv: Union[Rep, _Flag]
+    """tau and tau^{-1} of the module m of a category, each computed on first
+    read: PROJECTIVE (resp. INJECTIVE) where it vanishes, otherwise the
+    translate passed through ``wrap``."""
+
+    def __init__(self, cat: ModuleCategory, m: Rep, wrap=lambda r: r):
+        self._cat, self._m, self._wrap = cat, m, wrap
+
+    @cached_property
+    def tau(self):
+        t = self._cat.tau(self._m)
+        return PROJECTIVE if t is None else self._wrap(t)
+
+    @cached_property
+    def tau_inv(self):
+        t = self._cat.tau_inv(self._m)
+        return INJECTIVE if t is None else self._wrap(t)
 
 
 def hom_basis(m: Rep, n: Rep):
@@ -121,7 +137,7 @@ def hom_basis(m: Rep, n: Rep):
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
-    return len(hom_basis(m, n))
+    return path_category(m.quiver).hom_dim(m, n)
 
 
 def ext1_dim(m: Rep, n: Rep) -> int:
@@ -129,10 +145,7 @@ def ext1_dim(m: Rep, n: Rep) -> int:
 
 
 def tau_pair(m: Rep) -> TauPair:
-    cat = path_category(m.quiver)
-    t = cat.tau(m)
-    ti = cat.tau_inv(m)
-    return TauPair(PROJECTIVE if t is None else t, INJECTIVE if ti is None else ti)
+    return TauPair(path_category(m.quiver), m)
 
 
 def nakayama(y: Rep) -> Rep:

@@ -12,6 +12,7 @@ the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import CatalogError, NotDynkinError
@@ -29,6 +30,7 @@ from .dup import (
 )
 from .dup import hom_reach as _hom_reach  # noqa: F401  (used by the verification tests)
 from .hereditary import injective_rep, knit_ind_A
+from .modcat import dim_index, find_iso
 from .reps import cokernel as rep_cokernel, split_pair
 
 
@@ -79,11 +81,17 @@ class LeftPartCatalog:
             m for m, f in zip(self.members, self.proj_inj_flags) if not f
         )
 
+    @cached_property
+    def _by_dim(self):
+        """The members' representations and their :func:`dim_index`."""
+        member_reps = [m.rep() for m in self.members]
+        return member_reps, dim_index(member_reps)
+
     def member_index(self, m: DupModule) -> Optional[int]:
-        for i, e in enumerate(self.members):
-            if is_isomorphic_dup(e, m):
-                return i
-        return None
+        """Index of the member isomorphic to m, or None; exact because the
+        members are indecomposable."""
+        member_reps, index = self._by_dim
+        return find_iso(m.rep(), member_reps, index)
 
 
 def sigma_catalog(q: Quiver):
@@ -131,6 +139,7 @@ def _build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
     pis = {x: proj_primed(q, x) for x in q.vertices}
     ctx = dup_category(q)
     always_in_l = [m.rep() for m in embeds] + [cosyz[x].rep() for x in q.vertices]
+    always_index = dim_index(always_in_l)
     pi_in_l: dict = {}
 
     def pbar_in_left_part(x) -> bool:
@@ -138,7 +147,7 @@ def _build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
         if x in pi_in_l:
             return pi_in_l[x]
         rad, _ = ctx.radical(pis[x].rep())
-        _, residual = ctx.try_decompose(rad, always_in_l)
+        _, residual = ctx.try_decompose(rad, always_in_l, always_index)
         ok = True
         for y in q.vertices:
             if residual.is_zero():
@@ -199,7 +208,7 @@ def _build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
         if pd_dup(m) > 1:
             raise CatalogError(f"left-part member {i} has projective dimension > 1")
         for j in range(i + 1, len(lpc.members)):
-            if is_isomorphic_dup(m, lpc.members[j]):
+            if is_isomorphic_dup(m, lpc.members[j], assume_indecomposable=True):
                 raise CatalogError("duplicate member")
     return lpc
 
@@ -400,7 +409,9 @@ def canonical_tilting(q: Quiver) -> CanonicalTilting:
         for x in q.vertices
         if any(
             lpc.proj_inj_flags[i]
-            and is_isomorphic_dup(lpc.members[i], proj_primed(q, x))
+            and is_isomorphic_dup(
+                lpc.members[i], proj_primed(q, x), assume_indecomposable=True
+            )
             for i in lpc.sigma_indices
         )
     }

@@ -14,19 +14,26 @@ generic:
   kernels/cokernels;
 * the direct sum of a list of projectives (or of their Nakayama images) is
   built once per category, and so is the dual of each module;
-* Ext^1(M, N) is the cokernel of Hom(P0, N) -> Hom(Omega M, N);
+* Ext^1(M, N) is the cokernel of Hom(P0, N) -> Hom(Omega M, N), computed
+  once per module pair and kept;
+* dim Hom(M, N) comes from the kept basis when there is one, otherwise as
+  the unknowns minus the rank of the Hom system, with no basis built;
 * the Nakayama functor is D Hom(-, A), realized on one module at a time via
   bases of Hom(M, P_z), and the AR translate tau M is the kernel of its
   action on a minimal projective presentation;
 * tau^{-1} is computed by duality through the opposite category;
 * the AR quiver of a representation-finite category is knitted as the
   tau^{-1}-closure of the projectives, with AR sequences and irreducible
-  arrows reconstructed afterwards.
+  arrows reconstructed afterwards;
+* indecomposables are looked up by dimension vector (directing modules are
+  determined by it), with a split_pair certificate deciding every hit; the
+  same index serves the knit, catalog lookups and decompositions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import CapExceededError, CatalogError, CycleDetectedError
@@ -61,6 +68,28 @@ class Presentation:
         return self.incl.compose(self.cover1.q)
 
 
+def dim_index(modules) -> dict:
+    """Dimension vector -> ascending indices of the modules that have it."""
+    index = {}
+    for i, m in enumerate(modules):
+        index.setdefault(m.dim_vector(), []).append(i)
+    return index
+
+
+def find_iso(m: Rep, modules, index) -> Optional[int]:
+    """Index of a module in ``modules`` isomorphic to m, or None.
+
+    Only the modules sharing m's dimension vector (``index``, from
+    :func:`dim_index`) are tried, each by a split_pair certificate.  Exact
+    when m or every listed module is indecomposable: a split mono between
+    modules with equal dimension vectors is an isomorphism.
+    """
+    for i in index.get(m.dim_vector(), ()):
+        if reps.is_isomorphic(m, modules[i], assume_indecomposable=True):
+            return i
+    return None
+
+
 @dataclass
 class ARSequence:
     left: int
@@ -84,13 +113,13 @@ class ARCatalog:
     arrows: tuple = ()  # (source index, target index, multiplicity)
     sequences: dict = field(default_factory=dict)
 
+    @cached_property
+    def index(self) -> dict:
+        """The entries by dimension vector (:func:`dim_index`)."""
+        return dim_index(self.entries)
+
     def find(self, m: Rep) -> Optional[int]:
-        for i, e in enumerate(self.entries):
-            if e.dim_vector() == m.dim_vector() and reps.is_isomorphic(
-                m, e, assume_indecomposable=True
-            ):
-                return i
-        return None
+        return find_iso(m, self.entries, self.index)
 
 
 class ModuleCategory:
@@ -108,6 +137,8 @@ class ModuleCategory:
         self._op_builder = op_builder
         self._op = None
         self._hom_cache = {}
+        self._hom_dim_cache = {}
+        self._ext1_cache = {}
         self._pres_cache = {}
         self._nak_cache = {}
         self._lam_cache = {}
@@ -134,7 +165,15 @@ class ModuleCategory:
         return self._hom_cache[key]
 
     def hom_dim(self, m: Rep, n: Rep) -> int:
-        return len(self.hom(m, n))
+        """dim Hom(m, n): from the kept basis when there is one, otherwise by
+        rank (``reps.hom_dim``) and kept per pair."""
+        key = (m.uid, n.uid)
+        basis = self._hom_cache.get(key)
+        if basis is not None:
+            return len(basis)
+        if key not in self._hom_dim_cache:
+            self._hom_dim_cache[key] = reps.hom_dim(m, n)
+        return self._hom_dim_cache[key]
 
     def _frame(self, z):
         """Arrow steps from the generator of P_z whose images form a basis of
@@ -374,17 +413,24 @@ class ModuleCategory:
         return out
 
     def ext1_dim(self, m: Rep, n: Rep) -> int:
+        """dim Ext^1(m, n), computed once per pair and kept."""
+        key = (m.uid, n.uid)
+        if key not in self._ext1_cache:
+            self._ext1_cache[key] = self._ext1_dim(m, n)
+        return self._ext1_cache[key]
+
+    def _ext1_dim(self, m: Rep, n: Rep) -> int:
         pres = self.presentation(m)
         if pres.cover1 is None:
             return 0
-        hom_om_n = self.hom(pres.omega, n)
+        hom_om_n = self.hom_dim(pres.omega, n)
         if not hom_om_n:
             return 0
         restricted = [
             h.compose(pres.incl).flatten() for h in self._hom_from_cover(pres.cover0, n)
         ]
         mat = RMatrix([list(r) for r in restricted], len(restricted), len(restricted[0]) if restricted else 0)
-        return len(hom_om_n) - rank(mat)
+        return hom_om_n - rank(mat)
 
     def ext1_middle(self, n: Rep, m: Rep):
         """Middle term of a nonzero extension of n by m, with its maps.
@@ -593,6 +639,7 @@ class ModuleCategory:
                 raise CapExceededError(cap)
             return self._catalog
         entries = [self.proj[z] for z in self.quiver.vertices]
+        index = dim_index(entries)
         tau_inv_of = {}
         tau_of = {}
         i = 0
@@ -602,16 +649,11 @@ class ModuleCategory:
                 n = self.tau_inv(m)
                 if n is None:
                     raise CatalogError("tau^-1 of a non-injective came out None")
-                j = None
-                for k, e in enumerate(entries):
-                    if e.dim_vector() == n.dim_vector() and reps.is_isomorphic(
-                        n, e, assume_indecomposable=True
-                    ):
-                        j = k
-                        break
+                j = find_iso(n, entries, index)
                 if j is None:
+                    j = len(entries)
+                    index.setdefault(n.dim_vector(), []).append(j)
                     entries.append(n)
-                    j = len(entries) - 1
                     if len(entries) > cap:
                         raise CapExceededError(cap)
                 else:
@@ -636,34 +678,46 @@ class ModuleCategory:
         self._catalog = catalog
         return catalog
 
-    def try_decompose(self, e: Rep, candidates):
-        """Peel candidate indecomposables off e; returns (mults, residual)."""
-        result = []
+    def try_decompose(self, e: Rep, candidates, index):
+        """Peel candidate indecomposables off e; returns (mults, residual).
+
+        ``mults`` lists (candidate index, multiplicity) sorted by index, and
+        the residual is what no candidate splits off.  ``index`` is
+        :func:`dim_index` of the candidates.  The residual's dimension vector
+        is looked up first, and again after each peel; only on a miss are
+        the smaller candidates scanned in order.  A split_pair certificate
+        decides every peel, so by Krull-Schmidt the multiplicities do not
+        depend on the order.
+        """
+        mults = {}
         current = e
-        for idx, c in enumerate(candidates):
-            if current.is_zero():
+        k = 0  # candidates before k do not split off current
+        while not current.is_zero():
+            hit = find_iso(current, candidates, index)
+            if hit is not None:
+                mults[hit] = mults.get(hit, 0) + 1
+                current = reps.zero_rep(self.quiver)
                 break
-            if c.total_dim() > current.total_dim():
-                continue
-            mult = 0
-            while True:
-                if any(
-                    c.dims[v] > current.dims[v] for v in self.quiver.vertices
+            pair = None
+            while pair is None and k < len(candidates):
+                c = candidates[k]
+                # an equal total dimension would mean an isomorphism, and
+                # the lookup has ruled that out
+                if c.total_dim() < current.total_dim() and all(
+                    c.dims[v] <= current.dims[v] for v in self.quiver.vertices
                 ):
-                    break
-                pair = reps.split_pair(c, current)
+                    pair = reps.split_pair(c, current)
                 if pair is None:
-                    break
-                f, _ = pair
-                current, _ = cokernel(f)
-                mult += 1
-            if mult:
-                result.append((idx, mult))
-        return result, current
+                    k += 1
+            if pair is None:
+                break
+            current, _ = cokernel(pair[0])
+            mults[k] = mults.get(k, 0) + 1
+        return sorted(mults.items()), current
 
     def decompose(self, e: Rep, catalog: ARCatalog):
         """Multiplicities of catalog entries in e; e must decompose fully."""
-        result, current = self.try_decompose(e, catalog.entries)
+        result, current = self.try_decompose(e, catalog.entries, catalog.index)
         if not current.is_zero():
             raise CatalogError("module has a summand outside the catalog")
         return result

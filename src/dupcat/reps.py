@@ -169,10 +169,12 @@ def zero_map(source: Rep, target: Rep) -> RepMap:
     return RepMap(source, target, {}, check=False)
 
 
-def hom_basis(m: Rep, n: Rep):
-    """Basis of Hom(m, n): the joint kernel of all commuting-square constraints.
+def _hom_system(m: Rep, n: Rep):
+    """The commuting-square constraints on Hom(m, n) and the offset of each
+    vertex's block of unknowns.
 
-    Deterministic: variables are ordered vertex by vertex, row-major.
+    Variables are ordered vertex by vertex, row-major; the system has one
+    column per unknown.
     """
     q = m.quiver
     offsets = {}
@@ -180,8 +182,6 @@ def hom_basis(m: Rep, n: Rep):
     for v in q.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
-    if total == 0:
-        return []
 
     # Row (a, i, j) says (h_x M_a - N_a h_y)[i][j] = 0 for a: y -> x.  Loops
     # are rejected by Quiver, so the h_x and h_y unknowns of a row are
@@ -203,11 +203,19 @@ def hom_basis(m: Rep, n: Rep):
                         row[oy + k * my + j] = -ni[k]
                 if any(row):
                     rows.append(tuple(row))
-    system = RMatrix._raw(tuple(rows), len(rows), total)
+    return RMatrix._raw(tuple(rows), len(rows), total), offsets
+
+
+def hom_basis(m: Rep, n: Rep):
+    """Basis of Hom(m, n): the joint kernel of all commuting-square constraints.
+
+    Deterministic: variables are ordered vertex by vertex, row-major.
+    """
+    system, offsets = _hom_system(m, n)
     basis = []
     for vec in nullspace_basis(system):
         mats = {}
-        for v in q.vertices:
+        for v in m.quiver.vertices:
             o, c = offsets[v], m.dims[v]
             mats[v] = RMatrix._raw(
                 tuple(vec[o + i * c : o + (i + 1) * c] for i in range(n.dims[v])),
@@ -219,7 +227,10 @@ def hom_basis(m: Rep, n: Rep):
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
-    return len(hom_basis(m, n))
+    """dim Hom(m, n): the unknowns of the :func:`hom_basis` system minus its
+    rank, without building a basis."""
+    system, _ = _hom_system(m, n)
+    return system.cols - rank(system)
 
 
 # -- subs, quotients, sums ------------------------------------------------

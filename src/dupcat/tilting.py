@@ -57,7 +57,9 @@ def is_tilting_module(summands) -> TiltingVerdict:
                 failures.append(f"Ext^1(summand {i}, summand {j}) is nonzero")
     for x in q.vertices:
         pp = proj_primed(q, x)
-        if not any(is_isomorphic_dup(s, pp) for s in summands):
+        if not any(
+            is_isomorphic_dup(s, pp, assume_indecomposable=True) for s in summands
+        ):
             failures.append(f"projective-injective at {x}' is not a summand")
     return TiltingVerdict(not failures, failures)
 

@@ -7,7 +7,7 @@ wherever possible.  All checks return a Report; the driver aggregates them.
 
 from __future__ import annotations
 
-from .errors import NotDynkinError
+from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
 from . import reps
 from .cluster import ext1_cluster_dim, fundamental_domain, pi_bar
@@ -65,7 +65,7 @@ def check_embedding_fidelity(q: Quiver, cat_a) -> Report:
         if t is None:
             continue
         td = tau_dup_pair(embeds[i]).tau
-        if not is_isomorphic_dup(td, embed_A(t)):
+        if not is_isomorphic_dup(td, embed_A(t), assume_indecomposable=True):
             witnesses.append(f"translate of embedded entry {i} disagrees")
     return Report("embedding-fidelity", not witnesses, witnesses)
 
@@ -77,7 +77,8 @@ def check_cosyzygy_tau_identity(q: Quiver) -> Report:
     for x in q.vertices:
         lhs = syzygy_pair(embed_A(projective_rep(q, x))).cosyzygy
         rhs = tau_dup_pair(embed_A(injective_rep(q, x))).tau_inv
-        if not is_isomorphic_dup(lhs, rhs):
+        # exact: the translate of an indecomposable is indecomposable
+        if not is_isomorphic_dup(lhs, rhs, assume_indecomposable=True):
             witnesses.append(
                 f"vertex {x}: cosyzygy {lhs.dim_vectors()} vs translate {rhs.dim_vectors()}"
             )
@@ -98,7 +99,10 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
         # I_a / S_a computed in the base category, then embedded
         sa = simple_rep(q, a)
         incl_candidates = base_ctx.hom(sa, injective_rep(q, a))
-        assert len(incl_candidates) == 1
+        if len(incl_candidates) != 1:
+            raise CatalogError(
+                f"sink {a}: Hom(S_a, I_a) has dimension {len(incl_candidates)}, not 1"
+            )
         qa, qmap = reps.cokernel(incl_candidates[0])
         ia_mod_sa = embed_A(qa).rep()
         soc, soc_incl = ctx.socle(pia)

@@ -1,5 +1,13 @@
+import subprocess
+import sys
+
+import pytest
+
+from dupcat import dup
 from dupcat.dup import (
+    DupModule,
     covers_and_envelopes,
+    dup_category,
     embed_A,
     ext1_dup,
     hom_dim_dup,
@@ -16,6 +24,7 @@ from dupcat.dup import (
     tau_dup_pair,
     triple_to_rep,
 )
+from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import (
     INJECTIVE,
@@ -26,7 +35,10 @@ from dupcat.hereditary import (
     projective_rep,
     simple_rep,
 )
+from dupcat.leftpart import left_part_catalog
+from dupcat.modcat import ModuleCategory
 from dupcat.quiver import prime
+from dupcat.reps import direct_sum
 
 
 def test_standard_dup_dimensions_a2():
@@ -153,6 +165,15 @@ def test_pd_dup_a2():
     assert pd_dup(std.simple_primed["2"]) == 2
 
 
+def test_pd_cap_is_the_dimension_of_the_duplicated_algebra():
+    """pd_dup's cap, the sum of the duplicated category's projective
+    dimensions, is three copies of dim A."""
+    for q, dim_dup in ((a_n(3, "zigzag"), 15), (d4_subspace(), 21)):
+        total = sum(p.total_dim() for p in dup_category(q).proj.values())
+        dim_a = sum(projective_rep(q, x).total_dim() for x in q.vertices)
+        assert total == 3 * dim_a == dim_dup
+
+
 def test_knit_dup_counts():
     assert len(knit_ind_dup(a_n(1)).entries) == 3
     cat = knit_ind_dup(a_n(2))
@@ -214,3 +235,83 @@ def test_rep_to_triple_roundtrip():
     for m, entry in zip(cat.modules, cat.catalog.entries):
         assert m.rep() is entry
         _assert_triple_rebuilds(m)
+
+
+def test_embed_A_is_shared_per_module():
+    """One embedded module per A-module: the fidelity check's embeds are
+    the left-part members, with their caches."""
+    q = d4_subspace()
+    x = projective_rep(q, "2")
+    assert embed_A(x) is embed_A(x)
+    assert embed_A(projective_rep(q, "2")) is not embed_A(x)
+    entries = knit_ind_A(q).entries
+    members = left_part_catalog(q).members
+    assert all(embed_A(e) is m for e, m in zip(entries, members))
+
+
+def test_tau_pair_is_lazy(monkeypatch):
+    """Reading tau_inv computes no tau in the duplicated category (only the
+    opposite category's tau behind tau^{-1}), and each side is kept."""
+    q = d4_subspace()
+    cat = dup_category(q)
+    m = embed_A(injective_rep(q, "2"))
+    seen = []
+    inner = ModuleCategory.tau
+
+    def counting(self, rep):
+        seen.append(self)
+        return inner(self, rep)
+
+    monkeypatch.setattr(ModuleCategory, "tau", counting)
+    pair = tau_dup_pair(m)
+    assert seen == []
+    ti = pair.tau_inv
+    assert isinstance(ti, DupModule) and pair.tau_inv is ti
+    assert cat not in seen
+    t = pair.tau
+    assert isinstance(t, DupModule) and pair.tau is t
+    assert seen.count(cat) == 1
+
+
+def test_exact_isomorphism_when_one_side_is_indecomposable():
+    """S_1 + S_2 and the indecomposable of dimension vector (1, 1) are not
+    isomorphic by the split_pair route, whichever side comes first."""
+    q = a_n(2)
+    summed, _, _ = direct_sum([simple_rep(q, "1"), simple_rep(q, "2")])
+    p2 = projective_rep(q, "2")
+    assert summed.dim_vector() == p2.dim_vector()
+    for m, n in ((summed, p2), (p2, summed)):
+        assert not is_isomorphic_dup(embed_A(m), embed_A(n), assume_indecomposable=True)
+    assert is_isomorphic_dup(
+        embed_A(p2), embed_A(injective_rep(q, "1")), assume_indecomposable=True
+    )
+
+
+_BAD_DUP_PROJECTIVE = """
+from dupcat import dup, reps
+from dupcat.errors import CatalogError
+from dupcat.fixtures import a_n
+
+inner = dup.projective_rep
+dup.projective_rep = lambda q, x: reps.direct_sum([inner(q, x)] * 2)[0]
+try:
+    dup.dup_category(a_n(2))
+except CatalogError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_dup_category_rejects_a_projective_without_simple_top(monkeypatch, src_env):
+    """A standard projective 2-dimensional at its vertex raises CatalogError,
+    also under python -O."""
+    inner = dup.projective_rep
+    monkeypatch.setattr(dup, "_dup_cache", {})
+    monkeypatch.setattr(dup, "projective_rep", lambda q, x: direct_sum([inner(q, x)] * 2)[0])
+    with pytest.raises(CatalogError, match="1-dimensional"):
+        dup_category(a_n(2))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_DUP_PROJECTIVE],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import pytest
 
-from dupcat.errors import CapExceededError
+from dupcat import hereditary
+from dupcat.errors import CapExceededError, CatalogError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import (
     INJECTIVE,
@@ -17,6 +21,7 @@ from dupcat.hereditary import (
     tau_pair,
 )
 from dupcat.quiver import classify_dynkin
+from dupcat import reps
 from dupcat.reps import direct_sum, hom_basis, identity_map
 
 
@@ -143,6 +148,10 @@ def test_is_isomorphic_examples():
     sum_simples, _, _ = direct_sum([s.simple["1"], s.simple["2"]])
     assert not is_isomorphic(sum_simples, s.projective["2"])
     assert is_isomorphic(sum_simples, sum_simples)
+    # the split_pair route is exact when either side is indecomposable
+    for m, n in ((sum_simples, s.projective["2"]), (s.projective["2"], sum_simples)):
+        assert not reps.is_isomorphic(m, n, assume_indecomposable=True)
+    assert reps.is_isomorphic(s.projective["2"], s.injective["1"], assume_indecomposable=True)
 
 
 def test_structure_of_projective():
@@ -179,3 +188,35 @@ def test_failed_knit_is_not_kept():
     for _ in range(2):
         with pytest.raises(CapExceededError):
             knit_ind_A(kronecker(), cap=10)
+
+
+_BAD_PATH_PROJECTIVE = """
+from dupcat import hereditary, reps
+from dupcat.errors import CatalogError
+from dupcat.fixtures import a_n
+
+inner = hereditary.projective_rep
+hereditary.projective_rep = lambda q, x: reps.direct_sum([inner(q, x)] * 2)[0]
+try:
+    hereditary.path_category(a_n(2))
+except CatalogError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_path_category_rejects_a_projective_without_simple_top(monkeypatch, src_env):
+    """A standard projective 2-dimensional at its vertex raises CatalogError,
+    also under python -O."""
+    inner = hereditary.projective_rep
+    monkeypatch.setattr(hereditary, "_plain_cache", {})
+    monkeypatch.setattr(
+        hereditary, "projective_rep", lambda q, x: direct_sum([inner(q, x)] * 2)[0]
+    )
+    with pytest.raises(CatalogError, match="1-dimensional"):
+        path_category(a_n(2))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_PATH_PROJECTIVE],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ import pytest
 from dupcat.dup import embed_A, knit_ind_dup
 from dupcat.errors import NotDynkinError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
-from dupcat.hereditary import knit_ind_A
+from dupcat.hereditary import knit_ind_A, projective_rep, simple_rep
 from dupcat.leftpart import (
     annotate_catalog,
     canonical_tilting,
@@ -19,6 +19,7 @@ from dupcat.leftpart import (
     verify_pd_criterion,
     verify_sink_reachability,
 )
+from dupcat.reps import direct_sum
 
 
 def test_sigma_a2():
@@ -155,6 +156,18 @@ def test_lemma_embeds_and_their_tau_inverse_in_left_part():
         ti = tau_dup_pair(em).tau_inv
         if ti is not INJECTIVE:
             assert lpc.member_index(ti) is not None
+
+
+def test_member_index_is_exact():
+    """A decomposable module with a member's dimension vector is no member;
+    a fresh copy of a member is found."""
+    q = a_n(2)
+    lpc = left_part_catalog(q)
+    summed, _, _ = direct_sum([simple_rep(q, "1"), simple_rep(q, "2")])
+    p2 = projective_rep(q, "2")
+    assert lpc.member_index(embed_A(summed)) is None
+    i = lpc.member_index(embed_A(p2))
+    assert i is not None and lpc.members[i].x_part.dim_vector() == summed.dim_vector()
 
 
 def test_left_part_built_once_and_frozen():

@@ -1,17 +1,20 @@
-"""The projective side of the module-category engine: Yoneda maps by
-evaluation at the generator, one direct sum per list of projectives and one
-dual per module."""
+"""The module-category engine: Yoneda maps by evaluation at the generator,
+one direct sum per list of projectives, one dual per module, and each Hom/Ext
+fact once per module pair."""
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
-from dupcat import reps
+from dupcat import modcat, reps
 from dupcat.dup import dup_category
+from dupcat.errors import CatalogError
 from dupcat.fixtures import d4_subspace
 from dupcat.hereditary import path_category, projective_rep, simple_rep
-from dupcat.linalg import RMatrix, coordinates_in_span
+from dupcat.linalg import RMatrix, coordinates_in_span, rank
+from dupcat.quiver import Quiver
 from dupcat.reps import Rep
 
 
@@ -123,3 +126,112 @@ def test_frame_is_built_once_per_vertex():
     # P_2 of the subspace orientation: the generator at 2 and its image at 1
     assert steps == [("2", None, None), ("1", 0, "al")]
     assert {v: len(i) for v, i in order.items()} == {"1": 1, "2": 1, "3": 0, "4": 0}
+
+
+# -- each Hom/Ext fact once per module pair ------------------------------------
+
+
+def _d5():
+    return Quiver(
+        ["1", "2", "3", "4", "5"],
+        [("a1", "2", "1"), ("a2", "3", "2"), ("a3", "4", "3"), ("a4", "5", "3")],
+    )
+
+
+def _scan_decompose(cat, e, candidates):
+    """The full scan the indexed try_decompose replaced: peel every
+    candidate in order, as often as it splits off."""
+    result = []
+    current = e
+    for idx, c in enumerate(candidates):
+        if current.is_zero():
+            break
+        if c.total_dim() > current.total_dim():
+            continue
+        mult = 0
+        while all(c.dims[v] <= current.dims[v] for v in cat.quiver.vertices):
+            pair = reps.split_pair(c, current)
+            if pair is None:
+                break
+            current, _ = reps.cokernel(pair[0])
+            mult += 1
+        if mult:
+            result.append((idx, mult))
+    return result, current
+
+
+@pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
+@pytest.mark.parametrize("quiver", [d4_subspace, _d5], ids=["D4", "D5"])
+def test_indexed_decomposition_equals_full_scan(category, quiver):
+    """On every AR middle term and every projective radical, the indexed
+    try_decompose finds the multiplicities of the full scan."""
+    cat = category(quiver())
+    catalog = cat.knit()
+    modules = [seq.middle_rep for seq in catalog.sequences.values()]
+    modules += [cat.radical(p)[0] for p in cat.proj.values()]
+    for e in modules:
+        got, residual = cat.try_decompose(e, catalog.entries, catalog.index)
+        want, want_residual = _scan_decompose(cat, e, catalog.entries)
+        assert got == want
+        assert residual.is_zero() and want_residual.is_zero()
+    assert all(cat.decompose(s.middle_rep, catalog) == list(s.middle)
+               for s in catalog.sequences.values())
+
+
+def test_summand_outside_the_catalog_raises():
+    cat = path_category(d4_subspace())
+    catalog = cat.knit()
+    last = len(catalog.entries) - 1
+    short = dataclasses.replace(catalog, entries=catalog.entries[:last])
+    both, _, _ = reps.direct_sum([catalog.entries[0], catalog.entries[last]])
+    assert cat.decompose(both, catalog) == [(0, 1), (last, 1)]
+    with pytest.raises(CatalogError, match="outside the catalog"):
+        cat.decompose(both, short)
+    mults, residual = cat.try_decompose(both, short.entries, short.index)
+    assert mults == [(0, 1)]
+    assert residual.dim_vector() == catalog.entries[last].dim_vector()
+
+
+def _ext1_by_bases(cat, m, n):
+    """dim Ext^1(m, n) as the cokernel of Hom(P0, n) -> Hom(Omega m, n),
+    from full Hom bases."""
+    pres = cat.presentation(m)
+    hom_omega = reps.hom_basis(pres.omega, n)
+    if pres.cover1 is None or not hom_omega:
+        return 0
+    restricted = [h.compose(pres.incl).flatten() for h in reps.hom_basis(pres.cover0.p0, n)]
+    width = len(hom_omega[0].flatten())
+    return len(hom_omega) - rank(RMatrix([list(r) for r in restricted], len(restricted), width))
+
+
+@pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
+def test_ext1_memo_and_rank_hom_dim_match_bases(category, monkeypatch):
+    """On all D4 catalog pairs: the kept Ext^1 and the rank-based Hom
+    dimensions equal the basis computation, and a second sweep computes
+    nothing."""
+    cat = category(d4_subspace())
+    entries = cat.knit().entries
+    for m in entries:
+        for n in entries:
+            assert reps.hom_dim(m, n) == len(reps.hom_basis(m, n))
+            assert cat.hom_dim(m, n) == len(reps.hom_basis(m, n))
+            assert cat.ext1_dim(m, n) == _ext1_by_bases(cat, m, n)
+
+    def refuse(*args):
+        raise AssertionError("recomputed a kept fact")
+
+    monkeypatch.setattr(modcat, "rank", refuse)
+    monkeypatch.setattr(reps, "rank", refuse)
+    monkeypatch.setattr(modcat, "hom_basis", refuse)
+    for m in entries:
+        for n in entries:
+            cat.ext1_dim(m, n)
+            cat.hom_dim(m, n)
+
+
+def test_hom_dim_builds_no_basis(monkeypatch):
+    cat = path_category(d4_subspace())
+    m, n = projective_rep(cat.quiver, "2"), projective_rep(cat.quiver, "1")
+    monkeypatch.setattr(modcat, "hom_basis", lambda *a: pytest.fail("built a basis"))
+    assert cat.hom_dim(m, n) == n.dims["2"] == 0
+    assert cat.hom_dim(n, m) == m.dims["1"] == 1

@@ -1,5 +1,11 @@
-from dupcat import cli, cluster, dup, hereditary, leftpart, modcat, tilting, verify
+import subprocess
+import sys
+
+import pytest
+
+from dupcat import cli, cluster, dup, hereditary, leftpart, modcat, reps, tilting, verify
 from dupcat.dup import knit_ind_dup
+from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A
 from dupcat.leftpart import (
@@ -10,17 +16,22 @@ from dupcat.leftpart import (
     left_part_catalog,
 )
 from dupcat.quiver import prime, sinks_and_sources
-from dupcat.reps import is_isomorphic
+from dupcat.reps import Rep, is_isomorphic
 from dupcat.verify import run_all_checks
+
+
+def _start_cold(monkeypatch):
+    """Swap the module-level caches for empty dicts, as in a fresh process."""
+    for module, name in ((hereditary, "_plain_cache"), (dup, "_dup_cache"),
+                         (dup, "_report_cache"), (cluster, "_ctx_cache"),
+                         (leftpart, "_lpc_cache")):
+        monkeypatch.setattr(module, name, {})
 
 
 def test_direct_sum_budget(monkeypatch):
     """One cold D4 run_all_checks builds each sum of projectives (and of
     their Nakayama images) once: at most 200 engine direct sums."""
-    for module, name in ((hereditary, "_plain_cache"), (dup, "_dup_cache"),
-                         (dup, "_report_cache"), (cluster, "_ctx_cache"),
-                         (leftpart, "_lpc_cache")):
-        monkeypatch.setattr(module, name, {})
+    _start_cold(monkeypatch)
     calls = []
     inner = modcat.direct_sum
 
@@ -32,6 +43,53 @@ def test_direct_sum_budget(monkeypatch):
     checks = run_all_checks(d4_subspace())
     assert all(c.passed for c in checks)
     assert 0 < len(calls) <= 200
+
+
+def test_hom_basis_budget(monkeypatch):
+    """One cold D4 run_all_checks keeps each Hom/Ext fact per module pair
+    and reads Hom dimensions by rank: at most 1,200 Hom bases (3,307 when
+    every hom_dim built a basis and nothing kept Ext^1; 942 now)."""
+    _start_cold(monkeypatch)
+    calls = []
+    inner = reps.hom_basis
+
+    def counting(m, n):
+        calls.append((m, n))
+        return inner(m, n)
+
+    monkeypatch.setattr(reps, "hom_basis", counting)
+    monkeypatch.setattr(modcat, "hom_basis", counting)
+    checks = run_all_checks(d4_subspace())
+    assert all(c.passed for c in checks)
+    assert 0 < len(calls) <= 1200
+
+
+def test_socle_quotient_check_rejects_a_wrong_simple(monkeypatch, src_env):
+    """A simple at the sink with a 2-dimensional Hom into the injective
+    raises CatalogError, also under python -O."""
+    monkeypatch.setattr(verify, "simple_rep", lambda q, x: Rep(q, {x: 2}, {}))
+    with pytest.raises(CatalogError, match="Hom"):
+        verify.check_socle_quotient_sequences(a_n(2))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_SIMPLE],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_WRONG_SIMPLE = """
+from dupcat import verify
+from dupcat.errors import CatalogError
+from dupcat.fixtures import a_n
+from dupcat.reps import Rep
+
+verify.simple_rep = lambda q, x: Rep(q, {x: 2}, {})
+try:
+    verify.check_socle_quotient_sequences(a_n(2))
+except CatalogError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
 
 
 def test_run_all_checks_remaining_fixtures():
