@@ -33,7 +33,6 @@ from .dup import (
     dup_category,
     embed_A,
     ext1_dup,
-    hom_basis_dup,
     is_isomorphic_dup,
     junction_composite_pattern,
     knit_ind_dup,

@@ -9,13 +9,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .dup import DupCatalog, dup_category, dup_quiver_report, rep_to_triple
+from .dup import DupCatalog, dup_category, rep_to_triple
 from .errors import CatalogError
 from .hereditary import path_category
 from .linalg import RMatrix
 from .modcat import ARCatalog
 from .quiver import Quiver
 from .reps import Rep
+from .session import session
 
 
 def _matrix_to_json(m: RMatrix):
@@ -116,15 +117,13 @@ def catalog_from_dict(body: dict):
         return _ar_catalog_from_body(path_category(base), base, body)
     if body["kind"] != "duplicated":
         raise CatalogError(f"unknown catalog kind {body['kind']!r}")
-    report = dup_quiver_report(base)
-    ar = _ar_catalog_from_body(dup_category(base), report.dup, body)
+    ar = _ar_catalog_from_body(dup_category(base), session(base).report.dup, body)
     modules = tuple(rep_to_triple(e, base) for e in ar.entries)
     for m in modules:
         m.theta  # solving for theta proves the entry is a module
     flags = body["flags"]
     return DupCatalog(
         base,
-        report,
         ar,
         modules,
         tuple(bool(b) for b in flags["proj_injective"]),

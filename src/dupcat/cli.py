@@ -22,7 +22,8 @@ from .dup import knit_ind_dup
 from .errors import CapExceededError, DupcatError
 from .hereditary import knit_ind_A
 from .leftpart import annotate_catalog, left_part_catalog
-from .quiver import classify_dynkin, duplicated_quiver, parse_quiver
+from .quiver import classify_dynkin, parse_quiver
+from .session import session
 from .tilting import enumerate_L_tilting, expected_count, verify_bijection
 from .verify import run_all_checks
 
@@ -61,7 +62,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     out = [f"quiver: {cfg.quiver_path}"]
     out.append(f"vertices: {len(q.vertices)}, arrows: {len(q.arrows)}")
     out.append(f"dynkin type: {dynkin if dynkin else 'not Dynkin'}")
-    report = duplicated_quiver(q)
+    report = session(q).report
     out.append(report.as_text().rstrip())
     try:
         cat_a = knit_ind_A(q, cfg.cap)

@@ -14,9 +14,10 @@ from typing import Union
 
 from .errors import CatalogError, NotDynkinError, NotInDomainError
 from .quiver import Quiver, classify_dynkin
-from .dup import DupModule, embed_A, is_isomorphic_dup, proj_primed, tau_dup_pair
-from .hereditary import injective_rep, knit_ind_A, path_category
+from .dup import DupModule, is_isomorphic_dup
+from .hereditary import knit_ind_A, path_category
 from .reps import Rep
+from .session import session
 
 
 @dataclass(frozen=True)
@@ -36,48 +37,28 @@ def shifted_projective(q: Quiver, vertex: str) -> ClusterObject:
     return ClusterObject(q, "shift", vertex)
 
 
-class _Context:
-    def __init__(self, q: Quiver):
-        self.q = q
-        self.cat_a = knit_ind_A(q)
-        self.cosyzygy = {
-            x: tau_dup_pair(embed_A(injective_rep(q, x))).tau_inv
-            for x in q.vertices
-        }
-        self.proj_inj = {x: proj_primed(q, x) for x in q.vertices}
-
-    def objects(self):
-        modules = sorted(
-            range(len(self.cat_a.entries)),
-            key=lambda i: (
-                self.cat_a.entries[i].total_dim(),
-                self.cat_a.entries[i].dim_vector(),
-            ),
-        )
-        out = [module_object(self.q, i) for i in modules]
-        out += [shifted_projective(self.q, x) for x in self.q.vertices]
-        return out
-
-
-_ctx_cache: dict = {}
-
-
-def _ctx(q: Quiver) -> _Context:
-    if q not in _ctx_cache:
-        _ctx_cache[q] = _Context(q)
-    return _ctx_cache[q]
-
-
 def fundamental_domain(q: Quiver):
     """All cluster objects: ind A plus one shifted projective per vertex."""
-    return _ctx(q).objects()
+    return list(session(q).fundamental_domain)
+
+
+def build_fundamental_domain(q: Quiver) -> tuple:
+    entries = knit_ind_A(q).entries
+    modules = sorted(
+        range(len(entries)),
+        key=lambda i: (entries[i].total_dim(), entries[i].dim_vector()),
+    )
+    return tuple(
+        [module_object(q, i) for i in modules]
+        + [shifted_projective(q, x) for x in q.vertices]
+    )
 
 
 def describe_object(o: ClusterObject) -> str:
     """Name an object by its dimension vector, or by the P[x][1] tag."""
     if o.kind == "shift":
         return f"P[{o.key}][1]"
-    entry = _ctx(o.quiver).cat_a.entries[o.key]
+    entry = knit_ind_A(o.quiver).entries[o.key]
     return "M" + "".join(str(d) for d in entry.dim_vector())
 
 
@@ -89,17 +70,17 @@ def pi_bar(m: DupModule) -> ClusterObject:
     projective at x.  Everything else is outside the domain.
     """
     q = m.base_quiver
-    ctx = _ctx(q)
-    for x in q.vertices:
-        if is_isomorphic_dup(m, ctx.proj_inj[x], assume_indecomposable=True):
+    s = session(q)
+    for p in s.standard_dup_modules.projective_primed.values():
+        if is_isomorphic_dup(m, p, assume_indecomposable=True):
             raise NotInDomainError("projective-injectives vanish under projection")
     if m.y_part.is_zero():
-        idx = ctx.cat_a.find(m.x_part)
+        idx = knit_ind_A(q).find(m.x_part)
         if idx is None:
             raise NotInDomainError("not an indecomposable of the base category")
         return module_object(q, idx)
     for x in q.vertices:
-        if is_isomorphic_dup(m, ctx.cosyzygy[x], assume_indecomposable=True):
+        if is_isomorphic_dup(m, s.cosyzygies[x], assume_indecomposable=True):
             return shifted_projective(q, x)
     raise NotInDomainError("module is not in the left part")
 
@@ -112,15 +93,15 @@ def ext1_cluster_dim(o1: ClusterObject, o2: ClusterObject) -> int:
     """
     if o1.quiver != o2.quiver:
         raise CatalogError("cluster objects over different quivers")
-    ctx = _ctx(o1.quiver)
     cat = path_category(o1.quiver)
+    entries = cat.knit().entries
     if o1.kind == "module" and o2.kind == "module":
-        m, n = ctx.cat_a.entries[o1.key], ctx.cat_a.entries[o2.key]
+        m, n = entries[o1.key], entries[o2.key]
         return cat.ext1_dim(m, n) + cat.ext1_dim(n, m)
     if o1.kind == "shift" and o2.kind == "shift":
         return 0
     shift, mod = (o1, o2) if o1.kind == "shift" else (o2, o1)
-    return ctx.cat_a.entries[mod.key].dims[shift.key]
+    return entries[mod.key].dims[shift.key]
 
 
 def hom_cluster_dim_modules(m: Rep, n: Rep) -> int:
@@ -141,8 +122,7 @@ def enumerate_cluster_tilting(q: Quiver):
     """
     if classify_dynkin(q) is None:
         raise NotDynkinError("cluster-tilting enumeration requires Dynkin type")
-    ctx = _ctx(q)
-    objects = ctx.objects()
+    objects = fundamental_domain(q)
     n = len(q.vertices)
     count = len(objects)
     for i, o in enumerate(objects):
@@ -172,7 +152,7 @@ def enumerate_cluster_tilting(q: Quiver):
 def is_maximal_rigid(q: Quiver, objs) -> bool:
     """No further fundamental-domain object is compatible with ``objs``."""
     chosen = set(objs)
-    for o in _ctx(q).objects():
+    for o in fundamental_domain(q):
         if o in chosen:
             continue
         if all(

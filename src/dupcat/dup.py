@@ -13,10 +13,11 @@ whose composite with the dual-path generator of p is the action of the
 connecting arrow of p.  :func:`triple_to_rep` goes the other way; it builds
 the standard modules.
 
-:func:`embed_A` returns one module per A-module ``Rep``, kept on the
-duplicated category, so the Hom, Ext^1 and presentation caches of an
-embedded module are shared by every caller.  :func:`tau_dup_pair` is lazy:
-tau and tau^{-1} are each computed on first read.
+:func:`embed_A` returns one module per A-module ``Rep``, kept by the
+quiver's session (:mod:`dupcat.session`), so the Hom, Ext^1 and presentation
+caches of an embedded module are shared by every caller; so are the standard
+modules and the category.  :func:`tau_dup_pair` is lazy: tau and tau^{-1}
+are each computed on first read.
 """
 
 from __future__ import annotations
@@ -26,27 +27,13 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import CatalogError
-from .linalg import RMatrix, nullspace_basis, solve_matrix
+from .linalg import RMatrix, nullspace_basis, rank, solve_matrix
 from .modcat import ARCatalog, ModuleCategory
-from .quiver import Quiver, duplicated_quiver, opposite, paths_from, prime
+from .quiver import Quiver, opposite, paths_from, prime
 from . import reps
-from .hereditary import (
-    TauPair,
-    injective_rep,
-    path_category,
-    projective_rep,
-    simple_rep,
-)
+from .hereditary import TauPair, path_category
 from .reps import Rep, RepMap
-
-
-_report_cache: dict = {}
-
-
-def dup_quiver_report(q: Quiver):
-    if q not in _report_cache:
-        _report_cache[q] = duplicated_quiver(q)
-    return _report_cache[q]
+from .session import session
 
 
 def _unprimed(name: str) -> str:
@@ -127,7 +114,7 @@ class DupModule:
                         row[var(yv, k, j)] -= xa.data[i][k]
                     rows.append(row)
                     rhs.append(0)
-        for name, _, tgt, mp in dup_quiver_report(base).connecting:
+        for name, _, tgt, mp in session(base).report.connecting:
             b = _dual_path_matrix(base_cat, y, mp)
             c = self._rep.mats[name]
             for i in range(x.dims[tgt]):
@@ -214,7 +201,7 @@ def _dual_path_matrix(base_cat, y_rep: Rep, mp) -> RMatrix:
 def triple_to_rep(x: Rep, y: Rep, theta: RepMap) -> Rep:
     """The duplicated-quiver representation of the triple (X, Y, theta)."""
     q = x.quiver
-    report = dup_quiver_report(q)
+    report = session(q).report
     base_cat = path_category(q)
     if theta.source.dim_vector() != base_cat.nakayama(y).dim_vector():
         raise ValueError("theta must start at the canonical Nakayama image")
@@ -230,7 +217,7 @@ def triple_to_rep(x: Rep, y: Rep, theta: RepMap) -> Rep:
 def rep_to_triple(rep: Rep, base: Quiver) -> DupModule:
     """View a duplicated-quiver representation as a module over the
     duplicated algebra of ``base``; its triple is derived on first read."""
-    if rep.quiver != dup_quiver_report(base).dup:
+    if rep.quiver != session(base).report.dup:
         raise ValueError("representation is not over the duplicated quiver")
     return DupModule(rep, base)
 
@@ -247,35 +234,27 @@ def _from_triple(x: Rep, y: Rep, theta: RepMap) -> DupModule:
 def embed_A(x: Rep) -> DupModule:
     """The module (X, 0, 0): an A-module seen over the duplicated algebra.
 
-    One module per Rep x, kept on the duplicated category, so every caller
-    shares its presentation, Hom and Ext^1 caches.
+    One module per Rep x, kept by the session, so every caller shares its
+    presentation, Hom and Ext^1 caches; the standard modules of
+    ``path_category`` map to the embedded ones of ``standard_dup_modules``.
     """
-    embedded = dup_category(x.quiver).embedded
+    embedded = session(x.quiver).embedded
     if x.uid not in embedded:
-        embedded[x.uid] = _embed(x)
+        y = reps.zero_rep(x.quiver)
+        nu_y = path_category(x.quiver).nakayama(y)
+        embedded[x.uid] = _from_triple(x, y, reps.zero_map(nu_y, x))
     return embedded[x.uid]
-
-
-def _embed(x: Rep) -> DupModule:
-    y = reps.zero_rep(x.quiver)
-    return _from_triple(x, y, reps.zero_map(path_category(x.quiver).nakayama(y), x))
 
 
 def proj_primed(q: Quiver, x: str) -> DupModule:
     """The projective-injective at the primed vertex: (nu P_x, P_x, id)."""
-    cat = path_category(q)
-    p = cat.proj[x]
-    nu = cat.nakayama(p)
+    return standard_dup_modules(q).projective_primed[x]
+
+
+def _projective_injective(p: Rep) -> DupModule:
+    """The module (nu P, P, id)."""
+    nu = path_category(p.quiver).nakayama(p)
     return _from_triple(nu, p, reps.identity_map(nu))
-
-
-def inj_primed(q: Quiver, x: str) -> DupModule:
-    """The injective at the primed vertex: (0, I_x, 0)."""
-    return _primed_only(injective_rep(q, x))
-
-
-def simple_primed(q: Quiver, x: str) -> DupModule:
-    return _primed_only(simple_rep(q, x))
 
 
 def _primed_only(y: Rep) -> DupModule:
@@ -291,25 +270,25 @@ class StandardDupModules:
     projective: dict  # P at unprimed vertices = embedded projectives
     projective_primed: dict  # P at primed vertices, projective-injective
     injective_primed: dict
+    embedded_injective: dict  # (I_x, 0, 0), not injective here
 
 
 def standard_dup_modules(q: Quiver) -> StandardDupModules:
+    """The standard modules its session keeps, built on the standard
+    modules of ``path_category(q)``."""
+    return session(q).standard_dup_modules
+
+
+def build_standard_dup_modules(q: Quiver) -> StandardDupModules:
+    cat = path_category(q)
     return StandardDupModules(
-        {x: embed_A(simple_rep(q, x)) for x in q.vertices},
-        {x: simple_primed(q, x) for x in q.vertices},
-        {x: embed_A(projective_rep(q, x)) for x in q.vertices},
-        {x: proj_primed(q, x) for x in q.vertices},
-        {x: inj_primed(q, x) for x in q.vertices},
+        {x: embed_A(cat.simple[x]) for x in q.vertices},
+        {x: _primed_only(cat.simple[x]) for x in q.vertices},
+        {x: embed_A(cat.proj[x]) for x in q.vertices},
+        {x: _projective_injective(cat.proj[x]) for x in q.vertices},
+        {x: _primed_only(cat.inj[x]) for x in q.vertices},
+        {x: embed_A(cat.inj[x]) for x in q.vertices},
     )
-
-
-class DupCategory(ModuleCategory):
-    """The module category of a duplicated algebra; ``embedded`` keeps the
-    module of :func:`embed_A` per A-module uid."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.embedded = {}
 
 
 def _one_dim_at(m: Rep, v: str, what: str) -> Rep:
@@ -318,29 +297,28 @@ def _one_dim_at(m: Rep, v: str, what: str) -> Rep:
     return m
 
 
-_dup_cache: dict = {}
+def dup_category(q: Quiver) -> ModuleCategory:
+    """The module category of the duplicated algebra (its session's)."""
+    return session(q).dup_category
 
 
-def dup_category(q: Quiver) -> DupCategory:
-    """The module category of the duplicated algebra (cached per quiver)."""
-    if q in _dup_cache:
-        return _dup_cache[q]
-    report = dup_quiver_report(q)
-    dq = report.dup
+def build_dup_category(q: Quiver) -> ModuleCategory:
+    report = session(q).report
+    std = standard_dup_modules(q)
     projectives = {}
     injectives = {}
     simples = {}
     for x in q.vertices:
-        pbar = _one_dim_at(_embed(projective_rep(q, x)).rep(), x, f"projective at {x}")
+        pbar = _one_dim_at(std.projective[x].rep(), x, f"projective at {x}")
         projectives[x] = (pbar, RMatrix.column([1]))
-        ppr = _one_dim_at(proj_primed(q, x).rep(), prime(x), f"projective at {prime(x)}")
+        ppr = _one_dim_at(std.projective_primed[x].rep(), prime(x), f"projective at {prime(x)}")
         projectives[prime(x)] = (ppr, RMatrix.column([1]))
         # the injective at the unprimed vertex is the projective-injective
         injectives[x] = (_one_dim_at(ppr, x, f"injective at {x}"), RMatrix([[1]], 1, 1))
-        ipr = _one_dim_at(inj_primed(q, x).rep(), prime(x), f"injective at {prime(x)}")
+        ipr = _one_dim_at(std.injective_primed[x].rep(), prime(x), f"injective at {prime(x)}")
         injectives[prime(x)] = (ipr, RMatrix([[1]], 1, 1))
-        simples[x] = _embed(simple_rep(q, x)).rep()
-        simples[prime(x)] = simple_primed(q, x).rep()
+        simples[x] = std.simple[x].rep()
+        simples[prime(x)] = std.simple_primed[x].rep()
 
     def op_builder():
         opq = opposite(q)
@@ -358,17 +336,10 @@ def dup_category(q: Quiver) -> DupCategory:
             amap[mp.name] = rev.name
         return op, vmap, amap
 
-    cat = DupCategory(dq, projectives, injectives, simples, op_builder)
-    _dup_cache[q] = cat
-    return cat
+    return ModuleCategory(report.dup, projectives, injectives, simples, op_builder)
 
 
 # -- public operations on modules ---------------------------------------------
-
-
-def hom_basis_dup(m: DupModule, n: DupModule):
-    """Basis of the morphism space."""
-    return [DupMap(m, n, h) for h in dup_category(m.base_quiver).hom(m.rep(), n.rep())]
 
 
 def hom_dim_dup(m: DupModule, n: DupModule) -> int:
@@ -457,7 +428,6 @@ class DupCatalog:
     by :mod:`dupcat.leftpart` after the catalog is built."""
 
     base: Quiver
-    report: object
     catalog: ARCatalog
     modules: tuple  # DupModule per entry
     proj_injective: tuple
@@ -514,7 +484,7 @@ def knit_ind_dup(q: Quiver, cap: int = 10000) -> DupCatalog:
         p and i for p, i in zip(ar.projective, ar.injective)
     )
     in_a = tuple(m.y_part.is_zero() for m in modules)
-    return DupCatalog(q, dup_quiver_report(q), ar, modules, proj_inj, in_a)
+    return DupCatalog(q, ar, modules, proj_inj, in_a)
 
 
 # -- junction diagnostics -------------------------------------------------------
@@ -543,7 +513,7 @@ def junction_composite_pattern(q: Quiver) -> JunctionPattern:
     pairwise proportional nonzero composites, and composites in families of
     size at least two count as identified ("commuting").
     """
-    report = dup_quiver_report(q)
+    report = session(q).report
     cat = dup_category(q)
     dq = report.dup
     composites = []  # (endpoints, path names, start)
@@ -574,8 +544,6 @@ def junction_composite_pattern(q: Quiver) -> JunctionPattern:
             rest = []
             for v in remaining:
                 two = RMatrix([list(head), list(v)], 2, len(head))
-                from .linalg import rank
-
                 if rank(two) <= 1:
                     family.append(v)
                 else:

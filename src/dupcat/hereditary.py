@@ -14,8 +14,8 @@ from .errors import CatalogError
 from .linalg import RMatrix
 from .modcat import ARCatalog, ModuleCategory
 from .quiver import Quiver, opposite, paths_from, paths_into
-from . import reps
 from .reps import Rep, RepMap
+from .session import session
 
 
 def simple_rep(q: Quiver, x: str) -> Rep:
@@ -59,20 +59,18 @@ class StandardReps:
 
 
 def standard_reps(q: Quiver) -> StandardReps:
-    return StandardReps(
-        {x: simple_rep(q, x) for x in q.vertices},
-        {x: projective_rep(q, x) for x in q.vertices},
-        {x: injective_rep(q, x) for x in q.vertices},
-    )
-
-
-_plain_cache: dict = {}
+    """The simples, projectives and injectives that ``path_category(q)``
+    keeps."""
+    cat = path_category(q)
+    return StandardReps(dict(cat.simple), dict(cat.proj), dict(cat.inj))
 
 
 def path_category(q: Quiver) -> ModuleCategory:
-    """The module category of the path algebra of q (cached per quiver)."""
-    if q in _plain_cache:
-        return _plain_cache[q]
+    """The module category of the path algebra of q (its session's)."""
+    return session(q).path_category
+
+
+def build_path_category(q: Quiver) -> ModuleCategory:
     projectives = {}
     injectives = {}
     simples = {}
@@ -93,9 +91,7 @@ def path_category(q: Quiver) -> ModuleCategory:
         amap = {a.name: a.name for a in q.arrows}
         return op, vmap, amap
 
-    cat = ModuleCategory(q, projectives, injectives, simples, op_builder)
-    _plain_cache[q] = cat
-    return cat
+    return ModuleCategory(q, projectives, injectives, simples, op_builder)
 
 
 # -- public operations -----------------------------------------------------
@@ -132,10 +128,6 @@ class TauPair:
         return INJECTIVE if t is None else self._wrap(t)
 
 
-def hom_basis(m: Rep, n: Rep):
-    return list(path_category(m.quiver).hom(m, n))
-
-
 def hom_dim(m: Rep, n: Rep) -> int:
     return path_category(m.quiver).hom_dim(m, n)
 
@@ -154,10 +146,6 @@ def nakayama(y: Rep) -> Rep:
 
 def nakayama_map(f: RepMap) -> RepMap:
     return path_category(f.source.quiver).nakayama_map(f)
-
-
-def is_isomorphic(m: Rep, n: Rep) -> bool:
-    return reps.is_isomorphic(m, n)
 
 
 def knit_ind_A(q: Quiver, cap: int = 10000) -> ARCatalog:

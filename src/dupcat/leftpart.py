@@ -26,12 +26,13 @@ from .dup import (
     is_isomorphic_dup,
     pd_dup,
     proj_primed,
+    standard_dup_modules,
     tau_dup_pair,
 )
-from .dup import hom_reach as _hom_reach  # noqa: F401  (used by the verification tests)
-from .hereditary import injective_rep, knit_ind_A
+from .hereditary import knit_ind_A
 from .modcat import dim_index, find_iso
 from .reps import cokernel as rep_cokernel, split_pair
+from .session import session
 
 
 @dataclass
@@ -102,14 +103,11 @@ def sigma_catalog(q: Quiver):
     return left_part_catalog(q).sigma
 
 
-_lpc_cache: dict = {}
-
-
 def left_part_catalog(q: Quiver) -> LeftPartCatalog:
     """Structure-based left part: embedded ind A plus the Ext-injectives.
 
-    Built once per quiver; every later call returns the same catalog, so the
-    checks that read it share its members and their Hom/Ext caches.
+    The session's catalog, so the checks that read it share its members and
+    their Hom/Ext caches.
 
     A projective-injective lies in the left part iff all its predecessors
     do, and its predecessors are itself plus those of its radical summands.
@@ -119,24 +117,28 @@ def left_part_catalog(q: Quiver) -> LeftPartCatalog:
     recursing along the primed arrows.  No knitting of the duplicated
     category is needed.
     """
-    if q not in _lpc_cache:
-        _require_dynkin(q)
-        _lpc_cache[q] = _build_left_part_catalog(q)
-    return _lpc_cache[q]
+    _require_dynkin(q)
+    return session(q).left_part
 
 
-def _build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
-    cat_a = knit_ind_A(q)
-    embeds = [embed_A(e) for e in cat_a.entries]
+def build_cosyzygies(q: Quiver) -> dict:
+    """Vertex x -> tau^{-1} of the embedded injective at x."""
     cosyz = {}
-    for x in q.vertices:
-        t = tau_dup_pair(embed_A(injective_rep(q, x))).tau_inv
+    for x, i in standard_dup_modules(q).embedded_injective.items():
+        t = tau_dup_pair(i).tau_inv
         if not isinstance(t, DupModule):
             raise CatalogError("embedded injective cannot be injective here")
         if t.y_part.is_zero():
             raise CatalogError("cosyzygy candidate fell into ind A")
         cosyz[x] = t
-    pis = {x: proj_primed(q, x) for x in q.vertices}
+    return cosyz
+
+
+def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
+    cat_a = knit_ind_A(q)
+    embeds = [embed_A(e) for e in cat_a.entries]
+    cosyz = session(q).cosyzygies
+    pis = standard_dup_modules(q).projective_primed
     ctx = dup_category(q)
     always_in_l = [m.rep() for m in embeds] + [cosyz[x].rep() for x in q.vertices]
     always_index = dim_index(always_in_l)
@@ -303,18 +305,21 @@ def verify_sink_reachability(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
 
 
 def verify_pd_criterion(cat: DupCatalog) -> Report:
-    """pd M <= 1 iff no injective maps nonzero into tau M."""
+    """pd M <= 1 iff no injective maps nonzero into tau M.
+
+    tau M is read from the knit's links, which the almost split sequences
+    certify."""
     q = cat.base
     ctx = dup_category(q)
     injectives = [ctx.inj[z] for z in ctx.quiver.vertices]
+    entries, tau_of = cat.entries, cat.catalog.tau_of
     witnesses = []
-    for i, e in enumerate(cat.entries):
-        pd = cat.pd_table[i]
-        t = ctx.tau(e)
-        if t is None:
-            hom_from_inj = 0
-        else:
+    for i, pd in enumerate(cat.pd_table):
+        if i in tau_of:
+            t = entries[tau_of[i]]
             hom_from_inj = sum(ctx.hom_dim(iz, t) for iz in injectives)
+        else:
+            hom_from_inj = 0
         if (pd <= 1) != (hom_from_inj == 0):
             witnesses.append(
                 f"entry {i}: pd={pd} but Hom(injectives, tau)={hom_from_inj}"

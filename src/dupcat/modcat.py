@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import CapExceededError, CatalogError, CycleDetectedError
-from .linalg import RMatrix, coordinates_in_span, rank, right_inverse, solve_matrix
+from .linalg import RMatrix, coordinates_in_span, nullspace_basis, rank, right_inverse, solve_matrix
 from .quiver import Quiver
 from . import reps
 from .reps import Rep, RepMap, hom_basis, kernel, cokernel, direct_sum
@@ -66,6 +66,15 @@ class Presentation:
         if self.cover1 is None:
             raise CatalogError("presentation of a projective has no f1")
         return self.incl.compose(self.cover1.q)
+
+
+def _coords(span, f: RepMap, what: str) -> tuple:
+    """Coordinates of the flattened map f in the flattened basis ``span``;
+    CatalogError when ``what`` (the way f was made) left the span."""
+    coords = coordinates_in_span(span, f.flatten()) if span else ()
+    if coords is None:
+        raise CatalogError(f"{what} left the hom span")
+    return coords
 
 
 def dim_index(modules) -> dict:
@@ -246,15 +255,16 @@ class ModuleCategory:
 
     # -- radical / socle / top ----------------------------------------------
 
+    def _arrow_images(self, m: Rep, v) -> RMatrix:
+        """The matrices of the arrows into v, side by side: their columns
+        span the radical of m at v."""
+        incoming = [m.mats[a.name] for a in self.quiver.arrows_into[v]]
+        return RMatrix.hstack(incoming) if incoming else RMatrix.zeros(m.dims[v], 0)
+
     def radical(self, m: Rep):
         bases = {}
         for v in self.quiver.vertices:
-            incoming = [m.mats[a.name] for a in self.quiver.arrows_into[v]]
-            if not incoming:
-                bases[v] = RMatrix.zeros(m.dims[v], 0)
-                continue
-            stacked = RMatrix.hstack(incoming)
-            cols = []
+            stacked = self._arrow_images(m, v)
             current = RMatrix.zeros(m.dims[v], 0)
             for j in range(stacked.cols):
                 cand = RMatrix.hstack([current, RMatrix.column(stacked.column_at(j))])
@@ -263,17 +273,16 @@ class ModuleCategory:
             bases[v] = current
         return reps.sub_from_subspaces(m, bases)
 
-    def socle(self, m: Rep):
-        from .linalg import nullspace_basis
+    def _socle_basis(self, m: Rep, v) -> RMatrix:
+        """Columns spanning the socle of m at v: the joint kernel of the
+        arrows leaving v."""
+        outgoing = [m.mats[a.name] for a in self.quiver.arrows_from[v]]
+        if not outgoing:
+            return RMatrix.identity(m.dims[v])
+        return RMatrix.from_columns(nullspace_basis(RMatrix.vstack(outgoing)), m.dims[v])
 
-        bases = {}
-        for v in self.quiver.vertices:
-            outgoing = [m.mats[a.name] for a in self.quiver.arrows_from[v]]
-            if not outgoing:
-                bases[v] = RMatrix.identity(m.dims[v])
-                continue
-            stacked = RMatrix.vstack(outgoing)
-            bases[v] = RMatrix.from_columns(nullspace_basis(stacked), m.dims[v])
+    def socle(self, m: Rep):
+        bases = {v: self._socle_basis(m, v) for v in self.quiver.vertices}
         return reps.sub_from_subspaces(m, bases)
 
     def top(self, m: Rep):
@@ -297,17 +306,9 @@ class ModuleCategory:
         return chosen
 
     def cover(self, m: Rep) -> CoverData:
-        rad_bases = {}
-        for v in self.quiver.vertices:
-            incoming = [m.mats[a.name] for a in self.quiver.arrows_into[v]]
-            if incoming:
-                stacked = RMatrix.hstack(incoming)
-            else:
-                stacked = RMatrix.zeros(m.dims[v], 0)
-            rad_bases[v] = stacked
         parts = []
         for z in self.quiver.vertices:
-            for e in self._complement_columns(rad_bases[z]):
+            for e in self._complement_columns(self._arrow_images(m, z)):
                 parts.append((z, e))
         if not parts:
             p0 = reps.zero_rep(self.quiver)
@@ -350,13 +351,7 @@ class ModuleCategory:
         """Injective envelope (parts, I0, j: m -> I0)."""
         soc_parts = []  # (z, functional row on m_z)
         for z in self.quiver.vertices:
-            outgoing = [m.mats[a.name] for a in self.quiver.arrows_from[z]]
-            if outgoing:
-                from .linalg import nullspace_basis as _nb
-
-                soc_basis = RMatrix.from_columns(_nb(RMatrix.vstack(outgoing)), m.dims[z])
-            else:
-                soc_basis = RMatrix.identity(m.dims[z])
+            soc_basis = self._socle_basis(m, z)
             s = soc_basis.cols
             if s == 0:
                 continue
@@ -419,6 +414,16 @@ class ModuleCategory:
             self._ext1_cache[key] = self._ext1_dim(m, n)
         return self._ext1_cache[key]
 
+    def _restricted_hom(self, pres: Presentation, n: Rep) -> RMatrix:
+        """Hom(P0, n) restricted to Omega, one flattened map per row: the
+        image of Hom(P0, n) -> Hom(Omega, n), whose cokernel is Ext^1."""
+        rows = [
+            list(h.compose(pres.incl).flatten())
+            for h in self._hom_from_cover(pres.cover0, n)
+        ]
+        width = sum(pres.omega.dims[v] * n.dims[v] for v in self.quiver.vertices)
+        return RMatrix(rows, len(rows), width)
+
     def _ext1_dim(self, m: Rep, n: Rep) -> int:
         pres = self.presentation(m)
         if pres.cover1 is None:
@@ -426,11 +431,7 @@ class ModuleCategory:
         hom_om_n = self.hom_dim(pres.omega, n)
         if not hom_om_n:
             return 0
-        restricted = [
-            h.compose(pres.incl).flatten() for h in self._hom_from_cover(pres.cover0, n)
-        ]
-        mat = RMatrix([list(r) for r in restricted], len(restricted), len(restricted[0]) if restricted else 0)
-        return hom_om_n - rank(mat)
+        return hom_om_n - rank(self._restricted_hom(pres, n))
 
     def ext1_middle(self, n: Rep, m: Rep):
         """Middle term of a nonzero extension of n by m, with its maps.
@@ -443,11 +444,8 @@ class ModuleCategory:
         hom_om_m = self.hom(pres.omega, m)
         if not hom_om_m:
             return None
-        restricted = [
-            h.compose(pres.incl).flatten() for h in self._hom_from_cover(pres.cover0, m)
-        ]
-        width = len(hom_om_m[0].flatten())
-        span_mat = RMatrix([list(r) for r in restricted], len(restricted), width)
+        span_mat = self._restricted_hom(pres, m)
+        width = span_mat.cols
         g0 = None
         for cand in hom_om_m:
             grown = RMatrix.vstack([span_mat, RMatrix([list(cand.flatten())], 1, width)])
@@ -490,15 +488,8 @@ class ModuleCategory:
         for a in self.quiver.arrows:
             w, z = a.source, a.target
             lam = self.lam(a.name)
-            cols = []
-            for b in bases[z]:
-                comp = lam.compose(b)
-                coords = coordinates_in_span(flat[w], comp.flatten()) if flat[w] else ()
-                if coords is None:
-                    raise CatalogError("postcomposition left the hom span")
-                cols.append(coords)
-            post = RMatrix.from_columns(cols, dims[w]) if cols else RMatrix.zeros(dims[w], 0)
-            mats[a.name] = post.transpose()
+            cols = [_coords(flat[w], lam.compose(b), "postcomposition") for b in bases[z]]
+            mats[a.name] = RMatrix.from_columns(cols, dims[w]).transpose()
         nu = Rep(self.quiver, dims, mats)
         data = (nu, bases, flat)
         self._nak_cache[m.uid] = data
@@ -513,23 +504,8 @@ class ModuleCategory:
         nu_n, bases_n, _ = self.nak_data(f.target)
         mats = {}
         for z in self.quiver.vertices:
-            cols = []
-            for b in bases_n[z]:
-                comp = b.compose(f)
-                coords = (
-                    coordinates_in_span(flat_m[z], comp.flatten())
-                    if flat_m[z]
-                    else ()
-                )
-                if coords is None:
-                    raise CatalogError("precomposition left the hom span")
-                cols.append(coords)
-            pre = (
-                RMatrix.from_columns(cols, nu_m.dims[z])
-                if cols
-                else RMatrix.zeros(nu_m.dims[z], 0)
-            )
-            mats[z] = pre.transpose()
+            cols = [_coords(flat_m[z], b.compose(f), "precomposition") for b in bases_n[z]]
+            mats[z] = RMatrix.from_columns(cols, nu_m.dims[z]).transpose()
         return RepMap(nu_m, nu_n, mats, check=False)
 
     def _proj_sum(self, zs, nakayama=False):
@@ -579,14 +555,7 @@ class ModuleCategory:
                     for j, (wj, _) in enumerate(parts1):
                         flat_j = self.nak_data(self.proj[wj])[2][z]
                         comp = b.compose(comps[(j, i)])
-                        coords = (
-                            coordinates_in_span(flat_j, comp.flatten())
-                            if flat_j
-                            else ()
-                        )
-                        if coords is None:
-                            raise CatalogError("presentation component left the hom span")
-                        col.extend(coords)
+                        col.extend(_coords(flat_j, comp, "presentation component"))
                     col_groups.append(tuple(col))
             pre = RMatrix.from_columns(col_groups, sum(n_rows_per_j))
             mats[z] = pre.transpose()

@@ -18,16 +18,11 @@ from .dup import (
     hom_dim_dup,
     is_isomorphic_dup,
     knit_ind_dup,
+    standard_dup_modules,
     syzygy_pair,
     tau_dup_pair,
 )
-from .hereditary import (
-    injective_rep,
-    knit_ind_A,
-    path_category,
-    projective_rep,
-    simple_rep,
-)
+from .hereditary import knit_ind_A, path_category
 from .leftpart import (
     Report,
     annotate_catalog,
@@ -41,12 +36,14 @@ from .leftpart import (
 )
 from .reps import RepMap
 from .linalg import RMatrix, right_inverse
+from .session import session
 from .tilting import expected_count, verify_bijection
 
 
 def check_embedding_fidelity(q: Quiver, cat_a) -> Report:
     """The embedding of the base module category is full, exact on Ext, and
-    commutes with the AR translate off the projectives."""
+    commutes with the AR translate off the projectives: tau on the base side
+    is read from the knit's links, on the duplicated side it is computed."""
     witnesses = []
     ctx = path_category(q)
     embeds = [embed_A(m) for m in cat_a.entries]
@@ -60,12 +57,9 @@ def check_embedding_fidelity(q: Quiver, cat_a) -> Report:
             ed = ext1_dup(embeds[i], embeds[j])
             if ea != ed:
                 witnesses.append(f"ext({i},{j}): base {ea} vs duplicated {ed}")
-    for i, m in enumerate(cat_a.entries):
-        t = ctx.tau(m)
-        if t is None:
-            continue
+    for i, j in sorted(cat_a.tau_of.items()):
         td = tau_dup_pair(embeds[i]).tau
-        if not is_isomorphic_dup(td, embed_A(t), assume_indecomposable=True):
+        if not is_isomorphic_dup(td, embeds[j], assume_indecomposable=True):
             witnesses.append(f"translate of embedded entry {i} disagrees")
     return Report("embedding-fidelity", not witnesses, witnesses)
 
@@ -74,9 +68,9 @@ def check_cosyzygy_tau_identity(q: Quiver) -> Report:
     """Cosyzygies of embedded projectives coincide with the translates of the
     embedded injectives; the two sides use disjoint code paths."""
     witnesses = []
-    for x in q.vertices:
-        lhs = syzygy_pair(embed_A(projective_rep(q, x))).cosyzygy
-        rhs = tau_dup_pair(embed_A(injective_rep(q, x))).tau_inv
+    projectives = standard_dup_modules(q).projective
+    for x, rhs in session(q).cosyzygies.items():
+        lhs = syzygy_pair(projectives[x]).cosyzygy
         # exact: the translate of an indecomposable is indecomposable
         if not is_isomorphic_dup(lhs, rhs, assume_indecomposable=True):
             witnesses.append(
@@ -94,11 +88,10 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
     base_ctx = path_category(q)
     sinks, _ = sinks_and_sources(q)
     for a in sinks:
-        ia = embed_A(injective_rep(q, a)).rep()
+        ia = standard_dup_modules(q).embedded_injective[a].rep()
         pia = ctx.proj[prime(a)]
         # I_a / S_a computed in the base category, then embedded
-        sa = simple_rep(q, a)
-        incl_candidates = base_ctx.hom(sa, injective_rep(q, a))
+        incl_candidates = base_ctx.hom(base_ctx.simple[a], base_ctx.inj[a])
         if len(incl_candidates) != 1:
             raise CatalogError(
                 f"sink {a}: Hom(S_a, I_a) has dimension {len(incl_candidates)}, not 1"

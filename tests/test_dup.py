@@ -1,9 +1,10 @@
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
-from dupcat import dup
+from dupcat import dup, session
 from dupcat.dup import (
     DupModule,
     covers_and_envelopes,
@@ -288,12 +289,25 @@ def test_exact_isomorphism_when_one_side_is_indecomposable():
 
 
 _BAD_DUP_PROJECTIVE = """
+import dataclasses
+
 from dupcat import dup, reps
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n
 
-inner = dup.projective_rep
-dup.projective_rep = lambda q, x: reps.direct_sum([inner(q, x)] * 2)[0]
+inner = dup.build_standard_dup_modules
+
+
+def doubled(q):
+    std = inner(q)
+    twice = {
+        x: dup.rep_to_triple(reps.direct_sum([m.rep()] * 2)[0], q)
+        for x, m in std.projective.items()
+    }
+    return dataclasses.replace(std, projective=twice)
+
+
+dup.build_standard_dup_modules = doubled
 try:
     dup.dup_category(a_n(2))
 except CatalogError:
@@ -305,9 +319,18 @@ raise SystemExit(1)
 def test_dup_category_rejects_a_projective_without_simple_top(monkeypatch, src_env):
     """A standard projective 2-dimensional at its vertex raises CatalogError,
     also under python -O."""
-    inner = dup.projective_rep
-    monkeypatch.setattr(dup, "_dup_cache", {})
-    monkeypatch.setattr(dup, "projective_rep", lambda q, x: direct_sum([inner(q, x)] * 2)[0])
+    inner = dup.build_standard_dup_modules
+
+    def doubled(q):
+        std = inner(q)
+        twice = {
+            x: rep_to_triple(direct_sum([m.rep()] * 2)[0], q)
+            for x, m in std.projective.items()
+        }
+        return dataclasses.replace(std, projective=twice)
+
+    monkeypatch.setattr(session, "_sessions", {})
+    monkeypatch.setattr(dup, "build_standard_dup_modules", doubled)
     with pytest.raises(CatalogError, match="1-dimensional"):
         dup_category(a_n(2))
     proc = subprocess.run(

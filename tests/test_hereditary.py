@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from dupcat import hereditary
+from dupcat import hereditary, session
 from dupcat.errors import CapExceededError, CatalogError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import (
@@ -11,7 +11,6 @@ from dupcat.hereditary import (
     PROJECTIVE,
     ext1_dim,
     hom_dim,
-    is_isomorphic,
     knit_ind_A,
     nakayama,
     nakayama_map,
@@ -22,7 +21,7 @@ from dupcat.hereditary import (
 )
 from dupcat.quiver import classify_dynkin
 from dupcat import reps
-from dupcat.reps import direct_sum, hom_basis, identity_map
+from dupcat.reps import direct_sum, hom_basis, identity_map, is_isomorphic
 
 
 def dims(rep):
@@ -209,7 +208,7 @@ def test_path_category_rejects_a_projective_without_simple_top(monkeypatch, src_
     """A standard projective 2-dimensional at its vertex raises CatalogError,
     also under python -O."""
     inner = hereditary.projective_rep
-    monkeypatch.setattr(hereditary, "_plain_cache", {})
+    monkeypatch.setattr(session, "_sessions", {})
     monkeypatch.setattr(
         hereditary, "projective_rep", lambda q, x: direct_sum([inner(q, x)] * 2)[0]
     )

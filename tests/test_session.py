@@ -1,0 +1,106 @@
+"""One Session per quiver owns every per-quiver fact, and each is built once."""
+
+import sys
+
+from dupcat import cluster, session
+from dupcat.cluster import pi_bar, shifted_projective
+from dupcat.dup import dup_category, proj_primed, standard_dup_modules
+from dupcat.fixtures import d4_subspace
+from dupcat.hereditary import path_category, standard_reps
+from dupcat.leftpart import left_part_catalog
+from dupcat.modcat import ModuleCategory
+from dupcat.quiver import Quiver, prime
+from dupcat.verify import run_all_checks
+
+
+def _start_cold(monkeypatch):
+    monkeypatch.setattr(session, "_sessions", {})
+
+
+def _count_calls(monkeypatch, names):
+    """Record (category, argument) of every call to the named
+    ModuleCategory methods."""
+    calls = []
+    for name in names:
+        inner = getattr(ModuleCategory, name)
+
+        def counting(self, m, _inner=inner):
+            calls.append((self, m))
+            return _inner(self, m)
+
+        monkeypatch.setattr(ModuleCategory, name, counting)
+    return calls
+
+
+def test_one_quiver_keyed_registry(monkeypatch):
+    """After a cold D4 verify, the session registry is the only module-level
+    dict in dupcat keyed by quivers."""
+    _start_cold(monkeypatch)
+    assert all(c.passed for c in run_all_checks(d4_subspace()))
+    keyed = [
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name == "dupcat" or name.startswith("dupcat.")
+        for attr, value in vars(module).items()
+        if isinstance(value, dict) and any(isinstance(k, Quiver) for k in value)
+    ]
+    assert keyed == ["dupcat.session._sessions"]
+
+
+def test_translate_budget(monkeypatch):
+    """One cold D4 run_all_checks makes at most 130 tau and tau^{-1}
+    computations (187 when verify_pd_criterion and the embedding check
+    recomputed the knit's links and the cosyzygies were built three times;
+    123 now)."""
+    _start_cold(monkeypatch)
+    calls = _count_calls(monkeypatch, ("tau", "tau_inv"))
+    assert all(c.passed for c in run_all_checks(d4_subspace()))
+    assert 0 < len(calls) <= 130
+
+
+def test_cosyzygies_are_computed_once(monkeypatch):
+    """tau^{-1} of each embedded injective is computed once per quiver,
+    although the left part, pi_bar and the cosyzygy check all read it."""
+    _start_cold(monkeypatch)
+    q = d4_subspace()
+    calls = _count_calls(monkeypatch, ("tau_inv",))
+    assert all(c.passed for c in run_all_checks(q))
+    cat = dup_category(q)
+    for i in standard_dup_modules(q).embedded_injective.values():
+        assert sum(1 for c, m in calls if c is cat and m is i.rep()) == 1
+
+
+def test_proj_primed_is_the_category_projective():
+    q = d4_subspace()
+    for x in q.vertices:
+        assert proj_primed(q, x) is proj_primed(q, x)
+        assert proj_primed(q, x).rep() is dup_category(q).proj[prime(x)]
+
+
+def test_standard_reps_are_the_category_modules():
+    q = d4_subspace()
+    std, cat = standard_reps(q), path_category(q)
+    for x in q.vertices:
+        assert std.injective[x] is cat.inj[x]
+        assert std.projective[x] is cat.proj[x]
+        assert std.simple[x] is cat.simple[x]
+
+
+def test_pi_bar_compares_against_the_left_part_cosyzygy(monkeypatch):
+    q = d4_subspace()
+    lpc = left_part_catalog(q)
+    matched = []
+    inner = cluster.is_isomorphic_dup
+
+    def recording(m, n, assume_indecomposable=False):
+        found = inner(m, n, assume_indecomposable)
+        if found:
+            matched.append(n)
+        return found
+
+    monkeypatch.setattr(cluster, "is_isomorphic_dup", recording)
+    for x, i in lpc.cosyzygy_by_vertex.items():
+        matched.clear()
+        member = lpc.members[i]
+        assert pi_bar(member) == shifted_projective(q, x)
+        assert len(matched) == 1 and matched[0] is member

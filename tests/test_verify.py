@@ -3,14 +3,13 @@ import sys
 
 import pytest
 
-from dupcat import cli, cluster, dup, hereditary, leftpart, modcat, reps, tilting, verify
-from dupcat.dup import knit_ind_dup
+from dupcat import cli, modcat, reps, session, tilting, verify
+from dupcat.dup import hom_reach, knit_ind_dup
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
-from dupcat.hereditary import knit_ind_A
+from dupcat.hereditary import knit_ind_A, path_category
 from dupcat.leftpart import (
     Report,
-    _hom_reach,
     _ar_paths,
     annotate_catalog,
     left_part_catalog,
@@ -21,11 +20,8 @@ from dupcat.verify import run_all_checks
 
 
 def _start_cold(monkeypatch):
-    """Swap the module-level caches for empty dicts, as in a fresh process."""
-    for module, name in ((hereditary, "_plain_cache"), (dup, "_dup_cache"),
-                         (dup, "_report_cache"), (cluster, "_ctx_cache"),
-                         (leftpart, "_lpc_cache")):
-        monkeypatch.setattr(module, name, {})
+    """Swap the session registry for an empty one, as in a fresh process."""
+    monkeypatch.setattr(session, "_sessions", {})
 
 
 def test_direct_sum_budget(monkeypatch):
@@ -67,9 +63,11 @@ def test_hom_basis_budget(monkeypatch):
 def test_socle_quotient_check_rejects_a_wrong_simple(monkeypatch, src_env):
     """A simple at the sink with a 2-dimensional Hom into the injective
     raises CatalogError, also under python -O."""
-    monkeypatch.setattr(verify, "simple_rep", lambda q, x: Rep(q, {x: 2}, {}))
+    monkeypatch.setattr(session, "_sessions", {})
+    q = a_n(2)
+    monkeypatch.setitem(path_category(q).simple, "1", Rep(q, {"1": 2}, {}))
     with pytest.raises(CatalogError, match="Hom"):
-        verify.check_socle_quotient_sequences(a_n(2))
+        verify.check_socle_quotient_sequences(q)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _WRONG_SIMPLE],
         env=src_env, capture_output=True, text=True, timeout=120,
@@ -81,11 +79,13 @@ _WRONG_SIMPLE = """
 from dupcat import verify
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n
+from dupcat.hereditary import path_category
 from dupcat.reps import Rep
 
-verify.simple_rep = lambda q, x: Rep(q, {x: 2}, {})
+q = a_n(2)
+path_category(q).simple["1"] = Rep(q, {"1": 2}, {})
 try:
-    verify.check_socle_quotient_sequences(a_n(2))
+    verify.check_socle_quotient_sequences(q)
 except CatalogError:
     raise SystemExit(0)
 raise SystemExit(1)
@@ -110,7 +110,7 @@ def test_four_way_sigma_equivalence_pointwise():
         cat = annotate_catalog(knit_ind_dup(q), lpc)
         ctx = dup_category(q)
         sinks, _ = sinks_and_sources(q)
-        reach = _hom_reach(list(cat.modules))
+        reach = hom_reach(list(cat.modules))
         starts = {a: cat.catalog.entries.index(ctx.proj[prime(a)]) for a in sinks}
         tau_of = cat.catalog.tau_of
         all_paths = {a: list(_ar_paths(cat, s)) for a, s in starts.items()}
