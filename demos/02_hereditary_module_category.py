@@ -3,38 +3,30 @@
 Everything is exact linear algebra over Q: Hom spaces are joint kernels of
 commuting-square constraints, Ext^1 comes from projective presentations,
 and the AR translate is the kernel of the Nakayama functor applied to a
-minimal presentation.
+minimal presentation.  Each is a method of the category ``path_category``
+returns.
 """
 
-from dupcat import (
-    ext1_dim,
-    knit_ind_A,
-    nakayama,
-    standard_reps,
-    tau_pair,
-)
+from dupcat import knit_ind_A, path_category
 from dupcat.fixtures import a_n, d4_subspace
-from dupcat.hereditary import hom_dim
-from dupcat.reps import is_isomorphic
 
 q = a_n(2)
-std = standard_reps(q)
+cat = path_category(q)
 print("== standard modules over A2 (arrow 2 -> 1) ==")
 for x in q.vertices:
     print(
-        f"vertex {x}: S{std.simple[x].dim_vector()} "
-        f"P{std.projective[x].dim_vector()} I{std.injective[x].dim_vector()}"
+        f"vertex {x}: S{cat.simple[x].dim_vector()} "
+        f"P{cat.proj[x].dim_vector()} I{cat.inj[x].dim_vector()}"
     )
 
-print("\ndim Hom(P1, P2) =", hom_dim(std.projective["1"], std.projective["2"]))
-print("dim Ext^1(S2, P1) =", ext1_dim(std.simple["2"], std.projective["1"]))
+print("\ndim Hom(P1, P2) =", cat.hom_dim(cat.proj["1"], cat.proj["2"]))
+print("dim Ext^1(S2, P1) =", cat.ext1_dim(cat.simple["2"], cat.proj["1"]))
 
-tp = tau_pair(std.simple["2"])
-print("tau(S2) has dimension vector", tp.tau.dim_vector(), "(the projective P1)")
+print("tau(S2) has dimension vector", cat.tau(cat.simple["2"]).dim_vector(), "(the projective P1)")
 
 print("\nNakayama functor sends projectives to injectives:")
 for x in q.vertices:
-    print(f"  nu(P{x}) iso I{x}:", is_isomorphic(nakayama(std.projective[x]), std.injective[x]))
+    print(f"  nu(P{x}) iso I{x}:", cat.is_isomorphic(cat.nakayama(cat.proj[x]), cat.inj[x]))
 
 print("\n== knitting the AR quiver ==")
 for name, quiver in [("A2", a_n(2)), ("A3", a_n(3)), ("D4", d4_subspace())]:

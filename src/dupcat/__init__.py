@@ -10,37 +10,23 @@ from .quiver import (
     parse_quiver,
     sinks_and_sources,
 )
-from .linalg import RMatrix, cokernel_basis, generic_max_rank, nullspace_basis, rank
+from .linalg import RMatrix, cokernel_basis, nullspace_basis, rank
 from .reps import Rep, RepMap, direct_sum, hom_basis, is_isomorphic
 from .hereditary import (
-    INJECTIVE,
-    PROJECTIVE,
-    ext1_dim,
     injective_rep,
     knit_ind_A,
-    nakayama,
-    nakayama_map,
     path_category,
     projective_rep,
     simple_rep,
-    standard_reps,
-    tau_pair,
 )
 from .dup import (
-    DupMap,
     DupModule,
-    covers_and_envelopes,
     dup_category,
     embed_A,
-    ext1_dup,
-    is_isomorphic_dup,
     junction_composite_pattern,
     knit_ind_dup,
-    pd_dup,
+    rep_to_triple,
     standard_dup_modules,
-    structure,
-    syzygy_pair,
-    tau_dup_pair,
 )
 from .leftpart import (
     annotate_catalog,

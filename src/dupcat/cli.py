@@ -193,6 +193,13 @@ _COMMANDS = {
 }
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dupcat",
@@ -201,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--quiver", required=True, help="quiver file")
-    parser.add_argument("--cap", type=int, default=10000, help="knitting cap")
+    parser.add_argument("--cap", type=positive_int, default=10000, help="knitting cap (at least 1)")
     parser.add_argument("--out", default=None, help="output file")
     parser.add_argument("--tilting-index", type=int, default=0)
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -220,10 +227,7 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[cfg.command](cfg)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DupcatError as exc:
+    except (OSError, UnicodeDecodeError, DupcatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

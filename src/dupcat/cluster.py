@@ -14,9 +14,9 @@ from typing import Union
 
 from .errors import CatalogError, NotDynkinError, NotInDomainError
 from .quiver import Quiver, classify_dynkin
-from .dup import DupModule, is_isomorphic_dup
+from .dup import DupModule
 from .hereditary import knit_ind_A, path_category
-from .reps import Rep
+from .reps import Rep, is_isomorphic
 from .session import session
 
 
@@ -72,7 +72,7 @@ def pi_bar(m: DupModule) -> ClusterObject:
     q = m.base_quiver
     s = session(q)
     for p in s.standard_dup_modules.projective_primed.values():
-        if is_isomorphic_dup(m, p, assume_indecomposable=True):
+        if is_isomorphic(m.rep(), p.rep()):
             raise NotInDomainError("projective-injectives vanish under projection")
     if m.y_part.is_zero():
         idx = knit_ind_A(q).find(m.x_part)
@@ -80,7 +80,7 @@ def pi_bar(m: DupModule) -> ClusterObject:
             raise NotInDomainError("not an indecomposable of the base category")
         return module_object(q, idx)
     for x in q.vertices:
-        if is_isomorphic_dup(m, s.cosyzygies[x], assume_indecomposable=True):
+        if is_isomorphic(m.rep(), s.cosyzygies[x].rep()):
             return shifted_projective(q, x)
     raise NotInDomainError("module is not in the left part")
 

@@ -16,8 +16,10 @@ the standard modules.
 :func:`embed_A` returns one module per A-module ``Rep``, kept by the
 quiver's session (:mod:`dupcat.session`), so the Hom, Ext^1 and presentation
 caches of an embedded module are shared by every caller; so are the standard
-modules and the category.  :func:`tau_dup_pair` is lazy: tau and tau^{-1}
-are each computed on first read.
+modules and the category.  Hom, Ext^1, syzygies, AR translates, projective
+dimension and isomorphism are methods of the category :func:`dup_category`
+returns; they take ``m.rep()``, and :func:`rep_to_triple` views a result as
+a :class:`DupModule` again.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .linalg import RMatrix, nullspace_basis, rank, solve_matrix
 from .modcat import ARCatalog, ModuleCategory
 from .quiver import Quiver, opposite, paths_from, prime
 from . import reps
-from .hereditary import TauPair, path_category
+from .hereditary import path_category
 from .reps import Rep, RepMap
 from .session import session
 
@@ -157,28 +159,6 @@ class DupModule:
     def __repr__(self):
         x, y = self.dim_vectors()
         return f"DupModule(X{x}, Y{y})"
-
-
-@dataclass
-class DupMap:
-    """Morphism of duplicated modules; ``f`` and ``g`` are its restrictions
-    to the two copies of the base quiver."""
-
-    source: DupModule
-    target: DupModule
-    h: RepMap  # source.rep() -> target.rep()
-
-    def _restrict(self, source: Rep, target: Rep, rename) -> RepMap:
-        mats = {v: self.h.mats[rename(v)] for v in source.quiver.vertices}
-        return RepMap(source, target, mats, check=False)
-
-    @property
-    def f(self) -> RepMap:  # x_part -> x_part
-        return self._restrict(self.source.x_part, self.target.x_part, _unprimed)
-
-    @property
-    def g(self) -> RepMap:  # y_part -> y_part
-        return self._restrict(self.source.y_part, self.target.y_part, prime)
 
 
 def _dual_path_matrix(base_cat, y_rep: Rep, mp) -> RMatrix:
@@ -337,86 +317,6 @@ def build_dup_category(q: Quiver) -> ModuleCategory:
         return op, vmap, amap
 
     return ModuleCategory(report.dup, projectives, injectives, simples, op_builder)
-
-
-# -- public operations on modules ---------------------------------------------
-
-
-def hom_dim_dup(m: DupModule, n: DupModule) -> int:
-    return dup_category(m.base_quiver).hom_dim(m.rep(), n.rep())
-
-
-def is_isomorphic_dup(
-    m: DupModule, n: DupModule, assume_indecomposable: bool = False
-) -> bool:
-    """Decide m = n up to isomorphism (see ``reps.is_isomorphic``)."""
-    return reps.is_isomorphic(m.rep(), n.rep(), assume_indecomposable)
-
-
-@dataclass
-class StructureData:
-    top: DupModule
-    socle: DupModule
-    radical: DupModule
-
-
-def structure(m: DupModule) -> StructureData:
-    q = m.base_quiver
-    cat = dup_category(q)
-    rad, _ = cat.radical(m.rep())
-    top, _ = cat.top(m.rep())
-    soc, _ = cat.socle(m.rep())
-    return StructureData(
-        rep_to_triple(top, q), rep_to_triple(soc, q), rep_to_triple(rad, q)
-    )
-
-
-@dataclass
-class CoversEnvelopes:
-    cover: DupModule
-    cover_map: DupMap
-    envelope: DupModule
-    envelope_map: DupMap
-
-
-def covers_and_envelopes(m: DupModule) -> CoversEnvelopes:
-    q = m.base_quiver
-    cat = dup_category(q)
-    cover = cat.cover(m.rep())
-    p0 = rep_to_triple(cover.p0, q)
-    _, i0_rep, j = cat.envelope(m.rep())
-    i0 = rep_to_triple(i0_rep, q)
-    return CoversEnvelopes(p0, DupMap(p0, m, cover.q), i0, DupMap(m, i0, j))
-
-
-@dataclass
-class SyzygyPair:
-    omega: DupModule
-    cosyzygy: DupModule
-
-
-def syzygy_pair(m: DupModule) -> SyzygyPair:
-    q = m.base_quiver
-    cat = dup_category(q)
-    omega, _ = cat.syzygy(m.rep())
-    cosyz, _ = cat.cosyzygy(m.rep())
-    return SyzygyPair(rep_to_triple(omega, q), rep_to_triple(cosyz, q))
-
-
-def tau_dup_pair(m: DupModule) -> TauPair:
-    q = m.base_quiver
-    return TauPair(dup_category(q), m.rep(), lambda r: rep_to_triple(r, q))
-
-
-def ext1_dup(m: DupModule, n: DupModule) -> int:
-    return dup_category(m.base_quiver).ext1_dim(m.rep(), n.rep())
-
-
-def pd_dup(m: DupModule) -> int:
-    """Projective dimension, capped at the dimension of the duplicated
-    algebra (the sum of its projectives' dimensions, three copies of dim A)."""
-    cat = dup_category(m.base_quiver)
-    return cat.pd(m.rep(), cap=sum(p.total_dim() for p in cat.proj.values()))
 
 
 # -- the knitted catalog -------------------------------------------------------

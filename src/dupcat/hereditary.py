@@ -3,18 +3,18 @@
 Standard modules are built on explicit path bases: the projective at x has
 the paths starting at x as a basis, the injective at x the paths ending at
 x, and arrows act by composition (resp. by stripping the first arrow).
+Hom, Ext^1, the AR translates, the Nakayama functor and isomorphism are
+methods of the category :func:`path_category` returns
+(:class:`dupcat.modcat.ModuleCategory`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import CatalogError
 from .linalg import RMatrix
 from .modcat import ARCatalog, ModuleCategory
 from .quiver import Quiver, opposite, paths_from, paths_into
-from .reps import Rep, RepMap
+from .reps import Rep
 from .session import session
 
 
@@ -51,20 +51,6 @@ def injective_rep(q: Quiver, x: str) -> Rep:
     return Rep(q, dims, mats)
 
 
-@dataclass
-class StandardReps:
-    simple: dict
-    projective: dict
-    injective: dict
-
-
-def standard_reps(q: Quiver) -> StandardReps:
-    """The simples, projectives and injectives that ``path_category(q)``
-    keeps."""
-    cat = path_category(q)
-    return StandardReps(dict(cat.simple), dict(cat.proj), dict(cat.inj))
-
-
 def path_category(q: Quiver) -> ModuleCategory:
     """The module category of the path algebra of q (its session's)."""
     return session(q).path_category
@@ -92,60 +78,6 @@ def build_path_category(q: Quiver) -> ModuleCategory:
         return op, vmap, amap
 
     return ModuleCategory(q, projectives, injectives, simples, op_builder)
-
-
-# -- public operations -----------------------------------------------------
-
-
-class _Flag:
-    def __init__(self, label):
-        self.label = label
-
-    def __repr__(self):
-        return self.label
-
-
-PROJECTIVE = _Flag("PROJECTIVE")
-INJECTIVE = _Flag("INJECTIVE")
-
-
-class TauPair:
-    """tau and tau^{-1} of the module m of a category, each computed on first
-    read: PROJECTIVE (resp. INJECTIVE) where it vanishes, otherwise the
-    translate passed through ``wrap``."""
-
-    def __init__(self, cat: ModuleCategory, m: Rep, wrap=lambda r: r):
-        self._cat, self._m, self._wrap = cat, m, wrap
-
-    @cached_property
-    def tau(self):
-        t = self._cat.tau(self._m)
-        return PROJECTIVE if t is None else self._wrap(t)
-
-    @cached_property
-    def tau_inv(self):
-        t = self._cat.tau_inv(self._m)
-        return INJECTIVE if t is None else self._wrap(t)
-
-
-def hom_dim(m: Rep, n: Rep) -> int:
-    return path_category(m.quiver).hom_dim(m, n)
-
-
-def ext1_dim(m: Rep, n: Rep) -> int:
-    return path_category(m.quiver).ext1_dim(m, n)
-
-
-def tau_pair(m: Rep) -> TauPair:
-    return TauPair(path_category(m.quiver), m)
-
-
-def nakayama(y: Rep) -> Rep:
-    return path_category(y.quiver).nakayama(y)
-
-
-def nakayama_map(f: RepMap) -> RepMap:
-    return path_category(f.source.quiver).nakayama_map(f)
 
 
 def knit_ind_A(q: Quiver, cap: int = 10000) -> ARCatalog:

@@ -17,21 +17,18 @@ from typing import Optional
 
 from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
-from . import dup as dupmod
 from .dup import (
     DupCatalog,
     DupModule,
     dup_category,
     embed_A,
-    is_isomorphic_dup,
-    pd_dup,
     proj_primed,
+    rep_to_triple,
     standard_dup_modules,
-    tau_dup_pair,
 )
 from .hereditary import knit_ind_A
 from .modcat import dim_index, find_iso
-from .reps import cokernel as rep_cokernel, split_pair
+from .reps import cokernel as rep_cokernel, is_isomorphic, split_pair
 from .session import session
 
 
@@ -123,11 +120,13 @@ def left_part_catalog(q: Quiver) -> LeftPartCatalog:
 
 def build_cosyzygies(q: Quiver) -> dict:
     """Vertex x -> tau^{-1} of the embedded injective at x."""
+    ctx = dup_category(q)
     cosyz = {}
     for x, i in standard_dup_modules(q).embedded_injective.items():
-        t = tau_dup_pair(i).tau_inv
-        if not isinstance(t, DupModule):
+        t = ctx.tau_inv(i.rep())
+        if t is None:
             raise CatalogError("embedded injective cannot be injective here")
+        t = rep_to_triple(t, q)
         if t.y_part.is_zero():
             raise CatalogError("cosyzygy candidate fell into ind A")
         cosyz[x] = t
@@ -206,11 +205,12 @@ def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
     # structural invariants
     if sum(lpc.cosyzygy_flags) != n:
         raise CatalogError("expected one cosyzygy member per vertex")
-    for i, m in enumerate(lpc.members):
-        if pd_dup(m) > 1:
+    member_reps = [m.rep() for m in lpc.members]
+    for i, m in enumerate(member_reps):
+        if ctx.pd(m) > 1:
             raise CatalogError(f"left-part member {i} has projective dimension > 1")
-        for j in range(i + 1, len(lpc.members)):
-            if is_isomorphic_dup(m, lpc.members[j], assume_indecomposable=True):
+        for j in range(i + 1, len(member_reps)):
+            if is_isomorphic(m, member_reps[j]):
                 raise CatalogError("duplicate member")
     return lpc
 
@@ -235,21 +235,20 @@ def annotate_catalog(cat: DupCatalog, lpc: LeftPartCatalog) -> DupCatalog:
 def verify_ext_injectives(lpc: LeftPartCatalog) -> Report:
     """Brute-force check that sigma is exactly the Ext-injectives of the left
     part, and that they are exactly the members whose tau^{-1} leaves it."""
+    ctx = dup_category(lpc.base)
     witnesses = []
     sigma_set = set(lpc.sigma_indices)
     for i, m in enumerate(lpc.members):
         ext_vanishes = all(
-            dupmod.ext1_dup(n, m) == 0 for n in lpc.members
+            ctx.ext1_dim(n.rep(), m.rep()) == 0 for n in lpc.members
         )
         if ext_vanishes != (i in sigma_set):
             witnesses.append(
                 f"member {i} {m}: Ext-injective={ext_vanishes} but sigma={i in sigma_set}"
             )
-        ti = tau_dup_pair(m).tau_inv
-        if isinstance(ti, DupModule):
-            leaves = lpc.member_index(ti) is None
-        else:
-            leaves = True  # injective members have no tau^{-1}
+        ti = ctx.tau_inv(m.rep())
+        # injective members have no tau^{-1}
+        leaves = ti is None or lpc.member_index(rep_to_triple(ti, lpc.base)) is None
         if leaves != (i in sigma_set):
             witnesses.append(
                 f"member {i} {m}: tau-inverse outside L={leaves} but sigma={i in sigma_set}"
@@ -414,9 +413,7 @@ def canonical_tilting(q: Quiver) -> CanonicalTilting:
         for x in q.vertices
         if any(
             lpc.proj_inj_flags[i]
-            and is_isomorphic_dup(
-                lpc.members[i], proj_primed(q, x), assume_indecomposable=True
-            )
+            and is_isomorphic(lpc.members[i].rep(), proj_primed(q, x).rep())
             for i in lpc.sigma_indices
         )
     }

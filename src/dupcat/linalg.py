@@ -360,40 +360,3 @@ def coordinates_in_span(basis_vectors, target):
     if sol is None:
         return None
     return tuple(sol.data[i][0] for i in range(sol.rows))
-
-
-def generic_max_rank(space, shape=None) -> RMatrix:
-    """A rational combination of ``space`` attaining the span's maximal rank.
-
-    Deterministic: coefficients are adjusted one basis element at a time,
-    scanning small integers to escape the finitely many rank-dropping values,
-    with extra sweeps until the rank stabilizes.
-    """
-    space = list(space)
-    if not space:
-        if shape is None:
-            raise ValueError("empty span requires an explicit ambient shape")
-        return RMatrix.zeros(*shape)
-    nmax = min(space[0].rows, space[0].cols)
-    current = space[0]
-    best = rank(current)
-    for sweep in range(3):
-        prev_best = best
-        for h in space[1 if sweep == 0 else 0:]:
-            if best == nmax:
-                return current
-            # The generic rank along current + t*h is missed by at most nmax
-            # values of t, so a scan of nmax+2 nonzero integers sees it; it is
-            # never below rank(current).  Moving on ties keeps the combination
-            # generic for the elements still to come.
-            pick, pick_rank = None, -1
-            for t in range(1, nmax + 3):
-                cand = current + h.scale(t)
-                r = rank(cand)
-                if r > pick_rank:
-                    pick, pick_rank = cand, r
-            if pick_rank >= best:
-                current, best = pick, pick_rank
-        if best == prev_best and sweep > 0:
-            break
-    return current

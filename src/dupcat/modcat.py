@@ -27,7 +27,9 @@ generic:
   arrows reconstructed afterwards;
 * indecomposables are looked up by dimension vector (directing modules are
   determined by it), with a split_pair certificate deciding every hit; the
-  same index serves the knit, catalog lookups and decompositions.
+  same index serves the knit, catalog lookups and decompositions;
+* isomorphism of any two modules is decided by their Krull-Schmidt
+  multiplicities against the knitted catalog.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def find_iso(m: Rep, modules, index) -> Optional[int]:
     modules with equal dimension vectors is an isomorphism.
     """
     for i in index.get(m.dim_vector(), ()):
-        if reps.is_isomorphic(m, modules[i], assume_indecomposable=True):
+        if reps.is_isomorphic(m, modules[i]):
             return i
     return None
 
@@ -580,7 +582,13 @@ class ModuleCategory:
             self._dual_cache[m.uid] = reps.dualize(m, op.quiver, vmap, amap)
         return self._dual_cache[m.uid]
 
-    def pd(self, m: Rep, cap: int = 64) -> int:
+    def pd(self, m: Rep) -> int:
+        """Projective dimension of m.
+
+        The algebra is triangular (its quiver has no oriented cycle), so its
+        global dimension is below the number n of vertices; a syzygy that
+        has not vanished after n steps raises CatalogError.
+        """
         k = 0
         cur = m
         while True:
@@ -589,25 +597,30 @@ class ModuleCategory:
                 return k
             cur = pres.omega
             k += 1
-            if k > cap:
-                raise CatalogError("projective resolution exceeded the cap")
+            if k >= len(self.quiver.vertices):
+                raise CatalogError(
+                    f"syzygy nonzero after {k} steps, but the global dimension is below {k}"
+                )
 
     # -- knitting ----------------------------------------------------------------
 
     def knit(self, cap: int = 10000) -> ARCatalog:
         """The AR catalog: the tau^{-1}-closure of the projectives.
 
-        The first successful knit is kept and returned by every later call,
-        so all callers share one set of entries (and the hom, presentation
-        and Nakayama caches keyed by them).  A later call whose ``cap`` is
-        below the kept entry count still raises CapExceededError, exactly as
-        a fresh knit would.  A knit that raises is not kept.
+        The projectives count against ``cap`` like every later entry.  The
+        first successful knit is kept and returned by every later call, so
+        all callers share one set of entries (and the hom, presentation and
+        Nakayama caches keyed by them).  A later call whose ``cap`` is below
+        the kept entry count still raises CapExceededError, exactly as a
+        fresh knit would.  A knit that raises is not kept.
         """
         if self._catalog is not None:
             if len(self._catalog.entries) > cap:
                 raise CapExceededError(cap)
             return self._catalog
         entries = [self.proj[z] for z in self.quiver.vertices]
+        if len(entries) > cap:
+            raise CapExceededError(cap)
         index = dim_index(entries)
         tau_inv_of = {}
         tau_of = {}
@@ -690,6 +703,23 @@ class ModuleCategory:
         if not current.is_zero():
             raise CatalogError("module has a summand outside the catalog")
         return result
+
+    def is_isomorphic(self, m: Rep, n: Rep) -> bool:
+        """Decide m = n up to isomorphism, exactly, for any two modules of a
+        representation-finite category.
+
+        By Krull-Schmidt two modules are isomorphic iff each indecomposable
+        occurs in both with the same multiplicity; both are decomposed
+        against the knitted catalog (which :meth:`knit` builds on first
+        use).  Raises CapExceededError when the category is not
+        representation-finite and CatalogError when m or n is not a module
+        of the category.  For a pair with an indecomposable side,
+        ``reps.is_isomorphic`` decides the same without a catalog.
+        """
+        if m.dim_vector() != n.dim_vector():
+            return False
+        catalog = self.knit()
+        return self.decompose(m, catalog) == self.decompose(n, catalog)
 
     def _fill_ar_structure(self, catalog: ARCatalog) -> None:
         arrows = []

@@ -15,7 +15,6 @@ from .errors import CatalogError
 from .linalg import (
     RMatrix,
     coordinates_in_span,
-    generic_max_rank,
     nullspace_basis,
     cokernel_basis,
     rank,
@@ -387,14 +386,14 @@ def has_section(g: RepMap) -> bool:
     return coordinates_in_span(composites, identity_map(c).flatten()) is not None
 
 
-def is_isomorphic(m: Rep, n: Rep, assume_indecomposable: bool = False) -> bool:
-    """Decide m = n up to isomorphism.
+def is_isomorphic(m: Rep, n: Rep) -> bool:
+    """Decide m = n up to isomorphism by a split_pair certificate.
 
-    Default route: dimension vectors must agree and a generic element of
-    Hom(m, n) must be invertible at every vertex (tested through the maximal
-    rank of the span of block-diagonalized basis maps).  With
-    ``assume_indecomposable`` a deterministic divisibility certificate is
-    used instead; it is exact for indecomposables.
+    A True answer is always certified: a split mono between modules with
+    equal dimension vectors is an isomorphism.  A False answer is exact when
+    m or n is indecomposable (see :func:`split_pair`), which every library
+    caller meets; for two decomposable modules use
+    ``ModuleCategory.is_isomorphic``.
     """
     if m is n:
         return True
@@ -402,13 +401,4 @@ def is_isomorphic(m: Rep, n: Rep, assume_indecomposable: bool = False) -> bool:
         return False
     if m.total_dim() == 0:
         return True
-    if assume_indecomposable:
-        return split_pair(m, n) is not None
-    basis = hom_basis(m, n)
-    if not basis:
-        return False
-    blocks = [
-        RMatrix.block_diag([h.mats[v] for v in m.quiver.vertices]) for h in basis
-    ]
-    best = generic_max_rank(blocks)
-    return rank(best) == m.total_dim()
+    return split_pair(m, n) is not None

@@ -14,8 +14,9 @@ from fractions import Fraction
 from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin
 from .cluster import enumerate_cluster_tilting, pi_bar
-from .dup import ext1_dup, is_isomorphic_dup, pd_dup, proj_primed
+from .dup import dup_category, proj_primed
 from .leftpart import left_part_catalog
+from .reps import is_isomorphic
 
 
 @dataclass
@@ -44,22 +45,22 @@ def is_tilting_module(summands) -> TiltingVerdict:
     if not summands:
         return TiltingVerdict(False, ["empty summand list"])
     q = summands[0].base_quiver
+    ctx = dup_category(q)
+    summand_reps = [m.rep() for m in summands]
     n2 = 2 * len(q.vertices)
     if len(summands) != n2:
         failures.append(f"expected {n2} summands, got {len(summands)}")
-    for i, m in enumerate(summands):
-        pd = pd_dup(m)
+    for i, m in enumerate(summand_reps):
+        pd = ctx.pd(m)
         if pd > 1:
             failures.append(f"summand {i} has projective dimension {pd}")
-    for i, m in enumerate(summands):
-        for j, n in enumerate(summands):
-            if ext1_dup(m, n) != 0:
+    for i, m in enumerate(summand_reps):
+        for j, n in enumerate(summand_reps):
+            if ctx.ext1_dim(m, n) != 0:
                 failures.append(f"Ext^1(summand {i}, summand {j}) is nonzero")
     for x in q.vertices:
-        pp = proj_primed(q, x)
-        if not any(
-            is_isomorphic_dup(s, pp, assume_indecomposable=True) for s in summands
-        ):
+        pp = proj_primed(q, x).rep()
+        if not any(is_isomorphic(s, pp) for s in summand_reps):
             failures.append(f"projective-injective at {x}' is not a summand")
     return TiltingVerdict(not failures, failures)
 
@@ -78,14 +79,16 @@ def enumerate_L_tilting(q: Quiver):
     forced = tuple(proj_primed(q, x) for x in q.vertices)
     n = len(q.vertices)
     count = len(candidates)
+    ctx = dup_category(q)
+    cand_reps = [m.rep() for m in candidates]
     rigid = [[False] * count for _ in range(count)]
     for i in range(count):
-        if ext1_dup(candidates[i], candidates[i]) != 0:
+        if ctx.ext1_dim(cand_reps[i], cand_reps[i]) != 0:
             raise CatalogError("candidate not rigid")
         for j in range(i + 1, count):
             ok = (
-                ext1_dup(candidates[i], candidates[j]) == 0
-                and ext1_dup(candidates[j], candidates[i]) == 0
+                ctx.ext1_dim(cand_reps[i], cand_reps[j]) == 0
+                and ctx.ext1_dim(cand_reps[j], cand_reps[i]) == 0
             )
             rigid[i][j] = rigid[j][i] = ok
     records = []

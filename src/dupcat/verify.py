@@ -11,17 +11,7 @@ from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
 from . import reps
 from .cluster import ext1_cluster_dim, fundamental_domain, pi_bar
-from .dup import (
-    dup_category,
-    embed_A,
-    ext1_dup,
-    hom_dim_dup,
-    is_isomorphic_dup,
-    knit_ind_dup,
-    standard_dup_modules,
-    syzygy_pair,
-    tau_dup_pair,
-)
+from .dup import dup_category, embed_A, knit_ind_dup, rep_to_triple, standard_dup_modules
 from .hereditary import knit_ind_A, path_category
 from .leftpart import (
     Report,
@@ -45,21 +35,21 @@ def check_embedding_fidelity(q: Quiver, cat_a) -> Report:
     commutes with the AR translate off the projectives: tau on the base side
     is read from the knit's links, on the duplicated side it is computed."""
     witnesses = []
-    ctx = path_category(q)
-    embeds = [embed_A(m) for m in cat_a.entries]
+    ctx, dctx = path_category(q), dup_category(q)
+    embeds = [embed_A(m).rep() for m in cat_a.entries]
     for i, m in enumerate(cat_a.entries):
         for j, n in enumerate(cat_a.entries):
             ha = ctx.hom_dim(m, n)
-            hd = hom_dim_dup(embeds[i], embeds[j])
+            hd = dctx.hom_dim(embeds[i], embeds[j])
             if ha != hd:
                 witnesses.append(f"hom({i},{j}): base {ha} vs duplicated {hd}")
             ea = ctx.ext1_dim(m, n)
-            ed = ext1_dup(embeds[i], embeds[j])
+            ed = dctx.ext1_dim(embeds[i], embeds[j])
             if ea != ed:
                 witnesses.append(f"ext({i},{j}): base {ea} vs duplicated {ed}")
     for i, j in sorted(cat_a.tau_of.items()):
-        td = tau_dup_pair(embeds[i]).tau
-        if not is_isomorphic_dup(td, embeds[j], assume_indecomposable=True):
+        td = dctx.tau(embeds[i])
+        if td is None or not reps.is_isomorphic(td, embeds[j]):
             witnesses.append(f"translate of embedded entry {i} disagrees")
     return Report("embedding-fidelity", not witnesses, witnesses)
 
@@ -68,11 +58,13 @@ def check_cosyzygy_tau_identity(q: Quiver) -> Report:
     """Cosyzygies of embedded projectives coincide with the translates of the
     embedded injectives; the two sides use disjoint code paths."""
     witnesses = []
+    ctx = dup_category(q)
     projectives = standard_dup_modules(q).projective
     for x, rhs in session(q).cosyzygies.items():
-        lhs = syzygy_pair(projectives[x]).cosyzygy
+        lhs, _ = ctx.cosyzygy(projectives[x].rep())
         # exact: the translate of an indecomposable is indecomposable
-        if not is_isomorphic_dup(lhs, rhs, assume_indecomposable=True):
+        if not reps.is_isomorphic(lhs, rhs.rep()):
+            lhs = rep_to_triple(lhs, q)
             witnesses.append(
                 f"vertex {x}: cosyzygy {lhs.dim_vectors()} vs translate {rhs.dim_vectors()}"
             )
@@ -155,7 +147,7 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
         if reps.has_section(right_map):
             witnesses.append(f"sink {a}: sequence splits")
         t = ctx.tau(pia_mod)
-        if t is None or not reps.is_isomorphic(t, ia, assume_indecomposable=True):
+        if t is None or not reps.is_isomorphic(t, ia):
             witnesses.append(f"sink {a}: left term is not the translate of the right term")
     return Report("socle-quotient-sequences", not witnesses, witnesses)
 
@@ -182,12 +174,13 @@ def check_ext_symmetry_and_cross_model(q: Quiver, lpc) -> Report:
         for o2 in objs:
             if ext1_cluster_dim(o1, o2) != ext1_cluster_dim(o2, o1):
                 witnesses.append(f"asymmetric pair {o1}, {o2}")
+    ctx = dup_category(q)
     members = lpc.non_proj_inj_members()
     projected = [pi_bar(m) for m in members]
     for m, pm in zip(members, projected):
         for n, pn in zip(members, projected):
             lhs = ext1_cluster_dim(pm, pn) == 0
-            rhs = ext1_dup(m, n) == 0 and ext1_dup(n, m) == 0
+            rhs = ctx.ext1_dim(m.rep(), n.rep()) == 0 and ctx.ext1_dim(n.rep(), m.rep()) == 0
             if lhs != rhs:
                 witnesses.append(
                     f"cross-model mismatch at {m.dim_vectors()} / {n.dim_vectors()}"

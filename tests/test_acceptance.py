@@ -10,13 +10,11 @@ import pytest
 from dupcat.cli import main
 from dupcat.cluster import ext1_cluster_dim, fundamental_domain
 from dupcat.dup import (
+    dup_category,
     embed_A,
-    ext1_dup,
-    is_isomorphic_dup,
     junction_composite_pattern,
     knit_ind_dup,
-    syzygy_pair,
-    tau_dup_pair,
+    rep_to_triple,
 )
 from dupcat.errors import CapExceededError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
@@ -30,6 +28,7 @@ from dupcat.leftpart import (
     verify_left_part_definition,
 )
 from dupcat.quiver import duplicated_quiver
+from dupcat.reps import is_isomorphic
 from dupcat.tilting import enumerate_L_tilting, is_tilting_module, verify_bijection
 from dupcat.verify import check_ext_symmetry_and_cross_model
 
@@ -59,10 +58,11 @@ def test_criterion_1_cosyzygy_equals_translate_of_injective():
     """Cosyzygy of each embedded projective = translate of the embedded
     injective, computed by disjoint code paths; exact isomorphism."""
     for name, q in ALL_FIXTURES:
+        cat = dup_category(q)
         for x in q.vertices:
-            lhs = syzygy_pair(embed_A(projective_rep(q, x))).cosyzygy
-            rhs = tau_dup_pair(embed_A(injective_rep(q, x))).tau_inv
-            assert is_isomorphic_dup(lhs, rhs), (name, x)
+            lhs, _ = cat.cosyzygy(embed_A(projective_rep(q, x)).rep())
+            rhs = cat.tau_inv(embed_A(injective_rep(q, x)).rep())
+            assert is_isomorphic(lhs, rhs), (name, x)
     _ok("1: cosyzygy/translate identity on all fixtures, all vertices")
 
 
@@ -107,15 +107,15 @@ def test_criterion_4_tilting_bijection_counts_and_matching():
     p1 = embed_A(projective_rep(q, "1"))
     p2 = embed_A(projective_rep(q, "2"))
     s2 = embed_A(simple_rep(q, "2"))
-    z1 = syzygy_pair(p1).cosyzygy
-    s1p = syzygy_pair(p2).cosyzygy
+    z1 = rep_to_triple(dup_category(q).cosyzygy(p1.rep())[0], q)
+    s1p = rep_to_triple(dup_category(q).cosyzygy(p2.rep())[0], q)
     named = [("P1", p1), ("P2", p2), ("S2", s2), ("Z1", z1), ("S1'", s1p)]
 
     def free_names(rec):
         out = set()
         for m in rec.free:
             for label, mod in named:
-                if m.dim_vectors() == mod.dim_vectors() and is_isomorphic_dup(m, mod):
+                if m.dim_vectors() == mod.dim_vectors() and is_isomorphic(m.rep(), mod.rep()):
                     out.add(label)
         return frozenset(out)
 
@@ -153,12 +153,13 @@ def test_criterion_6_ext_injective_characterization():
         # a brute-force pass over the full knitted catalog where available
         if name != "A4":
             cat = annotate_catalog(knit_ind_dup(q), lpc)
+            ext1_dim = dup_category(q).ext1_dim
             brute = []
             for i, m in enumerate(cat.modules):
                 if not cat.in_L[i]:
                     continue
                 if all(
-                    ext1_dup(n, m) == 0
+                    ext1_dim(n.rep(), m.rep()) == 0
                     for j, n in enumerate(cat.modules)
                     if cat.in_L[j]
                 ):
@@ -198,7 +199,7 @@ def test_criterion_8_canonical_tilting():
                         for k, f in enumerate(rec.free)
                         if k not in used
                         and f.dim_vectors() == m.dim_vectors()
-                        and is_isomorphic_dup(f, m)
+                        and is_isomorphic(f.rep(), m.rep())
                     ),
                     None,
                 )

@@ -118,6 +118,32 @@ def test_cli_bad_file(tmp_path, capsys):
     assert main(["analyze", "--quiver", str(bad)]) == 2
 
 
+def _bad_input(case, fixture_dir, tmp_path):
+    a1 = str(fixture_dir / "a1.quiver")
+    if case == "cap-zero":
+        return ["analyze", "--quiver", a1, "--cap", "0"]
+    if case == "quiver-is-a-directory":
+        return ["analyze", "--quiver", str(fixture_dir)]
+    if case == "quiver-not-utf8":
+        bad = tmp_path / "latin1.quiver"
+        bad.write_bytes("# caf\u00e9\nvertices 1\n".encode("latin-1"))
+        return ["analyze", "--quiver", str(bad)]
+    return ["export", "--quiver", a1, "--out", str(tmp_path)]  # out-is-a-directory
+
+
+@pytest.mark.parametrize(
+    "case", ["cap-zero", "quiver-is-a-directory", "quiver-not-utf8", "out-is-a-directory"]
+)
+def test_cli_bad_input_exits_2_without_traceback(case, fixture_dir, tmp_path, src_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dupcat.cli", *_bad_input(case, fixture_dir, tmp_path)],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_dot_d4_node_shapes():
     q = d4_subspace()
     cat = annotate_catalog(knit_ind_dup(q), left_part_catalog(q))
@@ -140,7 +166,7 @@ def test_catalog_json_roundtrip_hereditary():
     back = catalog_from_dict(body)
     assert len(back.entries) == len(cat.entries)
     for a, b in zip(cat.entries, back.entries):
-        assert is_isomorphic(a, b, assume_indecomposable=True)
+        assert is_isomorphic(a, b)
     assert back.projective == cat.projective
     assert back.injective == cat.injective
     assert set(back.arrows) == set(cat.arrows)
@@ -157,7 +183,7 @@ def test_catalog_json_roundtrip_dup():
     assert back.in_L == cat.in_L
     assert back.in_sigma == cat.in_sigma
     for a, b in zip(cat.entries, back.entries):
-        assert is_isomorphic(a, b, assume_indecomposable=True)
+        assert is_isomorphic(a, b)
     # triples were rebuilt from the serialized representations
     for a, b in zip(cat.modules, back.modules):
         assert a.dim_vectors() == b.dim_vectors()

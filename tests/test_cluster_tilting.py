@@ -10,7 +10,7 @@ from dupcat.cluster import (
     pi_bar,
     shifted_projective,
 )
-from dupcat.dup import embed_A, proj_primed, syzygy_pair
+from dupcat.dup import dup_category, embed_A, proj_primed, rep_to_triple
 from dupcat.errors import NotDynkinError, NotInDomainError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import knit_ind_A, projective_rep, simple_rep
@@ -31,7 +31,7 @@ def _find(q, rep):
 
 def test_pi_bar_a2():
     q = a_n(2)
-    z1 = syzygy_pair(embed_A(projective_rep(q, "1"))).cosyzygy
+    z1 = rep_to_triple(dup_category(q).cosyzygy(embed_A(projective_rep(q, "1")).rep())[0], q)
     assert pi_bar(z1) == shifted_projective(q, "1")
     p2 = embed_A(projective_rep(q, "2"))
     assert pi_bar(p2) == _find(q, projective_rep(q, "2"))
@@ -116,7 +116,7 @@ def test_is_tilting_module_examples_a2():
     p1 = embed_A(projective_rep(q, "1"))
     p2 = embed_A(projective_rep(q, "2"))
     s2 = embed_A(simple_rep(q, "2"))
-    z1 = syzygy_pair(p1).cosyzygy
+    z1 = rep_to_triple(dup_category(q).cosyzygy(p1.rep())[0], q)
     pp1, pp2 = proj_primed(q, "1"), proj_primed(q, "2")
     assert is_tilting_module([pp1, pp2, p1, p2]).passed
     assert is_tilting_module([pp1, pp2, s2, z1]).passed

@@ -6,40 +6,28 @@ import pytest
 
 from dupcat import dup, session
 from dupcat.dup import (
-    DupModule,
-    covers_and_envelopes,
     dup_category,
     embed_A,
-    ext1_dup,
-    hom_dim_dup,
-    is_isomorphic_dup,
     junction_composite_pattern,
     knit_ind_dup,
     path_action_vanishes,
-    pd_dup,
     proj_primed,
     rep_to_triple,
     standard_dup_modules,
-    structure,
-    syzygy_pair,
-    tau_dup_pair,
     triple_to_rep,
 )
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import (
-    INJECTIVE,
-    PROJECTIVE,
-    hom_dim,
     injective_rep,
     knit_ind_A,
+    path_category,
     projective_rep,
     simple_rep,
 )
 from dupcat.leftpart import left_part_catalog
-from dupcat.modcat import ModuleCategory
 from dupcat.quiver import prime
-from dupcat.reps import direct_sum
+from dupcat.reps import direct_sum, is_isomorphic
 
 
 def test_standard_dup_dimensions_a2():
@@ -72,102 +60,110 @@ def test_dup_a1_is_a2_path_algebra():
 def test_hom_dims_dup_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
-    p1 = embed_A(projective_rep(q, "1"))
-    assert hom_dim_dup(p1, std.projective_primed["1"]) == 1
-    assert hom_dim_dup(std.simple_primed["1"], p1) == 0
-    assert hom_dim_dup(std.projective_primed["1"], std.projective_primed["1"]) == 1
+    cat = dup_category(q)
+    p1 = embed_A(projective_rep(q, "1")).rep()
+    pp1 = std.projective_primed["1"].rep()
+    assert cat.hom_dim(p1, pp1) == 1
+    assert cat.hom_dim(std.simple_primed["1"].rep(), p1) == 0
+    assert cat.hom_dim(pp1, pp1) == 1
 
 
 def test_embedding_fullness_and_tau_commutation():
     for q in (a_n(2), a_n(3)):
-        cat_a = knit_ind_A(q)
+        cat_a, cat = knit_ind_A(q), dup_category(q)
         for m in cat_a.entries:
             for n in cat_a.entries:
-                assert hom_dim(m, n) == hom_dim_dup(embed_A(m), embed_A(n))
+                assert path_category(q).hom_dim(m, n) == cat.hom_dim(
+                    embed_A(m).rep(), embed_A(n).rep()
+                )
     q = a_n(2)
     s2 = simple_rep(q, "2")
-    tp = tau_dup_pair(embed_A(s2))
-    assert is_isomorphic_dup(tp.tau, embed_A(projective_rep(q, "1")))
+    tau = dup_category(q).tau(embed_A(s2).rep())
+    assert is_isomorphic(tau, embed_A(projective_rep(q, "1")).rep())
 
 
 def test_structure_of_proj_primed():
     q = a_n(2)
     std = standard_dup_modules(q)
-    st = structure(std.projective_primed["1"])
+    cat = dup_category(q)
+    pp1 = std.projective_primed["1"].rep()
     # radical of P_1' is the embedded I_1 = P_2
-    assert is_isomorphic_dup(st.radical, embed_A(projective_rep(q, "2")))
-    assert is_isomorphic_dup(st.top, std.simple_primed["1"])
-    assert is_isomorphic_dup(st.socle, std.simple["1"])
-    st2 = structure(std.projective_primed["2"])
-    assert is_isomorphic_dup(st2.socle, std.simple["2"])
+    assert is_isomorphic(cat.radical(pp1)[0], embed_A(projective_rep(q, "2")).rep())
+    assert is_isomorphic(cat.top(pp1)[0], std.simple_primed["1"].rep())
+    assert is_isomorphic(cat.socle(pp1)[0], std.simple["1"].rep())
+    assert is_isomorphic(cat.socle(std.projective_primed["2"].rep())[0], std.simple["2"].rep())
     # simples are their own top and socle
-    sbar = std.simple["2"]
-    sst = structure(sbar)
-    assert is_isomorphic_dup(sst.top, sbar) and is_isomorphic_dup(sst.socle, sbar)
+    sbar = std.simple["2"].rep()
+    assert is_isomorphic(cat.top(sbar)[0], sbar) and is_isomorphic(cat.socle(sbar)[0], sbar)
 
 
 def test_covers_and_envelopes_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
-    ce = covers_and_envelopes(embed_A(projective_rep(q, "1")))
-    assert is_isomorphic_dup(ce.envelope, std.projective_primed["1"])
-    ce2 = covers_and_envelopes(std.simple_primed["1"])
-    assert is_isomorphic_dup(ce2.cover, std.projective_primed["1"])
-    ce3 = covers_and_envelopes(std.projective_primed["2"])
-    assert is_isomorphic_dup(ce3.cover, std.projective_primed["2"])
+    cat = dup_category(q)
+    _, envelope, _ = cat.envelope(embed_A(projective_rep(q, "1")).rep())
+    assert is_isomorphic(envelope, std.projective_primed["1"].rep())
+    cover = cat.cover(std.simple_primed["1"].rep())
+    assert is_isomorphic(cover.p0, std.projective_primed["1"].rep())
+    cover = cat.cover(std.projective_primed["2"].rep())
+    assert is_isomorphic(cover.p0, std.projective_primed["2"].rep())
 
 
 def test_syzygies_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
-    z1 = syzygy_pair(embed_A(projective_rep(q, "1"))).cosyzygy
+    cat = dup_category(q)
+    z1 = rep_to_triple(cat.cosyzygy(embed_A(projective_rep(q, "1")).rep())[0], q)
     assert z1.x_part.dim_vector() == (0, 1)
     assert z1.y_part.dim_vector() == (1, 0)
-    s1p = syzygy_pair(embed_A(projective_rep(q, "2"))).cosyzygy
-    assert is_isomorphic_dup(s1p, std.simple_primed["1"])
-    om = syzygy_pair(std.projective["1"]).omega
+    s1p, _ = cat.cosyzygy(embed_A(projective_rep(q, "2")).rep())
+    assert is_isomorphic(s1p, std.simple_primed["1"].rep())
+    om, _ = cat.syzygy(std.projective["1"].rep())
     assert om.is_zero()
 
 
 def test_tau_dup_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
-    i1 = embed_A(injective_rep(q, "1"))
-    z1 = tau_dup_pair(i1).tau_inv
+    cat = dup_category(q)
+    i1 = embed_A(injective_rep(q, "1")).rep()
+    z1 = rep_to_triple(cat.tau_inv(i1), q)
     assert z1.x_part.dim_vector() == (0, 1) and z1.y_part.dim_vector() == (1, 0)
     # inverse pair and agreement with the cosyzygy route
-    back = tau_dup_pair(z1).tau
-    assert is_isomorphic_dup(back, i1)
-    om_inv = syzygy_pair(embed_A(projective_rep(q, "1"))).cosyzygy
-    assert is_isomorphic_dup(z1, om_inv)
-    # projective-injectives flag out on both sides
-    tp = tau_dup_pair(std.projective_primed["1"])
-    assert tp.tau is PROJECTIVE and tp.tau_inv is INJECTIVE
+    back = cat.tau(z1.rep())
+    assert is_isomorphic(back, i1)
+    om_inv, _ = cat.cosyzygy(embed_A(projective_rep(q, "1")).rep())
+    assert is_isomorphic(z1.rep(), om_inv)
+    # projective-injectives have neither translate
+    pp1 = std.projective_primed["1"].rep()
+    assert cat.tau(pp1) is None and cat.tau_inv(pp1) is None
 
 
 def test_ext_dup_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
-    s2 = embed_A(simple_rep(q, "2"))
-    p1 = embed_A(projective_rep(q, "1"))
-    assert ext1_dup(s2, p1) == 1
-    z1 = syzygy_pair(p1).cosyzygy
-    assert ext1_dup(s2, z1) == 0
+    cat = dup_category(q)
+    s2 = embed_A(simple_rep(q, "2")).rep()
+    p1 = embed_A(projective_rep(q, "1")).rep()
+    assert cat.ext1_dim(s2, p1) == 1
+    z1, _ = cat.cosyzygy(p1)
+    assert cat.ext1_dim(s2, z1) == 0
     for x in q.vertices:
-        assert ext1_dup(std.projective_primed[x], s2) == 0
+        assert cat.ext1_dim(std.projective_primed[x].rep(), s2) == 0
 
 
 def test_pd_dup_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
-    assert pd_dup(std.projective["1"]) == 0
-    assert pd_dup(std.projective_primed["2"]) == 0
-    assert pd_dup(std.simple_primed["1"]) == 1
-    assert pd_dup(std.simple_primed["2"]) == 2
+    cat = dup_category(q)
+    assert cat.pd(std.projective["1"].rep()) == 0
+    assert cat.pd(std.projective_primed["2"].rep()) == 0
+    assert cat.pd(std.simple_primed["1"].rep()) == 1
+    assert cat.pd(std.simple_primed["2"].rep()) == 2
 
 
 def test_pd_cap_is_the_dimension_of_the_duplicated_algebra():
-    """pd_dup's cap, the sum of the duplicated category's projective
+    """The dimension of the duplicated algebra, the sum of its projectives'
     dimensions, is three copies of dim A."""
     for q, dim_dup in ((a_n(3, "zigzag"), 15), (d4_subspace(), 21)):
         total = sum(p.total_dim() for p in dup_category(q).proj.values())
@@ -226,7 +222,7 @@ def test_rep_to_triple_roundtrip():
     for m in [std.projective_primed["1"], std.projective_primed["2"],
               std.projective["2"], std.injective_primed["1"]]:
         again = rep_to_triple(m.rep(), q)
-        assert is_isomorphic_dup(m, again)
+        assert is_isomorphic(m.rep(), again.rep())
         assert again.rep().dim_vector() == m.rep().dim_vector()
         _assert_triple_rebuilds(again)
     # every knitted D4 module is a view on its catalog entry, and its derived
@@ -250,30 +246,6 @@ def test_embed_A_is_shared_per_module():
     assert all(embed_A(e) is m for e, m in zip(entries, members))
 
 
-def test_tau_pair_is_lazy(monkeypatch):
-    """Reading tau_inv computes no tau in the duplicated category (only the
-    opposite category's tau behind tau^{-1}), and each side is kept."""
-    q = d4_subspace()
-    cat = dup_category(q)
-    m = embed_A(injective_rep(q, "2"))
-    seen = []
-    inner = ModuleCategory.tau
-
-    def counting(self, rep):
-        seen.append(self)
-        return inner(self, rep)
-
-    monkeypatch.setattr(ModuleCategory, "tau", counting)
-    pair = tau_dup_pair(m)
-    assert seen == []
-    ti = pair.tau_inv
-    assert isinstance(ti, DupModule) and pair.tau_inv is ti
-    assert cat not in seen
-    t = pair.tau
-    assert isinstance(t, DupModule) and pair.tau is t
-    assert seen.count(cat) == 1
-
-
 def test_exact_isomorphism_when_one_side_is_indecomposable():
     """S_1 + S_2 and the indecomposable of dimension vector (1, 1) are not
     isomorphic by the split_pair route, whichever side comes first."""
@@ -282,10 +254,8 @@ def test_exact_isomorphism_when_one_side_is_indecomposable():
     p2 = projective_rep(q, "2")
     assert summed.dim_vector() == p2.dim_vector()
     for m, n in ((summed, p2), (p2, summed)):
-        assert not is_isomorphic_dup(embed_A(m), embed_A(n), assume_indecomposable=True)
-    assert is_isomorphic_dup(
-        embed_A(p2), embed_A(injective_rep(q, "1")), assume_indecomposable=True
-    )
+        assert not is_isomorphic(embed_A(m).rep(), embed_A(n).rep())
+    assert is_isomorphic(embed_A(p2).rep(), embed_A(injective_rep(q, "1")).rep())
 
 
 _BAD_DUP_PROJECTIVE = """

@@ -6,20 +6,8 @@ import pytest
 from dupcat import hereditary, session
 from dupcat.errors import CapExceededError, CatalogError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
-from dupcat.hereditary import (
-    INJECTIVE,
-    PROJECTIVE,
-    ext1_dim,
-    hom_dim,
-    knit_ind_A,
-    nakayama,
-    nakayama_map,
-    path_category,
-    positive_root_count,
-    standard_reps,
-    tau_pair,
-)
-from dupcat.quiver import classify_dynkin
+from dupcat.hereditary import knit_ind_A, path_category, positive_root_count
+from dupcat.quiver import classify_dynkin, parse_quiver
 from dupcat import reps
 from dupcat.reps import direct_sum, hom_basis, identity_map, is_isomorphic
 
@@ -29,64 +17,62 @@ def dims(rep):
 
 
 def test_standard_reps_a2():
-    s = standard_reps(a_n(2))
-    assert dims(s.projective["2"]) == (1, 1)
-    assert dims(s.projective["1"]) == (1, 0) == dims(s.simple["1"])
-    assert dims(s.injective["1"]) == (1, 1)
-    assert dims(s.injective["2"]) == (0, 1)
+    s = path_category(a_n(2))
+    assert dims(s.proj["2"]) == (1, 1)
+    assert dims(s.proj["1"]) == (1, 0) == dims(s.simple["1"])
+    assert dims(s.inj["1"]) == (1, 1)
+    assert dims(s.inj["2"]) == (0, 1)
 
 
 def test_standard_reps_a1_and_d4():
-    s1 = standard_reps(a_n(1))
-    assert dims(s1.simple["1"]) == dims(s1.projective["1"]) == dims(s1.injective["1"])
-    sd = standard_reps(d4_subspace())
-    assert dims(sd.projective["2"]) == (1, 1, 0, 0)
-    assert dims(sd.injective["1"]) == (1, 1, 1, 1)
-    assert dims(sd.projective["1"]) == (1, 0, 0, 0)
+    s1 = path_category(a_n(1))
+    assert dims(s1.simple["1"]) == dims(s1.proj["1"]) == dims(s1.inj["1"])
+    sd = path_category(d4_subspace())
+    assert dims(sd.proj["2"]) == (1, 1, 0, 0)
+    assert dims(sd.inj["1"]) == (1, 1, 1, 1)
+    assert dims(sd.proj["1"]) == (1, 0, 0, 0)
 
 
 def test_hom_dims_a2():
-    s = standard_reps(a_n(2))
-    assert hom_dim(s.projective["1"], s.projective["2"]) == 1
-    assert hom_dim(s.simple["2"], s.projective["1"]) == 0
-    assert hom_dim(s.projective["2"], s.simple["2"]) == 1
+    s = path_category(a_n(2))
+    assert s.hom_dim(s.proj["1"], s.proj["2"]) == 1
+    assert s.hom_dim(s.simple["2"], s.proj["1"]) == 0
+    assert s.hom_dim(s.proj["2"], s.simple["2"]) == 1
 
 
 def test_ext1_a2():
-    s = standard_reps(a_n(2))
-    assert ext1_dim(s.simple["2"], s.projective["1"]) == 1
-    assert ext1_dim(s.projective["2"], s.simple["2"]) == 0
-    assert ext1_dim(s.projective["1"], s.simple["1"]) == 0
-    assert ext1_dim(s.simple["2"], s.simple["2"]) == 0
+    s = path_category(a_n(2))
+    assert s.ext1_dim(s.simple["2"], s.proj["1"]) == 1
+    assert s.ext1_dim(s.proj["2"], s.simple["2"]) == 0
+    assert s.ext1_dim(s.proj["1"], s.simple["1"]) == 0
+    assert s.ext1_dim(s.simple["2"], s.simple["2"]) == 0
 
 
 def test_tau_pair_a2():
-    s = standard_reps(a_n(2))
-    tp = tau_pair(s.simple["2"])
-    assert is_isomorphic(tp.tau, s.projective["1"])
-    assert tp.tau_inv is INJECTIVE  # S2 = I2 is injective
-    tp1 = tau_pair(s.projective["1"])
-    assert tp1.tau is PROJECTIVE
-    assert is_isomorphic(tp1.tau_inv, s.simple["2"])
+    s = path_category(a_n(2))
+    assert is_isomorphic(s.tau(s.simple["2"]), s.proj["1"])
+    assert s.tau_inv(s.simple["2"]) is None  # S2 = I2 is injective
+    assert s.tau(s.proj["1"]) is None
+    assert is_isomorphic(s.tau_inv(s.proj["1"]), s.simple["2"])
 
 
 def test_nakayama_sends_projectives_to_injectives():
     for q in (a_n(2), a_n(3), a_n(3, "zigzag"), d4_subspace()):
-        s = standard_reps(q)
+        s = path_category(q)
         for x in q.vertices:
-            assert is_isomorphic(nakayama(s.projective[x]), s.injective[x])
+            assert is_isomorphic(s.nakayama(s.proj[x]), s.inj[x])
 
 
 def test_nakayama_functorial():
     q = a_n(3)
-    s = standard_reps(q)
-    p3, p2, p1 = s.projective["3"], s.projective["2"], s.projective["1"]
+    s = path_category(q)
+    p3, p2, p1 = s.proj["3"], s.proj["2"], s.proj["1"]
     (f,) = hom_basis(p1, p2)
     (g,) = hom_basis(p2, p3)
-    lhs = nakayama_map(g.compose(f))
-    rhs = nakayama_map(g).compose(nakayama_map(f))
+    lhs = s.nakayama_map(g.compose(f))
+    rhs = s.nakayama_map(g).compose(s.nakayama_map(f))
     assert all(lhs.mats[v] == rhs.mats[v] for v in q.vertices)
-    ident = nakayama_map(identity_map(p2))
+    ident = s.nakayama_map(identity_map(p2))
     assert ident.is_isomorphism()
 
 
@@ -125,7 +111,7 @@ def test_ar_sequences_exact_and_middle_matches_arrows():
             for sidx, mult in seq.middle:
                 summands.extend([cat.entries[sidx]] * mult)
             total, _, _ = direct_sum(summands)
-            assert is_isomorphic(seq.middle_rep, total)
+            assert path_category(q).is_isomorphic(seq.middle_rep, total)
 
 
 def test_ar_formula_on_fixtures():
@@ -142,26 +128,25 @@ def test_ar_formula_on_fixtures():
 
 
 def test_is_isomorphic_examples():
-    s = standard_reps(a_n(2))
-    assert is_isomorphic(s.projective["2"], s.injective["1"])
+    s = path_category(a_n(2))
+    assert s.is_isomorphic(s.proj["2"], s.inj["1"])
     sum_simples, _, _ = direct_sum([s.simple["1"], s.simple["2"]])
-    assert not is_isomorphic(sum_simples, s.projective["2"])
-    assert is_isomorphic(sum_simples, sum_simples)
+    assert not s.is_isomorphic(sum_simples, s.proj["2"])
+    assert s.is_isomorphic(sum_simples, sum_simples)
     # the split_pair route is exact when either side is indecomposable
-    for m, n in ((sum_simples, s.projective["2"]), (s.projective["2"], sum_simples)):
-        assert not reps.is_isomorphic(m, n, assume_indecomposable=True)
-    assert reps.is_isomorphic(s.projective["2"], s.injective["1"], assume_indecomposable=True)
+    for m, n in ((sum_simples, s.proj["2"]), (s.proj["2"], sum_simples)):
+        assert not reps.is_isomorphic(m, n)
+    assert reps.is_isomorphic(s.proj["2"], s.inj["1"])
 
 
 def test_structure_of_projective():
     q = a_n(2)
     ctx = path_category(q)
-    s = standard_reps(q)
-    rad, _ = ctx.radical(s.projective["2"])
+    rad, _ = ctx.radical(ctx.proj["2"])
     assert rad.dim_vector() == (1, 0)
-    top, _ = ctx.top(s.projective["2"])
+    top, _ = ctx.top(ctx.proj["2"])
     assert top.dim_vector() == (0, 1)
-    soc, _ = ctx.socle(s.projective["2"])
+    soc, _ = ctx.socle(ctx.proj["2"])
     assert soc.dim_vector() == (1, 0)
 
 
@@ -181,6 +166,16 @@ def test_knit_is_kept_per_category():
     with pytest.raises(CapExceededError):
         knit_ind_A(q, cap=5)
     assert knit_ind_A(q, cap=12) is cat
+
+
+def test_knit_cap_counts_the_projectives():
+    """Two vertices and no arrows: the two projectives alone pass cap 1, on
+    the first knit as on every later one."""
+    q = parse_quiver("vertices 1 2\n")
+    for _ in range(2):
+        with pytest.raises(CapExceededError):
+            knit_ind_A(q, cap=1)
+    assert len(knit_ind_A(q, cap=2).entries) == 2
 
 
 def test_failed_knit_is_not_kept():

@@ -145,17 +145,16 @@ def test_canonical_tilting():
 
 def test_lemma_embeds_and_their_tau_inverse_in_left_part():
     # embedded indecomposables and their tau^{-1} stay in the left part
-    from dupcat.dup import tau_dup_pair
-    from dupcat.hereditary import INJECTIVE
+    from dupcat.dup import dup_category, rep_to_triple
 
     q = a_n(2)
     lpc = left_part_catalog(q)
     for m in knit_ind_A(q).entries:
         em = embed_A(m)
         assert lpc.member_index(em) is not None
-        ti = tau_dup_pair(em).tau_inv
-        if ti is not INJECTIVE:
-            assert lpc.member_index(ti) is not None
+        ti = dup_category(q).tau_inv(em.rep())
+        if ti is not None:
+            assert lpc.member_index(rep_to_triple(ti, q)) is not None
 
 
 def test_member_index_is_exact():

@@ -9,7 +9,6 @@ from dupcat.linalg import (
     RMatrix,
     cokernel_basis,
     coordinates_in_span,
-    generic_max_rank,
     nullspace_basis,
     rank,
     rref,
@@ -50,24 +49,6 @@ def test_cokernel_basics():
     q, d = cokernel_basis(m)
     assert d == 1
     assert (q @ m).is_zero()
-
-
-def test_generic_max_rank_examples():
-    assert rank(generic_max_rank([RMatrix.identity(2)])) == 2
-    e11 = M([[1, 0], [0, 0]])
-    e22 = M([[0, 0], [0, 1]])
-    assert rank(generic_max_rank([e11, e22])) == 2
-    e12 = M([[0, 1], [0, 0]])
-    assert rank(generic_max_rank([e12])) == 1
-    assert generic_max_rank([], shape=(2, 3)) == RMatrix.zeros(2, 3)
-
-
-def test_generic_max_rank_adversarial_order():
-    # E11 alone has rank 1; only mixing in both off-diagonal units reaches 2.
-    e11 = M([[1, 0], [0, 0]])
-    e12 = M([[0, 1], [0, 0]])
-    e21 = M([[0, 0], [1, 0]])
-    assert rank(generic_max_rank([e11, e12, e21])) == 2
 
 
 def _random_matrix(rng, rows, cols):
@@ -117,23 +98,6 @@ def test_coordinates_in_span():
     coords = coordinates_in_span([(1, 0, 1), (0, 1, 1)], (2, 3, 5))
     assert coords == (2, 3)
     assert coordinates_in_span([(1, 0, 0)], (0, 1, 0)) is None
-
-
-def test_generic_max_rank_beats_random_sampling():
-    rng = random.Random(3)
-    for _ in range(5):
-        span = [_random_matrix(rng, 3, 3) for _ in range(3)]
-        got = rank(generic_max_rank(span))
-        sampled = 0
-        for _ in range(1000):
-            comb = RMatrix.zeros(3, 3)
-            for m in span:
-                comb = comb + m.scale(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-            sampled = max(sampled, rank(comb))
-            if sampled == 3:
-                break
-        assert got >= sampled
-
 
 
 # -- property tests against a Fraction Gauss-Jordan oracle ------------------

@@ -7,13 +7,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dupcat import modcat, reps
 from dupcat.dup import dup_category
 from dupcat.errors import CatalogError
-from dupcat.fixtures import d4_subspace
+from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import path_category, projective_rep, simple_rep
-from dupcat.linalg import RMatrix, coordinates_in_span, rank
+from dupcat.linalg import RMatrix, coordinates_in_span, rank, solve_matrix
 from dupcat.quiver import Quiver
 from dupcat.reps import Rep
 
@@ -235,3 +237,102 @@ def test_hom_dim_builds_no_basis(monkeypatch):
     monkeypatch.setattr(modcat, "hom_basis", lambda *a: pytest.fail("built a basis"))
     assert cat.hom_dim(m, n) == n.dims["2"] == 0
     assert cat.hom_dim(n, m) == m.dims["1"] == 1
+
+
+# -- projective dimension and exact isomorphism --------------------------------
+
+_ENDLESS_SYZYGY = """
+from dupcat.errors import CatalogError
+from dupcat.fixtures import a_n, d4_subspace
+from dupcat.hereditary import path_category
+from dupcat.modcat import ModuleCategory, Presentation
+
+cat = path_category(d4_subspace())
+calls = []
+
+
+def endless(self, m):
+    calls.append(m)
+    return Presentation(None, m, None, None)  # the syzygy is m again
+
+
+ModuleCategory.presentation = endless
+try:
+    cat.pd(cat.simple["1"])
+except CatalogError:
+    raise SystemExit(0 if len(calls) == len(cat.quiver.vertices) else 2)
+raise SystemExit(1)
+"""
+
+
+def test_endless_resolution_raises_after_n_steps(src_env):
+    """A presentation whose syzygy never vanishes: pd raises CatalogError
+    after as many steps as the quiver has vertices, also under python -O."""
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _ENDLESS_SYZYGY],
+            env=src_env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (flags, proc.returncode, proc.stderr)
+
+
+def _base_change(data, m: Rep) -> Rep:
+    """m under an invertible integer base change g_v at every vertex v: the
+    arrow y -> x acts by g_x M_a g_y^-1."""
+    g, g_inv = {}, {}
+    for v, d in m.dims.items():
+        entry = st.integers(-3, 3)
+        lower = [[1 if i == j else data.draw(entry) if i > j else 0 for j in range(d)]
+                 for i in range(d)]
+        upper = [[data.draw(st.sampled_from((1, -1, 2))) if i == j else data.draw(entry)
+                  if i < j else 0 for j in range(d)] for i in range(d)]
+        g[v] = RMatrix(lower, d, d) @ RMatrix(upper, d, d)
+        g_inv[v] = solve_matrix(g[v], RMatrix.identity(d))
+    mats = {a.name: g[a.target] @ m.mats[a.name] @ g_inv[a.source] for a in m.quiver.arrows}
+    return Rep(m.quiver, m.dims, mats)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "category, quiver", [(path_category, d4_subspace), (dup_category, lambda: a_n(3))],
+    ids=["D4-path", "A3-dup"],
+)
+def test_is_isomorphic_decides_by_multiplicities(category, quiver, data):
+    """Sums of catalog entries, one of them under a random base change, are
+    isomorphic exactly when their multisets of entries are equal; the
+    drawn pairs include equal dimension vectors with different multisets
+    (an entry traded for its composition factors)."""
+    cat = category(quiver())
+    catalog = cat.knit()
+    index = st.integers(0, len(catalog.entries) - 1)
+    first = data.draw(st.lists(index, min_size=1, max_size=3))
+    how = data.draw(st.sampled_from(["permuted", "other", "factors"]))
+    if how == "permuted":
+        second = first
+    elif how == "other":
+        second = data.draw(st.lists(index, min_size=1, max_size=3))
+    else:
+        traded = catalog.entries[first[0]]
+        second = first[1:] + [
+            catalog.find(cat.simple[v]) for v, d in traded.dims.items() for _ in range(d)
+        ]
+
+    def direct_sum_of(indices):
+        order = data.draw(st.permutations(indices))
+        return reps.direct_sum([catalog.entries[i] for i in order])[0]
+
+    m, n = direct_sum_of(first), _base_change(data, direct_sum_of(second))
+    assert cat.is_isomorphic(m, n) == (sorted(first) == sorted(second))
+
+
+def test_is_isomorphic_with_equal_dimension_vectors():
+    """S_1 + S_2 and P_2 over A2 share a dimension vector; so do S_1 + ...
+    + S_4 and I_1 (dimension vector (1, 1, 1, 1)) over D4."""
+    a2, d4 = path_category(a_n(2)), path_category(d4_subspace())
+    for cat, m in ((a2, a2.proj["2"]), (d4, d4.inj["1"])):
+        simples = [cat.simple[v] for v, d in m.dims.items() for _ in range(d)]
+        summed = reps.direct_sum(simples)[0]
+        assert summed.dim_vector() == m.dim_vector()
+        assert not cat.is_isomorphic(summed, m) and not cat.is_isomorphic(m, summed)
+        assert cat.is_isomorphic(summed, reps.direct_sum(simples[::-1])[0])

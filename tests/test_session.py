@@ -6,7 +6,7 @@ from dupcat import cluster, session
 from dupcat.cluster import pi_bar, shifted_projective
 from dupcat.dup import dup_category, proj_primed, standard_dup_modules
 from dupcat.fixtures import d4_subspace
-from dupcat.hereditary import path_category, standard_reps
+from dupcat.hereditary import path_category
 from dupcat.leftpart import left_part_catalog
 from dupcat.modcat import ModuleCategory
 from dupcat.quiver import Quiver, prime
@@ -78,29 +78,31 @@ def test_proj_primed_is_the_category_projective():
 
 
 def test_standard_reps_are_the_category_modules():
+    """The embedded standard modules of the duplicated algebra are built on
+    the path category's own modules."""
     q = d4_subspace()
-    std, cat = standard_reps(q), path_category(q)
+    std, cat = standard_dup_modules(q), path_category(q)
     for x in q.vertices:
-        assert std.injective[x] is cat.inj[x]
-        assert std.projective[x] is cat.proj[x]
-        assert std.simple[x] is cat.simple[x]
+        assert std.embedded_injective[x].x_part is cat.inj[x]
+        assert std.projective[x].x_part is cat.proj[x]
+        assert std.simple[x].x_part is cat.simple[x]
 
 
 def test_pi_bar_compares_against_the_left_part_cosyzygy(monkeypatch):
     q = d4_subspace()
     lpc = left_part_catalog(q)
     matched = []
-    inner = cluster.is_isomorphic_dup
+    inner = cluster.is_isomorphic
 
-    def recording(m, n, assume_indecomposable=False):
-        found = inner(m, n, assume_indecomposable)
+    def recording(m, n):
+        found = inner(m, n)
         if found:
             matched.append(n)
         return found
 
-    monkeypatch.setattr(cluster, "is_isomorphic_dup", recording)
+    monkeypatch.setattr(cluster, "is_isomorphic", recording)
     for x, i in lpc.cosyzygy_by_vertex.items():
         matched.clear()
         member = lpc.members[i]
         assert pi_bar(member) == shifted_projective(q, x)
-        assert len(matched) == 1 and matched[0] is member
+        assert len(matched) == 1 and matched[0] is member.rep()

@@ -14,11 +14,11 @@ def test_translate_round_trips_base():
             if not cat.projective[i]:
                 t = ctx.tau(m)
                 back = ctx.tau_inv(t)
-                assert is_isomorphic(back, m, assume_indecomposable=True)
+                assert is_isomorphic(back, m)
             if not cat.injective[i]:
                 t = ctx.tau_inv(m)
                 back = ctx.tau(t)
-                assert is_isomorphic(back, m, assume_indecomposable=True)
+                assert is_isomorphic(back, m)
 
 
 def test_translate_round_trips_duplicated():
@@ -27,9 +27,9 @@ def test_translate_round_trips_duplicated():
     cat = knit_ind_dup(q)
     for i, e in enumerate(cat.entries):
         if not cat.catalog.projective[i]:
-            assert is_isomorphic(ctx.tau_inv(ctx.tau(e)), e, assume_indecomposable=True)
+            assert is_isomorphic(ctx.tau_inv(ctx.tau(e)), e)
         if not cat.catalog.injective[i]:
-            assert is_isomorphic(ctx.tau(ctx.tau_inv(e)), e, assume_indecomposable=True)
+            assert is_isomorphic(ctx.tau(ctx.tau_inv(e)), e)
 
 
 def test_hom_basis_maps_commute():
