@@ -19,7 +19,7 @@ from .catalog_io import catalog_to_dict, dup_catalog_to_dict, dumps
 from .cluster import describe_object
 from .dot import ar_quiver_dot
 from .dup import knit_ind_dup
-from .errors import CapExceededError, DupcatError
+from .errors import CapExceededError, DupcatError, QuiverSyntaxError
 from .hereditary import knit_ind_A
 from .leftpart import annotate_catalog, left_part_catalog
 from .quiver import classify_dynkin, parse_quiver
@@ -45,7 +45,10 @@ class RunConfig:
 
 
 def _load(cfg: RunConfig):
-    text = Path(cfg.quiver_path).read_text(encoding="utf-8")
+    try:
+        text = Path(cfg.quiver_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise QuiverSyntaxError(f"{cfg.quiver_path} is not UTF-8 text: {exc}") from None
     return parse_quiver(text)
 
 
@@ -227,7 +230,7 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[cfg.command](cfg)
-    except (OSError, UnicodeDecodeError, DupcatError) as exc:
+    except (OSError, DupcatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

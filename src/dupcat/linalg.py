@@ -277,6 +277,12 @@ def _int_rref(m: RMatrix):
     return a, pivots
 
 
+def pivot_columns(m: RMatrix) -> list:
+    """The pivot columns of the reduced row echelon form of ``m``: the
+    columns, left to right, that are independent of the columns before."""
+    return _int_rref(m)[1]
+
+
 def rref(m: RMatrix):
     """Reduced row echelon form.  Returns (rows as lists, pivot columns)."""
     a, pivots = _int_rref(m)

@@ -7,13 +7,18 @@ z-component), the indecomposable injective I_z (with an evaluation
 functional on its z-component) and the simple S_z.  Everything else is
 generic:
 
+* every fact about a module is kept per content, not per object: a table
+  on the category gives each dimension vector with its arrow matrices a
+  small id, and covers, presentations, tau, duals, Nakayama images,
+  injectivity, Hom and Ext^1 are kept under those ids, so a module rebuilt
+  as another object (a twin) reuses every fact already known;
 * projective covers lift a basis of the top through Yoneda evaluation at the
   generator: a per-vertex frame of arrow paths from the generator, built once,
   gives the map P_z -> N with generator |-> v without a Hom solve;
   injective envelopes extend the socle, syzygies and cosyzygies are their
   kernels/cokernels;
 * the direct sum of a list of projectives (or of their Nakayama images) is
-  built once per category, and so is the dual of each module;
+  built once per category;
 * Ext^1(M, N) is the cokernel of Hom(P0, N) -> Hom(Omega M, N), computed
   once per module pair and kept;
 * dim Hom(M, N) comes from the kept basis when there is one, otherwise as
@@ -39,7 +44,15 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import CapExceededError, CatalogError, CycleDetectedError
-from .linalg import RMatrix, coordinates_in_span, nullspace_basis, rank, right_inverse, solve_matrix
+from .linalg import (
+    RMatrix,
+    coordinates_in_span,
+    nullspace_basis,
+    pivot_columns,
+    rank,
+    right_inverse,
+    solve_matrix,
+)
 from .quiver import Quiver
 from . import reps
 from .reps import Rep, RepMap, hom_basis, kernel, cokernel, direct_sum
@@ -147,16 +160,21 @@ class ModuleCategory:
         self.simple = dict(simples)
         self._op_builder = op_builder
         self._op = None
+        self._content_ids = {}  # content key -> id, see content_id
+        self._uid_ids = {}  # Rep.uid -> content id
+        # per content id (or pair of ids)
         self._hom_cache = {}
         self._hom_dim_cache = {}
         self._ext1_cache = {}
+        self._cover_cache = {}
         self._pres_cache = {}
+        self._tau_cache = {}
         self._nak_cache = {}
-        self._lam_cache = {}
         self._inj_flag_cache = {}
+        self._dual_cache = {}
+        self._lam_cache = {}
         self._frames = {}
         self._sum_cache = {}
-        self._dual_cache = {}
         self._catalog: Optional[ARCatalog] = None
 
     # -- plumbing ----------------------------------------------------------
@@ -169,8 +187,25 @@ class ModuleCategory:
             self._op = (op, vmap, amap, inv_v, inv_a)
         return self._op
 
+    def content_id(self, m: Rep) -> int:
+        """The id of m's content: its dimension vector and its arrow
+        matrices in quiver order.
+
+        Modules with equal content share an id, and with it every fact kept
+        below, because each is a deterministic function of the content.
+        The key references the matrices' entry tuples (nothing is copied)
+        and is hashed once per object: the id is kept per ``Rep.uid``.
+        """
+        i = self._uid_ids.get(m.uid)
+        if i is None:
+            key = (m.dim_vector(), tuple(m.mats[a.name].data for a in self.quiver.arrows))
+            i = self._uid_ids[m.uid] = self._content_ids.setdefault(key, len(self._content_ids))
+        return i
+
     def hom(self, m: Rep, n: Rep):
-        key = (m.uid, n.uid)
+        """Basis of Hom(m, n), kept per content pair: a module with the
+        content of m or n may stand as the source or target of its maps."""
+        key = (self.content_id(m), self.content_id(n))
         if key not in self._hom_cache:
             self._hom_cache[key] = tuple(hom_basis(m, n))
         return self._hom_cache[key]
@@ -178,7 +213,7 @@ class ModuleCategory:
     def hom_dim(self, m: Rep, n: Rep) -> int:
         """dim Hom(m, n): from the kept basis when there is one, otherwise by
         rank (``reps.hom_dim``) and kept per pair."""
-        key = (m.uid, n.uid)
+        key = (self.content_id(m), self.content_id(n))
         basis = self._hom_cache.get(key)
         if basis is not None:
             return len(basis)
@@ -264,15 +299,13 @@ class ModuleCategory:
         return RMatrix.hstack(incoming) if incoming else RMatrix.zeros(m.dims[v], 0)
 
     def radical(self, m: Rep):
+        """The radical of m with its inclusion; its basis at v is the arrow
+        images into v that are independent of those before them."""
         bases = {}
         for v in self.quiver.vertices:
             stacked = self._arrow_images(m, v)
-            current = RMatrix.zeros(m.dims[v], 0)
-            for j in range(stacked.cols):
-                cand = RMatrix.hstack([current, RMatrix.column(stacked.column_at(j))])
-                if rank(cand) > current.cols:
-                    current = cand
-            bases[v] = current
+            cols = [stacked.column_at(j) for j in pivot_columns(stacked)]
+            bases[v] = RMatrix.from_columns(cols, m.dims[v])
         return reps.sub_from_subspaces(m, bases)
 
     def _socle_basis(self, m: Rep, v) -> RMatrix:
@@ -294,20 +327,25 @@ class ModuleCategory:
     # -- covers and envelopes -------------------------------------------------
 
     def _complement_columns(self, sub: RMatrix):
-        """Standard basis vectors completing the column span of ``sub``."""
+        """Standard basis vectors completing the column span of ``sub``: in
+        order, each e_i independent of sub and of the e_k before it, i.e.
+        the pivot columns of [sub | I] past sub."""
         d = sub.rows
-        chosen = []
-        current = sub
-        base_rank = rank(sub)
-        for i in range(d):
-            e = RMatrix.column([1 if k == i else 0 for k in range(d)])
-            cand = RMatrix.hstack([current, e])
-            if rank(cand) > base_rank + len(chosen):
-                chosen.append(e)
-                current = cand
-        return chosen
+        ident = RMatrix.identity(d)
+        return [
+            RMatrix.column(ident.data[j - sub.cols])
+            for j in pivot_columns(RMatrix.hstack([sub, ident]))
+            if j >= sub.cols
+        ]
 
     def cover(self, m: Rep) -> CoverData:
+        """Minimal projective cover of m, kept per content."""
+        i = self.content_id(m)
+        if i not in self._cover_cache:
+            self._cover_cache[i] = self._cover(m)
+        return self._cover_cache[i]
+
+    def _cover(self, m: Rep) -> CoverData:
         parts = []
         for z in self.quiver.vertices:
             for e in self._complement_columns(self._arrow_images(m, z)):
@@ -330,20 +368,25 @@ class ModuleCategory:
         return CoverData(parts, p0, injections, projections, q)
 
     def presentation(self, m: Rep) -> Presentation:
-        if m.uid not in self._pres_cache:
+        """Minimal projective presentation of m, kept per content; its second
+        cover is the cover of the syzygy, shared with the syzygy's own
+        presentation."""
+        i = self.content_id(m)
+        if i not in self._pres_cache:
             cover0 = self.cover(m)
             omega, incl = kernel(cover0.q)
             cover1 = None if omega.is_zero() else self.cover(omega)
-            self._pres_cache[m.uid] = Presentation(cover0, omega, incl, cover1)
-        return self._pres_cache[m.uid]
+            self._pres_cache[i] = Presentation(cover0, omega, incl, cover1)
+        return self._pres_cache[i]
 
     def is_projective(self, m: Rep) -> bool:
         return self.presentation(m).omega.is_zero()
 
     def is_injective(self, m: Rep) -> bool:
-        if m.uid not in self._inj_flag_cache:
-            self._inj_flag_cache[m.uid] = self.opposite()[0].is_projective(self._dual(m))
-        return self._inj_flag_cache[m.uid]
+        i = self.content_id(m)
+        if i not in self._inj_flag_cache:
+            self._inj_flag_cache[i] = self.opposite()[0].is_projective(self._dual(m))
+        return self._inj_flag_cache[i]
 
     def syzygy(self, m: Rep):
         pres = self.presentation(m)
@@ -411,7 +454,7 @@ class ModuleCategory:
 
     def ext1_dim(self, m: Rep, n: Rep) -> int:
         """dim Ext^1(m, n), computed once per pair and kept."""
-        key = (m.uid, n.uid)
+        key = (self.content_id(m), self.content_id(n))
         if key not in self._ext1_cache:
             self._ext1_cache[key] = self._ext1_dim(m, n)
         return self._ext1_cache[key]
@@ -447,11 +490,11 @@ class ModuleCategory:
         if not hom_om_m:
             return None
         span_mat = self._restricted_hom(pres, m)
-        width = span_mat.cols
+        width, span_rank = span_mat.cols, rank(span_mat)
         g0 = None
         for cand in hom_om_m:
             grown = RMatrix.vstack([span_mat, RMatrix([list(cand.flatten())], 1, width)])
-            if rank(grown) > rank(span_mat):
+            if rank(grown) > span_rank:
                 g0 = cand
                 break
         if g0 is None:
@@ -480,9 +523,11 @@ class ModuleCategory:
     # -- Nakayama and AR translates -------------------------------------------
 
     def nak_data(self, m: Rep):
-        """D Hom(m, A) together with the chosen bases of Hom(m, P_z)."""
-        if m.uid in self._nak_cache:
-            return self._nak_cache[m.uid]
+        """D Hom(m, A) together with the chosen bases of Hom(m, P_z), kept
+        per content."""
+        i = self.content_id(m)
+        if i in self._nak_cache:
+            return self._nak_cache[i]
         bases = {z: self.hom(m, self.proj[z]) for z in self.quiver.vertices}
         flat = {z: [b.flatten() for b in bases[z]] for z in self.quiver.vertices}
         dims = {z: len(bases[z]) for z in self.quiver.vertices}
@@ -494,7 +539,7 @@ class ModuleCategory:
             mats[a.name] = RMatrix.from_columns(cols, dims[w]).transpose()
         nu = Rep(self.quiver, dims, mats)
         data = (nu, bases, flat)
-        self._nak_cache[m.uid] = data
+        self._nak_cache[i] = data
         return data
 
     def nakayama(self, m: Rep) -> Rep:
@@ -529,10 +574,17 @@ class ModuleCategory:
         return self._proj_sum(tuple(z for z, _ in parts), nakayama=True)[0]
 
     def tau(self, m: Rep) -> Optional[Rep]:
-        """D Tr of m via the Nakayama image of a minimal presentation.
+        """D Tr of m via the Nakayama image of a minimal presentation, kept
+        per content.
 
         Returns None when m is projective.
         """
+        i = self.content_id(m)
+        if i not in self._tau_cache:
+            self._tau_cache[i] = self._tau(m)
+        return self._tau_cache[i]
+
+    def _tau(self, m: Rep) -> Optional[Rep]:
         pres = self.presentation(m)
         if pres.cover1 is None:
             return None
@@ -568,7 +620,8 @@ class ModuleCategory:
         return t
 
     def tau_inv(self, m: Rep) -> Optional[Rep]:
-        """Tr D of m by duality through the opposite category; None if injective."""
+        """Tr D of m by duality through the opposite category (whose tau is
+        kept per content); None if injective."""
         op, _, _, inv_v, inv_a = self.opposite()
         t = op.tau(self._dual(m))
         if t is None:
@@ -576,11 +629,12 @@ class ModuleCategory:
         return reps.dualize(t, self.quiver, inv_v, inv_a)
 
     def _dual(self, m: Rep) -> Rep:
-        """D m over the opposite quiver, built once per module."""
-        if m.uid not in self._dual_cache:
+        """D m over the opposite quiver, built once per content."""
+        i = self.content_id(m)
+        if i not in self._dual_cache:
             op, vmap, amap, _, _ = self.opposite()
-            self._dual_cache[m.uid] = reps.dualize(m, op.quiver, vmap, amap)
-        return self._dual_cache[m.uid]
+            self._dual_cache[i] = reps.dualize(m, op.quiver, vmap, amap)
+        return self._dual_cache[i]
 
     def pd(self, m: Rep) -> int:
         """Projective dimension of m.
@@ -609,10 +663,10 @@ class ModuleCategory:
 
         The projectives count against ``cap`` like every later entry.  The
         first successful knit is kept and returned by every later call, so
-        all callers share one set of entries (and the hom, presentation and
-        Nakayama caches keyed by them).  A later call whose ``cap`` is below
-        the kept entry count still raises CapExceededError, exactly as a
-        fresh knit would.  A knit that raises is not kept.
+        all callers share one set of entries (and the facts kept for their
+        contents).  A later call whose ``cap`` is below the kept entry count
+        still raises CapExceededError, exactly as a fresh knit would.  A
+        knit that raises is not kept.
         """
         if self._catalog is not None:
             if len(self._catalog.entries) > cap:

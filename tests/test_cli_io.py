@@ -144,6 +144,18 @@ def test_cli_bad_input_exits_2_without_traceback(case, fixture_dir, tmp_path, sr
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_non_utf8_quiver_names_the_file(tmp_path, src_env):
+    bad = tmp_path / "binary.quiver"
+    bad.write_bytes(b"\xffvertices 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dupcat.cli", "analyze", "--quiver", str(bad)],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {bad} is not UTF-8 text")
+    assert "Traceback" not in proc.stderr
+
+
 def test_dot_d4_node_shapes():
     q = d4_subspace()
     cat = annotate_catalog(knit_ind_dup(q), left_part_catalog(q))

@@ -1,16 +1,16 @@
 """The module-category engine: Yoneda maps by evaluation at the generator,
-one direct sum per list of projectives, one dual per module, and each Hom/Ext
-fact once per module pair."""
+one direct sum per list of projectives, and every module fact (dual, cover,
+presentation, tau, Hom, Ext) once per module content."""
 
 import dataclasses
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dupcat import modcat, reps
+from dupcat import modcat, reps, session
 from dupcat.dup import dup_category
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
@@ -105,8 +105,13 @@ def test_covers_with_equal_top_vertices_share_the_sum():
 
 
 def test_one_dual_per_module(monkeypatch):
+    """From a cold session, the dual of a module is built once per content:
+    a twin (equal dimension vector and matrices, another object) reuses the
+    dual of the first, for the injectivity test and for tau^{-1} alike."""
+    monkeypatch.setattr(session, "_sessions", {})
     cat = path_category(d4_subspace())
     m = simple_rep(cat.quiver, "1")  # the simple at the sink is not injective
+    twin = _twin(m)
     duals = []
     inner = reps.dualize
 
@@ -115,9 +120,13 @@ def test_one_dual_per_module(monkeypatch):
         return inner(rep, *args)
 
     monkeypatch.setattr(reps, "dualize", counting)
-    assert not cat.is_injective(m)
-    assert cat.tau_inv(m) is not None
-    assert sum(1 for r in duals if r is m) == 1
+    for module in (m, twin):
+        assert not cat.is_injective(module)
+        assert cat.tau_inv(module) is not None
+    assert cat._dual(twin) is cat._dual(m)
+    ids = [cat.content_id(r) for r in duals if r.quiver == cat.quiver]
+    assert ids.count(cat.content_id(m)) == 1
+    assert len(ids) == len(set(ids))
 
 
 def test_frame_is_built_once_per_vertex():
@@ -276,18 +285,24 @@ def test_endless_resolution_raises_after_n_steps(src_env):
         assert proc.returncode == 0, (flags, proc.returncode, proc.stderr)
 
 
+def _invertible(data, d):
+    """A drawn invertible integer d x d matrix (lower unitriangular times
+    upper triangular) and its inverse."""
+    entry = st.integers(-3, 3)
+    lower = [[1 if i == j else data.draw(entry) if i > j else 0 for j in range(d)]
+             for i in range(d)]
+    upper = [[data.draw(st.sampled_from((1, -1, 2))) if i == j else data.draw(entry)
+              if i < j else 0 for j in range(d)] for i in range(d)]
+    g = RMatrix(lower, d, d) @ RMatrix(upper, d, d)
+    return g, solve_matrix(g, RMatrix.identity(d))
+
+
 def _base_change(data, m: Rep) -> Rep:
     """m under an invertible integer base change g_v at every vertex v: the
     arrow y -> x acts by g_x M_a g_y^-1."""
     g, g_inv = {}, {}
     for v, d in m.dims.items():
-        entry = st.integers(-3, 3)
-        lower = [[1 if i == j else data.draw(entry) if i > j else 0 for j in range(d)]
-                 for i in range(d)]
-        upper = [[data.draw(st.sampled_from((1, -1, 2))) if i == j else data.draw(entry)
-                  if i < j else 0 for j in range(d)] for i in range(d)]
-        g[v] = RMatrix(lower, d, d) @ RMatrix(upper, d, d)
-        g_inv[v] = solve_matrix(g[v], RMatrix.identity(d))
+        g[v], g_inv[v] = _invertible(data, d)
     mats = {a.name: g[a.target] @ m.mats[a.name] @ g_inv[a.source] for a in m.quiver.arrows}
     return Rep(m.quiver, m.dims, mats)
 
@@ -336,3 +351,159 @@ def test_is_isomorphic_with_equal_dimension_vectors():
         assert summed.dim_vector() == m.dim_vector()
         assert not cat.is_isomorphic(summed, m) and not cat.is_isomorphic(m, summed)
         assert cat.is_isomorphic(summed, reps.direct_sum(simples[::-1])[0])
+
+
+# -- one elimination for the radical and the complement ------------------------
+
+
+def _greedy_complement(sub):
+    """The standard basis vectors completing the column span of sub, picked
+    one by one by rank."""
+    d, chosen, current = sub.rows, [], sub
+    for i in range(d):
+        e = RMatrix.column([1 if k == i else 0 for k in range(d)])
+        cand = RMatrix.hstack([current, e])
+        if rank(cand) > rank(sub) + len(chosen):
+            chosen.append(e)
+            current = cand
+    return chosen
+
+
+def _greedy_radical_basis(stacked):
+    """The columns of stacked independent of those before them, by rank."""
+    current = RMatrix.zeros(stacked.rows, 0)
+    for j in range(stacked.cols):
+        cand = RMatrix.hstack([current, RMatrix.column(stacked.column_at(j))])
+        if rank(cand) > current.cols:
+            current = cand
+    return current
+
+
+@pytest.mark.parametrize(
+    "category, quiver", [(path_category, d4_subspace), (dup_category, lambda: a_n(3))],
+    ids=["D4-path", "A3-dup"],
+)
+def test_pivot_columns_equal_the_greedy_picks(category, quiver):
+    """On every catalog entry, the radical and the completions of the
+    arrow images and of the socle pick the columns the greedy rank loop
+    picks."""
+    cat = category(quiver())
+    for e in cat.knit().entries:
+        _, incl = cat.radical(e)
+        for v in cat.quiver.vertices:
+            images = cat._arrow_images(e, v)
+            assert incl.mats[v] == _greedy_radical_basis(images)
+            for sub in (images, cat._socle_basis(e, v)):
+                assert cat._complement_columns(sub) == _greedy_complement(sub)
+
+
+# -- facts kept per module content ---------------------------------------------
+
+
+def _count_computations(monkeypatch):
+    """Record the module of every cover and tau the category computes."""
+    computed = {"_cover": [], "_tau": []}
+    for name, calls in computed.items():
+        inner = getattr(modcat.ModuleCategory, name)
+
+        def counting(self, m, _inner=inner, _calls=calls):
+            _calls.append(m)
+            return _inner(self, m)
+
+        monkeypatch.setattr(modcat.ModuleCategory, name, counting)
+    return computed
+
+
+def _twin(m: Rep) -> Rep:
+    return Rep(m.quiver, m.dims, m.mats)
+
+
+@pytest.mark.parametrize(
+    "category, quiver", [(path_category, d4_subspace), (dup_category, lambda: a_n(3))],
+    ids=["D4-path", "A3-dup"],
+)
+def test_twins_share_every_fact(category, quiver, monkeypatch):
+    """A twin of a catalog entry (same content, another object) gets the
+    entry's presentation and tau objects and its Hom and Ext^1 dimensions,
+    with no cover or tau computed."""
+    cat = category(quiver())
+    entries = cat.knit().entries
+    facts = {
+        id(e): (cat.presentation(e), cat.tau(e),
+                [(cat.hom_dim(e, f), cat.hom_dim(f, e)) for f in entries],
+                [(cat.ext1_dim(e, f), cat.ext1_dim(f, e)) for f in entries])
+        for e in entries
+    }
+    computed = _count_computations(monkeypatch)
+    for e in entries:
+        t = _twin(e)
+        pres, tau, homs, exts = facts[id(e)]
+        assert t is not e and cat.content_id(t) == cat.content_id(e)
+        assert cat.presentation(t) is pres and cat.tau(t) is tau
+        assert [(cat.hom_dim(t, f), cat.hom_dim(f, t)) for f in entries] == homs
+        assert [(cat.ext1_dim(t, f), cat.ext1_dim(f, t)) for f in entries] == exts
+    assert computed == {"_cover": [], "_tau": []}
+
+
+def _base_change_at(data, m: Rep, v) -> Rep:
+    """m under an invertible integer base change g at the vertex v alone:
+    g M_a for the arrows into v, M_a g^-1 for the arrows out of v."""
+    g, g_inv = _invertible(data, m.dims[v])
+    if g == RMatrix.identity(g.rows):
+        g = g_inv = g.scale(-1)
+    mats = dict(m.mats)
+    for a in m.quiver.arrows_into[v]:
+        mats[a.name] = g @ mats[a.name]
+    for a in m.quiver.arrows_from[v]:
+        mats[a.name] = mats[a.name] @ g_inv
+    return Rep(m.quiver, m.dims, mats)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "category, quiver", [(path_category, d4_subspace), (dup_category, lambda: a_n(3))],
+    ids=["D4-path", "A3-dup"],
+)
+def test_changed_content_is_computed_afresh(category, quiver, data):
+    """A base change at one vertex gives an isomorphic module with other
+    content: in a cold session it gets its own id and computes its own
+    presentation, and its Hom and Ext^1 dimensions against the catalog
+    equal the entry's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session, "_sessions", {})
+        cat = category(quiver())
+        entries = cat.knit().entries
+        e = data.draw(st.sampled_from(entries))
+        # a vertex with a nonzero arrow, so that the base change moves it
+        touched = sorted({v for a in cat.quiver.arrows if not e.mats[a.name].is_zero()
+                          for v in (a.source, a.target)})
+        assume(touched)
+        v = data.draw(st.sampled_from(touched))
+        changed = _base_change_at(data, e, v)
+        assume(changed.mats != e.mats)
+        assert cat.content_id(changed) != cat.content_id(e)
+        kept = cat.presentation(e)
+        computed = _count_computations(patch)
+        assert cat.presentation(changed) is not kept
+        assert computed["_cover"][0] is changed
+        for f in entries:
+            assert cat.hom_dim(changed, f) == cat.hom_dim(e, f)
+            assert cat.hom_dim(f, changed) == cat.hom_dim(f, e)
+            assert cat.ext1_dim(changed, f) == cat.ext1_dim(e, f)
+            assert cat.ext1_dim(f, changed) == cat.ext1_dim(f, e)
+
+
+def test_different_modules_never_share_an_id():
+    """S_1 + S_2 and the indecomposable P_2 over A2 share the dimension
+    vector (1, 1) but not their content; over A1, which has no arrows, the
+    dimension vector alone tells S_1 from S_1 + S_1."""
+    a2 = path_category(a_n(2))
+    summed = reps.direct_sum([a2.simple["1"], a2.simple["2"]])[0]
+    assert summed.dim_vector() == a2.proj["2"].dim_vector()
+    assert a2.content_id(summed) != a2.content_id(a2.proj["2"])
+    assert a2.hom_dim(a2.proj["2"], summed) != a2.hom_dim(summed, summed)
+    a1 = path_category(a_n(1))
+    double = reps.direct_sum([a1.simple["1"]] * 2)[0]
+    assert a1.content_id(double) != a1.content_id(a1.simple["1"])
+    assert a1.hom_dim(double, double) == 4

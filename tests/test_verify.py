@@ -42,9 +42,10 @@ def test_direct_sum_budget(monkeypatch):
 
 
 def test_hom_basis_budget(monkeypatch):
-    """One cold D4 run_all_checks keeps each Hom/Ext fact per module pair
-    and reads Hom dimensions by rank: at most 1,200 Hom bases (3,307 when
-    every hom_dim built a basis and nothing kept Ext^1; 942 now)."""
+    """One cold D4 run_all_checks keeps each Hom/Ext fact per pair of module
+    contents and reads Hom dimensions by rank: at most 1,200 Hom bases (3,307 when
+    every hom_dim built a basis and nothing kept Ext^1; 761 when facts were
+    kept per object; 583 now)."""
     _start_cold(monkeypatch)
     calls = []
     inner = reps.hom_basis
@@ -58,6 +59,25 @@ def test_hom_basis_budget(monkeypatch):
     checks = run_all_checks(d4_subspace())
     assert all(c.passed for c in checks)
     assert 0 < len(calls) <= 1200
+
+
+def test_cover_budget(monkeypatch):
+    """One cold D4 run_all_checks keeps each projective cover per module
+    content, so a syzygy's cover is the second cover of its module's
+    presentation: at most 130 covers computed (306 when they were kept per
+    object; 114 now)."""
+    _start_cold(monkeypatch)
+    calls = []
+    inner = modcat.ModuleCategory._cover
+
+    def counting(self, m):
+        calls.append(m)
+        return inner(self, m)
+
+    monkeypatch.setattr(modcat.ModuleCategory, "_cover", counting)
+    checks = run_all_checks(d4_subspace())
+    assert all(c.passed for c in checks)
+    assert 0 < len(calls) <= 130
 
 
 def test_socle_quotient_check_rejects_a_wrong_simple(monkeypatch, src_env):
