@@ -341,8 +341,36 @@ class DupCatalog:
 
     @cached_property
     def reach(self):
-        """reach[i][j]: a chain of nonzero morphisms leads from entry i to j."""
-        return hom_reach(self.modules)
+        """reach[i][j]: a chain of nonzero morphisms leads from entry i to j.
+
+        The reflexive-transitive closure of the nonzero-Hom relation, read
+        off the AR quiver first: the closure is seeded with the AR arrows,
+        each certified by a nonzero Hom (CatalogError otherwise).  Hom is
+        then solved only for the pairs still outside that closure, and the
+        nonzero ones are added and closed again.  So the result is exact
+        without assuming that every nonzero map factors through irreducible
+        ones.
+        """
+        ctx = dup_category(self.base)
+        entries = self.entries
+        n = len(entries)
+        rows = [1 << i for i in range(n)]  # row i as a bit set of the j
+        for s, t, _ in self.catalog.arrows:
+            if not ctx.hom_dim(entries[s], entries[t]):
+                raise CatalogError(f"AR arrow {s} -> {t} carries no nonzero map")
+            rows[s] |= 1 << t
+        _close(rows)
+        extra = [
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if not rows[i] >> j & 1 and ctx.hom_dim(entries[i], entries[j])
+        ]
+        if extra:
+            for i, j in extra:
+                rows[i] |= 1 << j
+            _close(rows)
+        return [[bool(row >> j & 1) for j in range(n)] for row in rows]
 
     @cached_property
     def pd_table(self):
@@ -354,25 +382,13 @@ class DupCatalog:
         return self.catalog.find(m.rep())
 
 
-def hom_reach(modules):
-    """Reflexive-transitive closure of the nonzero-hom relation."""
-    n = len(modules)
-    if n == 0:
-        return []
-    cat = dup_category(modules[0].base_quiver)
-    reach = [[i == j for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and cat.hom_dim(modules[i].rep(), modules[j].rep()) > 0:
-                reach[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                row_i, row_k = reach[i], reach[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return reach
+def _close(rows) -> None:
+    """Transitive closure, in place, of a relation given as bit-set rows."""
+    for k in range(len(rows)):
+        bit, row_k = 1 << k, rows[k]
+        for i, row_i in enumerate(rows):
+            if row_i & bit:
+                rows[i] = row_i | row_k
 
 
 def knit_ind_dup(q: Quiver, cap: int = 10000) -> DupCatalog:

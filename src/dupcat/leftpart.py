@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Optional
 
 from .errors import CatalogError, NotDynkinError
@@ -326,65 +327,105 @@ def verify_pd_criterion(cat: DupCatalog) -> Report:
     return Report("projective-dimension-criterion", not witnesses, witnesses)
 
 
-def _ar_paths(cat: DupCatalog, start: int):
-    """Yield every directed path in the AR quiver from ``start``, in preorder
-    with successors in increasing order.  Raises ValueError on an oriented
-    cycle.  An explicit stack (no self-referencing closure) leaves no
-    reference cycle behind."""
-    adj = {}
-    for s, t, _ in cat.catalog.arrows:
-        adj.setdefault(s, set()).add(t)
-    # successors in decreasing order, so the stack pops the least first
-    succ = {s: sorted(ts, reverse=True) for s, ts in adj.items()}
-    stack = [(start,)]
-    while stack:
-        path = stack.pop()
-        yield path
-        nxt = succ.get(path[-1], ())
-        for t in nxt:
-            if t in path:
-                raise ValueError("AR quiver has an oriented cycle")
-        stack.extend([path + (t,) for t in nxt])
+def nonsectional_targets(arrows, tau_of: dict, start: int) -> dict:
+    """Every end of a non-sectional AR path from ``start``, with one such
+    path to it.
+
+    A path x0 -> ... -> xk is sectional when no x_{i+1} has tau x_{i+1} =
+    x_{i-1}.  A worklist runs over the states (previous, current) of the
+    sectional paths from ``start``; a step c -> t from (p, c) with
+    tau_of[t] == p ends a non-sectional path, and every extension of a
+    non-sectional path is non-sectional, so the targets are the forward
+    closure of those t.  Parent pointers name one path per target.  Raises
+    ValueError when an oriented cycle is reachable from ``start``.
+    """
+    succ = {}
+    for s, t, _ in arrows:
+        succ.setdefault(s, set()).add(t)
+    succ = {s: sorted(ts) for s, ts in succ.items()}
+    reachable = {start: succ.get(start, ())}
+    order = [start]
+    for v in order:
+        for t in reachable[v]:
+            if t not in reachable:
+                reachable[t] = succ.get(t, ())
+                order.append(t)
+    try:
+        TopologicalSorter(reachable).prepare()
+    except CycleError:
+        raise ValueError("AR quiver has an oriented cycle") from None
+
+    state_parent = {(start, t): None for t in succ.get(start, ())}
+    states = list(state_parent)
+    first_step = {}  # t -> the state (p, c) whose step to t is non-sectional
+    for p, c in states:
+        for t in succ.get(c, ()):
+            if tau_of.get(t) == p:
+                first_step.setdefault(t, (p, c))
+            elif (c, t) not in state_parent:
+                state_parent[(c, t)] = (p, c)
+                states.append((c, t))
+    node_parent = dict.fromkeys(sorted(first_step))
+    closure = list(node_parent)
+    for v in closure:
+        for t in succ.get(v, ()):
+            if t not in node_parent:
+                node_parent[t] = v
+                closure.append(t)
+
+    def path_to(t):
+        tail = [t]
+        while node_parent[tail[-1]] is not None:
+            tail.append(node_parent[tail[-1]])
+        head = []
+        state = first_step[tail[-1]]
+        while state is not None:
+            head.append(state[1])
+            if state_parent[state] is None:
+                head.append(state[0])
+            state = state_parent[state]
+        return tuple(reversed(head)) + tuple(reversed(tail))
+
+    return {t: path_to(t) for t in sorted(closure)}
 
 
 def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
     """Paths of irreducible maps from sink projective-injectives into the
     left part must be sectional; targets outside it must exhibit either a
-    non-sectional path or a predecessor of projective dimension >= 2."""
+    non-sectional path or a predecessor of projective dimension >= 2.
+
+    The non-sectional targets come from :func:`nonsectional_targets`, with
+    one offending path as the witness of each target inside the left part.
+    An oriented cycle reachable from a sink is the only witness reported.
+    """
     if cat.in_L is None:
         annotate_catalog(cat, lpc)
     q = cat.base
     sinks, _ = sinks_and_sources(q)
     ctx = dup_category(q)
-    tau_of = cat.catalog.tau_of
+    starts = {a: cat.catalog.entries.index(ctx.proj[prime(a)]) for a in sinks}
+    try:
+        by_sink = {
+            a: nonsectional_targets(cat.catalog.arrows, cat.catalog.tau_of, start)
+            for a, start in starts.items()
+        }
+    except ValueError as exc:
+        return Report("sectional-paths", False, [str(exc)])
     witnesses = []
-    modules = cat.modules
+    n = len(cat.modules)
     reach, pd_table = cat.reach, cat.pd_table
-    for a in sinks:
-        start = cat.catalog.entries.index(ctx.proj[prime(a)])
-        nonsectional_targets = set()
-        try:
-            for path in _ar_paths(cat, start):
-                sectional = True
-                for k in range(1, len(path) - 1):
-                    if tau_of.get(path[k + 1]) == path[k - 1]:
-                        sectional = False
-                        break
-                if not sectional:
-                    nonsectional_targets.add(path[-1])
-                    if cat.in_L[path[-1]]:
-                        witnesses.append(
-                            f"non-sectional path {path} from sink {a} ends inside the left part"
-                        )
-        except ValueError as exc:
-            return Report("sectional-paths", False, [str(exc)])
-        for j in range(len(modules)):
+    bad_pred = [any(reach[i][j] and pd_table[i] >= 2 for i in range(n)) for j in range(n)]
+    for a, targets in by_sink.items():
+        start = starts[a]
+        for j, path in targets.items():
+            if cat.in_L[j]:
+                witnesses.append(
+                    f"non-sectional path {path} from sink {a} ends inside the left part"
+                )
+        for j in range(n):
             if cat.in_L[j] or not reach[start][j]:
                 continue
-            has_bad_pred = any(
-                reach[i][j] and pd_table[i] >= 2 for i in range(len(modules))
-            )
-            if j not in nonsectional_targets and not has_bad_pred:
+            if j not in targets and not bad_pred[j]:
                 witnesses.append(
                     f"entry {j} outside the left part lacks a non-sectional path "
                     f"from sink {a} and a pd>=2 predecessor"

@@ -26,10 +26,15 @@ generic:
 * the Nakayama functor is D Hom(-, A), realized on one module at a time via
   bases of Hom(M, P_z), and the AR translate tau M is the kernel of its
   action on a minimal projective presentation;
-* tau^{-1} is computed by duality through the opposite category;
+* tau^{-1} is computed by duality through the opposite category and kept
+  per content;
+* dim Hom(M, N) is 0, with no system built, when N vanishes on the top of M
+  (whose cover is kept);
 * the AR quiver of a representation-finite category is knitted as the
-  tau^{-1}-closure of the projectives, with AR sequences and irreducible
-  arrows reconstructed afterwards;
+  tau^{-1}-closure of the projectives; its arrows are then read along the
+  meshes: the radicals of the projectives are decomposed, and the middle
+  term of each AR sequence is predicted from the arrows already known and
+  certified summand by summand, with no catalog scan;
 * indecomposables are looked up by dimension vector (directing modules are
   determined by it), with a split_pair certificate deciding every hit; the
   same index serves the knit, catalog lookups and decompositions;
@@ -169,6 +174,7 @@ class ModuleCategory:
         self._cover_cache = {}
         self._pres_cache = {}
         self._tau_cache = {}
+        self._tau_inv_cache = {}
         self._nak_cache = {}
         self._inj_flag_cache = {}
         self._dual_cache = {}
@@ -212,13 +218,22 @@ class ModuleCategory:
 
     def hom_dim(self, m: Rep, n: Rep) -> int:
         """dim Hom(m, n): from the kept basis when there is one, otherwise by
-        rank (``reps.hom_dim``) and kept per pair."""
+        rank (``reps.hom_dim``) and kept per pair.
+
+        When m's cover is kept and n vanishes at every vertex of m's top, the
+        answer is 0 with no system built: Hom(m, n) embeds in
+        Hom(P0, n), the sum of the n_z over the top vertices z.
+        """
         key = (self.content_id(m), self.content_id(n))
         basis = self._hom_cache.get(key)
         if basis is not None:
             return len(basis)
         if key not in self._hom_dim_cache:
-            self._hom_dim_cache[key] = reps.hom_dim(m, n)
+            cover = self._cover_cache.get(key[0])
+            if cover is not None and not any(n.dims[z] for z, _ in cover.parts):
+                self._hom_dim_cache[key] = 0
+            else:
+                self._hom_dim_cache[key] = reps.hom_dim(m, n)
         return self._hom_dim_cache[key]
 
     def _frame(self, z):
@@ -481,24 +496,29 @@ class ModuleCategory:
     def ext1_middle(self, n: Rep, m: Rep):
         """Middle term of a nonzero extension of n by m, with its maps.
 
-        Returns (E, f: m -> E, g: E -> n) or None when Ext^1(n, m) = 0.
+        Returns (E, f: m -> E, g: E -> n) or None when Ext^1(n, m) = 0.  One
+        elimination of the restricted Hom(P0, m) followed by the basis of
+        Hom(Omega n, m) gives both the first basis map outside the span (the
+        first pivot column past the span) and dim Ext^1(n, m) (the number of
+        such pivots), which is kept in the Ext^1 memo.
         """
+        key = (self.content_id(n), self.content_id(m))
         pres = self.presentation(n)
-        if pres.cover1 is None:
-            return None
-        hom_om_m = self.hom(pres.omega, m)
+        hom_om_m = () if pres.cover1 is None else self.hom(pres.omega, m)
         if not hom_om_m:
+            self._ext1_cache[key] = 0
             return None
         span_mat = self._restricted_hom(pres, m)
-        width, span_rank = span_mat.cols, rank(span_mat)
-        g0 = None
-        for cand in hom_om_m:
-            grown = RMatrix.vstack([span_mat, RMatrix([list(cand.flatten())], 1, width)])
-            if rank(grown) > span_rank:
-                g0 = cand
-                break
-        if g0 is None:
+        cands = RMatrix([c.flatten() for c in hom_om_m], len(hom_om_m), span_mat.cols)
+        outside = [
+            j - span_mat.rows
+            for j in pivot_columns(RMatrix.vstack([span_mat, cands]).transpose())
+            if j >= span_mat.rows
+        ]
+        self._ext1_cache[key] = len(outside)
+        if not outside:
             return None
+        g0 = hom_om_m[outside[0]]
         # pushout of (incl: omega -> P0, -g0: omega -> m)
         s, (i1, i2), _ = direct_sum([pres.cover0.p0, m])
         glue = i1.compose(pres.incl).add(i2.compose(g0.scale(-1)))
@@ -620,13 +640,14 @@ class ModuleCategory:
         return t
 
     def tau_inv(self, m: Rep) -> Optional[Rep]:
-        """Tr D of m by duality through the opposite category (whose tau is
-        kept per content); None if injective."""
-        op, _, _, inv_v, inv_a = self.opposite()
-        t = op.tau(self._dual(m))
-        if t is None:
-            return None
-        return reps.dualize(t, self.quiver, inv_v, inv_a)
+        """Tr D of m by duality through the opposite category, kept per
+        content; None if injective."""
+        i = self.content_id(m)
+        if i not in self._tau_inv_cache:
+            op, _, _, inv_v, inv_a = self.opposite()
+            t = op.tau(self._dual(m))
+            self._tau_inv_cache[i] = None if t is None else reps.dualize(t, self.quiver, inv_v, inv_a)
+        return self._tau_inv_cache[i]
 
     def _dual(self, m: Rep) -> Rep:
         """D m over the opposite quiver, built once per content."""
@@ -776,22 +797,66 @@ class ModuleCategory:
         return self.decompose(m, catalog) == self.decompose(n, catalog)
 
     def _fill_ar_structure(self, catalog: ARCatalog) -> None:
-        arrows = []
-        for idx, n in enumerate(catalog.entries):
+        """Irreducible arrows and AR sequences, knitted along the meshes.
+
+        The arrows into a projective are the summands of its radical, found
+        by :meth:`decompose`.  For a non-projective entry tau^{-1} M the
+        arrows into it start at the summands of the middle term E of the AR
+        sequence 0 -> M -> E -> tau^{-1} M -> 0, which the mesh predicts
+        from the arrows already known: tau^{-1} Y for each arrow Y -> M with
+        Y not injective, and each projective P with M a summand of rad P,
+        with their multiplicities.  Entries are filled in index order and
+        tau M precedes tau^{-1} M, so every arrow into M is known by then.
+        The predicted summands are peeled off E by split_pair certificates
+        and the last one is certified by an isomorphism test; a prediction
+        that does not match E exactly raises CatalogError.
+        """
+        entries = catalog.entries
+        into = {}  # entry index -> [(source index, multiplicity)]
+        radical_of = {}  # entry index -> [(projective index, multiplicity)]
+        for idx, p in enumerate(entries):
             if catalog.projective[idx]:
-                rad, _ = self.radical(n)
-                if rad.is_zero():
-                    continue
-                for sidx, mult in self.decompose(rad, catalog):
-                    arrows.append((sidx, idx, mult))
-                continue
-            left_idx = catalog.tau_of[idx]
-            left = catalog.entries[left_idx]
-            if self.ext1_dim(n, left) != 1:
-                raise CatalogError("almost split extension not unique")
-            e, f, g = self.ext1_middle(n, left)
-            middle = tuple(self.decompose(e, catalog))
-            for sidx, mult in middle:
+                rad, _ = self.radical(p)
+                into[idx] = [] if rad.is_zero() else self.decompose(rad, catalog)
+                for sidx, mult in into[idx]:
+                    radical_of.setdefault(sidx, []).append((idx, mult))
+        arrows = []
+        for idx, n in enumerate(entries):
+            if not catalog.projective[idx]:
+                left_idx = catalog.tau_of[idx]
+                left = entries[left_idx]
+                extension = self.ext1_middle(n, left)
+                if self.ext1_dim(n, left) != 1:
+                    raise CatalogError("almost split extension not unique")
+                e, f, g = extension
+                predicted = {}
+                for sidx, mult in into[left_idx]:
+                    if sidx in catalog.tau_inv_of:
+                        j = catalog.tau_inv_of[sidx]
+                        predicted[j] = predicted.get(j, 0) + mult
+                for pidx, mult in radical_of.get(left_idx, ()):
+                    predicted[pidx] = predicted.get(pidx, 0) + mult
+                into[idx] = sorted(predicted.items())
+                self._peel_mesh(e, entries, into[idx], idx)
+                catalog.sequences[idx] = ARSequence(left_idx, idx, tuple(into[idx]), f, g, e)
+            for sidx, mult in into[idx]:
                 arrows.append((sidx, idx, mult))
-            catalog.sequences[idx] = ARSequence(left_idx, idx, middle, f, g, e)
         catalog.arrows = tuple(arrows)
+
+    def _peel_mesh(self, e: Rep, entries, middle, idx) -> None:
+        """Certify that e is the sum of the entries ``middle`` lists, with
+        their multiplicities; CatalogError naming entry ``idx`` otherwise."""
+        copies = [sidx for sidx, mult in middle for _ in range(mult)]
+        current = e
+        for sidx in copies[:-1]:
+            pair = reps.split_pair(entries[sidx], current)
+            if pair is None:
+                raise CatalogError(
+                    f"mesh predicts entry {sidx} in the middle term ending at entry {idx}, "
+                    "but it does not split off"
+                )
+            current, _ = cokernel(pair[0])
+        if not copies or not reps.is_isomorphic(current, entries[copies[-1]]):
+            raise CatalogError(
+                f"middle term ending at entry {idx} differs from its mesh prediction {middle}"
+            )

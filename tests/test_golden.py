@@ -3,10 +3,13 @@ reproduce the SHA-256 digests the benchmark records in
 ``perfbench/reference.py`` (loaded by path, never copied); ``enumerate`` on
 the fixtures and ``export`` on one D5 orientation must reproduce the digests
 written below, recorded before the projective side of the engine was
-reworked (Yoneda maps by evaluation, shared sums and duals)."""
+reworked (Yoneda maps by evaluation, shared sums and duals).  ``verify`` and
+``enumerate`` on the E6 fixture have recorded digests too, and ``verify`` on
+the E7 fixture must pass."""
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -71,3 +74,30 @@ def test_d5_export_bytes_match_recorded_digest(tmp_path, capsys):
     quiver = tmp_path / "d5.quiver"
     quiver.write_text(D5_QUIVER, encoding="utf-8")
     assert _digest_of_run(tmp_path, capsys, "export", quiver) == D5_EXPORT_DIGEST
+
+
+# E6 (the chain 1-2-3-4-5 with 6 attached to 3), recorded before the AR
+# quiver was read by meshes, a sectional DP and arrow-seeded reachability.
+E6_DIGESTS = {
+    "verify": "e3362f56266f84913aa1ba27a15604bec6d9aa255166b170c4298a9acfdf4f0d",
+    "enumerate": "3db821a336f6d2355d06fff978f5af2bf7d21d51e62fa68988ef1bcff839eb8b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(E6_DIGESTS))
+def test_e6_bytes_match_recorded_digest(fixture_dir, tmp_path, capsys, command):
+    quiver = fixture_dir / "e6.quiver"
+    assert _digest_of_run(tmp_path, capsys, command, quiver) == E6_DIGESTS[command]
+
+
+def test_e7_verify_passes(fixture_dir, tmp_path, capsys):
+    """E7 (the chain 1-...-6 with 7 attached to 3): all twelve checks pass,
+    with 4160 tilting modules on both sides of the bijection."""
+    out = tmp_path / "e7.json"
+    quiver = str(fixture_dir / "e7.quiver")
+    assert cli.main(["verify", "--quiver", quiver, "--out", str(out)]) == 0
+    assert "12/12 checks passed" in capsys.readouterr().out
+    reports = json.loads(out.read_text(encoding="utf-8"))
+    assert [r["passed"] for r in reports] == [True] * 12
+    (bijection,) = [r for r in reports if r["check"] == "tilting-bijection"]
+    assert bijection["witnesses"] == ["4160 tilting modules on both sides"]

@@ -507,3 +507,100 @@ def test_different_modules_never_share_an_id():
     double = reps.direct_sum([a1.simple["1"]] * 2)[0]
     assert a1.content_id(double) != a1.content_id(a1.simple["1"])
     assert a1.hom_dim(double, double) == 4
+
+
+# -- facts read off the AR quiver ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "category, quiver", [(path_category, d4_subspace), (dup_category, lambda: a_n(3))],
+    ids=["D4-path", "A3-dup"],
+)
+def test_tau_inv_is_kept_per_content(category, quiver):
+    """A repeated tau^{-1} returns one object, and so does a twin's."""
+    cat = category(quiver())
+    for e in cat.knit().entries:
+        t = cat.tau_inv(e)
+        assert cat.tau_inv(e) is t and cat.tau_inv(_twin(e)) is t
+
+
+def test_top_support_hom_dim_matches_systems(monkeypatch):
+    """With every cover kept, hom_dim answers 0 from the top support for the
+    pairs whose target vanishes on the source's top, and equals
+    reps.hom_dim on all pairs of D4 duplicated-catalog entries."""
+    monkeypatch.setattr(session, "_sessions", {})
+    cat = dup_category(d4_subspace())
+    entries = cat.knit().entries
+    for e in entries:
+        cat.cover(e)
+    systems = []
+    inner = reps.hom_dim
+
+    def counting(m, n):
+        systems.append((m, n))
+        return inner(m, n)
+
+    monkeypatch.setattr(reps, "hom_dim", counting)
+    fresh = [
+        (m, n) for m in entries for n in entries
+        if (cat.content_id(m), cat.content_id(n)) not in cat._hom_cache
+    ]
+    got = [cat.hom_dim(m, n) for m, n in fresh]
+    monkeypatch.setattr(reps, "hom_dim", inner)
+    assert got == [reps.hom_dim(m, n) for m, n in fresh]
+    assert 0 < len(systems) < len(fresh)
+
+
+def test_ext1_middle_records_ext1_dim(monkeypatch):
+    """The knit's Ext^1 = 1 certificate reads what ext1_middle recorded, and
+    every recorded dimension is the cokernel computed from full bases."""
+    monkeypatch.setattr(session, "_sessions", {})
+
+    def no_recompute(self, m, n):
+        raise AssertionError("Ext^1 recomputed")
+
+    monkeypatch.setattr(modcat.ModuleCategory, "_ext1_dim", no_recompute)
+    cat = path_category(d4_subspace())
+    entries = cat.knit().entries
+    for n in entries:
+        for m in entries:
+            middle = cat.ext1_middle(n, m)
+            dim = cat.ext1_dim(n, m)
+            assert dim == _ext1_by_bases(cat, n, m)
+            assert (middle is None) == (dim == 0)
+
+
+_MESH_MISMATCH = """
+from dupcat import modcat
+from dupcat.errors import CatalogError
+from dupcat.fixtures import a_n
+from dupcat.hereditary import knit_ind_A
+
+inner = modcat.ModuleCategory.decompose
+modcat.ModuleCategory.decompose = lambda self, e, c: [(i, 2 * k) for i, k in inner(self, e, c)]
+try:
+    knit_ind_A(a_n(3))
+except CatalogError as exc:
+    raise SystemExit(0 if "mesh" in str(exc) else 2)
+raise SystemExit(1)
+"""
+
+
+def test_mesh_mismatch_raises(monkeypatch, src_env):
+    """Radical multiplicities that break the meshes make the knit raise
+    CatalogError, also under python -O, and keep no catalog."""
+    monkeypatch.setattr(session, "_sessions", {})
+    inner = modcat.ModuleCategory.decompose
+    monkeypatch.setattr(
+        modcat.ModuleCategory, "decompose",
+        lambda self, e, c: [(i, 2 * k) for i, k in inner(self, e, c)],
+    )
+    cat = path_category(a_n(3))
+    with pytest.raises(CatalogError, match="mesh"):
+        cat.knit()
+    assert cat._catalog is None
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _MESH_MISMATCH],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,22 +1,196 @@
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
-from dupcat import cli, modcat, reps, session, tilting, verify
-from dupcat.dup import hom_reach, knit_ind_dup
+from dupcat import cli, leftpart, modcat, reps, session, tilting, verify
+from dupcat.dup import dup_category, knit_ind_dup
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A, path_category
 from dupcat.leftpart import (
     Report,
-    _ar_paths,
     annotate_catalog,
     left_part_catalog,
+    nonsectional_targets,
+    sectional_check,
 )
-from dupcat.quiver import prime, sinks_and_sources
+from dupcat.quiver import Quiver, prime, sinks_and_sources
 from dupcat.reps import Rep, is_isomorphic
 from dupcat.verify import run_all_checks
+
+
+# -- oracles: the brute-force routes the AR-quiver readings replaced ----------
+
+
+def _hom_reach(modules):
+    """Reflexive-transitive closure of the nonzero-hom relation, from one Hom
+    solve per ordered pair."""
+    n = len(modules)
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and reps.hom_dim(modules[i].rep(), modules[j].rep()) > 0:
+                reach[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                row_i, row_k = reach[i], reach[k]
+                for j in range(n):
+                    if row_k[j]:
+                        row_i[j] = True
+    return reach
+
+
+def _ar_paths(cat, start: int):
+    """Yield every directed path in the AR quiver from ``start``, in preorder
+    with successors in increasing order.  Raises ValueError on an oriented
+    cycle."""
+    adj = {}
+    for s, t, _ in cat.catalog.arrows:
+        adj.setdefault(s, set()).add(t)
+    succ = {s: sorted(ts, reverse=True) for s, ts in adj.items()}
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
+        yield path
+        nxt = succ.get(path[-1], ())
+        for t in nxt:
+            if t in path:
+                raise ValueError("AR quiver has an oriented cycle")
+        stack.extend([path + (t,) for t in nxt])
+
+
+def _is_sectional(path, tau_of) -> bool:
+    return all(tau_of.get(path[k + 1]) != path[k - 1] for k in range(1, len(path) - 1))
+
+
+def _enumerated_nonsectional_targets(cat, start):
+    return {p[-1] for p in _ar_paths(cat, start) if not _is_sectional(p, cat.catalog.tau_of)}
+
+
+def _sectional_check_by_enumeration(lpc, cat) -> Report:
+    """The sectional check with every AR path from each sink enumerated: a
+    witness per non-sectional path into the left part."""
+    if cat.in_L is None:
+        annotate_catalog(cat, lpc)
+    reach, pd_table = _hom_reach(list(cat.modules)), cat.pd_table
+    witnesses = []
+    for a, start in _sink_starts(cat).items():
+        targets = set()
+        for path in _ar_paths(cat, start):
+            if not _is_sectional(path, cat.catalog.tau_of):
+                targets.add(path[-1])
+                if cat.in_L[path[-1]]:
+                    witnesses.append(f"non-sectional path {path} from sink {a} ends inside the left part")
+        for j in range(len(cat.modules)):
+            if cat.in_L[j] or not reach[start][j] or j in targets:
+                continue
+            if not any(reach[i][j] and pd_table[i] >= 2 for i in range(len(cat.modules))):
+                witnesses.append(
+                    f"entry {j} outside the left part lacks a non-sectional path "
+                    f"from sink {a} and a pd>=2 predecessor"
+                )
+    return Report("sectional-paths", not witnesses, witnesses)
+
+
+def _d5():
+    return Quiver(
+        ["1", "2", "3", "4", "5"],
+        [("a1", "2", "1"), ("a2", "3", "2"), ("a3", "4", "3"), ("a4", "5", "3")],
+    )
+
+
+def _annotated(q):
+    lpc = left_part_catalog(q)
+    return lpc, annotate_catalog(knit_ind_dup(q), lpc)
+
+
+def _sink_starts(cat):
+    ctx = dup_category(cat.base)
+    sinks, _ = sinks_and_sources(cat.base)
+    return {a: cat.catalog.entries.index(ctx.proj[prime(a)]) for a in sinks}
+
+
+def _tamper_tau(cat):
+    """A copy of cat whose tau_of makes one sink path into the left part
+    non-sectional: tau x2 := x0 on a path x0 -> x1 -> x2 ending in L."""
+    start = min(_sink_starts(cat).values())
+    for path in _ar_paths(cat, start):
+        if len(path) >= 3 and cat.in_L[path[-1]]:
+            tau_of = dict(cat.catalog.tau_of)
+            tau_of[path[-1]] = path[-3]
+            return dataclasses.replace(cat, catalog=dataclasses.replace(cat.catalog, tau_of=tau_of))
+    raise AssertionError("no sink path of length 2 into the left part")
+
+
+@pytest.mark.parametrize(
+    "quiver", [lambda: a_n(2), lambda: a_n(3, "zigzag"), d4_subspace, _d5],
+    ids=["A2", "A3-zigzag", "D4", "D5"],
+)
+def test_sectional_dp_equals_enumeration(quiver):
+    """The (previous, current) worklist finds the non-sectional targets the
+    path enumeration finds, each witness path is non-sectional and ends at
+    its target, and both routes pass."""
+    lpc, cat = _annotated(quiver())
+    arrows = {(s, t) for s, t, _ in cat.catalog.arrows}
+    for start in _sink_starts(cat).values():
+        targets = nonsectional_targets(cat.catalog.arrows, cat.catalog.tau_of, start)
+        assert set(targets) == _enumerated_nonsectional_targets(cat, start)
+        for j, path in targets.items():
+            assert path[0] == start and path[-1] == j
+            assert set(zip(path, path[1:])) <= arrows
+            assert not _is_sectional(path, cat.catalog.tau_of)
+    dp, enum = sectional_check(lpc, cat), _sectional_check_by_enumeration(lpc, cat)
+    assert dp.passed and enum.passed, (dp.witnesses, enum.witnesses)
+
+
+@pytest.mark.parametrize("quiver", [lambda: a_n(3, "zigzag"), d4_subspace], ids=["A3-zigzag", "D4"])
+def test_tampered_tau_fails_both_sectional_routes(quiver):
+    """A tau_of that makes a sink path into the left part non-sectional
+    fails the DP and the enumeration; the DP names one path per target."""
+    lpc, cat = _annotated(quiver())
+    broken = _tamper_tau(cat)
+    assert not sectional_check(lpc, broken).passed
+    assert not _sectional_check_by_enumeration(lpc, broken).passed
+    expected = []
+    for a, start in _sink_starts(broken).items():
+        targets = nonsectional_targets(broken.catalog.arrows, broken.catalog.tau_of, start)
+        assert set(targets) == _enumerated_nonsectional_targets(broken, start)
+        expected += [
+            f"non-sectional path {path} from sink {a} ends inside the left part"
+            for j, path in targets.items()
+            if broken.in_L[j]
+        ]
+    witnesses = sectional_check(lpc, broken).witnesses
+    assert expected and [w for w in witnesses if w.startswith("non-sectional")] == expected
+
+
+@pytest.mark.parametrize(
+    "quiver", [lambda: a_n(3), d4_subspace, _d5], ids=["A3", "D4", "D5"],
+)
+def test_seeded_reach_equals_full_hom_closure(quiver):
+    """Arrow-seeded reachability equals the closure of one Hom solve per
+    ordered pair."""
+    cat = knit_ind_dup(quiver())
+    assert cat.reach == _hom_reach(list(cat.modules))
+
+
+def test_reach_rejects_an_arrow_without_a_nonzero_map():
+    """An AR arrow between entries with Hom = 0 raises CatalogError."""
+    cat = knit_ind_dup(a_n(2))
+    ctx = dup_category(cat.base)
+    s, t = next(
+        (i, j)
+        for i in range(len(cat.entries))
+        for j in range(len(cat.entries))
+        if ctx.hom_dim(cat.entries[i], cat.entries[j]) == 0
+    )
+    arrows = cat.catalog.arrows + ((s, t, 1),)
+    broken = dataclasses.replace(cat, catalog=dataclasses.replace(cat.catalog, arrows=arrows))
+    with pytest.raises(CatalogError, match="no nonzero map"):
+        broken.reach
 
 
 def _start_cold(monkeypatch):
@@ -80,6 +254,34 @@ def test_cover_budget(monkeypatch):
     assert 0 < len(calls) <= 130
 
 
+def test_hom_system_budget(monkeypatch):
+    """One cold D4 run_all_checks reads its AR facts off the AR quiver: at
+    most 600 rank-based Hom systems (1,391 when reachability solved every
+    ordered pair and the knit scanned the catalog) and at most 10 split_pair
+    calls that find no split pair (41 then)."""
+    _start_cold(monkeypatch)
+    systems, misses = [], []
+    inner_dim, inner_split = reps.hom_dim, reps.split_pair
+
+    def counting_dim(m, n):
+        systems.append((m, n))
+        return inner_dim(m, n)
+
+    def counting_split(c, e):
+        pair = inner_split(c, e)
+        if pair is None:
+            misses.append((c, e))
+        return pair
+
+    monkeypatch.setattr(reps, "hom_dim", counting_dim)
+    monkeypatch.setattr(reps, "split_pair", counting_split)
+    monkeypatch.setattr(leftpart, "split_pair", counting_split)
+    checks = run_all_checks(d4_subspace())
+    assert all(c.passed for c in checks)
+    assert 0 < len(systems) <= 600
+    assert len(misses) <= 10
+
+
 def test_socle_quotient_check_rejects_a_wrong_simple(monkeypatch, src_env):
     """A simple at the sink with a 2-dimensional Hom into the injective
     raises CatalogError, also under python -O."""
@@ -123,15 +325,12 @@ def test_run_all_checks_remaining_fixtures():
 def test_four_way_sigma_equivalence_pointwise():
     """sigma membership = (in L, not embedded) = (in L with a sink path)
     = (sink path exists and every irreducible refinement is sectional)."""
-    from dupcat.dup import dup_category
-
     for q in (a_n(2), a_n(3)):
         lpc = left_part_catalog(q)
         cat = annotate_catalog(knit_ind_dup(q), lpc)
-        ctx = dup_category(q)
         sinks, _ = sinks_and_sources(q)
-        reach = hom_reach(list(cat.modules))
-        starts = {a: cat.catalog.entries.index(ctx.proj[prime(a)]) for a in sinks}
+        reach = _hom_reach(list(cat.modules))
+        starts = _sink_starts(cat)
         tau_of = cat.catalog.tau_of
         all_paths = {a: list(_ar_paths(cat, s)) for a, s in starts.items()}
         for i in range(len(cat.modules)):
