@@ -128,25 +128,39 @@ def enumerate_cluster_tilting(q: Quiver):
     for i, o in enumerate(objects):
         if ext1_cluster_dim(o, o) != 0:
             raise CatalogError("fundamental-domain object not rigid")
-    compat = [[False] * count for _ in range(count)]
+    compat = [0] * count
     for i in range(count):
         for j in range(i + 1, count):
-            ok = ext1_cluster_dim(objects[i], objects[j]) == 0
-            compat[i][j] = compat[j][i] = ok
-    results = []
+            if ext1_cluster_dim(objects[i], objects[j]) == 0:
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+    return [tuple(objects[i] for i in c) for c in cliques(compat, n)]
 
-    def backtrack(start, chosen):
-        if len(chosen) == n:
-            results.append(tuple(objects[i] for i in chosen))
+
+def cliques(compat, size: int) -> list:
+    """Every ``size``-set of pairwise compatible indices, as ascending
+    tuples in lexicographic order.
+
+    ``compat[i]`` is the int bit mask of the indices compatible with i.  The
+    search keeps as one mask the candidates past the last chosen index that
+    are compatible with every chosen one, takes its lowest bit first, and
+    stops a branch once fewer candidates are left than places to fill.
+    """
+    out = []
+
+    def extend(chosen, cand):
+        need = size - len(chosen)
+        if not need:
+            out.append(tuple(chosen))
             return
-        for i in range(start, count):
-            if count - i < n - len(chosen):
-                break
-            if all(compat[i][j] for j in chosen):
-                backtrack(i + 1, chosen + [i])
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            extend(chosen + [i], cand & compat[i])
 
-    backtrack(0, [])
-    return results
+    extend([], (1 << len(compat)) - 1)
+    return out
 
 
 def is_maximal_rigid(q: Quiver, objs) -> bool:

@@ -308,10 +308,14 @@ def verify_pd_criterion(cat: DupCatalog) -> Report:
     """pd M <= 1 iff no injective maps nonzero into tau M.
 
     tau M is read from the knit's links, which the almost split sequences
-    certify."""
+    certify.  The covers of the injectives are taken first, so that
+    ``hom_dim`` answers every tau M vanishing on an injective's top with no
+    system."""
     q = cat.base
     ctx = dup_category(q)
     injectives = [ctx.inj[z] for z in ctx.quiver.vertices]
+    for iz in injectives:
+        ctx.cover(iz)
     entries, tau_of = cat.entries, cat.catalog.tau_of
     witnesses = []
     for i, pd in enumerate(cat.pd_table):

@@ -1,31 +1,58 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (Hom spaces, Ext groups, AR translates) reduces to
-kernels, cokernels and ranks of matrices with Fraction entries.  No floating
+kernels, cokernels and ranks of matrices with rational entries.  No floating
 point is used anywhere.
 
-Elimination runs on Python integers.  Each row is first scaled by the lcm of
-its denominators.  Ranks then use fraction-free (Bareiss) elimination;
-reduced row echelon forms use Gauss-Jordan with integer row operations, each
-updated row divided by its content (the gcd of its entries), and every pivot
-row divided by its pivot once at the end.  The reduced row echelon form is
-unique, so rref, nullspace, solve and cokernel return the same Fractions as
-Gauss-Jordan over Fraction would.
+Every entry is canonical: a Python ``int`` when it is integral, a
+``Fraction`` with denominator > 1 only otherwise.  Constructors, sums,
+scalings, products and every elimination result keep that form.  An int and
+the Fraction of the same value are equal and hash alike, so the form changes
+no value, no equality and no content key; it only keeps the integral case,
+which is almost every entry met in practice, on native integers.
+
+Elimination runs on Python integers.  A row holding a Fraction is first
+scaled by the lcm of its denominators; all-int rows are taken as they are.
+Ranks then use fraction-free (Bareiss) elimination; reduced row echelon
+forms use Gauss-Jordan with integer row operations, each updated row divided
+by its content (the gcd of its entries), and every pivot row divided by its
+pivot once at the end, by exact division where it is whole.  The reduced row
+echelon form is unique, so rref, nullspace, solve and cokernel return the
+same values as Gauss-Jordan over Fraction would.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _canon(x):
+    """x as a canonical entry: an int when integral, else a Fraction."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _canon_row(row) -> tuple:
+    """A list of int and Fraction entries as a tuple of canonical ones; a
+    row of ints, the common case, passes through in one type scan."""
+    if Fraction in map(type, row):
+        return tuple(
+            [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in row]
+        )
+    return tuple(row)
+
+
+def _divided(row: list, d: int) -> list:
+    """The canonical entries of the int list ``row`` divided by d != 0:
+    exact division where it is whole."""
+    if d == 1:
+        return row
+    return [Fraction(x, d) if x % d else x // d for x in row]
 
 
 class RMatrix:
@@ -34,7 +61,7 @@ class RMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, rows=None, cols=None):
-        data = tuple(tuple(_frac(x) for x in row) for row in data)
+        data = tuple(tuple([_canon(x) for x in row]) for row in data)
         if rows is None:
             rows = len(data)
         if cols is None:
@@ -48,8 +75,8 @@ class RMatrix:
     @staticmethod
     def _raw(data, rows: int, cols: int) -> "RMatrix":
         """Internal constructor: ``data`` is already a ``rows``-tuple of
-        ``cols``-tuples of Fractions, so it is neither re-wrapped nor
-        checked."""
+        ``cols``-tuples of canonical entries, so it is neither re-wrapped
+        nor checked."""
         m = _new(RMatrix)
         _set_rows(m, rows)
         _set_cols(m, cols)
@@ -61,14 +88,19 @@ class RMatrix:
 
     # -- constructors -------------------------------------------------
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RMatrix":
-        return RMatrix._raw(((_ZERO,) * cols,) * rows, rows, cols)
+    # RMatrix is immutable, so one zero and one identity matrix per shape
+    # serve every caller.
 
     @staticmethod
+    @cache
+    def zeros(rows: int, cols: int) -> "RMatrix":
+        return RMatrix._raw(((0,) * cols,) * rows, rows, cols)
+
+    @staticmethod
+    @cache
     def identity(n: int) -> "RMatrix":
         return RMatrix._raw(
-            tuple((_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i) for i in range(n)),
+            tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)),
             n,
             n,
         )
@@ -108,7 +140,7 @@ class RMatrix:
             raise ValueError("shape mismatch in addition")
         return RMatrix._raw(
             tuple(
-                tuple([a + b for a, b in zip(r1, r2)])
+                _canon_row([a + b for a, b in zip(r1, r2)])
                 for r1, r2 in zip(self.data, other.data)
             ),
             self.rows,
@@ -119,9 +151,9 @@ class RMatrix:
         return self + other.scale(-1)
 
     def scale(self, c) -> "RMatrix":
-        c = _frac(c)
+        c = _canon(c)
         return RMatrix._raw(
-            tuple(tuple([c * x for x in row]) for row in self.data),
+            tuple(_canon_row([c * x for x in row]) for row in self.data),
             self.rows,
             self.cols,
         )
@@ -138,9 +170,9 @@ class RMatrix:
             for a, orow in zip(row, other.data):
                 if not a:
                     continue
-                term = orow if a == 1 else [a * x if x else _ZERO for x in orow]
+                term = orow if a == 1 else [a * x if x else 0 for x in orow]
                 acc = term if acc is None else [x + y if y else x for x, y in zip(acc, term)]
-            out.append((_ZERO,) * other.cols if acc is None else tuple(acc))
+            out.append((0,) * other.cols if acc is None else _canon_row(acc))
         return RMatrix._raw(tuple(out), self.rows, other.cols)
 
     def transpose(self) -> "RMatrix":
@@ -149,7 +181,7 @@ class RMatrix:
         return RMatrix._raw(tuple(zip(*self.data)), self.cols, self.rows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def column_at(self, j: int):
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -186,7 +218,7 @@ class RMatrix:
         out = []
         c0 = 0
         for m in mats:
-            left, right = (_ZERO,) * c0, (_ZERO,) * (cols - c0 - m.cols)
+            left, right = (0,) * c0, (0,) * (cols - c0 - m.cols)
             out.extend(left + row + right for row in m.data)
             c0 += m.cols
         return RMatrix._raw(tuple(out), rows, cols)
@@ -204,11 +236,15 @@ _set_data = RMatrix.data.__set__
 
 
 def _int_rows(m: RMatrix):
-    """Each row of ``m`` times the lcm of its denominators, as int lists."""
+    """Each row of ``m`` times the lcm of its denominators, as int lists;
+    a row of ints is copied as it is."""
     out = []
     for row in m.data:
-        den = lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (den // x.denominator) for x in row])
+        if Fraction in map(type, row):
+            den = lcm(*[x.denominator for x in row])
+            out.append([x.numerator * (den // x.denominator) for x in row])
+        else:
+            out.append(list(row))
     return out
 
 
@@ -289,10 +325,9 @@ def rref(m: RMatrix):
     out = []
     for k, row in enumerate(a):
         if k < len(pivots):
-            p = row[pivots[k]]
-            out.append([Fraction(x, p) if x else _ZERO for x in row])
+            out.append(_divided(row, row[pivots[k]]))
         else:
-            out.append([_ZERO] * m.cols)
+            out.append([0] * m.cols)
     return out, pivots
 
 
@@ -301,21 +336,18 @@ def nullspace_basis(m: RMatrix):
     if m.cols == 0:
         return []
     if m.rows == 0:
-        return [
-            tuple(_ONE if i == j else _ZERO for i in range(m.cols))
-            for j in range(m.cols)
-        ]
+        return list(RMatrix.identity(m.cols).data)
     a, pivots = _int_rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
+        v = [0] * m.cols
+        v[f] = 1
         for r, p in enumerate(pivots):
-            x = a[r][f]
+            x, d = -a[r][f], a[r][p]
             if x:
-                v[p] = Fraction(-x, a[r][p])
+                v[p] = Fraction(x, d) if x % d else x // d
         basis.append(tuple(v))
     return basis
 
@@ -343,10 +375,9 @@ def solve_matrix(a: RMatrix, b: RMatrix):
     red, pivots = _int_rref(RMatrix.hstack([a, b]))
     if pivots and pivots[-1] >= a.cols:
         return None
-    x = [(_ZERO,) * b.cols] * a.cols
+    x = [(0,) * b.cols] * a.cols
     for r, p in enumerate(pivots):
-        row, d = red[r], red[r][p]
-        x[p] = tuple([Fraction(y, d) if y else _ZERO for y in row[a.cols:]])
+        x[p] = tuple(_divided(red[r][a.cols:], red[r][p]))
     return RMatrix._raw(tuple(x), a.cols, b.cols)
 
 

@@ -36,7 +36,8 @@ generic:
   term of each AR sequence is predicted from the arrows already known and
   certified summand by summand, with no catalog scan;
 * indecomposables are looked up by dimension vector (directing modules are
-  determined by it), with a split_pair certificate deciding every hit; the
+  determined by it), with an invertible map (``reps.is_isomorphic``)
+  deciding every hit; the
   same index serves the knit, catalog lookups and decompositions;
 * isomorphism of any two modules is decided by their Krull-Schmidt
   multiplicities against the knitted catalog.
@@ -109,9 +110,8 @@ def find_iso(m: Rep, modules, index) -> Optional[int]:
     """Index of a module in ``modules`` isomorphic to m, or None.
 
     Only the modules sharing m's dimension vector (``index``, from
-    :func:`dim_index`) are tried, each by a split_pair certificate.  Exact
-    when m or every listed module is indecomposable: a split mono between
-    modules with equal dimension vectors is an isomorphism.
+    :func:`dim_index`) are tried, each by ``reps.is_isomorphic``.  Exact
+    when m or every listed module is indecomposable.
     """
     for i in index.get(m.dim_vector(), ()):
         if reps.is_isomorphic(m, modules[i]):

@@ -9,7 +9,6 @@ a kernel, cokernel or solution space of one joint linear system.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import CatalogError
 from .linalg import (
@@ -185,7 +184,6 @@ def _hom_system(m: Rep, n: Rep):
     # Row (a, i, j) says (h_x M_a - N_a h_y)[i][j] = 0 for a: y -> x.  Loops
     # are rejected by Quiver, so the h_x and h_y unknowns of a row are
     # disjoint and each coefficient is written once.
-    zero = Fraction(0)
     rows = []
     for a in q.arrows:
         y, x = a.source, a.target
@@ -194,7 +192,7 @@ def _hom_system(m: Rep, n: Rep):
         for i in range(n.dims[x]):
             ni, xi = na[i], offsets[x] + i * mx
             for j in range(my):
-                row = [zero] * total
+                row = [0] * total
                 for k in range(mx):
                     row[xi + k] = ma[k][j]
                 for k in range(ny):
@@ -387,12 +385,15 @@ def has_section(g: RepMap) -> bool:
 
 
 def is_isomorphic(m: Rep, n: Rep) -> bool:
-    """Decide m = n up to isomorphism by a split_pair certificate.
+    """Decide m = n up to isomorphism from one Hom system: some basis map
+    of Hom(m, n) is invertible.
 
-    A True answer is always certified: a split mono between modules with
-    equal dimension vectors is an isomorphism.  A False answer is exact when
-    m or n is indecomposable (see :func:`split_pair`), which every library
-    caller meets; for two decomposable modules use
+    A True answer is always certified by that invertible map.  A False
+    answer is exact when m or n is indecomposable, which every library
+    caller meets.  If m = n by some iso phi, both are indecomposable, so
+    End(m) is local (Fitting's lemma) and the maps that are not invertible
+    form the proper subspace phi.rad End(m) of Hom(m, n); a basis cannot lie
+    in a proper subspace.  For two decomposable modules use
     ``ModuleCategory.is_isomorphic``.
     """
     if m is n:
@@ -401,4 +402,4 @@ def is_isomorphic(m: Rep, n: Rep) -> bool:
         return False
     if m.total_dim() == 0:
         return True
-    return split_pair(m, n) is not None
+    return any(f.is_isomorphism() for f in hom_basis(m, n))

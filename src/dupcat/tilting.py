@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin
-from .cluster import enumerate_cluster_tilting, pi_bar
+from .cluster import cliques, enumerate_cluster_tilting, pi_bar
 from .dup import dup_category, proj_primed
 from .leftpart import left_part_catalog
 from .reps import is_isomorphic
@@ -81,34 +81,21 @@ def enumerate_L_tilting(q: Quiver):
     count = len(candidates)
     ctx = dup_category(q)
     cand_reps = [m.rep() for m in candidates]
-    rigid = [[False] * count for _ in range(count)]
+    rigid = [0] * count
     for i in range(count):
         if ctx.ext1_dim(cand_reps[i], cand_reps[i]) != 0:
             raise CatalogError("candidate not rigid")
         for j in range(i + 1, count):
-            ok = (
+            if (
                 ctx.ext1_dim(cand_reps[i], cand_reps[j]) == 0
                 and ctx.ext1_dim(cand_reps[j], cand_reps[i]) == 0
-            )
-            rigid[i][j] = rigid[j][i] = ok
-    records = []
-
-    def backtrack(start, chosen):
-        if len(chosen) == n:
-            records.append(
-                TiltingModuleRecord(
-                    forced, tuple(candidates[i] for i in chosen), True
-                )
-            )
-            return
-        for i in range(start, count):
-            if count - i < n - len(chosen):
-                break
-            if all(rigid[i][j] for j in chosen):
-                backtrack(i + 1, chosen + [i])
-
-    backtrack(0, [])
-    return records
+            ):
+                rigid[i] |= 1 << j
+                rigid[j] |= 1 << i
+    return [
+        TiltingModuleRecord(forced, tuple(candidates[i] for i in c), True)
+        for c in cliques(rigid, n)
+    ]
 
 
 @dataclass

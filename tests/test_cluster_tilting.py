@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from dupcat.cluster import (
+    cliques,
     enumerate_cluster_tilting,
     ext1_cluster_dim,
     fundamental_domain,
@@ -14,6 +17,7 @@ from dupcat.dup import dup_category, embed_A, proj_primed, rep_to_triple
 from dupcat.errors import NotDynkinError, NotInDomainError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import knit_ind_A, projective_rep, simple_rep
+from dupcat.leftpart import left_part_catalog
 from dupcat.quiver import classify_dynkin
 from dupcat.tilting import (
     enumerate_L_tilting,
@@ -154,3 +158,58 @@ def test_expected_count():
     assert expected_count(classify_dynkin(a_n(3))) == 14
     assert expected_count(classify_dynkin(a_n(4))) == 42
     assert expected_count(classify_dynkin(d4_subspace())) == 50
+
+
+def _backtrack_cliques(compat, size):
+    """Index-by-index backtracking over a boolean compatibility table: the
+    search both enumerations ran before the bit-mask routine."""
+    count = len(compat)
+    out = []
+
+    def backtrack(start, chosen):
+        if len(chosen) == size:
+            out.append(tuple(chosen))
+            return
+        for i in range(start, count):
+            if count - i < size - len(chosen):
+                break
+            if all(compat[i][j] for j in chosen):
+                backtrack(i + 1, chosen + [i])
+
+    backtrack(0, [])
+    return out
+
+
+def test_cliques_match_backtracking_in_order():
+    rng = random.Random(5)
+    for _ in range(200):
+        count, size = rng.randint(0, 12), rng.randint(0, 5)
+        table = [[False] * count for _ in range(count)]
+        masks = [0] * count
+        density = rng.random()
+        for i in range(count):
+            for j in range(i + 1, count):
+                if rng.random() < density:
+                    table[i][j] = table[j][i] = True
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        assert cliques(masks, size) == _backtrack_cliques(table, size)
+
+
+@pytest.mark.parametrize("q", [a_n(3), d4_subspace()], ids=["A3", "D4"])
+def test_both_enumerations_match_backtracking(q):
+    n = len(q.vertices)
+    objects = fundamental_domain(q)
+    table = [[ext1_cluster_dim(o, p) == 0 for p in objects] for o in objects]
+    want = [tuple(objects[i] for i in c) for c in _backtrack_cliques(table, n)]
+    assert enumerate_cluster_tilting(q) == want
+    candidates = sorted(
+        left_part_catalog(q).non_proj_inj_members(),
+        key=lambda m: (m.total_dim(), m.dim_vectors()),
+    )
+    ctx = dup_category(q)
+    cand = [m.rep() for m in candidates]
+    table = [[ctx.ext1_dim(a, b) == 0 == ctx.ext1_dim(b, a) for b in cand] for a in cand]
+    want = [tuple(candidates[i] for i in c) for c in _backtrack_cliques(table, n)]
+    assert [r.free for r in enumerate_L_tilting(q)] == want
+    assert len(want) == expected_count(classify_dynkin(q))

@@ -4,8 +4,8 @@ reproduce the SHA-256 digests the benchmark records in
 the fixtures and ``export`` on one D5 orientation must reproduce the digests
 written below, recorded before the projective side of the engine was
 reworked (Yoneda maps by evaluation, shared sums and duals).  ``verify`` and
-``enumerate`` on the E6 fixture have recorded digests too, and ``verify`` on
-the E7 fixture must pass."""
+``enumerate`` on the E6 fixture and ``verify`` on four D5 orientations have
+recorded digests too, and ``verify`` on the E7 fixture must pass."""
 
 import hashlib
 import importlib.util
@@ -88,6 +88,29 @@ E6_DIGESTS = {
 def test_e6_bytes_match_recorded_digest(fixture_dir, tmp_path, capsys, command):
     quiver = fixture_dir / "e6.quiver"
     assert _digest_of_run(tmp_path, capsys, command, quiver) == E6_DIGESTS[command]
+
+
+# The four seeded D5 orientations of the benchmark's verify workload, as
+# vertex>vertex arrows along the edges 1-2, 2-3, 3-4, 3-5; ``verify --out``
+# digests recorded before the kernel kept integral entries as ints.
+D5_VERIFY_ORIENTATIONS = [
+    "2>1,3>2,3>4,5>3",
+    "2>1,2>3,4>3,3>5",
+    "1>2,2>3,3>4,5>3",
+    "2>1,3>2,4>3,3>5",
+]
+D5_VERIFY_DIGEST = "801a7c325e1787c27c88d0413e50599419922fd6c9a54791dfcbc58e71dda2ee"
+
+
+@pytest.mark.parametrize("orientation", D5_VERIFY_ORIENTATIONS)
+def test_d5_verify_bytes_match_recorded_digest(tmp_path, capsys, orientation):
+    arrows = [
+        f"arrow a{i} {edge.replace('>', ' ')}"
+        for i, edge in enumerate(orientation.split(","), start=1)
+    ]
+    quiver = tmp_path / "d5.quiver"
+    quiver.write_text("vertices 1 2 3 4 5\n" + "\n".join(arrows) + "\n", encoding="utf-8")
+    assert _digest_of_run(tmp_path, capsys, "verify", quiver) == D5_VERIFY_DIGEST
 
 
 def test_e7_verify_passes(fixture_dir, tmp_path, capsys):

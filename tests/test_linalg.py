@@ -91,12 +91,15 @@ def test_solve_and_right_inverse():
     q = M([[1, 1, 0], [0, 1, 1]])
     s = right_inverse(q)
     assert q @ s == RMatrix.identity(2)
+    assert _canonical(s.data)
     assert solve_matrix(M([[1, 0], [0, 0]]), RMatrix.column([0, 1])) is None
 
 
 def test_coordinates_in_span():
     coords = coordinates_in_span([(1, 0, 1), (0, 1, 1)], (2, 3, 5))
     assert coords == (2, 3)
+    assert _canonical([coords])
+    assert coordinates_in_span([(2, 0), (0, 3)], (1, 1)) == (Fraction(1, 2), Fraction(1, 3))
     assert coordinates_in_span([(1, 0, 0)], (0, 1, 0)) is None
 
 
@@ -145,8 +148,14 @@ def _oracle_solve(a_rows, b_rows, acols, bcols):
     return x
 
 
-def _all_fractions(rows):
-    return all(type(x) is Fraction for row in rows for x in row)
+def _canonical(rows):
+    """Every entry is an int when integral, else a Fraction with
+    denominator > 1: the one form the kernel hands out."""
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator > 1)
+        for row in rows
+        for x in row
+    )
 
 
 _ENTRY = st.one_of(
@@ -185,12 +194,12 @@ def test_rref_rank_nullspace_match_oracle(m):
     want, want_pivots = _oracle_rref(rows, m.cols)
     got, pivots = rref(m)
     assert (got, pivots) == (want, want_pivots)
-    assert _all_fractions(got)
+    assert _canonical(got)
     assert rank(m) == len(want_pivots)
     basis = nullspace_basis(m)
     if m.cols and m.rows:
         assert basis == _oracle_nullspace(rows, m.cols)
-    assert _all_fractions(basis)
+    assert _canonical(basis)
     assert len(basis) == m.cols - rank(m)
 
 
@@ -202,7 +211,7 @@ def test_cokernel_matches_oracle(m):
         want = _oracle_nullspace([list(c) for c in zip(*m.data)], m.rows)
         assert [tuple(r) for r in q.data] == want
     assert (q.rows, q.cols) == (d, m.rows)
-    assert _all_fractions(q.data)
+    assert _canonical(q.data)
     assert (q @ m).is_zero()
 
 
@@ -221,7 +230,7 @@ def test_solve_matches_oracle(a, data):
     else:
         assert [list(r) for r in got.data] == want
         assert (got.rows, got.cols) == (a.cols, bcols)
-        assert _all_fractions(got.data)
+        assert _canonical(got.data)
         assert a @ got == b
 
 
@@ -233,10 +242,13 @@ def test_matrix_algebra_matches_entrywise_definition(m, n, c):
         assert mat == RMatrix(rows, nrows, ncols)
         assert (mat.rows, mat.cols) == (nrows, ncols) and len(mat.data) == nrows
         assert all(type(r) is tuple and len(r) == ncols for r in mat.data)
-        assert _all_fractions(mat.data)
+        assert _canonical(mat.data)
 
     d = m.data
     t = [[d[i][j] for i in range(m.rows)] for j in range(m.cols)]
+    assert _canonical(d)
+    check(RMatrix.from_columns(t, m.rows), [list(r) for r in d], m.rows, m.cols)
+    check(RMatrix.column(m.flatten()), [[x] for r in d for x in r], m.rows * m.cols, 1)
     check(m.transpose(), t, m.cols, m.rows)
     check(m.scale(c), [[c * x for x in r] for r in d], m.rows, m.cols)
     check(m + m.scale(c), [[x + c * x for x in r] for r in d], m.rows, m.cols)
@@ -256,6 +268,38 @@ def test_matrix_algebra_matches_entrywise_definition(m, n, c):
     )
 
 
+def test_fractions_that_meet_integers_come_out_as_ints():
+    half = M([[Fraction(1, 2), Fraction(-3, 2)]])
+    cases = {
+        "1/2 + 1/2": (half + half, [[1, -3]]),
+        "2 * 1/2": (half.scale(2), [[1, -3]]),
+        "1/2 * 2": (half.scale(Fraction(2)), [[1, -3]]),
+        "product": (half @ M([[2], [Fraction(2, 3)]]), [[0]]),
+        "difference": (half - half, [[0, 0]]),
+        "mixed": (half + M([[Fraction(1, 2), 1]]), [[1, Fraction(-1, 2)]]),
+        "constructor": (M([[Fraction(4, 2), "3/1", 2.0, True]]), [[2, 3, 2, 1]]),
+    }
+    for name, (got, want) in cases.items():
+        assert got == M(want), name
+        assert _canonical(got.data), name
+    (v,) = nullspace_basis(M([[Fraction(1, 2), Fraction(1, 2)]]))
+    assert v == (-1, 1) and _canonical([v])
+    sol = solve_matrix(M([[Fraction(1, 3)]]), M([[Fraction(2, 3)]]))
+    assert sol == M([[2]]) and _canonical(sol.data)
+    rows, _ = rref(M([[2, 4, 3]]))
+    assert rows == [[1, 2, Fraction(3, 2)]] and _canonical(rows)
+
+
+def test_zeros_and_identity_are_shared_per_shape():
+    assert RMatrix.zeros(2, 3) is RMatrix.zeros(2, 3)
+    assert RMatrix.identity(4) is RMatrix.identity(4)
+    assert RMatrix.zeros(2, 3) is not RMatrix.zeros(3, 2)
+    assert _canonical(RMatrix.zeros(2, 3).data) and _canonical(RMatrix.identity(4).data)
+    # Integral entries hash and compare as their Fractions did.
+    f = RMatrix._raw(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), 2, 2)
+    assert f == RMatrix.identity(2) and hash(f) == hash(RMatrix.identity(2))
+
+
 def test_ragged_input_is_rejected():
     with pytest.raises(ValueError):
         RMatrix([[1, 2], [3]])
@@ -266,3 +310,4 @@ def test_ragged_input_is_rejected():
     with pytest.raises(ValueError):
         RMatrix([], 2, 0)
     assert RMatrix([[1, Fraction(1, 2)]]).data == ((Fraction(1), Fraction(1, 2)),)
+    assert _canonical(RMatrix([[Fraction(1), Fraction(1, 2)]]).data)

@@ -1,6 +1,9 @@
 """Representation-level invariants raise typed errors (kept under python -O),
-split_pair solves only the Hom spaces its verdict needs, and has_section
-decides split epimorphisms exactly."""
+split_pair solves only the Hom spaces its verdict needs, has_section
+decides split epimorphisms exactly, and is_isomorphic agrees with the
+split_pair route."""
+
+import random
 
 import pytest
 
@@ -9,8 +12,17 @@ from dupcat.errors import CatalogError
 from dupcat.dup import dup_category
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import path_category, projective_rep, simple_rep
-from dupcat.linalg import RMatrix
-from dupcat.reps import RepMap, cokernel, direct_sum, has_section, identity_map, split_pair
+from dupcat.linalg import RMatrix, solve_matrix
+from dupcat.reps import (
+    Rep,
+    RepMap,
+    cokernel,
+    direct_sum,
+    has_section,
+    identity_map,
+    is_isomorphic,
+    split_pair,
+)
 
 
 def test_act_path_rejects_path_from_wrong_vertex():
@@ -77,3 +89,86 @@ def test_has_section_false_on_almost_split_sequences(category):
     for seq in catalog.sequences.values():
         assert seq.g.is_surjective()
         assert not has_section(seq.g)
+
+
+# -- is_isomorphic against the split_pair route --------------------------------
+
+
+def _split_pair_iso(m, n):
+    """The split_pair route: m = n iff the dimension vectors agree and m
+    splits off n (both zero counts as isomorphic)."""
+    if m.dim_vector() != n.dim_vector():
+        return False
+    return m.total_dim() == 0 or split_pair(m, n) is not None
+
+
+def _twin(m):
+    """A distinct object with the content of m."""
+    return Rep(m.quiver, dict(m.dims), dict(m.mats))
+
+
+def _conjugate(m, rng):
+    """m with its basis at every vertex changed by a random invertible
+    integer matrix g_v: the arrow y -> x acts by g_x M_a g_y^-1."""
+    g = {}
+    for v in m.quiver.vertices:
+        d = m.dims[v]
+        while True:
+            gv = RMatrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)], d, d)
+            inv = solve_matrix(gv, RMatrix.identity(d))
+            if inv is not None:
+                g[v] = (gv, inv)
+                break
+    mats = {
+        a.name: g[a.target][0] @ m.mats[a.name] @ g[a.source][1] for a in m.quiver.arrows
+    }
+    return Rep(m.quiver, dict(m.dims), mats)
+
+
+def _semisimple(cat, m):
+    """The direct sum of simples with the dimension vector of m."""
+    parts = [cat.simple[v] for v in m.quiver.vertices for _ in range(m.dims[v])]
+    return direct_sum(parts)[0]
+
+
+_CATALOGS = [
+    pytest.param(lambda: path_category(d4_subspace()), id="D4"),
+    pytest.param(lambda: dup_category(a_n(3)), id="dup-A3"),
+]
+
+
+@pytest.mark.parametrize("make", _CATALOGS)
+def test_is_isomorphic_agrees_with_split_pair_on_catalog(make):
+    cat = make()
+    entries = cat.knit().entries
+    rng = random.Random(3)
+    pairs = 0
+    for m in entries:
+        others = [n for n in entries if n.dim_vector() == m.dim_vector()]
+        others += [_twin(m), _conjugate(m, rng), _semisimple(cat, m)]
+        for n in others:
+            for a, b in ((m, n), (n, m)):
+                want = _split_pair_iso(a, b)
+                assert is_isomorphic(a, b) == want
+                pairs += 1
+        assert is_isomorphic(m, _twin(m)) and is_isomorphic(_conjugate(m, rng), m)
+        simple = sum(m.dims.values()) == 1
+        assert is_isomorphic(_semisimple(cat, m), m) == simple
+    assert pairs >= 8 * len(entries)
+
+
+def test_is_isomorphic_with_one_decomposable_side():
+    q = a_n(2)  # 2 -> 1
+    s1, s2, p2 = simple_rep(q, "1"), simple_rep(q, "2"), projective_rep(q, "2")
+    s12 = direct_sum([s1, s2])[0]
+    s21 = direct_sum([s2, s1])[0]
+    assert s12.dim_vector() == p2.dim_vector()
+    for a, b in ((s12, p2), (p2, s12), (s21, p2), (p2, s21)):
+        assert not _split_pair_iso(a, b)
+        assert not is_isomorphic(a, b)
+    q = d4_subspace()
+    p2 = projective_rep(q, "2")
+    tops = direct_sum([simple_rep(q, "2"), path_category(q).radical(p2)[0]])[0]
+    assert tops.dim_vector() == p2.dim_vector()
+    assert not is_isomorphic(tops, p2) and not is_isomorphic(p2, tops)
+    assert not _split_pair_iso(tops, p2) and not _split_pair_iso(p2, tops)
