@@ -88,20 +88,20 @@ def pi_bar(m: DupModule) -> ClusterObject:
 def ext1_cluster_dim(o1: ClusterObject, o2: ClusterObject) -> int:
     """Extension dimension between fundamental-domain representatives.
 
-    module/module: both-direction base Ext; shift(x)/module(M): the dimension
-    of M at x; shift/shift: zero.
+    module/module: both-direction base Ext, read off the hom table of ind A
+    by the AR formula (A is hereditary, so every module has projective
+    dimension <= 1); shift(x)/module(M): the dimension of M at x;
+    shift/shift: zero.
     """
     if o1.quiver != o2.quiver:
         raise CatalogError("cluster objects over different quivers")
-    cat = path_category(o1.quiver)
-    entries = cat.knit().entries
+    cat = knit_ind_A(o1.quiver)
     if o1.kind == "module" and o2.kind == "module":
-        m, n = entries[o1.key], entries[o2.key]
-        return cat.ext1_dim(m, n) + cat.ext1_dim(n, m)
+        return cat.ext1_by_tau(o1.key, o2.key) + cat.ext1_by_tau(o2.key, o1.key)
     if o1.kind == "shift" and o2.kind == "shift":
         return 0
     shift, mod = (o1, o2) if o1.kind == "shift" else (o2, o1)
-    return entries[mod.key].dims[shift.key]
+    return cat.entries[mod.key].dims[shift.key]
 
 
 def hom_cluster_dim_modules(m: Rep, n: Rep) -> int:

@@ -24,6 +24,7 @@ a :class:`DupModule` again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -343,33 +344,17 @@ class DupCatalog:
     def reach(self):
         """reach[i][j]: a chain of nonzero morphisms leads from entry i to j.
 
-        The reflexive-transitive closure of the nonzero-Hom relation, read
-        off the AR quiver first: the closure is seeded with the AR arrows,
-        each certified by a nonzero Hom (CatalogError otherwise).  Hom is
-        then solved only for the pairs still outside that closure, and the
-        nonzero ones are added and closed again.  So the result is exact
-        without assuming that every nonzero map factors through irreducible
-        ones.
+        The reflexive-transitive closure of {(i, j) : hom_table[i][j] > 0},
+        read off the catalog's certified hom table with no Hom system (the
+        diagonal of the table is 1).  The closure is needed because a
+        composite of nonzero maps may vanish.
         """
-        ctx = dup_category(self.base)
-        entries = self.entries
-        n = len(entries)
-        rows = [1 << i for i in range(n)]  # row i as a bit set of the j
-        for s, t, _ in self.catalog.arrows:
-            if not ctx.hom_dim(entries[s], entries[t]):
-                raise CatalogError(f"AR arrow {s} -> {t} carries no nonzero map")
-            rows[s] |= 1 << t
-        _close(rows)
-        extra = [
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if not rows[i] >> j & 1 and ctx.hom_dim(entries[i], entries[j])
+        rows = [
+            sum(1 << j for j, h in enumerate(row) if h)  # row i as a bit set of the j
+            for row in self.catalog.hom_table
         ]
-        if extra:
-            for i, j in extra:
-                rows[i] |= 1 << j
-            _close(rows)
+        _close(rows)
+        n = len(rows)
         return [[bool(row >> j & 1) for j in range(n)] for row in rows]
 
     @cached_property
@@ -378,8 +363,24 @@ class DupCatalog:
         ctx = dup_category(self.base)
         return tuple(ctx.pd(e) for e in self.entries)
 
+    def ext1_dim(self, i: int, j: int) -> int:
+        """dim Ext^1(entry i, entry j): by the AR formula from the hom table
+        (``ARCatalog.ext1_by_tau``) when ``pd_table`` gives pd <= 1 for
+        entry i, otherwise from the Ext^1 engine."""
+        if self.pd_table[i] <= 1:
+            return self.catalog.ext1_by_tau(i, j)
+        return dup_category(self.base).ext1_dim(self.entries[i], self.entries[j])
+
     def find_module(self, m: DupModule) -> Optional[int]:
         return self.catalog.find(m.rep())
+
+    def indices(self, modules) -> list:
+        """The entry index of each of the indecomposable ``modules``;
+        CatalogError naming the first one the catalog lacks."""
+        found = [self.find_module(m) for m in modules]
+        if None in found:
+            raise CatalogError(f"module {modules[found.index(None)]} is missing from the catalog")
+        return found
 
 
 def _close(rows) -> None:
@@ -392,9 +393,18 @@ def _close(rows) -> None:
 
 
 def knit_ind_dup(q: Quiver, cap: int = 10000) -> DupCatalog:
-    """Knit the AR catalog of the duplicated algebra (cap-guarded)."""
-    cat = dup_category(q)
-    ar = cat.knit(cap)
+    """The catalog of ind of the duplicated algebra, one per quiver (its
+    session's), so its reachability, projective dimensions and hom table
+    are built once.  Cap-guarded like ``ModuleCategory.knit``: a call with
+    a cap below the entry count raises CapExceededError, also after the
+    first knit."""
+    dup_category(q).knit(cap)
+    return session(q).dup_catalog
+
+
+def build_dup_catalog(q: Quiver) -> DupCatalog:
+    # knit_ind_dup has knitted under its cap; this reads the kept knit
+    ar = dup_category(q).knit(math.inf)
     modules = tuple(rep_to_triple(e, q) for e in ar.entries)
     proj_inj = tuple(
         p and i for p, i in zip(ar.projective, ar.injective)

@@ -90,6 +90,17 @@ def knit_ind_A(q: Quiver, cap: int = 10000) -> ARCatalog:
     return path_category(q).knit(cap)
 
 
+def euler_form(q: Quiver, x, y) -> int:
+    """<x, y> = sum of x_v y_v over the vertices minus sum of x_s y_t over
+    the arrows s -> t, for dimension vectors in vertex order: dim Hom(M, N)
+    - dim Ext^1(M, N) for modules M, N of the path algebra (Ringel, LNM
+    1099, 2.4)."""
+    pos = {v: k for k, v in enumerate(q.vertices)}
+    return sum(a * b for a, b in zip(x, y)) - sum(
+        x[pos[a.source]] * y[pos[a.target]] for a in q.arrows
+    )
+
+
 def positive_root_count(dynkin) -> int:
     """Number of positive roots, i.e. |ind A|, per Dynkin family."""
     fam, n = dynkin.family, dynkin.rank

@@ -23,13 +23,14 @@ from .dup import (
     DupModule,
     dup_category,
     embed_A,
+    knit_ind_dup,
     proj_primed,
     rep_to_triple,
     standard_dup_modules,
 )
 from .hereditary import knit_ind_A
-from .modcat import dim_index, find_iso
-from .reps import cokernel as rep_cokernel, is_isomorphic, split_pair
+from .modcat import dim_index
+from .reps import cokernel as rep_cokernel, split_pair
 from .session import session
 
 
@@ -90,7 +91,7 @@ class LeftPartCatalog:
         """Index of the member isomorphic to m, or None; exact because the
         members are indecomposable."""
         member_reps, index = self._by_dim
-        return find_iso(m.rep(), member_reps, index)
+        return dup_category(self.base).find_iso(m.rep(), member_reps, index)
 
 
 def sigma_catalog(q: Quiver):
@@ -211,7 +212,7 @@ def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
         if ctx.pd(m) > 1:
             raise CatalogError(f"left-part member {i} has projective dimension > 1")
         for j in range(i + 1, len(member_reps)):
-            if is_isomorphic(m, member_reps[j]):
+            if ctx.iso(m, member_reps[j]):
                 raise CatalogError("duplicate member")
     return lpc
 
@@ -235,21 +236,24 @@ def annotate_catalog(cat: DupCatalog, lpc: LeftPartCatalog) -> DupCatalog:
 
 def verify_ext_injectives(lpc: LeftPartCatalog) -> Report:
     """Brute-force check that sigma is exactly the Ext-injectives of the left
-    part, and that they are exactly the members whose tau^{-1} leaves it."""
-    ctx = dup_category(lpc.base)
+    part, and that they are exactly the members whose tau^{-1} leaves it.
+
+    Both read the session's knitted catalog: Ext^1 between members from its
+    hom table (every member has projective dimension <= 1, see
+    ``DupCatalog.ext1_dim``) and tau^{-1} from its links."""
+    cat = knit_ind_dup(lpc.base)
     witnesses = []
     sigma_set = set(lpc.sigma_indices)
-    for i, m in enumerate(lpc.members):
-        ext_vanishes = all(
-            ctx.ext1_dim(n.rep(), m.rep()) == 0 for n in lpc.members
-        )
+    found = cat.indices(lpc.members)
+    in_l = set(found)
+    for i, (m, k) in enumerate(zip(lpc.members, found)):
+        ext_vanishes = all(cat.ext1_dim(l, k) == 0 for l in found)
         if ext_vanishes != (i in sigma_set):
             witnesses.append(
                 f"member {i} {m}: Ext-injective={ext_vanishes} but sigma={i in sigma_set}"
             )
-        ti = ctx.tau_inv(m.rep())
         # injective members have no tau^{-1}
-        leaves = ti is None or lpc.member_index(rep_to_triple(ti, lpc.base)) is None
+        leaves = cat.catalog.tau_inv_of.get(k) not in in_l
         if leaves != (i in sigma_set):
             witnesses.append(
                 f"member {i} {m}: tau-inverse outside L={leaves} but sigma={i in sigma_set}"
@@ -308,22 +312,16 @@ def verify_pd_criterion(cat: DupCatalog) -> Report:
     """pd M <= 1 iff no injective maps nonzero into tau M.
 
     tau M is read from the knit's links, which the almost split sequences
-    certify.  The covers of the injectives are taken first, so that
-    ``hom_dim`` answers every tau M vanishing on an injective's top with no
-    system."""
-    q = cat.base
-    ctx = dup_category(q)
-    injectives = [ctx.inj[z] for z in ctx.quiver.vertices]
-    for iz in injectives:
-        ctx.cover(iz)
-    entries, tau_of = cat.entries, cat.catalog.tau_of
+    certify, and dim Hom(I, tau M) from the catalog's hom table, summed over
+    the injective entries (each indecomposable injective once); the
+    projective dimensions come from presentations, with no Hom system."""
+    ar = cat.catalog
+    table = ar.hom_table
+    injectives = [k for k, flag in enumerate(ar.injective) if flag]
     witnesses = []
     for i, pd in enumerate(cat.pd_table):
-        if i in tau_of:
-            t = entries[tau_of[i]]
-            hom_from_inj = sum(ctx.hom_dim(iz, t) for iz in injectives)
-        else:
-            hom_from_inj = 0
+        t = ar.tau_of.get(i)
+        hom_from_inj = 0 if t is None else sum(table[k][t] for k in injectives)
         if (pd <= 1) != (hom_from_inj == 0):
             witnesses.append(
                 f"entry {i}: pd={pd} but Hom(injectives, tau)={hom_from_inj}"
@@ -400,7 +398,9 @@ def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
 
     The non-sectional targets come from :func:`nonsectional_targets`, with
     one offending path as the witness of each target inside the left part.
-    An oriented cycle reachable from a sink is the only witness reported.
+    An oriented cycle reachable from a sink is the only witness reported;
+    a hom table that fails its certificate (``DupCatalog.reach``) is
+    reported after the paths into the left part.
     """
     if cat.in_L is None:
         annotate_catalog(cat, lpc)
@@ -416,16 +416,26 @@ def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
     except ValueError as exc:
         return Report("sectional-paths", False, [str(exc)])
     witnesses = []
+    inside = {
+        a: [
+            f"non-sectional path {path} from sink {a} ends inside the left part"
+            for j, path in targets.items()
+            if cat.in_L[j]
+        ]
+        for a, targets in by_sink.items()
+    }
+    try:
+        reach = cat.reach
+    except CatalogError as exc:
+        # the hom table behind reach failed its certificate: the arrows or
+        # links the paths were read from are wrong
+        return Report("sectional-paths", False, sum(inside.values(), []) + [str(exc)])
     n = len(cat.modules)
-    reach, pd_table = cat.reach, cat.pd_table
+    pd_table = cat.pd_table
     bad_pred = [any(reach[i][j] and pd_table[i] >= 2 for i in range(n)) for j in range(n)]
     for a, targets in by_sink.items():
         start = starts[a]
-        for j, path in targets.items():
-            if cat.in_L[j]:
-                witnesses.append(
-                    f"non-sectional path {path} from sink {a} ends inside the left part"
-                )
+        witnesses += inside[a]
         for j in range(n):
             if cat.in_L[j] or not reach[start][j]:
                 continue
@@ -458,7 +468,7 @@ def canonical_tilting(q: Quiver) -> CanonicalTilting:
         for x in q.vertices
         if any(
             lpc.proj_inj_flags[i]
-            and is_isomorphic(lpc.members[i].rep(), proj_primed(q, x).rep())
+            and dup_category(q).iso(lpc.members[i].rep(), proj_primed(q, x).rep())
             for i in lpc.sigma_indices
         )
     }

@@ -35,10 +35,15 @@ generic:
   meshes: the radicals of the projectives are decomposed, and the middle
   term of each AR sequence is predicted from the arrows already known and
   certified summand by summand, with no catalog scan;
+* dim Hom between any two catalog entries is one entry of the catalog's
+  hom table, knitted along the certified meshes on first read (never by
+  the knit itself) and certified against the dimension vectors by Yoneda;
+  Ext^1 from a source of projective dimension <= 1 is the table entry of
+  its tau (the AR formula), with no system built;
 * indecomposables are looked up by dimension vector (directing modules are
   determined by it), with an invertible map (``reps.is_isomorphic``)
-  deciding every hit; the
-  same index serves the knit, catalog lookups and decompositions;
+  deciding every hit, its verdict kept per pair of contents; the same index
+  serves the knit, catalog lookups and decompositions;
 * isomorphism of any two modules is decided by their Krull-Schmidt
   multiplicities against the knitted catalog.
 """
@@ -47,6 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
+from operator import add, sub
 from typing import Optional
 
 from .errors import CapExceededError, CatalogError, CycleDetectedError
@@ -106,19 +113,6 @@ def dim_index(modules) -> dict:
     return index
 
 
-def find_iso(m: Rep, modules, index) -> Optional[int]:
-    """Index of a module in ``modules`` isomorphic to m, or None.
-
-    Only the modules sharing m's dimension vector (``index``, from
-    :func:`dim_index`) are tried, each by ``reps.is_isomorphic``.  Exact
-    when m or every listed module is indecomposable.
-    """
-    for i in index.get(m.dim_vector(), ()):
-        if reps.is_isomorphic(m, modules[i]):
-            return i
-    return None
-
-
 @dataclass
 class ARSequence:
     left: int
@@ -131,7 +125,11 @@ class ARSequence:
 
 @dataclass
 class ARCatalog:
-    """Indecomposables of a representation-finite category with AR structure."""
+    """Indecomposables of a representation-finite category with AR structure.
+
+    The first entries are the projectives P_z in the order of the quiver's
+    vertices.
+    """
 
     category: "ModuleCategory"
     entries: tuple
@@ -148,7 +146,104 @@ class ARCatalog:
         return dim_index(self.entries)
 
     def find(self, m: Rep) -> Optional[int]:
-        return find_iso(m, self.entries, self.index)
+        return self.category.find_iso(m, self.entries, self.index)
+
+    @cached_property
+    def hom_table(self) -> tuple:
+        """``hom_table[i][j]`` = dim Hom(entry i, entry j), read off the AR
+        quiver and certified once.
+
+        dim Hom(M, -) is additive on the meshes with a correction of 1 at M
+        (the hammock of M): applying Hom(M, -) to the AR sequence
+        0 -> tau X -> E -> X -> 0 leaves a cokernel only when M = X, where it
+        is End(M) / rad End(M), one-dimensional for the directing modules of
+        a representation-finite triangular algebra; and a map M -> P into a
+        projective that is not an isomorphism factors through rad P.  So,
+        with the entries visited in a topological order of the arrows and
+        the tau links,
+
+            h[j] = sum of mult * h[s] over the arrows s -> j
+                   - h[tau j] when j is not projective  + 1 when j = M.
+
+        One column (j) is knitted at a time for every source at once.  The
+        table is then certified by Yoneda against the matrices (see
+        :meth:`_certify_hom_table`), so a wrong arrow, multiplicity or tau
+        link raises CatalogError naming an entry.
+        """
+        n = len(self.entries)
+        into = [[] for _ in range(n)]
+        for s, t, mult in self.arrows:
+            into[t].append((s, mult))
+        graph = {j: [s for s, _ in into[j]] for j in range(n)}
+        for j, t in self.tau_of.items():
+            graph[j].append(t)
+        try:
+            order = tuple(TopologicalSorter(graph).static_order())
+        except CycleError as exc:
+            raise CatalogError(
+                f"hom table: the AR arrows and tau links have an oriented cycle through entries {exc.args[1]}"
+            ) from None
+        cols = [None] * n  # cols[j][i] = dim Hom(entry i, entry j)
+        for j in order:
+            col = [0] * n
+            for s, mult in into[j]:
+                col = list(map(add, col, cols[s] if mult == 1 else [mult * h for h in cols[s]]))
+            t = self.tau_of.get(j)
+            if t is not None:
+                col = list(map(sub, col, cols[t]))
+            col[j] += 1
+            cols[j] = col
+        rows = tuple(zip(*cols))
+        self._certify_hom_table(rows)
+        return rows
+
+    def _certify_hom_table(self, rows) -> None:
+        """CatalogError naming an entry unless every dim Hom is >= 0, every
+        dim End is 1, the row of each projective P_z is coordinate z of the
+        dimension vectors (dim Hom(P_z, N) = dim N_z) and the column of each
+        injective I_z is the same (dim Hom(N, I_z) = dim N_z).  The injective
+        entries are matched to the I_z by dimension vector, which is exact:
+        I_z is one-dimensional at z, and equal dimension vectors for z != w
+        would give paths z -> w and w -> z in a quiver without oriented
+        cycles."""
+        vertices = self.category.quiver.vertices
+        dims = [e.dim_vector() for e in self.entries]
+        for i, row in enumerate(rows):
+            if row[i] != 1:
+                raise CatalogError(f"hom table: dim End(entry {i}) is {row[i]}, not 1")
+            if min(row) < 0:
+                j = row.index(min(row))
+                raise CatalogError(f"hom table: dim Hom(entry {i}, entry {j}) is {row[j]} < 0")
+        inj_vertex = {self.category.inj[z].dim_vector(): k for k, z in enumerate(vertices)}
+        injectives = {}  # vertex position -> entry index
+        for e in (e for e, flag in enumerate(self.injective) if flag):
+            k = inj_vertex.get(dims[e])
+            if k is None or k in injectives:
+                raise CatalogError(f"hom table: injective entry {e} is not one of the I_z")
+            injectives[k] = e
+        if len(injectives) != len(vertices):
+            raise CatalogError("hom table: the injective entries are not the I_z")
+        for k, z in enumerate(vertices):
+            inj = injectives[k]
+            for j, d in enumerate(dims):
+                if rows[k][j] != d[k]:
+                    raise CatalogError(
+                        f"hom table: dim Hom(P_{z}, entry {j}) is {rows[k][j]}, "
+                        f"but entry {j} has dimension {d[k]} at {z}"
+                    )
+                if rows[j][inj] != d[k]:
+                    raise CatalogError(
+                        f"hom table: dim Hom(entry {j}, I_{z}) is {rows[j][inj]}, "
+                        f"but entry {j} has dimension {d[k]} at {z}"
+                    )
+
+    def ext1_by_tau(self, i: int, j: int) -> int:
+        """dim Hom(entry j, tau entry i), and 0 from a projective entry i:
+        dim Ext^1(entry i, entry j) by the AR formula when entry i has
+        projective dimension <= 1 (then no injective maps nonzero into
+        tau entry i, so no map to it factors through one)."""
+        t = self.tau_of.get(i)
+        return 0 if t is None else self.hom_table[j][t]
 
 
 class ModuleCategory:
@@ -171,6 +266,7 @@ class ModuleCategory:
         self._hom_cache = {}
         self._hom_dim_cache = {}
         self._ext1_cache = {}
+        self._iso_cache = {}  # per unordered pair of ids
         self._cover_cache = {}
         self._pres_cache = {}
         self._tau_cache = {}
@@ -235,6 +331,32 @@ class ModuleCategory:
             else:
                 self._hom_dim_cache[key] = reps.hom_dim(m, n)
         return self._hom_dim_cache[key]
+
+    def iso(self, m: Rep, n: Rep) -> bool:
+        """Decide m = n by ``reps.is_isomorphic`` (exact when m or n is
+        indecomposable), kept per unordered pair of contents; equal contents
+        are isomorphic with no system built."""
+        if m.dim_vector() != n.dim_vector():
+            return False
+        a, b = self.content_id(m), self.content_id(n)
+        if a == b:
+            return True
+        key = (a, b) if a < b else (b, a)
+        if key not in self._iso_cache:
+            self._iso_cache[key] = reps.is_isomorphic(m, n)
+        return self._iso_cache[key]
+
+    def find_iso(self, m: Rep, modules, index) -> Optional[int]:
+        """Index of a module in ``modules`` isomorphic to m, or None.
+
+        Only the modules sharing m's dimension vector (``index``, from
+        :func:`dim_index`) are tried, each by :meth:`iso`.  Exact when m or
+        every listed module is indecomposable.
+        """
+        for i in index.get(m.dim_vector(), ()):
+            if self.iso(m, modules[i]):
+                return i
+        return None
 
     def _frame(self, z):
         """Arrow steps from the generator of P_z whose images form a basis of
@@ -706,7 +828,7 @@ class ModuleCategory:
                 n = self.tau_inv(m)
                 if n is None:
                     raise CatalogError("tau^-1 of a non-injective came out None")
-                j = find_iso(n, entries, index)
+                j = self.find_iso(n, entries, index)
                 if j is None:
                     j = len(entries)
                     index.setdefault(n.dim_vector(), []).append(j)
@@ -750,7 +872,7 @@ class ModuleCategory:
         current = e
         k = 0  # candidates before k do not split off current
         while not current.is_zero():
-            hit = find_iso(current, candidates, index)
+            hit = self.find_iso(current, candidates, index)
             if hit is not None:
                 mults[hit] = mults.get(hit, 0) + 1
                 current = reps.zero_rep(self.quiver)
@@ -789,7 +911,7 @@ class ModuleCategory:
         use).  Raises CapExceededError when the category is not
         representation-finite and CatalogError when m or n is not a module
         of the category.  For a pair with an indecomposable side,
-        ``reps.is_isomorphic`` decides the same without a catalog.
+        :meth:`iso` decides the same without a catalog.
         """
         if m.dim_vector() != n.dim_vector():
             return False
@@ -856,7 +978,7 @@ class ModuleCategory:
                     "but it does not split off"
                 )
             current, _ = cokernel(pair[0])
-        if not copies or not reps.is_isomorphic(current, entries[copies[-1]]):
+        if not copies or not self.iso(current, entries[copies[-1]]):
             raise CatalogError(
                 f"middle term ending at entry {idx} differs from its mesh prediction {middle}"
             )

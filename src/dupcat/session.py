@@ -45,6 +45,13 @@ class Session:
         return build_dup_category(self.quiver)
 
     @cached_property
+    def dup_catalog(self):
+        """The knitted catalog of the duplicated algebra (a DupCatalog);
+        read it through ``knit_ind_dup``, which applies the cap."""
+        from .dup import build_dup_catalog
+        return build_dup_catalog(self.quiver)
+
+    @cached_property
     def cosyzygies(self) -> dict:
         """Vertex x -> tau^{-1} of the embedded injective at x."""
         from .leftpart import build_cosyzygies

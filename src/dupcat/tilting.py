@@ -16,7 +16,6 @@ from .quiver import Quiver, classify_dynkin
 from .cluster import cliques, enumerate_cluster_tilting, pi_bar
 from .dup import dup_category, proj_primed
 from .leftpart import left_part_catalog
-from .reps import is_isomorphic
 
 
 @dataclass
@@ -60,7 +59,7 @@ def is_tilting_module(summands) -> TiltingVerdict:
                 failures.append(f"Ext^1(summand {i}, summand {j}) is nonzero")
     for x in q.vertices:
         pp = proj_primed(q, x).rep()
-        if not any(is_isomorphic(s, pp) for s in summand_reps):
+        if not any(ctx.iso(s, pp) for s in summand_reps):
             failures.append(f"projective-injective at {x}' is not a summand")
     return TiltingVerdict(not failures, failures)
 

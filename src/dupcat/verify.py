@@ -12,7 +12,7 @@ from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
 from . import reps
 from .cluster import ext1_cluster_dim, fundamental_domain, pi_bar
 from .dup import dup_category, embed_A, knit_ind_dup, rep_to_triple, standard_dup_modules
-from .hereditary import knit_ind_A, path_category
+from .hereditary import euler_form, knit_ind_A, path_category
 from .leftpart import (
     Report,
     annotate_catalog,
@@ -32,24 +32,32 @@ from .tilting import expected_count, verify_bijection
 
 def check_embedding_fidelity(q: Quiver, cat_a) -> Report:
     """The embedding of the base module category is full, exact on Ext, and
-    commutes with the AR translate off the projectives: tau on the base side
-    is read from the knit's links, on the duplicated side it is computed."""
+    commutes with the AR translate off the projectives.
+
+    The base side is the Euler form of the dimension vectors: for
+    indecomposables M, N of a Dynkin path algebra at most one of Hom(M, N)
+    and Ext^1(M, N) is nonzero, so their dimensions are the positive and
+    the negative part of <dim M, dim N>.  The duplicated side reads Hom and
+    Ext^1 off the hom table of the knitted catalog and tau off its links,
+    at the entries the embedded modules are found at."""
     witnesses = []
-    ctx, dctx = path_category(q), dup_category(q)
-    embeds = [embed_A(m).rep() for m in cat_a.entries]
-    for i, m in enumerate(cat_a.entries):
-        for j, n in enumerate(cat_a.entries):
-            ha = ctx.hom_dim(m, n)
-            hd = dctx.hom_dim(embeds[i], embeds[j])
+    dup_cat = knit_ind_dup(q)
+    ar = dup_cat.catalog
+    found = dup_cat.indices([embed_A(m) for m in cat_a.entries])
+    dims = [m.dim_vector() for m in cat_a.entries]
+    table = ar.hom_table
+    for i, k in enumerate(found):
+        for j, l in enumerate(found):
+            euler = euler_form(q, dims[i], dims[j])
+            ha, ea = max(euler, 0), max(-euler, 0)
+            hd = table[k][l]
             if ha != hd:
                 witnesses.append(f"hom({i},{j}): base {ha} vs duplicated {hd}")
-            ea = ctx.ext1_dim(m, n)
-            ed = dctx.ext1_dim(embeds[i], embeds[j])
+            ed = dup_cat.ext1_dim(k, l)
             if ea != ed:
                 witnesses.append(f"ext({i},{j}): base {ea} vs duplicated {ed}")
     for i, j in sorted(cat_a.tau_of.items()):
-        td = dctx.tau(embeds[i])
-        if td is None or not reps.is_isomorphic(td, embeds[j]):
+        if ar.tau_of.get(found[i]) != found[j]:
             witnesses.append(f"translate of embedded entry {i} disagrees")
     return Report("embedding-fidelity", not witnesses, witnesses)
 
@@ -63,7 +71,7 @@ def check_cosyzygy_tau_identity(q: Quiver) -> Report:
     for x, rhs in session(q).cosyzygies.items():
         lhs, _ = ctx.cosyzygy(projectives[x].rep())
         # exact: the translate of an indecomposable is indecomposable
-        if not reps.is_isomorphic(lhs, rhs.rep()):
+        if not ctx.iso(lhs, rhs.rep()):
             lhs = rep_to_triple(lhs, q)
             witnesses.append(
                 f"vertex {x}: cosyzygy {lhs.dim_vectors()} vs translate {rhs.dim_vectors()}"
@@ -147,7 +155,7 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
         if reps.has_section(right_map):
             witnesses.append(f"sink {a}: sequence splits")
         t = ctx.tau(pia_mod)
-        if t is None or not reps.is_isomorphic(t, ia):
+        if t is None or not ctx.iso(t, ia):
             witnesses.append(f"sink {a}: left term is not the translate of the right term")
     return Report("socle-quotient-sequences", not witnesses, witnesses)
 
@@ -167,20 +175,23 @@ def check_fundamental_domain_counts(q: Quiver, cat_a, lpc) -> Report:
 
 def check_ext_symmetry_and_cross_model(q: Quiver, lpc) -> Report:
     """Extension pairing is symmetric on the fundamental domain, and its
-    vanishing matches both-direction Ext-vanishing across the projection."""
+    vanishing matches both-direction Ext-vanishing across the projection;
+    the duplicated side reads Ext^1 off the hom table of the knitted
+    catalog (``DupCatalog.ext1_dim``)."""
     witnesses = []
     objs = fundamental_domain(q)
     for o1 in objs:
         for o2 in objs:
             if ext1_cluster_dim(o1, o2) != ext1_cluster_dim(o2, o1):
                 witnesses.append(f"asymmetric pair {o1}, {o2}")
-    ctx = dup_category(q)
+    dup_cat = knit_ind_dup(q)
     members = lpc.non_proj_inj_members()
+    found = dup_cat.indices(members)
     projected = [pi_bar(m) for m in members]
-    for m, pm in zip(members, projected):
-        for n, pn in zip(members, projected):
+    for m, k, pm in zip(members, found, projected):
+        for n, l, pn in zip(members, found, projected):
             lhs = ext1_cluster_dim(pm, pn) == 0
-            rhs = ctx.ext1_dim(m.rep(), n.rep()) == 0 and ctx.ext1_dim(n.rep(), m.rep()) == 0
+            rhs = dup_cat.ext1_dim(k, l) == 0 and dup_cat.ext1_dim(l, k) == 0
             if lhs != rhs:
                 witnesses.append(
                     f"cross-model mismatch at {m.dim_vectors()} / {n.dim_vectors()}"

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dupcat import cli, leftpart, modcat, reps, session, tilting, verify
+from dupcat import cli, cluster, leftpart, modcat, reps, session, tilting, verify
 from dupcat.dup import dup_category, knit_ind_dup
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
@@ -170,15 +170,25 @@ def test_tampered_tau_fails_both_sectional_routes(quiver):
 @pytest.mark.parametrize(
     "quiver", [lambda: a_n(3), d4_subspace, _d5], ids=["A3", "D4", "D5"],
 )
-def test_seeded_reach_equals_full_hom_closure(quiver):
-    """Arrow-seeded reachability equals the closure of one Hom solve per
-    ordered pair."""
+def test_table_reach_equals_full_hom_closure(quiver):
+    """Reachability read off the hom table equals the closure of one Hom
+    solve per ordered pair."""
     cat = knit_ind_dup(quiver())
     assert cat.reach == _hom_reach(list(cat.modules))
 
 
+def test_reach_solves_no_hom_system(monkeypatch):
+    """On a cold knitted D5 catalog, reachability builds the hom table and
+    its closure with no Hom system."""
+    _start_cold(monkeypatch)
+    cat = knit_ind_dup(_d5())
+    systems = _count_hom_systems(monkeypatch)
+    assert cat.reach and systems == []
+
+
 def test_reach_rejects_an_arrow_without_a_nonzero_map():
-    """An AR arrow between entries with Hom = 0 raises CatalogError."""
+    """An AR arrow between entries with Hom = 0 makes the hom table fail its
+    certificate: CatalogError."""
     cat = knit_ind_dup(a_n(2))
     ctx = dup_category(cat.base)
     s, t = next(
@@ -189,13 +199,29 @@ def test_reach_rejects_an_arrow_without_a_nonzero_map():
     )
     arrows = cat.catalog.arrows + ((s, t, 1),)
     broken = dataclasses.replace(cat, catalog=dataclasses.replace(cat.catalog, arrows=arrows))
-    with pytest.raises(CatalogError, match="no nonzero map"):
+    with pytest.raises(CatalogError, match="hom table"):
         broken.reach
 
 
 def _start_cold(monkeypatch):
     """Swap the session registry for an empty one, as in a fresh process."""
     monkeypatch.setattr(session, "_sessions", {})
+
+
+def _count_hom_systems(monkeypatch):
+    """A list that records (m, n) of every Hom system solved from now on,
+    by rank or for a basis."""
+    systems = []
+    for name in ("hom_dim", "hom_basis"):
+        inner = getattr(reps, name)
+
+        def counting(m, n, _inner=inner):
+            systems.append((m, n))
+            return _inner(m, n)
+
+        monkeypatch.setattr(reps, name, counting)
+    monkeypatch.setattr(modcat, "hom_basis", reps.hom_basis)
+    return systems
 
 
 def test_direct_sum_budget(monkeypatch):
@@ -255,10 +281,12 @@ def test_cover_budget(monkeypatch):
 
 
 def test_hom_system_budget(monkeypatch):
-    """One cold D4 run_all_checks reads its AR facts off the AR quiver: at
-    most 600 rank-based Hom systems (1,391 when reachability solved every
-    ordered pair and the knit scanned the catalog) and at most 10 split_pair
-    calls that find no split pair (41 then)."""
+    """One cold D4 run_all_checks reads its AR facts off the AR quiver and
+    its Hom dimensions off the hom table: at most 30 rank-based Hom systems
+    (21 now; 366 when reachability, fidelity and the pd criterion solved
+    systems; 1,391 when reachability solved every ordered pair and the knit
+    scanned the catalog) and at most 10 split_pair calls that find no split
+    pair (41 then)."""
     _start_cold(monkeypatch)
     systems, misses = [], []
     inner_dim, inner_split = reps.hom_dim, reps.split_pair
@@ -278,31 +306,44 @@ def test_hom_system_budget(monkeypatch):
     monkeypatch.setattr(leftpart, "split_pair", counting_split)
     checks = run_all_checks(d4_subspace())
     assert all(c.passed for c in checks)
-    assert 0 < len(systems) <= 600
+    assert 0 < len(systems) <= 30
     assert len(misses) <= 10
 
 
-@pytest.mark.parametrize(
-    "fixture, budget", [("d4", 45), ("e7", 520)], ids=["D4", "E7"]
-)
-def test_pd_criterion_hom_system_budget(monkeypatch, fixture_dir, fixture, budget):
-    """The projective-dimension check keeps the covers of the injectives
-    first, so the top-support zero test answers Hom(I_z, tau M) for every
-    tau M vanishing on the top of I_z.  Hom systems the check solves on a
-    cold catalog: D4 39 (60 when the covers were not kept), E7 495 (897)."""
+def test_isomorphism_hom_systems_equal_distinct_pairs(monkeypatch):
+    """One cold D5 run_all_checks solves one Hom system per unordered pair
+    of module contents it tests for isomorphism: the verdicts are kept per
+    pair on the category (155 systems for 77 pairs when find_iso and the
+    checks repeated them; 25 for 25 now)."""
+    _start_cold(monkeypatch)
+    pairs = []
+    inner = reps.is_isomorphic
+
+    def content(m):
+        return m.quiver, m.dim_vector(), tuple(m.mats[a.name].data for a in m.quiver.arrows)
+
+    def counting(m, n):
+        if m is not n and m.dim_vector() == n.dim_vector() and m.total_dim():
+            pairs.append(frozenset((content(m), content(n))))
+        return inner(m, n)
+
+    monkeypatch.setattr(reps, "is_isomorphic", counting)
+    monkeypatch.setattr(cluster, "is_isomorphic", counting)
+    assert all(c.passed for c in run_all_checks(_d5()))
+    assert pairs and len(pairs) == len(set(pairs))
+
+
+@pytest.mark.parametrize("fixture", ["d4", "e7"], ids=["D4", "E7"])
+def test_pd_criterion_hom_system_budget(monkeypatch, fixture_dir, fixture):
+    """The projective-dimension check reads Hom(I, tau M) off the hom table:
+    it solves no Hom system on a cold catalog (D4 39 and E7 495 when it
+    solved them with a top-support zero test; 60 and 897 before that)."""
     _start_cold(monkeypatch)
     q = parse_quiver((fixture_dir / f"{fixture}.quiver").read_text(encoding="utf-8"))
     cat = annotate_catalog(knit_ind_dup(q), left_part_catalog(q))
-    systems = []
-    inner = reps.hom_dim
-
-    def counting(m, n):
-        systems.append((m, n))
-        return inner(m, n)
-
-    monkeypatch.setattr(reps, "hom_dim", counting)
+    systems = _count_hom_systems(monkeypatch)
     assert leftpart.verify_pd_criterion(cat).passed
-    assert 0 < len(systems) <= budget
+    assert systems == []
 
 
 def test_socle_quotient_check_rejects_a_wrong_simple(monkeypatch, src_env):
