@@ -33,7 +33,6 @@ from .leftpart import (
     canonical_tilting,
     left_part_catalog,
     sectional_check,
-    sigma_catalog,
     verify_ext_injectives,
     verify_left_part_definition,
 )
@@ -42,7 +41,6 @@ from .cluster import (
     enumerate_cluster_tilting,
     ext1_cluster_dim,
     fundamental_domain,
-    hom_cluster_dim_modules,
     pi_bar,
     shifted_projective,
 )

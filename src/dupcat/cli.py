@@ -19,7 +19,7 @@ from .catalog_io import catalog_to_dict, dup_catalog_to_dict, dumps
 from .cluster import describe_object
 from .dot import ar_quiver_dot
 from .dup import knit_ind_dup
-from .errors import CapExceededError, DupcatError, QuiverSyntaxError
+from .errors import CapExceededError, DupcatError, NotDynkinError, QuiverSyntaxError
 from .hereditary import knit_ind_A
 from .leftpart import annotate_catalog, left_part_catalog
 from .quiver import classify_dynkin, parse_quiver
@@ -60,6 +60,13 @@ def _write_or_print(cfg: RunConfig, text: str) -> None:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
+    _write_or_print(cfg, "\n".join(_analysis(cfg)) + "\n")
+    return 0
+
+
+def _analysis(cfg: RunConfig) -> list:
+    """The lines of the analyze report, ending early at a cap or a
+    non-Dynkin quiver."""
     q = _load(cfg)
     dynkin = classify_dynkin(q)
     out = [f"quiver: {cfg.quiver_path}"]
@@ -72,11 +79,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
         out.append(f"|ind A| = {len(cat_a.entries)}")
     except CapExceededError:
         out.append(f"|ind A| > {cfg.cap}: representation-infinite")
-        print("\n".join(out))
-        return 0
+        return out
     if dynkin is None:
-        print("\n".join(out))
-        return 0
+        return out
     lpc = left_part_catalog(q)
     n = len(q.vertices)
     out.append(
@@ -93,8 +98,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         )
     except CapExceededError:
         out.append(f"|ind dup| > {cfg.cap}: representation-infinite")
-    print("\n".join(out))
-    return 0
+    return out
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -118,9 +122,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_enumerate(cfg: RunConfig) -> int:
     q = _load(cfg)
     dynkin = classify_dynkin(q)
+    if dynkin is None:
+        raise NotDynkinError("tilting enumeration requires Dynkin type")
+    # the cap bounds the knit before the bijection runs, as in verify
+    cat_a = knit_ind_A(q, cfg.cap)
     bij = verify_bijection(q)
     records, cluster_sets = bij.records, bij.cluster_sets
-    cat_a = knit_ind_A(q, cfg.cap)
     lpc = left_part_catalog(q)
     lines = [
         f"|ind A| = {len(cat_a.entries)}",

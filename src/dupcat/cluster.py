@@ -15,8 +15,8 @@ from typing import Union
 from .errors import CatalogError, NotDynkinError, NotInDomainError
 from .quiver import Quiver, classify_dynkin
 from .dup import DupModule
-from .hereditary import knit_ind_A, path_category
-from .reps import Rep, is_isomorphic
+from .hereditary import knit_ind_A
+from .reps import is_isomorphic
 from .session import session
 
 
@@ -104,17 +104,6 @@ def ext1_cluster_dim(o1: ClusterObject, o2: ClusterObject) -> int:
     return cat.entries[mod.key].dims[shift.key]
 
 
-def hom_cluster_dim_modules(m: Rep, n: Rep) -> int:
-    """Morphism dimension between two module representatives: base Hom plus
-    the extension term from the inverse orbit shift (absent for projectives)."""
-    cat = path_category(m.quiver)
-    total = cat.hom_dim(m, n)
-    t = cat.tau(m)
-    if t is not None:
-        total += cat.ext1_dim(t, n)
-    return total
-
-
 def enumerate_cluster_tilting(q: Quiver):
     """All maximal rigid collections of fundamental-domain objects.
 
@@ -161,16 +150,3 @@ def cliques(compat, size: int) -> list:
 
     extend([], (1 << len(compat)) - 1)
     return out
-
-
-def is_maximal_rigid(q: Quiver, objs) -> bool:
-    """No further fundamental-domain object is compatible with ``objs``."""
-    chosen = set(objs)
-    for o in fundamental_domain(q):
-        if o in chosen:
-            continue
-        if all(
-            ext1_cluster_dim(o, c) == 0 for c in objs
-        ) and ext1_cluster_dim(o, o) == 0:
-            return False
-    return True

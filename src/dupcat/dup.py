@@ -423,15 +423,6 @@ class JunctionPattern:
     family_sizes: tuple
 
 
-def path_action_vanishes(q: Quiver, names, start: str) -> bool:
-    """Does the path act by zero on the regular module of the dup algebra?"""
-    cat = dup_category(q)
-    for z in cat.quiver.vertices:
-        if not cat.proj[z].act_path(tuple(names), start).is_zero():
-            return False
-    return True
-
-
 def junction_composite_pattern(q: Quiver) -> JunctionPattern:
     """Zero/commutativity pattern of length-two composites through the junction.
 

@@ -1,8 +1,9 @@
 """The module category of a hereditary path algebra.
 
 Standard modules are built on explicit path bases: the projective at x has
-the paths starting at x as a basis, the injective at x the paths ending at
-x, and arrows act by composition (resp. by stripping the first arrow).
+the paths starting at x as a basis and arrows act by composition; the
+injective at x is the dual of the projective at x over the opposite quiver,
+so its basis is dual to the paths ending at x.
 Hom, Ext^1, the AR translates, the Nakayama functor and isomorphism are
 methods of the category :func:`path_category` returns
 (:class:`dupcat.modcat.ModuleCategory`).
@@ -13,7 +14,8 @@ from __future__ import annotations
 from .errors import CatalogError
 from .linalg import RMatrix
 from .modcat import ARCatalog, ModuleCategory
-from .quiver import Quiver, opposite, paths_from, paths_into
+from .quiver import Quiver, opposite, paths_from
+from . import reps
 from .reps import Rep
 from .session import session
 
@@ -37,18 +39,11 @@ def projective_rep(q: Quiver, x: str) -> Rep:
 
 
 def injective_rep(q: Quiver, x: str) -> Rep:
-    table = paths_into(q, x)
-    dims = {v: len(table[v]) for v in q.vertices}
-    index = {v: {p: i for i, p in enumerate(table[v])} for v in q.vertices}
-    mats = {}
-    for a in q.arrows:
-        u, v = a.source, a.target
-        m = [[0] * dims[u] for _ in range(dims[v])]
-        for j, p in enumerate(table[u]):
-            if p and p[0] == a.name:
-                m[index[v][p[1:]]][j] = 1
-        mats[a.name] = RMatrix(m, dims[v], dims[u])
-    return Rep(q, dims, mats)
+    """D P_x over the opposite quiver, which keeps the vertex and arrow names."""
+    op = opposite(q)
+    vmap = {v: v for v in q.vertices}
+    amap = {a.name: a.name for a in q.arrows}
+    return reps.dualize(projective_rep(op, x), q, vmap, amap)
 
 
 def path_category(q: Quiver) -> ModuleCategory:
@@ -99,15 +94,3 @@ def euler_form(q: Quiver, x, y) -> int:
     return sum(a * b for a, b in zip(x, y)) - sum(
         x[pos[a.source]] * y[pos[a.target]] for a in q.arrows
     )
-
-
-def positive_root_count(dynkin) -> int:
-    """Number of positive roots, i.e. |ind A|, per Dynkin family."""
-    fam, n = dynkin.family, dynkin.rank
-    if fam == "A":
-        return n * (n + 1) // 2
-    if fam == "D":
-        return n * (n - 1)
-    if fam == "E":
-        return {6: 36, 7: 63, 8: 120}[n]
-    raise ValueError(f"unknown family {fam}")

@@ -30,7 +30,6 @@ from .dup import (
 )
 from .hereditary import knit_ind_A
 from .modcat import dim_index
-from .reps import cokernel as rep_cokernel, split_pair
 from .session import session
 
 
@@ -94,14 +93,6 @@ class LeftPartCatalog:
         return dup_category(self.base).find_iso(m.rep(), member_reps, index)
 
 
-def sigma_catalog(q: Quiver):
-    """The Ext-injectives of the left part, per the structural description:
-    the tau^{-1} of the embedded injectives together with the
-    projective-injectives lying in the left part."""
-    _require_dynkin(q)
-    return left_part_catalog(q).sigma
-
-
 def left_part_catalog(q: Quiver) -> LeftPartCatalog:
     """Structure-based left part: embedded ind A plus the Ext-injectives.
 
@@ -112,9 +103,9 @@ def left_part_catalog(q: Quiver) -> LeftPartCatalog:
     do, and its predecessors are itself plus those of its radical summands.
     Since the left part is exactly the embedded modules, the translates of
     the embedded injectives and the qualifying projective-injectives, the
-    membership test reduces to peeling the radical into these candidates,
-    recursing along the primed arrows.  No knitting of the duplicated
-    category is needed.
+    membership test reduces to decomposing the radical into these
+    candidates, recursing along the primed arrows.  No knitting of the
+    duplicated category is needed.
     """
     _require_dynkin(q)
     return session(q).left_part
@@ -141,36 +132,22 @@ def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
     cosyz = session(q).cosyzygies
     pis = standard_dup_modules(q).projective_primed
     ctx = dup_category(q)
-    always_in_l = [m.rep() for m in embeds] + [cosyz[x].rep() for x in q.vertices]
-    always_index = dim_index(always_in_l)
+    # the modules always in the left part, then P_y' for the vertices y
+    candidates = [m.rep() for m in embeds] + [cosyz[x].rep() for x in q.vertices]
+    n_always = len(candidates)
+    candidates += [pis[y].rep() for y in q.vertices]
+    index = dim_index(candidates)
     pi_in_l: dict = {}
 
     def pbar_in_left_part(x) -> bool:
         # dependency runs along primed arrows, hence is acyclic
-        if x in pi_in_l:
-            return pi_in_l[x]
-        rad, _ = ctx.radical(pis[x].rep())
-        _, residual = ctx.try_decompose(rad, always_in_l, always_index)
-        ok = True
-        for y in q.vertices:
-            if residual.is_zero():
-                break
-            while not residual.is_zero():
-                py = pis[y].rep()
-                if any(py.dims[v] > residual.dims[v] for v in ctx.quiver.vertices):
-                    break
-                pair = split_pair(py, residual)
-                if pair is None:
-                    break
-                if not pbar_in_left_part(y):
-                    ok = False
-                    break
-                residual, _ = rep_cokernel(pair[0])
-            if not ok:
-                break
-        ok = ok and residual.is_zero()
-        pi_in_l[x] = ok
-        return ok
+        if x not in pi_in_l:
+            rad, _ = ctx.radical(pis[x].rep())
+            mults, residual = ctx.try_decompose(rad, candidates, index)
+            pi_in_l[x] = residual.is_zero() and all(
+                pbar_in_left_part(q.vertices[i - n_always]) for i, _ in mults if i >= n_always
+            )
+        return pi_in_l[x]
 
     for x in q.vertices:
         pbar_in_left_part(x)

@@ -7,11 +7,14 @@ z-component), the indecomposable injective I_z (with an evaluation
 functional on its z-component) and the simple S_z.  Everything else is
 generic:
 
-* every fact about a module is kept per content, not per object: a table
-  on the category gives each dimension vector with its arrow matrices a
-  small id, and covers, presentations, tau, duals, Nakayama images,
-  injectivity, Hom and Ext^1 are kept under those ids, so a module rebuilt
-  as another object (a twin) reuses every fact already known;
+* every fact about a module is kept per content, not per object, in one
+  fact table on the category (:meth:`ModuleCategory._fact`): a content
+  table gives each dimension vector with its arrow matrices a small id, and
+  covers, presentations, tau, duals, Nakayama images, injectivity, Hom and
+  Ext^1 are kept under (fact, id[, id]), so a module rebuilt as another
+  object (a twin) reuses every fact already known; the per-vertex frames,
+  the arrow maps and the sums of projectives are kept in the same table by
+  value;
 * projective covers lift a basis of the top through Yoneda evaluation at the
   generator: a per-vertex frame of arrow paths from the generator, built once,
   gives the map P_z -> N with generator |-> v without a Hom solve;
@@ -94,6 +97,9 @@ class Presentation:
         if self.cover1 is None:
             raise CatalogError("presentation of a projective has no f1")
         return self.incl.compose(self.cover1.q)
+
+
+_MISSING = object()  # a fact not yet in the table (a kept fact may be None)
 
 
 def _coords(span, f: RepMap, what: str) -> tuple:
@@ -262,21 +268,7 @@ class ModuleCategory:
         self._op = None
         self._content_ids = {}  # content key -> id, see content_id
         self._uid_ids = {}  # Rep.uid -> content id
-        # per content id (or pair of ids)
-        self._hom_cache = {}
-        self._hom_dim_cache = {}
-        self._ext1_cache = {}
-        self._iso_cache = {}  # per unordered pair of ids
-        self._cover_cache = {}
-        self._pres_cache = {}
-        self._tau_cache = {}
-        self._tau_inv_cache = {}
-        self._nak_cache = {}
-        self._inj_flag_cache = {}
-        self._dual_cache = {}
-        self._lam_cache = {}
-        self._frames = {}
-        self._sum_cache = {}
+        self._facts = {}  # see _fact and _kept
         self._catalog: Optional[ARCatalog] = None
 
     # -- plumbing ----------------------------------------------------------
@@ -304,13 +296,27 @@ class ModuleCategory:
             i = self._uid_ids[m.uid] = self._content_ids.setdefault(key, len(self._content_ids))
         return i
 
+    def _fact(self, fact: str, compute, m: Rep, n: Optional[Rep] = None):
+        """The fact named ``fact`` of m, or of the pair (m, n), from the fact
+        table: ``compute(m)`` or ``compute(m, n)`` runs once per content id
+        (pair of ids), under the key (fact, id[, id])."""
+        if n is None:
+            return self._kept((fact, self.content_id(m)), compute, m)
+        return self._kept((fact, self.content_id(m), self.content_id(n)), compute, m, n)
+
+    def _kept(self, key, compute, *args):
+        """The fact table's value under ``key``; ``compute(*args)`` on the
+        first request.  Keys by value (a vertex, an arrow name, a vertex
+        tuple) serve the facts that are not about a module."""
+        value = self._facts.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._facts[key] = compute(*args)
+        return value
+
     def hom(self, m: Rep, n: Rep):
         """Basis of Hom(m, n), kept per content pair: a module with the
         content of m or n may stand as the source or target of its maps."""
-        key = (self.content_id(m), self.content_id(n))
-        if key not in self._hom_cache:
-            self._hom_cache[key] = tuple(hom_basis(m, n))
-        return self._hom_cache[key]
+        return self._fact("hom", lambda m, n: tuple(hom_basis(m, n)), m, n)
 
     def hom_dim(self, m: Rep, n: Rep) -> int:
         """dim Hom(m, n): from the kept basis when there is one, otherwise by
@@ -320,17 +326,17 @@ class ModuleCategory:
         answer is 0 with no system built: Hom(m, n) embeds in
         Hom(P0, n), the sum of the n_z over the top vertices z.
         """
-        key = (self.content_id(m), self.content_id(n))
-        basis = self._hom_cache.get(key)
+        a, b = self.content_id(m), self.content_id(n)
+        basis = self._facts.get(("hom", a, b))
         if basis is not None:
             return len(basis)
-        if key not in self._hom_dim_cache:
-            cover = self._cover_cache.get(key[0])
-            if cover is not None and not any(n.dims[z] for z, _ in cover.parts):
-                self._hom_dim_cache[key] = 0
-            else:
-                self._hom_dim_cache[key] = reps.hom_dim(m, n)
-        return self._hom_dim_cache[key]
+        return self._kept(("hom_dim", a, b), self._hom_dim, m, n)
+
+    def _hom_dim(self, m: Rep, n: Rep) -> int:
+        cover = self._facts.get(("cover", self.content_id(m)))
+        if cover is not None and not any(n.dims[z] for z, _ in cover.parts):
+            return 0
+        return reps.hom_dim(m, n)
 
     def iso(self, m: Rep, n: Rep) -> bool:
         """Decide m = n by ``reps.is_isomorphic`` (exact when m or n is
@@ -341,10 +347,8 @@ class ModuleCategory:
         a, b = self.content_id(m), self.content_id(n)
         if a == b:
             return True
-        key = (a, b) if a < b else (b, a)
-        if key not in self._iso_cache:
-            self._iso_cache[key] = reps.is_isomorphic(m, n)
-        return self._iso_cache[key]
+        key = ("iso", a, b) if a < b else ("iso", b, a)
+        return self._kept(key, reps.is_isomorphic, m, n)
 
     def find_iso(self, m: Rep, modules, index) -> Optional[int]:
         """Index of a module in ``modules`` isomorphic to m, or None.
@@ -369,8 +373,9 @@ class ModuleCategory:
         the generator, i.e. the submodule it generates.  Raises CatalogError
         when that is not all of P_z.
         """
-        if z in self._frames:
-            return self._frames[z]
+        return self._kept(("frame", z), self._build_frame, z)
+
+    def _build_frame(self, z):
         p = self.proj[z]
         steps, images = [], []
         order = {v: [] for v in self.quiver.vertices}
@@ -396,8 +401,7 @@ class ModuleCategory:
             if idx:
                 basis = RMatrix.hstack([images[i] for i in idx])
                 binv[v] = solve_matrix(basis, RMatrix.identity(basis.rows))
-        self._frames[z] = (steps, order, binv)
-        return self._frames[z]
+        return steps, order, binv
 
     def yoneda_map(self, z, n: Rep, vec: RMatrix) -> RepMap:
         """The unique map P_z -> n sending the generator to ``vec``.
@@ -419,13 +423,14 @@ class ModuleCategory:
         return RepMap(self.proj[z], n, mats)
 
     def lam(self, arrow_name: str) -> RepMap:
-        """Left multiplication P_z -> P_w along the arrow w -> z."""
-        if arrow_name not in self._lam_cache:
-            a = self.quiver.arrow_by_name[arrow_name]
-            w, z = a.source, a.target
-            vec = self.proj[w].mats[arrow_name] @ self.gen[w]
-            self._lam_cache[arrow_name] = self.yoneda_map(z, self.proj[w], vec)
-        return self._lam_cache[arrow_name]
+        """Left multiplication P_z -> P_w along the arrow w -> z, built once."""
+        return self._kept(("lam", arrow_name), self._build_lam, arrow_name)
+
+    def _build_lam(self, arrow_name: str) -> RepMap:
+        a = self.quiver.arrow_by_name[arrow_name]
+        w, z = a.source, a.target
+        vec = self.proj[w].mats[arrow_name] @ self.gen[w]
+        return self.yoneda_map(z, self.proj[w], vec)
 
     # -- radical / socle / top ----------------------------------------------
 
@@ -477,10 +482,7 @@ class ModuleCategory:
 
     def cover(self, m: Rep) -> CoverData:
         """Minimal projective cover of m, kept per content."""
-        i = self.content_id(m)
-        if i not in self._cover_cache:
-            self._cover_cache[i] = self._cover(m)
-        return self._cover_cache[i]
+        return self._fact("cover", self._cover, m)
 
     def _cover(self, m: Rep) -> CoverData:
         parts = []
@@ -508,26 +510,20 @@ class ModuleCategory:
         """Minimal projective presentation of m, kept per content; its second
         cover is the cover of the syzygy, shared with the syzygy's own
         presentation."""
-        i = self.content_id(m)
-        if i not in self._pres_cache:
-            cover0 = self.cover(m)
-            omega, incl = kernel(cover0.q)
-            cover1 = None if omega.is_zero() else self.cover(omega)
-            self._pres_cache[i] = Presentation(cover0, omega, incl, cover1)
-        return self._pres_cache[i]
+        return self._fact("presentation", self._presentation, m)
+
+    def _presentation(self, m: Rep) -> Presentation:
+        cover0 = self.cover(m)
+        omega, incl = kernel(cover0.q)
+        cover1 = None if omega.is_zero() else self.cover(omega)
+        return Presentation(cover0, omega, incl, cover1)
 
     def is_projective(self, m: Rep) -> bool:
         return self.presentation(m).omega.is_zero()
 
     def is_injective(self, m: Rep) -> bool:
-        i = self.content_id(m)
-        if i not in self._inj_flag_cache:
-            self._inj_flag_cache[i] = self.opposite()[0].is_projective(self._dual(m))
-        return self._inj_flag_cache[i]
-
-    def syzygy(self, m: Rep):
-        pres = self.presentation(m)
-        return pres.omega, pres.incl
+        """m is injective iff its dual is projective; kept per content."""
+        return self._fact("injective", lambda m: self.opposite()[0].is_projective(self._dual(m)), m)
 
     def envelope(self, m: Rep):
         """Injective envelope (parts, I0, j: m -> I0)."""
@@ -591,10 +587,7 @@ class ModuleCategory:
 
     def ext1_dim(self, m: Rep, n: Rep) -> int:
         """dim Ext^1(m, n), computed once per pair and kept."""
-        key = (self.content_id(m), self.content_id(n))
-        if key not in self._ext1_cache:
-            self._ext1_cache[key] = self._ext1_dim(m, n)
-        return self._ext1_cache[key]
+        return self._fact("ext1", self._ext1_dim, m, n)
 
     def _restricted_hom(self, pres: Presentation, n: Rep) -> RMatrix:
         """Hom(P0, n) restricted to Omega, one flattened map per row: the
@@ -622,13 +615,13 @@ class ModuleCategory:
         elimination of the restricted Hom(P0, m) followed by the basis of
         Hom(Omega n, m) gives both the first basis map outside the span (the
         first pivot column past the span) and dim Ext^1(n, m) (the number of
-        such pivots), which is kept in the Ext^1 memo.
+        such pivots), which is kept in the fact table as dim Ext^1(n, m).
         """
-        key = (self.content_id(n), self.content_id(m))
+        key = ("ext1", self.content_id(n), self.content_id(m))
         pres = self.presentation(n)
         hom_om_m = () if pres.cover1 is None else self.hom(pres.omega, m)
         if not hom_om_m:
-            self._ext1_cache[key] = 0
+            self._facts[key] = 0
             return None
         span_mat = self._restricted_hom(pres, m)
         cands = RMatrix([c.flatten() for c in hom_om_m], len(hom_om_m), span_mat.cols)
@@ -637,7 +630,7 @@ class ModuleCategory:
             for j in pivot_columns(RMatrix.vstack([span_mat, cands]).transpose())
             if j >= span_mat.rows
         ]
-        self._ext1_cache[key] = len(outside)
+        self._facts[key] = len(outside)
         if not outside:
             return None
         g0 = hom_om_m[outside[0]]
@@ -667,9 +660,9 @@ class ModuleCategory:
     def nak_data(self, m: Rep):
         """D Hom(m, A) together with the chosen bases of Hom(m, P_z), kept
         per content."""
-        i = self.content_id(m)
-        if i in self._nak_cache:
-            return self._nak_cache[i]
+        return self._fact("nakayama", self._nak_data, m)
+
+    def _nak_data(self, m: Rep):
         bases = {z: self.hom(m, self.proj[z]) for z in self.quiver.vertices}
         flat = {z: [b.flatten() for b in bases[z]] for z in self.quiver.vertices}
         dims = {z: len(bases[z]) for z in self.quiver.vertices}
@@ -679,35 +672,20 @@ class ModuleCategory:
             lam = self.lam(a.name)
             cols = [_coords(flat[w], lam.compose(b), "postcomposition") for b in bases[z]]
             mats[a.name] = RMatrix.from_columns(cols, dims[w]).transpose()
-        nu = Rep(self.quiver, dims, mats)
-        data = (nu, bases, flat)
-        self._nak_cache[i] = data
-        return data
+        return Rep(self.quiver, dims, mats), bases, flat
 
     def nakayama(self, m: Rep) -> Rep:
         return self.nak_data(m)[0]
 
-    def nakayama_map(self, f: RepMap) -> RepMap:
-        """Functorial action of D Hom(-, A) on a morphism."""
-        nu_m, _, flat_m = self.nak_data(f.source)
-        nu_n, bases_n, _ = self.nak_data(f.target)
-        mats = {}
-        for z in self.quiver.vertices:
-            cols = [_coords(flat_m[z], b.compose(f), "precomposition") for b in bases_n[z]]
-            mats[z] = RMatrix.from_columns(cols, nu_m.dims[z]).transpose()
-        return RepMap(nu_m, nu_n, mats, check=False)
-
     def _proj_sum(self, zs, nakayama=False):
         """(sum, injections, projections) of the P_z, or of the nu(P_z), for
         the vertex tuple ``zs``; built once per tuple and shared."""
-        key = (zs, nakayama)
-        if key not in self._sum_cache:
-            if nakayama:
-                summands = [self.nak_data(self.proj[z])[0] for z in zs]
-            else:
-                summands = [self.proj[z] for z in zs]
-            self._sum_cache[key] = direct_sum(summands)
-        return self._sum_cache[key]
+        return self._kept(("sum", zs, nakayama), self._build_proj_sum, zs, nakayama)
+
+    def _build_proj_sum(self, zs, nakayama):
+        if nakayama:
+            return direct_sum([self.nak_data(self.proj[z])[0] for z in zs])
+        return direct_sum([self.proj[z] for z in zs])
 
     def _nak_of_parts(self, parts):
         """nu(P_{z1} + ... + P_{zk}) assembled blockwise."""
@@ -721,10 +699,7 @@ class ModuleCategory:
 
         Returns None when m is projective.
         """
-        i = self.content_id(m)
-        if i not in self._tau_cache:
-            self._tau_cache[i] = self._tau(m)
-        return self._tau_cache[i]
+        return self._fact("tau", self._tau, m)
 
     def _tau(self, m: Rep) -> Optional[Rep]:
         pres = self.presentation(m)
@@ -764,20 +739,17 @@ class ModuleCategory:
     def tau_inv(self, m: Rep) -> Optional[Rep]:
         """Tr D of m by duality through the opposite category, kept per
         content; None if injective."""
-        i = self.content_id(m)
-        if i not in self._tau_inv_cache:
-            op, _, _, inv_v, inv_a = self.opposite()
-            t = op.tau(self._dual(m))
-            self._tau_inv_cache[i] = None if t is None else reps.dualize(t, self.quiver, inv_v, inv_a)
-        return self._tau_inv_cache[i]
+        return self._fact("tau_inv", self._tau_inv, m)
+
+    def _tau_inv(self, m: Rep) -> Optional[Rep]:
+        op, _, _, inv_v, inv_a = self.opposite()
+        t = op.tau(self._dual(m))
+        return None if t is None else reps.dualize(t, self.quiver, inv_v, inv_a)
 
     def _dual(self, m: Rep) -> Rep:
         """D m over the opposite quiver, built once per content."""
-        i = self.content_id(m)
-        if i not in self._dual_cache:
-            op, vmap, amap, _, _ = self.opposite()
-            self._dual_cache[i] = reps.dualize(m, op.quiver, vmap, amap)
-        return self._dual_cache[i]
+        op, vmap, amap, _, _ = self.opposite()
+        return self._fact("dual", lambda m: reps.dualize(m, op.quiver, vmap, amap), m)
 
     def pd(self, m: Rep) -> int:
         """Projective dimension of m.

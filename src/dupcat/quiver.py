@@ -232,10 +232,6 @@ def paths_into(q: Quiver, x: str):
     return out
 
 
-def count_paths(q: Quiver, s: str, t: str) -> int:
-    return len(paths_from(q, s)[t])
-
-
 class MaximalPath(NamedTuple):
     start: str
     end: str
@@ -324,19 +320,6 @@ class DupQuiverReport:
             f"{pat.commuting_count} pairwise identified "
             f"(families: {pat.family_sizes})"
         )
-        return "\n".join(lines) + "\n"
-
-    def as_dot(self) -> str:
-        lines = ["digraph dup_quiver {", "  rankdir=RL;"]
-        for v in self.base.vertices:
-            lines.append(f'  "{v}";')
-        for v in self.primed.vertices:
-            lines.append(f'  "{v}" [shape=box];')
-        for a in self.base.arrows + self.primed.arrows:
-            lines.append(f'  "{a.source}" -> "{a.target}" [label="{a.name}"];')
-        for name, src, tgt, _ in self.connecting:
-            lines.append(f'  "{src}" -> "{tgt}" [style=dashed, label="{name}"];')
-        lines.append("}")
         return "\n".join(lines) + "\n"
 
 

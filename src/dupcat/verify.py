@@ -202,13 +202,9 @@ def check_ext_symmetry_and_cross_model(q: Quiver, lpc) -> Report:
 def check_tilting_bijection(q: Quiver) -> Report:
     rep = verify_bijection(q)
     witnesses = list(rep.witnesses)
-    dynkin = classify_dynkin(q)
-    try:
-        want = expected_count(dynkin)
-        if rep.left_count != want:
-            witnesses.append(f"count {rep.left_count} differs from the degree product {want}")
-    except ValueError:
-        pass
+    want = expected_count(classify_dynkin(q))
+    if rep.left_count != want:
+        witnesses.append(f"count {rep.left_count} differs from the degree product {want}")
     return Report(
         "tilting-bijection",
         rep.matched and not witnesses,

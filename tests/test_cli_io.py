@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from dupcat import cli
 from dupcat.catalog_io import (
     catalog_from_dict,
     catalog_to_dict,
@@ -47,6 +48,19 @@ def test_cli_analyze_kronecker(fixture_dir, capsys):
     assert "representation-infinite" in out
 
 
+@pytest.mark.parametrize("args", [["a2.quiver"], ["kronecker.quiver", "--cap", "8"]])
+def test_cli_analyze_out_writes_the_printed_report(args, fixture_dir, capsys, tmp_path):
+    """analyze --out writes to the file exactly the report that analyze
+    prints without it, and prints nothing."""
+    argv = ["analyze", "--quiver", str(fixture_dir / args[0])] + args[1:]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out_file = tmp_path / "analysis.txt"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_file.read_text(encoding="utf-8") == printed
+
+
 def test_cli_verify_a2(fixture_dir, capsys, tmp_path):
     report = tmp_path / "report.json"
     code = main(
@@ -78,6 +92,21 @@ def test_cli_enumerate_a2(fixture_dir, capsys, tmp_path):
     payload = json.loads(out_file.read_text())
     assert payload["counts"] == {"tilting": 5, "cluster": 5, "expected": 5}
     assert len(payload["tilting_modules"]) == 5
+
+
+def test_cli_enumerate_applies_the_cap_before_the_bijection(fixture_dir, capsys, monkeypatch):
+    """enumerate --cap fails on the knit of ind A with verify's message,
+    before any tilting module is enumerated; a non-Dynkin quiver still
+    fails on the Dynkin guard, before any knit."""
+    monkeypatch.setattr(cli, "verify_bijection", lambda q: pytest.fail("ran the bijection"))
+    e6 = str(fixture_dir / "e6.quiver")
+    assert main(["verify", "--quiver", e6, "--cap", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: more than 5 indecomposables; representation-infinite\n"
+    assert main(["enumerate", "--quiver", e6, "--cap", "5"]) == 2
+    assert capsys.readouterr().err == err
+    assert main(["enumerate", "--quiver", str(fixture_dir / "kronecker.quiver")]) == 2
+    assert capsys.readouterr().err == "error: tilting enumeration requires Dynkin type\n"
 
 
 def test_cli_emit_dot_and_export(fixture_dir, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,8 +8,6 @@ from dupcat.cluster import (
     enumerate_cluster_tilting,
     ext1_cluster_dim,
     fundamental_domain,
-    hom_cluster_dim_modules,
-    is_maximal_rigid,
     module_object,
     pi_bar,
     shifted_projective,
@@ -16,9 +15,9 @@ from dupcat.cluster import (
 from dupcat.dup import dup_category, embed_A, proj_primed, rep_to_triple
 from dupcat.errors import NotDynkinError, NotInDomainError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
-from dupcat.hereditary import knit_ind_A, projective_rep, simple_rep
+from dupcat.hereditary import knit_ind_A, path_category, projective_rep, simple_rep
 from dupcat.leftpart import left_part_catalog
-from dupcat.quiver import classify_dynkin
+from dupcat.quiver import Quiver, classify_dynkin
 from dupcat.tilting import (
     enumerate_L_tilting,
     expected_count,
@@ -69,14 +68,32 @@ def test_ext1_cluster_symmetry():
                 assert ext1_cluster_dim(o1, o2) == ext1_cluster_dim(o2, o1)
 
 
+def _hom_cluster_dim_modules(m, n):
+    """Morphism dimension between two module representatives: base Hom plus
+    the extension term from the inverse orbit shift (absent for projectives)."""
+    cat = path_category(m.quiver)
+    t = cat.tau(m)
+    return cat.hom_dim(m, n) + (0 if t is None else cat.ext1_dim(t, n))
+
+
+def _is_maximal_rigid(q, objs):
+    """No further rigid fundamental-domain object is compatible with ``objs``."""
+    return not any(
+        o not in objs
+        and ext1_cluster_dim(o, o) == 0
+        and all(ext1_cluster_dim(o, c) == 0 for c in objs)
+        for o in fundamental_domain(q)
+    )
+
+
 def test_hom_cluster_dim_modules_a2():
     q = a_n(2)
     p2 = projective_rep(q, "2")
     p1 = projective_rep(q, "1")
     s2 = simple_rep(q, "2")
-    assert hom_cluster_dim_modules(p2, p2) == 1
-    assert hom_cluster_dim_modules(s2, s2) == 1
-    assert hom_cluster_dim_modules(s2, p1) == 0
+    assert _hom_cluster_dim_modules(p2, p2) == 1
+    assert _hom_cluster_dim_modules(s2, s2) == 1
+    assert _hom_cluster_dim_modules(s2, p1) == 0
 
 
 def test_enumerate_cluster_tilting_small():
@@ -87,7 +104,7 @@ def test_enumerate_cluster_tilting_small():
     sets = enumerate_cluster_tilting(q)
     assert len(sets) == 5
     for s in sets:
-        assert is_maximal_rigid(q, s)
+        assert _is_maximal_rigid(q, s)
     with pytest.raises(NotDynkinError):
         enumerate_cluster_tilting(kronecker())
 
@@ -95,7 +112,7 @@ def test_enumerate_cluster_tilting_small():
 def test_enumerated_sets_maximal_d4():
     q = d4_subspace()
     for s in enumerate_cluster_tilting(q):
-        assert is_maximal_rigid(q, s)
+        assert _is_maximal_rigid(q, s)
 
 
 def test_pentagon_a2():
@@ -152,12 +169,36 @@ def test_verify_bijection_small():
         assert rep.left_count == rep.right_count == expected_count(classify_dynkin(q))
 
 
+def _branched(n, at):
+    """The chain 1 - 2 - ... - (n-1) with the vertex n attached to ``at``."""
+    arrows = [(f"a{i}", str(i + 1), str(i)) for i in range(1, n - 1)]
+    return Quiver([str(i) for i in range(1, n + 1)], arrows + [("b", str(n), str(at))])
+
+
 def test_expected_count():
+    """expected_count has a count for every type classify_dynkin returns:
+    A1-A11, D4-D11 and E6-E8, with the known cluster counts (Catalan
+    numbers for A_n, (3n - 2)/n binom(2n - 2, n - 1) for D_n)."""
     assert expected_count(classify_dynkin(a_n(1))) == 2
     assert expected_count(classify_dynkin(a_n(2))) == 5
     assert expected_count(classify_dynkin(a_n(3))) == 14
     assert expected_count(classify_dynkin(a_n(4))) == 42
     assert expected_count(classify_dynkin(d4_subspace())) == 50
+    quivers = [a_n(n) for n in range(1, 12)]
+    quivers += [_branched(n, n - 2) for n in range(4, 12)]
+    quivers += [_branched(n, 3) for n in (6, 7, 8)]
+    counts = {}
+    for q in quivers:
+        dynkin = classify_dynkin(q)
+        count = expected_count(dynkin)
+        assert type(count) is int
+        counts[str(dynkin)] = count
+    assert len(counts) == 22
+    for n in range(1, 12):
+        assert counts[f"A{n}"] == math.comb(2 * n + 2, n + 1) // (n + 2)
+    for n in range(4, 12):
+        assert counts[f"D{n}"] * n == (3 * n - 2) * math.comb(2 * n - 2, n - 1)
+    assert (counts["E6"], counts["E7"], counts["E8"]) == (833, 4160, 25080)
 
 
 def _backtrack_cliques(compat, size):

@@ -107,9 +107,13 @@ def test_covers_with_equal_top_vertices_share_the_sum():
 def test_one_dual_per_module(monkeypatch):
     """From a cold session, the dual of a module is built once per content:
     a twin (equal dimension vector and matrices, another object) reuses the
-    dual of the first, for the injectivity test and for tau^{-1} alike."""
+    dual of the first, for the injectivity test and for tau^{-1} alike.  The
+    opposite category is built first: its injectives are the duals of the
+    projectives of this one (``hereditary.injective_rep``), and they are not
+    the category's duals of modules."""
     monkeypatch.setattr(session, "_sessions", {})
     cat = path_category(d4_subspace())
+    cat.opposite()
     m = simple_rep(cat.quiver, "1")  # the simple at the sink is not injective
     twin = _twin(m)
     duals = []
@@ -543,7 +547,7 @@ def test_top_support_hom_dim_matches_systems(monkeypatch):
     monkeypatch.setattr(reps, "hom_dim", counting)
     fresh = [
         (m, n) for m in entries for n in entries
-        if (cat.content_id(m), cat.content_id(n)) not in cat._hom_cache
+        if ("hom", cat.content_id(m), cat.content_id(n)) not in cat._facts
     ]
     got = [cat.hom_dim(m, n) for m, n in fresh]
     monkeypatch.setattr(reps, "hom_dim", inner)

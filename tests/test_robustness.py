@@ -6,10 +6,21 @@ import random
 
 from dupcat.cli import main
 from dupcat.cluster import enumerate_cluster_tilting
-from dupcat.hereditary import knit_ind_A, path_category, positive_root_count
+from dupcat.hereditary import knit_ind_A, path_category
 from dupcat.quiver import Quiver, classify_dynkin
 from dupcat.reps import is_isomorphic
 from dupcat.tilting import expected_count, verify_bijection
+
+
+def positive_root_count(dynkin) -> int:
+    """Number of positive roots, i.e. |ind A|, per Dynkin family: the
+    closed-form oracle for the size of the knitted catalog."""
+    fam, n = dynkin.family, dynkin.rank
+    if fam == "A":
+        return n * (n + 1) // 2
+    if fam == "D":
+        return n * (n - 1)
+    return {6: 36, 7: 63, 8: 120}[n]
 
 
 def _orient_star(bits):

@@ -4,13 +4,25 @@
   raises a typed error instead.
 * Every import is ``dupcat`` itself or the standard library: the runtime
   stays stdlib-only.
+* Every top-level function and every method is named somewhere in the
+  library outside ``__init__.py``: a function only tests call belongs in
+  the tests.  ``fixtures.py`` (builders for tests and demos) is exempt, and
+  so is the API in ``NO_CALLER_IN_SRC``, which the README or a demo uses.
 """
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dupcat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dupcat"
+
+# name -> (file, text of the line that uses it)
+NO_CALLER_IN_SRC = {
+    "linalg.rref": ("README.md", "integer Gauss–Jordan for rref"),
+    "ModuleCategory.top": ("demos/03_duplicated_modules.py", "cat.top(pp.rep())"),
+    "DupQuiverReport.connecting_pairs": ("demos/01_quivers_and_duplication.py", "rep.connecting_pairs()"),
+}
 
 
 def _trees():
@@ -48,3 +60,35 @@ def test_imports_are_dupcat_or_stdlib():
         if top is not None and top != "dupcat" and top not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def _defined(name, tree):
+    """Qualified names of the top-level functions and of the methods (not
+    dunders, which Python calls) of the top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{name[:-3]}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__")):
+                    yield f"{node.name}.{m.name}", m.name
+
+
+def test_every_library_function_has_a_caller_in_the_library():
+    trees = [(name, tree) for name, tree in _trees() if name != "__init__.py"]
+    named = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for _, tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    uncalled = {
+        qualified
+        for name, tree in trees
+        if name != "fixtures.py"
+        for qualified, bare in _defined(name, tree)
+        if bare not in named
+    }
+    assert uncalled == set(NO_CALLER_IN_SRC)
+    for path, line in NO_CALLER_IN_SRC.values():
+        assert line in (ROOT / path).read_text(encoding="utf-8")

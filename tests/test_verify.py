@@ -303,7 +303,6 @@ def test_hom_system_budget(monkeypatch):
 
     monkeypatch.setattr(reps, "hom_dim", counting_dim)
     monkeypatch.setattr(reps, "split_pair", counting_split)
-    monkeypatch.setattr(leftpart, "split_pair", counting_split)
     checks = run_all_checks(d4_subspace())
     assert all(c.passed for c in checks)
     assert 0 < len(systems) <= 30
