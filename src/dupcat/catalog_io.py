@@ -93,15 +93,30 @@ def dup_catalog_to_dict(cat: DupCatalog) -> dict:
     return body
 
 
+def _one_per_entry(name: str, values, n: int) -> tuple:
+    """``values`` as bools; CatalogError naming the field unless it has one
+    value per catalog entry."""
+    if len(values) != n:
+        raise CatalogError(f"{name} has {len(values)} values for {n} catalog entries")
+    return tuple(bool(b) for b in values)
+
+
 def _ar_catalog_from_body(category, quiver, body) -> ARCatalog:
     entries = tuple(_rep_from_json(quiver, e) for e in body["entries"])
+    n = len(entries)
+    for name in ("arrows", "tau_links"):  # the first two items of a link are entry indices
+        bad = [k for link in body[name] for k in link[:2] if not (isinstance(k, int) and 0 <= k < n)]
+        if bad:
+            raise CatalogError(f"{name} names entry {bad[0]!r}, but the catalog has {n} entries")
     tau_inv_of = {m: t for m, t in body["tau_links"]}
     tau_of = {t: m for m, t in tau_inv_of.items()}
+    if not len(tau_of) == len(tau_inv_of) == len(body["tau_links"]):
+        raise CatalogError("tau_links link one entry twice")
     return ARCatalog(
         category,
         entries,
-        tuple(bool(b) for b in body["projective"]),
-        tuple(bool(b) for b in body["injective"]),
+        _one_per_entry("projective", body["projective"], n),
+        _one_per_entry("injective", body["injective"], n),
         tau_inv_of,
         tau_of,
         tuple(tuple(a) for a in body["arrows"]),
@@ -118,18 +133,22 @@ def catalog_from_dict(body: dict):
     if body["kind"] != "duplicated":
         raise CatalogError(f"unknown catalog kind {body['kind']!r}")
     ar = _ar_catalog_from_body(dup_category(base), session(base).report.dup, body)
+    flags = {
+        name: _one_per_entry(f"flags.{name}", body["flags"][name], len(ar.entries))
+        for name in ("proj_injective", "in_ind_A", "in_L", "in_sigma")
+        if name in body["flags"]
+    }
     modules = tuple(rep_to_triple(e, base) for e in ar.entries)
     for m in modules:
         m.theta  # solving for theta proves the entry is a module
-    flags = body["flags"]
     return DupCatalog(
         base,
         ar,
         modules,
-        tuple(bool(b) for b in flags["proj_injective"]),
-        tuple(bool(b) for b in flags["in_ind_A"]),
-        tuple(bool(b) for b in flags["in_L"]) if "in_L" in flags else None,
-        tuple(bool(b) for b in flags["in_sigma"]) if "in_sigma" in flags else None,
+        flags["proj_injective"],
+        flags["in_ind_A"],
+        flags.get("in_L"),
+        flags.get("in_sigma"),
     )
 
 

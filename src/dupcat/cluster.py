@@ -16,7 +16,7 @@ from .errors import CatalogError, NotDynkinError, NotInDomainError
 from .quiver import Quiver, classify_dynkin
 from .dup import DupModule
 from .hereditary import knit_ind_A
-from .reps import is_isomorphic
+from .leftpart import left_part_catalog
 from .session import session
 
 
@@ -65,24 +65,22 @@ def describe_object(o: ClusterObject) -> str:
 def pi_bar(m: DupModule) -> ClusterObject:
     """Stable projection of a non-projective-injective left-part module.
 
-    Embedded modules go to themselves; the cosyzygy of the projective at x
-    (equivalently tau^{-1} of the injective at x) goes to the shifted
-    projective at x.  Everything else is outside the domain.
+    One lookup among the left-part members decides it: ind A member i (the
+    members list ind A first, in catalog order) goes to itself; the
+    cosyzygy of the projective at x (equivalently tau^{-1} of the injective
+    at x) goes to the shifted projective at x.  Projective-injectives and
+    non-members are outside the domain.
     """
     q = m.base_quiver
-    s = session(q)
-    for p in s.standard_dup_modules.projective_primed.values():
-        if is_isomorphic(m.rep(), p.rep()):
-            raise NotInDomainError("projective-injectives vanish under projection")
-    if m.y_part.is_zero():
-        idx = knit_ind_A(q).find(m.x_part)
-        if idx is None:
-            raise NotInDomainError("not an indecomposable of the base category")
-        return module_object(q, idx)
-    for x in q.vertices:
-        if is_isomorphic(m.rep(), s.cosyzygies[x].rep()):
-            return shifted_projective(q, x)
-    raise NotInDomainError("module is not in the left part")
+    lpc = left_part_catalog(q)
+    i = lpc.member_index(m)
+    if i is None:
+        raise NotInDomainError("module is not in the left part")
+    if lpc.proj_inj_flags[i]:
+        raise NotInDomainError("projective-injectives vanish under projection")
+    if lpc.ind_a_flags[i]:
+        return module_object(q, i)
+    return shifted_projective(q, next(x for x, k in lpc.cosyzygy_by_vertex.items() if k == i))
 
 
 def ext1_cluster_dim(o1: ClusterObject, o2: ClusterObject) -> int:

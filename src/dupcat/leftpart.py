@@ -24,7 +24,6 @@ from .dup import (
     dup_category,
     embed_A,
     knit_ind_dup,
-    proj_primed,
     rep_to_triple,
     standard_dup_modules,
 )
@@ -66,7 +65,7 @@ class LeftPartCatalog:
     base: Quiver
     members: tuple  # DupModules
     ind_a_flags: tuple
-    cosyzygy_flags: tuple  # the tau^{-1} of embedded injectives, indexed by vertex
+    cosyzygy_flags: tuple  # the tau^{-1} of the embedded injectives
     proj_inj_flags: tuple
     cosyzygy_by_vertex: dict  # vertex -> member index
     sigma_indices: tuple
@@ -151,39 +150,25 @@ def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
 
     for x in q.vertices:
         pbar_in_left_part(x)
-    n_embed = len(embeds)
-    n = len(q.vertices)
-    members = list(embeds)
-    ind_a_flags = [True] * n_embed
-    cosyz_flags = [False] * n_embed
-    pi_flags = [False] * n_embed
-    cosyz_by_vertex = {}
-    for x in q.vertices:
-        cosyz_by_vertex[x] = len(members)
-        members.append(cosyz[x])
-        ind_a_flags.append(False)
-        cosyz_flags.append(True)
-        pi_flags.append(False)
-    sigma_indices = list(cosyz_by_vertex.values())
-    for x in q.vertices:
-        if pi_in_l[x]:
-            sigma_indices.append(len(members))
-            members.append(pis[x])
-            ind_a_flags.append(False)
-            cosyz_flags.append(False)
-            pi_flags.append(True)
+    # members: ind A, then one cosyzygy per vertex, then the P_y' in the left part
+    n_embed, n = len(embeds), len(q.vertices)
+    members = tuple(embeds) + tuple(cosyz[x] for x in q.vertices)
+    members += tuple(pis[y] for y in q.vertices if pi_in_l[y])
+    sizes = (n_embed, n, len(members) - n_embed - n)
+
+    def block(k):
+        return tuple(b == k for b, size in enumerate(sizes) for _ in range(size))
+
     lpc = LeftPartCatalog(
         q,
-        tuple(members),
-        tuple(ind_a_flags),
-        tuple(cosyz_flags),
-        tuple(pi_flags),
-        cosyz_by_vertex,
-        tuple(sigma_indices),
+        members,
+        block(0),
+        block(1),
+        block(2),
+        {x: n_embed + k for k, x in enumerate(q.vertices)},
+        tuple(range(n_embed, len(members))),
     )
     # structural invariants
-    if sum(lpc.cosyzygy_flags) != n:
-        raise CatalogError("expected one cosyzygy member per vertex")
     member_reps = [m.rep() for m in lpc.members]
     for i, m in enumerate(member_reps):
         if ctx.pd(m) > 1:
@@ -439,17 +424,9 @@ def canonical_tilting(q: Quiver) -> CanonicalTilting:
     from .tilting import is_tilting_module
 
     lpc = left_part_catalog(q)
-    u = list(lpc.sigma)
-    in_l_pi_vertices = {
-        x
-        for x in q.vertices
-        if any(
-            lpc.proj_inj_flags[i]
-            and dup_category(q).iso(lpc.members[i].rep(), proj_primed(q, x).rep())
-            for i in lpc.sigma_indices
-        )
-    }
-    v = [proj_primed(q, x) for x in q.vertices if x not in in_l_pi_vertices]
-    summands = tuple(u) + tuple(v)
+    u = lpc.sigma
+    # sigma holds the session's own P_x' objects, so membership is identity
+    v = [p for p in standard_dup_modules(q).projective_primed.values() if p not in u]
+    summands = u + tuple(v)
     verdict = is_tilting_module(list(summands))
-    return CanonicalTilting(tuple(u), tuple(v), summands, verdict)
+    return CanonicalTilting(u, tuple(v), summands, verdict)

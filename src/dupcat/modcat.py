@@ -10,11 +10,10 @@ generic:
 * every fact about a module is kept per content, not per object, in one
   fact table on the category (:meth:`ModuleCategory._fact`): a content
   table gives each dimension vector with its arrow matrices a small id, and
-  covers, presentations, tau, duals, Nakayama images, injectivity, Hom and
-  Ext^1 are kept under (fact, id[, id]), so a module rebuilt as another
-  object (a twin) reuses every fact already known; the per-vertex frames,
-  the arrow maps and the sums of projectives are kept in the same table by
-  value;
+  covers, presentations, tau, duals, Nakayama images, Hom and Ext^1 are
+  kept under (fact, id[, id]), so a module rebuilt as another object (a
+  twin) reuses every fact already known; the per-vertex frames, the arrow
+  maps and the sums of projectives are kept in the same table by value;
 * projective covers lift a basis of the top through Yoneda evaluation at the
   generator: a per-vertex frame of arrow paths from the generator, built once,
   gives the map P_z -> N with generator |-> v without a Hom solve;
@@ -34,10 +33,11 @@ generic:
 * dim Hom(M, N) is 0, with no system built, when N vanishes on the top of M
   (whose cover is kept);
 * the AR quiver of a representation-finite category is knitted as the
-  tau^{-1}-closure of the projectives; its arrows are then read along the
-  meshes: the radicals of the projectives are decomposed, and the middle
-  term of each AR sequence is predicted from the arrows already known and
-  certified summand by summand, with no catalog scan;
+  tau^{-1}-closure of the projectives (an entry is injective exactly when
+  it has no tau^{-1}); its arrows are then read along the meshes: the
+  radicals of the projectives are decomposed, and the middle term of each
+  AR sequence is predicted from the arrows already known and certified
+  summand by summand, with no catalog scan;
 * dim Hom between any two catalog entries is one entry of the catalog's
   hom table, knitted along the certified meshes on first read (never by
   the knit itself) and certified against the dimension vectors by Yoneda;
@@ -518,13 +518,6 @@ class ModuleCategory:
         cover1 = None if omega.is_zero() else self.cover(omega)
         return Presentation(cover0, omega, incl, cover1)
 
-    def is_projective(self, m: Rep) -> bool:
-        return self.presentation(m).omega.is_zero()
-
-    def is_injective(self, m: Rep) -> bool:
-        """m is injective iff its dual is projective; kept per content."""
-        return self._fact("injective", lambda m: self.opposite()[0].is_projective(self._dual(m)), m)
-
     def envelope(self, m: Rep):
         """Injective envelope (parts, I0, j: m -> I0)."""
         soc_parts = []  # (z, functional row on m_z)
@@ -715,20 +708,20 @@ class ModuleCategory:
             fj = f1.compose(pres.cover1.injections[j])
             for i in range(len(parts0)):
                 comps[(j, i)] = pres.cover0.projections[i].compose(fj)
+        # the Nakayama bases of the P0 summands, the flattened ones of the P1 summands
+        bases0 = [self.nak_data(self.proj[zi])[1] for zi, _ in parts0]
+        flats1 = [self.nak_data(self.proj[wj])[2] for wj, _ in parts1]
         mats = {}
         for z in self.quiver.vertices:
             col_groups = []
-            n_rows_per_j = [len(self.nak_data(self.proj[w])[1][z]) for w, _ in parts1]
-            for i, (zi, _) in enumerate(parts0):
-                basis_i = self.nak_data(self.proj[zi])[1][z]
-                for b in basis_i:
+            for i, bases in enumerate(bases0):
+                for b in bases[z]:
                     col = []
-                    for j, (wj, _) in enumerate(parts1):
-                        flat_j = self.nak_data(self.proj[wj])[2][z]
+                    for j, flats in enumerate(flats1):
                         comp = b.compose(comps[(j, i)])
-                        col.extend(_coords(flat_j, comp, "presentation component"))
+                        col.extend(_coords(flats[z], comp, "presentation component"))
                     col_groups.append(tuple(col))
-            pre = RMatrix.from_columns(col_groups, sum(n_rows_per_j))
+            pre = RMatrix.from_columns(col_groups, sum(len(flats[z]) for flats in flats1))
             mats[z] = pre.transpose()
         nu_f1 = RepMap(nu1, nu0, mats, check=False)
         t, _ = kernel(nu_f1)
@@ -795,11 +788,8 @@ class ModuleCategory:
         tau_of = {}
         i = 0
         while i < len(entries):
-            m = entries[i]
-            if not self.is_injective(m):
-                n = self.tau_inv(m)
-                if n is None:
-                    raise CatalogError("tau^-1 of a non-injective came out None")
+            n = self.tau_inv(entries[i])  # None exactly when entry i is injective
+            if n is not None:
                 j = self.find_iso(n, entries, index)
                 if j is None:
                     j = len(entries)
@@ -816,7 +806,7 @@ class ModuleCategory:
                 tau_of[j] = i
             i += 1
         projective = tuple(k < len(self.proj) for k in range(len(entries)))
-        injective = tuple(self.is_injective(e) for e in entries)
+        injective = tuple(k not in tau_inv_of for k in range(len(entries)))
         catalog = ARCatalog(
             self,
             tuple(entries),

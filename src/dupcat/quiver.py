@@ -9,7 +9,8 @@ generator survives modulo the square of the radical).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import CyclicQuiverError, QuiverSyntaxError
@@ -280,22 +281,20 @@ class DupQuiverReport:
     dup: Quiver
     connecting: tuple  # of (arrow_name, source_primed, target, MaximalPath)
     hom_dims: dict
-    _pattern: object = field(default=None, repr=False)
 
     def connecting_pairs(self):
         return tuple((src, tgt) for _, src, tgt, _ in self.connecting)
 
+    @cached_property
     def composite_pattern(self):
         """Zero/commutativity pattern of the length-two junction composites.
 
         Computed from the action on the regular module; see
         :func:`dupcat.dup.junction_composite_pattern`.
         """
-        if self._pattern is None:
-            from .dup import junction_composite_pattern
+        from .dup import junction_composite_pattern
 
-            self._pattern = junction_composite_pattern(self.base)
-        return self._pattern
+        return junction_composite_pattern(self.base)
 
     def as_text(self) -> str:
         lines = ["duplicated quiver"]
@@ -314,7 +313,7 @@ class DupQuiverReport:
         for x in self.base.vertices:
             row = " ".join(f"{self.hom_dims[(x, y)]:>4}" for y in self.base.vertices)
             lines.append(f"  {x:>4} {row}")
-        pat = self.composite_pattern()
+        pat = self.composite_pattern
         lines.append(
             f"  junction composites: {pat.zero_count} vanish, "
             f"{pat.commuting_count} pairwise identified "

@@ -371,19 +371,6 @@ def split_pair(c: Rep, e: Rep):
     return None
 
 
-def has_section(g: RepMap) -> bool:
-    """Decide whether g: e -> c is a split epimorphism.
-
-    Exact: g has a section iff id_c lies in the span of {g.h : h in Hom(c, e)},
-    because h |-> g.h is linear.
-    """
-    c = g.target
-    if c.is_zero():
-        return True
-    composites = [g.compose(h).flatten() for h in hom_basis(c, g.source)]
-    return coordinates_in_span(composites, identity_map(c).flatten()) is not None
-
-
 def is_isomorphic(m: Rep, n: Rep) -> bool:
     """Decide m = n up to isomorphism from one Hom system: some basis map
     of Hom(m, n) is invertible.

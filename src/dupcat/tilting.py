@@ -31,7 +31,6 @@ class TiltingVerdict:
 class TiltingModuleRecord:
     forced: tuple  # the n projective-injectives
     free: tuple  # n non-projective-injective left-part members
-    verified: bool
 
     @property
     def summands(self):
@@ -92,7 +91,7 @@ def enumerate_L_tilting(q: Quiver):
                 rigid[i] |= 1 << j
                 rigid[j] |= 1 << i
     return [
-        TiltingModuleRecord(forced, tuple(candidates[i] for i in c), True)
+        TiltingModuleRecord(forced, tuple(candidates[i] for i in c))
         for c in cliques(rigid, n)
     ]
 

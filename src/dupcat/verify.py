@@ -24,8 +24,6 @@ from .leftpart import (
     verify_pd_criterion,
     verify_sink_reachability,
 )
-from .reps import RepMap
-from .linalg import RMatrix, right_inverse
 from .session import session
 from .tilting import expected_count, verify_bijection
 
@@ -80,9 +78,12 @@ def check_cosyzygy_tau_identity(q: Quiver) -> Report:
 
 
 def check_socle_quotient_sequences(q: Quiver) -> Report:
-    """For every sink a there is a non-split exact sequence from the embedded
-    injective at a into its socle quotients, with the left term the
-    translate of the right one."""
+    """For every sink a the almost split sequence ending at P_a'/S_a starts
+    at the embedded injective I_a and has middle term P_a' + I_a/S_a.
+
+    It is read off the knit, which certified it exact, non-split (dim Ext^1
+    = 1) and each summand of its middle term; an almost split sequence is
+    determined by its end term (Assem-Simson-Skowronski vol. 1, IV.1)."""
     witnesses = []
     ctx = dup_category(q)
     base_ctx = path_category(q)
@@ -96,67 +97,21 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
             raise CatalogError(
                 f"sink {a}: Hom(S_a, I_a) has dimension {len(incl_candidates)}, not 1"
             )
-        qa, qmap = reps.cokernel(incl_candidates[0])
-        ia_mod_sa = embed_A(qa).rep()
+        ia_mod_sa = embed_A(reps.cokernel(incl_candidates[0])[0]).rep()
         soc, soc_incl = ctx.socle(pia)
         if soc.total_dim() != 1 or soc.dims.get(a, 0) != 1:
             witnesses.append(f"sink {a}: socle of the projective-injective is not simple at {a}")
             continue
-        pia_mod, pia_proj = reps.cokernel(soc_incl)
-        # alpha: I_a -> projective-injective, via a split certificate with its radical
-        rad, rad_incl = ctx.radical(pia)
-        pair = reps.split_pair(ia, rad)
-        if pair is None:
-            witnesses.append(f"sink {a}: radical of the projective-injective is not the embedded injective")
+        catalog = knit_ind_dup(q).catalog
+        seq = catalog.sequences.get(catalog.find(reps.cokernel(soc_incl)[0]))
+        if seq is None:
+            witnesses.append(f"sink {a}: no almost split sequence ends at the socle quotient")
             continue
-        alpha = rad_incl.compose(pair[0])
-        # beta: I_a -> I_a/S_a is the embedded quotient map (primed parts zero)
-        beta = RepMap(
-            ia,
-            ia_mod_sa,
-            {v: qmap.mats[v] for v in q.vertices},
-            check=False,
-        )
-        # delta: I_a/S_a -> PI_a/S_a induced by alpha on the quotients
-        delta_mats = {}
-        ok = True
-        for v in ia.quiver.vertices:
-            b = beta.mats[v]
-            rhs = pia_proj.mats[v] @ alpha.mats[v]
-            if b.cols == 0 and b.rows == 0:
-                delta_mats[v] = RMatrix.zeros(pia_mod.dims[v], 0)
-                continue
-            try:
-                delta_mats[v] = rhs @ right_inverse(b) if b.rows else RMatrix.zeros(pia_mod.dims[v], 0)
-            except ValueError:
-                ok = False
-                break
-        if not ok:
-            witnesses.append(f"sink {a}: no induced map between the socle quotients")
-            continue
-        delta = RepMap(ia_mod_sa, pia_mod, delta_mats, check=False)
-        middle, (j1, j2), _ = reps.direct_sum([pia, ia_mod_sa])
-        left_map = j1.compose(alpha).add(j2.compose(beta))
-        right_mats = {
-            v: RMatrix.hstack([pia_proj.mats[v], delta.mats[v].scale(-1)])
-            for v in ia.quiver.vertices
-        }
-        right_map = RepMap(middle, pia_mod, right_mats)
-        if not left_map.is_injective():
-            witnesses.append(f"sink {a}: left map not injective")
-        if not right_map.is_surjective():
-            witnesses.append(f"sink {a}: right map not surjective")
-        if not right_map.compose(left_map).is_zero():
-            witnesses.append(f"sink {a}: sequence does not compose to zero")
-        if middle.total_dim() != ia.total_dim() + pia_mod.total_dim():
-            witnesses.append(f"sink {a}: middle dimension off")
-        # non-split (exactly: the right map has no section) and the translate
-        # relation; the embedded injective is indecomposable
-        if reps.has_section(right_map):
-            witnesses.append(f"sink {a}: sequence splits")
-        t = ctx.tau(pia_mod)
-        if t is None or not ctx.iso(t, ia):
-            witnesses.append(f"sink {a}: left term is not the translate of the right term")
+        if not ctx.iso(catalog.entries[seq.left], ia):
+            witnesses.append(f"sink {a}: left term is not the embedded injective")
+        middle = tuple(ctx.decompose(reps.direct_sum([pia, ia_mod_sa])[0], catalog))
+        if seq.middle != middle:
+            witnesses.append(f"sink {a}: middle term {seq.middle}, not P_a' + I_a/S_a = {middle}")
     return Report("socle-quotient-sequences", not witnesses, witnesses)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from dupcat.catalog_io import (
     catalog_to_dict,
     dup_catalog_to_dict,
     dumps,
+    loads,
 )
 from dupcat.cli import RunConfig, main
 from dupcat.dot import ar_quiver_dot
@@ -193,7 +195,6 @@ def test_dot_d4_node_shapes():
     assert dot.count("shape=circle") == 4
     assert dot.count("shape=diamond") == 4
     assert "cluster_left_part" in dot
-    import re
 
     node_lines = [
         line for line in dot.splitlines() if re.match(r"\s*n\d+ \[", line)
@@ -228,6 +229,60 @@ def test_catalog_json_roundtrip_dup():
     # triples were rebuilt from the serialized representations
     for a, b in zip(cat.modules, back.modules):
         assert a.dim_vectors() == b.dim_vectors()
+
+
+def _a2_dup_body():
+    q = a_n(2)
+    cat = annotate_catalog(knit_ind_dup(q), left_part_catalog(q))
+    return json.loads(dumps(dup_catalog_to_dict(cat)))
+
+
+def _truncate(field):
+    def tamper(body):
+        *path, name = field.split(".")
+        for key in path:
+            body = body[key]
+        body[name] = body[name][:1]
+    return tamper
+
+
+def _repeat_tau_source(body):
+    (m, _), (_, t) = body["tau_links"][:2]
+    body["tau_links"].append([m, t])
+
+
+# test id -> (the field the error names, the tampering)
+_MISFITS = {
+    "projective": ("projective", lambda body: body.update(projective=body["projective"][:2])),
+    "injective": ("injective", lambda body: body["injective"].append(True)),
+    **{
+        f"flags.{f}": (f"flags.{f}", _truncate(f"flags.{f}"))
+        for f in ("proj_injective", "in_ind_A", "in_L", "in_sigma")
+    },
+    "arrows": ("arrows", lambda body: body["arrows"].append([0, 99, 1])),
+    "arrows-string-index": ("arrows", lambda body: body["arrows"][0].__setitem__(0, "0")),
+    "tau_links": ("tau_links", lambda body: body["tau_links"].append([99, 0])),
+    "tau_links-repeated-source": ("tau_links", _repeat_tau_source),
+}
+
+
+def test_catalog_json_round_trip_is_byte_identical():
+    text = dumps(_a2_dup_body())
+    assert dumps(dup_catalog_to_dict(loads(text))) == text
+    text = dumps(catalog_to_dict(knit_ind_A(d4_subspace())))
+    assert dumps(catalog_to_dict(loads(text))) == text
+
+
+@pytest.mark.parametrize("misfit", sorted(_MISFITS))
+def test_catalog_json_import_rejects_lists_that_do_not_fit_the_entries(misfit):
+    """A list with other than one value per entry, a link to an entry index
+    out of range or not an int, or two tau links from one entry, raises
+    CatalogError naming the field."""
+    body = _a2_dup_body()
+    field, tamper = _MISFITS[misfit]
+    tamper(body)
+    with pytest.raises(CatalogError, match=rf"^{re.escape(field)} "):
+        catalog_from_dict(body)
 
 
 _LOAD_EXPECTING_CATALOG_ERROR = """

@@ -12,12 +12,21 @@ from dupcat.cluster import (
     pi_bar,
     shifted_projective,
 )
-from dupcat.dup import dup_category, embed_A, proj_primed, rep_to_triple
+from dupcat.dup import (
+    dup_category,
+    embed_A,
+    knit_ind_dup,
+    proj_primed,
+    rep_to_triple,
+    standard_dup_modules,
+)
 from dupcat.errors import NotDynkinError, NotInDomainError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import knit_ind_A, path_category, projective_rep, simple_rep
 from dupcat.leftpart import left_part_catalog
 from dupcat.quiver import Quiver, classify_dynkin
+from dupcat.reps import direct_sum, is_isomorphic
+from dupcat.session import session
 from dupcat.tilting import (
     enumerate_L_tilting,
     expected_count,
@@ -40,6 +49,52 @@ def test_pi_bar_a2():
     assert pi_bar(p2) == _find(q, projective_rep(q, "2"))
     with pytest.raises(NotInDomainError):
         pi_bar(proj_primed(q, "1"))
+
+
+def _pi_bar_by_scan(m):
+    """The isomorphism-scan projection: the projective-injectives, then the
+    embedded modules by a lookup in ind A, then the cosyzygies."""
+    q = m.base_quiver
+    std = standard_dup_modules(q)
+    if any(is_isomorphic(m.rep(), p.rep()) for p in std.projective_primed.values()):
+        raise NotInDomainError("projective-injectives vanish under projection")
+    if m.y_part.is_zero():
+        idx = knit_ind_A(q).find(m.x_part)
+        if idx is None:
+            raise NotInDomainError("not an indecomposable of the base category")
+        return module_object(q, idx)
+    for x, z in session(q).cosyzygies.items():
+        if is_isomorphic(m.rep(), z.rep()):
+            return shifted_projective(q, x)
+    raise NotInDomainError("module is not in the left part")
+
+
+def _outcome(project, m):
+    try:
+        return project(m)
+    except NotInDomainError:
+        return NotInDomainError
+
+
+@pytest.mark.parametrize("make", [lambda: a_n(3), d4_subspace], ids=["A3", "D4"])
+def test_pi_bar_agrees_with_the_isomorphism_scan(make):
+    """The member lookup projects every entry of the knitted catalog of the
+    duplicated algebra as the isomorphism scan does, or refuses it alike."""
+    q = make()
+    outcomes = [
+        (_outcome(pi_bar, m), _outcome(_pi_bar_by_scan, m)) for m in knit_ind_dup(q).modules
+    ]
+    assert all(new == old for new, old in outcomes)
+    assert {new for new, _ in outcomes} == set(fundamental_domain(q)) | {NotInDomainError}
+
+
+def test_pi_bar_refuses_modules_outside_the_left_part():
+    q = a_n(2)
+    sum_simples, _, _ = direct_sum([simple_rep(q, "1"), simple_rep(q, "2")])
+    with pytest.raises(NotInDomainError, match="not in the left part"):
+        pi_bar(embed_A(sum_simples))
+    with pytest.raises(NotInDomainError, match="not in the left part"):
+        pi_bar(standard_dup_modules(q).injective_primed["2"])
 
 
 def test_fundamental_domain_count():

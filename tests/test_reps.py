@@ -1,7 +1,7 @@
 """Representation-level invariants raise typed errors (kept under python -O),
-split_pair solves only the Hom spaces its verdict needs, has_section
-decides split epimorphisms exactly, and is_isomorphic agrees with the
-split_pair route."""
+split_pair solves only the Hom spaces its verdict needs, the has_section
+helper decides split epimorphisms exactly, and is_isomorphic agrees with
+the split_pair route."""
 
 import random
 
@@ -12,13 +12,13 @@ from dupcat.errors import CatalogError
 from dupcat.dup import dup_category
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import path_category, projective_rep, simple_rep
-from dupcat.linalg import RMatrix, solve_matrix
+from dupcat.linalg import RMatrix, coordinates_in_span, solve_matrix
 from dupcat.reps import (
     Rep,
     RepMap,
     cokernel,
     direct_sum,
-    has_section,
+    hom_basis,
     identity_map,
     is_isomorphic,
     split_pair,
@@ -69,6 +69,19 @@ def test_split_pair_skips_reverse_hom_when_forward_is_zero(monkeypatch):
     calls.clear()
     f, g = split_pair(p2, p2)
     assert g.compose(f).is_isomorphism() and len(calls) == 2
+
+
+def has_section(g: RepMap) -> bool:
+    """Decide whether g: e -> c is a split epimorphism.
+
+    Exact: g has a section iff id_c lies in the span of {g.h : h in Hom(c, e)},
+    because h |-> g.h is linear.
+    """
+    c = g.target
+    if c.is_zero():
+        return True
+    composites = [g.compose(h).flatten() for h in hom_basis(c, g.source)]
+    return coordinates_in_span(composites, identity_map(c).flatten()) is not None
 
 
 def test_has_section_on_direct_sum_projections():

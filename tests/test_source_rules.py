@@ -4,6 +4,9 @@
   raises a typed error instead.
 * Every import is ``dupcat`` itself or the standard library: the runtime
   stays stdlib-only.
+* The check layer (``verify``, ``leftpart``, ``tilting``, ``cluster``)
+  imports nothing from ``dupcat.linalg``: it reads the facts the module
+  engine certified instead of solving systems of its own.
 * Every top-level function and every method is named somewhere in the
   library outside ``__init__.py``: a function only tests call belongs in
   the tests.  ``fixtures.py`` (builders for tests and demos) is exempt, and
@@ -60,6 +63,31 @@ def test_imports_are_dupcat_or_stdlib():
         if top is not None and top != "dupcat" and top not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+CHECK_LAYER = ("verify.py", "leftpart.py", "tilting.py", "cluster.py")
+
+
+def _reads_linalg(node):
+    """True when an import node reads ``dupcat.linalg``, absolutely or
+    relative to the package."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "dupcat.linalg" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (
+        node.module in ("linalg", "dupcat.linalg")
+        or any(alias.name == "linalg" for alias in node.names)
+    )
+
+
+def test_check_layer_imports_nothing_from_linalg():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        if name in CHECK_LAYER
+        for node in ast.walk(tree)
+        if _reads_linalg(node)
+    ]
+    assert found == []
 
 
 def _defined(name, tree):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dupcat import cli, cluster, leftpart, modcat, reps, session, tilting, verify
+from dupcat import cli, leftpart, modcat, reps, session, tilting, verify
 from dupcat.dup import dup_category, knit_ind_dup
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
@@ -327,7 +327,6 @@ def test_isomorphism_hom_systems_equal_distinct_pairs(monkeypatch):
         return inner(m, n)
 
     monkeypatch.setattr(reps, "is_isomorphic", counting)
-    monkeypatch.setattr(cluster, "is_isomorphic", counting)
     assert all(c.passed for c in run_all_checks(_d5()))
     assert pairs and len(pairs) == len(set(pairs))
 
@@ -375,6 +374,32 @@ except CatalogError:
     raise SystemExit(0)
 raise SystemExit(1)
 """
+
+
+@pytest.mark.parametrize("field", ["left", "middle"])
+def test_socle_quotient_check_reads_the_certified_sequence(monkeypatch, field):
+    """The check reads the almost split sequence of the session's catalog:
+    a copied catalog whose sequence ending at P_a'/S_a has a wrong left
+    term or a wrong middle term fails with a witness naming the sink."""
+    _start_cold(monkeypatch)
+    q = d4_subspace()
+    assert verify.check_socle_quotient_sequences(q).passed
+    a = sinks_and_sources(q)[0][0]
+    dup_cat = knit_ind_dup(q)
+    _, incl = dup_category(q).socle(dup_category(q).proj[prime(a)])
+    k = dup_cat.catalog.find(reps.cokernel(incl)[0])  # the entry of P_a'/S_a
+    seq = dup_cat.catalog.sequences[k]
+    if field == "left":
+        wrong = dataclasses.replace(seq, left=k)
+    else:
+        wrong = dataclasses.replace(seq, middle=tuple((j, m + 1) for j, m in seq.middle))
+    sequences = {**dup_cat.catalog.sequences, k: wrong}
+    copied = dataclasses.replace(dup_cat, catalog=dataclasses.replace(dup_cat.catalog, sequences=sequences))
+    monkeypatch.setitem(session.session(q).__dict__, "dup_catalog", copied)
+    report = verify.check_socle_quotient_sequences(q)
+    assert not report.passed
+    assert report.witnesses and all(w.startswith(f"sink {a}:") for w in report.witnesses)
+    assert any(field in w for w in report.witnesses)
 
 
 def test_run_all_checks_remaining_fixtures():
