@@ -11,6 +11,12 @@ the Fraction of the same value are equal and hash alike, so the form changes
 no value, no equality and no content key; it only keeps the integral case,
 which is almost every entry met in practice, on native integers.
 
+Most blocks met in practice are empty or an identity, so no arithmetic is
+done for them: a product, stack or solve with an empty side returns the
+shared zero matrix of its shape, a one-block stack returns its block, and a
+product with an identity factor (or a solve against the identity) returns
+the other matrix, which is immutable and canonical already.
+
 Elimination runs on Python integers.  A row holding a Fraction is first
 scaled by the lcm of its denominators; all-int rows are taken as they are.
 Ranks then use fraction-free (Bareiss) elimination; reduced row echelon
@@ -108,6 +114,10 @@ class RMatrix:
     @staticmethod
     def from_columns(columns, rows: int) -> "RMatrix":
         cols = len(columns)
+        if any(len(c) != rows for c in columns):
+            raise ValueError("ragged columns")
+        if rows == 0 or cols == 0:
+            return RMatrix.zeros(rows, cols)
         return RMatrix(
             [[columns[j][i] for j in range(cols)] for i in range(rows)], rows, cols
         )
@@ -161,6 +171,12 @@ class RMatrix:
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        if not (self.rows and self.cols and other.cols):
+            return RMatrix.zeros(self.rows, other.cols)
+        if _is_identity(other):
+            return self
+        if _is_identity(self):
+            return other
         # Row i of the product combines the rows of ``other`` with the
         # weights in row i of ``self``; zero weights and zero entries are
         # skipped, unit weights copy the row.
@@ -198,8 +214,13 @@ class RMatrix:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValueError("row mismatch in hstack")
+        if len(mats) == 1:
+            return mats[0]
+        cols = sum(m.cols for m in mats)
+        if rows == 0 or cols == 0:
+            return RMatrix.zeros(rows, cols)
         data = tuple(sum((m.data[i] for m in mats), ()) for i in range(rows))
-        return RMatrix._raw(data, rows, sum(m.cols for m in mats))
+        return RMatrix._raw(data, rows, cols)
 
     @staticmethod
     def vstack(mats) -> "RMatrix":
@@ -207,12 +228,19 @@ class RMatrix:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("column mismatch in vstack")
+        if len(mats) == 1:
+            return mats[0]
+        rows = sum(m.rows for m in mats)
+        if rows == 0 or cols == 0:
+            return RMatrix.zeros(rows, cols)
         data = tuple(row for m in mats for row in m.data)
-        return RMatrix._raw(data, sum(m.rows for m in mats), cols)
+        return RMatrix._raw(data, rows, cols)
 
     @staticmethod
     def block_diag(mats) -> "RMatrix":
         mats = list(mats)
+        if len(mats) == 1:
+            return mats[0]
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
         out = []
@@ -222,6 +250,14 @@ class RMatrix:
             out.extend(left + row + right for row in m.data)
             c0 += m.cols
         return RMatrix._raw(tuple(out), rows, cols)
+
+
+def _is_identity(m: RMatrix) -> bool:
+    """m is the shared identity of its size, or equal to it."""
+    if m.rows != m.cols:
+        return False
+    ident = RMatrix.identity(m.rows)
+    return m is ident or m.data == ident.data
 
 
 # Slot setters for RMatrix._raw: the immutability guard in __setattr__ is
@@ -372,6 +408,10 @@ def solve_matrix(a: RMatrix, b: RMatrix):
         raise ValueError("shape mismatch in solve")
     if a.cols == 0:
         return None if not b.is_zero() else RMatrix.zeros(0, b.cols)
+    if a.rows == 0 or b.cols == 0:
+        return RMatrix.zeros(a.cols, b.cols)
+    if _is_identity(a):
+        return b
     red, pivots = _int_rref(RMatrix.hstack([a, b]))
     if pivots and pivots[-1] >= a.cols:
         return None

@@ -104,8 +104,12 @@ _MISSING = object()  # a fact not yet in the table (a kept fact may be None)
 
 def _coords(span, f: RepMap, what: str) -> tuple:
     """Coordinates of the flattened map f in the flattened basis ``span``;
-    CatalogError when ``what`` (the way f was made) left the span."""
-    coords = coordinates_in_span(span, f.flatten()) if span else ()
+    CatalogError when ``what`` (the way f was made) left the span.  An empty
+    span holds only the zero map."""
+    if span:
+        coords = coordinates_in_span(span, f.flatten())
+    else:
+        coords = () if f.is_zero() else None
     if coords is None:
         raise CatalogError(f"{what} left the hom span")
     return coords
@@ -416,9 +420,9 @@ class ModuleCategory:
         for _, parent, arrow in steps:
             images.append(vec if parent is None else n.mats[arrow] @ images[parent])
         mats = {
-            v: RMatrix.hstack([images[i] for i in idx]) @ binv[v]
-            for v, idx in order.items()
-            if idx
+            v: RMatrix.hstack([images[i] for i in order[v]]) @ binv[v]
+            for v in n.support
+            if order[v]
         }
         return RepMap(self.proj[z], n, mats)
 
@@ -445,8 +449,10 @@ class ModuleCategory:
         images into v that are independent of those before them."""
         bases = {}
         for v in self.quiver.vertices:
-            stacked = self._arrow_images(m, v)
-            cols = [stacked.column_at(j) for j in pivot_columns(stacked)]
+            cols = []
+            if m.dims[v]:
+                stacked = self._arrow_images(m, v)
+                cols = [stacked.column_at(j) for j in pivot_columns(stacked)]
             bases[v] = RMatrix.from_columns(cols, m.dims[v])
         return reps.sub_from_subspaces(m, bases)
 
@@ -454,7 +460,7 @@ class ModuleCategory:
         """Columns spanning the socle of m at v: the joint kernel of the
         arrows leaving v."""
         outgoing = [m.mats[a.name] for a in self.quiver.arrows_from[v]]
-        if not outgoing:
+        if not (outgoing and m.dims[v]):
             return RMatrix.identity(m.dims[v])
         return RMatrix.from_columns(nullspace_basis(RMatrix.vstack(outgoing)), m.dims[v])
 
@@ -486,7 +492,7 @@ class ModuleCategory:
 
     def _cover(self, m: Rep) -> CoverData:
         parts = []
-        for z in self.quiver.vertices:
+        for z in m.support:
             for e in self._complement_columns(self._arrow_images(m, z)):
                 parts.append((z, e))
         if not parts:
@@ -497,10 +503,7 @@ class ModuleCategory:
             return CoverData([], p0, [], [], q)
         p0, injections, projections = self._proj_sum(tuple(z for z, _ in parts))
         part_maps = [self.yoneda_map(z, m, vec) for z, vec in parts]
-        mats = {
-            v: RMatrix.hstack([pm.mats[v] for pm in part_maps])
-            for v in self.quiver.vertices
-        }
+        mats = {v: RMatrix.hstack([pm.mats[v] for pm in part_maps]) for v in m.support}
         q = RepMap(p0, m, mats, check=False)
         if not q.is_surjective():
             raise CatalogError("projective cover not surjective")
@@ -521,7 +524,7 @@ class ModuleCategory:
     def envelope(self, m: Rep):
         """Injective envelope (parts, I0, j: m -> I0)."""
         soc_parts = []  # (z, functional row on m_z)
-        for z in self.quiver.vertices:
+        for z in m.support:
             soc_basis = self._socle_basis(m, z)
             s = soc_basis.cols
             if s == 0:
@@ -554,10 +557,7 @@ class ModuleCategory:
             part_maps.append(f)
         summands = [self.inj[z] for z, _ in soc_parts]
         i0, injections, _ = direct_sum(summands)
-        mats = {
-            v: RMatrix.vstack([pm.mats[v] for pm in part_maps])
-            for v in self.quiver.vertices
-        }
+        mats = {v: RMatrix.vstack([pm.mats[v] for pm in part_maps]) for v in m.support}
         j = RepMap(m, i0, mats, check=False)
         if not j.is_injective():
             raise CatalogError("envelope map not injective")
@@ -630,15 +630,18 @@ class ModuleCategory:
         # pushout of (incl: omega -> P0, -g0: omega -> m)
         s, (i1, i2), _ = direct_sum([pres.cover0.p0, m])
         glue = i1.compose(pres.incl).add(i2.compose(g0.scale(-1)))
-        e, proj = cokernel(glue)
+        e, proj, sections = reps.cokernel_sections(glue)
         f = proj.compose(i2)
-        # induced map e -> n: solve through the projection
+        # induced map e -> n: through the right inverses of the projection
+        # the cokernel solved, and one more at each vertex it did not
         gmats = {}
-        for v in self.quiver.vertices:
+        for v in n.support:
+            if v not in sections:
+                sections[v] = right_inverse(proj.mats[v])
             rhs = RMatrix.hstack(
                 [pres.cover0.q.mats[v], RMatrix.zeros(n.dims[v], m.dims[v])]
             )
-            gmats[v] = rhs @ right_inverse(proj.mats[v]) if proj.mats[v].rows else RMatrix.zeros(n.dims[v], 0)
+            gmats[v] = rhs @ sections[v]
         g = RepMap(e, n, gmats)
         if not (f.is_injective() and g.is_surjective()):
             raise CatalogError("extension f is not injective or g is not surjective")

@@ -4,6 +4,10 @@ A representation assigns to every vertex a rational vector space and to every
 arrow y -> x a matrix mapping the space at y to the space at x.  Morphisms
 are vertex-indexed matrix families with commuting squares; everything here is
 a kernel, cokernel or solution space of one joint linear system.
+
+Maps are built and checked on their support: a block at a vertex where the
+source or the target is zero is empty, so it is the shared zero matrix of
+its shape, and no product, sum, rank or square is computed for it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ _uid_counter = itertools.count()
 class Rep:
     """A representation: per-vertex dimensions and per-arrow matrices."""
 
-    __slots__ = ("quiver", "dims", "mats", "uid")
+    __slots__ = ("quiver", "dims", "mats", "uid", "support")
 
     def __init__(self, quiver: Quiver, dims, mats):
         self.quiver = quiver
@@ -38,13 +42,14 @@ class Rep:
             m = mats.get(a.name)
             if m is None:
                 m = RMatrix.zeros(self.dims[a.target], self.dims[a.source])
-            if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
+            elif (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
                 raise ValueError(
                     f"matrix for arrow {a.name} has shape {(m.rows, m.cols)}, "
                     f"expected {(self.dims[a.target], self.dims[a.source])}"
                 )
             self.mats[a.name] = m
         self.uid = next(_uid_counter)
+        self.support = tuple(v for v in quiver.vertices if self.dims[v])
 
     def dim_vector(self):
         return tuple(self.dims[v] for v in self.quiver.vertices)
@@ -75,6 +80,11 @@ def zero_rep(q: Quiver) -> Rep:
     return Rep(q, {}, {})
 
 
+def _support(m: Rep, n: Rep):
+    """The vertices where a map m -> n has a non-empty block."""
+    return [v for v in m.support if n.dims[v]]
+
+
 class RepMap:
     """Morphism of representations: one matrix per vertex."""
 
@@ -84,15 +94,18 @@ class RepMap:
         self.source = source
         self.target = target
         self.mats = {}
+        sdims, tdims = source.dims, target.dims
         for v in source.quiver.vertices:
             m = mats.get(v)
             if m is None:
-                m = RMatrix.zeros(target.dims[v], source.dims[v])
-            if (m.rows, m.cols) != (target.dims[v], source.dims[v]):
+                m = RMatrix.zeros(tdims[v], sdims[v])
+            elif m.rows != tdims[v] or m.cols != sdims[v]:
                 raise ValueError(f"map at vertex {v} has wrong shape")
             self.mats[v] = m
         if check:
             for a in source.quiver.arrows:
+                if not (source.dims[a.source] and target.dims[a.target]):
+                    continue  # both sides are the same empty matrix
                 lhs = self.mats[a.target] @ source.mats[a.name]
                 rhs = target.mats[a.name] @ self.mats[a.source]
                 if lhs != rhs:
@@ -105,7 +118,7 @@ class RepMap:
         return RepMap(
             other.source,
             self.target,
-            {v: self.mats[v] @ other.mats[v] for v in self.mats},
+            {v: self.mats[v] @ other.mats[v] for v in _support(other.source, self.target)},
             check=False,
         )
 
@@ -113,7 +126,7 @@ class RepMap:
         return RepMap(
             self.source,
             self.target,
-            {v: self.mats[v] + other.mats[v] for v in self.mats},
+            {v: self.mats[v] + other.mats[v] for v in _support(self.source, self.target)},
             check=False,
         )
 
@@ -121,34 +134,37 @@ class RepMap:
         return RepMap(
             self.source,
             self.target,
-            {v: self.mats[v].scale(c) for v in self.mats},
+            {v: self.mats[v].scale(c) for v in _support(self.source, self.target)},
             check=False,
         )
 
     def flatten(self):
         return tuple(
             x
-            for v in self.source.quiver.vertices
+            for v in _support(self.source, self.target)
             for x in self.mats[v].flatten()
         )
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.mats.values())
+        return all(self.mats[v].is_zero() for v in _support(self.source, self.target))
 
     def is_injective(self) -> bool:
-        return all(rank(m) == m.cols for m in self.mats.values())
+        return all(rank(self.mats[v]) == self.source.dims[v] for v in self.source.support)
 
     def is_surjective(self) -> bool:
-        return all(rank(m) == m.rows for m in self.mats.values())
+        return all(rank(self.mats[v]) == self.target.dims[v] for v in self.target.support)
 
     def is_isomorphism(self) -> bool:
-        return all(m.rows == m.cols and rank(m) == m.rows for m in self.mats.values())
+        return self.source.dims == self.target.dims and self.is_injective()
 
     def inverse(self) -> "RepMap":
+        if self.source.dims != self.target.dims:
+            raise ValueError("map is not invertible")
         mats = {}
-        for v, m in self.mats.items():
+        for v in self.source.support:
+            m = self.mats[v]
             inv = solve_matrix(m, RMatrix.identity(m.rows))
-            if inv is None or m.rows != m.cols:
+            if inv is None:
                 raise ValueError("map is not invertible")
             mats[v] = inv
         return RepMap(self.target, self.source, mats, check=False)
@@ -238,11 +254,15 @@ def sub_from_subspaces(m: Rep, bases) -> tuple:
 
     ``bases[v]`` is an RMatrix whose columns are independent vectors in the
     space at v; the spans must be arrow-stable.  Returns (sub, inclusion).
+    An arrow from a zero subspace, or into a zero space, is stable with no
+    solve; one into a zero subspace still needs a zero image.
     """
     dims = {v: bases[v].cols for v in m.quiver.vertices}
     mats = {}
     for a in m.quiver.arrows:
         y, x = a.source, a.target
+        if not (dims[y] and m.dims[x]):
+            continue
         image = m.mats[a.name] @ bases[y]
         sol = solve_matrix(bases[x], image)
         if sol is None:
@@ -254,38 +274,54 @@ def sub_from_subspaces(m: Rep, bases) -> tuple:
 
 
 def kernel(f: RepMap) -> tuple:
-    """Kernel subrepresentation with its inclusion."""
+    """Kernel subrepresentation with its inclusion; it is all of the
+    source where the target is zero."""
     bases = {}
     for v in f.source.quiver.vertices:
-        cols = nullspace_basis(f.mats[v])
-        bases[v] = RMatrix.from_columns(cols, f.source.dims[v])
+        d = f.source.dims[v]
+        if d and f.target.dims[v]:
+            bases[v] = RMatrix.from_columns(nullspace_basis(f.mats[v]), d)
+        else:
+            bases[v] = RMatrix.identity(d)
     return sub_from_subspaces(f.source, bases)
 
 
 def cokernel(f: RepMap) -> tuple:
     """Cokernel representation with the projection from the target."""
+    coker, proj, _ = cokernel_sections(f)
+    return coker, proj
+
+
+def cokernel_sections(f: RepMap) -> tuple:
+    """(cokernel, projection q, sections): ``sections[v]`` is a right inverse
+    of q at v, solved once for each vertex an induced arrow map leaves.
+
+    The projection is the identity where f's source is zero.  Every square
+    of q that is not empty is checked.
+    """
     n = f.target
     projs = {}
     dims = {}
     for v in n.quiver.vertices:
-        q, d = cokernel_basis(f.mats[v])
-        projs[v] = q
-        dims[v] = d
+        if f.source.dims[v] and n.dims[v]:
+            projs[v], dims[v] = cokernel_basis(f.mats[v])
+        else:
+            projs[v], dims[v] = RMatrix.identity(n.dims[v]), n.dims[v]
+    sections = {}
     mats = {}
     for a in n.quiver.arrows:
         y, x = a.source, a.target
-        if dims[x] == 0 or n.dims[y] == 0:
-            mats[a.name] = RMatrix.zeros(dims[x], dims[y])
-            continue
-        # induced map: solve C_a @ q_y = q_x @ N_a via a right inverse of q_y
-        ca = projs[x] @ n.mats[a.name] @ right_inverse(projs[y])
-        mats[a.name] = ca
+        if dims[x] and dims[y]:
+            # induced map: solve C_a @ q_y = q_x @ N_a via a right inverse of q_y
+            if y not in sections:
+                sections[y] = right_inverse(projs[y])
+            mats[a.name] = projs[x] @ n.mats[a.name] @ sections[y]
     coker = Rep(n.quiver, dims, mats)
-    proj = RepMap(n, coker, projs, check=False)
-    for a in n.quiver.arrows:
-        if coker.mats[a.name] @ projs[a.source] != projs[a.target] @ n.mats[a.name]:
-            raise CatalogError("cokernel structure map ill-defined")
-    return coker, proj
+    try:
+        proj = RepMap(n, coker, projs)
+    except ValueError:
+        raise CatalogError("cokernel structure map ill-defined") from None
+    return coker, proj, sections
 
 
 def direct_sum(parts) -> tuple:
@@ -298,6 +334,7 @@ def direct_sum(parts) -> tuple:
     mats = {
         a.name: RMatrix.block_diag([p.mats[a.name] for p in parts])
         for a in q.arrows
+        if dims[a.source] and dims[a.target]
     }
     total = Rep(q, dims, mats)
     injections = []
@@ -306,8 +343,11 @@ def direct_sum(parts) -> tuple:
     for p in parts:
         imats = {}
         pmats = {}
-        for v in q.vertices:
+        for v in p.support:
             d, o = p.dims[v], offset[v]
+            if d == dims[v]:
+                imats[v] = pmats[v] = RMatrix.identity(d)
+                continue
             imats[v] = RMatrix.vstack(
                 [RMatrix.zeros(o, d), RMatrix.identity(d), RMatrix.zeros(dims[v] - o - d, d)]
             )

@@ -95,6 +95,30 @@ def test_solve_and_right_inverse():
     assert solve_matrix(M([[1, 0], [0, 0]]), RMatrix.column([0, 1])) is None
 
 
+def test_solve_without_equations_or_right_hand_columns():
+    """No equations or no right-hand columns: the shared zero solution; the
+    identity as the matrix: the right-hand side itself."""
+    b = M([[1, Fraction(1, 2)], [0, 3]])
+    assert solve_matrix(RMatrix.zeros(0, 3), RMatrix.zeros(0, 2)) is RMatrix.zeros(3, 2)
+    assert solve_matrix(M([[1, 2], [2, 4]]), RMatrix.zeros(2, 0)) is RMatrix.zeros(2, 0)
+    assert solve_matrix(RMatrix.identity(2), b) is b
+    assert solve_matrix(M([[1, 0], [0, 1]]), b) == b
+    assert solve_matrix(RMatrix.zeros(2, 0), b) is None
+    assert solve_matrix(RMatrix.zeros(2, 0), RMatrix.zeros(2, 2)) == RMatrix.zeros(0, 2)
+    with pytest.raises(ValueError):
+        solve_matrix(RMatrix.zeros(0, 3), RMatrix.zeros(1, 2))
+
+
+def test_from_columns_rejects_ragged_columns():
+    with pytest.raises(ValueError):
+        RMatrix.from_columns([(), (1,)], 0)
+    with pytest.raises(ValueError):
+        RMatrix.from_columns([(1, 2), (3,)], 2)
+    with pytest.raises(ValueError):
+        RMatrix.from_columns([(1, 2, 3)], 2)
+    assert RMatrix.from_columns([(), ()], 0) is RMatrix.zeros(0, 2)
+
+
 def test_coordinates_in_span():
     coords = coordinates_in_span([(1, 0, 1), (0, 1, 1)], (2, 3, 5))
     assert coords == (2, 3)
@@ -266,6 +290,24 @@ def test_matrix_algebra_matches_entrywise_definition(m, n, c):
         m.rows + n.rows,
         m.cols + n.cols,
     )
+    # The shortcuts: an identity factor (shared, or only equal to it), a
+    # one-block stack and an empty side give the entrywise definition too.
+    rows = [list(r) for r in d]
+    check(m @ RMatrix.identity(m.cols), rows, m.rows, m.cols)
+    check(RMatrix.identity(m.rows) @ m, rows, m.rows, m.cols)
+    check(m @ RMatrix([[int(i == j) for j in range(m.cols)] for i in range(m.cols)], m.cols, m.cols), rows, m.rows, m.cols)
+    check(RMatrix.hstack([m]), rows, m.rows, m.cols)
+    check(RMatrix.vstack([m]), rows, m.rows, m.cols)
+    check(RMatrix.block_diag([m]), rows, m.rows, m.cols)
+    check(m @ RMatrix([[]] * m.cols, m.cols, 0), [[] for _ in d], m.rows, 0)
+    check(RMatrix([], 0, m.rows) @ m, [], 0, m.cols)
+    check(RMatrix([[]] * n.rows, n.rows, 0) @ RMatrix([], 0, m.cols), [z * m.cols for _ in range(n.rows)], n.rows, m.cols)
+    check(RMatrix.hstack([m, RMatrix.zeros(m.rows, 0)]), rows, m.rows, m.cols)
+    check(RMatrix.hstack([RMatrix([], 0, m.cols), RMatrix([], 0, n.cols)]), [], 0, m.cols + n.cols)
+    check(RMatrix.vstack([RMatrix.zeros(0, m.cols), m]), rows, m.rows, m.cols)
+    check(RMatrix.vstack([RMatrix([[]] * m.rows, m.rows, 0), RMatrix([[]] * n.rows, n.rows, 0)]), [[] for _ in range(m.rows + n.rows)], m.rows + n.rows, 0)
+    check(RMatrix.from_columns([], m.rows), [[] for _ in d], m.rows, 0)
+    check(RMatrix.from_columns([()] * m.cols, 0), [], 0, m.cols)
 
 
 def test_fractions_that_meet_integers_come_out_as_ints():

@@ -607,3 +607,24 @@ def test_mesh_mismatch_raises(monkeypatch, src_env):
         env=src_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_empty_hom_span_holds_only_the_zero_map():
+    """An empty span certifies the zero map, with no coordinates, and refuses
+    a nonzero one."""
+    p = path_category(a_n(2)).proj["2"]
+    assert modcat._coords([], reps.zero_map(p, p), "postcomposition") == ()
+    with pytest.raises(CatalogError, match="left the hom span"):
+        modcat._coords([], reps.identity_map(p), "postcomposition")
+
+
+def test_nakayama_refuses_a_postcomposition_outside_an_empty_span(monkeypatch):
+    """On A2 (2 -> 1), lambda: P_1 -> P_2 postcomposed with the identity of
+    P_1 is nonzero; with Hom(P_1, P_2) kept empty the Nakayama image of P_1
+    raises instead of coming out as (1, 0)."""
+    monkeypatch.setattr(session, "_sessions", {})
+    cat = path_category(a_n(2))
+    p1, p2 = cat.proj["1"], cat.proj["2"]
+    cat._facts[("hom", cat.content_id(p1), cat.content_id(p2))] = ()
+    with pytest.raises(CatalogError, match="postcomposition left the hom span"):
+        cat.nak_data(p1)

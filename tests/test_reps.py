@@ -21,6 +21,7 @@ from dupcat.reps import (
     hom_basis,
     identity_map,
     is_isomorphic,
+    kernel,
     split_pair,
 )
 
@@ -185,3 +186,36 @@ def test_is_isomorphic_with_one_decomposable_side():
     assert tops.dim_vector() == p2.dim_vector()
     assert not is_isomorphic(tops, p2) and not is_isomorphic(p2, tops)
     assert not _split_pair_iso(tops, p2) and not _split_pair_iso(p2, tops)
+
+
+def test_sub_from_subspaces_refuses_an_image_outside_a_zero_subspace():
+    """An arrow into a zero subspace is stable only when its image is zero."""
+    q = a_n(2)  # 2 -> 1
+    p2 = projective_rep(q, "2")
+    with pytest.raises(ValueError, match="not stable"):
+        reps.sub_from_subspaces(p2, {"1": RMatrix.zeros(1, 0), "2": RMatrix.identity(1)})
+    sub, incl = reps.sub_from_subspaces(p2, {"1": RMatrix.identity(1), "2": RMatrix.zeros(1, 0)})
+    assert sub.dim_vector() == (1, 0) and incl.is_injective()
+
+
+def test_map_algebra_works_only_on_the_support(monkeypatch):
+    """Composites, sums, kernels and cokernels of the maps between the D4
+    indecomposables compute no product with an empty result: a block where
+    the source or the target is zero is never multiplied."""
+    entries = path_category(d4_subspace()).knit().entries
+    bases = {(i, j): hom_basis(m, n) for i, m in enumerate(entries) for j, n in enumerate(entries)}
+    empty = []
+    inner = RMatrix.__matmul__
+
+    def counting(a, b):
+        if 0 in (a.rows, b.cols):
+            empty.append((a.rows, b.cols))
+        return inner(a, b)
+
+    monkeypatch.setattr(RMatrix, "__matmul__", counting)
+    maps = []
+    for (_, j), fs in bases.items():
+        for f in fs:
+            maps += [f, f.add(f), f.scale(2), kernel(f)[1], cokernel(f)[1]]
+            maps += [g.compose(f) for k in range(len(entries)) for g in bases[(j, k)]]
+    assert maps and empty == []

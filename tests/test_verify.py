@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
-from dupcat import cli, leftpart, modcat, reps, session, tilting, verify
+from dupcat import cli, leftpart, linalg, modcat, reps, session, tilting, verify
 from dupcat.dup import dup_category, knit_ind_dup
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A, path_category
+from dupcat.linalg import RMatrix
 from dupcat.leftpart import (
     Report,
     annotate_catalog,
@@ -259,6 +260,35 @@ def test_hom_basis_budget(monkeypatch):
     checks = run_all_checks(d4_subspace())
     assert all(c.passed for c in checks)
     assert 0 < len(calls) <= 1200
+
+
+def test_kernel_call_budget(monkeypatch):
+    """One cold D4 run_all_checks works only where its modules live: at most
+    5,000 matrix products, at most 1,000 of them with an empty side, and at
+    most 1,500 eliminations (12,905 products, 9,711 with an empty side, and
+    2,658 eliminations when every block of every vertex was multiplied,
+    stacked and solved; 3,591, 415 and 1,129 now)."""
+    _start_cold(monkeypatch)
+    products, empty, eliminations = [], [], []
+    inner_mm, inner_rref = RMatrix.__matmul__, linalg._int_rref
+
+    def counting_mm(a, b):
+        products.append(None)
+        if 0 in (a.rows, a.cols, b.cols):
+            empty.append(None)
+        return inner_mm(a, b)
+
+    def counting_rref(m):
+        eliminations.append(None)
+        return inner_rref(m)
+
+    monkeypatch.setattr(RMatrix, "__matmul__", counting_mm)
+    monkeypatch.setattr(linalg, "_int_rref", counting_rref)
+    checks = run_all_checks(d4_subspace())
+    assert all(c.passed for c in checks)
+    assert 0 < len(products) <= 5000
+    assert len(empty) <= 1000
+    assert 0 < len(eliminations) <= 1500
 
 
 def test_cover_budget(monkeypatch):
