@@ -369,10 +369,17 @@ def rref(m: RMatrix):
 
 def nullspace_basis(m: RMatrix):
     """Basis of the right kernel, as a list of coordinate tuples."""
+    return _kernel(m)[0]
+
+
+def _kernel(m: RMatrix):
+    """(basis of the right kernel, free columns) from one elimination:
+    basis vector k is 1 at ``free[k]``, 0 at the other free columns, and
+    otherwise nonzero only at pivot columns."""
     if m.cols == 0:
-        return []
+        return [], []
     if m.rows == 0:
-        return list(RMatrix.identity(m.cols).data)
+        return list(RMatrix.identity(m.cols).data), list(range(m.cols))
     a, pivots = _int_rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
@@ -385,18 +392,20 @@ def nullspace_basis(m: RMatrix):
             if x:
                 v[p] = Fraction(x, d) if x % d else x // d
         basis.append(tuple(v))
-    return basis
+    return basis, free
 
 
 def cokernel_basis(m: RMatrix):
-    """Surjection q with q @ m = 0 and rank q = rows - rank m.
+    """(q, free): a surjection q with q @ m = 0 and rank q = rows - rank m,
+    and the columns ``free`` of q.
 
     The rows of q form a basis of the left kernel of ``m``; q presents the
-    quotient of the target space by the column space of ``m``.
+    quotient of the target space by the column space of ``m``.  Row k of q
+    is 1 at ``free[k]`` and 0 at the other free columns, so selecting the
+    free columns is a right inverse of q.
     """
-    left = nullspace_basis(m.transpose())
-    q = RMatrix._raw(tuple(left), len(left), m.rows)
-    return q, len(left)
+    left, free = _kernel(m.transpose())
+    return RMatrix._raw(tuple(left), len(left), m.rows), free
 
 
 def solve_matrix(a: RMatrix, b: RMatrix):
@@ -419,14 +428,6 @@ def solve_matrix(a: RMatrix, b: RMatrix):
     for r, p in enumerate(pivots):
         x[p] = tuple(_divided(red[r][a.cols:], red[r][p]))
     return RMatrix._raw(tuple(x), a.cols, b.cols)
-
-
-def right_inverse(q: RMatrix):
-    """Some S with q @ S = identity; requires q of full row rank."""
-    s = solve_matrix(q, RMatrix.identity(q.rows))
-    if s is None:
-        raise ValueError("matrix has no right inverse")
-    return s
 
 
 def coordinates_in_span(basis_vectors, target):

@@ -35,9 +35,12 @@ generic:
 * the AR quiver of a representation-finite category is knitted as the
   tau^{-1}-closure of the projectives (an entry is injective exactly when
   it has no tau^{-1}); its arrows are then read along the meshes: the
-  radicals of the projectives are decomposed, and the middle term of each
-  AR sequence is predicted from the arrows already known and certified
-  summand by summand, with no catalog scan;
+  radicals of the projectives are decomposed, the middle term of each
+  almost split sequence is predicted from the arrows already known, and the
+  sequence is the cokernel of the source map of its left end, whose
+  components are irreducible maps already held (the inclusions into the
+  projectives and the components of earlier sequences); the cokernel is
+  certified to be the predicted entry by an invertible map;
 * dim Hom between any two catalog entries is one entry of the catalog's
   hom table, knitted along the certified meshes on first read (never by
   the knit itself) and certified against the dimension vectors by Yoneda;
@@ -66,7 +69,6 @@ from .linalg import (
     nullspace_basis,
     pivot_columns,
     rank,
-    right_inverse,
     solve_matrix,
 )
 from .quiver import Quiver
@@ -123,8 +125,28 @@ def dim_index(modules) -> dict:
     return index
 
 
+def _mesh_order(into, tau_of, what: str) -> tuple:
+    """The entries in a topological order of the arrows (``into[j]`` lists
+    (source, multiplicity) of the arrows into j) and the tau links j -> tau j;
+    CatalogError, prefixed ``what``, on an oriented cycle."""
+    graph = {j: [s for s, _ in sources] for j, sources in enumerate(into)}
+    for j, t in tau_of.items():
+        graph[j].append(t)
+    try:
+        return tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        raise CatalogError(
+            f"{what}: the AR arrows and tau links have an oriented cycle through entries {exc.args[1]}"
+        ) from None
+
+
 @dataclass
 class ARSequence:
+    """The almost split sequence 0 -> tau N -f-> E -g-> N -> 0 ending at
+    entry ``right``: f is the source map of entry ``left`` = tau N, and E
+    (``middle_rep``) is the direct sum of the ``middle`` entries in index
+    order."""
+
     left: int
     right: int
     middle: tuple  # ((entry index, multiplicity), ...)
@@ -184,17 +206,8 @@ class ARCatalog:
         into = [[] for _ in range(n)]
         for s, t, mult in self.arrows:
             into[t].append((s, mult))
-        graph = {j: [s for s, _ in into[j]] for j in range(n)}
-        for j, t in self.tau_of.items():
-            graph[j].append(t)
-        try:
-            order = tuple(TopologicalSorter(graph).static_order())
-        except CycleError as exc:
-            raise CatalogError(
-                f"hom table: the AR arrows and tau links have an oriented cycle through entries {exc.args[1]}"
-            ) from None
         cols = [None] * n  # cols[j][i] = dim Hom(entry i, entry j)
-        for j in order:
+        for j in _mesh_order(into, self.tau_of, "hom table"):
             col = [0] * n
             for s, mult in into[j]:
                 col = list(map(add, col, cols[s] if mult == 1 else [mult * h for h in cols[s]]))
@@ -569,87 +582,28 @@ class ModuleCategory:
 
     # -- Ext^1 ---------------------------------------------------------------
 
-    def _hom_from_cover(self, cover: CoverData, n: Rep):
-        """Basis of Hom(P0, n), assembled blockwise from the parts."""
-        out = []
-        for i, (z, _) in enumerate(cover.parts):
-            proj = cover.projections[i]
-            for b in self.hom(self.proj[z], n):
-                out.append(b.compose(proj))
-        return out
-
     def ext1_dim(self, m: Rep, n: Rep) -> int:
         """dim Ext^1(m, n), computed once per pair and kept."""
         return self._fact("ext1", self._ext1_dim, m, n)
 
-    def _restricted_hom(self, pres: Presentation, n: Rep) -> RMatrix:
-        """Hom(P0, n) restricted to Omega, one flattened map per row: the
-        image of Hom(P0, n) -> Hom(Omega, n), whose cokernel is Ext^1."""
-        rows = [
-            list(h.compose(pres.incl).flatten())
-            for h in self._hom_from_cover(pres.cover0, n)
-        ]
-        width = sum(pres.omega.dims[v] * n.dims[v] for v in self.quiver.vertices)
-        return RMatrix(rows, len(rows), width)
-
     def _ext1_dim(self, m: Rep, n: Rep) -> int:
+        """The cokernel of Hom(P0, n) -> Hom(Omega m, n): dim Hom(Omega m, n)
+        minus the rank of the restricted basis of Hom(P0, n), which is
+        assembled from the bases of Hom(P_z, n) over the parts of the cover."""
         pres = self.presentation(m)
         if pres.cover1 is None:
             return 0
         hom_om_n = self.hom_dim(pres.omega, n)
         if not hom_om_n:
             return 0
-        return hom_om_n - rank(self._restricted_hom(pres, n))
-
-    def ext1_middle(self, n: Rep, m: Rep):
-        """Middle term of a nonzero extension of n by m, with its maps.
-
-        Returns (E, f: m -> E, g: E -> n) or None when Ext^1(n, m) = 0.  One
-        elimination of the restricted Hom(P0, m) followed by the basis of
-        Hom(Omega n, m) gives both the first basis map outside the span (the
-        first pivot column past the span) and dim Ext^1(n, m) (the number of
-        such pivots), which is kept in the fact table as dim Ext^1(n, m).
-        """
-        key = ("ext1", self.content_id(n), self.content_id(m))
-        pres = self.presentation(n)
-        hom_om_m = () if pres.cover1 is None else self.hom(pres.omega, m)
-        if not hom_om_m:
-            self._facts[key] = 0
-            return None
-        span_mat = self._restricted_hom(pres, m)
-        cands = RMatrix([c.flatten() for c in hom_om_m], len(hom_om_m), span_mat.cols)
-        outside = [
-            j - span_mat.rows
-            for j in pivot_columns(RMatrix.vstack([span_mat, cands]).transpose())
-            if j >= span_mat.rows
+        cover = pres.cover0
+        rows = [
+            b.compose(proj).compose(pres.incl).flatten()
+            for (z, _), proj in zip(cover.parts, cover.projections)
+            for b in self.hom(self.proj[z], n)
         ]
-        self._facts[key] = len(outside)
-        if not outside:
-            return None
-        g0 = hom_om_m[outside[0]]
-        # pushout of (incl: omega -> P0, -g0: omega -> m)
-        s, (i1, i2), _ = direct_sum([pres.cover0.p0, m])
-        glue = i1.compose(pres.incl).add(i2.compose(g0.scale(-1)))
-        e, proj, sections = reps.cokernel_sections(glue)
-        f = proj.compose(i2)
-        # induced map e -> n: through the right inverses of the projection
-        # the cokernel solved, and one more at each vertex it did not
-        gmats = {}
-        for v in n.support:
-            if v not in sections:
-                sections[v] = right_inverse(proj.mats[v])
-            rhs = RMatrix.hstack(
-                [pres.cover0.q.mats[v], RMatrix.zeros(n.dims[v], m.dims[v])]
-            )
-            gmats[v] = rhs @ sections[v]
-        g = RepMap(e, n, gmats)
-        if not (f.is_injective() and g.is_surjective()):
-            raise CatalogError("extension f is not injective or g is not surjective")
-        if not g.compose(f).is_zero():
-            raise CatalogError("extension maps do not compose to zero")
-        if e.total_dim() != m.total_dim() + n.total_dim():
-            raise CatalogError("extension middle term has the wrong dimension")
-        return e, f, g
+        width = sum(pres.omega.dims[v] * n.dims[v] for v in self.quiver.vertices)
+        return hom_om_n - rank(RMatrix(rows, len(rows), width))
 
     # -- Nakayama and AR translates -------------------------------------------
 
@@ -884,66 +838,91 @@ class ModuleCategory:
         return self.decompose(m, catalog) == self.decompose(n, catalog)
 
     def _fill_ar_structure(self, catalog: ARCatalog) -> None:
-        """Irreducible arrows and AR sequences, knitted along the meshes.
+        """Irreducible arrows and almost split sequences, knitted along the
+        meshes.
 
-        The arrows into a projective are the summands of its radical, found
-        by :meth:`decompose`.  For a non-projective entry tau^{-1} M the
-        arrows into it start at the summands of the middle term E of the AR
-        sequence 0 -> M -> E -> tau^{-1} M -> 0, which the mesh predicts
-        from the arrows already known: tau^{-1} Y for each arrow Y -> M with
-        Y not injective, and each projective P with M a summand of rad P,
-        with their multiplicities.  Entries are filled in index order and
-        tau M precedes tau^{-1} M, so every arrow into M is known by then.
-        The predicted summands are peeled off E by split_pair certificates
-        and the last one is certified by an isomorphism test; a prediction
-        that does not match E exactly raises CatalogError.
+        The arrows into a projective P start at the summands X of rad P,
+        found by :meth:`decompose`; the irreducible map X -> P is the
+        inclusion of X as a summand of rad P, by a split_pair certificate.
+        The arrows into a non-projective entry tau^{-1} M are predicted from
+        the mesh: tau^{-1} Y for each arrow Y -> M with Y not injective, and
+        each projective P with M a summand of rad P.  Entries are predicted
+        in index order, where tau M precedes tau^{-1} M.  An arrow
+        multiplicity above 1 raises CatalogError: its independent
+        irreducible maps are not built.
+
+        The sequences are then built in a topological order of the arrows
+        and tau links (:func:`_mesh_order`), so that every irreducible map
+        out of M is held before the sequence ending at tau^{-1} M, whose
+        source map they form (:meth:`_almost_split`).
         """
         entries = catalog.entries
-        into = {}  # entry index -> [(source index, multiplicity)]
+        held = {}  # (source index, target index) -> irreducible map
+        into = []  # entry index -> [(source index, multiplicity)]
         radical_of = {}  # entry index -> [(projective index, multiplicity)]
-        for idx, p in enumerate(entries):
-            if catalog.projective[idx]:
-                rad, _ = self.radical(p)
-                into[idx] = [] if rad.is_zero() else self.decompose(rad, catalog)
-                for sidx, mult in into[idx]:
-                    radical_of.setdefault(sidx, []).append((idx, mult))
-        arrows = []
-        for idx, n in enumerate(entries):
-            if not catalog.projective[idx]:
-                left_idx = catalog.tau_of[idx]
-                left = entries[left_idx]
-                extension = self.ext1_middle(n, left)
-                if self.ext1_dim(n, left) != 1:
-                    raise CatalogError("almost split extension not unique")
-                e, f, g = extension
-                predicted = {}
-                for sidx, mult in into[left_idx]:
-                    if sidx in catalog.tau_inv_of:
-                        j = catalog.tau_inv_of[sidx]
-                        predicted[j] = predicted.get(j, 0) + mult
-                for pidx, mult in radical_of.get(left_idx, ()):
-                    predicted[pidx] = predicted.get(pidx, 0) + mult
-                into[idx] = sorted(predicted.items())
-                self._peel_mesh(e, entries, into[idx], idx)
-                catalog.sequences[idx] = ARSequence(left_idx, idx, tuple(into[idx]), f, g, e)
+        for idx, p in enumerate(entries[: len(self.proj)]):
+            rad, incl = self.radical(p)
+            into.append([] if rad.is_zero() else self.decompose(rad, catalog))
             for sidx, mult in into[idx]:
-                arrows.append((sidx, idx, mult))
-        catalog.arrows = tuple(arrows)
-
-    def _peel_mesh(self, e: Rep, entries, middle, idx) -> None:
-        """Certify that e is the sum of the entries ``middle`` lists, with
-        their multiplicities; CatalogError naming entry ``idx`` otherwise."""
-        copies = [sidx for sidx, mult in middle for _ in range(mult)]
-        current = e
-        for sidx in copies[:-1]:
-            pair = reps.split_pair(entries[sidx], current)
-            if pair is None:
+                radical_of.setdefault(sidx, []).append((idx, mult))
+                pair = reps.split_pair(entries[sidx], rad)
+                if pair is None:
+                    raise CatalogError(f"entry {sidx} does not split off the radical of entry {idx}")
+                held[sidx, idx] = incl.compose(pair[0])
+        for idx in range(len(self.proj), len(entries)):
+            predicted = {}
+            for sidx, mult in into[catalog.tau_of[idx]]:
+                if sidx in catalog.tau_inv_of:
+                    j = catalog.tau_inv_of[sidx]
+                    predicted[j] = predicted.get(j, 0) + mult
+            for pidx, mult in radical_of.get(catalog.tau_of[idx], ()):
+                predicted[pidx] = predicted.get(pidx, 0) + mult
+            into.append(sorted(predicted.items()))
+        catalog.arrows = tuple((s, t, mult) for t, sources in enumerate(into) for s, mult in sources)
+        for s, t, mult in catalog.arrows:
+            if mult != 1:
                 raise CatalogError(
-                    f"mesh predicts entry {sidx} in the middle term ending at entry {idx}, "
-                    "but it does not split off"
+                    f"mesh of entry {t}: the arrow from entry {s} has multiplicity {mult}, "
+                    "and only multiplicity 1 is built"
                 )
-            current, _ = cokernel(pair[0])
-        if not copies or not self.iso(current, entries[copies[-1]]):
-            raise CatalogError(
-                f"middle term ending at entry {idx} differs from its mesh prediction {middle}"
-            )
+        for idx in _mesh_order(into, catalog.tau_of, "knit"):
+            if idx in catalog.tau_of:
+                catalog.sequences[idx] = self._almost_split(catalog, idx, into[idx], held)
+
+    def _almost_split(self, catalog: ARCatalog, idx: int, middle, held) -> ARSequence:
+        """The almost split sequence 0 -> M -f-> E -g-> N -> 0 ending at
+        entry idx = N, from the irreducible maps ``held``, to which the
+        components of g are added.
+
+        f has the held components M -> E_t, E is the direct sum of the
+        ``middle`` entries E_t, and g is the projection onto coker f
+        followed by an invertible map coker f -> N from a Hom basis.  The
+        certificate: f is injective, coker f = N and dim Ext^1(N, M) = 1.
+        The E_t are distinct entries other than M, so by Krull-Schmidt the
+        sequence does not split; it spans Ext^1(N, M), so it is almost
+        split.  A failing certificate raises CatalogError naming the entry.
+        """
+        entries = catalog.entries
+        left = catalog.tau_of[idx]
+        m, n = entries[left], entries[idx]
+        comps = [held.get((left, t)) for t, _ in middle]
+        what = f"almost split sequence ending at entry {idx}"
+        if not middle or None in comps or left in dict(middle):
+            raise CatalogError(f"{what}: the mesh predicts {middle}, not the targets of arrows from entry {left}")
+        e, injections, _ = direct_sum([entries[t] for t, _ in middle])
+        f = RepMap(m, e, {v: RMatrix.vstack([c.mats[v] for c in comps]) for v in m.support}, check=False)
+        if not f.is_injective():
+            raise CatalogError(f"{what}: the source map of entry {left} is not injective")
+        coker, proj = cokernel(f)
+        phi = next((h for h in hom_basis(coker, n) if h.is_isomorphism()), None)
+        if phi is None:
+            raise CatalogError(f"{what}: the cokernel of the source map of entry {left} is not entry {idx}")
+        pres = self.presentation(n)
+        if pres.cover1 is not None:
+            self.hom(pres.omega, m)  # kept, so ext1_dim reads dim Hom(Omega N, M) off it
+        if self.ext1_dim(n, m) != 1:
+            raise CatalogError(f"{what}: dim Ext^1(entry {idx}, entry {left}) is not 1")
+        g = phi.compose(proj)
+        for (t, _), inj in zip(middle, injections):
+            held[t, idx] = g.compose(inj)
+        return ARSequence(left, idx, tuple(middle), f, g, e)

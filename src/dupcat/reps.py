@@ -21,7 +21,6 @@ from .linalg import (
     nullspace_basis,
     cokernel_basis,
     rank,
-    right_inverse,
     solve_matrix,
 )
 from .quiver import Quiver
@@ -287,41 +286,36 @@ def kernel(f: RepMap) -> tuple:
 
 
 def cokernel(f: RepMap) -> tuple:
-    """Cokernel representation with the projection from the target."""
-    coker, proj, _ = cokernel_sections(f)
-    return coker, proj
+    """Cokernel representation with the projection q from the target.
 
-
-def cokernel_sections(f: RepMap) -> tuple:
-    """(cokernel, projection q, sections): ``sections[v]`` is a right inverse
-    of q at v, solved once for each vertex an induced arrow map leaves.
-
-    The projection is the identity where f's source is zero.  Every square
-    of q that is not empty is checked.
+    q is the identity where f's source is zero.  Selecting the free columns
+    of q_y (:func:`linalg.cokernel_basis`) is a right inverse of q_y, so the
+    arrow a: y -> x acts on the cokernel by q_x N_a restricted to those
+    columns.  Every square of q that is not empty is checked.
     """
     n = f.target
     projs = {}
-    dims = {}
+    free = {}
     for v in n.quiver.vertices:
         if f.source.dims[v] and n.dims[v]:
-            projs[v], dims[v] = cokernel_basis(f.mats[v])
+            projs[v], free[v] = cokernel_basis(f.mats[v])
         else:
-            projs[v], dims[v] = RMatrix.identity(n.dims[v]), n.dims[v]
-    sections = {}
+            projs[v], free[v] = RMatrix.identity(n.dims[v]), range(n.dims[v])
+    dims = {v: len(free[v]) for v in n.quiver.vertices}
     mats = {}
     for a in n.quiver.arrows:
         y, x = a.source, a.target
         if dims[x] and dims[y]:
-            # induced map: solve C_a @ q_y = q_x @ N_a via a right inverse of q_y
-            if y not in sections:
-                sections[y] = right_inverse(projs[y])
-            mats[a.name] = projs[x] @ n.mats[a.name] @ sections[y]
+            na = n.mats[a.name]
+            if dims[y] < na.cols:
+                na = RMatrix._raw(tuple(tuple(row[j] for j in free[y]) for row in na.data), na.rows, dims[y])
+            mats[a.name] = projs[x] @ na
     coker = Rep(n.quiver, dims, mats)
     try:
         proj = RepMap(n, coker, projs)
     except ValueError:
         raise CatalogError("cokernel structure map ill-defined") from None
-    return coker, proj, sections
+    return coker, proj
 
 
 def direct_sum(parts) -> tuple:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from dupcat import hereditary, session
+from dupcat.dup import dup_category, knit_ind_dup
 from dupcat.errors import CapExceededError, CatalogError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import injective_rep, knit_ind_A, path_category
@@ -150,25 +151,33 @@ def test_knit_kronecker_cap():
 
 
 def test_ar_sequences_exact_and_middle_matches_arrows():
+    """Every almost split sequence of both catalogs, on A3 and D4, is a short
+    exact sequence of module maps whose middle term is the direct sum of the
+    sources of the arrows into its end."""
     for q in (a_n(3), d4_subspace()):
-        cat = knit_ind_A(q)
-        non_injective = [i for i, f in enumerate(cat.injective) if not f]
-        assert set(cat.tau_inv_of) == set(non_injective)
-        for tgt, seq in cat.sequences.items():
-            left = cat.entries[seq.left]
-            right = cat.entries[tgt]
-            assert seq.f.is_injective()
-            assert seq.g.is_surjective()
-            assert seq.g.compose(seq.f).is_zero()
-            assert (
-                seq.middle_rep.total_dim() == left.total_dim() + right.total_dim()
-            )
-            # middle = direct sum of arrow sources into tgt
-            summands = []
-            for sidx, mult in seq.middle:
-                summands.extend([cat.entries[sidx]] * mult)
-            total, _, _ = direct_sum(summands)
-            assert path_category(q).is_isomorphic(seq.middle_rep, total)
+        for category, cat in ((path_category(q), knit_ind_A(q)), (dup_category(q), knit_ind_dup(q).catalog)):
+            non_injective = [i for i, f in enumerate(cat.injective) if not f]
+            assert set(cat.tau_inv_of) == set(non_injective)
+            assert set(cat.sequences) == set(cat.tau_of)
+            for tgt, seq in cat.sequences.items():
+                left = cat.entries[seq.left]
+                right = cat.entries[tgt]
+                for h in (seq.f, seq.g):
+                    RepMap(h.source, h.target, h.mats)  # the squares commute
+                assert seq.f.source is left and seq.g.target is right
+                assert seq.f.is_injective()
+                assert seq.g.is_surjective()
+                assert seq.g.compose(seq.f).is_zero()
+                assert (
+                    seq.middle_rep.total_dim() == left.total_dim() + right.total_dim()
+                )
+                # middle = direct sum of arrow sources into tgt
+                assert list(seq.middle) == [(s, m) for s, t, m in cat.arrows if t == tgt]
+                summands = []
+                for sidx, mult in seq.middle:
+                    summands.extend([cat.entries[sidx]] * mult)
+                total, _, _ = direct_sum(summands)
+                assert category.is_isomorphic(seq.middle_rep, total)
 
 
 def test_ar_formula_on_fixtures():

@@ -12,7 +12,6 @@ from dupcat.linalg import (
     nullspace_basis,
     rank,
     rref,
-    right_inverse,
     solve_matrix,
 )
 
@@ -40,15 +39,20 @@ def test_nullspace_basics():
 
 
 def test_cokernel_basics():
-    q, d = cokernel_basis(RMatrix.identity(2))
-    assert d == 0 and q.rows == 0 and q.cols == 2
-    q, d = cokernel_basis(RMatrix.zeros(2, 1))
-    assert d == 2
+    q, free = cokernel_basis(RMatrix.identity(2))
+    assert free == [] and q.rows == 0 and q.cols == 2
+    q, free = cokernel_basis(RMatrix.zeros(2, 1))
+    assert free == [0, 1]
     assert rank(q) == 2 and q.rows == 2 and q.cols == 2
     m = M([[1], [1]])
-    q, d = cokernel_basis(m)
-    assert d == 1
+    q, free = cokernel_basis(m)
+    assert free == [1]
     assert (q @ m).is_zero()
+
+
+def _selection(free, rows):
+    """The 0/1 matrix whose column k is the standard vector at free[k]."""
+    return RMatrix.from_columns([RMatrix.identity(rows).data[j] for j in free], rows)
 
 
 def _random_matrix(rng, rows, cols):
@@ -73,12 +77,12 @@ def test_rank_nullity_and_two_route_rank():
         assert r == len(rref(m)[1])
         for v in nullspace_basis(m):
             assert (m @ RMatrix.column(v)).is_zero()
-        q, d = cokernel_basis(m)
+        q, free = cokernel_basis(m)
         assert (q @ m).is_zero()
-        assert rank(q) == rows - r == d
+        assert rank(q) == rows - r == len(free)
 
 
-def test_solve_and_right_inverse():
+def test_solve_matrix_basics():
     rng = random.Random(21)
     for _ in range(40):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
@@ -88,10 +92,6 @@ def test_solve_and_right_inverse():
         sol = solve_matrix(a, b)
         assert sol is not None
         assert a @ sol == b
-    q = M([[1, 1, 0], [0, 1, 1]])
-    s = right_inverse(q)
-    assert q @ s == RMatrix.identity(2)
-    assert _canonical(s.data)
     assert solve_matrix(M([[1, 0], [0, 0]]), RMatrix.column([0, 1])) is None
 
 
@@ -230,13 +230,14 @@ def test_rref_rank_nullspace_match_oracle(m):
 @_PROPS
 @given(_matrices())
 def test_cokernel_matches_oracle(m):
-    q, d = cokernel_basis(m)
+    q, free = cokernel_basis(m)
     if m.rows and m.cols:
         want = _oracle_nullspace([list(c) for c in zip(*m.data)], m.rows)
         assert [tuple(r) for r in q.data] == want
-    assert (q.rows, q.cols) == (d, m.rows)
+    assert (q.rows, q.cols) == (len(free), m.rows)
     assert _canonical(q.data)
     assert (q @ m).is_zero()
+    assert q @ _selection(free, m.rows) == RMatrix.identity(len(free))
 
 
 @_PROPS

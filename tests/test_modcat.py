@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dupcat import modcat, reps, session
+from dupcat import fixtures, modcat, reps, session
 from dupcat.dup import dup_category
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
@@ -174,22 +174,36 @@ def _scan_decompose(cat, e, candidates):
     return result, current
 
 
+def _mixed(m: Rep) -> Rep:
+    """m under a fixed base change g_v at every vertex v (2 on the diagonal,
+    1 above it): the arrow y -> x acts by g_x M_a g_y^-1, so a direct sum
+    is no longer in block form."""
+    g = {}
+    for v, d in m.dims.items():
+        gv = RMatrix([[2 if i == j else int(j > i) for j in range(d)] for i in range(d)], d, d)
+        g[v] = (gv, solve_matrix(gv, RMatrix.identity(d)))
+    mats = {a.name: g[a.target][0] @ m.mats[a.name] @ g[a.source][1] for a in m.quiver.arrows}
+    return Rep(m.quiver, m.dims, mats)
+
+
 @pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
 @pytest.mark.parametrize("quiver", [d4_subspace, _d5], ids=["D4", "D5"])
 def test_indexed_decomposition_equals_full_scan(category, quiver):
-    """On every AR middle term and every projective radical, the indexed
-    try_decompose finds the multiplicities of the full scan."""
+    """On every AR middle term, out of block form, and every projective
+    radical, the indexed try_decompose finds the multiplicities of the full
+    scan, and on the middle terms those of the sequence."""
     cat = category(quiver())
     catalog = cat.knit()
-    modules = [seq.middle_rep for seq in catalog.sequences.values()]
-    modules += [cat.radical(p)[0] for p in cat.proj.values()]
+    middles = {idx: _mixed(seq.middle_rep) for idx, seq in catalog.sequences.items()}
+    assert any(e.mats != catalog.sequences[idx].middle_rep.mats for idx, e in middles.items())
+    modules = list(middles.values()) + [cat.radical(p)[0] for p in cat.proj.values()]
     for e in modules:
         got, residual = cat.try_decompose(e, catalog.entries, catalog.index)
         want, want_residual = _scan_decompose(cat, e, catalog.entries)
         assert got == want
         assert residual.is_zero() and want_residual.is_zero()
-    assert all(cat.decompose(s.middle_rep, catalog) == list(s.middle)
-               for s in catalog.sequences.values())
+    assert all(cat.decompose(e, catalog) == list(catalog.sequences[idx].middle)
+               for idx, e in middles.items())
 
 
 def test_summand_outside_the_catalog_raises():
@@ -554,23 +568,19 @@ def test_top_support_hom_dim_matches_systems(monkeypatch):
     assert 0 < len(systems) < len(fresh)
 
 
-def test_ext1_middle_records_ext1_dim(monkeypatch):
-    """The knit's Ext^1 = 1 certificate reads what ext1_middle recorded, and
-    every recorded dimension is the cokernel computed from full bases."""
+@pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
+def test_knit_keeps_ext1_of_each_sequence(category, monkeypatch):
+    """For every almost split sequence of the D4 catalog the knit certified
+    dim Ext^1(N, tau N) = 1 and kept it in the fact table; the kept value is
+    the cokernel computed from full bases."""
     monkeypatch.setattr(session, "_sessions", {})
-
-    def no_recompute(self, m, n):
-        raise AssertionError("Ext^1 recomputed")
-
-    monkeypatch.setattr(modcat.ModuleCategory, "_ext1_dim", no_recompute)
-    cat = path_category(d4_subspace())
-    entries = cat.knit().entries
-    for n in entries:
-        for m in entries:
-            middle = cat.ext1_middle(n, m)
-            dim = cat.ext1_dim(n, m)
-            assert dim == _ext1_by_bases(cat, n, m)
-            assert (middle is None) == (dim == 0)
+    cat = category(d4_subspace())
+    catalog = cat.knit()
+    assert len(catalog.sequences) == len(catalog.entries) - len(cat.proj)
+    for idx, seq in catalog.sequences.items():
+        n, m = catalog.entries[idx], catalog.entries[seq.left]
+        assert cat._facts[("ext1", cat.content_id(n), cat.content_id(m))] == 1
+        assert _ext1_by_bases(cat, n, m) == 1
 
 
 _MESH_MISMATCH = """
@@ -604,6 +614,62 @@ def test_mesh_mismatch_raises(monkeypatch, src_env):
     assert cat._catalog is None
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _MESH_MISMATCH],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_WRONG_COMPONENT = """
+from dupcat import fixtures, reps
+from dupcat.errors import CatalogError
+from dupcat.hereditary import path_category
+
+inner = reps.split_pair
+calls = []
+
+
+def zero_first(c, e):
+    calls.append(c)
+    f, g = inner(c, e)
+    return (f.scale(0) if len(calls) == 1 else f), g
+
+
+reps.split_pair = zero_first
+cat = path_category(getattr(fixtures, {builder!r})(*{args!r}))
+try:
+    cat.knit()
+except CatalogError as exc:
+    raise SystemExit(0 if {message!r} in str(exc) and cat._catalog is None else 2)
+raise SystemExit(1)
+"""
+
+
+@pytest.mark.parametrize("builder, args, message", [
+    # 0 -> P_1 -> P_2 -> S_2 -> 0: a zero source map is not injective
+    ("a_n", (3,), "ending at entry 3: the source map of entry 0 is not injective"),
+    # 0 -> P_1 -> P_2 + P_3 + P_4 -> tau^-1 P_1 -> 0: the cokernel gains P_2
+    ("d4_subspace", (), "ending at entry 4: the cokernel of the source map of entry 0 is not entry 4"),
+], ids=["A3", "D4"])
+def test_wrong_source_map_component_raises(monkeypatch, src_env, builder, args, message):
+    """A zero inclusion P_1 -> P_2 = rad P_2 (the first split_pair of the
+    knit, which decomposes no radical here) makes the knit raise
+    CatalogError naming the sequence that uses it, also under python -O,
+    and keep no catalog."""
+    monkeypatch.setattr(session, "_sessions", {})
+    inner, calls = reps.split_pair, []
+
+    def zero_first(c, e):
+        calls.append(c)
+        f, g = inner(c, e)
+        return (f.scale(0) if len(calls) == 1 else f), g
+
+    monkeypatch.setattr(reps, "split_pair", zero_first)
+    cat = path_category(getattr(fixtures, builder)(*args))
+    with pytest.raises(CatalogError, match=message):
+        cat.knit()
+    assert cat._catalog is None
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_COMPONENT.format(builder=builder, args=args, message=message)],
         env=src_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
