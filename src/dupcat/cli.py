@@ -138,6 +138,8 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         f"bijection: {'verified' if bij.matched else 'FAILED'}",
     ]
     print("\n".join(lines))
+    # the sets share their objects: name each distinct one once
+    names = {o: describe_object(o) for o in set().union(*cluster_sets)}
     payload = {
         "counts": {
             "tilting": len(records),
@@ -155,7 +157,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
             for rec in records
         ],
         "cluster_tilting": [
-            sorted(describe_object(o) for o in s) for s in cluster_sets
+            sorted(names[o] for o in s) for s in cluster_sets
         ],
     }
     if cfg.out:

@@ -27,7 +27,9 @@ generic:
   the unknowns minus the rank of the Hom system, with no basis built;
 * the Nakayama functor is D Hom(-, A), realized on one module at a time via
   bases of Hom(M, P_z), and the AR translate tau M is the kernel of its
-  action on a minimal projective presentation;
+  action on a minimal projective presentation, whose components between
+  indecomposable projectives are read, by Yoneda, as their values at the
+  generators;
 * tau^{-1} is computed by duality through the opposite category and kept
   per content;
 * dim Hom(M, N) is 0, with no system built, when N vanishes on the top of M
@@ -93,12 +95,6 @@ class Presentation:
     omega: Rep
     incl: RepMap  # omega -> P0
     cover1: Optional[CoverData]  # None when omega == 0
-
-    @property
-    def f1(self) -> RepMap:
-        if self.cover1 is None:
-            raise CatalogError("presentation of a projective has no f1")
-        return self.incl.compose(self.cover1.q)
 
 
 _MISSING = object()  # a fact not yet in the table (a kept fact may be None)
@@ -652,39 +648,60 @@ class ModuleCategory:
         return self._fact("tau", self._tau, m)
 
     def _tau(self, m: Rep) -> Optional[Rep]:
+        """The kernel of nu(f1): nu(P1) -> nu(P0).
+
+        By Yoneda a map P_w -> P_z is its value at the generator of P_w, so
+        the component P_wj -> P_zi of f1 is one vector x_ji in P_zi(w_j), the
+        image of the lift of the j-th part of P1's cover; and the Nakayama
+        basis map b: P_zi -> P_v composed with it has the coordinates
+        E(w_j, v)^-1 (b at w_j) x_ji in the Nakayama basis of Hom(P_wj, P_v)
+        (:meth:`_generator_values_inv`).
+        """
         pres = self.presentation(m)
         if pres.cover1 is None:
             return None
-        f1 = pres.f1
         parts0, parts1 = pres.cover0.parts, pres.cover1.parts
         nu1 = self._nak_of_parts(parts1)
         nu0 = self._nak_of_parts(parts0)
-        # component maps of f1 between the summands
-        comps = {}
-        for j in range(len(parts1)):
-            fj = f1.compose(pres.cover1.injections[j])
-            for i in range(len(parts0)):
-                comps[(j, i)] = pres.cover0.projections[i].compose(fj)
-        # the Nakayama bases of the P0 summands, the flattened ones of the P1 summands
+        # x[j][i]: the value of the component P_wj -> P_zi at the generator
+        x = []
+        for wj, lift in parts1:
+            image = pres.incl.mats[wj] @ lift
+            x.append([proj.mats[wj] @ image for proj in pres.cover0.projections])
+        # the Nakayama bases of the P0 summands
         bases0 = [self.nak_data(self.proj[zi])[1] for zi, _ in parts0]
-        flats1 = [self.nak_data(self.proj[wj])[2] for wj, _ in parts1]
         mats = {}
-        for z in self.quiver.vertices:
-            col_groups = []
-            for i, bases in enumerate(bases0):
-                for b in bases[z]:
-                    col = []
-                    for j, flats in enumerate(flats1):
-                        comp = b.compose(comps[(j, i)])
-                        col.extend(_coords(flats[z], comp, "presentation component"))
-                    col_groups.append(tuple(col))
-            pre = RMatrix.from_columns(col_groups, sum(len(flats[z]) for flats in flats1))
-            mats[z] = pre.transpose()
+        for v in self.quiver.vertices:
+            blocks = []
+            for (wj, _), xj in zip(parts1, x):
+                values = [b.mats[wj] @ xji for bases, xji in zip(bases0, xj) for b in bases[v]]
+                einv = self._generator_values_inv(wj, v)
+                blocks.append(einv @ RMatrix.hstack(values) if values else RMatrix.zeros(einv.rows, 0))
+            mats[v] = RMatrix.vstack(blocks).transpose()
         nu_f1 = RepMap(nu1, nu0, mats, check=False)
         t, _ = kernel(nu_f1)
         if t.is_zero():
             raise CatalogError("tau of a non-projective came out zero")
         return t
+
+    def _generator_values_inv(self, w, z) -> RMatrix:
+        """E(w, z)^-1, kept per vertex pair: E(w, z) holds, column by column,
+        the values at the generator of P_w of the Nakayama basis of
+        Hom(P_w, P_z), so it must be square and invertible (Yoneda:
+        Hom(P_w, P_z) = P_z(w)); CatalogError otherwise."""
+        return self._kept(("generator values", w, z), self._build_generator_values_inv, w, z)
+
+    def _build_generator_values_inv(self, w, z) -> RMatrix:
+        basis = self.nak_data(self.proj[w])[1][z]
+        d = self.proj[z].dims[w]
+        values = [b.mats[w] @ self.gen[w] for b in basis]
+        e = RMatrix.hstack(values) if values else RMatrix.zeros(d, 0)
+        inv = solve_matrix(e, RMatrix.identity(d)) if e.rows == e.cols else None
+        if inv is None:
+            raise CatalogError(
+                f"the Nakayama basis of Hom(P_{w}, P_{z}) is not a basis of P_{z}({w}) at the generator"
+            )
+        return inv
 
     def tau_inv(self, m: Rep) -> Optional[Rep]:
         """Tr D of m by duality through the opposite category, kept per

@@ -85,6 +85,11 @@ class Quiver:
         )
 
     def __hash__(self):
+        # hashed on every session lookup and every cluster-object hash
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.vertices, self.arrows))
 
     def __repr__(self):

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin
-from .cluster import cliques, enumerate_cluster_tilting, pi_bar
-from .dup import dup_category, proj_primed
+from .cluster import cliques, enumerate_cluster_tilting, fundamental_domain, pi_bar
+from .dup import knit_ind_dup, proj_primed
 from .leftpart import left_part_catalog
 
 
@@ -38,27 +38,32 @@ class TiltingModuleRecord:
 
 
 def is_tilting_module(summands) -> TiltingVerdict:
-    """Check the tilting axioms for pairwise non-isomorphic indecomposables."""
+    """Check the tilting axioms for pairwise non-isomorphic indecomposables.
+
+    The summands are looked up in the knitted catalog of the duplicated
+    algebra, whose ``pd_table`` gives their projective dimensions and whose
+    ``ext1_dim`` gives Ext^1 (off the hom table when the source has
+    projective dimension <= 1)."""
     failures = []
     if not summands:
         return TiltingVerdict(False, ["empty summand list"])
     q = summands[0].base_quiver
-    ctx = dup_category(q)
-    summand_reps = [m.rep() for m in summands]
+    cat = knit_ind_dup(q)
+    found = cat.indices(summands)
     n2 = 2 * len(q.vertices)
     if len(summands) != n2:
         failures.append(f"expected {n2} summands, got {len(summands)}")
-    for i, m in enumerate(summand_reps):
-        pd = ctx.pd(m)
+    for i, k in enumerate(found):
+        pd = cat.pd_table[k]
         if pd > 1:
             failures.append(f"summand {i} has projective dimension {pd}")
-    for i, m in enumerate(summand_reps):
-        for j, n in enumerate(summand_reps):
-            if ctx.ext1_dim(m, n) != 0:
+    for i, k in enumerate(found):
+        for j, l in enumerate(found):
+            if cat.ext1_dim(k, l) != 0:
                 failures.append(f"Ext^1(summand {i}, summand {j}) is nonzero")
-    for x in q.vertices:
-        pp = proj_primed(q, x).rep()
-        if not any(ctx.iso(s, pp) for s in summand_reps):
+    primed = cat.indices([proj_primed(q, x) for x in q.vertices])
+    for x, k in zip(q.vertices, primed):
+        if k not in found:
             failures.append(f"projective-injective at {x}' is not a summand")
     return TiltingVerdict(not failures, failures)
 
@@ -66,7 +71,11 @@ def is_tilting_module(summands) -> TiltingVerdict:
 def enumerate_L_tilting(q: Quiver):
     """All tilting modules whose non-projective-injective summands lie in
     the left part: the forced projective-injectives plus every rigid
-    n-subset of the candidates."""
+    n-subset of the candidates.
+
+    Every candidate has projective dimension <= 1 (certified when the left
+    part is built), so Ext^1 between candidates is read off the hom table
+    of the knitted catalog by the AR formula (``DupCatalog.ext1_dim``)."""
     if classify_dynkin(q) is None:
         raise NotDynkinError("tilting enumeration requires Dynkin type")
     lpc = left_part_catalog(q)
@@ -76,18 +85,15 @@ def enumerate_L_tilting(q: Quiver):
     )
     forced = tuple(proj_primed(q, x) for x in q.vertices)
     n = len(q.vertices)
-    count = len(candidates)
-    ctx = dup_category(q)
-    cand_reps = [m.rep() for m in candidates]
-    rigid = [0] * count
-    for i in range(count):
-        if ctx.ext1_dim(cand_reps[i], cand_reps[i]) != 0:
+    cat = knit_ind_dup(q)
+    found = cat.indices(candidates)
+    rigid = [0] * len(found)
+    for i, k in enumerate(found):
+        if cat.ext1_dim(k, k) != 0:
             raise CatalogError("candidate not rigid")
-        for j in range(i + 1, count):
-            if (
-                ctx.ext1_dim(cand_reps[i], cand_reps[j]) == 0
-                and ctx.ext1_dim(cand_reps[j], cand_reps[i]) == 0
-            ):
+        for j in range(i + 1, len(found)):
+            l = found[j]
+            if cat.ext1_dim(k, l) == 0 and cat.ext1_dim(l, k) == 0:
                 rigid[i] |= 1 << j
                 rigid[j] |= 1 << i
     return [
@@ -129,9 +135,13 @@ def verify_bijection(q: Quiver) -> BijectionReport:
     records = enumerate_L_tilting(q)
     cluster_side = enumerate_cluster_tilting(q)
     cluster_sets = {frozenset(s) for s in cluster_side}
-    # records share their summands: project each distinct one once
-    distinct = dict.fromkeys(m for rec in records for m in rec.free)
-    projected = {m: pi_bar(m) for m in distinct}
+    # records share their summands: project each distinct one once, onto
+    # the cluster side's own objects, so that the sets compare by identity
+    domain = {o: o for o in fundamental_domain(q)}
+    projected = {}
+    for m in dict.fromkeys(m for rec in records for m in rec.free):
+        o = pi_bar(m)
+        projected[m] = domain.get(o, o)
     witnesses = []
     images = set()
     for rec in records:

@@ -96,6 +96,25 @@ def test_cli_enumerate_a2(fixture_dir, capsys, tmp_path):
     assert len(payload["tilting_modules"]) == 5
 
 
+def test_cli_enumerate_names_each_cluster_object_once(fixture_dir, capsys, tmp_path, monkeypatch):
+    """enumerate --out describes each distinct cluster object once, not once
+    per cluster-tilting set it lies in (D4: 16 objects in 50 sets of 4)."""
+    calls = []
+    inner = cli.describe_object
+
+    def counting(o):
+        calls.append(o)
+        return inner(o)
+
+    monkeypatch.setattr(cli, "describe_object", counting)
+    out_file = tmp_path / "enum.json"
+    assert main(["enumerate", "--quiver", str(fixture_dir / "d4.quiver"), "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out_file.read_text())
+    assert len(payload["cluster_tilting"]) == 50
+    assert len(calls) == len(set(calls)) == 16
+
+
 def test_cli_enumerate_applies_the_cap_before_the_bijection(fixture_dir, capsys, monkeypatch):
     """enumerate --cap fails on the knit of ind A with verify's message,
     before any tilting module is enumerated; a non-Dynkin quiver still

@@ -4,8 +4,9 @@ reproduce the SHA-256 digests the benchmark records in
 the fixtures and ``export`` on one D5 orientation must reproduce the digests
 written below, recorded before the projective side of the engine was
 reworked (Yoneda maps by evaluation, shared sums and duals).  ``verify`` and
-``enumerate`` on the E6 fixture and ``verify`` on four D5 orientations have
-recorded digests too, and ``verify`` on the E7 fixture must pass."""
+``enumerate`` on the E6 fixture, ``verify`` on four D5 orientations and
+``verify`` on the E8 fixture have recorded digests too, and ``verify`` on
+the E7 fixture must pass."""
 
 import hashlib
 import importlib.util
@@ -111,6 +112,17 @@ def test_d5_verify_bytes_match_recorded_digest(tmp_path, capsys, orientation):
     quiver = tmp_path / "d5.quiver"
     quiver.write_text("vertices 1 2 3 4 5\n" + "\n".join(arrows) + "\n", encoding="utf-8")
     assert _digest_of_run(tmp_path, capsys, "verify", quiver) == D5_VERIFY_DIGEST
+
+
+# E8 (the chain 1-...-7 with 8 attached to 3): ``verify --out`` recorded
+# before the bijection read Ext^1 off the hom table and tau read the
+# presentation components at the generators.
+E8_VERIFY_DIGEST = "18b2bf628ba80dcf72c1fd86700c35aabb3b12a6583c81461ac7db58541833ff"
+
+
+def test_e8_verify_bytes_match_recorded_digest(fixture_dir, tmp_path, capsys):
+    quiver = fixture_dir / "e8.quiver"
+    assert _digest_of_run(tmp_path, capsys, "verify", quiver) == E8_VERIFY_DIGEST
 
 
 def test_e7_verify_passes(fixture_dir, tmp_path, capsys):

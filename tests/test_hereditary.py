@@ -69,8 +69,8 @@ def _injective_on_paths(q, x):
 
 def test_injective_rep_matches_the_path_basis(fixture_dir):
     """D P_x over the opposite quiver has the very matrices of the injective
-    on the paths ending at x, at every vertex of every fixture, A5 zigzag
-    and A6."""
+    on the paths ending at x, at every vertex of every fixture (E8
+    included), A5 zigzag and A6."""
     quivers = [parse_quiver(f.read_text(encoding="utf-8")) for f in sorted(fixture_dir.glob("*.quiver"))]
     quivers += [a_n(5, "zigzag"), a_n(6)]
     checked = 0
@@ -79,7 +79,7 @@ def test_injective_rep_matches_the_path_basis(fixture_dir):
             i = injective_rep(q, x)
             assert (i.dims, i.mats) == _injective_on_paths(q, x)
             checked += 1
-    assert checked == 43
+    assert checked == 51
 
 
 def test_standard_reps_a1_and_d4():

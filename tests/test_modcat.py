@@ -694,3 +694,107 @@ def test_nakayama_refuses_a_postcomposition_outside_an_empty_span(monkeypatch):
     cat._facts[("hom", cat.content_id(p1), cat.content_id(p2))] = ()
     with pytest.raises(CatalogError, match="postcomposition left the hom span"):
         cat.nak_data(p1)
+
+
+def _tau_by_flattened_spans(cat, m):
+    """tau m with every component of f1 composed with every Nakayama basis
+    map as a whole module map, flattened, and solved for in the flattened
+    Nakayama basis: the route the values at the generators replaced."""
+    pres = cat.presentation(m)
+    f1 = pres.incl.compose(pres.cover1.q)
+    parts0, parts1 = pres.cover0.parts, pres.cover1.parts
+    comps = {}
+    for j in range(len(parts1)):
+        fj = f1.compose(pres.cover1.injections[j])
+        for i in range(len(parts0)):
+            comps[(j, i)] = pres.cover0.projections[i].compose(fj)
+    bases0 = [cat.nak_data(cat.proj[zi])[1] for zi, _ in parts0]
+    flats1 = [cat.nak_data(cat.proj[wj])[2] for wj, _ in parts1]
+    mats = {}
+    for z in cat.quiver.vertices:
+        cols = []
+        for i, bases in enumerate(bases0):
+            for b in bases[z]:
+                col = []
+                for j, flats in enumerate(flats1):
+                    comp = b.compose(comps[(j, i)])
+                    col.extend(modcat._coords(flats[z], comp, "presentation component"))
+                cols.append(tuple(col))
+        rows = sum(len(flats[z]) for flats in flats1)
+        mats[z] = RMatrix.from_columns(cols, rows).transpose()
+    nu1, nu0 = cat._nak_of_parts(parts1), cat._nak_of_parts(parts0)
+    return reps.kernel(reps.RepMap(nu1, nu0, mats, check=False))[0]
+
+
+def _same_content(m, n) -> bool:
+    return m.dims == n.dims and all(m.mats[a.name] == n.mats[a.name] for a in m.quiver.arrows)
+
+
+@pytest.mark.parametrize(
+    "category, quiver",
+    [(path_category, lambda: a_n(3, "zigzag")), (path_category, d4_subspace), (dup_category, d4_subspace)],
+    ids=["A3-zigzag", "D4", "D4-dup"],
+)
+def test_tau_at_the_generators_equals_flattened_spans(category, quiver):
+    """tau read at the generators equals the flattened-span route on every
+    non-projective catalog entry, and in the opposite category (where the
+    knit gets tau^-1) on the dual of every non-injective entry."""
+    cat = category(quiver())
+    ar = cat.knit()
+    op = cat.opposite()[0]
+    checked = 0
+    for k, e in enumerate(ar.entries):
+        if not ar.projective[k]:
+            assert _same_content(cat.tau(e), _tau_by_flattened_spans(cat, e))
+            checked += 1
+        if not ar.injective[k]:
+            dual = cat._dual(e)
+            assert _same_content(op.tau(dual), _tau_by_flattened_spans(op, dual))
+            checked += 1
+    assert checked == 2 * len(ar.sequences)
+
+
+_DROPPED_NAKAYAMA_MAP = """
+from dupcat import fixtures
+from dupcat.dup import dup_category
+from dupcat.errors import CatalogError
+from dupcat.hereditary import path_category
+
+cat = {category}(fixtures.d4_subspace())
+for x in cat.quiver.vertices:
+    m = cat.simple[x]
+    pres = cat.presentation(m)
+    if pres.cover1 is not None:
+        break
+w = pres.cover1.parts[0][0]
+key = ("nakayama", cat.content_id(cat.proj[w]))
+nu, bases, flat = cat.nak_data(cat.proj[w])
+cat._facts[key] = (nu, {{**bases, w: bases[w][:-1]}}, flat)
+try:
+    cat.tau(m)
+except CatalogError as exc:
+    raise SystemExit(0 if "Nakayama basis of Hom" in str(exc) else 2)
+raise SystemExit(1)
+"""
+
+
+@pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
+def test_tau_refuses_a_nakayama_basis_with_a_map_dropped(monkeypatch, src_env, category):
+    """With the Nakayama basis of Hom(P_w, P_w) kept with its one map dropped,
+    the values at the generator are no basis of P_w(w): tau raises
+    CatalogError, keeps nothing, and does the same under python -O."""
+    monkeypatch.setattr(session, "_sessions", {})
+    cat = category(d4_subspace())
+    m = next(s for s in cat.simple.values() if cat.presentation(s).cover1 is not None)
+    w = cat.presentation(m).cover1.parts[0][0]
+    assert ("generator values", w, w) not in cat._facts
+    nu, bases, flat = cat.nak_data(cat.proj[w])
+    cat._facts[("nakayama", cat.content_id(cat.proj[w]))] = (nu, {**bases, w: bases[w][:-1]}, flat)
+    with pytest.raises(CatalogError, match=f"Nakayama basis of Hom\\(P_{w}, P_{w}\\)"):
+        cat.tau(m)
+    assert ("tau", cat.content_id(m)) not in cat._facts
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _DROPPED_NAKAYAMA_MAP.format(category=category.__name__)],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

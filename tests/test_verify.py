@@ -312,11 +312,13 @@ def test_cover_budget(monkeypatch):
 
 def test_hom_system_budget(monkeypatch):
     """One cold D4 run_all_checks reads its AR facts off the AR quiver and
-    its Hom dimensions off the hom table: at most 30 rank-based Hom systems
-    (21 now; 366 when reachability, fidelity and the pd criterion solved
-    systems; 1,391 when reachability solved every ordered pair and the knit
-    scanned the catalog) and at most 10 split_pair calls that find no split
-    pair (41 then)."""
+    its Hom and Ext^1 dimensions off the hom table: no rank-based Hom
+    system (21 when the bijection ran the Ext^1 engine; 366 when
+    reachability, fidelity and the pd criterion solved systems; 1,391 when
+    reachability solved every ordered pair and the knit scanned the
+    catalog) and at most 10 split_pair calls that find no split pair (41
+    then).  A Hom dimension with no kept basis is still solved by rank, and
+    counted."""
     _start_cold(monkeypatch)
     systems, misses = [], []
     inner_dim, inner_split = reps.hom_dim, reps.split_pair
@@ -333,10 +335,46 @@ def test_hom_system_budget(monkeypatch):
 
     monkeypatch.setattr(reps, "hom_dim", counting_dim)
     monkeypatch.setattr(reps, "split_pair", counting_split)
-    checks = run_all_checks(d4_subspace())
+    q = d4_subspace()
+    checks = run_all_checks(q)
     assert all(c.passed for c in checks)
-    assert 0 < len(systems) <= 30
+    assert len(systems) == 0
     assert len(misses) <= 10
+    # a pair no fact covers: a decomposable source, never met by verify
+    entries = knit_ind_dup(q).entries
+    source = reps.direct_sum([entries[0], entries[-1]])[0]
+    dup_category(q).hom_dim(source, entries[-1])
+    assert len(systems) == 1
+
+
+def _d5_branch():
+    """D5 oriented 2->1, 3->2, 3->4, 5->3."""
+    return Quiver(
+        ["1", "2", "3", "4", "5"],
+        [("a1", "2", "1"), ("a2", "3", "2"), ("a3", "3", "4"), ("a4", "5", "3")],
+    )
+
+
+@pytest.mark.parametrize("quiver", [d4_subspace, _d5_branch], ids=["D4", "D5"])
+def test_ext1_engine_runs_once_per_almost_split_sequence(monkeypatch, quiver):
+    """One cold run_all_checks runs the presentation-based Ext^1 only to
+    certify dim Ext^1(N, tau N) = 1 for each almost split sequence of the
+    two catalogs (36 on D4, 65 on D5); every other Ext^1 is read off a hom
+    table (298 and 666 computations when the bijection ran the engine on
+    every pair of left-part candidates)."""
+    _start_cold(monkeypatch)
+    calls = []
+    inner = modcat.ModuleCategory._ext1_dim
+
+    def counting(self, m, n):
+        calls.append((m, n))
+        return inner(self, m, n)
+
+    monkeypatch.setattr(modcat.ModuleCategory, "_ext1_dim", counting)
+    q = quiver()
+    assert all(c.passed for c in run_all_checks(q))
+    sequences = len(knit_ind_A(q).sequences) + len(knit_ind_dup(q).catalog.sequences)
+    assert len(calls) == sequences
 
 
 def test_isomorphism_hom_systems_equal_distinct_pairs(monkeypatch):
