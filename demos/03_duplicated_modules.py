@@ -6,7 +6,8 @@ copies of the base algebra, and theta : nu(Y) -> X records the action of the
 connecting arrows (the dual bimodule).  The projective at a primed vertex is
 (nu P_x, P_x, id): injective with simple socle at x and simple top at x'.
 The category ``dup_category`` returns computes on ``m.rep()``, and
-``rep_to_triple`` views a result as a module with its triple again.
+``rep_to_triple`` views a result as a module with its triple again.  The
+knitted catalog ``knit_ind_dup`` returns reads Ext^1 off its hom table.
 """
 
 from dupcat import (
@@ -44,8 +45,10 @@ print("injective envelope of embedded P1 is P[1']:",
 
 print("\nprojective dimensions: ",
       {f"S[{x}']": cat.pd(std.simple_primed[x].rep()) for x in q.vertices})
+ind = knit_ind_dup(q)
 print("Ext^1(embedded S2, embedded P1) =",
-      cat.ext1_dim(std.simple["2"].rep(), p1.rep()), "(the almost split extension survives)")
+      ind.ext1_dim(ind.find_module(std.simple["2"]), ind.find_module(p1)),
+      "(the almost split extension survives)")
 
 print("\n== knitted sizes of the duplicated module categories ==")
 for name, quiver in [("A1", a_n(1)), ("A2", a_n(2)), ("A3", a_n(3)), ("D4", d4_subspace())]:

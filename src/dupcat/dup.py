@@ -364,12 +364,14 @@ class DupCatalog:
         return tuple(ctx.pd(e) for e in self.entries)
 
     def ext1_dim(self, i: int, j: int) -> int:
-        """dim Ext^1(entry i, entry j): by the AR formula from the hom table
-        (``ARCatalog.ext1_by_tau``) when ``pd_table`` gives pd <= 1 for
-        entry i, otherwise from the Ext^1 engine."""
-        if self.pd_table[i] <= 1:
-            return self.catalog.ext1_by_tau(i, j)
-        return dup_category(self.base).ext1_dim(self.entries[i], self.entries[j])
+        """dim Ext^1(entry i, entry j) by the AR formula from the hom table
+        (``ARCatalog.ext1_by_tau``); CatalogError when ``pd_table`` gives
+        entry i projective dimension > 1, where the formula needs the maps
+        through injectives."""
+        pd = self.pd_table[i]
+        if pd > 1:
+            raise CatalogError(f"Ext^1 from entry {i}: its projective dimension is {pd}, not <= 1")
+        return self.catalog.ext1_by_tau(i, j)
 
     def find_module(self, m: DupModule) -> Optional[int]:
         return self.catalog.find(m.rep())

@@ -10,7 +10,7 @@ generic:
 * every fact about a module is kept per content, not per object, in one
   fact table on the category (:meth:`ModuleCategory._fact`): a content
   table gives each dimension vector with its arrow matrices a small id, and
-  covers, presentations, tau, duals, Nakayama images, Hom and Ext^1 are
+  covers, presentations, tau, duals, Nakayama images and Hom bases are
   kept under (fact, id[, id]), so a module rebuilt as another object (a
   twin) reuses every fact already known; the per-vertex frames, the arrow
   maps and the sums of projectives are kept in the same table by value;
@@ -21,10 +21,6 @@ generic:
   kernels/cokernels;
 * the direct sum of a list of projectives (or of their Nakayama images) is
   built once per category;
-* Ext^1(M, N) is the cokernel of Hom(P0, N) -> Hom(Omega M, N), computed
-  once per module pair and kept;
-* dim Hom(M, N) comes from the kept basis when there is one, otherwise as
-  the unknowns minus the rank of the Hom system, with no basis built;
 * the Nakayama functor is D Hom(-, A), realized on one module at a time via
   bases of Hom(M, P_z), and the AR translate tau M is the kernel of its
   action on a minimal projective presentation, whose components between
@@ -32,8 +28,6 @@ generic:
   generators;
 * tau^{-1} is computed by duality through the opposite category and kept
   per content;
-* dim Hom(M, N) is 0, with no system built, when N vanishes on the top of M
-  (whose cover is kept);
 * the AR quiver of a representation-finite category is knitted as the
   tau^{-1}-closure of the projectives (an entry is injective exactly when
   it has no tau^{-1}); its arrows are then read along the meshes: the
@@ -42,7 +36,9 @@ generic:
   sequence is the cokernel of the source map of its left end, whose
   components are irreducible maps already held (the inclusions into the
   projectives and the components of earlier sequences); the cokernel is
-  certified to be the predicted entry by an invertible map;
+  certified to be the predicted entry N by an invertible map in a basis of
+  Hom(coker, N) with one element: dim End(N) = 1 bounds dim Ext^1(N, tau N)
+  by 1 (the AR formula), so the non-split sequence spans it;
 * dim Hom between any two catalog entries is one entry of the catalog's
   hom table, knitted along the certified meshes on first read (never by
   the knit itself) and certified against the dimension vectors by Yoneda;
@@ -331,26 +327,6 @@ class ModuleCategory:
         content of m or n may stand as the source or target of its maps."""
         return self._fact("hom", lambda m, n: tuple(hom_basis(m, n)), m, n)
 
-    def hom_dim(self, m: Rep, n: Rep) -> int:
-        """dim Hom(m, n): from the kept basis when there is one, otherwise by
-        rank (``reps.hom_dim``) and kept per pair.
-
-        When m's cover is kept and n vanishes at every vertex of m's top, the
-        answer is 0 with no system built: Hom(m, n) embeds in
-        Hom(P0, n), the sum of the n_z over the top vertices z.
-        """
-        a, b = self.content_id(m), self.content_id(n)
-        basis = self._facts.get(("hom", a, b))
-        if basis is not None:
-            return len(basis)
-        return self._kept(("hom_dim", a, b), self._hom_dim, m, n)
-
-    def _hom_dim(self, m: Rep, n: Rep) -> int:
-        cover = self._facts.get(("cover", self.content_id(m)))
-        if cover is not None and not any(n.dims[z] for z, _ in cover.parts):
-            return 0
-        return reps.hom_dim(m, n)
-
     def iso(self, m: Rep, n: Rep) -> bool:
         """Decide m = n by ``reps.is_isomorphic`` (exact when m or n is
         indecomposable), kept per unordered pair of contents; equal contents
@@ -575,31 +551,6 @@ class ModuleCategory:
     def cosyzygy(self, m: Rep):
         _, _, j = self.envelope(m)
         return cokernel(j)
-
-    # -- Ext^1 ---------------------------------------------------------------
-
-    def ext1_dim(self, m: Rep, n: Rep) -> int:
-        """dim Ext^1(m, n), computed once per pair and kept."""
-        return self._fact("ext1", self._ext1_dim, m, n)
-
-    def _ext1_dim(self, m: Rep, n: Rep) -> int:
-        """The cokernel of Hom(P0, n) -> Hom(Omega m, n): dim Hom(Omega m, n)
-        minus the rank of the restricted basis of Hom(P0, n), which is
-        assembled from the bases of Hom(P_z, n) over the parts of the cover."""
-        pres = self.presentation(m)
-        if pres.cover1 is None:
-            return 0
-        hom_om_n = self.hom_dim(pres.omega, n)
-        if not hom_om_n:
-            return 0
-        cover = pres.cover0
-        rows = [
-            b.compose(proj).compose(pres.incl).flatten()
-            for (z, _), proj in zip(cover.parts, cover.projections)
-            for b in self.hom(self.proj[z], n)
-        ]
-        width = sum(pres.omega.dims[v] * n.dims[v] for v in self.quiver.vertices)
-        return hom_om_n - rank(RMatrix(rows, len(rows), width))
 
     # -- Nakayama and AR translates -------------------------------------------
 
@@ -913,11 +864,14 @@ class ModuleCategory:
 
         f has the held components M -> E_t, E is the direct sum of the
         ``middle`` entries E_t, and g is the projection onto coker f
-        followed by an invertible map coker f -> N from a Hom basis.  The
-        certificate: f is injective, coker f = N and dim Ext^1(N, M) = 1.
-        The E_t are distinct entries other than M, so by Krull-Schmidt the
-        sequence does not split; it spans Ext^1(N, M), so it is almost
-        split.  A failing certificate raises CatalogError naming the entry.
+        followed by an invertible map coker f -> N from a basis of
+        Hom(coker f, N).  The certificate: f is injective, the basis holds
+        an invertible map (coker f = N) and has one element (dim End(N) = 1).
+        By the AR formula Ext^1(N, M) is dual to End(N) modulo the maps
+        through projectives, so its dimension is at most 1; the E_t are
+        distinct entries other than M, so by Krull-Schmidt the sequence does
+        not split: it spans Ext^1(N, M) and is almost split.  A failing
+        certificate raises CatalogError naming the entry.
         """
         entries = catalog.entries
         left = catalog.tau_of[idx]
@@ -931,14 +885,12 @@ class ModuleCategory:
         if not f.is_injective():
             raise CatalogError(f"{what}: the source map of entry {left} is not injective")
         coker, proj = cokernel(f)
-        phi = next((h for h in hom_basis(coker, n) if h.is_isomorphism()), None)
+        basis = hom_basis(coker, n)
+        phi = next((h for h in basis if h.is_isomorphism()), None)
         if phi is None:
             raise CatalogError(f"{what}: the cokernel of the source map of entry {left} is not entry {idx}")
-        pres = self.presentation(n)
-        if pres.cover1 is not None:
-            self.hom(pres.omega, m)  # kept, so ext1_dim reads dim Hom(Omega N, M) off it
-        if self.ext1_dim(n, m) != 1:
-            raise CatalogError(f"{what}: dim Ext^1(entry {idx}, entry {left}) is not 1")
+        if len(basis) != 1:
+            raise CatalogError(f"{what}: dim End(entry {idx}) is {len(basis)}, not 1")
         g = phi.compose(proj)
         for (t, _), inj in zip(middle, injections):
             held[t, idx] = g.compose(inj)

@@ -238,13 +238,6 @@ def hom_basis(m: Rep, n: Rep):
     return basis
 
 
-def hom_dim(m: Rep, n: Rep) -> int:
-    """dim Hom(m, n): the unknowns of the :func:`hom_basis` system minus its
-    rank, without building a basis."""
-    system, _ = _hom_system(m, n)
-    return system.cols - rank(system)
-
-
 # -- subs, quotients, sums ------------------------------------------------
 
 

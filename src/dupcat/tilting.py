@@ -42,8 +42,9 @@ def is_tilting_module(summands) -> TiltingVerdict:
 
     The summands are looked up in the knitted catalog of the duplicated
     algebra, whose ``pd_table`` gives their projective dimensions and whose
-    ``ext1_dim`` gives Ext^1 (off the hom table when the source has
-    projective dimension <= 1)."""
+    ``ext1_dim`` gives Ext^1 off the hom table.  Ext^1 is checked from the
+    summands of projective dimension <= 1 only: each other one has already
+    failed the first axiom."""
     failures = []
     if not summands:
         return TiltingVerdict(False, ["empty summand list"])
@@ -58,6 +59,8 @@ def is_tilting_module(summands) -> TiltingVerdict:
         if pd > 1:
             failures.append(f"summand {i} has projective dimension {pd}")
     for i, k in enumerate(found):
+        if cat.pd_table[k] > 1:
+            continue
         for j, l in enumerate(found):
             if cat.ext1_dim(k, l) != 0:
                 failures.append(f"Ext^1(summand {i}, summand {j}) is nonzero")

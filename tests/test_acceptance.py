@@ -31,6 +31,7 @@ from dupcat.quiver import duplicated_quiver
 from dupcat.reps import is_isomorphic
 from dupcat.tilting import enumerate_L_tilting, is_tilting_module, verify_bijection
 from dupcat.verify import check_ext_symmetry_and_cross_model
+from oracles import ext1_by_bases
 
 ALL_FIXTURES = [
     ("A1", a_n(1)),
@@ -153,13 +154,13 @@ def test_criterion_6_ext_injective_characterization():
         # a brute-force pass over the full knitted catalog where available
         if name != "A4":
             cat = annotate_catalog(knit_ind_dup(q), lpc)
-            ext1_dim = dup_category(q).ext1_dim
+            ctx = dup_category(q)
             brute = []
             for i, m in enumerate(cat.modules):
                 if not cat.in_L[i]:
                     continue
                 if all(
-                    ext1_dim(n.rep(), m.rep()) == 0
+                    ext1_by_bases(ctx, n.rep(), m.rep()) == 0
                     for j, n in enumerate(cat.modules)
                     if cat.in_L[j]
                 ):

@@ -20,7 +20,7 @@ from dupcat.dup import (
     rep_to_triple,
     standard_dup_modules,
 )
-from dupcat.errors import NotDynkinError, NotInDomainError
+from dupcat.errors import CatalogError, NotDynkinError, NotInDomainError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import knit_ind_A, path_category, projective_rep, simple_rep
 from dupcat.leftpart import left_part_catalog
@@ -33,6 +33,7 @@ from dupcat.tilting import (
     is_tilting_module,
     verify_bijection,
 )
+from oracles import ext1_by_bases, hom_dim_by_rank
 
 
 def _find(q, rep):
@@ -128,7 +129,7 @@ def _hom_cluster_dim_modules(m, n):
     the extension term from the inverse orbit shift (absent for projectives)."""
     cat = path_category(m.quiver)
     t = cat.tau(m)
-    return cat.hom_dim(m, n) + (0 if t is None else cat.ext1_dim(t, n))
+    return hom_dim_by_rank(m, n) + (0 if t is None else ext1_by_bases(cat, t, n))
 
 
 def _is_maximal_rigid(q, objs):
@@ -200,6 +201,25 @@ def test_is_tilting_module_examples_a2():
     assert not verdict.passed
     assert any("Ext" in f for f in verdict.failures)
     assert any("projective-injective" in f for f in verdict.failures)
+
+
+def test_pd_two_summand_fails_the_first_axiom_and_has_no_ext1():
+    """An entry of ind of the duplicated algebra of A2 with projective
+    dimension 2: a module with it as a summand fails the tilting axioms with
+    a failure naming that pd and none for Ext^1 from it, and
+    ``DupCatalog.ext1_dim`` from it raises CatalogError, because the AR
+    formula on the hom table holds only from a source of pd <= 1."""
+    q = a_n(2)
+    cat = knit_ind_dup(q)
+    k = cat.pd_table.index(2)
+    p1 = embed_A(projective_rep(q, "1"))
+    verdict = is_tilting_module([cat.modules[k], p1, proj_primed(q, "1"), proj_primed(q, "2")])
+    assert not verdict.passed
+    assert "summand 0 has projective dimension 2" in verdict.failures
+    assert not any(f.startswith("Ext^1(summand 0,") for f in verdict.failures)
+    for j in range(len(cat.entries)):
+        with pytest.raises(CatalogError, match=f"entry {k}: its projective dimension is 2"):
+            cat.ext1_dim(k, j)
 
 
 def test_enumerate_l_tilting_pentagon():
@@ -305,7 +325,7 @@ def test_both_enumerations_match_backtracking(q):
     )
     ctx = dup_category(q)
     cand = [m.rep() for m in candidates]
-    table = [[ctx.ext1_dim(a, b) == 0 == ctx.ext1_dim(b, a) for b in cand] for a in cand]
+    table = [[ext1_by_bases(ctx, a, b) == 0 == ext1_by_bases(ctx, b, a) for b in cand] for a in cand]
     want = [tuple(candidates[i] for i in c) for c in _backtrack_cliques(table, n)]
     assert [r.free for r in enumerate_L_tilting(q)] == want
     assert len(want) == expected_count(classify_dynkin(q))

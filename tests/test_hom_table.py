@@ -1,8 +1,9 @@
 """The hom table of an AR catalog against the matrix route it replaced.
 
 ``ARCatalog.hom_table`` knits dim Hom(M, -) along the certified meshes; here
-every entry is compared with a Hom system (``reps.hom_dim``), Ext^1 by the
-AR formula with the Ext^1 engine, and the path side with the Euler form.  A
+every entry is compared with the rank of a Hom system, Ext^1 by the AR
+formula with a cokernel over a projective presentation (both from
+``oracles``), and the path side with the Euler form.  A
 catalog with one wrong arrow multiplicity, one extra arrow or one wrong tau
 link must fail the table's certificate, also under ``python -O``.
 """
@@ -14,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from dupcat import reps
 from dupcat.dup import dup_category, knit_ind_dup
 from dupcat.errors import CatalogError
 from dupcat.hereditary import euler_form, knit_ind_A, path_category
@@ -27,6 +27,7 @@ from dupcat.leftpart import (
     verify_sink_reachability,
 )
 from dupcat.quiver import parse_quiver
+from oracles import ext1_by_bases, hom_dim_by_rank
 
 THROUGH_E6 = ["a1", "a2", "a3_linear", "a3_zigzag", "a4", "d4", "e6"]
 THROUGH_E7 = THROUGH_E6 + ["e7"]
@@ -48,26 +49,31 @@ def test_table_equals_hom_systems(fixture_dir, name):
     for _, cat in _catalogs(_quiver(fixture_dir, name)):
         entries = cat.entries
         assert cat.hom_table == tuple(
-            tuple(reps.hom_dim(m, n) for n in entries) for m in entries
+            tuple(hom_dim_by_rank(m, n) for n in entries) for m in entries
         )
 
 
 @pytest.mark.parametrize("name", THROUGH_E6)
 def test_ext1_by_tau_equals_the_engine(fixture_dir, name):
     """Every pair whose source has projective dimension <= 1 (every pair of
-    ind A): Ext^1 by the AR formula equals the Ext^1 engine, and
-    ``DupCatalog.ext1_dim`` equals it on every pair."""
+    ind A): Ext^1 by the AR formula equals the cokernel over a projective
+    presentation, and ``DupCatalog.ext1_dim`` equals it on every such pair
+    and raises CatalogError from every other source."""
     q = _quiver(fixture_dir, name)
     dup = knit_ind_dup(q)
     for ctx, cat in _catalogs(q):
         for i, m in enumerate(cat.entries):
             if ctx.pd(m) <= 1:
                 for j, n in enumerate(cat.entries):
-                    assert cat.ext1_by_tau(i, j) == ctx.ext1_dim(m, n), (i, j)
+                    assert cat.ext1_by_tau(i, j) == ext1_by_bases(ctx, m, n), (i, j)
     ctx = dup_category(q)
     for i, m in enumerate(dup.entries):
         for j, n in enumerate(dup.entries):
-            assert dup.ext1_dim(i, j) == ctx.ext1_dim(m, n), (i, j)
+            if dup.pd_table[i] <= 1:
+                assert dup.ext1_dim(i, j) == ext1_by_bases(ctx, m, n), (i, j)
+            else:
+                with pytest.raises(CatalogError, match=f"entry {i}: its projective dimension is"):
+                    dup.ext1_dim(i, j)
 
 
 @pytest.mark.parametrize("name", THROUGH_E7)

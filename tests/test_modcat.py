@@ -18,6 +18,7 @@ from dupcat.hereditary import path_category, projective_rep, simple_rep
 from dupcat.linalg import RMatrix, coordinates_in_span, rank, solve_matrix
 from dupcat.quiver import Quiver
 from dupcat.reps import Rep
+from oracles import ext1_by_bases, hom_dim_by_rank
 
 
 def _yoneda_by_hom_solve(cat, z, n, vec):
@@ -220,49 +221,20 @@ def test_summand_outside_the_catalog_raises():
     assert residual.dim_vector() == catalog.entries[last].dim_vector()
 
 
-def _ext1_by_bases(cat, m, n):
-    """dim Ext^1(m, n) as the cokernel of Hom(P0, n) -> Hom(Omega m, n),
-    from full Hom bases."""
-    pres = cat.presentation(m)
-    hom_omega = reps.hom_basis(pres.omega, n)
-    if pres.cover1 is None or not hom_omega:
-        return 0
-    restricted = [h.compose(pres.incl).flatten() for h in reps.hom_basis(pres.cover0.p0, n)]
-    width = len(hom_omega[0].flatten())
-    return len(hom_omega) - rank(RMatrix([list(r) for r in restricted], len(restricted), width))
-
-
 @pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
-def test_ext1_memo_and_rank_hom_dim_match_bases(category, monkeypatch):
-    """On all D4 catalog pairs: the kept Ext^1 and the rank-based Hom
-    dimensions equal the basis computation, and a second sweep computes
-    nothing."""
+def test_ext1_memo_and_rank_hom_dim_match_bases(category):
+    """On all D4 catalog pairs: the rank-based Hom dimension equals the
+    basis computation, and Ext^1 kept in the hom table (read by the AR
+    formula from a source of projective dimension <= 1) equals the cokernel
+    computed from full bases."""
     cat = category(d4_subspace())
-    entries = cat.knit().entries
-    for m in entries:
-        for n in entries:
-            assert reps.hom_dim(m, n) == len(reps.hom_basis(m, n))
-            assert cat.hom_dim(m, n) == len(reps.hom_basis(m, n))
-            assert cat.ext1_dim(m, n) == _ext1_by_bases(cat, m, n)
-
-    def refuse(*args):
-        raise AssertionError("recomputed a kept fact")
-
-    monkeypatch.setattr(modcat, "rank", refuse)
-    monkeypatch.setattr(reps, "rank", refuse)
-    monkeypatch.setattr(modcat, "hom_basis", refuse)
-    for m in entries:
-        for n in entries:
-            cat.ext1_dim(m, n)
-            cat.hom_dim(m, n)
-
-
-def test_hom_dim_builds_no_basis(monkeypatch):
-    cat = path_category(d4_subspace())
-    m, n = projective_rep(cat.quiver, "2"), projective_rep(cat.quiver, "1")
-    monkeypatch.setattr(modcat, "hom_basis", lambda *a: pytest.fail("built a basis"))
-    assert cat.hom_dim(m, n) == n.dims["2"] == 0
-    assert cat.hom_dim(n, m) == m.dims["1"] == 1
+    catalog = cat.knit()
+    entries = catalog.entries
+    for i, m in enumerate(entries):
+        for j, n in enumerate(entries):
+            assert hom_dim_by_rank(m, n) == len(reps.hom_basis(m, n))
+            if cat.pd(m) <= 1:
+                assert catalog.ext1_by_tau(i, j) == ext1_by_bases(cat, m, n)
 
 
 # -- projective dimension and exact isomorphism --------------------------------
@@ -441,14 +413,14 @@ def _twin(m: Rep) -> Rep:
 )
 def test_twins_share_every_fact(category, quiver, monkeypatch):
     """A twin of a catalog entry (same content, another object) gets the
-    entry's presentation and tau objects and its Hom and Ext^1 dimensions,
-    with no cover or tau computed."""
+    entry's presentation, tau and Hom basis objects, with no cover or tau
+    computed, and the entry's Ext^1 dimensions."""
     cat = category(quiver())
     entries = cat.knit().entries
     facts = {
         id(e): (cat.presentation(e), cat.tau(e),
-                [(cat.hom_dim(e, f), cat.hom_dim(f, e)) for f in entries],
-                [(cat.ext1_dim(e, f), cat.ext1_dim(f, e)) for f in entries])
+                [(cat.hom(e, f), cat.hom(f, e)) for f in entries],
+                [(ext1_by_bases(cat, e, f), ext1_by_bases(cat, f, e)) for f in entries])
         for e in entries
     }
     computed = _count_computations(monkeypatch)
@@ -457,8 +429,8 @@ def test_twins_share_every_fact(category, quiver, monkeypatch):
         pres, tau, homs, exts = facts[id(e)]
         assert t is not e and cat.content_id(t) == cat.content_id(e)
         assert cat.presentation(t) is pres and cat.tau(t) is tau
-        assert [(cat.hom_dim(t, f), cat.hom_dim(f, t)) for f in entries] == homs
-        assert [(cat.ext1_dim(t, f), cat.ext1_dim(f, t)) for f in entries] == exts
+        assert all(cat.hom(t, f) is h and cat.hom(f, t) is k for f, (h, k) in zip(entries, homs))
+        assert [(ext1_by_bases(cat, t, f), ext1_by_bases(cat, f, t)) for f in entries] == exts
     assert computed == {"_cover": [], "_tau": []}
 
 
@@ -505,10 +477,10 @@ def test_changed_content_is_computed_afresh(category, quiver, data):
         assert cat.presentation(changed) is not kept
         assert computed["_cover"][0] is changed
         for f in entries:
-            assert cat.hom_dim(changed, f) == cat.hom_dim(e, f)
-            assert cat.hom_dim(f, changed) == cat.hom_dim(f, e)
-            assert cat.ext1_dim(changed, f) == cat.ext1_dim(e, f)
-            assert cat.ext1_dim(f, changed) == cat.ext1_dim(f, e)
+            assert len(cat.hom(changed, f)) == len(cat.hom(e, f))
+            assert len(cat.hom(f, changed)) == len(cat.hom(f, e))
+            assert ext1_by_bases(cat, changed, f) == ext1_by_bases(cat, e, f)
+            assert ext1_by_bases(cat, f, changed) == ext1_by_bases(cat, f, e)
 
 
 def test_different_modules_never_share_an_id():
@@ -519,11 +491,11 @@ def test_different_modules_never_share_an_id():
     summed = reps.direct_sum([a2.simple["1"], a2.simple["2"]])[0]
     assert summed.dim_vector() == a2.proj["2"].dim_vector()
     assert a2.content_id(summed) != a2.content_id(a2.proj["2"])
-    assert a2.hom_dim(a2.proj["2"], summed) != a2.hom_dim(summed, summed)
+    assert len(a2.hom(a2.proj["2"], summed)) != len(a2.hom(summed, summed))
     a1 = path_category(a_n(1))
     double = reps.direct_sum([a1.simple["1"]] * 2)[0]
     assert a1.content_id(double) != a1.content_id(a1.simple["1"])
-    assert a1.hom_dim(double, double) == 4
+    assert len(a1.hom(double, double)) == 4
 
 
 # -- facts read off the AR quiver ----------------------------------------------
@@ -541,46 +513,18 @@ def test_tau_inv_is_kept_per_content(category, quiver):
         assert cat.tau_inv(e) is t and cat.tau_inv(_twin(e)) is t
 
 
-def test_top_support_hom_dim_matches_systems(monkeypatch):
-    """With every cover kept, hom_dim answers 0 from the top support for the
-    pairs whose target vanishes on the source's top, and equals
-    reps.hom_dim on all pairs of D4 duplicated-catalog entries."""
-    monkeypatch.setattr(session, "_sessions", {})
-    cat = dup_category(d4_subspace())
-    entries = cat.knit().entries
-    for e in entries:
-        cat.cover(e)
-    systems = []
-    inner = reps.hom_dim
-
-    def counting(m, n):
-        systems.append((m, n))
-        return inner(m, n)
-
-    monkeypatch.setattr(reps, "hom_dim", counting)
-    fresh = [
-        (m, n) for m in entries for n in entries
-        if ("hom", cat.content_id(m), cat.content_id(n)) not in cat._facts
-    ]
-    got = [cat.hom_dim(m, n) for m, n in fresh]
-    monkeypatch.setattr(reps, "hom_dim", inner)
-    assert got == [reps.hom_dim(m, n) for m, n in fresh]
-    assert 0 < len(systems) < len(fresh)
-
-
 @pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
 def test_knit_keeps_ext1_of_each_sequence(category, monkeypatch):
-    """For every almost split sequence of the D4 catalog the knit certified
-    dim Ext^1(N, tau N) = 1 and kept it in the fact table; the kept value is
-    the cokernel computed from full bases."""
+    """For every almost split sequence of the D4 catalog, dim Ext^1(N, tau N)
+    = 1, the value the knit's certificate (dim End(N) = 1 and a non-split
+    sequence) proves, equals the cokernel computed from full bases."""
     monkeypatch.setattr(session, "_sessions", {})
     cat = category(d4_subspace())
     catalog = cat.knit()
     assert len(catalog.sequences) == len(catalog.entries) - len(cat.proj)
     for idx, seq in catalog.sequences.items():
         n, m = catalog.entries[idx], catalog.entries[seq.left]
-        assert cat._facts[("ext1", cat.content_id(n), cat.content_id(m))] == 1
-        assert _ext1_by_bases(cat, n, m) == 1
+        assert ext1_by_bases(cat, n, m) == 1
 
 
 _MESH_MISMATCH = """
@@ -670,6 +614,70 @@ def test_wrong_source_map_component_raises(monkeypatch, src_env, builder, args, 
     assert cat._catalog is None
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _WRONG_COMPONENT.format(builder=builder, args=args, message=message)],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_EXTRA_END_MAP = """
+from dupcat import modcat
+from dupcat.errors import CatalogError
+from dupcat.fixtures import d4_subspace
+from dupcat.dup import dup_category
+from dupcat.hereditary import path_category
+
+inner_sequence, inner_basis = modcat.ModuleCategory._almost_split, modcat.hom_basis
+tampered = []
+
+
+def sequence(self, catalog, idx, middle, held):
+    if tampered:
+        return inner_sequence(self, catalog, idx, middle, held)
+    tampered.append(idx)
+    modcat.hom_basis = lambda m, n: (lambda b: b + [b[0].scale(2)])(inner_basis(m, n))
+    try:
+        return inner_sequence(self, catalog, idx, middle, held)
+    finally:
+        modcat.hom_basis = inner_basis
+
+
+modcat.ModuleCategory._almost_split = sequence
+cat = {category}(d4_subspace())
+try:
+    cat.knit()
+except CatalogError as exc:
+    message = f"dim End(entry {{tampered[0]}}) is 2, not 1"
+    raise SystemExit(0 if message in str(exc) and cat._catalog is None else 2)
+raise SystemExit(1)
+"""
+
+
+@pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
+def test_extra_end_map_fails_the_sequence_certificate(monkeypatch, src_env, category):
+    """The first almost split sequence the D4 knit builds, with one extra map
+    in its basis of Hom(coker f, N) (a multiple of the invertible one),
+    makes the knit raise CatalogError naming dim End of that entry, also
+    under python -O, and keep no catalog."""
+    monkeypatch.setattr(session, "_sessions", {})
+    inner_sequence, inner_basis = modcat.ModuleCategory._almost_split, modcat.hom_basis
+    tampered = []
+
+    def sequence(self, catalog, idx, middle, held):
+        if tampered:
+            return inner_sequence(self, catalog, idx, middle, held)
+        tampered.append(idx)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modcat, "hom_basis", lambda m, n: (lambda b: b + [b[0].scale(2)])(inner_basis(m, n)))
+            return inner_sequence(self, catalog, idx, middle, held)
+
+    monkeypatch.setattr(modcat.ModuleCategory, "_almost_split", sequence)
+    cat = category(d4_subspace())
+    with pytest.raises(CatalogError) as caught:
+        cat.knit()
+    assert f"dim End(entry {tampered[0]}) is 2, not 1" in str(caught.value)
+    assert cat._catalog is None
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _EXTRA_END_MAP.format(category=category.__name__)],
         env=src_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

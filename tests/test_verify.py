@@ -20,6 +20,7 @@ from dupcat.leftpart import (
 from dupcat.quiver import Quiver, parse_quiver, prime, sinks_and_sources
 from dupcat.reps import Rep, is_isomorphic
 from dupcat.verify import run_all_checks
+from oracles import hom_dim_by_rank
 
 
 # -- oracles: the brute-force routes the AR-quiver readings replaced ----------
@@ -32,7 +33,7 @@ def _hom_reach(modules):
     reach = [[i == j for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if i != j and reps.hom_dim(modules[i].rep(), modules[j].rep()) > 0:
+            if i != j and hom_dim_by_rank(modules[i].rep(), modules[j].rep()) > 0:
                 reach[i][j] = True
     for k in range(n):
         for i in range(n):
@@ -191,12 +192,11 @@ def test_reach_rejects_an_arrow_without_a_nonzero_map():
     """An AR arrow between entries with Hom = 0 makes the hom table fail its
     certificate: CatalogError."""
     cat = knit_ind_dup(a_n(2))
-    ctx = dup_category(cat.base)
     s, t = next(
         (i, j)
         for i in range(len(cat.entries))
         for j in range(len(cat.entries))
-        if ctx.hom_dim(cat.entries[i], cat.entries[j]) == 0
+        if hom_dim_by_rank(cat.entries[i], cat.entries[j]) == 0
     )
     arrows = cat.catalog.arrows + ((s, t, 1),)
     broken = dataclasses.replace(cat, catalog=dataclasses.replace(cat.catalog, arrows=arrows))
@@ -210,18 +210,17 @@ def _start_cold(monkeypatch):
 
 
 def _count_hom_systems(monkeypatch):
-    """A list that records (m, n) of every Hom system solved from now on,
-    by rank or for a basis."""
+    """A list that records (m, n) of every Hom basis solved from now on
+    (``reps.hom_basis``, the library's one Hom system)."""
     systems = []
-    for name in ("hom_dim", "hom_basis"):
-        inner = getattr(reps, name)
+    inner = reps.hom_basis
 
-        def counting(m, n, _inner=inner):
-            systems.append((m, n))
-            return _inner(m, n)
+    def counting(m, n):
+        systems.append((m, n))
+        return inner(m, n)
 
-        monkeypatch.setattr(reps, name, counting)
-    monkeypatch.setattr(modcat, "hom_basis", reps.hom_basis)
+    monkeypatch.setattr(reps, "hom_basis", counting)
+    monkeypatch.setattr(modcat, "hom_basis", counting)
     return systems
 
 
@@ -243,10 +242,12 @@ def test_direct_sum_budget(monkeypatch):
 
 
 def test_hom_basis_budget(monkeypatch):
-    """One cold D4 run_all_checks keeps each Hom/Ext fact per pair of module
-    contents and reads Hom dimensions by rank: at most 1,200 Hom bases (3,307 when
-    every hom_dim built a basis and nothing kept Ext^1; 761 when facts were
-    kept per object; 583 now)."""
+    """One cold D4 run_all_checks keeps each Hom basis per pair of module
+    contents and reads Hom and Ext^1 dimensions off the hom table: at most
+    1,200 Hom bases (3,307 when every Hom dimension built a basis and nothing
+    kept Ext^1; 761 when facts were kept per object; 298 when the knit also
+    certified each almost split sequence with the presentation-based Ext^1;
+    218 now)."""
     _start_cold(monkeypatch)
     calls = []
     inner = reps.hom_basis
@@ -311,21 +312,12 @@ def test_cover_budget(monkeypatch):
 
 
 def test_hom_system_budget(monkeypatch):
-    """One cold D4 run_all_checks reads its AR facts off the AR quiver and
-    its Hom and Ext^1 dimensions off the hom table: no rank-based Hom
-    system (21 when the bijection ran the Ext^1 engine; 366 when
-    reachability, fidelity and the pd criterion solved systems; 1,391 when
-    reachability solved every ordered pair and the knit scanned the
-    catalog) and at most 10 split_pair calls that find no split pair (41
-    then).  A Hom dimension with no kept basis is still solved by rank, and
-    counted."""
+    """One cold D4 run_all_checks reads its AR facts off the AR quiver, so
+    at most 10 split_pair calls find no split pair (41 when reachability
+    solved every ordered pair and the knit scanned the catalog)."""
     _start_cold(monkeypatch)
-    systems, misses = [], []
-    inner_dim, inner_split = reps.hom_dim, reps.split_pair
-
-    def counting_dim(m, n):
-        systems.append((m, n))
-        return inner_dim(m, n)
+    misses = []
+    inner_split = reps.split_pair
 
     def counting_split(c, e):
         pair = inner_split(c, e)
@@ -333,18 +325,10 @@ def test_hom_system_budget(monkeypatch):
             misses.append((c, e))
         return pair
 
-    monkeypatch.setattr(reps, "hom_dim", counting_dim)
     monkeypatch.setattr(reps, "split_pair", counting_split)
-    q = d4_subspace()
-    checks = run_all_checks(q)
+    checks = run_all_checks(d4_subspace())
     assert all(c.passed for c in checks)
-    assert len(systems) == 0
     assert len(misses) <= 10
-    # a pair no fact covers: a decomposable source, never met by verify
-    entries = knit_ind_dup(q).entries
-    source = reps.direct_sum([entries[0], entries[-1]])[0]
-    dup_category(q).hom_dim(source, entries[-1])
-    assert len(systems) == 1
 
 
 def _d5_branch():
@@ -356,25 +340,42 @@ def _d5_branch():
 
 
 @pytest.mark.parametrize("quiver", [d4_subspace, _d5_branch], ids=["D4", "D5"])
-def test_ext1_engine_runs_once_per_almost_split_sequence(monkeypatch, quiver):
-    """One cold run_all_checks runs the presentation-based Ext^1 only to
-    certify dim Ext^1(N, tau N) = 1 for each almost split sequence of the
-    two catalogs (36 on D4, 65 on D5); every other Ext^1 is read off a hom
-    table (298 and 666 computations when the bijection ran the engine on
-    every pair of left-part candidates)."""
+def test_knit_certifies_each_sequence_with_one_hom_basis(monkeypatch, quiver):
+    """One cold run_all_checks certifies each almost split sequence of the
+    two catalogs (36 on D4, 65 on D5) with one Hom basis, Hom(coker f, N),
+    and no presentation: the knit also solved Hom(Omega N, tau N) and ran
+    the presentation-based Ext^1 per sequence when that certified
+    dim Ext^1(N, tau N) = 1."""
     _start_cold(monkeypatch)
-    calls = []
-    inner = modcat.ModuleCategory._ext1_dim
+    inside, bases, presentations = [], [], []
+    inner_sequence = modcat.ModuleCategory._almost_split
+    inner_basis = reps.hom_basis
+    inner_presentation = modcat.ModuleCategory._presentation
 
-    def counting(self, m, n):
-        calls.append((m, n))
-        return inner(self, m, n)
+    def sequence(self, *args):
+        inside.append(None)
+        try:
+            return inner_sequence(self, *args)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(modcat.ModuleCategory, "_ext1_dim", counting)
+    def basis(m, n):
+        if inside:
+            bases.append((m, n))
+        return inner_basis(m, n)
+
+    def presentation(self, m):
+        if inside:
+            presentations.append(m)
+        return inner_presentation(self, m)
+
+    monkeypatch.setattr(modcat.ModuleCategory, "_almost_split", sequence)
+    monkeypatch.setattr(modcat, "hom_basis", basis)
+    monkeypatch.setattr(modcat.ModuleCategory, "_presentation", presentation)
     q = quiver()
     assert all(c.passed for c in run_all_checks(q))
     sequences = len(knit_ind_A(q).sequences) + len(knit_ind_dup(q).catalog.sequences)
-    assert len(calls) == sequences
+    assert len(bases) == sequences and presentations == []
 
 
 def test_isomorphism_hom_systems_equal_distinct_pairs(monkeypatch):
