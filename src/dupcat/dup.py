@@ -20,6 +20,12 @@ modules and the category.  Hom, Ext^1, syzygies, AR translates, projective
 dimension and isomorphism are methods of the category :func:`dup_category`
 returns; they take ``m.rep()``, and :func:`rep_to_triple` views a result as
 a :class:`DupModule` again.
+
+Its AR quiver holds two copies of ind A: the A-modules on the unprimed
+vertices, closed under predecessors, and the A'-modules on the primed
+vertices, closed under successors.  Its knit takes tau^{-1} on both from
+the knit of ind A (:func:`_copies`) and runs the Nakayama route only on the
+entries injective in a copy and on those between the copies.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .linalg import RMatrix, nullspace_basis, rank, solve_matrix
 from .modcat import ARCatalog, ModuleCategory
 from .quiver import Quiver, opposite, paths_from, prime
 from . import reps
-from .hereditary import path_category
+from .hereditary import knit_ind_A, path_category
 from .reps import Rep, RepMap
 from .session import session
 
@@ -317,7 +323,38 @@ def build_dup_category(q: Quiver) -> ModuleCategory:
             amap[mp.name] = rev.name
         return op, vmap, amap
 
-    return ModuleCategory(report.dup, projectives, injectives, simples, op_builder)
+    return ModuleCategory(
+        report.dup, projectives, injectives, simples, op_builder, lambda cat, cap: _copies(q, cat, cap)
+    )
+
+
+def _copy(x: Rep, dup: Quiver, rename) -> Rep:
+    """The A-module x on one copy of the base quiver in the duplicated
+    quiver (``rename`` gives a base vertex or arrow its name there), zero
+    elsewhere."""
+    return Rep(
+        dup,
+        {rename(v): x.dims[v] for v in x.quiver.vertices},
+        {rename(a.name): x.mats[a.name] for a in x.quiver.arrows},
+    )
+
+
+def _copies(q: Quiver, cat: ModuleCategory, cap) -> dict:
+    """tau^{-1} on the two copies of ind A in mod of the duplicated algebra
+    of q, by content id in ``cat``: for each entry M of ``knit_ind_A(q, cap)``
+    that is not injective in A, the copy of M on the unprimed vertices maps
+    to the copy of tau_A^{-1} M there, and the copy on the primed vertices
+    to the primed copy.  mod A is closed under predecessors in mod of the
+    duplicated algebra and mod A' under successors, so the almost split
+    sequence of M in either copy is almost split there too (Assem-Simson-
+    Skowronski vol. 1, IV.3)."""
+    ar = knit_ind_A(q, cap)
+    table = {}
+    for rename in (_unprimed, prime):
+        copies = [_copy(e, cat.quiver, rename) for e in ar.entries]
+        for i, j in ar.tau_inv_of.items():
+            table[cat.content_id(copies[i])] = copies[j]
+    return table
 
 
 # -- the knitted catalog -------------------------------------------------------

@@ -22,7 +22,8 @@ generic:
 * the direct sum of a list of projectives (or of their Nakayama images) is
   built once per category;
 * the Nakayama functor is D Hom(-, A), realized on one module at a time via
-  bases of Hom(M, P_z), and the AR translate tau M is the kernel of its
+  bases of Hom(M, P_z); for a projective P_x they are read by Yoneda at the
+  generator, with no Hom system; the AR translate tau M is the kernel of its
   action on a minimal projective presentation, whose components between
   indecomposable projectives are read, by Yoneda, as their values at the
   generators;
@@ -30,10 +31,12 @@ generic:
   per content;
 * the AR quiver of a representation-finite category is knitted as the
   tau^{-1}-closure of the projectives (an entry is injective exactly when
-  it has no tau^{-1}); its arrows are then read along the meshes: the
-  radicals of the projectives are decomposed, the middle term of each
-  almost split sequence is predicted from the arrows already known, and the
-  sequence is the cokernel of the source map of its left end, whose
+  it has no tau^{-1}), with tau^{-1} taken from a table of copies where
+  the category has one (the duplicated algebra's two copies of ind A);
+  its arrows are then read along the meshes: the radicals of the
+  projectives are decomposed, the middle term of each almost split
+  sequence is predicted from the arrows already known, and the sequence
+  is the cokernel of the source map of its left end, whose
   components are irreducible maps already held (the inclusions into the
   projectives and the components of earlier sequences); the cokernel is
   certified to be the predicted entry N by an invertible map in a basis of
@@ -262,10 +265,12 @@ class ARCatalog:
 
 
 class ModuleCategory:
-    def __init__(self, quiver: Quiver, projectives, injectives, simples, op_builder):
+    def __init__(self, quiver: Quiver, projectives, injectives, simples, op_builder, copies=None):
         """``projectives[z] = (Rep, generator column)``;
         ``injectives[z] = (Rep, evaluation row)``; ``simples[z] = Rep``.
         ``op_builder()`` must return (opposite category, vertex_map, arrow_map).
+        ``copies(category, cap)``, when given, returns the table of tau^{-1}
+        by content id that :meth:`knit` tries before the Nakayama route.
         """
         self.quiver = quiver
         self.proj = {z: p for z, (p, _) in projectives.items()}
@@ -274,11 +279,13 @@ class ModuleCategory:
         self.inj_eval = {z: e for z, (_, e) in injectives.items()}
         self.simple = dict(simples)
         self._op_builder = op_builder
+        self._copies = copies
         self._op = None
         self._content_ids = {}  # content key -> id, see content_id
         self._uid_ids = {}  # Rep.uid -> content id
         self._facts = {}  # see _fact and _kept
         self._catalog: Optional[ARCatalog] = None
+        self._proj_at = {self.content_id(p): z for z, p in self.proj.items()}  # content id -> z
 
     # -- plumbing ----------------------------------------------------------
 
@@ -555,11 +562,14 @@ class ModuleCategory:
     # -- Nakayama and AR translates -------------------------------------------
 
     def nak_data(self, m: Rep):
-        """D Hom(m, A) together with the chosen bases of Hom(m, P_z), kept
-        per content."""
+        """D Hom(m, A) together with the chosen bases of Hom(m, P_z) and
+        their flattenings, kept per content."""
         return self._fact("nakayama", self._nak_data, m)
 
     def _nak_data(self, m: Rep):
+        x = self._proj_at.get(self.content_id(m))
+        if x is not None:
+            return self._nak_of_projective(x)
         bases = {z: self.hom(m, self.proj[z]) for z in self.quiver.vertices}
         flat = {z: [b.flatten() for b in bases[z]] for z in self.quiver.vertices}
         dims = {z: len(bases[z]) for z in self.quiver.vertices}
@@ -569,6 +579,21 @@ class ModuleCategory:
             lam = self.lam(a.name)
             cols = [_coords(flat[w], lam.compose(b), "postcomposition") for b in bases[z]]
             mats[a.name] = RMatrix.from_columns(cols, dims[w]).transpose()
+        return Rep(self.quiver, dims, mats), bases, flat
+
+    def _nak_of_projective(self, x):
+        """nu(P_x) by Yoneda, with no Hom system: the basis of Hom(P_x, P_z)
+        is the maps sending the generator to the standard basis of P_z(x)
+        (:meth:`yoneda_map`, whose squares certify each map), so
+        postcomposition with lam(a): P_z -> P_w has the matrix lam(a) at x,
+        and the arrow a of nu(P_x) acts by its transpose."""
+        bases = {}
+        for z in self.quiver.vertices:
+            ident = RMatrix.identity(self.proj[z].dims[x])
+            bases[z] = tuple(self.yoneda_map(x, self.proj[z], RMatrix.column(e)) for e in ident.data)
+        flat = {z: [b.flatten() for b in bases[z]] for z in self.quiver.vertices}
+        dims = {z: len(bases[z]) for z in self.quiver.vertices}
+        mats = {a.name: self.lam(a.name).mats[x].transpose() for a in self.quiver.arrows}
         return Rep(self.quiver, dims, mats), bases, flat
 
     def nakayama(self, m: Rep) -> Rep:
@@ -700,6 +725,14 @@ class ModuleCategory:
         contents).  A later call whose ``cap`` is below the kept entry count
         still raises CapExceededError, exactly as a fresh knit would.  A
         knit that raises is not kept.
+
+        A category built with ``copies`` takes tau^{-1} of each entry whose
+        content that table holds from it (built once per knit, under
+        ``cap``); every other entry, so every entry whose injectivity is
+        decided, goes through :meth:`tau_inv`.  A table answer is not kept
+        as a fact: like every link, it is certified by the almost split
+        sequence ending at it (:meth:`_almost_split`), so a wrong answer
+        raises CatalogError and a missing one only costs a Nakayama route.
         """
         if self._catalog is not None:
             if len(self._catalog.entries) > cap:
@@ -708,12 +741,15 @@ class ModuleCategory:
         entries = [self.proj[z] for z in self.quiver.vertices]
         if len(entries) > cap:
             raise CapExceededError(cap)
+        copies = self._copies(self, cap) if self._copies else {}
         index = dim_index(entries)
         tau_inv_of = {}
         tau_of = {}
         i = 0
         while i < len(entries):
-            n = self.tau_inv(entries[i])  # None exactly when entry i is injective
+            n = copies.get(self.content_id(entries[i]))
+            if n is None:
+                n = self.tau_inv(entries[i])  # None exactly when entry i is injective
             if n is not None:
                 j = self.find_iso(n, entries, index)
                 if j is None:
@@ -872,6 +908,14 @@ class ModuleCategory:
         distinct entries other than M, so by Krull-Schmidt the sequence does
         not split: it spans Ext^1(N, M) and is almost split.  A failing
         certificate raises CatalogError naming the entry.
+
+        The AR formula needs tau N = M, which the Nakayama route gives by
+        construction.  For an N taken from the knit's table of copies it
+        comes from f instead: its components are irreducible maps certified
+        before it (radical inclusions and components of earlier sequences,
+        visited in mesh order) into the predicted middle term, so f is the
+        source map of M, whose cokernel is tau^{-1} M; the invertible map
+        then proves N = tau^{-1} M, whatever the table claimed.
         """
         entries = catalog.entries
         left = catalog.tau_of[idx]

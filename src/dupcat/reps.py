@@ -31,7 +31,7 @@ _uid_counter = itertools.count()
 class Rep:
     """A representation: per-vertex dimensions and per-arrow matrices."""
 
-    __slots__ = ("quiver", "dims", "mats", "uid", "support")
+    __slots__ = ("quiver", "dims", "mats", "uid", "support", "_dim_vector")
 
     def __init__(self, quiver: Quiver, dims, mats):
         self.quiver = quiver
@@ -48,10 +48,11 @@ class Rep:
                 )
             self.mats[a.name] = m
         self.uid = next(_uid_counter)
-        self.support = tuple(v for v in quiver.vertices if self.dims[v])
+        self._dim_vector = tuple(self.dims.values())  # in vertex order
+        self.support = tuple(v for v, d in zip(quiver.vertices, self._dim_vector) if d)
 
     def dim_vector(self):
-        return tuple(self.dims[v] for v in self.quiver.vertices)
+        return self._dim_vector
 
     def total_dim(self) -> int:
         return sum(self.dims.values())

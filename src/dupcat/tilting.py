@@ -134,30 +134,55 @@ class BijectionReport:
 
 def verify_bijection(q: Quiver) -> BijectionReport:
     """Project every enumerated tilting module summand-wise and compare the
-    image, as a set of sets, with the cluster-side enumeration."""
+    image, as a set of sets, with the cluster-side enumeration.
+
+    The sets compare as bit masks over the positions of the fundamental
+    domain, so no object is hashed; a witness names a set by the first
+    tuple of objects that gave its mask."""
     records = enumerate_L_tilting(q)
     cluster_side = enumerate_cluster_tilting(q)
-    cluster_sets = {frozenset(s) for s in cluster_side}
-    # records share their summands: project each distinct one once, onto
-    # the cluster side's own objects, so that the sets compare by identity
-    domain = {o: o for o in fundamental_domain(q)}
+    objects = fundamental_domain(q)
+    position = {(o.kind, o.key): k for k, o in enumerate(objects)}
+
+    def mask(positions) -> int:
+        bits = 0
+        for k in positions:
+            bits |= 1 << k
+        return bits
+
+    cluster_sets = {}  # mask -> the first cluster-tilting set with it
+    for s in cluster_side:
+        cluster_sets.setdefault(mask(position[o.kind, o.key] for o in s), s)
+    # records share their summands: project each distinct one once, onto its
+    # position in the domain (an object outside it gets a position past it)
     projected = {}
     for m in dict.fromkeys(m for rec in records for m in rec.free):
         o = pi_bar(m)
-        projected[m] = domain.get(o, o)
+        if (o.kind, o.key) not in position:
+            position[o.kind, o.key] = len(objects)
+            objects.append(o)
+        projected[m] = position[o.kind, o.key]
+
+    def image(rec) -> list:
+        """The distinct objects rec's free summands project to, in order."""
+        return [objects[k] for k in dict.fromkeys(projected[m] for m in rec.free)]
+
     witnesses = []
-    images = set()
+    images = {}  # mask -> the first record projecting to it
     for rec in records:
-        img = frozenset(projected[m] for m in rec.free)
-        if len(img) != len(rec.free):
+        img = mask(projected[m] for m in rec.free)
+        if img.bit_count() != len(rec.free):
             witnesses.append(f"projection not injective on {rec.free}")
         if img in images:
-            witnesses.append(f"two tilting modules project to {sorted(map(str, img))}")
-        images.add(img)
-    for img in images - cluster_sets:
-        witnesses.append(f"projected set not cluster-tilting: {img}")
-    for extra in cluster_sets - images:
-        witnesses.append(f"cluster-tilting set not hit: {extra}")
+            witnesses.append(f"two tilting modules project to {sorted(map(str, image(rec)))}")
+        else:
+            images[img] = rec
+    for img, rec in images.items():
+        if img not in cluster_sets:
+            witnesses.append(f"projected set not cluster-tilting: {frozenset(image(rec))}")
+    for extra, s in cluster_sets.items():
+        if extra not in images:
+            witnesses.append(f"cluster-tilting set not hit: {frozenset(s)}")
     matched = not witnesses and len(records) == len(cluster_sets)
     return BijectionReport(
         len(records), len(cluster_sets), matched, witnesses, records, cluster_side

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dupcat import tilting
 from dupcat.cluster import (
     cliques,
     enumerate_cluster_tilting,
@@ -242,6 +243,47 @@ def test_verify_bijection_small():
         rep = verify_bijection(q)
         assert rep.matched, rep.witnesses
         assert rep.left_count == rep.right_count == expected_count(classify_dynkin(q))
+
+
+def _bijection_by_frozensets(q):
+    """(matched, right count, witnesses) of the bijection with every set a
+    frozenset of cluster objects: the comparison the bit masks replaced."""
+    records, cluster_side = tilting.enumerate_L_tilting(q), tilting.enumerate_cluster_tilting(q)
+    cluster_sets = {frozenset(s) for s in cluster_side}
+    domain = {o: o for o in fundamental_domain(q)}
+    witnesses, images = [], set()
+    for rec in records:
+        img = frozenset(domain.get(o, o) for o in map(tilting.pi_bar, rec.free))
+        if len(img) != len(rec.free):
+            witnesses.append(f"projection not injective on {rec.free}")
+        if img in images:
+            witnesses.append(f"two tilting modules project to {sorted(map(str, img))}")
+        images.add(img)
+    witnesses += [f"projected set not cluster-tilting: {img}" for img in images - cluster_sets]
+    witnesses += [f"cluster-tilting set not hit: {extra}" for extra in cluster_sets - images]
+    return not witnesses and len(records) == len(cluster_sets), len(cluster_sets), sorted(witnesses)
+
+
+@pytest.mark.parametrize("tamper", ["none", "set dropped", "outside the domain", "one object"])
+def test_bijection_by_masks_equals_frozensets(monkeypatch, tamper):
+    """On A3, the bijection compared by bit masks reports what the
+    comparison of frozensets reports, witness for witness: as it is, with
+    the cluster side missing its last set, with one summand projected
+    outside the fundamental domain, and with every summand projected to one
+    object."""
+    q = a_n(3)
+    side, first = enumerate_cluster_tilting(q), enumerate_L_tilting(q)[0].free[0]
+    inner = tilting.pi_bar
+    if tamper == "set dropped":
+        monkeypatch.setattr(tilting, "enumerate_cluster_tilting", lambda q: side[:-1])
+    if tamper == "outside the domain":
+        monkeypatch.setattr(tilting, "pi_bar", lambda m: shifted_projective(q, "9") if m is first else inner(m))
+    if tamper == "one object":
+        monkeypatch.setattr(tilting, "pi_bar", lambda m: side[0][0])
+    rep = verify_bijection(q)
+    matched, right, witnesses = _bijection_by_frozensets(q)
+    assert (rep.matched, rep.right_count, sorted(rep.witnesses)) == (matched, right, witnesses)
+    assert matched == (tamper == "none") and bool(witnesses) != matched
 
 
 def _branched(n, at):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dupcat import dup, session
+from dupcat import dup, modcat, session
 from dupcat.dup import (
     dup_category,
     embed_A,
@@ -15,8 +15,8 @@ from dupcat.dup import (
     standard_dup_modules,
     triple_to_rep,
 )
-from dupcat.errors import CatalogError
-from dupcat.fixtures import a_n, d4_subspace
+from dupcat.errors import CapExceededError, CatalogError
+from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import (
     injective_rep,
     knit_ind_A,
@@ -25,8 +25,9 @@ from dupcat.hereditary import (
     simple_rep,
 )
 from dupcat.leftpart import left_part_catalog
-from dupcat.quiver import prime
+from dupcat.quiver import Quiver, prime
 from dupcat.reps import direct_sum, is_isomorphic
+from dupcat.verify import run_all_checks
 from oracles import ext1_by_bases, hom_dim_by_rank
 
 
@@ -319,3 +320,145 @@ def test_dup_category_rejects_a_projective_without_simple_top(monkeypatch, src_e
         env=src_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the knit of the duplicated algebra around the two copies of ind A ---------
+
+
+def _d5():
+    """D5 (the chain 1-2-3-4 with 5 attached to 3) oriented 2>1, 3>2, 3>4, 5>3."""
+    return Quiver(
+        ["1", "2", "3", "4", "5"],
+        [("a1", "2", "1"), ("a2", "3", "2"), ("a3", "3", "4"), ("a4", "5", "3")],
+    )
+
+
+def _knitted(q, monkeypatch, table: bool):
+    """The duplicated algebra's catalog, knitted in a fresh session, with or
+    without its table of copies: entries by content, tau^{-1} links, arrows
+    and the middle terms of the sequences."""
+    monkeypatch.setattr(session, "_sessions", {})
+    cat = dup_category(q)
+    if not table:
+        monkeypatch.setattr(cat, "_copies", None)
+    ar = cat.knit()
+    contents = [(e.dim_vector(), tuple(e.mats[a.name] for a in e.quiver.arrows)) for e in ar.entries]
+    middles = {idx: seq.middle for idx, seq in ar.sequences.items()}
+    return contents, ar.tau_inv_of, ar.arrows, middles
+
+
+@pytest.mark.parametrize(
+    "quiver", [lambda: a_n(3, "zigzag"), d4_subspace, _d5], ids=["A3-zigzag", "D4", "D5"]
+)
+def test_knit_is_the_same_without_the_table_of_copies(monkeypatch, quiver):
+    """Taking tau^{-1} on the two copies of ind A from the table changes no
+    entry, tau link, arrow or middle term of the catalog."""
+    assert _knitted(quiver(), monkeypatch, True) == _knitted(quiver(), monkeypatch, False)
+
+
+_TAMPERED_COPY = """
+from dupcat import dup
+from dupcat.errors import CatalogError
+from dupcat.fixtures import d4_subspace
+from dupcat.hereditary import knit_ind_A
+from dupcat.quiver import prime
+
+inner = dup._copies
+
+
+def tampered(q, cat, cap):
+    table = inner(q, cat, cap)
+    a = knit_ind_A(q, cap)
+    rename = {rename}
+    key = cat.content_id(dup._copy(a.entries[0], cat.quiver, rename))
+    table[key] = dup._copy(a.entries[a.tau_inv_of[a.tau_inv_of[0]]], cat.quiver, rename)
+    return table
+
+
+dup._copies = tampered
+cat = dup.dup_category(d4_subspace())
+try:
+    cat.knit()
+except CatalogError as exc:
+    message = "the cokernel of the source map of entry {left} is not entry"
+    raise SystemExit(0 if message in str(exc) and cat._catalog is None else 2)
+raise SystemExit(1)
+"""
+
+
+@pytest.mark.parametrize(
+    "rename, rename_source", [(dup._unprimed, "dup._unprimed"), (prime, "prime")], ids=["unprimed", "primed"]
+)
+def test_wrong_copy_in_the_table_fails_its_sequence(monkeypatch, src_env, rename, rename_source):
+    """With the table claiming tau^{-1} of the copy of P_1 of D4 to be the
+    copy of tau_A^{-2} P_1, the almost split sequence ending at that entry
+    fails its certificate: the knit raises CatalogError naming the copy of
+    P_1, also under python -O, and keeps no catalog."""
+    monkeypatch.setattr(session, "_sessions", {})
+    q = d4_subspace()
+    a = knit_ind_A(q)
+    clean = dup_category(q).knit()
+    left = clean.find(dup._copy(a.entries[0], clean.category.quiver, rename))
+    monkeypatch.setattr(session, "_sessions", {})
+    inner = dup._copies
+
+    def tampered(q, cat, cap):
+        table = inner(q, cat, cap)
+        key = cat.content_id(dup._copy(a.entries[0], cat.quiver, rename))
+        table[key] = dup._copy(a.entries[a.tau_inv_of[a.tau_inv_of[0]]], cat.quiver, rename)
+        return table
+
+    monkeypatch.setattr(dup, "_copies", tampered)
+    cat = dup_category(q)
+    with pytest.raises(CatalogError, match=f"the cokernel of the source map of entry {left} is not entry"):
+        cat.knit()
+    assert cat._catalog is None
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_COPY.format(rename=rename_source, left=left)],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("quiver, expected", [(d4_subspace, 20), (_d5, 30)], ids=["D4", "D5"])
+def test_knit_asks_nakayama_only_off_the_copies(monkeypatch, quiver, expected):
+    """In one cold run_all_checks, the knit of the duplicated algebra asks
+    the Nakayama route (``tau_inv``) for |ind A| + 2n entries: the n entries
+    injective in each copy of ind A and the |ind A| entries between the
+    copies.  The other 2(|ind A| - n) take tau^{-1} from the table."""
+    monkeypatch.setattr(session, "_sessions", {})
+    q = quiver()
+    inner_knit, inner_tau_inv = modcat.ModuleCategory.knit, modcat.ModuleCategory.tau_inv
+    knitting, asked = [], []
+
+    def knit(self, cap=10000):
+        knitting.append(self is dup_category(q))
+        try:
+            return inner_knit(self, cap)
+        finally:
+            knitting.pop()
+
+    def tau_inv(self, m):
+        if knitting and knitting[-1] and self is dup_category(q):
+            asked.append(m)
+        return inner_tau_inv(self, m)
+
+    monkeypatch.setattr(modcat.ModuleCategory, "knit", knit)
+    monkeypatch.setattr(modcat.ModuleCategory, "tau_inv", tau_inv)
+    assert all(r.passed for r in run_all_checks(q))
+    assert len(asked) == expected
+
+
+@pytest.mark.parametrize(
+    "quiver, cap", [(kronecker, 8), (d4_subspace, 10), (d4_subspace, 20)], ids=["Kronecker", "D4-10", "D4-20"]
+)
+def test_knit_with_the_table_keeps_the_cap(monkeypatch, quiver, cap):
+    """The knit of ind A behind the table of copies runs under the caller's
+    cap: past it, on the Kronecker quiver or below |ind A| = 12 on D4, the
+    knit of the duplicated algebra raises the same CapExceededError as
+    past |ind A-bar| = 36, and keeps no catalog."""
+    monkeypatch.setattr(session, "_sessions", {})
+    cat = dup_category(quiver())
+    with pytest.raises(CapExceededError, match=f"more than {cap} indecomposables"):
+        knit_ind_dup(quiver(), cap)
+    assert cat._catalog is None

@@ -4,9 +4,9 @@ reproduce the SHA-256 digests the benchmark records in
 the fixtures and ``export`` on one D5 orientation must reproduce the digests
 written below, recorded before the projective side of the engine was
 reworked (Yoneda maps by evaluation, shared sums and duals).  ``verify`` and
-``enumerate`` on the E6 fixture, ``verify`` on four D5 orientations and
-``verify`` on the E8 fixture have recorded digests too, and ``verify`` on
-the E7 fixture must pass."""
+``enumerate`` on the E6 fixture, ``verify`` on four D5 orientations,
+``verify`` on the E8 fixture and ``export`` on the E6 and E8 fixtures have
+recorded digests too, and ``verify`` on the E7 fixture must pass."""
 
 import hashlib
 import importlib.util
@@ -123,6 +123,21 @@ E8_VERIFY_DIGEST = "18b2bf628ba80dcf72c1fd86700c35aabb3b12a6583c81461ac7db585418
 def test_e8_verify_bytes_match_recorded_digest(fixture_dir, tmp_path, capsys):
     quiver = fixture_dir / "e8.quiver"
     assert _digest_of_run(tmp_path, capsys, "verify", quiver) == E8_VERIFY_DIGEST
+
+
+# ``export --out`` on the E6 and E8 fixtures, recorded before the knit of the
+# duplicated algebra took tau^{-1} on its two copies of ind A from the knit
+# of ind A and read the Nakayama images of the projectives by Yoneda.
+EXPORT_DIGESTS = {
+    "e6": "9e534a90e67a0335461834d2cff551d2f48ddf3f142f75e0f8aae6bed625ecdf",
+    "e8": "7881ffd92fa2f54e53bc73b96bab94e4b31bfad6688025a2784e8a5a629d28b8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_bytes_match_recorded_digest(fixture_dir, tmp_path, capsys, name):
+    quiver = fixture_dir / f"{name}.quiver"
+    assert _digest_of_run(tmp_path, capsys, "export", quiver) == EXPORT_DIGESTS[name]
 
 
 def test_e7_verify_passes(fixture_dir, tmp_path, capsys):

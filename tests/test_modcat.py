@@ -5,6 +5,7 @@ presentation, tau, Hom, Ext) once per module content."""
 import dataclasses
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,9 +17,11 @@ from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import path_category, projective_rep, simple_rep
 from dupcat.linalg import RMatrix, coordinates_in_span, rank, solve_matrix
-from dupcat.quiver import Quiver
+from dupcat.quiver import Quiver, parse_quiver
 from dupcat.reps import Rep
 from oracles import ext1_by_bases, hom_dim_by_rank
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _yoneda_by_hom_solve(cat, z, n, vec):
@@ -693,15 +696,17 @@ def test_empty_hom_span_holds_only_the_zero_map():
 
 
 def test_nakayama_refuses_a_postcomposition_outside_an_empty_span(monkeypatch):
-    """On A2 (2 -> 1), lambda: P_1 -> P_2 postcomposed with the identity of
-    P_1 is nonzero; with Hom(P_1, P_2) kept empty the Nakayama image of P_1
-    raises instead of coming out as (1, 0)."""
+    """On A2 (2 -> 1), m = P_1 + S_2 is no kept projective, so its Nakayama
+    image is solved for in bases of Hom(m, P_z): lambda: P_1 -> P_2
+    postcomposed with the projection m -> P_1 is nonzero, and with
+    Hom(m, P_2) kept empty the Nakayama image of m raises instead of coming
+    out as (1, 0)."""
     monkeypatch.setattr(session, "_sessions", {})
     cat = path_category(a_n(2))
-    p1, p2 = cat.proj["1"], cat.proj["2"]
-    cat._facts[("hom", cat.content_id(p1), cat.content_id(p2))] = ()
+    m = reps.direct_sum([cat.proj["1"], cat.simple["2"]])[0]
+    cat._facts[("hom", cat.content_id(m), cat.content_id(cat.proj["2"]))] = ()
     with pytest.raises(CatalogError, match="postcomposition left the hom span"):
-        cat.nak_data(p1)
+        cat.nak_data(m)
 
 
 def _tau_by_flattened_spans(cat, m):
@@ -760,6 +765,38 @@ def test_tau_at_the_generators_equals_flattened_spans(category, quiver):
             assert _same_content(op.tau(dual), _tau_by_flattened_spans(op, dual))
             checked += 1
     assert checked == 2 * len(ar.sequences)
+
+
+def _nakayama_by_hom_systems(cat, m):
+    """nu(m) with bases of Hom(m, P_z) solved from Hom systems, and each
+    postcomposition with lambda solved for in the flattened basis: the route
+    of every module that is not a kept projective."""
+    vertices = cat.quiver.vertices
+    bases = {z: reps.hom_basis(m, cat.proj[z]) for z in vertices}
+    flat = {z: [b.flatten() for b in bases[z]] for z in vertices}
+    mats = {}
+    for a in cat.quiver.arrows:
+        lam = cat.lam(a.name)
+        cols = [modcat._coords(flat[a.source], lam.compose(b), "postcomposition") for b in bases[a.target]]
+        mats[a.name] = RMatrix.from_columns(cols, len(bases[a.source])).transpose()
+    return Rep(cat.quiver, {z: len(bases[z]) for z in vertices}, mats), bases
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.quiver")))
+def test_nakayama_of_projectives_by_yoneda_equals_hom_systems(fixture_dir, name):
+    """On every fixture, in the path category, the duplicated category and
+    their opposites, the Yoneda basis of each Hom(P_x, P_z) is the Hom
+    system's basis map for map, and nu(P_x) is the Hom-system route's."""
+    q = parse_quiver((fixture_dir / f"{name}.quiver").read_text(encoding="utf-8"))
+    for category in (path_category, dup_category):
+        for cat in (category(q), category(q).opposite()[0]):
+            for p in cat.proj.values():
+                nu, bases, flat = cat.nak_data(p)
+                want_nu, want_bases = _nakayama_by_hom_systems(cat, p)
+                assert _same_content(nu, want_nu)
+                for z in cat.quiver.vertices:
+                    assert [b.mats for b in bases[z]] == [b.mats for b in want_bases[z]]
+                    assert flat[z] == [b.flatten() for b in want_bases[z]]
 
 
 _DROPPED_NAKAYAMA_MAP = """

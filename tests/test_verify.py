@@ -247,7 +247,9 @@ def test_hom_basis_budget(monkeypatch):
     1,200 Hom bases (3,307 when every Hom dimension built a basis and nothing
     kept Ext^1; 761 when facts were kept per object; 298 when the knit also
     certified each almost split sequence with the presentation-based Ext^1;
-    218 now)."""
+    218 when the Nakayama images of the projectives were solved from Hom
+    systems and the knit took every tau^{-1} by the Nakayama route; 122
+    now)."""
     _start_cold(monkeypatch)
     calls = []
     inner = reps.hom_basis
