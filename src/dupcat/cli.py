@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -28,20 +27,21 @@ from .tilting import enumerate_L_tilting, expected_count, verify_bijection
 from .verify import run_all_checks
 
 
-@dataclass
 class RunConfig:
-    quiver_path: str
-    command: str
-    cap: int = 10000
-    out: Optional[str] = None
-    tilting_index: int = 0
-    verbose: bool = False
-
-    def __post_init__(self):
-        if self.cap < 1:
+    def __init__(
+        self, quiver_path: str, command: str, cap: int = 10000, out: Optional[str] = None,
+        tilting_index: int = 0, verbose: bool = False
+    ):
+        if cap < 1:
             raise ValueError("cap must be at least 1")
-        if self.command not in {"analyze", "verify", "enumerate", "emit-dot", "export"}:
-            raise ValueError(f"unknown command {self.command!r}")
+        if command not in {"analyze", "verify", "enumerate", "emit-dot", "export"}:
+            raise ValueError(f"unknown command {command!r}")
+        self.quiver_path = quiver_path
+        self.command = command
+        self.cap = cap
+        self.out = out
+        self.tilting_index = tilting_index
+        self.verbose = verbose
 
 
 def _load(cfg: RunConfig):

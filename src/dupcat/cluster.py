@@ -9,8 +9,7 @@ are tabulated in closed form here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import CatalogError, NotDynkinError, NotInDomainError
 from .quiver import Quiver, classify_dynkin
@@ -20,8 +19,7 @@ from .leftpart import left_part_catalog
 from .session import session
 
 
-@dataclass(frozen=True)
-class ClusterObject:
+class ClusterObject(NamedTuple):
     """Module(index into ind A) or ShiftedProjective(vertex)."""
 
     quiver: Quiver

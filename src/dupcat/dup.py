@@ -31,9 +31,8 @@ entries injective in a copy and on those between the copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CatalogError
 from .linalg import RMatrix, nullspace_basis, rank, solve_matrix
@@ -250,8 +249,7 @@ def _primed_only(y: Rep) -> DupModule:
     return _from_triple(zero, y, reps.zero_map(path_category(y.quiver).nakayama(y), zero))
 
 
-@dataclass
-class StandardDupModules:
+class StandardDupModules(NamedTuple):
     simple: dict
     simple_primed: dict
     projective: dict  # P at unprimed vertices = embedded projectives
@@ -360,18 +358,21 @@ def _copies(q: Quiver, cat: ModuleCategory, cap) -> dict:
 # -- the knitted catalog -------------------------------------------------------
 
 
-@dataclass
 class DupCatalog:
     """ind of the duplicated algebra with flags; left-part flags are filled
     by :mod:`dupcat.leftpart` after the catalog is built."""
 
-    base: Quiver
-    catalog: ARCatalog
-    modules: tuple  # DupModule per entry
-    proj_injective: tuple
-    in_ind_A: tuple
-    in_L: Optional[tuple] = None
-    in_sigma: Optional[tuple] = None
+    def __init__(
+        self, base: Quiver, catalog: ARCatalog, modules: tuple, proj_injective: tuple, in_ind_A: tuple,
+        in_L: Optional[tuple] = None, in_sigma: Optional[tuple] = None
+    ):
+        self.base = base
+        self.catalog = catalog
+        self.modules = modules  # DupModule per entry
+        self.proj_injective = proj_injective
+        self.in_ind_A = in_ind_A
+        self.in_L = in_L
+        self.in_sigma = in_sigma
 
     @property
     def entries(self):
@@ -455,8 +456,7 @@ def build_dup_catalog(q: Quiver) -> DupCatalog:
 # -- junction diagnostics -------------------------------------------------------
 
 
-@dataclass
-class JunctionPattern:
+class JunctionPattern(NamedTuple):
     zero_count: int
     commuting_count: int
     family_sizes: tuple

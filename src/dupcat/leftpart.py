@@ -11,10 +11,9 @@ the verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
@@ -32,13 +31,13 @@ from .modcat import dim_index
 from .session import session
 
 
-@dataclass
 class Report:
     """Outcome of one verification check."""
 
-    name: str
-    passed: bool
-    witnesses: list = field(default_factory=list)
+    def __init__(self, name: str, passed: bool, witnesses: Optional[list] = None):
+        self.name = name
+        self.passed = passed
+        self.witnesses = [] if witnesses is None else witnesses
 
     def as_dict(self):
         return {"check": self.name, "passed": self.passed, "witnesses": list(self.witnesses)}
@@ -54,21 +53,35 @@ def _require_dynkin(q: Quiver):
     return d
 
 
-@dataclass(frozen=True)
 class LeftPartCatalog:
     """Members of the left part, partitioned by how they arise.
 
-    Frozen: one catalog per quiver is shared by every caller of
-    :func:`left_part_catalog`.
+    Frozen (assigning an attribute raises AttributeError): one catalog per
+    quiver is shared by every caller of :func:`left_part_catalog`.
     """
 
-    base: Quiver
-    members: tuple  # DupModules
-    ind_a_flags: tuple
-    cosyzygy_flags: tuple  # the tau^{-1} of the embedded injectives
-    proj_inj_flags: tuple
-    cosyzygy_by_vertex: dict  # vertex -> member index
-    sigma_indices: tuple
+    def __init__(
+        self, base: Quiver, members: tuple, ind_a_flags: tuple, cosyzygy_flags: tuple,
+        proj_inj_flags: tuple, cosyzygy_by_vertex: dict, sigma_indices: tuple
+    ):
+        """``members`` are DupModules; ``cosyzygy_flags`` mark the tau^{-1}
+        of the embedded injectives; ``cosyzygy_by_vertex`` maps a vertex to
+        its member index."""
+        self.__dict__.update(
+            base=base,
+            members=members,
+            ind_a_flags=ind_a_flags,
+            cosyzygy_flags=cosyzygy_flags,
+            proj_inj_flags=proj_inj_flags,
+            cosyzygy_by_vertex=cosyzygy_by_vertex,
+            sigma_indices=sigma_indices,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def sigma(self):
@@ -409,8 +422,7 @@ def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
     return Report("sectional-paths", not witnesses, witnesses)
 
 
-@dataclass
-class CanonicalTilting:
+class CanonicalTilting(NamedTuple):
     u_part: tuple  # the Ext-injectives
     v_part: tuple  # projective-injectives outside the left part
     summands: tuple

@@ -57,11 +57,10 @@ generic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from operator import add, sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, CatalogError, CycleDetectedError
 from .linalg import (
@@ -77,8 +76,7 @@ from . import reps
 from .reps import Rep, RepMap, hom_basis, kernel, cokernel, direct_sum
 
 
-@dataclass
-class CoverData:
+class CoverData(NamedTuple):
     """Minimal projective cover: parts (vertex, lift vector), sum and map."""
 
     parts: list  # [(vertex z, lift RMatrix column)]
@@ -88,8 +86,7 @@ class CoverData:
     q: RepMap  # p0 -> M, surjective
 
 
-@dataclass
-class Presentation:
+class Presentation(NamedTuple):
     cover0: CoverData
     omega: Rep
     incl: RepMap  # omega -> P0
@@ -135,8 +132,7 @@ def _mesh_order(into, tau_of, what: str) -> tuple:
         ) from None
 
 
-@dataclass
-class ARSequence:
+class ARSequence(NamedTuple):
     """The almost split sequence 0 -> tau N -f-> E -g-> N -> 0 ending at
     entry ``right``: f is the source map of entry ``left`` = tau N, and E
     (``middle_rep``) is the direct sum of the ``middle`` entries in index
@@ -150,22 +146,26 @@ class ARSequence:
     middle_rep: Rep
 
 
-@dataclass
 class ARCatalog:
     """Indecomposables of a representation-finite category with AR structure.
 
     The first entries are the projectives P_z in the order of the quiver's
-    vertices.
+    vertices.  The knit fills ``arrows`` and ``sequences`` after
+    construction.
     """
 
-    category: "ModuleCategory"
-    entries: tuple
-    projective: tuple
-    injective: tuple
-    tau_inv_of: dict  # index -> index of tau^{-1}
-    tau_of: dict  # inverse of the above
-    arrows: tuple = ()  # (source index, target index, multiplicity)
-    sequences: dict = field(default_factory=dict)
+    def __init__(
+        self, category: "ModuleCategory", entries: tuple, projective: tuple, injective: tuple,
+        tau_inv_of: dict, tau_of: dict, arrows: tuple = (), sequences: Optional[dict] = None
+    ):
+        self.category = category
+        self.entries = entries
+        self.projective = projective
+        self.injective = injective
+        self.tau_inv_of = tau_inv_of  # index -> index of tau^{-1}
+        self.tau_of = tau_of  # inverse of the above
+        self.arrows = arrows  # (source index, target index, multiplicity)
+        self.sequences = {} if sequences is None else sequences  # right entry -> ARSequence
 
     @cached_property
     def index(self) -> dict:

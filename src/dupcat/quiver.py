@@ -9,7 +9,6 @@ generator survives modulo the square of the radical).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -271,7 +270,6 @@ def prime(v: str) -> str:
     return v + "'"
 
 
-@dataclass
 class DupQuiverReport:
     """The quiver of the duplicated algebra, with diagnostics.
 
@@ -281,11 +279,12 @@ class DupQuiverReport:
     maximal paths from y to x.
     """
 
-    base: Quiver
-    primed: Quiver
-    dup: Quiver
-    connecting: tuple  # of (arrow_name, source_primed, target, MaximalPath)
-    hom_dims: dict
+    def __init__(self, base: Quiver, primed: Quiver, dup: Quiver, connecting: tuple, hom_dims: dict):
+        self.base = base
+        self.primed = primed
+        self.dup = dup
+        self.connecting = connecting  # of (arrow_name, source_primed, target, MaximalPath)
+        self.hom_dims = hom_dims
 
     def connecting_pairs(self):
         return tuple((src, tgt) for _, src, tgt, _ in self.connecting)

@@ -8,8 +8,8 @@ is the n-subsets of the non-projective-injective left-part members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin
@@ -18,8 +18,7 @@ from .dup import knit_ind_dup, proj_primed
 from .leftpart import left_part_catalog
 
 
-@dataclass
-class TiltingVerdict:
+class TiltingVerdict(NamedTuple):
     passed: bool
     failures: list
 
@@ -27,8 +26,7 @@ class TiltingVerdict:
         return self.passed
 
 
-@dataclass
-class TiltingModuleRecord:
+class TiltingModuleRecord(NamedTuple):
     forced: tuple  # the n projective-injectives
     free: tuple  # n non-projective-injective left-part members
 
@@ -105,15 +103,18 @@ def enumerate_L_tilting(q: Quiver):
     ]
 
 
-@dataclass
 class BijectionReport:
-    left_count: int
-    right_count: int
-    matched: bool
-    witnesses: list
-    # what was compared: the tilting-module records and the cluster side
-    records: list = field(default_factory=list)
-    cluster_sets: list = field(default_factory=list)
+    def __init__(
+        self, left_count: int, right_count: int, matched: bool, witnesses: list,
+        records: Optional[list] = None, cluster_sets: Optional[list] = None
+    ):
+        self.left_count = left_count
+        self.right_count = right_count
+        self.matched = matched
+        self.witnesses = witnesses
+        # what was compared: the tilting-module records and the cluster side
+        self.records = [] if records is None else records
+        self.cluster_sets = [] if cluster_sets is None else cluster_sets
 
     @property
     def passed(self):

@@ -4,10 +4,28 @@ The library reads dim Hom off its kept bases and the knitted hom table, and
 Ext^1 off that table by the AR formula.  These oracles take another route:
 the rank of the Hom system, and Ext^1 as a cokernel over a projective
 presentation, from full Hom bases.
+
+``rebuilt`` makes the tampered copies of catalogs that the tamper tests
+feed to the checks.
 """
+
+import inspect
 
 from dupcat import reps
 from dupcat.linalg import RMatrix, rank
+
+
+def rebuilt(obj, **changes):
+    """A new ``type(obj)`` from its constructor: each argument is the
+    attribute of ``obj`` with its name, or its value in ``changes``.  The
+    copy is built afresh, so none of the cached properties of ``obj``
+    (``hom_table``, ``index``, ``reach``, ``pd_table``) carries over into it,
+    as ``copy.copy`` would carry them."""
+    params = inspect.signature(type(obj)).parameters
+    unknown = set(changes) - set(params)
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} takes no argument {sorted(unknown)}")
+    return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in params})
 
 
 def hom_dim_by_rank(m, n) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from dupcat import tilting
 from dupcat.cluster import (
+    ClusterObject,
     cliques,
     enumerate_cluster_tilting,
     ext1_cluster_dim,
@@ -243,6 +244,21 @@ def test_verify_bijection_small():
         rep = verify_bijection(q)
         assert rep.matched, rep.witnesses
         assert rep.left_count == rep.right_count == expected_count(classify_dynkin(q))
+
+
+def test_cluster_objects_are_values():
+    """On D4 each object of the fundamental domain equals a fresh object
+    with equal fields, hashes as the tuple of its fields and prints in the
+    ``ClusterObject(quiver=..., kind=..., key=...)`` form: the frozenset
+    and sorted-string witnesses of the bijection are made of these."""
+    q = d4_subspace()
+    domain = fundamental_domain(q)
+    for o in domain:
+        twin = ClusterObject(Quiver(q.vertices, q.arrows), o.kind, o.key)
+        assert twin == o and not twin != o and twin.quiver is not o.quiver
+        assert hash(twin) == hash(o) == hash((o.quiver, o.kind, o.key))
+        assert str(o) == repr(o) == f"ClusterObject(quiver={o.quiver!r}, kind={o.kind!r}, key={o.key!r})"
+    assert len(set(domain)) == len(domain)
 
 
 def _bijection_by_frozensets(q):

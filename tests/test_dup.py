@@ -1,4 +1,3 @@
-import dataclasses
 import subprocess
 import sys
 
@@ -271,8 +270,6 @@ def test_exact_isomorphism_when_one_side_is_indecomposable():
 
 
 _BAD_DUP_PROJECTIVE = """
-import dataclasses
-
 from dupcat import dup, reps
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n
@@ -286,7 +283,7 @@ def doubled(q):
         x: dup.rep_to_triple(reps.direct_sum([m.rep()] * 2)[0], q)
         for x, m in std.projective.items()
     }
-    return dataclasses.replace(std, projective=twice)
+    return std._replace(projective=twice)
 
 
 dup.build_standard_dup_modules = doubled
@@ -309,7 +306,7 @@ def test_dup_category_rejects_a_projective_without_simple_top(monkeypatch, src_e
             x: rep_to_triple(direct_sum([m.rep()] * 2)[0], q)
             for x, m in std.projective.items()
         }
-        return dataclasses.replace(std, projective=twice)
+        return std._replace(projective=twice)
 
     monkeypatch.setattr(session, "_sessions", {})
     monkeypatch.setattr(dup, "build_standard_dup_modules", doubled)

@@ -8,7 +8,6 @@ catalog with one wrong arrow multiplicity, one extra arrow or one wrong tau
 link must fail the table's certificate, also under ``python -O``.
 """
 
-import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from dupcat.leftpart import (
     verify_sink_reachability,
 )
 from dupcat.quiver import parse_quiver
-from oracles import ext1_by_bases, hom_dim_by_rank
+from oracles import ext1_by_bases, hom_dim_by_rank, rebuilt
 
 THROUGH_E6 = ["a1", "a2", "a3_linear", "a3_zigzag", "a4", "d4", "e6"]
 THROUGH_E7 = THROUGH_E6 + ["e7"]
@@ -95,7 +94,7 @@ def test_euler_form_equals_the_path_table(fixture_dir, name):
 
 def _wrong_multiplicity(cat):
     (s, t, mult), *rest = cat.arrows
-    return dataclasses.replace(cat, arrows=((s, t, mult + 1), *rest))
+    return rebuilt(cat, arrows=((s, t, mult + 1), *rest))
 
 
 def _extra_arrow(cat):
@@ -104,13 +103,13 @@ def _extra_arrow(cat):
     for s, t, _ in cat.arrows:
         succ.setdefault(s, []).append(t)
     s, t = next((s, t) for s, t, _ in cat.arrows if t in succ)
-    return dataclasses.replace(cat, arrows=cat.arrows + ((s, succ[t][0], 1),))
+    return rebuilt(cat, arrows=cat.arrows + ((s, succ[t][0], 1),))
 
 
 def _wrong_tau_link(cat):
     """tau j := another entry, for the first non-projective entry j."""
     j, t = min(cat.tau_of.items())
-    return dataclasses.replace(cat, tau_of={**cat.tau_of, j: 1 if t == 0 else 0})
+    return rebuilt(cat, tau_of={**cat.tau_of, j: 1 if t == 0 else 0})
 
 
 TAMPERS = [_wrong_multiplicity, _extra_arrow, _wrong_tau_link]
@@ -128,7 +127,7 @@ def test_tampered_catalog_fails_the_certificate(fixture_dir, name, tamper):
             tamper(cat).hom_table
     lpc = left_part_catalog(q)
     good = annotate_catalog(knit_ind_dup(q), lpc)
-    broken = dataclasses.replace(good, catalog=tamper(good.catalog))
+    broken = rebuilt(good, catalog=tamper(good.catalog))
     for check in (verify_pd_criterion, lambda c: verify_sink_reachability(lpc, c),
                   lambda c: verify_left_part_definition(lpc, c)):
         with pytest.raises(CatalogError, match="hom table"):
@@ -139,8 +138,9 @@ def test_tampered_catalog_fails_the_certificate(fixture_dir, name, tamper):
 
 
 _TAMPERED_CHILD = """
-import dataclasses, sys
+import sys
 sys.path.insert(0, {tests!r})
+from oracles import rebuilt
 from test_hom_table import TAMPERS
 from dupcat.dup import knit_ind_dup
 from dupcat.errors import CatalogError
@@ -149,7 +149,7 @@ from dupcat.fixtures import d4_subspace
 cat = knit_ind_dup(d4_subspace())
 caught = 0
 for tamper in TAMPERS:
-    broken = dataclasses.replace(cat, catalog=tamper(cat.catalog))
+    broken = rebuilt(cat, catalog=tamper(cat.catalog))
     try:
         broken.reach
     except CatalogError as exc:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 
 import pytest
@@ -19,6 +18,7 @@ from dupcat.leftpart import (
     verify_sink_reachability,
 )
 from dupcat.reps import direct_sum
+from oracles import rebuilt
 
 
 def _sigma_catalog(q):
@@ -103,7 +103,7 @@ def test_sectional_check_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert garbage == 0
-    assert report == first and report.passed and report.witnesses == []
+    assert report.as_dict() == first.as_dict() and report.passed and report.witnesses == []
 
 
 def test_sectional_check_reports_an_oriented_cycle():
@@ -112,7 +112,7 @@ def test_sectional_check_reports_an_oriented_cycle():
     cat = annotate_catalog(knit_ind_dup(q), lpc)
     arrows = cat.catalog.arrows
     back = tuple((t, s, k) for s, t, k in arrows)
-    cyclic = dataclasses.replace(cat, catalog=dataclasses.replace(cat.catalog, arrows=arrows + back))
+    cyclic = rebuilt(cat, catalog=rebuilt(cat.catalog, arrows=arrows + back))
     report = sectional_check(lpc, cyclic)
     assert not report.passed
     assert report.witnesses == ["AR quiver has an oriented cycle"]
@@ -125,7 +125,7 @@ def test_corrupted_catalog_is_detected():
     # drop a genuine member from the structural side by lying about sigma;
     # the catalog is shared, so the lie goes into a copy
     members = lpc.members[:-1]
-    broken = dataclasses.replace(
+    broken = rebuilt(
         lpc,
         members=members,
         proj_inj_flags=lpc.proj_inj_flags[:-1],
@@ -179,5 +179,5 @@ def test_left_part_built_once_and_frozen():
     q = d4_subspace()
     lpc = left_part_catalog(q)
     assert left_part_catalog(q) is lpc
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign"):
         lpc.members = ()

@@ -2,7 +2,6 @@
 one direct sum per list of projectives, and every module fact (dual, cover,
 presentation, tau, Hom, Ext) once per module content."""
 
-import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from dupcat.hereditary import path_category, projective_rep, simple_rep
 from dupcat.linalg import RMatrix, coordinates_in_span, rank, solve_matrix
 from dupcat.quiver import Quiver, parse_quiver
 from dupcat.reps import Rep
-from oracles import ext1_by_bases, hom_dim_by_rank
+from oracles import ext1_by_bases, hom_dim_by_rank, rebuilt
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -214,7 +213,7 @@ def test_summand_outside_the_catalog_raises():
     cat = path_category(d4_subspace())
     catalog = cat.knit()
     last = len(catalog.entries) - 1
-    short = dataclasses.replace(catalog, entries=catalog.entries[:last])
+    short = rebuilt(catalog, entries=catalog.entries[:last])
     both, _, _ = reps.direct_sum([catalog.entries[0], catalog.entries[last]])
     assert cat.decompose(both, catalog) == [(0, 1), (last, 1)]
     with pytest.raises(CatalogError, match="outside the catalog"):

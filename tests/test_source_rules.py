@@ -4,6 +4,11 @@
   raises a typed error instead.
 * Every import is ``dupcat`` itself or the standard library: the runtime
   stays stdlib-only.
+* No ``dataclasses``: importing it loads ``inspect``, ``ast``, ``dis`` and
+  ``tokenize``, and each decorated class runs generated code, in every
+  process before it computes anything.  Records are ``NamedTuple``s or
+  plain classes, and ``import dupcat.cli`` loads neither ``dataclasses``
+  nor ``inspect``.
 * The check layer (``verify``, ``leftpart``, ``tilting``, ``cluster``)
   imports nothing from ``dupcat.linalg``: it reads the facts the module
   engine certified instead of solving systems of its own.
@@ -14,6 +19,8 @@
 """
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,6 +70,35 @@ def test_imports_are_dupcat_or_stdlib():
         if top is not None and top != "dupcat" and top not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_no_dataclasses_import():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "dataclasses" in _imported(node)
+    ]
+    assert found == []
+
+
+_LOADED = """
+import dupcat.cli, json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("dupcat", "dataclasses", "inspect"))))
+"""
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses(src_env):
+    """``import dupcat.cli`` loads every library module but ``fixtures``
+    (the benchmark's layer tracer finds its functions among them) and
+    neither ``dataclasses`` nor ``inspect``.  ``-S`` keeps the ``.pth``
+    hooks of ``site`` from importing anything first."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADED], env=src_env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    library = {f"dupcat.{f.stem}" for f in SRC.glob("*.py")} - {"dupcat.__init__", "dupcat.fixtures"}
+    assert json.loads(proc.stdout) == sorted(library | {"dupcat"})
 
 
 CHECK_LAYER = ("verify.py", "leftpart.py", "tilting.py", "cluster.py")

@@ -1,4 +1,3 @@
-import dataclasses
 import subprocess
 import sys
 
@@ -20,7 +19,7 @@ from dupcat.leftpart import (
 from dupcat.quiver import Quiver, parse_quiver, prime, sinks_and_sources
 from dupcat.reps import Rep, is_isomorphic
 from dupcat.verify import run_all_checks
-from oracles import hom_dim_by_rank
+from oracles import hom_dim_by_rank, rebuilt
 
 
 # -- oracles: the brute-force routes the AR-quiver readings replaced ----------
@@ -123,7 +122,7 @@ def _tamper_tau(cat):
         if len(path) >= 3 and cat.in_L[path[-1]]:
             tau_of = dict(cat.catalog.tau_of)
             tau_of[path[-1]] = path[-3]
-            return dataclasses.replace(cat, catalog=dataclasses.replace(cat.catalog, tau_of=tau_of))
+            return rebuilt(cat, catalog=rebuilt(cat.catalog, tau_of=tau_of))
     raise AssertionError("no sink path of length 2 into the left part")
 
 
@@ -199,7 +198,7 @@ def test_reach_rejects_an_arrow_without_a_nonzero_map():
         if hom_dim_by_rank(cat.entries[i], cat.entries[j]) == 0
     )
     arrows = cat.catalog.arrows + ((s, t, 1),)
-    broken = dataclasses.replace(cat, catalog=dataclasses.replace(cat.catalog, arrows=arrows))
+    broken = rebuilt(cat, catalog=rebuilt(cat.catalog, arrows=arrows))
     with pytest.raises(CatalogError, match="hom table"):
         broken.reach
 
@@ -461,16 +460,59 @@ def test_socle_quotient_check_reads_the_certified_sequence(monkeypatch, field):
     k = dup_cat.catalog.find(reps.cokernel(incl)[0])  # the entry of P_a'/S_a
     seq = dup_cat.catalog.sequences[k]
     if field == "left":
-        wrong = dataclasses.replace(seq, left=k)
+        wrong = seq._replace(left=k)
     else:
-        wrong = dataclasses.replace(seq, middle=tuple((j, m + 1) for j, m in seq.middle))
+        wrong = seq._replace(middle=tuple((j, m + 1) for j, m in seq.middle))
     sequences = {**dup_cat.catalog.sequences, k: wrong}
-    copied = dataclasses.replace(dup_cat, catalog=dataclasses.replace(dup_cat.catalog, sequences=sequences))
+    copied = rebuilt(dup_cat, catalog=rebuilt(dup_cat.catalog, sequences=sequences))
     monkeypatch.setitem(session.session(q).__dict__, "dup_catalog", copied)
     report = verify.check_socle_quotient_sequences(q)
     assert not report.passed
     assert report.witnesses and all(w.startswith(f"sink {a}:") for w in report.witnesses)
     assert any(field in w for w in report.witnesses)
+
+
+_D4_CHECKS = [
+    "embedding-fidelity",
+    "projective-dimension-criterion",
+    "sink-reachability",
+    "sectional-paths",
+    "ext-injectives-characterization",
+    "left-part-two-route-equality",
+    "cosyzygy-translate-identity",
+    "socle-quotient-sequences",
+    "fundamental-domain-count",
+    "extension-symmetry-and-cross-model",
+    "tilting-bijection",
+    "canonical-tilting",
+]
+
+
+def test_report_dicts_on_d4():
+    """``Report.as_dict`` and ``BijectionReport.as_dict`` give the dicts
+    that ``verify --out`` and ``enumerate --out`` write, and a report made
+    without witnesses has a list of its own."""
+    q = d4_subspace()
+    assert [c.as_dict() for c in run_all_checks(q)] == [
+        {"check": name, "passed": True,
+         "witnesses": ["50 tilting modules on both sides"] if name == "tilting-bijection" else []}
+        for name in _D4_CHECKS
+    ]
+    assert tilting.verify_bijection(q).as_dict() == {
+        "check": "tilting-bijection",
+        "tilting-modules": 50,
+        "cluster-tilting-objects": 50,
+        "passed": True,
+        "witnesses": [],
+    }
+    failed, passed = leftpart.Report("a", False), leftpart.Report("b", True)
+    failed.witnesses.append("w")
+    assert failed.as_dict() == {"check": "a", "passed": False, "witnesses": ["w"]}
+    assert passed.as_dict() == {"check": "b", "passed": True, "witnesses": []}
+    assert not failed and passed
+    empty = [tilting.BijectionReport(0, 0, False, []) for _ in range(2)]
+    empty[0].records.append(None)
+    assert empty[1].records == empty[1].cluster_sets == [] and not empty[0]
 
 
 def test_run_all_checks_remaining_fixtures():
