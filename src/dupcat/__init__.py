@@ -11,7 +11,7 @@ from .quiver import (
     sinks_and_sources,
 )
 from .linalg import RMatrix, cokernel_basis, nullspace_basis, rank
-from .reps import Rep, RepMap, direct_sum, hom_basis, is_isomorphic
+from .reps import Rep, RepMap, hom_basis, is_isomorphic, structure_maps, sum_rep
 from .hereditary import (
     injective_rep,
     knit_ind_A,

@@ -154,7 +154,3 @@ def catalog_from_dict(body: dict):
 
 def dumps(body: dict) -> str:
     return json.dumps(body, indent=2, sort_keys=True)
-
-
-def loads(text: str):
-    return catalog_from_dict(json.loads(text))

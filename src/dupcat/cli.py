@@ -9,6 +9,8 @@ All numeric output is exact (integers or rational strings).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 from pathlib import Path
@@ -138,29 +140,29 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         f"bijection: {'verified' if bij.matched else 'FAILED'}",
     ]
     print("\n".join(lines))
-    # the sets share their objects: name each distinct one once
-    names = {o: describe_object(o) for o in set().union(*cluster_sets)}
-    payload = {
-        "counts": {
-            "tilting": len(records),
-            "cluster": len(cluster_sets),
-            "expected": expected_count(dynkin),
-        },
-        "bijection": bij.as_dict(),
-        "tilting_modules": [
-            {
-                "free": [
-                    {"x": list(m.x_part.dim_vector()), "y": list(m.y_part.dim_vector())}
-                    for m in rec.free
-                ],
-            }
-            for rec in records
-        ],
-        "cluster_tilting": [
-            sorted(names[o] for o in s) for s in cluster_sets
-        ],
-    }
     if cfg.out:
+        # the sets share their objects: name each distinct one once
+        names = {o: describe_object(o) for o in set().union(*cluster_sets)}
+        payload = {
+            "counts": {
+                "tilting": len(records),
+                "cluster": len(cluster_sets),
+                "expected": expected_count(dynkin),
+            },
+            "bijection": bij.as_dict(),
+            "tilting_modules": [
+                {
+                    "free": [
+                        {"x": list(m.x_part.dim_vector()), "y": list(m.y_part.dim_vector())}
+                        for m in rec.free
+                    ],
+                }
+                for rec in records
+            ],
+            "cluster_tilting": [
+                sorted(names[o] for o in s) for s in cluster_sets
+            ],
+        }
         Path(cfg.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return 0 if bij.matched else 1
 
@@ -228,6 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Freeze the heap at exit, before the interpreter's last collections:
+    # they then scan nothing, and the catalogs held in reference cycles are
+    # left to the OS.  Nothing is frozen while main's caller runs, and
+    # unregistering first keeps one handler however often main is called.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     cfg = RunConfig(
         quiver_path=args.quiver,

@@ -73,7 +73,7 @@ from .linalg import (
 )
 from .quiver import Quiver
 from . import reps
-from .reps import Rep, RepMap, hom_basis, kernel, cokernel, direct_sum
+from .reps import Rep, RepMap, hom_basis, kernel, cokernel, structure_maps, sum_rep
 
 
 class CoverData(NamedTuple):
@@ -81,8 +81,7 @@ class CoverData(NamedTuple):
 
     parts: list  # [(vertex z, lift RMatrix column)]
     p0: Rep
-    injections: list
-    projections: list
+    projections: list  # p0 -> P_z, one per part
     q: RepMap  # p0 -> M, surjective
 
 
@@ -492,14 +491,14 @@ class ModuleCategory:
             q = reps.zero_map(p0, m)
             if not m.is_zero():
                 raise CatalogError("nonzero module with zero top")
-            return CoverData([], p0, [], [], q)
-        p0, injections, projections = self._proj_sum(tuple(z for z, _ in parts))
+            return CoverData([], p0, [], q)
+        p0, projections = self._proj_sum(tuple(z for z, _ in parts))
         part_maps = [self.yoneda_map(z, m, vec) for z, vec in parts]
         mats = {v: RMatrix.hstack([pm.mats[v] for pm in part_maps]) for v in m.support}
         q = RepMap(p0, m, mats, check=False)
         if not q.is_surjective():
             raise CatalogError("projective cover not surjective")
-        return CoverData(parts, p0, injections, projections, q)
+        return CoverData(parts, p0, projections, q)
 
     def presentation(self, m: Rep) -> Presentation:
         """Minimal projective presentation of m, kept per content; its second
@@ -548,7 +547,7 @@ class ModuleCategory:
                     f = f.add(b.scale(c))
             part_maps.append(f)
         summands = [self.inj[z] for z, _ in soc_parts]
-        i0, injections, _ = direct_sum(summands)
+        i0 = sum_rep(summands)
         mats = {v: RMatrix.vstack([pm.mats[v] for pm in part_maps]) for v in m.support}
         j = RepMap(m, i0, mats, check=False)
         if not j.is_injective():
@@ -599,21 +598,23 @@ class ModuleCategory:
     def nakayama(self, m: Rep) -> Rep:
         return self.nak_data(m)[0]
 
-    def _proj_sum(self, zs, nakayama=False):
-        """(sum, injections, projections) of the P_z, or of the nu(P_z), for
-        the vertex tuple ``zs``; built once per tuple and shared."""
-        return self._kept(("sum", zs, nakayama), self._build_proj_sum, zs, nakayama)
+    def _proj_sum(self, zs):
+        """(sum, projections) of the P_z for the vertex tuple ``zs``; built
+        once per tuple and shared."""
+        return self._kept(("sum", zs), self._build_proj_sum, zs)
 
-    def _build_proj_sum(self, zs, nakayama):
-        if nakayama:
-            return direct_sum([self.nak_data(self.proj[z])[0] for z in zs])
-        return direct_sum([self.proj[z] for z in zs])
+    def _build_proj_sum(self, zs):
+        parts = [self.proj[z] for z in zs]
+        p0 = sum_rep(parts)
+        return p0, structure_maps(parts, p0, project=True)
 
     def _nak_of_parts(self, parts):
-        """nu(P_{z1} + ... + P_{zk}) assembled blockwise."""
+        """nu(P_{z1} + ... + P_{zk}) assembled blockwise, with no structure
+        map; built once per vertex tuple and shared."""
         if not parts:
             return reps.zero_rep(self.quiver)
-        return self._proj_sum(tuple(z for z, _ in parts), nakayama=True)[0]
+        zs = tuple(z for z, _ in parts)
+        return self._kept(("nu sum", zs), lambda: sum_rep([self.nakayama(self.proj[z]) for z in zs]))
 
     def tau(self, m: Rep) -> Optional[Rep]:
         """D Tr of m via the Nakayama image of a minimal presentation, kept
@@ -924,7 +925,8 @@ class ModuleCategory:
         what = f"almost split sequence ending at entry {idx}"
         if not middle or None in comps or left in dict(middle):
             raise CatalogError(f"{what}: the mesh predicts {middle}, not the targets of arrows from entry {left}")
-        e, injections, _ = direct_sum([entries[t] for t, _ in middle])
+        summands = [entries[t] for t, _ in middle]
+        e = sum_rep(summands)
         f = RepMap(m, e, {v: RMatrix.vstack([c.mats[v] for c in comps]) for v in m.support}, check=False)
         if not f.is_injective():
             raise CatalogError(f"{what}: the source map of entry {left} is not injective")
@@ -936,6 +938,6 @@ class ModuleCategory:
         if len(basis) != 1:
             raise CatalogError(f"{what}: dim End(entry {idx}) is {len(basis)}, not 1")
         g = phi.compose(proj)
-        for (t, _), inj in zip(middle, injections):
+        for (t, _), inj in zip(middle, structure_maps(summands, e)):
             held[t, idx] = g.compose(inj)
         return ARSequence(left, idx, tuple(middle), f, g, e)

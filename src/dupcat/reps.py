@@ -312,8 +312,10 @@ def cokernel(f: RepMap) -> tuple:
     return coker, proj
 
 
-def direct_sum(parts) -> tuple:
-    """Direct sum with canonical injections and projections."""
+def sum_rep(parts) -> Rep:
+    """The direct sum of ``parts`` (block-diagonal arrow matrices), with no
+    structure map built: :func:`structure_maps` builds the family a caller
+    reads."""
     parts = list(parts)
     if not parts:
         raise ValueError("empty direct sum needs an explicit quiver; use zero_rep")
@@ -324,27 +326,26 @@ def direct_sum(parts) -> tuple:
         for a in q.arrows
         if dims[a.source] and dims[a.target]
     }
-    total = Rep(q, dims, mats)
-    injections = []
-    projections = []
-    offset = {v: 0 for v in q.vertices}
+    return Rep(q, dims, mats)
+
+
+def structure_maps(parts, total: Rep, project: bool = False) -> list:
+    """The canonical injections of ``parts`` into their sum ``total``, or
+    with ``project`` the canonical projections of ``total`` onto them."""
+    maps = []
+    offset = dict.fromkeys(total.quiver.vertices, 0)
     for p in parts:
-        imats = {}
-        pmats = {}
+        mats = {}
         for v in p.support:
-            d, o = p.dims[v], offset[v]
-            if d == dims[v]:
-                imats[v] = pmats[v] = RMatrix.identity(d)
+            d, o, n = p.dims[v], offset[v], total.dims[v]
+            offset[v] = o + d
+            if d == n:
+                mats[v] = RMatrix.identity(d)
                 continue
-            imats[v] = RMatrix.vstack(
-                [RMatrix.zeros(o, d), RMatrix.identity(d), RMatrix.zeros(dims[v] - o - d, d)]
-            )
-            pmats[v] = imats[v].transpose()
-        injections.append(RepMap(p, total, imats, check=False))
-        projections.append(RepMap(total, p, pmats, check=False))
-        for v in q.vertices:
-            offset[v] += p.dims[v]
-    return total, injections, projections
+            inc = RMatrix.vstack([RMatrix.zeros(o, d), RMatrix.identity(d), RMatrix.zeros(n - o - d, d)])
+            mats[v] = inc.transpose() if project else inc
+        maps.append(RepMap(total, p, mats, check=False) if project else RepMap(p, total, mats, check=False))
+    return maps
 
 
 # -- duality ---------------------------------------------------------------

@@ -109,7 +109,7 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
             continue
         if not ctx.iso(catalog.entries[seq.left], ia):
             witnesses.append(f"sink {a}: left term is not the embedded injective")
-        middle = tuple(ctx.decompose(reps.direct_sum([pia, ia_mod_sa])[0], catalog))
+        middle = tuple(ctx.decompose(reps.sum_rep([pia, ia_mod_sa]), catalog))
         if seq.middle != middle:
             witnesses.append(f"sink {a}: middle term {seq.middle}, not P_a' + I_a/S_a = {middle}")
     return Report("socle-quotient-sequences", not witnesses, witnesses)

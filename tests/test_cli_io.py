@@ -11,7 +11,6 @@ from dupcat.catalog_io import (
     catalog_to_dict,
     dup_catalog_to_dict,
     dumps,
-    loads,
 )
 from dupcat.cli import RunConfig, main
 from dupcat.dot import ar_quiver_dot
@@ -287,9 +286,9 @@ _MISFITS = {
 
 def test_catalog_json_round_trip_is_byte_identical():
     text = dumps(_a2_dup_body())
-    assert dumps(dup_catalog_to_dict(loads(text))) == text
+    assert dumps(dup_catalog_to_dict(catalog_from_dict(json.loads(text)))) == text
     text = dumps(catalog_to_dict(knit_ind_A(d4_subspace())))
-    assert dumps(catalog_to_dict(loads(text))) == text
+    assert dumps(catalog_to_dict(catalog_from_dict(json.loads(text)))) == text
 
 
 @pytest.mark.parametrize("misfit", sorted(_MISFITS))
@@ -305,11 +304,11 @@ def test_catalog_json_import_rejects_lists_that_do_not_fit_the_entries(misfit):
 
 
 _LOAD_EXPECTING_CATALOG_ERROR = """
-import sys
-from dupcat.catalog_io import loads
+import json, sys
+from dupcat.catalog_io import catalog_from_dict
 from dupcat.errors import CatalogError
 try:
-    loads(open(sys.argv[1], encoding="utf-8").read())
+    catalog_from_dict(json.loads(open(sys.argv[1], encoding="utf-8").read()))
 except CatalogError:
     sys.exit(0)
 sys.exit(1)

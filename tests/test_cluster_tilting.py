@@ -27,7 +27,7 @@ from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import knit_ind_A, path_category, projective_rep, simple_rep
 from dupcat.leftpart import left_part_catalog
 from dupcat.quiver import Quiver, classify_dynkin
-from dupcat.reps import direct_sum, is_isomorphic
+from dupcat.reps import is_isomorphic, sum_rep
 from dupcat.session import session
 from dupcat.tilting import (
     enumerate_L_tilting,
@@ -93,7 +93,7 @@ def test_pi_bar_agrees_with_the_isomorphism_scan(make):
 
 def test_pi_bar_refuses_modules_outside_the_left_part():
     q = a_n(2)
-    sum_simples, _, _ = direct_sum([simple_rep(q, "1"), simple_rep(q, "2")])
+    sum_simples = sum_rep([simple_rep(q, "1"), simple_rep(q, "2")])
     with pytest.raises(NotInDomainError, match="not in the left part"):
         pi_bar(embed_A(sum_simples))
     with pytest.raises(NotInDomainError, match="not in the left part"):

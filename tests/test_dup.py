@@ -25,7 +25,7 @@ from dupcat.hereditary import (
 )
 from dupcat.leftpart import left_part_catalog
 from dupcat.quiver import Quiver, prime
-from dupcat.reps import direct_sum, is_isomorphic
+from dupcat.reps import is_isomorphic, sum_rep
 from dupcat.verify import run_all_checks
 from oracles import ext1_by_bases, hom_dim_by_rank
 
@@ -261,7 +261,7 @@ def test_exact_isomorphism_when_one_side_is_indecomposable():
     """S_1 + S_2 and the indecomposable of dimension vector (1, 1) are not
     isomorphic by the split_pair route, whichever side comes first."""
     q = a_n(2)
-    summed, _, _ = direct_sum([simple_rep(q, "1"), simple_rep(q, "2")])
+    summed = sum_rep([simple_rep(q, "1"), simple_rep(q, "2")])
     p2 = projective_rep(q, "2")
     assert summed.dim_vector() == p2.dim_vector()
     for m, n in ((summed, p2), (p2, summed)):
@@ -280,7 +280,7 @@ inner = dup.build_standard_dup_modules
 def doubled(q):
     std = inner(q)
     twice = {
-        x: dup.rep_to_triple(reps.direct_sum([m.rep()] * 2)[0], q)
+        x: dup.rep_to_triple(reps.sum_rep([m.rep()] * 2), q)
         for x, m in std.projective.items()
     }
     return std._replace(projective=twice)
@@ -303,7 +303,7 @@ def test_dup_category_rejects_a_projective_without_simple_top(monkeypatch, src_e
     def doubled(q):
         std = inner(q)
         twice = {
-            x: rep_to_triple(direct_sum([m.rep()] * 2)[0], q)
+            x: rep_to_triple(sum_rep([m.rep()] * 2), q)
             for x, m in std.projective.items()
         }
         return std._replace(projective=twice)

@@ -11,7 +11,7 @@ from dupcat.hereditary import injective_rep, knit_ind_A, path_category
 from dupcat.quiver import classify_dynkin, parse_quiver, paths_into
 from dupcat import reps
 from dupcat.linalg import RMatrix, coordinates_in_span
-from dupcat.reps import RepMap, direct_sum, hom_basis, identity_map, is_isomorphic
+from dupcat.reps import RepMap, hom_basis, identity_map, is_isomorphic, sum_rep
 from oracles import ext1_by_bases, hom_dim_by_rank
 
 
@@ -177,7 +177,7 @@ def test_ar_sequences_exact_and_middle_matches_arrows():
                 summands = []
                 for sidx, mult in seq.middle:
                     summands.extend([cat.entries[sidx]] * mult)
-                total, _, _ = direct_sum(summands)
+                total = sum_rep(summands)
                 assert category.is_isomorphic(seq.middle_rep, total)
 
 
@@ -197,7 +197,7 @@ def test_ar_formula_on_fixtures():
 def test_is_isomorphic_examples():
     s = path_category(a_n(2))
     assert s.is_isomorphic(s.proj["2"], s.inj["1"])
-    sum_simples, _, _ = direct_sum([s.simple["1"], s.simple["2"]])
+    sum_simples = sum_rep([s.simple["1"], s.simple["2"]])
     assert not s.is_isomorphic(sum_simples, s.proj["2"])
     assert s.is_isomorphic(sum_simples, sum_simples)
     # the split_pair route is exact when either side is indecomposable
@@ -257,7 +257,7 @@ from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n
 
 inner = hereditary.projective_rep
-hereditary.projective_rep = lambda q, x: reps.direct_sum([inner(q, x)] * 2)[0]
+hereditary.projective_rep = lambda q, x: reps.sum_rep([inner(q, x)] * 2)
 try:
     hereditary.path_category(a_n(2))
 except CatalogError:
@@ -272,7 +272,7 @@ def test_path_category_rejects_a_projective_without_simple_top(monkeypatch, src_
     inner = hereditary.projective_rep
     monkeypatch.setattr(session, "_sessions", {})
     monkeypatch.setattr(
-        hereditary, "projective_rep", lambda q, x: direct_sum([inner(q, x)] * 2)[0]
+        hereditary, "projective_rep", lambda q, x: sum_rep([inner(q, x)] * 2)
     )
     with pytest.raises(CatalogError, match="1-dimensional"):
         path_category(a_n(2))

@@ -17,7 +17,7 @@ from dupcat.leftpart import (
     verify_pd_criterion,
     verify_sink_reachability,
 )
-from dupcat.reps import direct_sum
+from dupcat.reps import sum_rep
 from oracles import rebuilt
 
 
@@ -168,7 +168,7 @@ def test_member_index_is_exact():
     a fresh copy of a member is found."""
     q = a_n(2)
     lpc = left_part_catalog(q)
-    summed, _, _ = direct_sum([simple_rep(q, "1"), simple_rep(q, "2")])
+    summed = sum_rep([simple_rep(q, "1"), simple_rep(q, "2")])
     p2 = projective_rep(q, "2")
     assert lpc.member_index(embed_A(summed)) is None
     i = lpc.member_index(embed_A(p2))

@@ -214,7 +214,7 @@ def test_summand_outside_the_catalog_raises():
     catalog = cat.knit()
     last = len(catalog.entries) - 1
     short = rebuilt(catalog, entries=catalog.entries[:last])
-    both, _, _ = reps.direct_sum([catalog.entries[0], catalog.entries[last]])
+    both = reps.sum_rep([catalog.entries[0], catalog.entries[last]])
     assert cat.decompose(both, catalog) == [(0, 1), (last, 1)]
     with pytest.raises(CatalogError, match="outside the catalog"):
         cat.decompose(both, short)
@@ -326,7 +326,7 @@ def test_is_isomorphic_decides_by_multiplicities(category, quiver, data):
 
     def direct_sum_of(indices):
         order = data.draw(st.permutations(indices))
-        return reps.direct_sum([catalog.entries[i] for i in order])[0]
+        return reps.sum_rep([catalog.entries[i] for i in order])
 
     m, n = direct_sum_of(first), _base_change(data, direct_sum_of(second))
     assert cat.is_isomorphic(m, n) == (sorted(first) == sorted(second))
@@ -338,10 +338,10 @@ def test_is_isomorphic_with_equal_dimension_vectors():
     a2, d4 = path_category(a_n(2)), path_category(d4_subspace())
     for cat, m in ((a2, a2.proj["2"]), (d4, d4.inj["1"])):
         simples = [cat.simple[v] for v, d in m.dims.items() for _ in range(d)]
-        summed = reps.direct_sum(simples)[0]
+        summed = reps.sum_rep(simples)
         assert summed.dim_vector() == m.dim_vector()
         assert not cat.is_isomorphic(summed, m) and not cat.is_isomorphic(m, summed)
-        assert cat.is_isomorphic(summed, reps.direct_sum(simples[::-1])[0])
+        assert cat.is_isomorphic(summed, reps.sum_rep(simples[::-1]))
 
 
 # -- one elimination for the radical and the complement ------------------------
@@ -490,12 +490,12 @@ def test_different_modules_never_share_an_id():
     vector (1, 1) but not their content; over A1, which has no arrows, the
     dimension vector alone tells S_1 from S_1 + S_1."""
     a2 = path_category(a_n(2))
-    summed = reps.direct_sum([a2.simple["1"], a2.simple["2"]])[0]
+    summed = reps.sum_rep([a2.simple["1"], a2.simple["2"]])
     assert summed.dim_vector() == a2.proj["2"].dim_vector()
     assert a2.content_id(summed) != a2.content_id(a2.proj["2"])
     assert len(a2.hom(a2.proj["2"], summed)) != len(a2.hom(summed, summed))
     a1 = path_category(a_n(1))
-    double = reps.direct_sum([a1.simple["1"]] * 2)[0]
+    double = reps.sum_rep([a1.simple["1"]] * 2)
     assert a1.content_id(double) != a1.content_id(a1.simple["1"])
     assert len(a1.hom(double, double)) == 4
 
@@ -702,7 +702,7 @@ def test_nakayama_refuses_a_postcomposition_outside_an_empty_span(monkeypatch):
     out as (1, 0)."""
     monkeypatch.setattr(session, "_sessions", {})
     cat = path_category(a_n(2))
-    m = reps.direct_sum([cat.proj["1"], cat.simple["2"]])[0]
+    m = reps.sum_rep([cat.proj["1"], cat.simple["2"]])
     cat._facts[("hom", cat.content_id(m), cat.content_id(cat.proj["2"]))] = ()
     with pytest.raises(CatalogError, match="postcomposition left the hom span"):
         cat.nak_data(m)
@@ -715,9 +715,10 @@ def _tau_by_flattened_spans(cat, m):
     pres = cat.presentation(m)
     f1 = pres.incl.compose(pres.cover1.q)
     parts0, parts1 = pres.cover0.parts, pres.cover1.parts
+    injections = reps.structure_maps([cat.proj[wj] for wj, _ in parts1], pres.cover1.p0)
     comps = {}
     for j in range(len(parts1)):
-        fj = f1.compose(pres.cover1.injections[j])
+        fj = f1.compose(injections[j])
         for i in range(len(parts0)):
             comps[(j, i)] = pres.cover0.projections[i].compose(fj)
     bases0 = [cat.nak_data(cat.proj[zi])[1] for zi, _ in parts0]

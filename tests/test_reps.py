@@ -17,12 +17,13 @@ from dupcat.reps import (
     Rep,
     RepMap,
     cokernel,
-    direct_sum,
     hom_basis,
     identity_map,
     is_isomorphic,
     kernel,
     split_pair,
+    structure_maps,
+    sum_rep,
 )
 
 
@@ -44,7 +45,26 @@ def test_compose_rejects_mismatched_middle_module():
 
 def test_empty_direct_sum_is_rejected():
     with pytest.raises(ValueError, match="empty direct sum"):
-        direct_sum([])
+        sum_rep([])
+
+
+def test_structure_maps_of_a_sum_are_its_biproduct_maps():
+    """The projection onto part i after the injection of part j is the
+    identity when i = j and zero otherwise, and the injections are
+    checked module maps."""
+    q = d4_subspace()
+    parts = [projective_rep(q, "2"), simple_rep(q, "1"), projective_rep(q, "2")]
+    total = sum_rep(parts)
+    injections = structure_maps(parts, total)
+    projections = structure_maps(parts, total, project=True)
+    for i, p in enumerate(projections):
+        for j, inj in enumerate(injections):
+            RepMap(inj.source, inj.target, inj.mats)  # the squares commute
+            composite = p.compose(inj)
+            if i == j:
+                assert all(composite.mats[v] == RMatrix.identity(parts[i].dims[v]) for v in q.vertices)
+            else:
+                assert composite.is_zero()
 
 
 def test_cokernel_of_non_morphism_is_rejected():
@@ -88,7 +108,8 @@ def has_section(g: RepMap) -> bool:
 def test_has_section_on_direct_sum_projections():
     q = d4_subspace()
     p2, s1, s3 = projective_rep(q, "2"), simple_rep(q, "1"), simple_rep(q, "3")
-    _, _, projections = direct_sum([p2, s1, s3])
+    parts = [p2, s1, s3]
+    projections = structure_maps(parts, sum_rep(parts), project=True)
     assert all(has_section(g) for g in projections)
     # P_2 -> S_2 is onto but not split; S_1 -> 0 splits trivially
     _, top = cokernel(path_category(q).radical(p2)[1])
@@ -142,7 +163,7 @@ def _conjugate(m, rng):
 def _semisimple(cat, m):
     """The direct sum of simples with the dimension vector of m."""
     parts = [cat.simple[v] for v in m.quiver.vertices for _ in range(m.dims[v])]
-    return direct_sum(parts)[0]
+    return sum_rep(parts)
 
 
 _CATALOGS = [
@@ -174,15 +195,15 @@ def test_is_isomorphic_agrees_with_split_pair_on_catalog(make):
 def test_is_isomorphic_with_one_decomposable_side():
     q = a_n(2)  # 2 -> 1
     s1, s2, p2 = simple_rep(q, "1"), simple_rep(q, "2"), projective_rep(q, "2")
-    s12 = direct_sum([s1, s2])[0]
-    s21 = direct_sum([s2, s1])[0]
+    s12 = sum_rep([s1, s2])
+    s21 = sum_rep([s2, s1])
     assert s12.dim_vector() == p2.dim_vector()
     for a, b in ((s12, p2), (p2, s12), (s21, p2), (p2, s21)):
         assert not _split_pair_iso(a, b)
         assert not is_isomorphic(a, b)
     q = d4_subspace()
     p2 = projective_rep(q, "2")
-    tops = direct_sum([simple_rep(q, "2"), path_category(q).radical(p2)[0]])[0]
+    tops = sum_rep([simple_rep(q, "2"), path_category(q).radical(p2)[0]])
     assert tops.dim_vector() == p2.dim_vector()
     assert not is_isomorphic(tops, p2) and not is_isomorphic(p2, tops)
     assert not _split_pair_iso(tops, p2) and not _split_pair_iso(p2, tops)

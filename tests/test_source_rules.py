@@ -12,10 +12,13 @@
 * The check layer (``verify``, ``leftpart``, ``tilting``, ``cluster``)
   imports nothing from ``dupcat.linalg``: it reads the facts the module
   engine certified instead of solving systems of its own.
-* Every top-level function and every method is named somewhere in the
-  library outside ``__init__.py``: a function only tests call belongs in
-  the tests.  ``fixtures.py`` (builders for tests and demos) is exempt, and
-  so is the API in ``NO_CALLER_IN_SRC``, which the README or a demo uses.
+* No finalizer: no ``__del__``, no ``weakref.finalize``, and no ``open``
+  call outside a ``with``.  A command freezes its heap at exit, so what is
+  alive then is never finalized.
+* Every top-level function and every method has a caller in the library
+  outside ``__init__.py``: a function only tests call belongs in the
+  tests.  ``fixtures.py`` (builders for tests and demos) is exempt, and so
+  is the API in ``NO_CALLER_IN_SRC``, which the README or a demo uses.
 """
 
 import ast
@@ -32,6 +35,7 @@ NO_CALLER_IN_SRC = {
     "linalg.rref": ("README.md", "integer Gauss–Jordan for rref"),
     "ModuleCategory.top": ("demos/03_duplicated_modules.py", "cat.top(pp.rep())"),
     "DupQuiverReport.connecting_pairs": ("demos/01_quivers_and_duplication.py", "rep.connecting_pairs()"),
+    "catalog_io.catalog_from_dict": ("demos/06_dot_and_json_export.py", "catalog_from_dict(json.loads(dumps(payload)))"),
 }
 
 
@@ -126,19 +130,99 @@ def test_check_layer_imports_nothing_from_linalg():
     assert found == []
 
 
+def _opens_a_file(node):
+    """True for a call of ``open`` or of an ``.open`` method."""
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "open")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "open")
+    )
+
+
+def _finalizers(tree):
+    """Line numbers of the finalizers a module defines or relies on."""
+    in_with = {
+        id(item.context_expr)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.With, ast.AsyncWith))
+        for item in node.items
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__del__":
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "finalize" and getattr(node.value, "id", None) == "weakref":
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "weakref" and any(a.name == "finalize" for a in node.names):
+            yield node.lineno
+        elif _opens_a_file(node) and id(node) not in in_with:
+            yield node.lineno
+
+
+def test_no_finalizers():
+    """``cli.main`` registers ``gc.freeze`` with ``atexit``: at a command's
+    exit every live object moves to the permanent generation, and those
+    held in reference cycles are left to the OS, never finalized.  A
+    ``__del__`` or ``weakref.finalize`` callback would not run, and a file
+    opened outside a ``with`` might never be closed, losing a buffered
+    write; so files go through ``Path.read_text``/``write_text`` or a
+    ``with``."""
+    found = [f"{name}:{line}" for name, tree in _trees() for line in _finalizers(tree)]
+    assert found == []
+
+
+def test_finalizer_rule_sees_each_form():
+    source = """
+import weakref
+from weakref import finalize
+class C:
+    def __del__(self):
+        pass
+def f(path):
+    handle = open(path)
+    weakref.finalize(handle, print)
+    with open(path) as ok, path.open() as fine:
+        pass
+    return path.open("w")
+"""
+    assert sorted(_finalizers(ast.parse(source))) == [3, 5, 8, 9, 12]
+
+
 def _defined(name, tree):
-    """Qualified names of the top-level functions and of the methods (not
-    dunders, which Python calls) of the top-level classes."""
+    """(qualified name, module key, bare name) of the top-level functions,
+    whose key is the module stem, and of the methods (not dunders, which
+    Python calls) of the top-level classes, whose key is None."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield f"{name[:-3]}.{node.name}", node.name
+            yield f"{name[:-3]}.{node.name}", name[:-3], node.name
         elif isinstance(node, ast.ClassDef):
             for m in node.body:
                 if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__")):
-                    yield f"{node.name}.{m.name}", m.name
+                    yield f"{node.name}.{m.name}", None, m.name
+
+
+def _module_uses(name, tree):
+    """(module stem, name) pairs the module ``name`` reads: each ``from .mod
+    import f``, each ``mod.f`` on a module bound by ``from . import mod``,
+    and each bare name, which reads its own module."""
+    modules = {}  # local name -> module stem
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    yield node.module, alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield name[:-3], node.id
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            yield modules[node.value.id], node.attr
 
 
 def test_every_library_function_has_a_caller_in_the_library():
+    """A method counts as called when its bare name appears anywhere in the
+    library; a top-level function only when its own module reads it, or
+    another module imports it from there or reads it as an attribute of
+    that module, so ``json.loads`` does not count for ``catalog_io.loads``."""
     trees = [(name, tree) for name, tree in _trees() if name != "__init__.py"]
     named = {
         n.id if isinstance(n, ast.Name) else n.attr
@@ -146,13 +230,24 @@ def test_every_library_function_has_a_caller_in_the_library():
         for n in ast.walk(tree)
         if isinstance(n, (ast.Name, ast.Attribute))
     }
+    used = {pair for name, tree in trees for pair in _module_uses(name, tree)}
     uncalled = {
         qualified
         for name, tree in trees
         if name != "fixtures.py"
-        for qualified, bare in _defined(name, tree)
-        if bare not in named
+        for qualified, module, bare in _defined(name, tree)
+        if (bare not in named if module is None else (module, bare) not in used)
     }
     assert uncalled == set(NO_CALLER_IN_SRC)
     for path, line in NO_CALLER_IN_SRC.values():
         assert line in (ROOT / path).read_text(encoding="utf-8")
+
+
+def test_caller_rule_reads_qualified_names():
+    tree = ast.parse(
+        "import json\nfrom . import reps\nfrom .cli import main\n"
+        "def f(t):\n    return json.loads(t), reps.sum_rep, main\n"
+    )
+    uses = set(_module_uses("m.py", tree))
+    assert {("reps", "sum_rep"), ("cli", "main"), ("m", "main"), ("m", "json")} <= uses
+    assert not any(name == "loads" for _, name in uses)

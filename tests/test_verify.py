@@ -228,13 +228,13 @@ def test_direct_sum_budget(monkeypatch):
     their Nakayama images) once: at most 200 engine direct sums."""
     _start_cold(monkeypatch)
     calls = []
-    inner = modcat.direct_sum
+    inner = modcat.sum_rep
 
     def counting(parts):
         calls.append(parts)
         return inner(parts)
 
-    monkeypatch.setattr(modcat, "direct_sum", counting)
+    monkeypatch.setattr(modcat, "sum_rep", counting)
     checks = run_all_checks(d4_subspace())
     assert all(c.passed for c in checks)
     assert 0 < len(calls) <= 200
