@@ -9,6 +9,7 @@ enumerated independently and matched set by set.
 
 from dupcat import (
     classify_dynkin,
+    dim_vectors,
     enumerate_L_tilting,
     expected_count,
     pi_bar,
@@ -20,8 +21,8 @@ from dupcat.fixtures import a_n, d4_subspace
 print("== the pentagon for A2 ==")
 q = a_n(2)
 for rec in enumerate_L_tilting(q):
-    image = sorted(describe_object(pi_bar(m)) for m in rec.free)
-    frees = ", ".join(f"(X={m.x_part.dim_vector()},Y={m.y_part.dim_vector()})" for m in rec.free)
+    image = sorted(describe_object(pi_bar(q, m)) for m in rec.free)
+    frees = ", ".join(f"(X={x},Y={y})" for x, y in map(dim_vectors, rec.free))
     print(f"free part [{frees}]  ->  {image}")
 
 print("\n== counts across fixtures ==")

@@ -20,12 +20,11 @@ from .hereditary import (
     simple_rep,
 )
 from .dup import (
-    DupModule,
+    dim_vectors,
     dup_category,
     embed_A,
     junction_composite_pattern,
     knit_ind_dup,
-    rep_to_triple,
     standard_dup_modules,
 )
 from .leftpart import (

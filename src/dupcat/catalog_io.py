@@ -1,7 +1,9 @@
 """JSON import/export of AR catalogs.
 
 Matrices are serialized entry-wise as exact rational strings ("p/q"), so a
-round trip reproduces every structure map on the nose.
+round trip reproduces every structure map on the nose.  An imported entry
+of the duplicated kind is certified to be a module of the duplicated
+algebra (:func:`_certify_module`).
 """
 
 from __future__ import annotations
@@ -9,11 +11,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .dup import DupCatalog, dup_category, rep_to_triple
+from .dup import DupCatalog, dup_category
 from .errors import CatalogError
 from .hereditary import path_category
 from .linalg import RMatrix
-from .modcat import ARCatalog
+from .modcat import ARCatalog, ModuleCategory
 from .quiver import Quiver
 from .reps import Rep
 from .session import session
@@ -124,9 +126,26 @@ def _ar_catalog_from_body(category, quiver, body) -> ARCatalog:
     )
 
 
+def _certify_module(cat: ModuleCategory, k: int, m: Rep) -> None:
+    """CatalogError naming entry k, a vertex and an arrow unless m satisfies
+    the relations of the algebra of ``cat``.
+
+    For every vertex z and basis vector v of m_z, the map P_z -> m sending
+    the generator to v (:meth:`ModuleCategory.yoneda_map`) must be a module
+    map.  A relation r from z kills the generator of P_z, so its squares
+    give m(r) v = 0; and they hold when m satisfies every relation."""
+    for z in m.support:
+        for e in RMatrix.identity(m.dims[z]).data:
+            try:
+                cat.yoneda_map(z, m, RMatrix.column(e))
+            except ValueError as exc:
+                raise CatalogError(f"entry {k} is not a module: at vertex {z}, the {exc}") from None
+
+
 def catalog_from_dict(body: dict):
-    """Rebuild a catalog.  For the duplicated kind every entry's theta is
-    solved here, so a body that is not a module raises CatalogError."""
+    """Rebuild a catalog.  For the duplicated kind every entry is certified
+    a module (:func:`_certify_module`), so a body that is not one raises
+    CatalogError."""
     base = _quiver_from_json(body["quiver"])
     if body["kind"] == "hereditary":
         return _ar_catalog_from_body(path_category(base), base, body)
@@ -138,13 +157,11 @@ def catalog_from_dict(body: dict):
         for name in ("proj_injective", "in_ind_A", "in_L", "in_sigma")
         if name in body["flags"]
     }
-    modules = tuple(rep_to_triple(e, base) for e in ar.entries)
-    for m in modules:
-        m.theta  # solving for theta proves the entry is a module
+    for k, e in enumerate(ar.entries):
+        _certify_module(ar.category, k, e)
     return DupCatalog(
         base,
         ar,
-        modules,
         flags["proj_injective"],
         flags["in_ind_A"],
         flags.get("in_L"),

@@ -19,7 +19,7 @@ from typing import Optional
 from .catalog_io import catalog_to_dict, dup_catalog_to_dict, dumps
 from .cluster import describe_object
 from .dot import ar_quiver_dot
-from .dup import knit_ind_dup
+from .dup import dim_vectors, knit_ind_dup
 from .errors import CapExceededError, DupcatError, NotDynkinError, QuiverSyntaxError
 from .hereditary import knit_ind_A
 from .leftpart import annotate_catalog, left_part_catalog
@@ -153,8 +153,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
             "tilting_modules": [
                 {
                     "free": [
-                        {"x": list(m.x_part.dim_vector()), "y": list(m.y_part.dim_vector())}
-                        for m in rec.free
+                        {"x": list(x), "y": list(y)} for x, y in map(dim_vectors, rec.free)
                     ],
                 }
                 for rec in records

@@ -13,9 +13,9 @@ from typing import NamedTuple, Union
 
 from .errors import CatalogError, NotDynkinError, NotInDomainError
 from .quiver import Quiver, classify_dynkin
-from .dup import DupModule
 from .hereditary import knit_ind_A
 from .leftpart import left_part_catalog
+from .reps import Rep
 from .session import session
 
 
@@ -60,8 +60,9 @@ def describe_object(o: ClusterObject) -> str:
     return "M" + "".join(str(d) for d in entry.dim_vector())
 
 
-def pi_bar(m: DupModule) -> ClusterObject:
-    """Stable projection of a non-projective-injective left-part module.
+def pi_bar(q: Quiver, m: Rep) -> ClusterObject:
+    """Stable projection of a non-projective-injective left-part module of
+    the duplicated algebra of q.
 
     One lookup among the left-part members decides it: ind A member i (the
     members list ind A first, in catalog order) goes to itself; the
@@ -69,7 +70,6 @@ def pi_bar(m: DupModule) -> ClusterObject:
     at x) goes to the shifted projective at x.  Projective-injectives and
     non-members are outside the domain.
     """
-    q = m.base_quiver
     lpc = left_part_catalog(q)
     i = lpc.member_index(m)
     if i is None:

@@ -7,11 +7,11 @@ module are diamonds, and translate links are dashed.
 
 from __future__ import annotations
 
-from .dup import DupCatalog
+from .dup import DupCatalog, dim_vectors
 
 
 def _label(cat: DupCatalog, idx: int) -> str:
-    x, y = cat.modules[idx].dim_vectors()
+    x, y = dim_vectors(cat.entries[idx])
     return "".join(str(d) for d in x) + "|" + "".join(str(d) for d in y)
 
 
@@ -20,7 +20,7 @@ def ar_quiver_dot(cat: DupCatalog, tilting_record=None) -> str:
     diamond = set()
     if tilting_record is not None:
         for m in tilting_record.free:
-            idx = cat.find_module(m)
+            idx = cat.catalog.find(m)
             if idx is not None:
                 diamond.add(idx)
     lines = ["digraph ar_quiver {", "  rankdir=LR;", '  node [fontsize=10];']

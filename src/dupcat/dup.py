@@ -1,25 +1,20 @@
 """The module category of the duplicated algebra.
 
-A module over the duplicated algebra is a representation of the duplicated
-quiver: the base quiver, its primed copy, and one connecting arrow x' -> y
-for every maximal path p from y to x.  :class:`DupModule` holds exactly that
-representation, and morphisms, covers, syzygies, AR translates and knitting
-all run on it through the generic engine of :mod:`dupcat.modcat`.
-
-The triple (X, Y, theta: nu(Y) -> X) is derived from the representation on
-demand: X and Y are its restrictions to the two copies of the base quiver,
-nu is the Nakayama functor of the base category, and theta is the unique map
-whose composite with the dual-path generator of p is the action of the
-connecting arrow of p.  :func:`triple_to_rep` goes the other way; it builds
-the standard modules.
+A module over the duplicated algebra is a representation (a ``Rep``) of
+the duplicated quiver: the base quiver, its primed copy, and one connecting
+arrow x' -> y for every maximal path p from y to x.  Morphisms, covers,
+syzygies, AR translates and knitting all run on it through the generic
+engine of :mod:`dupcat.modcat`.  The duplicated quiver lists the base
+vertices first, so the two halves of a module's dimension vector are its
+dimension vectors on the two copies of the base quiver
+(:func:`dim_vectors`).
 
 :func:`embed_A` returns one module per A-module ``Rep``, kept by the
 quiver's session (:mod:`dupcat.session`), so the Hom, Ext^1 and presentation
 caches of an embedded module are shared by every caller; so are the standard
 modules and the category.  Hom, Ext^1, syzygies, AR translates, projective
 dimension and isomorphism are methods of the category :func:`dup_category`
-returns; they take ``m.rep()``, and :func:`rep_to_triple` views a result as
-a :class:`DupModule` again.
+returns.
 
 Its AR quiver holds two copies of ind A: the A-modules on the unprimed
 vertices, closed under predecessors, and the A'-modules on the primed
@@ -35,136 +30,19 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import CatalogError
-from .linalg import RMatrix, nullspace_basis, rank, solve_matrix
+from .linalg import RMatrix, rank
 from .modcat import ARCatalog, ModuleCategory
 from .quiver import Quiver, opposite, paths_from, prime
-from . import reps
 from .hereditary import knit_ind_A, path_category
-from .reps import Rep, RepMap
+from .reps import Rep
 from .session import session
 
 
-def _unprimed(name: str) -> str:
-    return name
-
-
-def _restrict(rep: Rep, base: Quiver, rename) -> Rep:
-    """Restriction of a duplicated-quiver representation to one copy of the
-    base quiver; ``rename`` gives a base vertex or arrow its name there."""
-    return Rep(
-        base,
-        {v: rep.dims[rename(v)] for v in base.vertices},
-        {a.name: rep.mats[rename(a.name)] for a in base.arrows},
-    )
-
-
-class DupModule:
-    """A module over the duplicated algebra of ``base_quiver``: one
-    representation of the duplicated quiver.
-
-    ``x_part``, ``y_part`` and ``theta`` are read-only views on it, derived
-    on first read and kept.
-    """
-
-    def __init__(self, rep: Rep, base: Quiver, triple=None):
-        self._rep = rep
-        self.base_quiver = base
-        self._x, self._y, self._theta = triple or (None, None, None)
-
-    def rep(self) -> Rep:
-        return self._rep
-
-    @property
-    def x_part(self) -> Rep:
-        """X: the restriction to the base quiver."""
-        if self._x is None:
-            self._x = _restrict(self._rep, self.base_quiver, _unprimed)
-        return self._x
-
-    @property
-    def y_part(self) -> Rep:
-        """Y: the restriction to the primed copy, over the base quiver."""
-        if self._y is None:
-            self._y = _restrict(self._rep, self.base_quiver, prime)
-        return self._y
-
-    @property
-    def theta(self) -> RepMap:
-        """theta: nu(Y) -> X, the unique solution of the joint linear system
-        given by its naturality squares and by matching the connecting-arrow
-        actions.  Raises CatalogError when the system has no solution or more
-        than one, i.e. when the representation is not a module."""
-        if self._theta is not None:
-            return self._theta
-        base = self.base_quiver
-        x, y = self.x_part, self.y_part
-        base_cat = path_category(base)
-        nu = base_cat.nakayama(y)
-        offsets = {}
-        total = 0
-        for v in base.vertices:
-            offsets[v] = total
-            total += x.dims[v] * nu.dims[v]
-
-        def var(v, i, j):
-            return offsets[v] + i * nu.dims[v] + j
-
-        rows, rhs = [], []
-        for a in base.arrows:
-            yv, xv = a.source, a.target
-            na, xa = nu.mats[a.name], x.mats[a.name]
-            for i in range(x.dims[xv]):
-                for j in range(nu.dims[yv]):
-                    row = [0] * total
-                    for k in range(nu.dims[xv]):
-                        row[var(xv, i, k)] += na.data[k][j]
-                    for k in range(x.dims[yv]):
-                        row[var(yv, k, j)] -= xa.data[i][k]
-                    rows.append(row)
-                    rhs.append(0)
-        for name, _, tgt, mp in session(base).report.connecting:
-            b = _dual_path_matrix(base_cat, y, mp)
-            c = self._rep.mats[name]
-            for i in range(x.dims[tgt]):
-                for j in range(y.dims[mp.end]):
-                    row = [0] * total
-                    for k in range(nu.dims[tgt]):
-                        row[var(tgt, i, k)] += b.data[k][j]
-                    rows.append(row)
-                    rhs.append(c.data[i][j])
-        system = RMatrix(rows, len(rows), total)
-        sol = solve_matrix(system, RMatrix.column(rhs))
-        if sol is None:
-            raise CatalogError("no compatible dual-bimodule action: not a module")
-        if nullspace_basis(system):
-            raise CatalogError("dual-bimodule action not unique")
-        mats = {
-            v: RMatrix(
-                [
-                    [sol.data[var(v, i, j)][0] for j in range(nu.dims[v])]
-                    for i in range(x.dims[v])
-                ],
-                x.dims[v],
-                nu.dims[v],
-            )
-            for v in base.vertices
-        }
-        self._theta = RepMap(nu, x, mats, check=False)
-        return self._theta
-
-    def dim_vectors(self):
-        dims, vertices = self._rep.dims, self.base_quiver.vertices
-        return tuple(dims[v] for v in vertices), tuple(dims[prime(v)] for v in vertices)
-
-    def total_dim(self) -> int:
-        return self._rep.total_dim()
-
-    def is_zero(self) -> bool:
-        return self._rep.is_zero()
-
-    def __repr__(self):
-        x, y = self.dim_vectors()
-        return f"DupModule(X{x}, Y{y})"
+def dim_vectors(m: Rep) -> tuple:
+    """(dim X, dim Y): the dimension vectors of m on the base vertices and
+    on the primed ones, the two halves of ``m.dim_vector()``."""
+    d = m.dim_vector()
+    return d[: len(d) // 2], d[len(d) // 2 :]
 
 
 def _dual_path_matrix(base_cat, y_rep: Rep, mp) -> RMatrix:
@@ -184,72 +62,54 @@ def _dual_path_matrix(base_cat, y_rep: Rep, mp) -> RMatrix:
     return RMatrix(rows, len(bases[y]), y_rep.dims[x])
 
 
-def triple_to_rep(x: Rep, y: Rep, theta: RepMap) -> Rep:
-    """The duplicated-quiver representation of the triple (X, Y, theta)."""
-    q = x.quiver
-    report = session(q).report
-    base_cat = path_category(q)
-    if theta.source.dim_vector() != base_cat.nakayama(y).dim_vector():
-        raise ValueError("theta must start at the canonical Nakayama image")
-    dims = {v: x.dims[v] for v in q.vertices}
-    dims.update({prime(v): y.dims[v] for v in q.vertices})
-    mats = {a.name: x.mats[a.name] for a in q.arrows}
-    mats.update({prime(a.name): y.mats[a.name] for a in q.arrows})
-    for name, _, tgt, mp in report.connecting:
-        mats[name] = theta.mats[tgt] @ _dual_path_matrix(base_cat, y, mp)
-    return Rep(report.dup, dims, mats)
-
-
-def rep_to_triple(rep: Rep, base: Quiver) -> DupModule:
-    """View a duplicated-quiver representation as a module over the
-    duplicated algebra of ``base``; its triple is derived on first read."""
-    if rep.quiver != session(base).report.dup:
-        raise ValueError("representation is not over the duplicated quiver")
-    return DupModule(rep, base)
-
-
-def _from_triple(x: Rep, y: Rep, theta: RepMap) -> DupModule:
-    # the given parts become the views, so the X of an embedded A-module is
-    # that very A-module and isomorphism tests against it stop at identity
-    return DupModule(triple_to_rep(x, y, theta), x.quiver, (x, y, theta))
-
-
 # -- standard modules and the category ---------------------------------------
 
 
-def embed_A(x: Rep) -> DupModule:
+def _copy(x: Rep, dup: Quiver, rename) -> Rep:
+    """The A-module x on one copy of the base quiver in the duplicated
+    quiver (``rename`` gives a base vertex or arrow its name there, ``str``
+    on the unprimed copy), zero elsewhere."""
+    return Rep(
+        dup,
+        {rename(v): x.dims[v] for v in x.quiver.vertices},
+        {rename(a.name): x.mats[a.name] for a in x.quiver.arrows},
+    )
+
+
+def embed_A(x: Rep) -> Rep:
     """The module (X, 0, 0): an A-module seen over the duplicated algebra.
 
     One module per Rep x, kept by the session, so every caller shares its
     presentation, Hom and Ext^1 caches; the standard modules of
     ``path_category`` map to the embedded ones of ``standard_dup_modules``.
     """
-    embedded = session(x.quiver).embedded
-    if x.uid not in embedded:
-        y = reps.zero_rep(x.quiver)
-        nu_y = path_category(x.quiver).nakayama(y)
-        embedded[x.uid] = _from_triple(x, y, reps.zero_map(nu_y, x))
-    return embedded[x.uid]
+    s = session(x.quiver)
+    if x.uid not in s.embedded:
+        s.embedded[x.uid] = _copy(x, s.report.dup, str)
+    return s.embedded[x.uid]
 
 
-def proj_primed(q: Quiver, x: str) -> DupModule:
+def proj_primed(q: Quiver, x: str) -> Rep:
     """The projective-injective at the primed vertex: (nu P_x, P_x, id)."""
     return standard_dup_modules(q).projective_primed[x]
 
 
-def _projective_injective(p: Rep) -> DupModule:
-    """The module (nu P, P, id)."""
-    nu = path_category(p.quiver).nakayama(p)
-    return _from_triple(nu, p, reps.identity_map(nu))
+def _projective_injective(p: Rep) -> Rep:
+    """The module (nu P, P, id): nu P on the base arrows, P on the primed
+    ones, and on the connecting arrow of each maximal path the action of
+    its dual-path generator on P."""
+    q = p.quiver
+    report = session(q).report
+    base_cat = path_category(q)
+    nu = base_cat.nakayama(p)
+    dims = {**nu.dims, **{prime(v): p.dims[v] for v in q.vertices}}
+    mats = {**nu.mats, **{prime(a.name): p.mats[a.name] for a in q.arrows}}
+    for name, _, _, mp in report.connecting:
+        mats[name] = _dual_path_matrix(base_cat, p, mp)
+    return Rep(report.dup, dims, mats)
 
 
-def _primed_only(y: Rep) -> DupModule:
-    """The module (0, Y, 0)."""
-    zero = reps.zero_rep(y.quiver)
-    return _from_triple(zero, y, reps.zero_map(path_category(y.quiver).nakayama(y), zero))
-
-
-class StandardDupModules(NamedTuple):
+class StandardModules(NamedTuple):
     simple: dict
     simple_primed: dict
     projective: dict  # P at unprimed vertices = embedded projectives
@@ -258,20 +118,21 @@ class StandardDupModules(NamedTuple):
     embedded_injective: dict  # (I_x, 0, 0), not injective here
 
 
-def standard_dup_modules(q: Quiver) -> StandardDupModules:
+def standard_dup_modules(q: Quiver) -> StandardModules:
     """The standard modules its session keeps, built on the standard
     modules of ``path_category(q)``."""
     return session(q).standard_dup_modules
 
 
-def build_standard_dup_modules(q: Quiver) -> StandardDupModules:
+def build_standard_dup_modules(q: Quiver) -> StandardModules:
     cat = path_category(q)
-    return StandardDupModules(
+    dup = session(q).report.dup
+    return StandardModules(
         {x: embed_A(cat.simple[x]) for x in q.vertices},
-        {x: _primed_only(cat.simple[x]) for x in q.vertices},
+        {x: _copy(cat.simple[x], dup, prime) for x in q.vertices},
         {x: embed_A(cat.proj[x]) for x in q.vertices},
         {x: _projective_injective(cat.proj[x]) for x in q.vertices},
-        {x: _primed_only(cat.inj[x]) for x in q.vertices},
+        {x: _copy(cat.inj[x], dup, prime) for x in q.vertices},
         {x: embed_A(cat.inj[x]) for x in q.vertices},
     )
 
@@ -294,16 +155,16 @@ def build_dup_category(q: Quiver) -> ModuleCategory:
     injectives = {}
     simples = {}
     for x in q.vertices:
-        pbar = _one_dim_at(std.projective[x].rep(), x, f"projective at {x}")
+        pbar = _one_dim_at(std.projective[x], x, f"projective at {x}")
         projectives[x] = (pbar, RMatrix.column([1]))
-        ppr = _one_dim_at(std.projective_primed[x].rep(), prime(x), f"projective at {prime(x)}")
+        ppr = _one_dim_at(std.projective_primed[x], prime(x), f"projective at {prime(x)}")
         projectives[prime(x)] = (ppr, RMatrix.column([1]))
         # the injective at the unprimed vertex is the projective-injective
         injectives[x] = (_one_dim_at(ppr, x, f"injective at {x}"), RMatrix([[1]], 1, 1))
-        ipr = _one_dim_at(std.injective_primed[x].rep(), prime(x), f"injective at {prime(x)}")
+        ipr = _one_dim_at(std.injective_primed[x], prime(x), f"injective at {prime(x)}")
         injectives[prime(x)] = (ipr, RMatrix([[1]], 1, 1))
-        simples[x] = std.simple[x].rep()
-        simples[prime(x)] = std.simple_primed[x].rep()
+        simples[x] = std.simple[x]
+        simples[prime(x)] = std.simple_primed[x]
 
     def op_builder():
         opq = opposite(q)
@@ -326,17 +187,6 @@ def build_dup_category(q: Quiver) -> ModuleCategory:
     )
 
 
-def _copy(x: Rep, dup: Quiver, rename) -> Rep:
-    """The A-module x on one copy of the base quiver in the duplicated
-    quiver (``rename`` gives a base vertex or arrow its name there), zero
-    elsewhere."""
-    return Rep(
-        dup,
-        {rename(v): x.dims[v] for v in x.quiver.vertices},
-        {rename(a.name): x.mats[a.name] for a in x.quiver.arrows},
-    )
-
-
 def _copies(q: Quiver, cat: ModuleCategory, cap) -> dict:
     """tau^{-1} on the two copies of ind A in mod of the duplicated algebra
     of q, by content id in ``cat``: for each entry M of ``knit_ind_A(q, cap)``
@@ -348,7 +198,7 @@ def _copies(q: Quiver, cat: ModuleCategory, cap) -> dict:
     Skowronski vol. 1, IV.3)."""
     ar = knit_ind_A(q, cap)
     table = {}
-    for rename in (_unprimed, prime):
+    for rename in (str, prime):
         copies = [_copy(e, cat.quiver, rename) for e in ar.entries]
         for i, j in ar.tau_inv_of.items():
             table[cat.content_id(copies[i])] = copies[j]
@@ -363,12 +213,11 @@ class DupCatalog:
     by :mod:`dupcat.leftpart` after the catalog is built."""
 
     def __init__(
-        self, base: Quiver, catalog: ARCatalog, modules: tuple, proj_injective: tuple, in_ind_A: tuple,
+        self, base: Quiver, catalog: ARCatalog, proj_injective: tuple, in_ind_A: tuple,
         in_L: Optional[tuple] = None, in_sigma: Optional[tuple] = None
     ):
         self.base = base
         self.catalog = catalog
-        self.modules = modules  # DupModule per entry
         self.proj_injective = proj_injective
         self.in_ind_A = in_ind_A
         self.in_L = in_L
@@ -411,15 +260,13 @@ class DupCatalog:
             raise CatalogError(f"Ext^1 from entry {i}: its projective dimension is {pd}, not <= 1")
         return self.catalog.ext1_by_tau(i, j)
 
-    def find_module(self, m: DupModule) -> Optional[int]:
-        return self.catalog.find(m.rep())
-
     def indices(self, modules) -> list:
         """The entry index of each of the indecomposable ``modules``;
         CatalogError naming the first one the catalog lacks."""
-        found = [self.find_module(m) for m in modules]
+        found = [self.catalog.find(m) for m in modules]
         if None in found:
-            raise CatalogError(f"module {modules[found.index(None)]} is missing from the catalog")
+            missing = dim_vectors(modules[found.index(None)])
+            raise CatalogError(f"module {missing} is missing from the catalog")
         return found
 
 
@@ -445,12 +292,11 @@ def knit_ind_dup(q: Quiver, cap: int = 10000) -> DupCatalog:
 def build_dup_catalog(q: Quiver) -> DupCatalog:
     # knit_ind_dup has knitted under its cap; this reads the kept knit
     ar = dup_category(q).knit(math.inf)
-    modules = tuple(rep_to_triple(e, q) for e in ar.entries)
     proj_inj = tuple(
         p and i for p, i in zip(ar.projective, ar.injective)
     )
-    in_a = tuple(m.y_part.is_zero() for m in modules)
-    return DupCatalog(q, ar, modules, proj_inj, in_a)
+    in_a = tuple(not any(dim_vectors(e)[1]) for e in ar.entries)
+    return DupCatalog(q, ar, proj_inj, in_a)
 
 
 # -- junction diagnostics -------------------------------------------------------

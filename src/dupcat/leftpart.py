@@ -19,15 +19,15 @@ from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
 from .dup import (
     DupCatalog,
-    DupModule,
+    dim_vectors,
     dup_category,
     embed_A,
     knit_ind_dup,
-    rep_to_triple,
     standard_dup_modules,
 )
 from .hereditary import knit_ind_A
 from .modcat import dim_index
+from .reps import Rep
 from .session import session
 
 
@@ -64,9 +64,9 @@ class LeftPartCatalog:
         self, base: Quiver, members: tuple, ind_a_flags: tuple, cosyzygy_flags: tuple,
         proj_inj_flags: tuple, cosyzygy_by_vertex: dict, sigma_indices: tuple
     ):
-        """``members`` are DupModules; ``cosyzygy_flags`` mark the tau^{-1}
-        of the embedded injectives; ``cosyzygy_by_vertex`` maps a vertex to
-        its member index."""
+        """``members`` are ``Rep``s of the duplicated quiver;
+        ``cosyzygy_flags`` mark the tau^{-1} of the embedded injectives;
+        ``cosyzygy_by_vertex`` maps a vertex to its member index."""
         self.__dict__.update(
             base=base,
             members=members,
@@ -94,15 +94,13 @@ class LeftPartCatalog:
 
     @cached_property
     def _by_dim(self):
-        """The members' representations and their :func:`dim_index`."""
-        member_reps = [m.rep() for m in self.members]
-        return member_reps, dim_index(member_reps)
+        """The members' :func:`dim_index`."""
+        return dim_index(self.members)
 
-    def member_index(self, m: DupModule) -> Optional[int]:
+    def member_index(self, m: Rep) -> Optional[int]:
         """Index of the member isomorphic to m, or None; exact because the
         members are indecomposable."""
-        member_reps, index = self._by_dim
-        return dup_category(self.base).find_iso(m.rep(), member_reps, index)
+        return dup_category(self.base).find_iso(m, self.members, self._by_dim)
 
 
 def left_part_catalog(q: Quiver) -> LeftPartCatalog:
@@ -128,11 +126,10 @@ def build_cosyzygies(q: Quiver) -> dict:
     ctx = dup_category(q)
     cosyz = {}
     for x, i in standard_dup_modules(q).embedded_injective.items():
-        t = ctx.tau_inv(i.rep())
+        t = ctx.tau_inv(i)
         if t is None:
             raise CatalogError("embedded injective cannot be injective here")
-        t = rep_to_triple(t, q)
-        if t.y_part.is_zero():
+        if not any(dim_vectors(t)[1]):
             raise CatalogError("cosyzygy candidate fell into ind A")
         cosyz[x] = t
     return cosyz
@@ -145,16 +142,16 @@ def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
     pis = standard_dup_modules(q).projective_primed
     ctx = dup_category(q)
     # the modules always in the left part, then P_y' for the vertices y
-    candidates = [m.rep() for m in embeds] + [cosyz[x].rep() for x in q.vertices]
+    candidates = embeds + [cosyz[x] for x in q.vertices]
     n_always = len(candidates)
-    candidates += [pis[y].rep() for y in q.vertices]
+    candidates += [pis[y] for y in q.vertices]
     index = dim_index(candidates)
     pi_in_l: dict = {}
 
     def pbar_in_left_part(x) -> bool:
         # dependency runs along primed arrows, hence is acyclic
         if x not in pi_in_l:
-            rad, _ = ctx.radical(pis[x].rep())
+            rad, _ = ctx.radical(pis[x])
             mults, residual = ctx.try_decompose(rad, candidates, index)
             pi_in_l[x] = residual.is_zero() and all(
                 pbar_in_left_part(q.vertices[i - n_always]) for i, _ in mults if i >= n_always
@@ -182,12 +179,11 @@ def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
         tuple(range(n_embed, len(members))),
     )
     # structural invariants
-    member_reps = [m.rep() for m in lpc.members]
-    for i, m in enumerate(member_reps):
+    for i, m in enumerate(members):
         if ctx.pd(m) > 1:
             raise CatalogError(f"left-part member {i} has projective dimension > 1")
-        for j in range(i + 1, len(member_reps)):
-            if ctx.iso(m, member_reps[j]):
+        for j in range(i + 1, len(members)):
+            if ctx.iso(m, members[j]):
                 raise CatalogError("duplicate member")
     return lpc
 
@@ -197,7 +193,7 @@ def annotate_catalog(cat: DupCatalog, lpc: LeftPartCatalog) -> DupCatalog:
     in_l = []
     in_sigma = []
     sigma_set = set(lpc.sigma_indices)
-    for m in cat.modules:
+    for m in cat.entries:
         idx = lpc.member_index(m)
         in_l.append(idx is not None)
         in_sigma.append(idx in sigma_set if idx is not None else False)
@@ -225,13 +221,13 @@ def verify_ext_injectives(lpc: LeftPartCatalog) -> Report:
         ext_vanishes = all(cat.ext1_dim(l, k) == 0 for l in found)
         if ext_vanishes != (i in sigma_set):
             witnesses.append(
-                f"member {i} {m}: Ext-injective={ext_vanishes} but sigma={i in sigma_set}"
+                f"member {i} {dim_vectors(m)}: Ext-injective={ext_vanishes} but sigma={i in sigma_set}"
             )
         # injective members have no tau^{-1}
         leaves = cat.catalog.tau_inv_of.get(k) not in in_l
         if leaves != (i in sigma_set):
             witnesses.append(
-                f"member {i} {m}: tau-inverse outside L={leaves} but sigma={i in sigma_set}"
+                f"member {i} {dim_vectors(m)}: tau-inverse outside L={leaves} but sigma={i in sigma_set}"
             )
     return Report("ext-injectives-characterization", not witnesses, witnesses)
 
@@ -241,8 +237,8 @@ def definition_left_part_indices(cat: DupCatalog):
     closure of the nonzero-hom relation plus projective dimensions."""
     reach, pd_table = cat.reach, cat.pd_table
     out = []
-    for j in range(len(cat.modules)):
-        preds = [i for i in range(len(cat.modules)) if reach[i][j]]
+    for j in range(len(cat.entries)):
+        preds = [i for i in range(len(cat.entries)) if reach[i][j]]
         if all(pd_table[i] <= 1 for i in preds):
             out.append(j)
     return tuple(out)
@@ -255,9 +251,9 @@ def verify_left_part_definition(lpc: LeftPartCatalog, cat: DupCatalog) -> Report
     def_indices = set(definition_left_part_indices(cat))
     struct_indices = set()
     for m in lpc.members:
-        idx = cat.find_module(m)
+        idx = cat.catalog.find(m)
         if idx is None:
-            witnesses.append(f"structural member {m} missing from the catalog")
+            witnesses.append(f"structural member {dim_vectors(m)} missing from the catalog")
         else:
             struct_indices.add(idx)
     for j in sorted(def_indices - struct_indices):
@@ -275,11 +271,11 @@ def verify_sink_reachability(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
     reach = cat.reach
     pi_idx = {a: cat.catalog.entries.index(dup_category(q).proj[prime(a)]) for a in sinks}
     witnesses = []
-    for j, m in enumerate(cat.modules):
-        if m.y_part.is_zero():
+    for j, m in enumerate(cat.entries):
+        if not any(dim_vectors(m)[1]):
             continue
         if not any(reach[pi_idx[a]][j] for a in sinks):
-            witnesses.append(f"entry {j} {m} unreachable from any sink projective")
+            witnesses.append(f"entry {j} {dim_vectors(m)} unreachable from any sink projective")
     return Report("sink-reachability", not witnesses, witnesses)
 
 
@@ -405,7 +401,7 @@ def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
         # the hom table behind reach failed its certificate: the arrows or
         # links the paths were read from are wrong
         return Report("sectional-paths", False, sum(inside.values(), []) + [str(exc)])
-    n = len(cat.modules)
+    n = len(cat.entries)
     pd_table = cat.pd_table
     bad_pred = [any(reach[i][j] and pd_table[i] >= 2 for i in range(n)) for j in range(n)]
     for a, targets in by_sink.items():
@@ -440,5 +436,5 @@ def canonical_tilting(q: Quiver) -> CanonicalTilting:
     # sigma holds the session's own P_x' objects, so membership is identity
     v = [p for p in standard_dup_modules(q).projective_primed.values() if p not in u]
     summands = u + tuple(v)
-    verdict = is_tilting_module(list(summands))
+    verdict = is_tilting_module(q, list(summands))
     return CanonicalTilting(u, tuple(v), summands, verdict)

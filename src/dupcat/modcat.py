@@ -77,11 +77,12 @@ from .reps import Rep, RepMap, hom_basis, kernel, cokernel, structure_maps, sum_
 
 
 class CoverData(NamedTuple):
-    """Minimal projective cover: parts (vertex, lift vector), sum and map."""
+    """Minimal projective cover: parts (vertex, lift vector), sum and map.
+    p0 is the direct sum of the P_z of the parts in order, so at a vertex w
+    part i holds the rows past those of the parts before it."""
 
     parts: list  # [(vertex z, lift RMatrix column)]
     p0: Rep
-    projections: list  # p0 -> P_z, one per part
     q: RepMap  # p0 -> M, surjective
 
 
@@ -491,14 +492,14 @@ class ModuleCategory:
             q = reps.zero_map(p0, m)
             if not m.is_zero():
                 raise CatalogError("nonzero module with zero top")
-            return CoverData([], p0, [], q)
-        p0, projections = self._proj_sum(tuple(z for z, _ in parts))
+            return CoverData([], p0, q)
+        p0 = self._proj_sum(tuple(z for z, _ in parts))
         part_maps = [self.yoneda_map(z, m, vec) for z, vec in parts]
         mats = {v: RMatrix.hstack([pm.mats[v] for pm in part_maps]) for v in m.support}
         q = RepMap(p0, m, mats, check=False)
         if not q.is_surjective():
             raise CatalogError("projective cover not surjective")
-        return CoverData(parts, p0, projections, q)
+        return CoverData(parts, p0, q)
 
     def presentation(self, m: Rep) -> Presentation:
         """Minimal projective presentation of m, kept per content; its second
@@ -599,14 +600,9 @@ class ModuleCategory:
         return self.nak_data(m)[0]
 
     def _proj_sum(self, zs):
-        """(sum, projections) of the P_z for the vertex tuple ``zs``; built
-        once per tuple and shared."""
-        return self._kept(("sum", zs), self._build_proj_sum, zs)
-
-    def _build_proj_sum(self, zs):
-        parts = [self.proj[z] for z in zs]
-        p0 = sum_rep(parts)
-        return p0, structure_maps(parts, p0, project=True)
+        """The direct sum of the P_z for the vertex tuple ``zs``; built once
+        per tuple and shared."""
+        return self._kept(("sum", zs), lambda: sum_rep([self.proj[z] for z in zs]))
 
     def _nak_of_parts(self, parts):
         """nu(P_{z1} + ... + P_{zk}) assembled blockwise, with no structure
@@ -628,9 +624,10 @@ class ModuleCategory:
         """The kernel of nu(f1): nu(P1) -> nu(P0).
 
         By Yoneda a map P_w -> P_z is its value at the generator of P_w, so
-        the component P_wj -> P_zi of f1 is one vector x_ji in P_zi(w_j), the
-        image of the lift of the j-th part of P1's cover; and the Nakayama
-        basis map b: P_zi -> P_v composed with it has the coordinates
+        the component P_wj -> P_zi of f1 is one vector x_ji in P_zi(w_j): the
+        rows of part i (:class:`CoverData`) in the image of the lift of the
+        j-th part of P1's cover.  The Nakayama basis map b: P_zi -> P_v
+        composed with it has the coordinates
         E(w_j, v)^-1 (b at w_j) x_ji in the Nakayama basis of Hom(P_wj, P_v)
         (:meth:`_generator_values_inv`).
         """
@@ -644,7 +641,12 @@ class ModuleCategory:
         x = []
         for wj, lift in parts1:
             image = pres.incl.mats[wj] @ lift
-            x.append([proj.mats[wj] @ image for proj in pres.cover0.projections])
+            xj, o = [], 0
+            for zi, _ in parts0:
+                d = self.proj[zi].dims[wj]
+                xj.append(RMatrix._raw(image.data[o : o + d], d, 1))
+                o += d
+            x.append(xj)
         # the Nakayama bases of the P0 summands
         bases0 = [self.nak_data(self.proj[zi])[1] for zi, _ in parts0]
         mats = {}

@@ -329,9 +329,8 @@ def sum_rep(parts) -> Rep:
     return Rep(q, dims, mats)
 
 
-def structure_maps(parts, total: Rep, project: bool = False) -> list:
-    """The canonical injections of ``parts`` into their sum ``total``, or
-    with ``project`` the canonical projections of ``total`` onto them."""
+def structure_maps(parts, total: Rep) -> list:
+    """The canonical injections of ``parts`` into their sum ``total``."""
     maps = []
     offset = dict.fromkeys(total.quiver.vertices, 0)
     for p in parts:
@@ -342,9 +341,8 @@ def structure_maps(parts, total: Rep, project: bool = False) -> list:
             if d == n:
                 mats[v] = RMatrix.identity(d)
                 continue
-            inc = RMatrix.vstack([RMatrix.zeros(o, d), RMatrix.identity(d), RMatrix.zeros(n - o - d, d)])
-            mats[v] = inc.transpose() if project else inc
-        maps.append(RepMap(total, p, mats, check=False) if project else RepMap(p, total, mats, check=False))
+            mats[v] = RMatrix.vstack([RMatrix.zeros(o, d), RMatrix.identity(d), RMatrix.zeros(n - o - d, d)])
+        maps.append(RepMap(p, total, mats, check=False))
     return maps
 
 

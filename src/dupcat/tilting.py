@@ -35,8 +35,9 @@ class TiltingModuleRecord(NamedTuple):
         return self.free + self.forced
 
 
-def is_tilting_module(summands) -> TiltingVerdict:
-    """Check the tilting axioms for pairwise non-isomorphic indecomposables.
+def is_tilting_module(q: Quiver, summands) -> TiltingVerdict:
+    """Check the tilting axioms for pairwise non-isomorphic indecomposable
+    modules of the duplicated algebra of q.
 
     The summands are looked up in the knitted catalog of the duplicated
     algebra, whose ``pd_table`` gives their projective dimensions and whose
@@ -46,7 +47,6 @@ def is_tilting_module(summands) -> TiltingVerdict:
     failures = []
     if not summands:
         return TiltingVerdict(False, ["empty summand list"])
-    q = summands[0].base_quiver
     cat = knit_ind_dup(q)
     found = cat.indices(summands)
     n2 = 2 * len(q.vertices)
@@ -82,7 +82,7 @@ def enumerate_L_tilting(q: Quiver):
     lpc = left_part_catalog(q)
     candidates = sorted(
         lpc.non_proj_inj_members(),
-        key=lambda m: (m.total_dim(), m.dim_vectors()),
+        key=lambda m: (m.total_dim(), m.dim_vector()),  # the vector is X, then Y
     )
     forced = tuple(proj_primed(q, x) for x in q.vertices)
     n = len(q.vertices)
@@ -158,7 +158,7 @@ def verify_bijection(q: Quiver) -> BijectionReport:
     # position in the domain (an object outside it gets a position past it)
     projected = {}
     for m in dict.fromkeys(m for rec in records for m in rec.free):
-        o = pi_bar(m)
+        o = pi_bar(q, m)
         if (o.kind, o.key) not in position:
             position[o.kind, o.key] = len(objects)
             objects.append(o)

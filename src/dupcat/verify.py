@@ -11,7 +11,7 @@ from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
 from . import reps
 from .cluster import ext1_cluster_dim, fundamental_domain, pi_bar
-from .dup import dup_category, embed_A, knit_ind_dup, rep_to_triple, standard_dup_modules
+from .dup import dim_vectors, dup_category, embed_A, knit_ind_dup, standard_dup_modules
 from .hereditary import euler_form, knit_ind_A, path_category
 from .leftpart import (
     Report,
@@ -67,12 +67,11 @@ def check_cosyzygy_tau_identity(q: Quiver) -> Report:
     ctx = dup_category(q)
     projectives = standard_dup_modules(q).projective
     for x, rhs in session(q).cosyzygies.items():
-        lhs, _ = ctx.cosyzygy(projectives[x].rep())
+        lhs, _ = ctx.cosyzygy(projectives[x])
         # exact: the translate of an indecomposable is indecomposable
-        if not ctx.iso(lhs, rhs.rep()):
-            lhs = rep_to_triple(lhs, q)
+        if not ctx.iso(lhs, rhs):
             witnesses.append(
-                f"vertex {x}: cosyzygy {lhs.dim_vectors()} vs translate {rhs.dim_vectors()}"
+                f"vertex {x}: cosyzygy {dim_vectors(lhs)} vs translate {dim_vectors(rhs)}"
             )
     return Report("cosyzygy-translate-identity", not witnesses, witnesses)
 
@@ -89,7 +88,7 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
     base_ctx = path_category(q)
     sinks, _ = sinks_and_sources(q)
     for a in sinks:
-        ia = standard_dup_modules(q).embedded_injective[a].rep()
+        ia = standard_dup_modules(q).embedded_injective[a]
         pia = ctx.proj[prime(a)]
         # I_a / S_a computed in the base category, then embedded
         incl_candidates = base_ctx.hom(base_ctx.simple[a], base_ctx.inj[a])
@@ -97,7 +96,7 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
             raise CatalogError(
                 f"sink {a}: Hom(S_a, I_a) has dimension {len(incl_candidates)}, not 1"
             )
-        ia_mod_sa = embed_A(reps.cokernel(incl_candidates[0])[0]).rep()
+        ia_mod_sa = embed_A(reps.cokernel(incl_candidates[0])[0])
         soc, soc_incl = ctx.socle(pia)
         if soc.total_dim() != 1 or soc.dims.get(a, 0) != 1:
             witnesses.append(f"sink {a}: socle of the projective-injective is not simple at {a}")
@@ -142,14 +141,14 @@ def check_ext_symmetry_and_cross_model(q: Quiver, lpc) -> Report:
     dup_cat = knit_ind_dup(q)
     members = lpc.non_proj_inj_members()
     found = dup_cat.indices(members)
-    projected = [pi_bar(m) for m in members]
+    projected = [pi_bar(q, m) for m in members]
     for m, k, pm in zip(members, found, projected):
         for n, l, pn in zip(members, found, projected):
             lhs = ext1_cluster_dim(pm, pn) == 0
             rhs = dup_cat.ext1_dim(k, l) == 0 and dup_cat.ext1_dim(l, k) == 0
             if lhs != rhs:
                 witnesses.append(
-                    f"cross-model mismatch at {m.dim_vectors()} / {n.dim_vectors()}"
+                    f"cross-model mismatch at {dim_vectors(m)} / {dim_vectors(n)}"
                 )
     return Report("extension-symmetry-and-cross-model", not witnesses, witnesses)
 

@@ -7,12 +7,25 @@ presentation, from full Hom bases.
 
 ``rebuilt`` makes the tampered copies of catalogs that the tamper tests
 feed to the checks.
+
+The triple model is the other description of a module M over the
+duplicated algebra: its restrictions X and Y to the two copies of the base
+quiver and the map theta: nu(Y) -> X that the connecting arrows determine
+(``triple``); ``triple_to_rep`` goes back.  The library keeps only the
+representation and certifies it a module by Yoneda maps; solving for theta
+is the independent route the tests compare that certificate with.
 """
 
 import inspect
 
 from dupcat import reps
-from dupcat.linalg import RMatrix, rank
+from dupcat.dup import _dual_path_matrix
+from dupcat.errors import CatalogError
+from dupcat.hereditary import path_category
+from dupcat.linalg import RMatrix, nullspace_basis, rank, solve_matrix
+from dupcat.quiver import prime
+from dupcat.reps import Rep, RepMap
+from dupcat.session import session
 
 
 def rebuilt(obj, **changes):
@@ -45,3 +58,104 @@ def ext1_by_bases(cat, m, n) -> int:
     restricted = [h.compose(pres.incl).flatten() for h in reps.hom_basis(pres.cover0.p0, n)]
     width = len(hom_omega[0].flatten())
     return len(hom_omega) - rank(RMatrix([list(r) for r in restricted], len(restricted), width))
+
+
+def projections(parts, total):
+    """The canonical projections of the direct sum ``total`` onto its
+    ``parts``: the transposes of ``reps.structure_maps``."""
+    return [
+        RepMap(total, inj.source, {v: m.transpose() for v, m in inj.mats.items()}, check=False)
+        for inj in reps.structure_maps(parts, total)
+    ]
+
+
+# -- the triple model of the duplicated algebra --------------------------------
+
+
+def restrict(m: Rep, q, rename) -> Rep:
+    """The restriction of a module over the duplicated algebra of q to one
+    copy of q; ``rename`` gives a vertex or arrow of q its name there
+    (``str`` for X, ``prime`` for Y)."""
+    return Rep(
+        q,
+        {v: m.dims[rename(v)] for v in q.vertices},
+        {a.name: m.mats[rename(a.name)] for a in q.arrows},
+    )
+
+
+def theta(m: Rep, q) -> RepMap:
+    """theta: nu(Y) -> X, the unique solution of the joint linear system
+    given by its naturality squares and by matching the connecting-arrow
+    actions.  CatalogError when the system has no solution or more than
+    one, i.e. when m is not a module of the duplicated algebra of q."""
+    x, y = restrict(m, q, str), restrict(m, q, prime)
+    base_cat = path_category(q)
+    nu = base_cat.nakayama(y)
+    offsets = {}
+    total = 0
+    for v in q.vertices:
+        offsets[v] = total
+        total += x.dims[v] * nu.dims[v]
+
+    def var(v, i, j):
+        return offsets[v] + i * nu.dims[v] + j
+
+    rows, rhs = [], []
+    for a in q.arrows:
+        yv, xv = a.source, a.target
+        na, xa = nu.mats[a.name], x.mats[a.name]
+        for i in range(x.dims[xv]):
+            for j in range(nu.dims[yv]):
+                row = [0] * total
+                for k in range(nu.dims[xv]):
+                    row[var(xv, i, k)] += na.data[k][j]
+                for k in range(x.dims[yv]):
+                    row[var(yv, k, j)] -= xa.data[i][k]
+                rows.append(row)
+                rhs.append(0)
+    for name, _, tgt, mp in session(q).report.connecting:
+        b = _dual_path_matrix(base_cat, y, mp)
+        c = m.mats[name]
+        for i in range(x.dims[tgt]):
+            for j in range(y.dims[mp.end]):
+                row = [0] * total
+                for k in range(nu.dims[tgt]):
+                    row[var(tgt, i, k)] += b.data[k][j]
+                rows.append(row)
+                rhs.append(c.data[i][j])
+    system = RMatrix(rows, len(rows), total)
+    sol = solve_matrix(system, RMatrix.column(rhs))
+    if sol is None:
+        raise CatalogError("no compatible dual-bimodule action: not a module")
+    if nullspace_basis(system):
+        raise CatalogError("dual-bimodule action not unique")
+    mats = {
+        v: RMatrix(
+            [[sol.data[var(v, i, j)][0] for j in range(nu.dims[v])] for i in range(x.dims[v])],
+            x.dims[v],
+            nu.dims[v],
+        )
+        for v in q.vertices
+    }
+    return RepMap(nu, x, mats, check=False)
+
+
+def triple(m: Rep, q) -> tuple:
+    """(X, Y, theta) of a module over the duplicated algebra of q."""
+    return restrict(m, q, str), restrict(m, q, prime), theta(m, q)
+
+
+def triple_to_rep(x: Rep, y: Rep, th: RepMap) -> Rep:
+    """The duplicated-quiver representation of the triple (X, Y, theta)."""
+    q = x.quiver
+    report = session(q).report
+    base_cat = path_category(q)
+    if th.source.dim_vector() != base_cat.nakayama(y).dim_vector():
+        raise ValueError("theta must start at the canonical Nakayama image")
+    dims = {v: x.dims[v] for v in q.vertices}
+    dims.update({prime(v): y.dims[v] for v in q.vertices})
+    mats = {a.name: x.mats[a.name] for a in q.arrows}
+    mats.update({prime(a.name): y.mats[a.name] for a in q.arrows})
+    for name, _, tgt, mp in report.connecting:
+        mats[name] = th.mats[tgt] @ _dual_path_matrix(base_cat, y, mp)
+    return Rep(report.dup, dims, mats)

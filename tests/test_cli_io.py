@@ -1,11 +1,12 @@
 import json
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from dupcat import cli
+from dupcat import catalog_io, cli
 from dupcat.catalog_io import (
     catalog_from_dict,
     catalog_to_dict,
@@ -14,13 +15,16 @@ from dupcat.catalog_io import (
 )
 from dupcat.cli import RunConfig, main
 from dupcat.dot import ar_quiver_dot
-from dupcat.dup import knit_ind_dup
+from dupcat.dup import dim_vectors, dup_category, knit_ind_dup
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A
 from dupcat.leftpart import annotate_catalog, left_part_catalog
+from dupcat.quiver import parse_quiver
 from dupcat.reps import is_isomorphic
+from dupcat.session import session
 from dupcat.tilting import enumerate_L_tilting
+from oracles import theta
 
 
 def test_runconfig_validation():
@@ -244,9 +248,9 @@ def test_catalog_json_roundtrip_dup():
     assert back.in_sigma == cat.in_sigma
     for a, b in zip(cat.entries, back.entries):
         assert is_isomorphic(a, b)
-    # triples were rebuilt from the serialized representations
-    for a, b in zip(cat.modules, back.modules):
-        assert a.dim_vectors() == b.dim_vectors()
+    # the halves (X, Y) of every entry survive the round trip
+    for a, b in zip(cat.entries, back.entries):
+        assert dim_vectors(a) == dim_vectors(b)
 
 
 def _a2_dup_body():
@@ -303,33 +307,85 @@ def test_catalog_json_import_rejects_lists_that_do_not_fit_the_entries(misfit):
         catalog_from_dict(body)
 
 
+_NOT_A_MODULE = "entry 4 is not a module: at vertex 1', the square at arrow be does not commute"
+
 _LOAD_EXPECTING_CATALOG_ERROR = """
 import json, sys
 from dupcat.catalog_io import catalog_from_dict
 from dupcat.errors import CatalogError
 try:
     catalog_from_dict(json.loads(open(sys.argv[1], encoding="utf-8").read()))
-except CatalogError:
-    sys.exit(0)
+except CatalogError as exc:
+    sys.exit(0 if str(exc) == sys.argv[2] else 2)
 sys.exit(1)
 """
 
 
 def test_catalog_json_import_rejects_non_module(tmp_path, src_env):
-    """A connecting-arrow entry zeroed in a D4 export leaves no compatible
-    theta: the import raises CatalogError, also under python -O."""
+    """A connecting-arrow entry zeroed in a D4 export breaks a relation of
+    the duplicated algebra (no compatible theta exists either): the import
+    raises CatalogError naming the entry, the vertex and the arrow, also
+    under python -O."""
     body = json.loads(dumps(dup_catalog_to_dict(knit_ind_dup(d4_subspace()))))
-    assert len(catalog_from_dict(body).modules) == 36  # the untouched export loads
+    assert len(catalog_from_dict(body).entries) == 36  # the untouched export loads
     body["entries"][4]["matrices"]["D[al]"]["entries"][0][0] = "0"
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError, match=f"^{re.escape(_NOT_A_MODULE)}$"):
         catalog_from_dict(body)
     path = tmp_path / "tampered.json"
     path.write_text(dumps(body), encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _LOAD_EXPECTING_CATALOG_ERROR, str(path)],
+        [sys.executable, "-O", "-c", _LOAD_EXPECTING_CATALOG_ERROR, str(path), _NOT_A_MODULE],
         env=src_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _tampered_cells(fixture_dir, name, sample):
+    """(quiver, entry index, the entry with one matrix cell tampered) for
+    every cell of the duplicated-algebra export of fixture ``name``, or a
+    derandomized sample of ``sample`` of them: a nonzero cell becomes "0",
+    and "0" becomes "1"."""
+    q = parse_quiver((fixture_dir / f"{name}.quiver").read_text(encoding="utf-8"))
+    body = json.loads(dumps(dup_catalog_to_dict(knit_ind_dup(q))))
+    cells = [
+        (k, a, i, j)
+        for k, e in enumerate(body["entries"])
+        for a, m in e["matrices"].items()
+        for i, row in enumerate(m["entries"])
+        for j in range(len(row))
+    ]
+    if sample is not None:
+        cells = random.Random(0).sample(cells, sample)
+    for k, a, i, j in cells:
+        entry = json.loads(json.dumps(body["entries"][k]))
+        row = entry["matrices"][a]["entries"][i]
+        row[j] = "1" if row[j] == "0" else "0"
+        yield q, k, entry
+
+
+@pytest.mark.parametrize("name, sample, cases", [("d4", None, 66), ("e6", 400, 400)], ids=["D4", "E6"])
+def test_import_check_rejects_exactly_what_theta_rejects(fixture_dir, name, sample, cases):
+    """Tampered one matrix cell at a time, an entry fails the import's
+    Yoneda check exactly when the triple model's theta (the test oracle)
+    has no unique solution; some do, and the check names the entry."""
+    verdicts = []
+    for q, k, entry in _tampered_cells(fixture_dir, name, sample):
+        m = catalog_io._rep_from_json(session(q).report.dup, entry)
+        try:
+            catalog_io._certify_module(dup_category(q), k, m)
+            yoneda = True
+        except CatalogError as exc:
+            assert str(exc).startswith(f"entry {k} is not a module: at vertex ")
+            yoneda = False
+        try:
+            theta(m, q)
+            oracle = True
+        except CatalogError:
+            oracle = False
+        verdicts.append((yoneda, oracle))
+    assert len(verdicts) == cases
+    assert all(yoneda == oracle for yoneda, oracle in verdicts)
+    assert 0 < sum(not yoneda for yoneda, _ in verdicts) < cases
 
 
 def test_cli_verify_same_bytes_under_optimize(fixture_dir, tmp_path, src_env):

@@ -15,11 +15,11 @@ from dupcat.cluster import (
     shifted_projective,
 )
 from dupcat.dup import (
+    dim_vectors,
     dup_category,
     embed_A,
     knit_ind_dup,
     proj_primed,
-    rep_to_triple,
     standard_dup_modules,
 )
 from dupcat.errors import CatalogError, NotDynkinError, NotInDomainError
@@ -35,7 +35,7 @@ from dupcat.tilting import (
     is_tilting_module,
     verify_bijection,
 )
-from oracles import ext1_by_bases, hom_dim_by_rank
+from oracles import ext1_by_bases, hom_dim_by_rank, restrict
 
 
 def _find(q, rep):
@@ -46,35 +46,34 @@ def _find(q, rep):
 
 def test_pi_bar_a2():
     q = a_n(2)
-    z1 = rep_to_triple(dup_category(q).cosyzygy(embed_A(projective_rep(q, "1")).rep())[0], q)
-    assert pi_bar(z1) == shifted_projective(q, "1")
+    z1 = dup_category(q).cosyzygy(embed_A(projective_rep(q, "1")))[0]
+    assert pi_bar(q, z1) == shifted_projective(q, "1")
     p2 = embed_A(projective_rep(q, "2"))
-    assert pi_bar(p2) == _find(q, projective_rep(q, "2"))
+    assert pi_bar(q, p2) == _find(q, projective_rep(q, "2"))
     with pytest.raises(NotInDomainError):
-        pi_bar(proj_primed(q, "1"))
+        pi_bar(q, proj_primed(q, "1"))
 
 
-def _pi_bar_by_scan(m):
+def _pi_bar_by_scan(q, m):
     """The isomorphism-scan projection: the projective-injectives, then the
     embedded modules by a lookup in ind A, then the cosyzygies."""
-    q = m.base_quiver
     std = standard_dup_modules(q)
-    if any(is_isomorphic(m.rep(), p.rep()) for p in std.projective_primed.values()):
+    if any(is_isomorphic(m, p) for p in std.projective_primed.values()):
         raise NotInDomainError("projective-injectives vanish under projection")
-    if m.y_part.is_zero():
-        idx = knit_ind_A(q).find(m.x_part)
+    if not any(dim_vectors(m)[1]):
+        idx = knit_ind_A(q).find(restrict(m, q, str))
         if idx is None:
             raise NotInDomainError("not an indecomposable of the base category")
         return module_object(q, idx)
     for x, z in session(q).cosyzygies.items():
-        if is_isomorphic(m.rep(), z.rep()):
+        if is_isomorphic(m, z):
             return shifted_projective(q, x)
     raise NotInDomainError("module is not in the left part")
 
 
-def _outcome(project, m):
+def _outcome(project, q, m):
     try:
-        return project(m)
+        return project(q, m)
     except NotInDomainError:
         return NotInDomainError
 
@@ -85,7 +84,7 @@ def test_pi_bar_agrees_with_the_isomorphism_scan(make):
     duplicated algebra as the isomorphism scan does, or refuses it alike."""
     q = make()
     outcomes = [
-        (_outcome(pi_bar, m), _outcome(_pi_bar_by_scan, m)) for m in knit_ind_dup(q).modules
+        (_outcome(pi_bar, q, m), _outcome(_pi_bar_by_scan, q, m)) for m in knit_ind_dup(q).entries
     ]
     assert all(new == old for new, old in outcomes)
     assert {new for new, _ in outcomes} == set(fundamental_domain(q)) | {NotInDomainError}
@@ -95,9 +94,9 @@ def test_pi_bar_refuses_modules_outside_the_left_part():
     q = a_n(2)
     sum_simples = sum_rep([simple_rep(q, "1"), simple_rep(q, "2")])
     with pytest.raises(NotInDomainError, match="not in the left part"):
-        pi_bar(embed_A(sum_simples))
+        pi_bar(q, embed_A(sum_simples))
     with pytest.raises(NotInDomainError, match="not in the left part"):
-        pi_bar(standard_dup_modules(q).injective_primed["2"])
+        pi_bar(q, standard_dup_modules(q).injective_primed["2"])
 
 
 def test_fundamental_domain_count():
@@ -195,11 +194,11 @@ def test_is_tilting_module_examples_a2():
     p1 = embed_A(projective_rep(q, "1"))
     p2 = embed_A(projective_rep(q, "2"))
     s2 = embed_A(simple_rep(q, "2"))
-    z1 = rep_to_triple(dup_category(q).cosyzygy(p1.rep())[0], q)
+    z1 = dup_category(q).cosyzygy(p1)[0]
     pp1, pp2 = proj_primed(q, "1"), proj_primed(q, "2")
-    assert is_tilting_module([pp1, pp2, p1, p2]).passed
-    assert is_tilting_module([pp1, pp2, s2, z1]).passed
-    verdict = is_tilting_module([p1, p2, s2, z1])
+    assert is_tilting_module(q, [pp1, pp2, p1, p2]).passed
+    assert is_tilting_module(q, [pp1, pp2, s2, z1]).passed
+    verdict = is_tilting_module(q, [p1, p2, s2, z1])
     assert not verdict.passed
     assert any("Ext" in f for f in verdict.failures)
     assert any("projective-injective" in f for f in verdict.failures)
@@ -215,7 +214,7 @@ def test_pd_two_summand_fails_the_first_axiom_and_has_no_ext1():
     cat = knit_ind_dup(q)
     k = cat.pd_table.index(2)
     p1 = embed_A(projective_rep(q, "1"))
-    verdict = is_tilting_module([cat.modules[k], p1, proj_primed(q, "1"), proj_primed(q, "2")])
+    verdict = is_tilting_module(q, [cat.entries[k], p1, proj_primed(q, "1"), proj_primed(q, "2")])
     assert not verdict.passed
     assert "summand 0 has projective dimension 2" in verdict.failures
     assert not any(f.startswith("Ext^1(summand 0,") for f in verdict.failures)
@@ -228,10 +227,10 @@ def test_enumerate_l_tilting_pentagon():
     q = a_n(2)
     records = enumerate_L_tilting(q)
     assert len(records) == 5
-    images = {frozenset(pi_bar(m) for m in rec.free) for rec in records}
+    images = {frozenset(pi_bar(q, m) for m in rec.free) for rec in records}
     assert len(images) == 5
     for rec in records:
-        assert is_tilting_module(list(rec.summands)).passed
+        assert is_tilting_module(q, list(rec.summands)).passed
 
 
 def test_enumerate_l_tilting_a1():
@@ -269,7 +268,7 @@ def _bijection_by_frozensets(q):
     domain = {o: o for o in fundamental_domain(q)}
     witnesses, images = [], set()
     for rec in records:
-        img = frozenset(domain.get(o, o) for o in map(tilting.pi_bar, rec.free))
+        img = frozenset(domain.get(o, o) for o in (tilting.pi_bar(q, m) for m in rec.free))
         if len(img) != len(rec.free):
             witnesses.append(f"projection not injective on {rec.free}")
         if img in images:
@@ -293,9 +292,9 @@ def test_bijection_by_masks_equals_frozensets(monkeypatch, tamper):
     if tamper == "set dropped":
         monkeypatch.setattr(tilting, "enumerate_cluster_tilting", lambda q: side[:-1])
     if tamper == "outside the domain":
-        monkeypatch.setattr(tilting, "pi_bar", lambda m: shifted_projective(q, "9") if m is first else inner(m))
+        monkeypatch.setattr(tilting, "pi_bar", lambda q, m: shifted_projective(q, "9") if m is first else inner(q, m))
     if tamper == "one object":
-        monkeypatch.setattr(tilting, "pi_bar", lambda m: side[0][0])
+        monkeypatch.setattr(tilting, "pi_bar", lambda q, m: side[0][0])
     rep = verify_bijection(q)
     matched, right, witnesses = _bijection_by_frozensets(q)
     assert (rep.matched, rep.right_count, sorted(rep.witnesses)) == (matched, right, witnesses)
@@ -379,11 +378,10 @@ def test_both_enumerations_match_backtracking(q):
     assert enumerate_cluster_tilting(q) == want
     candidates = sorted(
         left_part_catalog(q).non_proj_inj_members(),
-        key=lambda m: (m.total_dim(), m.dim_vectors()),
+        key=lambda m: (m.total_dim(), dim_vectors(m)),
     )
     ctx = dup_category(q)
-    cand = [m.rep() for m in candidates]
-    table = [[ext1_by_bases(ctx, a, b) == 0 == ext1_by_bases(ctx, b, a) for b in cand] for a in cand]
+    table = [[ext1_by_bases(ctx, a, b) == 0 == ext1_by_bases(ctx, b, a) for b in candidates] for a in candidates]
     want = [tuple(candidates[i] for i in c) for c in _backtrack_cliques(table, n)]
     assert [r.free for r in enumerate_L_tilting(q)] == want
     assert len(want) == expected_count(classify_dynkin(q))

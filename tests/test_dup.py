@@ -5,14 +5,13 @@ import pytest
 
 from dupcat import dup, modcat, session
 from dupcat.dup import (
+    dim_vectors,
     dup_category,
     embed_A,
     junction_composite_pattern,
     knit_ind_dup,
     proj_primed,
-    rep_to_triple,
     standard_dup_modules,
-    triple_to_rep,
 )
 from dupcat.errors import CapExceededError, CatalogError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
@@ -24,33 +23,34 @@ from dupcat.hereditary import (
     simple_rep,
 )
 from dupcat.leftpart import left_part_catalog
+from dupcat.linalg import RMatrix
 from dupcat.quiver import Quiver, prime
 from dupcat.reps import is_isomorphic, sum_rep
 from dupcat.verify import run_all_checks
-from oracles import ext1_by_bases, hom_dim_by_rank
+from oracles import ext1_by_bases, hom_dim_by_rank, triple, triple_to_rep
 
 
 def test_standard_dup_dimensions_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
     p1p = std.projective_primed["1"]
-    assert p1p.x_part.dim_vector() == (1, 1)  # X = I_1
-    assert p1p.y_part.dim_vector() == (1, 0)  # Y = P_1
+    assert dim_vectors(p1p)[0] == (1, 1)  # X = I_1
+    assert dim_vectors(p1p)[1] == (1, 0)  # Y = P_1
     p2 = std.projective["2"]
-    assert p2.y_part.is_zero()
+    assert not any(dim_vectors(p2)[1])
     # triple model soundness: dims of P_x' match I_x on the base and P_x primed
     for quiver in (q, d4_subspace(), a_n(3, "zigzag")):
         for x in quiver.vertices:
             pp = proj_primed(quiver, x)
-            assert pp.x_part.dim_vector() == injective_rep(quiver, x).dim_vector()
-            assert pp.y_part.dim_vector() == projective_rep(quiver, x).dim_vector()
+            assert dim_vectors(pp)[0] == injective_rep(quiver, x).dim_vector()
+            assert dim_vectors(pp)[1] == projective_rep(quiver, x).dim_vector()
 
 
 def test_dup_a1_is_a2_path_algebra():
     q = a_n(1)
     p = proj_primed(q, "1")
     assert p.total_dim() == 2
-    r = p.rep()
+    r = p
     assert r.dims["1"] == 1 and r.dims["1'"] == 1
     # the unique connecting arrow acts invertibly on the projective-injective
     conn = [a for a in r.quiver.arrows if a.source == "1'"][0]
@@ -61,10 +61,10 @@ def test_hom_dims_dup_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
     cat = dup_category(q)
-    p1 = embed_A(projective_rep(q, "1")).rep()
-    pp1 = std.projective_primed["1"].rep()
+    p1 = embed_A(projective_rep(q, "1"))
+    pp1 = std.projective_primed["1"]
     assert hom_dim_by_rank(p1, pp1) == 1
-    assert hom_dim_by_rank(std.simple_primed["1"].rep(), p1) == 0
+    assert hom_dim_by_rank(std.simple_primed["1"], p1) == 0
     assert hom_dim_by_rank(pp1, pp1) == 1
 
 
@@ -74,26 +74,26 @@ def test_embedding_fullness_and_tau_commutation():
         for m in cat_a.entries:
             for n in cat_a.entries:
                 assert hom_dim_by_rank(m, n) == hom_dim_by_rank(
-                    embed_A(m).rep(), embed_A(n).rep()
+                    embed_A(m), embed_A(n)
                 )
     q = a_n(2)
     s2 = simple_rep(q, "2")
-    tau = dup_category(q).tau(embed_A(s2).rep())
-    assert is_isomorphic(tau, embed_A(projective_rep(q, "1")).rep())
+    tau = dup_category(q).tau(embed_A(s2))
+    assert is_isomorphic(tau, embed_A(projective_rep(q, "1")))
 
 
 def test_structure_of_proj_primed():
     q = a_n(2)
     std = standard_dup_modules(q)
     cat = dup_category(q)
-    pp1 = std.projective_primed["1"].rep()
+    pp1 = std.projective_primed["1"]
     # radical of P_1' is the embedded I_1 = P_2
-    assert is_isomorphic(cat.radical(pp1)[0], embed_A(projective_rep(q, "2")).rep())
-    assert is_isomorphic(cat.top(pp1)[0], std.simple_primed["1"].rep())
-    assert is_isomorphic(cat.socle(pp1)[0], std.simple["1"].rep())
-    assert is_isomorphic(cat.socle(std.projective_primed["2"].rep())[0], std.simple["2"].rep())
+    assert is_isomorphic(cat.radical(pp1)[0], embed_A(projective_rep(q, "2")))
+    assert is_isomorphic(cat.top(pp1)[0], std.simple_primed["1"])
+    assert is_isomorphic(cat.socle(pp1)[0], std.simple["1"])
+    assert is_isomorphic(cat.socle(std.projective_primed["2"])[0], std.simple["2"])
     # simples are their own top and socle
-    sbar = std.simple["2"].rep()
+    sbar = std.simple["2"]
     assert is_isomorphic(cat.top(sbar)[0], sbar) and is_isomorphic(cat.socle(sbar)[0], sbar)
 
 
@@ -101,12 +101,12 @@ def test_covers_and_envelopes_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
     cat = dup_category(q)
-    _, envelope, _ = cat.envelope(embed_A(projective_rep(q, "1")).rep())
-    assert is_isomorphic(envelope, std.projective_primed["1"].rep())
-    cover = cat.cover(std.simple_primed["1"].rep())
-    assert is_isomorphic(cover.p0, std.projective_primed["1"].rep())
-    cover = cat.cover(std.projective_primed["2"].rep())
-    assert is_isomorphic(cover.p0, std.projective_primed["2"].rep())
+    _, envelope, _ = cat.envelope(embed_A(projective_rep(q, "1")))
+    assert is_isomorphic(envelope, std.projective_primed["1"])
+    cover = cat.cover(std.simple_primed["1"])
+    assert is_isomorphic(cover.p0, std.projective_primed["1"])
+    cover = cat.cover(std.projective_primed["2"])
+    assert is_isomorphic(cover.p0, std.projective_primed["2"])
 
 
 def _syzygy(cat, m):
@@ -118,12 +118,12 @@ def test_syzygies_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
     cat = dup_category(q)
-    z1 = rep_to_triple(cat.cosyzygy(embed_A(projective_rep(q, "1")).rep())[0], q)
-    assert z1.x_part.dim_vector() == (0, 1)
-    assert z1.y_part.dim_vector() == (1, 0)
-    s1p, _ = cat.cosyzygy(embed_A(projective_rep(q, "2")).rep())
-    assert is_isomorphic(s1p, std.simple_primed["1"].rep())
-    om, _ = _syzygy(cat, std.projective["1"].rep())
+    z1 = cat.cosyzygy(embed_A(projective_rep(q, "1")))[0]
+    assert dim_vectors(z1)[0] == (0, 1)
+    assert dim_vectors(z1)[1] == (1, 0)
+    s1p, _ = cat.cosyzygy(embed_A(projective_rep(q, "2")))
+    assert is_isomorphic(s1p, std.simple_primed["1"])
+    om, _ = _syzygy(cat, std.projective["1"])
     assert om.is_zero()
 
 
@@ -131,16 +131,16 @@ def test_tau_dup_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
     cat = dup_category(q)
-    i1 = embed_A(injective_rep(q, "1")).rep()
-    z1 = rep_to_triple(cat.tau_inv(i1), q)
-    assert z1.x_part.dim_vector() == (0, 1) and z1.y_part.dim_vector() == (1, 0)
+    i1 = embed_A(injective_rep(q, "1"))
+    z1 = cat.tau_inv(i1)
+    assert dim_vectors(z1) == ((0, 1), (1, 0))
     # inverse pair and agreement with the cosyzygy route
-    back = cat.tau(z1.rep())
+    back = cat.tau(z1)
     assert is_isomorphic(back, i1)
-    om_inv, _ = cat.cosyzygy(embed_A(projective_rep(q, "1")).rep())
-    assert is_isomorphic(z1.rep(), om_inv)
+    om_inv, _ = cat.cosyzygy(embed_A(projective_rep(q, "1")))
+    assert is_isomorphic(z1, om_inv)
     # projective-injectives have neither translate
-    pp1 = std.projective_primed["1"].rep()
+    pp1 = std.projective_primed["1"]
     assert cat.tau(pp1) is None and cat.tau_inv(pp1) is None
 
 
@@ -148,23 +148,23 @@ def test_ext_dup_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
     cat = dup_category(q)
-    s2 = embed_A(simple_rep(q, "2")).rep()
-    p1 = embed_A(projective_rep(q, "1")).rep()
+    s2 = embed_A(simple_rep(q, "2"))
+    p1 = embed_A(projective_rep(q, "1"))
     assert ext1_by_bases(cat, s2, p1) == 1
     z1, _ = cat.cosyzygy(p1)
     assert ext1_by_bases(cat, s2, z1) == 0
     for x in q.vertices:
-        assert ext1_by_bases(cat, std.projective_primed[x].rep(), s2) == 0
+        assert ext1_by_bases(cat, std.projective_primed[x], s2) == 0
 
 
 def test_pd_dup_a2():
     q = a_n(2)
     std = standard_dup_modules(q)
     cat = dup_category(q)
-    assert cat.pd(std.projective["1"].rep()) == 0
-    assert cat.pd(std.projective_primed["2"].rep()) == 0
-    assert cat.pd(std.simple_primed["1"].rep()) == 1
-    assert cat.pd(std.simple_primed["2"].rep()) == 2
+    assert cat.pd(std.projective["1"]) == 0
+    assert cat.pd(std.projective_primed["2"]) == 0
+    assert cat.pd(std.simple_primed["1"]) == 1
+    assert cat.pd(std.simple_primed["2"]) == 2
 
 
 def test_pd_cap_is_the_dimension_of_the_duplicated_algebra():
@@ -183,7 +183,7 @@ def test_knit_dup_counts():
     assert sum(cat.proj_injective) == 2
     assert sum(cat.in_ind_A) == 3
     # partition: |ind A| embedded + |ind A'| primed-only + rest
-    primed_only = sum(1 for m in cat.modules if m.x_part.is_zero())
+    primed_only = sum(1 for m in cat.entries if not any(dim_vectors(m)[0]))
     glued = len(cat.entries) - sum(cat.in_ind_A) - primed_only
     assert (sum(cat.in_ind_A), primed_only, glued) == (3, 3, 3)
     # of the glued ones, 2 are the projective-injectives, 1 is new
@@ -218,31 +218,33 @@ def test_a2_long_path_vanishes():
     assert not _path_action_vanishes(q, ("D[a2]", "a2"), prime("1"))
 
 
-def _assert_triple_rebuilds(m):
-    """triple_to_rep(X, Y, theta) reproduces every arrow action of m."""
-    again = triple_to_rep(m.x_part, m.y_part, m.theta)
-    rep = m.rep()
-    assert again.dims == rep.dims
-    for a in rep.quiver.arrows:
-        assert again.mats[a.name].data == rep.mats[a.name].data, a.name
+def _assert_triple_rebuilds(m, q):
+    """The oracle's triple_to_rep(X, Y, theta) reproduces every arrow
+    action of m."""
+    again = triple_to_rep(*triple(m, q))
+    assert again.dims == m.dims
+    for a in m.quiver.arrows:
+        assert again.mats[a.name].data == m.mats[a.name].data, a.name
 
 
 def test_rep_to_triple_roundtrip():
+    """The standard modules and every knitted D4 entry are modules in the
+    triple model too: the oracle's theta exists, is unique, and rebuilds
+    the connecting-arrow actions entry by entry."""
     q = a_n(2)
     std = standard_dup_modules(q)
     for m in [std.projective_primed["1"], std.projective_primed["2"],
               std.projective["2"], std.injective_primed["1"]]:
-        again = rep_to_triple(m.rep(), q)
-        assert is_isomorphic(m.rep(), again.rep())
-        assert again.rep().dim_vector() == m.rep().dim_vector()
-        _assert_triple_rebuilds(again)
-    # every knitted D4 module is a view on its catalog entry, and its derived
-    # triple rebuilds the connecting-arrow actions entry by entry
-    cat = knit_ind_dup(d4_subspace())
-    assert len(cat.modules) == 36
-    for m, entry in zip(cat.modules, cat.catalog.entries):
-        assert m.rep() is entry
-        _assert_triple_rebuilds(m)
+        _assert_triple_rebuilds(m, q)
+    # P_x' is (nu P_x, P_x, id)
+    for x in q.vertices:
+        th = triple(std.projective_primed[x], q)[2]
+        assert all(th.mats[v] == RMatrix.identity(th.mats[v].rows) for v in q.vertices)
+    q = d4_subspace()
+    cat = knit_ind_dup(q)
+    assert len(cat.entries) == 36
+    for m in cat.entries:
+        _assert_triple_rebuilds(m, q)
 
 
 def test_embed_A_is_shared_per_module():
@@ -265,8 +267,8 @@ def test_exact_isomorphism_when_one_side_is_indecomposable():
     p2 = projective_rep(q, "2")
     assert summed.dim_vector() == p2.dim_vector()
     for m, n in ((summed, p2), (p2, summed)):
-        assert not is_isomorphic(embed_A(m).rep(), embed_A(n).rep())
-    assert is_isomorphic(embed_A(p2).rep(), embed_A(injective_rep(q, "1")).rep())
+        assert not is_isomorphic(embed_A(m), embed_A(n))
+    assert is_isomorphic(embed_A(p2), embed_A(injective_rep(q, "1")))
 
 
 _BAD_DUP_PROJECTIVE = """
@@ -279,10 +281,7 @@ inner = dup.build_standard_dup_modules
 
 def doubled(q):
     std = inner(q)
-    twice = {
-        x: dup.rep_to_triple(reps.sum_rep([m.rep()] * 2), q)
-        for x, m in std.projective.items()
-    }
+    twice = {x: reps.sum_rep([m] * 2) for x, m in std.projective.items()}
     return std._replace(projective=twice)
 
 
@@ -302,10 +301,7 @@ def test_dup_category_rejects_a_projective_without_simple_top(monkeypatch, src_e
 
     def doubled(q):
         std = inner(q)
-        twice = {
-            x: rep_to_triple(sum_rep([m.rep()] * 2), q)
-            for x, m in std.projective.items()
-        }
+        twice = {x: sum_rep([m] * 2) for x, m in std.projective.items()}
         return std._replace(projective=twice)
 
     monkeypatch.setattr(session, "_sessions", {})
@@ -384,7 +380,7 @@ raise SystemExit(1)
 
 
 @pytest.mark.parametrize(
-    "rename, rename_source", [(dup._unprimed, "dup._unprimed"), (prime, "prime")], ids=["unprimed", "primed"]
+    "rename, rename_source", [(str, "str"), (prime, "prime")], ids=["unprimed", "primed"]
 )
 def test_wrong_copy_in_the_table_fails_its_sequence(monkeypatch, src_env, rename, rename_source):
     """With the table claiming tau^{-1} of the copy of P_1 of D4 to be the

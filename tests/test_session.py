@@ -4,7 +4,7 @@ import sys
 
 from dupcat import session
 from dupcat.cluster import pi_bar, shifted_projective
-from dupcat.dup import dup_category, proj_primed, rep_to_triple, standard_dup_modules
+from dupcat.dup import dup_category, embed_A, proj_primed, standard_dup_modules
 from dupcat.fixtures import d4_subspace
 from dupcat.hereditary import path_category
 from dupcat.leftpart import left_part_catalog
@@ -68,25 +68,27 @@ def test_cosyzygies_are_computed_once(monkeypatch):
     assert all(c.passed for c in run_all_checks(q))
     cat = dup_category(q)
     for i in standard_dup_modules(q).embedded_injective.values():
-        assert sum(1 for c, m in calls if c is cat and m is i.rep()) == 1
+        assert sum(1 for c, m in calls if c is cat and m is i) == 1
 
 
 def test_proj_primed_is_the_category_projective():
     q = d4_subspace()
     for x in q.vertices:
         assert proj_primed(q, x) is proj_primed(q, x)
-        assert proj_primed(q, x).rep() is dup_category(q).proj[prime(x)]
+        assert proj_primed(q, x) is dup_category(q).proj[prime(x)]
 
 
 def test_standard_reps_are_the_category_modules():
     """The embedded standard modules of the duplicated algebra are built on
-    the path category's own modules."""
+    the path category's own modules: each is the one ``embed_A`` keeps for
+    that very module, and holds its arrow matrices."""
     q = d4_subspace()
     std, cat = standard_dup_modules(q), path_category(q)
     for x in q.vertices:
-        assert std.embedded_injective[x].x_part is cat.inj[x]
-        assert std.projective[x].x_part is cat.proj[x]
-        assert std.simple[x].x_part is cat.simple[x]
+        for m, base in ((std.embedded_injective[x], cat.inj[x]), (std.projective[x], cat.proj[x]),
+                        (std.simple[x], cat.simple[x])):
+            assert m is embed_A(base)
+            assert all(m.mats[a.name] is base.mats[a.name] for a in q.arrows)
 
 
 def test_pi_bar_compares_against_the_left_part_cosyzygy():
@@ -97,7 +99,6 @@ def test_pi_bar_compares_against_the_left_part_cosyzygy():
     lpc = left_part_catalog(q)
     for x, i in lpc.cosyzygy_by_vertex.items():
         member = lpc.members[i]
-        r = member.rep()
-        copy = rep_to_triple(Rep(r.quiver, r.dims, dict(r.mats)), q)
+        copy = Rep(member.quiver, member.dims, dict(member.mats))
         assert lpc.member_index(member) == lpc.member_index(copy) == i
-        assert pi_bar(member) == pi_bar(copy) == shifted_projective(q, x)
+        assert pi_bar(q, member) == pi_bar(q, copy) == shifted_projective(q, x)

@@ -33,7 +33,7 @@ SRC = ROOT / "src" / "dupcat"
 # name -> (file, text of the line that uses it)
 NO_CALLER_IN_SRC = {
     "linalg.rref": ("README.md", "integer Gauss–Jordan for rref"),
-    "ModuleCategory.top": ("demos/03_duplicated_modules.py", "cat.top(pp.rep())"),
+    "ModuleCategory.top": ("demos/03_duplicated_modules.py", "cat.top(pp)"),
     "DupQuiverReport.connecting_pairs": ("demos/01_quivers_and_duplication.py", "rep.connecting_pairs()"),
     "catalog_io.catalog_from_dict": ("demos/06_dot_and_json_export.py", "catalog_from_dict(json.loads(dumps(payload)))"),
 }

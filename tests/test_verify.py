@@ -32,7 +32,7 @@ def _hom_reach(modules):
     reach = [[i == j for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if i != j and hom_dim_by_rank(modules[i].rep(), modules[j].rep()) > 0:
+            if i != j and hom_dim_by_rank(modules[i], modules[j]) > 0:
                 reach[i][j] = True
     for k in range(n):
         for i in range(n):
@@ -76,7 +76,7 @@ def _sectional_check_by_enumeration(lpc, cat) -> Report:
     witness per non-sectional path into the left part."""
     if cat.in_L is None:
         annotate_catalog(cat, lpc)
-    reach, pd_table = _hom_reach(list(cat.modules)), cat.pd_table
+    reach, pd_table = _hom_reach(list(cat.entries)), cat.pd_table
     witnesses = []
     for a, start in _sink_starts(cat).items():
         targets = set()
@@ -85,10 +85,10 @@ def _sectional_check_by_enumeration(lpc, cat) -> Report:
                 targets.add(path[-1])
                 if cat.in_L[path[-1]]:
                     witnesses.append(f"non-sectional path {path} from sink {a} ends inside the left part")
-        for j in range(len(cat.modules)):
+        for j in range(len(cat.entries)):
             if cat.in_L[j] or not reach[start][j] or j in targets:
                 continue
-            if not any(reach[i][j] and pd_table[i] >= 2 for i in range(len(cat.modules))):
+            if not any(reach[i][j] and pd_table[i] >= 2 for i in range(len(cat.entries))):
                 witnesses.append(
                     f"entry {j} outside the left part lacks a non-sectional path "
                     f"from sink {a} and a pd>=2 predecessor"
@@ -175,7 +175,7 @@ def test_table_reach_equals_full_hom_closure(quiver):
     """Reachability read off the hom table equals the closure of one Hom
     solve per ordered pair."""
     cat = knit_ind_dup(quiver())
-    assert cat.reach == _hom_reach(list(cat.modules))
+    assert cat.reach == _hom_reach(list(cat.entries))
 
 
 def test_reach_solves_no_hom_system(monkeypatch):
@@ -530,11 +530,11 @@ def test_four_way_sigma_equivalence_pointwise():
         lpc = left_part_catalog(q)
         cat = annotate_catalog(knit_ind_dup(q), lpc)
         sinks, _ = sinks_and_sources(q)
-        reach = _hom_reach(list(cat.modules))
+        reach = _hom_reach(list(cat.entries))
         starts = _sink_starts(cat)
         tau_of = cat.catalog.tau_of
         all_paths = {a: list(_ar_paths(cat, s)) for a, s in starts.items()}
-        for i in range(len(cat.modules)):
+        for i in range(len(cat.entries)):
             a_flag = cat.in_sigma[i]
             b_flag = cat.in_L[i] and not cat.in_ind_A[i]
             c_flag = cat.in_L[i] and any(reach[s][i] for s in starts.values())
@@ -592,9 +592,9 @@ def test_each_member_projected_at_most_twice(monkeypatch):
     def counting(module, name):
         inner = getattr(module, name)
 
-        def wrapper(m):
+        def wrapper(q, m):
             calls.append(m)
-            return inner(m)
+            return inner(q, m)
 
         monkeypatch.setattr(module, name, wrapper)
 
