@@ -3,7 +3,7 @@
 Matrices are serialized entry-wise as exact rational strings ("p/q"), so a
 round trip reproduces every structure map on the nose.  An imported entry
 of the duplicated kind is certified to be a module of the duplicated
-algebra (:func:`_certify_module`).
+algebra (:func:`_certify_module`), and its flags are checked against it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .dup import DupCatalog, dup_category
+from .dup import DupCatalog, dup_category, entry_flags
 from .errors import CatalogError
 from .hereditary import path_category
 from .linalg import RMatrix
@@ -144,8 +144,9 @@ def _certify_module(cat: ModuleCategory, k: int, m: Rep) -> None:
 
 def catalog_from_dict(body: dict):
     """Rebuild a catalog.  For the duplicated kind every entry is certified
-    a module (:func:`_certify_module`), so a body that is not one raises
-    CatalogError."""
+    a module (:func:`_certify_module`) and the flags ``proj_injective`` and
+    ``in_ind_A`` must be those the body gives (``dup.entry_flags``); a body
+    that fails raises CatalogError naming the entry."""
     base = _quiver_from_json(body["quiver"])
     if body["kind"] == "hereditary":
         return _ar_catalog_from_body(path_category(base), base, body)
@@ -159,6 +160,10 @@ def catalog_from_dict(body: dict):
     }
     for k, e in enumerate(ar.entries):
         _certify_module(ar.category, k, e)
+    for name, body_says in zip(("proj_injective", "in_ind_A"), entry_flags(ar)):
+        k = next((k for k, (a, b) in enumerate(zip(flags[name], body_says)) if a != b), None)
+        if k is not None:
+            raise CatalogError(f"entry {k}: flags.{name} is {flags[name][k]}, but its body says {body_says[k]}")
     return DupCatalog(
         base,
         ar,

@@ -246,17 +246,18 @@ class DupCatalog:
 
     @cached_property
     def pd_table(self):
-        """Projective dimension of every entry."""
+        """For every entry, whether its projective dimension is <= 1
+        (``ModuleCategory.pd_at_most_one``)."""
         ctx = dup_category(self.base)
-        return tuple(ctx.pd(e) for e in self.entries)
+        return tuple(ctx.pd_at_most_one(e) for e in self.entries)
 
     def ext1_dim(self, i: int, j: int) -> int:
         """dim Ext^1(entry i, entry j) by the AR formula from the hom table
-        (``ARCatalog.ext1_by_tau``); CatalogError when ``pd_table`` gives
-        entry i projective dimension > 1, where the formula needs the maps
-        through injectives."""
-        pd = self.pd_table[i]
-        if pd > 1:
+        (``ARCatalog.ext1_by_tau``); CatalogError, with the exact projective
+        dimension, when ``pd_table`` says entry i has pd > 1, where the
+        formula needs the maps through injectives."""
+        if not self.pd_table[i]:
+            pd = dup_category(self.base).pd(self.entries[i])
             raise CatalogError(f"Ext^1 from entry {i}: its projective dimension is {pd}, not <= 1")
         return self.catalog.ext1_by_tau(i, j)
 
@@ -292,11 +293,13 @@ def knit_ind_dup(q: Quiver, cap: int = 10000) -> DupCatalog:
 def build_dup_catalog(q: Quiver) -> DupCatalog:
     # knit_ind_dup has knitted under its cap; this reads the kept knit
     ar = dup_category(q).knit(math.inf)
-    proj_inj = tuple(
-        p and i for p, i in zip(ar.projective, ar.injective)
-    )
-    in_a = tuple(not any(dim_vectors(e)[1]) for e in ar.entries)
-    return DupCatalog(q, ar, proj_inj, in_a)
+    return DupCatalog(q, ar, *entry_flags(ar))
+
+
+def entry_flags(ar: ARCatalog) -> tuple:
+    """(proj_injective, in_ind_A) of a catalog of the duplicated algebra."""
+    proj_inj = tuple(p and i for p, i in zip(ar.projective, ar.injective))
+    return proj_inj, tuple(not any(dim_vectors(e)[1]) for e in ar.entries)
 
 
 # -- junction diagnostics -------------------------------------------------------

@@ -180,7 +180,7 @@ def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
     )
     # structural invariants
     for i, m in enumerate(members):
-        if ctx.pd(m) > 1:
+        if not ctx.pd_at_most_one(m):
             raise CatalogError(f"left-part member {i} has projective dimension > 1")
         for j in range(i + 1, len(members)):
             if ctx.iso(m, members[j]):
@@ -234,12 +234,12 @@ def verify_ext_injectives(lpc: LeftPartCatalog) -> Report:
 
 def definition_left_part_indices(cat: DupCatalog):
     """First-principles left part inside a knitted catalog: predecessor
-    closure of the nonzero-hom relation plus projective dimensions."""
+    closure of the nonzero-hom relation plus the pd <= 1 flags."""
     reach, pd_table = cat.reach, cat.pd_table
     out = []
     for j in range(len(cat.entries)):
         preds = [i for i in range(len(cat.entries)) if reach[i][j]]
-        if all(pd_table[i] <= 1 for i in preds):
+        if all(pd_table[i] for i in preds):
             out.append(j)
     return tuple(out)
 
@@ -284,19 +284,19 @@ def verify_pd_criterion(cat: DupCatalog) -> Report:
 
     tau M is read from the knit's links, which the almost split sequences
     certify, and dim Hom(I, tau M) from the catalog's hom table, summed over
-    the injective entries (each indecomposable injective once); the
-    projective dimensions come from presentations, with no Hom system."""
+    the injective entries (each indecomposable injective once); pd <= 1 is
+    read off the first syzygy inside its projective cover, with no Hom
+    system, and the exact pd is computed only for a witness."""
     ar = cat.catalog
     table = ar.hom_table
     injectives = [k for k, flag in enumerate(ar.injective) if flag]
     witnesses = []
-    for i, pd in enumerate(cat.pd_table):
+    for i, at_most_one in enumerate(cat.pd_table):
         t = ar.tau_of.get(i)
         hom_from_inj = 0 if t is None else sum(table[k][t] for k in injectives)
-        if (pd <= 1) != (hom_from_inj == 0):
-            witnesses.append(
-                f"entry {i}: pd={pd} but Hom(injectives, tau)={hom_from_inj}"
-            )
+        if at_most_one != (hom_from_inj == 0):
+            pd = dup_category(cat.base).pd(cat.entries[i])
+            witnesses.append(f"entry {i}: pd={pd} but Hom(injectives, tau)={hom_from_inj}")
     return Report("projective-dimension-criterion", not witnesses, witnesses)
 
 
@@ -403,7 +403,7 @@ def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
         return Report("sectional-paths", False, sum(inside.values(), []) + [str(exc)])
     n = len(cat.entries)
     pd_table = cat.pd_table
-    bad_pred = [any(reach[i][j] and pd_table[i] >= 2 for i in range(n)) for j in range(n)]
+    bad_pred = [any(reach[i][j] and not pd_table[i] for i in range(n)) for j in range(n)]
     for a, targets in by_sink.items():
         start = starts[a]
         witnesses += inside[a]

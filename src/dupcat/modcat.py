@@ -17,16 +17,16 @@ generic:
 * projective covers lift a basis of the top through Yoneda evaluation at the
   generator: a per-vertex frame of arrow paths from the generator, built once,
   gives the map P_z -> N with generator |-> v without a Hom solve;
-  injective envelopes extend the socle, syzygies and cosyzygies are their
-  kernels/cokernels;
+  injective envelopes extend the socle, and cosyzygies are their cokernels;
+  the first syzygy is read inside its cover P0, never built as a module;
 * the direct sum of a list of projectives (or of their Nakayama images) is
   built once per category;
 * the Nakayama functor is D Hom(-, A), realized on one module at a time via
   bases of Hom(M, P_z); for a projective P_x they are read by Yoneda at the
   generator, with no Hom system; the AR translate tau M is the kernel of its
-  action on a minimal projective presentation, whose components between
-  indecomposable projectives are read, by Yoneda, as their values at the
-  generators;
+  action on a minimal projective presentation, whose components are the
+  columns of the top of Omega M in P0 (their values at the generators), and
+  pd M <= 1 exactly when that Omega M is projective;
 * tau^{-1} is computed by duality through the opposite category and kept
   per content;
 * the AR quiver of a representation-finite category is knitted as the
@@ -87,10 +87,13 @@ class CoverData(NamedTuple):
 
 
 class Presentation(NamedTuple):
-    cover0: CoverData
-    omega: Rep
-    incl: RepMap  # omega -> P0
-    cover1: Optional[CoverData]  # None when omega == 0
+    """P1 -> P0 -> M -> 0 with Omega M read inside P0, never built: the
+    columns of ``kernel[v]`` are a basis of Omega M at v, and ``omega_top``
+    lists (w, x) per summand P_w of P1, x the column its generator maps to."""
+
+    cover: CoverData
+    kernel: dict  # vertex -> RMatrix in P0 coordinates
+    omega_top: list  # [(vertex w, column tuple)], empty when Omega M = 0
 
 
 _MISSING = object()  # a fact not yet in the table (a kept fact may be None)
@@ -502,16 +505,36 @@ class ModuleCategory:
         return CoverData(parts, p0, q)
 
     def presentation(self, m: Rep) -> Presentation:
-        """Minimal projective presentation of m, kept per content; its second
-        cover is the cover of the syzygy, shared with the syzygy's own
-        presentation."""
+        """Minimal projective presentation of m, kept per content."""
         return self._fact("presentation", self._presentation, m)
 
     def _presentation(self, m: Rep) -> Presentation:
-        cover0 = self.cover(m)
-        omega, incl = kernel(cover0.q)
-        cover1 = None if omega.is_zero() else self.cover(omega)
-        return Presentation(cover0, omega, incl, cover1)
+        """The kernel bases of the cover q: P0 -> m, and the top of Omega m
+        at z: the pivot columns of [arrow images into z | kernel[z]] past
+        the images, as the cover of Omega m would pick them."""
+        cover = self.cover(m)
+        p0, bases = cover.p0, reps.kernel_bases(cover.q)
+        gens = []
+        for z in self.quiver.vertices:
+            if bases[z].cols:
+                rad = [p0.mats[a.name] @ bases[a.source] for a in self.quiver.arrows_into[z]]
+                r = sum(b.cols for b in rad)
+                stacked = RMatrix.hstack(rad + [bases[z]])
+                gens += [(z, bases[z].column_at(j - r)) for j in pivot_columns(stacked) if j >= r]
+        return Presentation(cover, bases, gens)
+
+    def _omega_projective(self, pres: Presentation) -> bool:
+        """Whether Omega m is the sum of the P_w over its top; CatalogError
+        when that sum is the smaller, so the top does not generate Omega m."""
+        dim = sum(b.cols for b in pres.kernel.values())
+        covered = sum(self.proj[w].total_dim() for w, _ in pres.omega_top)
+        if covered < dim:
+            raise CatalogError(f"the top of a syzygy spans {covered} of its {dim} dimensions")
+        return covered == dim
+
+    def pd_at_most_one(self, m: Rep) -> bool:
+        """pd m <= 1, i.e. Omega m is projective, with no syzygy module built."""
+        return self._omega_projective(self.presentation(m))
 
     def envelope(self, m: Rep):
         """Injective envelope (parts, I0, j: m -> I0)."""
@@ -625,26 +648,25 @@ class ModuleCategory:
 
         By Yoneda a map P_w -> P_z is its value at the generator of P_w, so
         the component P_wj -> P_zi of f1 is one vector x_ji in P_zi(w_j): the
-        rows of part i (:class:`CoverData`) in the image of the lift of the
-        j-th part of P1's cover.  The Nakayama basis map b: P_zi -> P_v
-        composed with it has the coordinates
+        rows of part i (:class:`CoverData`) in the column x of the j-th
+        entry (w_j, x) of the presentation's ``omega_top``.  The Nakayama
+        basis map b: P_zi -> P_v composed with it has the coordinates
         E(w_j, v)^-1 (b at w_j) x_ji in the Nakayama basis of Hom(P_wj, P_v)
         (:meth:`_generator_values_inv`).
         """
         pres = self.presentation(m)
-        if pres.cover1 is None:
+        if not pres.omega_top:
             return None
-        parts0, parts1 = pres.cover0.parts, pres.cover1.parts
+        parts0, parts1 = pres.cover.parts, pres.omega_top
         nu1 = self._nak_of_parts(parts1)
         nu0 = self._nak_of_parts(parts0)
         # x[j][i]: the value of the component P_wj -> P_zi at the generator
         x = []
-        for wj, lift in parts1:
-            image = pres.incl.mats[wj] @ lift
+        for wj, image in parts1:
             xj, o = [], 0
             for zi, _ in parts0:
                 d = self.proj[zi].dims[wj]
-                xj.append(RMatrix._raw(image.data[o : o + d], d, 1))
+                xj.append(RMatrix._raw(tuple((c,) for c in image[o : o + d]), d, 1))
                 o += d
             x.append(xj)
         # the Nakayama bases of the P0 summands
@@ -700,22 +722,18 @@ class ModuleCategory:
     def pd(self, m: Rep) -> int:
         """Projective dimension of m.
 
-        The algebra is triangular (its quiver has no oriented cycle), so its
-        global dimension is below the number n of vertices; a syzygy that
-        has not vanished after n steps raises CatalogError.
+        A syzygy is built as a module only when it is neither zero nor
+        projective.  The algebra is triangular (its quiver has no oriented
+        cycle), so its global dimension is below the number n of vertices;
+        a syzygy that has not vanished after n steps raises CatalogError.
         """
-        k = 0
-        cur = m
-        while True:
-            pres = self.presentation(cur)
-            if pres.omega.is_zero():
-                return k
-            cur = pres.omega
-            k += 1
-            if k >= len(self.quiver.vertices):
-                raise CatalogError(
-                    f"syzygy nonzero after {k} steps, but the global dimension is below {k}"
-                )
+        n = len(self.quiver.vertices)
+        for k in range(n):
+            pres = self.presentation(m)
+            if self._omega_projective(pres) and (d := k + bool(pres.omega_top)) < n:
+                return d
+            m, _ = reps.sub_from_subspaces(pres.cover.p0, pres.kernel)
+        raise CatalogError(f"syzygy nonzero after {n} steps, but the global dimension is below {n}")
 
     # -- knitting ----------------------------------------------------------------
 

@@ -266,17 +266,18 @@ def sub_from_subspaces(m: Rep, bases) -> tuple:
     return sub, incl
 
 
+def kernel_bases(f: RepMap) -> dict:
+    """Per vertex, a basis of the kernel of f as columns in the source's
+    coordinates: all of the source where the target is zero."""
+    return {
+        v: RMatrix.from_columns(nullspace_basis(f.mats[v]), d) if d and f.target.dims[v] else RMatrix.identity(d)
+        for v, d in f.source.dims.items()
+    }
+
+
 def kernel(f: RepMap) -> tuple:
-    """Kernel subrepresentation with its inclusion; it is all of the
-    source where the target is zero."""
-    bases = {}
-    for v in f.source.quiver.vertices:
-        d = f.source.dims[v]
-        if d and f.target.dims[v]:
-            bases[v] = RMatrix.from_columns(nullspace_basis(f.mats[v]), d)
-        else:
-            bases[v] = RMatrix.identity(d)
-    return sub_from_subspaces(f.source, bases)
+    """Kernel subrepresentation with its inclusion."""
+    return sub_from_subspaces(f.source, kernel_bases(f))
 
 
 def cokernel(f: RepMap) -> tuple:

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin
 from .cluster import cliques, enumerate_cluster_tilting, fundamental_domain, pi_bar
-from .dup import knit_ind_dup, proj_primed
+from .dup import dup_category, knit_ind_dup, proj_primed
 from .leftpart import left_part_catalog
 
 
@@ -40,7 +40,8 @@ def is_tilting_module(q: Quiver, summands) -> TiltingVerdict:
     modules of the duplicated algebra of q.
 
     The summands are looked up in the knitted catalog of the duplicated
-    algebra, whose ``pd_table`` gives their projective dimensions and whose
+    algebra, whose ``pd_table`` says which have projective dimension <= 1
+    (the exact one is computed only for a failure) and whose
     ``ext1_dim`` gives Ext^1 off the hom table.  Ext^1 is checked from the
     summands of projective dimension <= 1 only: each other one has already
     failed the first axiom."""
@@ -53,11 +54,10 @@ def is_tilting_module(q: Quiver, summands) -> TiltingVerdict:
     if len(summands) != n2:
         failures.append(f"expected {n2} summands, got {len(summands)}")
     for i, k in enumerate(found):
-        pd = cat.pd_table[k]
-        if pd > 1:
-            failures.append(f"summand {i} has projective dimension {pd}")
+        if not cat.pd_table[k]:
+            failures.append(f"summand {i} has projective dimension {dup_category(q).pd(cat.entries[k])}")
     for i, k in enumerate(found):
-        if cat.pd_table[k] > 1:
+        if not cat.pd_table[k]:
             continue
         for j, l in enumerate(found):
             if cat.ext1_dim(k, l) != 0:

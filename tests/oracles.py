@@ -1,9 +1,15 @@
-"""Independent Hom and Ext^1 dimensions that tests compare the library with.
+"""Independent Hom and Ext^1 dimensions, presentations, tau and projective
+dimensions that tests compare the library with.
 
 The library reads dim Hom off its kept bases and the knitted hom table, and
 Ext^1 off that table by the AR formula.  These oracles take another route:
 the rank of the Hom system, and Ext^1 as a cokernel over a projective
 presentation, from full Hom bases.
+
+The library reads the first syzygy inside its projective cover and never
+builds it as a module.  ``presentation`` builds it (``reps.kernel`` of the
+cover) and then its own cover with Yoneda maps; ``tau`` and ``pd`` are the
+library's routes on top of that presentation.
 
 ``rebuilt`` makes the tampered copies of catalogs that the tamper tests
 feed to the checks.
@@ -17,12 +23,14 @@ is the independent route the tests compare that certificate with.
 """
 
 import inspect
+from typing import NamedTuple, Optional
 
 from dupcat import reps
 from dupcat.dup import _dual_path_matrix
 from dupcat.errors import CatalogError
 from dupcat.hereditary import path_category
 from dupcat.linalg import RMatrix, nullspace_basis, rank, solve_matrix
+from dupcat.modcat import CoverData
 from dupcat.quiver import prime
 from dupcat.reps import Rep, RepMap
 from dupcat.session import session
@@ -48,10 +56,73 @@ def hom_dim_by_rank(m, n) -> int:
     return system.cols - rank(system)
 
 
+class Presentation(NamedTuple):
+    """A minimal projective presentation with its syzygy built as a module."""
+
+    cover0: CoverData
+    omega: Rep
+    incl: RepMap  # omega -> P0
+    cover1: Optional[CoverData]  # None when omega == 0
+
+
+def presentation(cat, m) -> Presentation:
+    """The minimal presentation of m in ``cat``: the cover of m, its kernel
+    Omega m as a module, and the cover of Omega m.  Kept per content in the
+    fact table of ``cat``, under a key of its own."""
+    return cat._fact("oracle presentation", lambda m: _presentation(cat, m), m)
+
+
+def _presentation(cat, m) -> Presentation:
+    cover0 = cat.cover(m)
+    omega, incl = reps.kernel(cover0.q)
+    cover1 = None if omega.is_zero() else cat.cover(omega)
+    return Presentation(cover0, omega, incl, cover1)
+
+
+def tau(cat, m) -> Optional[Rep]:
+    """tau m as the kernel of nu(f1): nu(P1) -> nu(P0), the components of f1
+    read at the generators of P1's cover through Omega m's inclusion; None
+    when m is projective."""
+    pres = presentation(cat, m)
+    if pres.cover1 is None:
+        return None
+    parts0, parts1 = pres.cover0.parts, pres.cover1.parts
+    x = []  # x[j][i]: the component P_wj -> P_zi at the generator
+    for wj, lift in parts1:
+        image = pres.incl.mats[wj] @ lift
+        xj, o = [], 0
+        for zi, _ in parts0:
+            d = cat.proj[zi].dims[wj]
+            xj.append(RMatrix(image.data[o : o + d], d, 1))
+            o += d
+        x.append(xj)
+    bases0 = [cat.nak_data(cat.proj[zi])[1] for zi, _ in parts0]
+    mats = {}
+    for v in cat.quiver.vertices:
+        blocks = []
+        for (wj, _), xj in zip(parts1, x):
+            values = [b.mats[wj] @ xji for bases, xji in zip(bases0, xj) for b in bases[v]]
+            einv = cat._generator_values_inv(wj, v)
+            blocks.append(einv @ RMatrix.hstack(values) if values else RMatrix.zeros(einv.rows, 0))
+        mats[v] = RMatrix.vstack(blocks).transpose()
+    nu_f1 = RepMap(cat._nak_of_parts(parts1), cat._nak_of_parts(parts0), mats, check=False)
+    return reps.kernel(nu_f1)[0]
+
+
+def pd(cat, m) -> int:
+    """The projective dimension of m: the number of nonzero syzygies, each
+    built as a module by ``presentation``."""
+    k = 0
+    while not m.is_zero():
+        m = presentation(cat, m).omega
+        k += not m.is_zero()
+    return k
+
+
 def ext1_by_bases(cat, m, n) -> int:
     """dim Ext^1(m, n) as the cokernel of Hom(P0, n) -> Hom(Omega m, n),
-    from full Hom bases over the minimal presentation ``cat`` keeps."""
-    pres = cat.presentation(m)
+    from full Hom bases over the minimal presentation (``presentation``)."""
+    pres = presentation(cat, m)
     hom_omega = reps.hom_basis(pres.omega, n)
     if pres.cover1 is None or not hom_omega:
         return 0

@@ -340,6 +340,34 @@ def test_catalog_json_import_rejects_non_module(tmp_path, src_env):
     assert proc.returncode == 0, proc.stderr
 
 
+_FLAG_TAMPERS = {
+    # entry 4 has primed half (1, 0, 0, 0); entry 0 is projective, not injective
+    "in_ind_A": (4, "entry 4: flags.in_ind_A is True, but its body says False"),
+    "proj_injective": (0, "entry 0: flags.proj_injective is True, but its body says False"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_TAMPERS))
+def test_catalog_json_import_rejects_a_flag_its_body_contradicts(flag, tmp_path, src_env):
+    """A D4 export with one flag set against its body (in_ind_A on an entry
+    with a nonzero primed half, proj_injective on an entry the body marks
+    not injective) raises CatalogError naming the entry and the flag, also
+    under python -O."""
+    body = json.loads(dumps(dup_catalog_to_dict(knit_ind_dup(d4_subspace()))))
+    k, message = _FLAG_TAMPERS[flag]
+    assert body["flags"][flag][k] is False
+    body["flags"][flag][k] = True
+    with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+        catalog_from_dict(body)
+    path = tmp_path / "tampered.json"
+    path.write_text(dumps(body), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _LOAD_EXPECTING_CATALOG_ERROR, str(path), message],
+        env=src_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _tampered_cells(fixture_dir, name, sample):
     """(quiver, entry index, the entry with one matrix cell tampered) for
     every cell of the duplicated-algebra export of fixture ``name``, or a

@@ -212,7 +212,7 @@ def test_pd_two_summand_fails_the_first_axiom_and_has_no_ext1():
     formula on the hom table holds only from a source of pd <= 1."""
     q = a_n(2)
     cat = knit_ind_dup(q)
-    k = cat.pd_table.index(2)
+    k = cat.pd_table.index(False)
     p1 = embed_A(projective_rep(q, "1"))
     verdict = is_tilting_module(q, [cat.entries[k], p1, proj_primed(q, "1"), proj_primed(q, "2")])
     assert not verdict.passed

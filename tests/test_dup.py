@@ -27,6 +27,7 @@ from dupcat.linalg import RMatrix
 from dupcat.quiver import Quiver, prime
 from dupcat.reps import is_isomorphic, sum_rep
 from dupcat.verify import run_all_checks
+import oracles
 from oracles import ext1_by_bases, hom_dim_by_rank, triple, triple_to_rep
 
 
@@ -110,7 +111,7 @@ def test_covers_and_envelopes_a2():
 
 
 def _syzygy(cat, m):
-    pres = cat.presentation(m)
+    pres = oracles.presentation(cat, m)
     return pres.omega, pres.incl
 
 

@@ -18,6 +18,7 @@ from dupcat.hereditary import path_category, projective_rep, simple_rep
 from dupcat.linalg import RMatrix, coordinates_in_span, rank, solve_matrix
 from dupcat.quiver import Quiver, parse_quiver
 from dupcat.reps import Rep
+import oracles
 from oracles import ext1_by_bases, hom_dim_by_rank, projections, rebuilt
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -244,20 +245,23 @@ _ENDLESS_SYZYGY = """
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import path_category
-from dupcat.modcat import ModuleCategory, Presentation
+from dupcat.linalg import RMatrix
+from dupcat.modcat import CoverData, ModuleCategory, Presentation
 
 cat = path_category(d4_subspace())
 calls = []
 
 
 def endless(self, m):
+    # the syzygy is m again, inside a cover m, topped by P_2 (dimension 2)
     calls.append(m)
-    return Presentation(None, m, None, None)  # the syzygy is m again
+    kernel = {v: RMatrix.identity(d) for v, d in m.dims.items()}
+    return Presentation(CoverData([], m, None), kernel, [("2", None)])
 
 
 ModuleCategory.presentation = endless
 try:
-    cat.pd(cat.simple["1"])
+    cat.pd(cat.simple["2"])
 except CatalogError:
     raise SystemExit(0 if len(calls) == len(cat.quiver.vertices) else 2)
 raise SystemExit(1)
@@ -711,7 +715,7 @@ def _tau_by_flattened_spans(cat, m):
     """tau m with every component of f1 composed with every Nakayama basis
     map as a whole module map, flattened, and solved for in the flattened
     Nakayama basis: the route the values at the generators replaced."""
-    pres = cat.presentation(m)
+    pres = oracles.presentation(cat, m)
     f1 = pres.incl.compose(pres.cover1.q)
     parts0, parts1 = pres.cover0.parts, pres.cover1.parts
     injections = reps.structure_maps([cat.proj[wj] for wj, _ in parts1], pres.cover1.p0)
@@ -809,9 +813,9 @@ cat = {category}(fixtures.d4_subspace())
 for x in cat.quiver.vertices:
     m = cat.simple[x]
     pres = cat.presentation(m)
-    if pres.cover1 is not None:
+    if pres.omega_top:
         break
-w = pres.cover1.parts[0][0]
+w = pres.omega_top[0][0]
 key = ("nakayama", cat.content_id(cat.proj[w]))
 nu, bases, flat = cat.nak_data(cat.proj[w])
 cat._facts[key] = (nu, {{**bases, w: bases[w][:-1]}}, flat)
@@ -830,8 +834,8 @@ def test_tau_refuses_a_nakayama_basis_with_a_map_dropped(monkeypatch, src_env, c
     CatalogError, keeps nothing, and does the same under python -O."""
     monkeypatch.setattr(session, "_sessions", {})
     cat = category(d4_subspace())
-    m = next(s for s in cat.simple.values() if cat.presentation(s).cover1 is not None)
-    w = cat.presentation(m).cover1.parts[0][0]
+    m = next(s for s in cat.simple.values() if cat.presentation(s).omega_top)
+    w = cat.presentation(m).omega_top[0][0]
     assert ("generator values", w, w) not in cat._facts
     nu, bases, flat = cat.nak_data(cat.proj[w])
     cat._facts[("nakayama", cat.content_id(cat.proj[w]))] = (nu, {**bases, w: bases[w][:-1]}, flat)

@@ -88,7 +88,7 @@ def _sectional_check_by_enumeration(lpc, cat) -> Report:
         for j in range(len(cat.entries)):
             if cat.in_L[j] or not reach[start][j] or j in targets:
                 continue
-            if not any(reach[i][j] and pd_table[i] >= 2 for i in range(len(cat.entries))):
+            if not any(reach[i][j] and not pd_table[i] for i in range(len(cat.entries))):
                 witnesses.append(
                     f"entry {j} outside the left part lacks a non-sectional path "
                     f"from sink {a} and a pd>=2 predecessor"
