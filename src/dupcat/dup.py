@@ -10,11 +10,11 @@ dimension vectors on the two copies of the base quiver
 (:func:`dim_vectors`).
 
 :func:`embed_A` returns one module per A-module ``Rep``, kept by the
-quiver's session (:mod:`dupcat.session`), so the Hom, Ext^1 and presentation
-caches of an embedded module are shared by every caller; so are the standard
-modules and the category.  Hom, Ext^1, syzygies, AR translates, projective
-dimension and isomorphism are methods of the category :func:`dup_category`
-returns.
+quiver's session (:mod:`dupcat.session`), so the facts the category keeps
+for an embedded module (its presentation, tau and tau^{-1}) are shared by
+every caller; so are the standard modules and the category.  Hom, Ext^1,
+syzygies, AR translates, projective dimension and isomorphism are methods
+of the category :func:`dup_category` returns.
 
 Its AR quiver holds two copies of ind A: the A-modules on the unprimed
 vertices, closed under predecessors, and the A'-modules on the primed
@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 from .errors import CatalogError
 from .linalg import RMatrix, rank
 from .modcat import ARCatalog, ModuleCategory
-from .quiver import Quiver, opposite, paths_from, prime
+from .quiver import Quiver, paths_from, prime
 from .hereditary import knit_ind_A, path_category
 from .reps import Rep
 from .session import session
@@ -45,16 +45,16 @@ def dim_vectors(m: Rep) -> tuple:
     return d[: len(d) // 2], d[len(d) // 2 :]
 
 
-def _dual_path_matrix(base_cat, y_rep: Rep, mp) -> RMatrix:
+def _dual_path_matrix(bases, y_rep: Rep, mp) -> RMatrix:
     """Matrix of the action of the dual-path generator of ``mp`` on Y.
 
-    Rows are indexed by the chosen basis of Hom(Y, P_y), columns by the
-    Y-component at the end of the path; entry (i, j) is the coefficient of
-    the path in the image of the j-th basis vector under the i-th hom.
+    Rows are indexed by ``bases[y]``, the chosen basis of Hom(Y, P_y) (the
+    Nakayama bases of Y by vertex), columns by the Y-component at the end of
+    the path; entry (i, j) is the coefficient of the path in the image of
+    the j-th basis vector under the i-th hom.
     """
     q = y_rep.quiver
     y, x = mp.start, mp.end
-    _, bases, _ = base_cat.nak_data(y_rep)
     path_index = paths_from(q, y)[x].index(mp.arrows)
     rows = []
     for b in bases[y]:
@@ -79,8 +79,8 @@ def _copy(x: Rep, dup: Quiver, rename) -> Rep:
 def embed_A(x: Rep) -> Rep:
     """The module (X, 0, 0): an A-module seen over the duplicated algebra.
 
-    One module per Rep x, kept by the session, so every caller shares its
-    presentation, Hom and Ext^1 caches; the standard modules of
+    One module per Rep x, kept by the session, so every caller shares the
+    facts kept for it; the standard modules of
     ``path_category`` map to the embedded ones of ``standard_dup_modules``.
     """
     s = session(x.quiver)
@@ -100,12 +100,11 @@ def _projective_injective(p: Rep) -> Rep:
     its dual-path generator on P."""
     q = p.quiver
     report = session(q).report
-    base_cat = path_category(q)
-    nu = base_cat.nakayama(p)
+    nu, bases = path_category(q).nak_data(p)
     dims = {**nu.dims, **{prime(v): p.dims[v] for v in q.vertices}}
     mats = {**nu.mats, **{prime(a.name): p.mats[a.name] for a in q.arrows}}
     for name, _, _, mp in report.connecting:
-        mats[name] = _dual_path_matrix(base_cat, p, mp)
+        mats[name] = _dual_path_matrix(bases, p, mp)
     return Rep(report.dup, dims, mats)
 
 
@@ -166,25 +165,7 @@ def build_dup_category(q: Quiver) -> ModuleCategory:
         simples[x] = std.simple[x]
         simples[prime(x)] = std.simple_primed[x]
 
-    def op_builder():
-        opq = opposite(q)
-        op = dup_category(opq)
-        vmap = {}
-        for v in q.vertices:
-            vmap[v] = prime(v)
-            vmap[prime(v)] = v
-        amap = {}
-        for a in q.arrows:
-            amap[a.name] = prime(a.name)
-            amap[prime(a.name)] = a.name
-        for _, _, _, mp in report.connecting:
-            rev = type(mp)(mp.end, mp.start, tuple(reversed(mp.arrows)))
-            amap[mp.name] = rev.name
-        return op, vmap, amap
-
-    return ModuleCategory(
-        report.dup, projectives, injectives, simples, op_builder, lambda cat, cap: _copies(q, cat, cap)
-    )
+    return ModuleCategory(report.dup, projectives, injectives, simples, lambda cat, cap: _copies(q, cat, cap))
 
 
 def _copies(q: Quiver, cat: ModuleCategory, cap) -> dict:

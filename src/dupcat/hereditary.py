@@ -40,10 +40,7 @@ def projective_rep(q: Quiver, x: str) -> Rep:
 
 def injective_rep(q: Quiver, x: str) -> Rep:
     """D P_x over the opposite quiver, which keeps the vertex and arrow names."""
-    op = opposite(q)
-    vmap = {v: v for v in q.vertices}
-    amap = {a.name: a.name for a in q.arrows}
-    return reps.dualize(projective_rep(op, x), q, vmap, amap)
+    return reps.dualize(projective_rep(opposite(q), x), q)
 
 
 def path_category(q: Quiver) -> ModuleCategory:
@@ -66,13 +63,7 @@ def build_path_category(q: Quiver) -> ModuleCategory:
         injectives[x] = (i, RMatrix([[1]], 1, 1))
         simples[x] = simple_rep(q, x)
 
-    def op_builder():
-        op = path_category(opposite(q))
-        vmap = {v: v for v in q.vertices}
-        amap = {a.name: a.name for a in q.arrows}
-        return op, vmap, amap
-
-    return ModuleCategory(q, projectives, injectives, simples, op_builder)
+    return ModuleCategory(q, projectives, injectives, simples)
 
 
 def knit_ind_A(q: Quiver, cap: int = 10000) -> ARCatalog:

@@ -10,10 +10,11 @@ generic:
 * every fact about a module is kept per content, not per object, in one
   fact table on the category (:meth:`ModuleCategory._fact`): a content
   table gives each dimension vector with its arrow matrices a small id, and
-  covers, presentations, tau, duals, Nakayama images and Hom bases are
-  kept under (fact, id[, id]), so a module rebuilt as another object (a
-  twin) reuses every fact already known; the per-vertex frames, the arrow
-  maps and the sums of projectives are kept in the same table by value;
+  covers, presentations, tau, tau^{-1}, duals and Nakayama images are kept
+  under (fact, id[, id]), so a module rebuilt as another object (a twin)
+  reuses every fact already known; the per-vertex frames, the arrow maps
+  and the sums of projectives are kept in the same table by value; Hom
+  bases are not kept, since no caller asks twice for one pair;
 * projective covers lift a basis of the top through Yoneda evaluation at the
   generator: a per-vertex frame of arrow paths from the generator, built once,
   gives the map P_z -> N with generator |-> v without a Hom solve;
@@ -21,14 +22,17 @@ generic:
   the first syzygy is read inside its cover P0, never built as a module;
 * the direct sum of a list of projectives (or of their Nakayama images) is
   built once per category;
-* the Nakayama functor is D Hom(-, A), realized on one module at a time via
-  bases of Hom(M, P_z); for a projective P_x they are read by Yoneda at the
-  generator, with no Hom system; the AR translate tau M is the kernel of its
-  action on a minimal projective presentation, whose components are the
-  columns of the top of Omega M in P0 (their values at the generators), and
-  pd M <= 1 exactly when that Omega M is projective;
-* tau^{-1} is computed by duality through the opposite category and kept
-  per content;
+* the Nakayama functor D Hom(-, A) is built only on the projectives: the
+  bases of Hom(P_x, P_z) are read by Yoneda at the generator, with no Hom
+  system; the AR translate tau M is the kernel of its action on a minimal
+  projective presentation, whose components are the columns of the top of
+  Omega M in P0 (their values at the generators), and pd M <= 1 exactly
+  when that Omega M is projective;
+* tau^{-1} = D tau D (Assem-Simson-Skowronski vol. 1, IV.2) is computed
+  through the opposite category and kept per content; that category is
+  this one transposed, built once from its standard modules over the
+  opposite quiver (every vertex and arrow name kept), so no second algebra
+  is built;
 * the AR quiver of a representation-finite category is knitted as the
   tau^{-1}-closure of the projectives (an entry is injective exactly when
   it has no tau^{-1}), with tau^{-1} taken from a table of copies where
@@ -71,7 +75,7 @@ from .linalg import (
     rank,
     solve_matrix,
 )
-from .quiver import Quiver
+from .quiver import Quiver, opposite
 from . import reps
 from .reps import Rep, RepMap, hom_basis, kernel, cokernel, structure_maps, sum_rep
 
@@ -97,19 +101,6 @@ class Presentation(NamedTuple):
 
 
 _MISSING = object()  # a fact not yet in the table (a kept fact may be None)
-
-
-def _coords(span, f: RepMap, what: str) -> tuple:
-    """Coordinates of the flattened map f in the flattened basis ``span``;
-    CatalogError when ``what`` (the way f was made) left the span.  An empty
-    span holds only the zero map."""
-    if span:
-        coords = coordinates_in_span(span, f.flatten())
-    else:
-        coords = () if f.is_zero() else None
-    if coords is None:
-        raise CatalogError(f"{what} left the hom span")
-    return coords
 
 
 def dim_index(modules) -> dict:
@@ -268,10 +259,9 @@ class ARCatalog:
 
 
 class ModuleCategory:
-    def __init__(self, quiver: Quiver, projectives, injectives, simples, op_builder, copies=None):
+    def __init__(self, quiver: Quiver, projectives, injectives, simples, copies=None):
         """``projectives[z] = (Rep, generator column)``;
         ``injectives[z] = (Rep, evaluation row)``; ``simples[z] = Rep``.
-        ``op_builder()`` must return (opposite category, vertex_map, arrow_map).
         ``copies(category, cap)``, when given, returns the table of tau^{-1}
         by content id that :meth:`knit` tries before the Nakayama route.
         """
@@ -281,7 +271,6 @@ class ModuleCategory:
         self.inj = {z: i for z, (i, _) in injectives.items()}
         self.inj_eval = {z: e for z, (_, e) in injectives.items()}
         self.simple = dict(simples)
-        self._op_builder = op_builder
         self._copies = copies
         self._op = None
         self._content_ids = {}  # content key -> id, see content_id
@@ -292,12 +281,20 @@ class ModuleCategory:
 
     # -- plumbing ----------------------------------------------------------
 
-    def opposite(self):
+    def opposite(self) -> "ModuleCategory":
+        """The category of the opposite algebra, built once from this one's
+        standard modules over ``quiver.opposite(self.quiver)``, which keeps
+        every vertex and arrow name: D I_z is its projective at z, generated
+        by the transposed evaluation, D P_z its injective at z, evaluated by
+        the transposed generator, and D S_z its simple."""
         if self._op is None:
-            op, vmap, amap = self._op_builder()
-            inv_v = {w: v for v, w in vmap.items()}
-            inv_a = {w: v for v, w in amap.items()}
-            self._op = (op, vmap, amap, inv_v, inv_a)
+            oq = opposite(self.quiver)
+            self._op = ModuleCategory(
+                oq,
+                {z: (reps.dualize(i, oq), self.inj_eval[z].transpose()) for z, i in self.inj.items()},
+                {z: (reps.dualize(p, oq), self.gen[z].transpose()) for z, p in self.proj.items()},
+                {z: reps.dualize(s, oq) for z, s in self.simple.items()},
+            )
         return self._op
 
     def content_id(self, m: Rep) -> int:
@@ -333,9 +330,9 @@ class ModuleCategory:
         return value
 
     def hom(self, m: Rep, n: Rep):
-        """Basis of Hom(m, n), kept per content pair: a module with the
-        content of m or n may stand as the source or target of its maps."""
-        return self._fact("hom", lambda m, n: tuple(hom_basis(m, n)), m, n)
+        """Basis of Hom(m, n) (``reps.hom_basis``), solved on every call:
+        no caller asks twice for one pair of contents."""
+        return tuple(hom_basis(m, n))
 
     def iso(self, m: Rep, n: Rep) -> bool:
         """Decide m = n by ``reps.is_isomorphic`` (exact when m or n is
@@ -585,39 +582,28 @@ class ModuleCategory:
     # -- Nakayama and AR translates -------------------------------------------
 
     def nak_data(self, m: Rep):
-        """D Hom(m, A) together with the chosen bases of Hom(m, P_z) and
-        their flattenings, kept per content."""
+        """nu(m) = D Hom(m, A) together with the chosen bases of Hom(m, P_z),
+        kept per content; m must have the content of a projective P_x
+        (CatalogError otherwise).
+
+        nu(P_x) is read by Yoneda, with no Hom system: the basis of
+        Hom(P_x, P_z) is the maps sending the generator to the standard
+        basis of P_z(x) (:meth:`yoneda_map`, whose squares certify each
+        map), so postcomposition with lam(a): P_z -> P_w has the matrix
+        lam(a) at x, and the arrow a of nu(P_x) acts by its transpose."""
         return self._fact("nakayama", self._nak_data, m)
 
     def _nak_data(self, m: Rep):
         x = self._proj_at.get(self.content_id(m))
-        if x is not None:
-            return self._nak_of_projective(x)
-        bases = {z: self.hom(m, self.proj[z]) for z in self.quiver.vertices}
-        flat = {z: [b.flatten() for b in bases[z]] for z in self.quiver.vertices}
-        dims = {z: len(bases[z]) for z in self.quiver.vertices}
-        mats = {}
-        for a in self.quiver.arrows:
-            w, z = a.source, a.target
-            lam = self.lam(a.name)
-            cols = [_coords(flat[w], lam.compose(b), "postcomposition") for b in bases[z]]
-            mats[a.name] = RMatrix.from_columns(cols, dims[w]).transpose()
-        return Rep(self.quiver, dims, mats), bases, flat
-
-    def _nak_of_projective(self, x):
-        """nu(P_x) by Yoneda, with no Hom system: the basis of Hom(P_x, P_z)
-        is the maps sending the generator to the standard basis of P_z(x)
-        (:meth:`yoneda_map`, whose squares certify each map), so
-        postcomposition with lam(a): P_z -> P_w has the matrix lam(a) at x,
-        and the arrow a of nu(P_x) acts by its transpose."""
+        if x is None:
+            raise CatalogError("the Nakayama image is built only for the projectives P_x")
         bases = {}
         for z in self.quiver.vertices:
             ident = RMatrix.identity(self.proj[z].dims[x])
             bases[z] = tuple(self.yoneda_map(x, self.proj[z], RMatrix.column(e)) for e in ident.data)
-        flat = {z: [b.flatten() for b in bases[z]] for z in self.quiver.vertices}
         dims = {z: len(bases[z]) for z in self.quiver.vertices}
         mats = {a.name: self.lam(a.name).mats[x].transpose() for a in self.quiver.arrows}
-        return Rep(self.quiver, dims, mats), bases, flat
+        return Rep(self.quiver, dims, mats), bases
 
     def nakayama(self, m: Rep) -> Rep:
         return self.nak_data(m)[0]
@@ -705,19 +691,17 @@ class ModuleCategory:
         return inv
 
     def tau_inv(self, m: Rep) -> Optional[Rep]:
-        """Tr D of m by duality through the opposite category, kept per
-        content; None if injective."""
+        """Tr D of m = D tau D m, with tau taken in :meth:`opposite`, kept
+        per content; None if injective."""
         return self._fact("tau_inv", self._tau_inv, m)
 
     def _tau_inv(self, m: Rep) -> Optional[Rep]:
-        op, _, _, inv_v, inv_a = self.opposite()
-        t = op.tau(self._dual(m))
-        return None if t is None else reps.dualize(t, self.quiver, inv_v, inv_a)
+        t = self.opposite().tau(self._dual(m))
+        return None if t is None else reps.dualize(t, self.quiver)
 
     def _dual(self, m: Rep) -> Rep:
         """D m over the opposite quiver, built once per content."""
-        op, vmap, amap, _, _ = self.opposite()
-        return self._fact("dual", lambda m: reps.dualize(m, op.quiver, vmap, amap), m)
+        return self._fact("dual", lambda m: reps.dualize(m, self.opposite().quiver), m)
 
     def pd(self, m: Rep) -> int:
         """Projective dimension of m.

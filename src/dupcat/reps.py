@@ -350,13 +350,10 @@ def structure_maps(parts, total: Rep) -> list:
 # -- duality ---------------------------------------------------------------
 
 
-def dualize(m: Rep, op_quiver: Quiver, vertex_map, arrow_map) -> Rep:
-    """The dual representation over the opposite quiver (matrices transposed)."""
-    dims = {vertex_map[v]: m.dims[v] for v in m.quiver.vertices}
-    mats = {}
-    for a in m.quiver.arrows:
-        mats[arrow_map[a.name]] = m.mats[a.name].transpose()
-    return Rep(op_quiver, dims, mats)
+def dualize(m: Rep, op_quiver: Quiver) -> Rep:
+    """The dual representation over the opposite quiver, which keeps every
+    vertex and arrow name (matrices transposed)."""
+    return Rep(op_quiver, m.dims, {a.name: m.mats[a.name].transpose() for a in m.quiver.arrows})
 
 
 # -- isomorphism and splitting ---------------------------------------------

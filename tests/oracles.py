@@ -11,6 +11,17 @@ builds it as a module.  ``presentation`` builds it (``reps.kernel`` of the
 cover) and then its own cover with Yoneda maps; ``tau`` and ``pd`` are the
 library's routes on top of that presentation.
 
+The library builds the Nakayama image only of a projective P_x, by Yoneda.
+``nak_data`` builds it for any module from bases of Hom(M, P_z) solved as
+Hom systems, each postcomposition with an arrow solved for in the
+flattened basis (``_coords``).
+
+The library takes tau^{-1} = D tau D in the opposite category, which it
+builds from its own standard modules on the opposite quiver.
+``tau_inv_by_opposite_algebra`` builds that category again from the
+opposite quiver, as the path category or the duplicated category of
+``opposite(q)``, and renames its vertices and arrows.
+
 ``rebuilt`` makes the tampered copies of catalogs that the tamper tests
 feed to the checks.
 
@@ -26,12 +37,12 @@ import inspect
 from typing import NamedTuple, Optional
 
 from dupcat import reps
-from dupcat.dup import _dual_path_matrix
+from dupcat.dup import _dual_path_matrix, dup_category
 from dupcat.errors import CatalogError
 from dupcat.hereditary import path_category
-from dupcat.linalg import RMatrix, nullspace_basis, rank, solve_matrix
+from dupcat.linalg import RMatrix, coordinates_in_span, nullspace_basis, rank, solve_matrix
 from dupcat.modcat import CoverData
-from dupcat.quiver import prime
+from dupcat.quiver import opposite, prime
 from dupcat.reps import Rep, RepMap
 from dupcat.session import session
 
@@ -131,6 +142,80 @@ def ext1_by_bases(cat, m, n) -> int:
     return len(hom_omega) - rank(RMatrix([list(r) for r in restricted], len(restricted), width))
 
 
+def _coords(span, f: RepMap, what: str) -> tuple:
+    """Coordinates of the flattened map f in the flattened basis ``span``;
+    CatalogError when ``what`` (the way f was made) left the span.  An empty
+    span holds only the zero map."""
+    if span:
+        coords = coordinates_in_span(span, f.flatten())
+    else:
+        coords = () if f.is_zero() else None
+    if coords is None:
+        raise CatalogError(f"{what} left the hom span")
+    return coords
+
+
+def nak_data(cat, m) -> tuple:
+    """(nu(m), bases of Hom(m, P_z)) from Hom systems, for any module m of
+    ``cat``: the arrow a: w -> z of nu(m) acts by the transpose of
+    postcomposition with lam(a): P_z -> P_w, solved for in the flattened
+    basis.  Kept per content in the fact table of ``cat``, under a key of
+    its own."""
+    return cat._fact("oracle nakayama", lambda m: _nak_data(cat, m), m)
+
+
+def _nak_data(cat, m) -> tuple:
+    vertices = cat.quiver.vertices
+    bases = {z: tuple(reps.hom_basis(m, cat.proj[z])) for z in vertices}
+    flat = {z: [b.flatten() for b in bases[z]] for z in vertices}
+    mats = {}
+    for a in cat.quiver.arrows:
+        lam = cat.lam(a.name)
+        cols = [_coords(flat[a.source], lam.compose(b), "postcomposition") for b in bases[a.target]]
+        mats[a.name] = RMatrix.from_columns(cols, len(bases[a.source])).transpose()
+    return Rep(cat.quiver, {z: len(bases[z]) for z in vertices}, mats), bases
+
+
+def dualize_renamed(m: Rep, op_quiver, vertex_map, arrow_map) -> Rep:
+    """D m over ``op_quiver``, the vertex v and the arrow a of m renamed
+    ``vertex_map[v]`` and ``arrow_map[a]`` there."""
+    dims = {vertex_map[v]: m.dims[v] for v in m.quiver.vertices}
+    mats = {arrow_map[a.name]: m.mats[a.name].transpose() for a in m.quiver.arrows}
+    return Rep(op_quiver, dims, mats)
+
+
+def opposite_algebra(category, q) -> tuple:
+    """(category, vertex_map, arrow_map): ``category(opposite(q))`` (the
+    path category or the duplicated category) and the names its vertices
+    and arrows give those of ``category(q)``.  The duplicated quiver of
+    opposite(q) swaps the copies: x corresponds to x', x' to x, the arrow a
+    to a' and a' to a, and the connecting arrow of a maximal path to that of
+    the reversed path."""
+    opq = opposite(q)
+    if category is path_category:
+        return path_category(opq), {v: v for v in q.vertices}, {a.name: a.name for a in q.arrows}
+    vmap, amap = {}, {}
+    for v in q.vertices:
+        vmap[v], vmap[prime(v)] = prime(v), v
+    for a in q.arrows:
+        amap[a.name], amap[prime(a.name)] = prime(a.name), a.name
+    for _, _, _, mp in session(q).report.connecting:
+        amap[mp.name] = type(mp)(mp.end, mp.start, tuple(reversed(mp.arrows))).name
+    return dup_category(opq), vmap, amap
+
+
+def tau_inv_by_opposite_algebra(category, q, m) -> Optional[Rep]:
+    """tau^{-1} m = D tau D m, with tau taken in ``opposite_algebra``;
+    None when m is injective."""
+    op, vmap, amap = opposite_algebra(category, q)
+    t = op.tau(dualize_renamed(m, op.quiver, vmap, amap))
+    if t is None:
+        return None
+    back_v = {w: v for v, w in vmap.items()}
+    back_a = {w: a for a, w in amap.items()}
+    return dualize_renamed(t, category(q).quiver, back_v, back_a)
+
+
 def projections(parts, total):
     """The canonical projections of the direct sum ``total`` onto its
     ``parts``: the transposes of ``reps.structure_maps``."""
@@ -161,7 +246,7 @@ def theta(m: Rep, q) -> RepMap:
     one, i.e. when m is not a module of the duplicated algebra of q."""
     x, y = restrict(m, q, str), restrict(m, q, prime)
     base_cat = path_category(q)
-    nu = base_cat.nakayama(y)
+    nu, bases = nak_data(base_cat, y)
     offsets = {}
     total = 0
     for v in q.vertices:
@@ -185,7 +270,7 @@ def theta(m: Rep, q) -> RepMap:
                 rows.append(row)
                 rhs.append(0)
     for name, _, tgt, mp in session(q).report.connecting:
-        b = _dual_path_matrix(base_cat, y, mp)
+        b = _dual_path_matrix(bases, y, mp)
         c = m.mats[name]
         for i in range(x.dims[tgt]):
             for j in range(y.dims[mp.end]):
@@ -220,13 +305,13 @@ def triple_to_rep(x: Rep, y: Rep, th: RepMap) -> Rep:
     """The duplicated-quiver representation of the triple (X, Y, theta)."""
     q = x.quiver
     report = session(q).report
-    base_cat = path_category(q)
-    if th.source.dim_vector() != base_cat.nakayama(y).dim_vector():
+    nu, bases = nak_data(path_category(q), y)
+    if th.source.dim_vector() != nu.dim_vector():
         raise ValueError("theta must start at the canonical Nakayama image")
     dims = {v: x.dims[v] for v in q.vertices}
     dims.update({prime(v): y.dims[v] for v in q.vertices})
     mats = {a.name: x.mats[a.name] for a in q.arrows}
     mats.update({prime(a.name): y.mats[a.name] for a in q.arrows})
     for name, _, tgt, mp in report.connecting:
-        mats[name] = th.mats[tgt] @ _dual_path_matrix(base_cat, y, mp)
+        mats[name] = th.mats[tgt] @ _dual_path_matrix(bases, y, mp)
     return Rep(report.dup, dims, mats)

@@ -29,11 +29,12 @@ def positive_root_count(dynkin) -> int:
 def _nakayama_map(cat, f):
     """Functorial action of D Hom(-, A) on a morphism f, in the bases of
     Hom(-, P_z) that ``nak_data`` keeps."""
-    nu_m, _, flat_m = cat.nak_data(f.source)
-    nu_n, bases_n, _ = cat.nak_data(f.target)
+    nu_m, bases_m = cat.nak_data(f.source)
+    nu_n, bases_n = cat.nak_data(f.target)
     mats = {}
     for z in cat.quiver.vertices:
-        cols = [coordinates_in_span(flat_m[z], b.compose(f).flatten()) if flat_m[z] else () for b in bases_n[z]]
+        flat_m = [b.flatten() for b in bases_m[z]]
+        cols = [coordinates_in_span(flat_m, b.compose(f).flatten()) if flat_m else () for b in bases_n[z]]
         assert None not in cols
         mats[z] = RMatrix.from_columns(cols, nu_m.dims[z]).transpose()
     return RepMap(nu_m, nu_n, mats)

@@ -1,7 +1,8 @@
 """The module-category engine: Yoneda maps by evaluation at the generator,
 one direct sum per list of projectives, and every module fact (dual, cover,
-presentation, tau, Hom, Ext) once per module content."""
+presentation, tau, tau^{-1}, Nakayama image) once per module content."""
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -79,7 +80,7 @@ projectives = {x: (projective_rep(q, x), RMatrix.column([1])) for x in q.vertice
 projectives["2"] = (projectives["2"][0], RMatrix.column([0]))
 injectives = {x: (injective_rep(q, x), RMatrix([[1]], 1, 1)) for x in q.vertices}
 simples = {x: simple_rep(q, x) for x in q.vertices}
-cat = ModuleCategory(q, projectives, injectives, simples, None)
+cat = ModuleCategory(q, projectives, injectives, simples)
 try:
     cat.yoneda_map("2", cat.proj["2"], RMatrix.column([1]))
 except CatalogError:
@@ -111,9 +112,8 @@ def test_one_dual_per_module(monkeypatch):
     """From a cold session, the dual of a module is built once per content:
     a twin (equal dimension vector and matrices, another object) reuses the
     dual of the first for tau^{-1}.  The opposite category is built first:
-    its injectives are the duals of the projectives of this one
-    (``hereditary.injective_rep``), and they are not the category's duals of
-    modules."""
+    its standard modules are the duals of this one's, and they are not the
+    category's duals of modules."""
     monkeypatch.setattr(session, "_sessions", {})
     cat = path_category(d4_subspace())
     cat.opposite()
@@ -418,23 +418,21 @@ def _twin(m: Rep) -> Rep:
 )
 def test_twins_share_every_fact(category, quiver, monkeypatch):
     """A twin of a catalog entry (same content, another object) gets the
-    entry's presentation, tau and Hom basis objects, with no cover or tau
-    computed, and the entry's Ext^1 dimensions."""
+    entry's presentation and tau objects, with no cover or tau computed,
+    and the entry's Ext^1 dimensions."""
     cat = category(quiver())
     entries = cat.knit().entries
     facts = {
         id(e): (cat.presentation(e), cat.tau(e),
-                [(cat.hom(e, f), cat.hom(f, e)) for f in entries],
                 [(ext1_by_bases(cat, e, f), ext1_by_bases(cat, f, e)) for f in entries])
         for e in entries
     }
     computed = _count_computations(monkeypatch)
     for e in entries:
         t = _twin(e)
-        pres, tau, homs, exts = facts[id(e)]
+        pres, tau, exts = facts[id(e)]
         assert t is not e and cat.content_id(t) == cat.content_id(e)
         assert cat.presentation(t) is pres and cat.tau(t) is tau
-        assert all(cat.hom(t, f) is h and cat.hom(f, t) is k for f, (h, k) in zip(entries, homs))
         assert [(ext1_by_bases(cat, t, f), ext1_by_bases(cat, f, t)) for f in entries] == exts
     assert computed == {"_cover": [], "_tau": []}
 
@@ -516,6 +514,45 @@ def test_tau_inv_is_kept_per_content(category, quiver):
     for e in cat.knit().entries:
         t = cat.tau_inv(e)
         assert cat.tau_inv(e) is t and cat.tau_inv(_twin(e)) is t
+
+
+def _d4_orientation(bits) -> Quiver:
+    """D4 with the arm arrow al, be or ga into the centre 1 where its bit is
+    0, out of it where its bit is 1."""
+    arms = zip(("al", "be", "ga"), ("2", "3", "4"), bits)
+    return Quiver(["1", "2", "3", "4"], [(a, v, "1") if b == 0 else (a, "1", v) for a, v, b in arms])
+
+
+_TAU_INV_QUIVERS = {
+    "A1": lambda: a_n(1),
+    "A2": lambda: a_n(2),
+    "A3": lambda: a_n(3),
+    "A3-zigzag": lambda: a_n(3, "zigzag"),
+    "A4": lambda: a_n(4),
+    **{
+        "D4-" + "".join(map(str, bits)): lambda bits=bits: _d4_orientation(bits)
+        for bits in itertools.product((0, 1), repeat=3)
+    },
+    "E6": lambda: parse_quiver((FIXTURE_DIR / "e6.quiver").read_text(encoding="utf-8")),
+}
+
+
+@pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
+@pytest.mark.parametrize("name", sorted(_TAU_INV_QUIVERS))
+def test_tau_inv_equals_the_opposite_algebra_route(category, name):
+    """tau^{-1} through this category transposed equals, matrix for matrix,
+    tau^{-1} through the category of the opposite quiver with its vertices
+    and arrows renamed (``oracles.tau_inv_by_opposite_algebra``), on every
+    entry of ind A and of the duplicated algebra, and is None on the same
+    entries: the injective ones."""
+    q = _TAU_INV_QUIVERS[name]()
+    cat = category(q)
+    ar = cat.knit()
+    for k, e in enumerate(ar.entries):
+        got, want = cat.tau_inv(e), oracles.tau_inv_by_opposite_algebra(category, q, e)
+        assert (got is None) == (want is None) == ar.injective[k]
+        if got is not None:
+            assert got.dims == want.dims and got.mats == want.mats
 
 
 @pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
@@ -692,23 +729,26 @@ def test_empty_hom_span_holds_only_the_zero_map():
     """An empty span certifies the zero map, with no coordinates, and refuses
     a nonzero one."""
     p = path_category(a_n(2)).proj["2"]
-    assert modcat._coords([], reps.zero_map(p, p), "postcomposition") == ()
+    assert oracles._coords([], reps.zero_map(p, p), "postcomposition") == ()
     with pytest.raises(CatalogError, match="left the hom span"):
-        modcat._coords([], reps.identity_map(p), "postcomposition")
+        oracles._coords([], reps.identity_map(p), "postcomposition")
 
 
 def test_nakayama_refuses_a_postcomposition_outside_an_empty_span(monkeypatch):
-    """On A2 (2 -> 1), m = P_1 + S_2 is no kept projective, so its Nakayama
-    image is solved for in bases of Hom(m, P_z): lambda: P_1 -> P_2
-    postcomposed with the projection m -> P_1 is nonzero, and with
-    Hom(m, P_2) kept empty the Nakayama image of m raises instead of coming
-    out as (1, 0)."""
+    """On A2 (2 -> 1), m = P_1 + S_2 is no projective: the library refuses
+    its Nakayama image, and the oracle solves for it in bases of
+    Hom(m, P_z).  lambda: P_1 -> P_2 postcomposed with the projection
+    m -> P_1 is nonzero, so with Hom(m, P_2) solved empty the oracle raises
+    instead of giving (1, 0)."""
     monkeypatch.setattr(session, "_sessions", {})
     cat = path_category(a_n(2))
     m = reps.sum_rep([cat.proj["1"], cat.simple["2"]])
-    cat._facts[("hom", cat.content_id(m), cat.content_id(cat.proj["2"]))] = ()
-    with pytest.raises(CatalogError, match="postcomposition left the hom span"):
+    with pytest.raises(CatalogError, match="only for the projectives"):
         cat.nak_data(m)
+    solve = reps.hom_basis
+    monkeypatch.setattr(reps, "hom_basis", lambda a, b: [] if b is cat.proj["2"] else solve(a, b))
+    with pytest.raises(CatalogError, match="postcomposition left the hom span"):
+        oracles.nak_data(cat, m)
 
 
 def _tau_by_flattened_spans(cat, m):
@@ -726,7 +766,10 @@ def _tau_by_flattened_spans(cat, m):
         for i in range(len(parts0)):
             comps[(j, i)] = projections0[i].compose(fj)
     bases0 = [cat.nak_data(cat.proj[zi])[1] for zi, _ in parts0]
-    flats1 = [cat.nak_data(cat.proj[wj])[2] for wj, _ in parts1]
+    flats1 = [
+        {z: [b.flatten() for b in basis] for z, basis in cat.nak_data(cat.proj[wj])[1].items()}
+        for wj, _ in parts1
+    ]
     mats = {}
     for z in cat.quiver.vertices:
         cols = []
@@ -735,7 +778,7 @@ def _tau_by_flattened_spans(cat, m):
                 col = []
                 for j, flats in enumerate(flats1):
                     comp = b.compose(comps[(j, i)])
-                    col.extend(modcat._coords(flats[z], comp, "presentation component"))
+                    col.extend(oracles._coords(flats[z], comp, "presentation component"))
                 cols.append(tuple(col))
         rows = sum(len(flats[z]) for flats in flats1)
         mats[z] = RMatrix.from_columns(cols, rows).transpose()
@@ -758,7 +801,7 @@ def test_tau_at_the_generators_equals_flattened_spans(category, quiver):
     knit gets tau^-1) on the dual of every non-injective entry."""
     cat = category(quiver())
     ar = cat.knit()
-    op = cat.opposite()[0]
+    op = cat.opposite()
     checked = 0
     for k, e in enumerate(ar.entries):
         if not ar.projective[k]:
@@ -771,36 +814,21 @@ def test_tau_at_the_generators_equals_flattened_spans(category, quiver):
     assert checked == 2 * len(ar.sequences)
 
 
-def _nakayama_by_hom_systems(cat, m):
-    """nu(m) with bases of Hom(m, P_z) solved from Hom systems, and each
-    postcomposition with lambda solved for in the flattened basis: the route
-    of every module that is not a kept projective."""
-    vertices = cat.quiver.vertices
-    bases = {z: reps.hom_basis(m, cat.proj[z]) for z in vertices}
-    flat = {z: [b.flatten() for b in bases[z]] for z in vertices}
-    mats = {}
-    for a in cat.quiver.arrows:
-        lam = cat.lam(a.name)
-        cols = [modcat._coords(flat[a.source], lam.compose(b), "postcomposition") for b in bases[a.target]]
-        mats[a.name] = RMatrix.from_columns(cols, len(bases[a.source])).transpose()
-    return Rep(cat.quiver, {z: len(bases[z]) for z in vertices}, mats), bases
-
-
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.quiver")))
 def test_nakayama_of_projectives_by_yoneda_equals_hom_systems(fixture_dir, name):
     """On every fixture, in the path category, the duplicated category and
     their opposites, the Yoneda basis of each Hom(P_x, P_z) is the Hom
-    system's basis map for map, and nu(P_x) is the Hom-system route's."""
+    system's basis map for map, and nu(P_x) is the Hom-system route's
+    (``oracles.nak_data``)."""
     q = parse_quiver((fixture_dir / f"{name}.quiver").read_text(encoding="utf-8"))
     for category in (path_category, dup_category):
-        for cat in (category(q), category(q).opposite()[0]):
+        for cat in (category(q), category(q).opposite()):
             for p in cat.proj.values():
-                nu, bases, flat = cat.nak_data(p)
-                want_nu, want_bases = _nakayama_by_hom_systems(cat, p)
+                nu, bases = cat.nak_data(p)
+                want_nu, want_bases = oracles.nak_data(cat, p)
                 assert _same_content(nu, want_nu)
                 for z in cat.quiver.vertices:
                     assert [b.mats for b in bases[z]] == [b.mats for b in want_bases[z]]
-                    assert flat[z] == [b.flatten() for b in want_bases[z]]
 
 
 _DROPPED_NAKAYAMA_MAP = """
@@ -817,8 +845,8 @@ for x in cat.quiver.vertices:
         break
 w = pres.omega_top[0][0]
 key = ("nakayama", cat.content_id(cat.proj[w]))
-nu, bases, flat = cat.nak_data(cat.proj[w])
-cat._facts[key] = (nu, {{**bases, w: bases[w][:-1]}}, flat)
+nu, bases = cat.nak_data(cat.proj[w])
+cat._facts[key] = (nu, {{**bases, w: bases[w][:-1]}})
 try:
     cat.tau(m)
 except CatalogError as exc:
@@ -837,8 +865,8 @@ def test_tau_refuses_a_nakayama_basis_with_a_map_dropped(monkeypatch, src_env, c
     m = next(s for s in cat.simple.values() if cat.presentation(s).omega_top)
     w = cat.presentation(m).omega_top[0][0]
     assert ("generator values", w, w) not in cat._facts
-    nu, bases, flat = cat.nak_data(cat.proj[w])
-    cat._facts[("nakayama", cat.content_id(cat.proj[w]))] = (nu, {**bases, w: bases[w][:-1]}, flat)
+    nu, bases = cat.nak_data(cat.proj[w])
+    cat._facts[("nakayama", cat.content_id(cat.proj[w]))] = (nu, {**bases, w: bases[w][:-1]})
     with pytest.raises(CatalogError, match=f"Nakayama basis of Hom\\(P_{w}, P_{w}\\)"):
         cat.tau(m)
     assert ("tau", cat.content_id(m)) not in cat._facts

@@ -2,14 +2,15 @@
 
 import sys
 
-from dupcat import session
+from dupcat import reps, session
+from dupcat.cli import main
 from dupcat.cluster import pi_bar, shifted_projective
 from dupcat.dup import dup_category, embed_A, proj_primed, standard_dup_modules
 from dupcat.fixtures import d4_subspace
 from dupcat.hereditary import path_category
 from dupcat.leftpart import left_part_catalog
 from dupcat.modcat import ModuleCategory
-from dupcat.quiver import Quiver, prime
+from dupcat.quiver import Quiver, opposite, parse_quiver, prime
 from dupcat.reps import Rep
 from dupcat.verify import run_all_checks
 
@@ -46,6 +47,30 @@ def test_one_quiver_keyed_registry(monkeypatch):
         if isinstance(value, dict) and any(isinstance(k, Quiver) for k in value)
     ]
     assert keyed == ["dupcat.session._sessions"]
+
+
+def test_every_command_keeps_one_session(monkeypatch, fixture_dir, tmp_path, capsys):
+    """From a cold registry, D4 analyze, verify, enumerate, export and
+    emit-dot leave one Session, the input quiver's: tau^{-1} runs in the
+    opposite category of each category, which is that category transposed
+    (its projectives, injectives and simples are the duals of the
+    injectives, projectives and simples), so no category of the opposite
+    quiver is built."""
+    _start_cold(monkeypatch)
+    path = fixture_dir / "d4.quiver"
+    for command in ("analyze", "verify", "enumerate", "export", "emit-dot"):
+        assert main([command, "--quiver", str(path), "--out", str(tmp_path / command)]) == 0
+    capsys.readouterr()
+    q = parse_quiver(path.read_text(encoding="utf-8"))
+    assert list(session._sessions) == [q]
+    for cat in (path_category(q), dup_category(q)):
+        op = cat.opposite()
+        assert op.quiver == opposite(cat.quiver)
+        for z in cat.quiver.vertices:
+            for mine, theirs in ((op.proj[z], cat.inj[z]), (op.inj[z], cat.proj[z]), (op.simple[z], cat.simple[z])):
+                dual = reps.dualize(theirs, op.quiver)
+                assert (mine.dims, mine.mats) == (dual.dims, dual.mats)
+    assert list(session._sessions) == [q]
 
 
 def test_translate_budget(monkeypatch):

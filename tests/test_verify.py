@@ -241,14 +241,14 @@ def test_direct_sum_budget(monkeypatch):
 
 
 def test_hom_basis_budget(monkeypatch):
-    """One cold D4 run_all_checks keeps each Hom basis per pair of module
-    contents and reads Hom and Ext^1 dimensions off the hom table: at most
-    1,200 Hom bases (3,307 when every Hom dimension built a basis and nothing
-    kept Ext^1; 761 when facts were kept per object; 298 when the knit also
-    certified each almost split sequence with the presentation-based Ext^1;
-    218 when the Nakayama images of the projectives were solved from Hom
-    systems and the knit took every tau^{-1} by the Nakayama route; 122
-    now)."""
+    """One cold D4 run_all_checks reads Hom and Ext^1 dimensions off the
+    hom table: at most 1,200 Hom bases (3,307 when every Hom dimension built
+    a basis and nothing kept Ext^1; 761 when facts were kept per object; 298
+    when the knit also certified each almost split sequence with the
+    presentation-based Ext^1; 218 when the Nakayama images of the
+    projectives were solved from Hom systems and the knit took every
+    tau^{-1} by the Nakayama route; 82 now, with no basis kept, since no
+    pair of module contents is asked twice)."""
     _start_cold(monkeypatch)
     calls = []
     inner = reps.hom_basis
