@@ -29,7 +29,7 @@ print("tau(S2) has dimension vector", cat.tau(cat.simple["2"]).dim_vector(), "(t
 
 print("\nNakayama functor sends projectives to injectives:")
 for x in q.vertices:
-    print(f"  nu(P{x}) iso I{x}:", cat.is_isomorphic(cat.nakayama(cat.proj[x]), cat.inj[x]))
+    print(f"  nu(P{x}) iso I{x}:", cat.iso(cat.nakayama(cat.proj[x]), cat.inj[x]))
 
 print("\n== knitting the AR quiver ==")
 for name, quiver in [("A2", a_n(2)), ("A3", a_n(3)), ("D4", d4_subspace())]:

@@ -37,11 +37,11 @@ p1 = embed_A(projective_rep(q, "1"))
 z1 = cat.cosyzygy(p1)[0]
 print("cosyzygy of embedded P1:", dim_vectors(z1))
 print("equals tau^{-1} of the embedded injective I1:",
-      cat.is_isomorphic(z1, cat.tau_inv(embed_A(projective_rep(q, "2")))))
+      cat.iso(z1, cat.tau_inv(embed_A(projective_rep(q, "2")))))
 
 _, envelope, _ = cat.envelope(p1)
 print("injective envelope of embedded P1 is P[1']:",
-      cat.is_isomorphic(envelope, std.projective_primed["1"]))
+      cat.iso(envelope, std.projective_primed["1"]))
 
 print("\nprojective dimensions: ",
       {f"S[{x}']": cat.pd(std.simple_primed[x]) for x in q.vertices})

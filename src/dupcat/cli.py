@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .catalog_io import catalog_to_dict, dup_catalog_to_dict, dumps
-from .cluster import describe_object
+from .cluster import describe_object, fundamental_domain
 from .dot import ar_quiver_dot
 from .dup import dim_vectors, knit_ind_dup
 from .errors import CapExceededError, DupcatError, NotDynkinError, QuiverSyntaxError
@@ -141,8 +141,11 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     ]
     print("\n".join(lines))
     if cfg.out:
-        # the sets share their objects: name each distinct one once
-        names = {o: describe_object(o) for o in set().union(*cluster_sets)}
+        # the sets share their objects: name each fundamental-domain
+        # position once, so no object is hashed
+        objects = fundamental_domain(q)
+        position = {(o.kind, o.key): k for k, o in enumerate(objects)}
+        names = [describe_object(o) for o in objects]
         payload = {
             "counts": {
                 "tilting": len(records),
@@ -159,7 +162,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
                 for rec in records
             ],
             "cluster_tilting": [
-                sorted(names[o] for o in s) for s in cluster_sets
+                sorted(names[position[o.kind, o.key]] for o in s) for s in cluster_sets
             ],
         }
         Path(cfg.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")

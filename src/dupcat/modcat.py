@@ -7,27 +7,31 @@ z-component), the indecomposable injective I_z (with an evaluation
 functional on its z-component) and the simple S_z.  Everything else is
 generic:
 
-* every fact about a module is kept per content, not per object, in one
-  fact table on the category (:meth:`ModuleCategory._fact`): a content
+* the facts that are read again are kept per content, not per object, in
+  one fact table on the category (:meth:`ModuleCategory._fact`): a content
   table gives each dimension vector with its arrow matrices a small id, and
-  covers, presentations, tau, tau^{-1}, duals and Nakayama images are kept
-  under (fact, id[, id]), so a module rebuilt as another object (a twin)
-  reuses every fact already known; the per-vertex frames, the arrow maps
-  and the sums of projectives are kept in the same table by value; Hom
-  bases are not kept, since no caller asks twice for one pair;
+  presentations, tau^{-1} and Nakayama images are kept under (fact, id), so
+  a module rebuilt as another object (a twin) reuses them; the per-vertex
+  frames, the arrow maps and the sums of projectives are kept in the same
+  table by value; covers, tau, Hom bases and isomorphism verdicts are
+  computed on each call, since each is read once (a cover through its
+  presentation, tau through tau^{-1});
 * projective covers lift a basis of the top through Yoneda evaluation at the
   generator: a per-vertex frame of arrow paths from the generator, built once,
   gives the map P_z -> N with generator |-> v without a Hom solve;
-  injective envelopes extend the socle, and cosyzygies are their cokernels;
-  the first syzygy is read inside its cover P0, never built as a module;
+  injective envelopes extend the socle, each socle functional fixing its map
+  into I_z by the same evaluation in the opposite category, and cosyzygies
+  are their cokernels; the first syzygy is read inside its cover P0, never
+  built as a module;
 * the direct sum of a list of projectives (or of their Nakayama images) is
   built once per category;
 * the Nakayama functor D Hom(-, A) is built only on the projectives: the
   bases of Hom(P_x, P_z) are read by Yoneda at the generator, with no Hom
-  system; the AR translate tau M is the kernel of its action on a minimal
-  projective presentation, whose components are the columns of the top of
-  Omega M in P0 (their values at the generators), and pd M <= 1 exactly
-  when that Omega M is projective;
+  system, and it sends the generator to the standard basis, so a map's
+  values at the generator are its coordinates; the AR translate tau M is
+  the kernel of its action on a minimal projective presentation, whose
+  components are the columns of the top of Omega M in P0 (their values at
+  the generators), and pd M <= 1 exactly when that Omega M is projective;
 * tau^{-1} = D tau D (Assem-Simson-Skowronski vol. 1, IV.2) is computed
   through the opposite category and kept per content; that category is
   this one transposed, built once from its standard modules over the
@@ -52,11 +56,11 @@ generic:
   Ext^1 from a source of projective dimension <= 1 is the table entry of
   its tau (the AR formula), with no system built;
 * indecomposables are looked up by dimension vector (directing modules are
-  determined by it), with an invertible map (``reps.is_isomorphic``)
-  deciding every hit, its verdict kept per pair of contents; the same index
-  serves the knit, catalog lookups and decompositions;
-* isomorphism of any two modules is decided by their Krull-Schmidt
-  multiplicities against the knitted catalog.
+  determined by it), with equal contents or an invertible map
+  (``reps.is_isomorphic``) deciding every hit; the same index serves the
+  knit, catalog lookups and decompositions, and two modules of a
+  representation-finite category are isomorphic exactly when
+  :meth:`ModuleCategory.decompose` gives them equal multiplicities.
 """
 
 from __future__ import annotations
@@ -67,14 +71,7 @@ from operator import add, sub
 from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, CatalogError, CycleDetectedError
-from .linalg import (
-    RMatrix,
-    coordinates_in_span,
-    nullspace_basis,
-    pivot_columns,
-    rank,
-    solve_matrix,
-)
+from .linalg import RMatrix, nullspace_basis, pivot_columns, rank, solve_matrix
 from .quiver import Quiver, opposite
 from . import reps
 from .reps import Rep, RepMap, hom_basis, kernel, cokernel, structure_maps, sum_rep
@@ -312,13 +309,10 @@ class ModuleCategory:
             i = self._uid_ids[m.uid] = self._content_ids.setdefault(key, len(self._content_ids))
         return i
 
-    def _fact(self, fact: str, compute, m: Rep, n: Optional[Rep] = None):
-        """The fact named ``fact`` of m, or of the pair (m, n), from the fact
-        table: ``compute(m)`` or ``compute(m, n)`` runs once per content id
-        (pair of ids), under the key (fact, id[, id])."""
-        if n is None:
-            return self._kept((fact, self.content_id(m)), compute, m)
-        return self._kept((fact, self.content_id(m), self.content_id(n)), compute, m, n)
+    def _fact(self, fact: str, compute, m: Rep):
+        """The fact named ``fact`` of m from the fact table: ``compute(m)``
+        runs once per content id, under the key (fact, id)."""
+        return self._kept((fact, self.content_id(m)), compute, m)
 
     def _kept(self, key, compute, *args):
         """The fact table's value under ``key``; ``compute(*args)`` on the
@@ -335,16 +329,12 @@ class ModuleCategory:
         return tuple(hom_basis(m, n))
 
     def iso(self, m: Rep, n: Rep) -> bool:
-        """Decide m = n by ``reps.is_isomorphic`` (exact when m or n is
-        indecomposable), kept per unordered pair of contents; equal contents
-        are isomorphic with no system built."""
+        """Decide m = n by dimension vector, then content id (equal contents
+        are isomorphic with no system built), then ``reps.is_isomorphic``
+        (exact when m or n is indecomposable)."""
         if m.dim_vector() != n.dim_vector():
             return False
-        a, b = self.content_id(m), self.content_id(n)
-        if a == b:
-            return True
-        key = ("iso", a, b) if a < b else ("iso", b, a)
-        return self._kept(key, reps.is_isomorphic, m, n)
+        return self.content_id(m) == self.content_id(n) or reps.is_isomorphic(m, n)
 
     def find_iso(self, m: Rep, modules, index) -> Optional[int]:
         """Index of a module in ``modules`` isomorphic to m, or None.
@@ -479,10 +469,8 @@ class ModuleCategory:
         ]
 
     def cover(self, m: Rep) -> CoverData:
-        """Minimal projective cover of m, kept per content."""
-        return self._fact("cover", self._cover, m)
-
-    def _cover(self, m: Rep) -> CoverData:
+        """Minimal projective cover of m, computed on every call: it is read
+        through the kept :meth:`presentation`."""
         parts = []
         for z in m.support:
             for e in self._complement_columns(self._arrow_images(m, z)):
@@ -534,46 +522,40 @@ class ModuleCategory:
         return self._omega_projective(self.presentation(m))
 
     def envelope(self, m: Rep):
-        """Injective envelope (parts, I0, j: m -> I0)."""
-        soc_parts = []  # (z, functional row on m_z)
+        """Injective envelope (parts, I0, j: m -> I0).
+
+        The socle of m at z, completed to a basis of m_z, gives one
+        functional phi on m_z per socle vector.  A map m -> I_z is fixed by
+        its evaluation at z (Hom(m, I_z) = D m_z, Assem-Simson-Skowronski
+        vol. 1, III.2), so the part of phi is the dual of the map from the
+        opposite category's projective D I_z to D m sending its generator
+        to phi^T (:meth:`yoneda_map`, whose commuting squares certify it),
+        with no Hom system solved."""
+        op = self.opposite()
+        dual = reps.dualize(m, op.quiver)
+        parts, duals = [], []  # per part: z, and the map D I_z -> D m
         for z in m.support:
             soc_basis = self._socle_basis(m, z)
-            s = soc_basis.cols
-            if s == 0:
+            if soc_basis.cols == 0:
                 continue
             completion = RMatrix.hstack([soc_basis] + self._complement_columns(soc_basis))
             inv = solve_matrix(completion, RMatrix.identity(completion.rows))
             if inv is None:
                 raise CatalogError("socle completion is not invertible")
-            for jrow in range(s):
-                functional = RMatrix([list(inv.data[jrow])], 1, m.dims[z])
-                soc_parts.append((z, functional))
-        if not soc_parts:
+            for phi in inv.data[: soc_basis.cols]:
+                duals.append(op.yoneda_map(z, dual, RMatrix.column(phi)))
+                parts.append(z)
+        if not parts:
             if not m.is_zero():
                 raise CatalogError("nonzero module with zero socle")
             i0 = reps.zero_rep(self.quiver)
             return [], i0, reps.zero_map(m, i0)
-        part_maps = []
-        for z, functional in soc_parts:
-            basis = self.hom(m, self.inj[z])
-            if len(basis) != m.dims[z]:
-                raise CatalogError("injective hom dimension mismatch")
-            rows = [(self.inj_eval[z] @ b.mats[z]).data[0] for b in basis]
-            sol = coordinates_in_span(rows, functional.data[0])
-            if sol is None:
-                raise CatalogError("socle functional not realizable")
-            f = reps.zero_map(m, self.inj[z])
-            for c, b in zip(sol, basis):
-                if c != 0:
-                    f = f.add(b.scale(c))
-            part_maps.append(f)
-        summands = [self.inj[z] for z, _ in soc_parts]
-        i0 = sum_rep(summands)
-        mats = {v: RMatrix.vstack([pm.mats[v] for pm in part_maps]) for v in m.support}
+        i0 = sum_rep([self.inj[z] for z in parts])
+        mats = {v: RMatrix.hstack([g.mats[v] for g in duals]).transpose() for v in m.support}
         j = RepMap(m, i0, mats, check=False)
         if not j.is_injective():
             raise CatalogError("envelope map not injective")
-        return [z for z, _ in soc_parts], i0, j
+        return parts, i0, j
 
     def cosyzygy(self, m: Rep):
         _, _, j = self.envelope(m)
@@ -622,23 +604,19 @@ class ModuleCategory:
         return self._kept(("nu sum", zs), lambda: sum_rep([self.nakayama(self.proj[z]) for z in zs]))
 
     def tau(self, m: Rep) -> Optional[Rep]:
-        """D Tr of m via the Nakayama image of a minimal presentation, kept
-        per content.
-
-        Returns None when m is projective.
-        """
-        return self._fact("tau", self._tau, m)
-
-    def _tau(self, m: Rep) -> Optional[Rep]:
-        """The kernel of nu(f1): nu(P1) -> nu(P0).
+        """D Tr of m, the kernel of nu(f1): nu(P1) -> nu(P0) for the minimal
+        presentation f1: P1 -> P0 of m; None when m is projective.  Not kept:
+        the library reads tau only inside tau^{-1} = D tau D, which is kept.
 
         By Yoneda a map P_w -> P_z is its value at the generator of P_w, so
         the component P_wj -> P_zi of f1 is one vector x_ji in P_zi(w_j): the
         rows of part i (:class:`CoverData`) in the column x of the j-th
         entry (w_j, x) of the presentation's ``omega_top``.  The Nakayama
-        basis map b: P_zi -> P_v composed with it has the coordinates
-        E(w_j, v)^-1 (b at w_j) x_ji in the Nakayama basis of Hom(P_wj, P_v)
-        (:meth:`_generator_values_inv`).
+        basis of Hom(P_wj, P_v) sends the generator to the standard basis of
+        P_v(w_j) (:meth:`nak_data`), so a Nakayama basis map b: P_zi -> P_v
+        composed with the component has its value (b at w_j) x_ji as its
+        coordinates in that basis.  CatalogError when that basis has another
+        number of maps than dim P_v(w_j).
         """
         pres = self.presentation(m)
         if not pres.omega_top:
@@ -655,15 +633,21 @@ class ModuleCategory:
                 xj.append(RMatrix._raw(tuple((c,) for c in image[o : o + d]), d, 1))
                 o += d
             x.append(xj)
-        # the Nakayama bases of the P0 summands
+        # the Nakayama bases of the summands of P0 and of P1
         bases0 = [self.nak_data(self.proj[zi])[1] for zi, _ in parts0]
+        bases1 = [self.nak_data(self.proj[wj])[1] for wj, _ in parts1]
         mats = {}
         for v in self.quiver.vertices:
             blocks = []
-            for (wj, _), xj in zip(parts1, x):
+            for (wj, _), xj, basis in zip(parts1, x, bases1):
+                d = self.proj[v].dims[wj]
+                if len(basis[v]) != d:
+                    raise CatalogError(
+                        f"the Nakayama basis of Hom(P_{wj}, P_{v}) has {len(basis[v])} maps, "
+                        f"but P_{v}({wj}) has dimension {d}"
+                    )
                 values = [b.mats[wj] @ xji for bases, xji in zip(bases0, xj) for b in bases[v]]
-                einv = self._generator_values_inv(wj, v)
-                blocks.append(einv @ RMatrix.hstack(values) if values else RMatrix.zeros(einv.rows, 0))
+                blocks.append(RMatrix.hstack(values) if values else RMatrix.zeros(d, 0))
             mats[v] = RMatrix.vstack(blocks).transpose()
         nu_f1 = RepMap(nu1, nu0, mats, check=False)
         t, _ = kernel(nu_f1)
@@ -671,37 +655,15 @@ class ModuleCategory:
             raise CatalogError("tau of a non-projective came out zero")
         return t
 
-    def _generator_values_inv(self, w, z) -> RMatrix:
-        """E(w, z)^-1, kept per vertex pair: E(w, z) holds, column by column,
-        the values at the generator of P_w of the Nakayama basis of
-        Hom(P_w, P_z), so it must be square and invertible (Yoneda:
-        Hom(P_w, P_z) = P_z(w)); CatalogError otherwise."""
-        return self._kept(("generator values", w, z), self._build_generator_values_inv, w, z)
-
-    def _build_generator_values_inv(self, w, z) -> RMatrix:
-        basis = self.nak_data(self.proj[w])[1][z]
-        d = self.proj[z].dims[w]
-        values = [b.mats[w] @ self.gen[w] for b in basis]
-        e = RMatrix.hstack(values) if values else RMatrix.zeros(d, 0)
-        inv = solve_matrix(e, RMatrix.identity(d)) if e.rows == e.cols else None
-        if inv is None:
-            raise CatalogError(
-                f"the Nakayama basis of Hom(P_{w}, P_{z}) is not a basis of P_{z}({w}) at the generator"
-            )
-        return inv
-
     def tau_inv(self, m: Rep) -> Optional[Rep]:
         """Tr D of m = D tau D m, with tau taken in :meth:`opposite`, kept
         per content; None if injective."""
         return self._fact("tau_inv", self._tau_inv, m)
 
     def _tau_inv(self, m: Rep) -> Optional[Rep]:
-        t = self.opposite().tau(self._dual(m))
+        op = self.opposite()
+        t = op.tau(reps.dualize(m, op.quiver))
         return None if t is None else reps.dualize(t, self.quiver)
-
-    def _dual(self, m: Rep) -> Rep:
-        """D m over the opposite quiver, built once per content."""
-        return self._fact("dual", lambda m: reps.dualize(m, self.opposite().quiver), m)
 
     def pd(self, m: Rep) -> int:
         """Projective dimension of m.
@@ -828,23 +790,6 @@ class ModuleCategory:
         if not current.is_zero():
             raise CatalogError("module has a summand outside the catalog")
         return result
-
-    def is_isomorphic(self, m: Rep, n: Rep) -> bool:
-        """Decide m = n up to isomorphism, exactly, for any two modules of a
-        representation-finite category.
-
-        By Krull-Schmidt two modules are isomorphic iff each indecomposable
-        occurs in both with the same multiplicity; both are decomposed
-        against the knitted catalog (which :meth:`knit` builds on first
-        use).  Raises CapExceededError when the category is not
-        representation-finite and CatalogError when m or n is not a module
-        of the category.  For a pair with an indecomposable side,
-        :meth:`iso` decides the same without a catalog.
-        """
-        if m.dim_vector() != n.dim_vector():
-            return False
-        catalog = self.knit()
-        return self.decompose(m, catalog) == self.decompose(n, catalog)
 
     def _fill_ar_structure(self, catalog: ARCatalog) -> None:
         """Irreducible arrows and almost split sequences, knitted along the

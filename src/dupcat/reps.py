@@ -405,8 +405,8 @@ def is_isomorphic(m: Rep, n: Rep) -> bool:
     caller meets.  If m = n by some iso phi, both are indecomposable, so
     End(m) is local (Fitting's lemma) and the maps that are not invertible
     form the proper subspace phi.rad End(m) of Hom(m, n); a basis cannot lie
-    in a proper subspace.  For two decomposable modules use
-    ``ModuleCategory.is_isomorphic``.
+    in a proper subspace.  Two decomposable modules are isomorphic when
+    ``ModuleCategory.decompose`` gives them equal multiplicities.
     """
     if m is n:
         return True

@@ -9,7 +9,16 @@ presentation, from full Hom bases.
 The library reads the first syzygy inside its projective cover and never
 builds it as a module.  ``presentation`` builds it (``reps.kernel`` of the
 cover) and then its own cover with Yoneda maps; ``tau`` and ``pd`` are the
-library's routes on top of that presentation.
+library's routes on top of that presentation.  The library takes the
+values at the generator of a Nakayama basis map as its coordinates, since
+that basis sends the generator to the standard basis; ``tau`` solves for
+the coordinates instead (``generator_values_inv``), so comparing the two
+checks that claim.
+
+The library maps a module into each injective I_z of its envelope by
+Yoneda in the opposite category.  ``envelope`` picks the same socle
+functionals and solves the Hom system Hom(M, I_z) for the map with each
+evaluation at z.
 
 The library builds the Nakayama image only of a projective P_x, by Yoneda.
 ``nak_data`` builds it for any module from bases of Hom(M, P_z) solved as
@@ -113,11 +122,53 @@ def tau(cat, m) -> Optional[Rep]:
         blocks = []
         for (wj, _), xj in zip(parts1, x):
             values = [b.mats[wj] @ xji for bases, xji in zip(bases0, xj) for b in bases[v]]
-            einv = cat._generator_values_inv(wj, v)
+            einv = generator_values_inv(cat, wj, v)
             blocks.append(einv @ RMatrix.hstack(values) if values else RMatrix.zeros(einv.rows, 0))
         mats[v] = RMatrix.vstack(blocks).transpose()
     nu_f1 = RepMap(cat._nak_of_parts(parts1), cat._nak_of_parts(parts0), mats, check=False)
     return reps.kernel(nu_f1)[0]
+
+
+def generator_values_inv(cat, w, z) -> RMatrix:
+    """E(w, z)^-1, where E(w, z) holds, column by column, the values at the
+    generator of P_w of the Nakayama basis of Hom(P_w, P_z); CatalogError
+    unless it is square and invertible (Yoneda: Hom(P_w, P_z) = P_z(w))."""
+    basis = cat.nak_data(cat.proj[w])[1][z]
+    d = cat.proj[z].dims[w]
+    values = [b.mats[w] @ cat.gen[w] for b in basis]
+    e = RMatrix.hstack(values) if values else RMatrix.zeros(d, 0)
+    inv = solve_matrix(e, RMatrix.identity(d)) if e.rows == e.cols else None
+    if inv is None:
+        raise CatalogError(f"the Nakayama basis of Hom(P_{w}, P_{z}) is not a basis of P_{z}({w})")
+    return inv
+
+
+def envelope(cat, m):
+    """(parts, I0, j: m -> I0): the socle of m at z completed to a basis
+    of m_z gives one functional per socle vector, and its map m -> I_z is
+    solved for in a basis of the Hom system Hom(m, I_z)."""
+    soc_parts = []  # (z, functional row on m_z)
+    for z in m.support:
+        soc_basis = cat._socle_basis(m, z)
+        completion = RMatrix.hstack([soc_basis] + cat._complement_columns(soc_basis))
+        inv = solve_matrix(completion, RMatrix.identity(completion.rows))
+        soc_parts += [(z, inv.data[k]) for k in range(soc_basis.cols)]
+    maps = []
+    for z, functional in soc_parts:
+        basis = reps.hom_basis(m, cat.inj[z])
+        if len(basis) != m.dims[z]:
+            raise CatalogError("injective hom dimension mismatch")
+        rows = [(cat.inj_eval[z] @ b.mats[z]).data[0] for b in basis]
+        sol = coordinates_in_span(rows, functional)
+        if sol is None:
+            raise CatalogError("socle functional not realizable")
+        f = reps.zero_map(m, cat.inj[z])
+        for c, b in zip(sol, basis):
+            f = f.add(b.scale(c))
+        maps.append(f)
+    i0 = reps.sum_rep([cat.inj[z] for z, _ in soc_parts])
+    mats = {v: RMatrix.vstack([f.mats[v] for f in maps]) for v in m.support}
+    return [z for z, _ in soc_parts], i0, RepMap(m, i0, mats)
 
 
 def pd(cat, m) -> int:

@@ -14,6 +14,7 @@ from dupcat.catalog_io import (
     dumps,
 )
 from dupcat.cli import RunConfig, main
+from dupcat.cluster import ClusterObject
 from dupcat.dot import ar_quiver_dot
 from dupcat.dup import dim_vectors, dup_category, knit_ind_dup
 from dupcat.errors import CatalogError
@@ -101,18 +102,26 @@ def test_cli_enumerate_a2(fixture_dir, capsys, tmp_path):
 
 def test_cli_enumerate_names_each_cluster_object_once(fixture_dir, capsys, tmp_path, monkeypatch):
     """enumerate --out describes each distinct cluster object once, not once
-    per cluster-tilting set it lies in (D4: 16 objects in 50 sets of 4)."""
-    calls = []
+    per cluster-tilting set it lies in (D4: 16 objects in 50 sets of 4),
+    and hashes no cluster object: it names them by fundamental-domain
+    position."""
+    calls, hashed = [], []
     inner = cli.describe_object
 
     def counting(o):
         calls.append(o)
         return inner(o)
 
+    def hashing(o):
+        hashed.append(o)
+        return tuple.__hash__(o)
+
     monkeypatch.setattr(cli, "describe_object", counting)
+    monkeypatch.setattr(ClusterObject, "__hash__", hashing)
     out_file = tmp_path / "enum.json"
     assert main(["enumerate", "--quiver", str(fixture_dir / "d4.quiver"), "--out", str(out_file)]) == 0
     capsys.readouterr()
+    assert hashed == []
     payload = json.loads(out_file.read_text())
     assert len(payload["cluster_tilting"]) == 50
     assert len(calls) == len(set(calls)) == 16

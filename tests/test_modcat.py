@@ -1,6 +1,6 @@
 """The module-category engine: Yoneda maps by evaluation at the generator,
-one direct sum per list of projectives, and every module fact (dual, cover,
-presentation, tau, tau^{-1}, Nakayama image) once per module content."""
+one direct sum per list of projectives, and every module fact that is read
+again (presentation, tau^{-1}, Nakayama image) once per module content."""
 
 import itertools
 import subprocess
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dupcat import fixtures, modcat, reps, session
+from dupcat import cli, fixtures, modcat, reps, session
 from dupcat.dup import dup_category
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
@@ -110,10 +110,10 @@ def test_covers_with_equal_top_vertices_share_the_sum():
 
 def test_one_dual_per_module(monkeypatch):
     """From a cold session, the dual of a module is built once per content:
-    a twin (equal dimension vector and matrices, another object) reuses the
-    dual of the first for tau^{-1}.  The opposite category is built first:
-    its standard modules are the duals of this one's, and they are not the
-    category's duals of modules."""
+    a twin (equal dimension vector and matrices, another object) gets the
+    tau^{-1} object kept for the first, so it is not dualized again.  The
+    opposite category is built first: its standard modules are the duals
+    of this one's, and they are not the category's duals of modules."""
     monkeypatch.setattr(session, "_sessions", {})
     cat = path_category(d4_subspace())
     cat.opposite()
@@ -129,7 +129,7 @@ def test_one_dual_per_module(monkeypatch):
     monkeypatch.setattr(reps, "dualize", counting)
     for module in (m, twin):
         assert cat.tau_inv(module) is not None
-    assert cat._dual(twin) is cat._dual(m)
+    assert cat.tau_inv(twin) is cat.tau_inv(m)
     ids = [cat.content_id(r) for r in duals if r.quiver == cat.quiver]
     assert ids.count(cat.content_id(m)) == 1
     assert len(ids) == len(set(ids))
@@ -308,10 +308,11 @@ def _base_change(data, m: Rep) -> Rep:
     ids=["D4-path", "A3-dup"],
 )
 def test_is_isomorphic_decides_by_multiplicities(category, quiver, data):
-    """Sums of catalog entries, one of them under a random base change, are
-    isomorphic exactly when their multisets of entries are equal; the
-    drawn pairs include equal dimension vectors with different multisets
-    (an entry traded for its composition factors)."""
+    """Sums of catalog entries, one of them under a random base change, get
+    equal multiplicities from ``decompose`` exactly when their multisets of
+    entries are equal, so the multiplicities decide isomorphism; the drawn
+    pairs include equal dimension vectors with different multisets (an
+    entry traded for its composition factors)."""
     cat = category(quiver())
     catalog = cat.knit()
     index = st.integers(0, len(catalog.entries) - 1)
@@ -332,19 +333,23 @@ def test_is_isomorphic_decides_by_multiplicities(category, quiver, data):
         return reps.sum_rep([catalog.entries[i] for i in order])
 
     m, n = direct_sum_of(first), _base_change(data, direct_sum_of(second))
-    assert cat.is_isomorphic(m, n) == (sorted(first) == sorted(second))
+    same = cat.decompose(m, catalog) == cat.decompose(n, catalog)
+    assert same == (sorted(first) == sorted(second))
 
 
 def test_is_isomorphic_with_equal_dimension_vectors():
     """S_1 + S_2 and P_2 over A2 share a dimension vector; so do S_1 + ...
-    + S_4 and I_1 (dimension vector (1, 1, 1, 1)) over D4."""
+    + S_4 and I_1 (dimension vector (1, 1, 1, 1)) over D4.  ``iso`` tells
+    the sum from the indecomposable side, and the multiplicities of two
+    orders of the sum are equal."""
     a2, d4 = path_category(a_n(2)), path_category(d4_subspace())
     for cat, m in ((a2, a2.proj["2"]), (d4, d4.inj["1"])):
+        catalog = cat.knit()
         simples = [cat.simple[v] for v, d in m.dims.items() for _ in range(d)]
         summed = reps.sum_rep(simples)
         assert summed.dim_vector() == m.dim_vector()
-        assert not cat.is_isomorphic(summed, m) and not cat.is_isomorphic(m, summed)
-        assert cat.is_isomorphic(summed, reps.sum_rep(simples[::-1]))
+        assert not cat.iso(summed, m) and not cat.iso(m, summed)
+        assert cat.decompose(summed, catalog) == cat.decompose(reps.sum_rep(simples[::-1]), catalog)
 
 
 # -- one elimination for the radical and the complement ------------------------
@@ -395,8 +400,9 @@ def test_pivot_columns_equal_the_greedy_picks(category, quiver):
 
 
 def _count_computations(monkeypatch):
-    """Record the module of every cover and tau the category computes."""
-    computed = {"_cover": [], "_tau": []}
+    """Record the module of every cover, presentation and tau^{-1} the
+    category computes."""
+    computed = {"cover": [], "_presentation": [], "_tau_inv": []}
     for name, calls in computed.items():
         inner = getattr(modcat.ModuleCategory, name)
 
@@ -418,23 +424,87 @@ def _twin(m: Rep) -> Rep:
 )
 def test_twins_share_every_fact(category, quiver, monkeypatch):
     """A twin of a catalog entry (same content, another object) gets the
-    entry's presentation and tau objects, with no cover or tau computed,
-    and the entry's Ext^1 dimensions."""
+    entry's presentation and tau^{-1} objects, with no cover, presentation
+    or tau^{-1} computed, and the entry's Ext^1 dimensions."""
     cat = category(quiver())
     entries = cat.knit().entries
     facts = {
-        id(e): (cat.presentation(e), cat.tau(e),
+        id(e): (cat.presentation(e), cat.tau_inv(e),
                 [(ext1_by_bases(cat, e, f), ext1_by_bases(cat, f, e)) for f in entries])
         for e in entries
     }
     computed = _count_computations(monkeypatch)
     for e in entries:
         t = _twin(e)
-        pres, tau, exts = facts[id(e)]
+        pres, tau_inv, exts = facts[id(e)]
         assert t is not e and cat.content_id(t) == cat.content_id(e)
-        assert cat.presentation(t) is pres and cat.tau(t) is tau
+        assert cat.presentation(t) is pres and cat.tau_inv(t) is tau_inv
         assert [(ext1_by_bases(cat, t, f), ext1_by_bases(cat, f, t)) for f in entries] == exts
-    assert computed == {"_cover": [], "_tau": []}
+    assert computed == {"cover": [], "_presentation": [], "_tau_inv": []}
+
+
+@pytest.mark.parametrize("fixture", ["d4", "e6"])
+def test_fact_table_keeps_only_facts_read_again(fixture_dir, tmp_path, monkeypatch, capsys, fixture):
+    """After the five commands in one cold session, no category's fact
+    table holds a cover, dual, tau, isomorphism or generator-values fact,
+    and every kind of fact the tables hold is read again at least once."""
+    monkeypatch.setattr(session, "_sessions", {})
+    cats, reads = {}, {}  # id -> category; kind -> lookups that found it kept
+    inner = modcat.ModuleCategory._kept
+
+    def kept(self, key, compute, *args):
+        cats[id(self)] = self
+        if key in self._facts:
+            reads[key[0]] = reads.get(key[0], 0) + 1
+        return inner(self, key, compute, *args)
+
+    monkeypatch.setattr(modcat.ModuleCategory, "_kept", kept)
+    path = fixture_dir / f"{fixture}.quiver"
+    for command in ("analyze", "verify", "enumerate", "export", "emit-dot"):
+        assert cli.main([command, "--quiver", str(path), "--out", str(tmp_path / command)]) == 0
+    capsys.readouterr()
+    kinds = {key[0] for cat in cats.values() for key in cat._facts}
+    assert {"presentation", "tau_inv", "nakayama"} <= kinds
+    assert not kinds & {"cover", "dual", "tau", "iso", "generator values"}
+    assert [kind for kind in kinds if not reads.get(kind)] == []
+
+
+@pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
+def test_envelope_solves_no_hom_system(monkeypatch, category):
+    """The envelope of every D4 catalog entry makes no ``hom_basis`` call."""
+    cat = category(d4_subspace())
+    entries = cat.knit().entries
+    calls = []
+    inner = reps.hom_basis
+
+    def counting(m, n):
+        calls.append((m, n))
+        return inner(m, n)
+
+    monkeypatch.setattr(reps, "hom_basis", counting)
+    monkeypatch.setattr(modcat, "hom_basis", counting)
+    for e in entries:
+        parts, _, j = cat.envelope(e)
+        assert parts and j.is_injective()
+    assert calls == []
+
+
+@pytest.mark.parametrize("fixture", ["d4", "e6"])
+def test_envelope_maps_equal_the_hom_solve(fixture_dir, fixture):
+    """On every entry of ind A and of ind of the duplicated algebra, the
+    envelope by Yoneda in the opposite category has the parts, the sum and
+    the map m -> I0 that the Hom-system route (``oracles.envelope``) gives."""
+    q = parse_quiver((fixture_dir / f"{fixture}.quiver").read_text(encoding="utf-8"))
+    checked = 0
+    for cat in (path_category(q), dup_category(q)):
+        for e in cat.knit().entries:
+            parts, i0, j = cat.envelope(e)
+            want_parts, want_i0, want_j = oracles.envelope(cat, e)
+            assert parts == want_parts
+            assert (i0.dims, i0.mats) == (want_i0.dims, want_i0.mats)
+            assert j.mats == want_j.mats
+            checked += 1
+    assert checked == len(path_category(q).knit().entries) + len(dup_category(q).knit().entries)
 
 
 def _base_change_at(data, m: Rep, v) -> Rep:
@@ -478,7 +548,7 @@ def test_changed_content_is_computed_afresh(category, quiver, data):
         kept = cat.presentation(e)
         computed = _count_computations(patch)
         assert cat.presentation(changed) is not kept
-        assert computed["_cover"][0] is changed
+        assert computed["cover"][0] is changed
         for f in entries:
             assert len(cat.hom(changed, f)) == len(cat.hom(e, f))
             assert len(cat.hom(f, changed)) == len(cat.hom(f, e))
@@ -808,7 +878,7 @@ def test_tau_at_the_generators_equals_flattened_spans(category, quiver):
             assert _same_content(cat.tau(e), _tau_by_flattened_spans(cat, e))
             checked += 1
         if not ar.injective[k]:
-            dual = cat._dual(e)
+            dual = reps.dualize(e, op.quiver)
             assert _same_content(op.tau(dual), _tau_by_flattened_spans(op, dual))
             checked += 1
     assert checked == 2 * len(ar.sequences)
@@ -858,18 +928,20 @@ raise SystemExit(1)
 @pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
 def test_tau_refuses_a_nakayama_basis_with_a_map_dropped(monkeypatch, src_env, category):
     """With the Nakayama basis of Hom(P_w, P_w) kept with its one map dropped,
-    the values at the generator are no basis of P_w(w): tau raises
+    it has fewer maps than P_w(w) has dimensions, so its values at the
+    generator are no coordinates: tau, which gathers those values, raises
     CatalogError, keeps nothing, and does the same under python -O."""
     monkeypatch.setattr(session, "_sessions", {})
     cat = category(d4_subspace())
     m = next(s for s in cat.simple.values() if cat.presentation(s).omega_top)
     w = cat.presentation(m).omega_top[0][0]
-    assert ("generator values", w, w) not in cat._facts
+    assert cat.tau(m) is not None
+    kept = set(cat._facts)
     nu, bases = cat.nak_data(cat.proj[w])
     cat._facts[("nakayama", cat.content_id(cat.proj[w]))] = (nu, {**bases, w: bases[w][:-1]})
     with pytest.raises(CatalogError, match=f"Nakayama basis of Hom\\(P_{w}, P_{w}\\)"):
         cat.tau(m)
-    assert ("tau", cat.content_id(m)) not in cat._facts
+    assert set(cat._facts) == kept
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _DROPPED_NAKAYAMA_MAP.format(category=category.__name__)],
         env=src_env, capture_output=True, text=True, timeout=120,

@@ -21,6 +21,7 @@ from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A, path_category
 from dupcat.leftpart import left_part_catalog, verify_pd_criterion
+from dupcat.linalg import RMatrix
 from dupcat.quiver import Quiver, parse_quiver
 from dupcat.tilting import is_tilting_module
 from oracles import rebuilt
@@ -59,10 +60,14 @@ def test_tau_and_pd_equal_the_oracle(fixture_dir, case):
     inside P0 equals the oracle's tau matrix for matrix (None exactly on the
     projectives), ``pd_at_most_one(m) == (pd(m) <= 1)`` with the oracle's
     projective dimension, and the library's exact pd is the oracle's.  Every
-    left-part member has pd <= 1 on both routes."""
+    left-part member has pd <= 1 on both routes.  The oracle solves for the
+    coordinates of the Nakayama basis maps that tau reads as their values
+    at the generator, and the solve is the identity on every vertex pair."""
     q = _quiver(fixture_dir, case)
     checked = 0
     for cat, entries in ((path_category(q), knit_ind_A(q).entries), (dup_category(q), knit_ind_dup(q).entries)):
+        for w, z in itertools.product(cat.quiver.vertices, repeat=2):
+            assert oracles.generator_values_inv(cat, w, z) == RMatrix.identity(cat.proj[z].dims[w])
         for m in entries:
             t, want = cat.tau(m), oracles.tau(cat, m)
             assert (t is None) == (want is None)

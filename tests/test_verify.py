@@ -294,22 +294,29 @@ def test_kernel_call_budget(monkeypatch):
 
 
 def test_cover_budget(monkeypatch):
-    """One cold D4 run_all_checks keeps each projective cover per module
-    content, so a syzygy's cover is the second cover of its module's
-    presentation: at most 130 covers computed (306 when they were kept per
-    object; 114 now)."""
+    """One cold D4 run_all_checks computes at most 130 projective covers
+    (306 when they were kept per object; 69 now).  A cover is not kept: it
+    is read through the presentation kept per module content, so it is
+    computed exactly once per presentation."""
     _start_cold(monkeypatch)
-    calls = []
-    inner = modcat.ModuleCategory._cover
+    calls, presentations = [], []
+    inner = modcat.ModuleCategory.cover
+    inner_presentation = modcat.ModuleCategory._presentation
 
     def counting(self, m):
         calls.append(m)
         return inner(self, m)
 
-    monkeypatch.setattr(modcat.ModuleCategory, "_cover", counting)
+    def presentation(self, m):
+        presentations.append(m)
+        return inner_presentation(self, m)
+
+    monkeypatch.setattr(modcat.ModuleCategory, "cover", counting)
+    monkeypatch.setattr(modcat.ModuleCategory, "_presentation", presentation)
     checks = run_all_checks(d4_subspace())
     assert all(c.passed for c in checks)
     assert 0 < len(calls) <= 130
+    assert calls == presentations
 
 
 def test_hom_system_budget(monkeypatch):
@@ -379,11 +386,12 @@ def test_knit_certifies_each_sequence_with_one_hom_basis(monkeypatch, quiver):
     assert len(bases) == sequences and presentations == []
 
 
-def test_isomorphism_hom_systems_equal_distinct_pairs(monkeypatch):
-    """One cold D5 run_all_checks solves one Hom system per unordered pair
-    of module contents it tests for isomorphism: the verdicts are kept per
-    pair on the category (155 systems for 77 pairs when find_iso and the
-    checks repeated them; 25 for 25 now)."""
+def test_isomorphism_hom_systems_budget(monkeypatch):
+    """One cold D5 run_all_checks solves at most 8 Hom systems to test
+    isomorphism, for at most 4 unordered pairs of module contents (155
+    systems for 77 pairs when find_iso and the checks repeated them; 4 for
+    2 now): the dimension vector and the content id decide every other
+    pair, so no verdict is kept."""
     _start_cold(monkeypatch)
     pairs = []
     inner = reps.is_isomorphic
@@ -398,7 +406,7 @@ def test_isomorphism_hom_systems_equal_distinct_pairs(monkeypatch):
 
     monkeypatch.setattr(reps, "is_isomorphic", counting)
     assert all(c.passed for c in run_all_checks(_d5()))
-    assert pairs and len(pairs) == len(set(pairs))
+    assert 0 < len(pairs) <= 8 and len(set(pairs)) <= 4
 
 
 @pytest.mark.parametrize("fixture", ["d4", "e7"], ids=["D4", "E7"])

@@ -8,9 +8,9 @@ one line ``<digest>  <run>`` is printed per run.  A digest covers the exit
 code, stdout, stderr and, for a run with ``--out``, the file written.  The
 runs:
 
-* analyze, verify, verify --out, enumerate, export and emit-dot on the
-  A1-A4 (both A3), D4 and E6 fixtures and on every orientation of A5 and
-  of D5 (16 each);
+* analyze, verify, verify --out, enumerate, enumerate --out, export and
+  emit-dot on the A1-A4 (both A3), D4 and E6 fixtures and on every
+  orientation of A5 and of D5 (16 each);
 * verify --out and export --out on the E7 and E8 fixtures;
 * analyze on the Kronecker fixture at --cap 15 and 50.
 
@@ -39,6 +39,7 @@ EVERY_COMMAND = [  # (command, writes --out)
     ("verify", False),
     ("verify", True),
     ("enumerate", False),
+    ("enumerate", True),
     ("export", False),
     ("emit-dot", False),
 ]
