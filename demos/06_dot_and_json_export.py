@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from dupcat import annotate_catalog, knit_ind_dup, left_part_catalog
+from dupcat import knit_ind_dup
 from dupcat.catalog_io import catalog_from_dict, dup_catalog_to_dict, dumps
 from dupcat.dot import ar_quiver_dot
 from dupcat.fixtures import d4_subspace
@@ -13,7 +13,7 @@ out_dir = Path(__file__).resolve().parent / "out"
 out_dir.mkdir(exist_ok=True)
 
 q = d4_subspace()
-cat = annotate_catalog(knit_ind_dup(q), left_part_catalog(q))
+cat = knit_ind_dup(q)
 record = enumerate_L_tilting(q)[0]
 
 dot = ar_quiver_dot(cat, record)

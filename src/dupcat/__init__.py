@@ -28,7 +28,6 @@ from .dup import (
     standard_dup_modules,
 )
 from .leftpart import (
-    annotate_catalog,
     canonical_tilting,
     left_part_catalog,
     sectional_check,

@@ -1,9 +1,10 @@
 """JSON import/export of AR catalogs.
 
 Matrices are serialized entry-wise as exact rational strings ("p/q"), so a
-round trip reproduces every structure map on the nose.  An imported entry
-of the duplicated kind is certified to be a module of the duplicated
-algebra (:func:`_certify_module`), and its flags are checked against it.
+round trip reproduces every structure map on the nose.  An import checks
+every flag a body lists against the catalog it rebuilds, whose flags are
+read off its structure, and raises CatalogError naming the field of a
+malformed body.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .dup import DupCatalog, dup_category, entry_flags
+from .dup import DupCatalog, dup_category
 from .errors import CatalogError
 from .hereditary import path_category
 from .linalg import RMatrix
 from .modcat import ARCatalog, ModuleCategory
-from .quiver import Quiver
+from .quiver import Quiver, classify_dynkin
 from .reps import Rep
 from .session import session
 
@@ -30,9 +31,8 @@ def _matrix_to_json(m: RMatrix):
 
 
 def _matrix_from_json(d) -> RMatrix:
-    return RMatrix(
-        [[Fraction(x) for x in row] for row in d["entries"]], d["rows"], d["cols"]
-    )
+    rows = [[Fraction(x) for x in row] for row in _field(d, "entries")]
+    return RMatrix(rows, _field(d, "rows"), _field(d, "cols"))
 
 
 def _rep_to_json(r: Rep):
@@ -43,11 +43,8 @@ def _rep_to_json(r: Rep):
 
 
 def _rep_from_json(q: Quiver, d) -> Rep:
-    return Rep(
-        q,
-        d["dims"],
-        {name: _matrix_from_json(m) for name, m in d["matrices"].items()},
-    )
+    mats = {name: _matrix_from_json(m) for name, m in _field(d, "matrices").items()}
+    return Rep(q, _field(d, "dims"), mats)
 
 
 def _quiver_to_json(q: Quiver):
@@ -55,10 +52,6 @@ def _quiver_to_json(q: Quiver):
         "vertices": list(q.vertices),
         "arrows": [[a.name, a.source, a.target] for a in q.arrows],
     }
-
-
-def _quiver_from_json(d) -> Quiver:
-    return Quiver(d["vertices"], [tuple(a) for a in d["arrows"]])
 
 
 def _ar_catalog_body(cat: ARCatalog):
@@ -80,7 +73,8 @@ def catalog_to_dict(cat: ARCatalog) -> dict:
 
 
 def dup_catalog_to_dict(cat: DupCatalog) -> dict:
-    """Serialize a duplicated-algebra catalog, including its flags."""
+    """Serialize a duplicated-algebra catalog with its flags, the left-part
+    flags exactly when the base quiver is Dynkin."""
     body = _ar_catalog_body(cat.catalog)
     body["kind"] = "duplicated"
     body["quiver"] = _quiver_to_json(cat.base)
@@ -88,42 +82,59 @@ def dup_catalog_to_dict(cat: DupCatalog) -> dict:
         "proj_injective": list(cat.proj_injective),
         "in_ind_A": list(cat.in_ind_A),
     }
-    if cat.in_L is not None:
+    if classify_dynkin(cat.base) is not None:
         body["flags"]["in_L"] = list(cat.in_L)
-    if cat.in_sigma is not None:
         body["flags"]["in_sigma"] = list(cat.in_sigma)
     return body
 
 
-def _one_per_entry(name: str, values, n: int) -> tuple:
-    """``values`` as bools; CatalogError naming the field unless it has one
-    value per catalog entry."""
-    if len(values) != n:
-        raise CatalogError(f"{name} has {len(values)} values for {n} catalog entries")
-    return tuple(bool(b) for b in values)
+def _field(body, path: str):
+    """The value at the dotted ``path`` of a body; CatalogError naming the
+    first field on it that is missing."""
+    keys = path.split(".")
+    for k, key in enumerate(keys):
+        if not isinstance(body, dict) or key not in body:
+            raise CatalogError(f"{'.'.join(keys[: k + 1])} is missing")
+        body = body[key]
+    return body
+
+
+def _check_flag(name: str, given, derived: tuple) -> None:
+    """CatalogError naming the field unless the flag list a body gives has
+    one value per catalog entry, and naming the entry and the field unless
+    each value is the one ``derived`` from the rebuilt catalog."""
+    if not (isinstance(given, list) and len(given) == len(derived)):
+        raise CatalogError(f"{name} is not a list of {len(derived)} values, one per catalog entry")
+    k = next((k for k, (a, b) in enumerate(zip(given, derived)) if a != b), None)
+    if k is not None:
+        raise CatalogError(f"entry {k}: {name} is {given[k]}, but its body says {derived[k]}")
 
 
 def _ar_catalog_from_body(category, quiver, body) -> ARCatalog:
-    entries = tuple(_rep_from_json(quiver, e) for e in body["entries"])
+    entries = []
+    for k, e in enumerate(_field(body, "entries")):
+        try:
+            entries.append(_rep_from_json(quiver, e))
+        except (CatalogError, ValueError) as exc:
+            raise CatalogError(f"entry {k}: {exc}") from None
     n = len(entries)
-    for name in ("arrows", "tau_links"):  # the first two items of a link are entry indices
-        bad = [k for link in body[name] for k in link[:2] if not (isinstance(k, int) and 0 <= k < n)]
+    # an arrow is (source, target, multiplicity), a tau link (M, tau^{-1} M)
+    for name, length in (("arrows", 3), ("tau_links", 2)):
+        links = _field(body, name)
+        short = next((link for link in links if not (isinstance(link, list) and len(link) == length)), None)
+        if short is not None:
+            raise CatalogError(f"{name} has the link {short!r}, not a list of {length} items")
+        bad = [k for link in links for k in link[:2] if not (isinstance(k, int) and 0 <= k < n)]
         if bad:
             raise CatalogError(f"{name} names entry {bad[0]!r}, but the catalog has {n} entries")
     tau_inv_of = {m: t for m, t in body["tau_links"]}
     tau_of = {t: m for m, t in tau_inv_of.items()}
     if not len(tau_of) == len(tau_inv_of) == len(body["tau_links"]):
         raise CatalogError("tau_links link one entry twice")
-    return ARCatalog(
-        category,
-        entries,
-        _one_per_entry("projective", body["projective"], n),
-        _one_per_entry("injective", body["injective"], n),
-        tau_inv_of,
-        tau_of,
-        tuple(tuple(a) for a in body["arrows"]),
-        {},
-    )
+    ar = ARCatalog(category, tuple(entries), tau_inv_of, tau_of, tuple(tuple(a) for a in body["arrows"]), {})
+    _check_flag("projective", _field(body, "projective"), ar.projective)
+    _check_flag("injective", _field(body, "injective"), ar.injective)
+    return ar
 
 
 def _certify_module(cat: ModuleCategory, k: int, m: Rep) -> None:
@@ -143,35 +154,29 @@ def _certify_module(cat: ModuleCategory, k: int, m: Rep) -> None:
 
 
 def catalog_from_dict(body: dict):
-    """Rebuild a catalog.  For the duplicated kind every entry is certified
-    a module (:func:`_certify_module`) and the flags ``proj_injective`` and
-    ``in_ind_A`` must be those the body gives (``dup.entry_flags``); a body
-    that fails raises CatalogError naming the entry."""
-    base = _quiver_from_json(body["quiver"])
-    if body["kind"] == "hereditary":
+    """Rebuild an ARCatalog (hereditary kind) or a DupCatalog (duplicated
+    kind), certifying each entry of the latter a module
+    (:func:`_certify_module`).  Every flag list the body gives must equal
+    the one read off the rebuilt catalog (``flags.in_L`` and
+    ``flags.in_sigma`` are optional); a body that fails raises CatalogError
+    naming the field, and the entry where there is one."""
+    base = Quiver(_field(body, "quiver.vertices"), [tuple(a) for a in _field(body, "quiver.arrows")])
+    kind = _field(body, "kind")
+    if kind == "hereditary":
         return _ar_catalog_from_body(path_category(base), base, body)
-    if body["kind"] != "duplicated":
-        raise CatalogError(f"unknown catalog kind {body['kind']!r}")
+    if kind != "duplicated":
+        raise CatalogError(f"unknown catalog kind {kind!r}")
     ar = _ar_catalog_from_body(dup_category(base), session(base).report.dup, body)
-    flags = {
-        name: _one_per_entry(f"flags.{name}", body["flags"][name], len(ar.entries))
-        for name in ("proj_injective", "in_ind_A", "in_L", "in_sigma")
-        if name in body["flags"]
-    }
     for k, e in enumerate(ar.entries):
         _certify_module(ar.category, k, e)
-    for name, body_says in zip(("proj_injective", "in_ind_A"), entry_flags(ar)):
-        k = next((k for k, (a, b) in enumerate(zip(flags[name], body_says)) if a != b), None)
-        if k is not None:
-            raise CatalogError(f"entry {k}: flags.{name} is {flags[name][k]}, but its body says {body_says[k]}")
-    return DupCatalog(
-        base,
-        ar,
-        flags["proj_injective"],
-        flags["in_ind_A"],
-        flags.get("in_L"),
-        flags.get("in_sigma"),
-    )
+    cat = DupCatalog(base, ar)
+    _check_flag("flags.proj_injective", _field(body, "flags.proj_injective"), cat.proj_injective)
+    _check_flag("flags.in_ind_A", _field(body, "flags.in_ind_A"), cat.in_ind_A)
+    if "in_L" in body["flags"]:
+        _check_flag("flags.in_L", body["flags"]["in_L"], cat.in_L)
+    if "in_sigma" in body["flags"]:
+        _check_flag("flags.in_sigma", body["flags"]["in_sigma"], cat.in_sigma)
+    return cat
 
 
 def dumps(body: dict) -> str:

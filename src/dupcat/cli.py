@@ -22,7 +22,7 @@ from .dot import ar_quiver_dot
 from .dup import dim_vectors, knit_ind_dup
 from .errors import CapExceededError, DupcatError, NotDynkinError, QuiverSyntaxError
 from .hereditary import knit_ind_A
-from .leftpart import annotate_catalog, left_part_catalog
+from .leftpart import left_part_catalog
 from .quiver import classify_dynkin, parse_quiver
 from .session import session
 from .tilting import enumerate_L_tilting, expected_count, verify_bijection
@@ -171,7 +171,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
 def cmd_emit_dot(cfg: RunConfig) -> int:
     q = _load(cfg)
-    dup_cat = annotate_catalog(knit_ind_dup(q, cfg.cap), left_part_catalog(q))
+    dup_cat = knit_ind_dup(q, cfg.cap)
     records = enumerate_L_tilting(q)
     record = None
     if records:
@@ -190,8 +190,6 @@ def cmd_export(cfg: RunConfig) -> int:
     q = _load(cfg)
     cat_a = knit_ind_A(q, cfg.cap)
     dup_cat = knit_ind_dup(q, cfg.cap)
-    if classify_dynkin(q) is not None:
-        annotate_catalog(dup_cat, left_part_catalog(q))
     payload = {
         "ind_A": catalog_to_dict(cat_a),
         "ind_dup": dup_catalog_to_dict(dup_cat),

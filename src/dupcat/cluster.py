@@ -82,16 +82,21 @@ def pi_bar(q: Quiver, m: Rep) -> ClusterObject:
 
 
 def ext1_cluster_dim(o1: ClusterObject, o2: ClusterObject) -> int:
-    """Extension dimension between fundamental-domain representatives.
+    """:func:`ext1_in_catalog` on the catalog of ind A of their quiver."""
+    if o1.quiver != o2.quiver:
+        raise CatalogError("cluster objects over different quivers")
+    return ext1_in_catalog(knit_ind_A(o1.quiver), o1, o2)
+
+
+def ext1_in_catalog(cat, o1: ClusterObject, o2: ClusterObject) -> int:
+    """Extension dimension between fundamental-domain representatives over
+    the quiver of ``cat``, the catalog of ind A (read once per pass).
 
     module/module: both-direction base Ext, read off the hom table of ind A
     by the AR formula (A is hereditary, so every module has projective
     dimension <= 1); shift(x)/module(M): the dimension of M at x;
     shift/shift: zero.
     """
-    if o1.quiver != o2.quiver:
-        raise CatalogError("cluster objects over different quivers")
-    cat = knit_ind_A(o1.quiver)
     if o1.kind == "module" and o2.kind == "module":
         return cat.ext1_by_tau(o1.key, o2.key) + cat.ext1_by_tau(o2.key, o1.key)
     if o1.kind == "shift" and o2.kind == "shift":
@@ -108,15 +113,16 @@ def enumerate_cluster_tilting(q: Quiver):
     if classify_dynkin(q) is None:
         raise NotDynkinError("cluster-tilting enumeration requires Dynkin type")
     objects = fundamental_domain(q)
+    cat = knit_ind_A(q)
     n = len(q.vertices)
     count = len(objects)
     for i, o in enumerate(objects):
-        if ext1_cluster_dim(o, o) != 0:
+        if ext1_in_catalog(cat, o, o) != 0:
             raise CatalogError("fundamental-domain object not rigid")
     compat = [0] * count
     for i in range(count):
         for j in range(i + 1, count):
-            if ext1_cluster_dim(objects[i], objects[j]) == 0:
+            if ext1_in_catalog(cat, objects[i], objects[j]) == 0:
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
     return [tuple(objects[i] for i in c) for c in cliques(compat, n)]

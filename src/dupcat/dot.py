@@ -16,7 +16,8 @@ def _label(cat: DupCatalog, idx: int) -> str:
 
 
 def ar_quiver_dot(cat: DupCatalog, tilting_record=None) -> str:
-    """Render the knitted AR quiver; in_L flags must be filled for the box."""
+    """Render the knitted AR quiver; the left part, read off the catalog's
+    flags, needs a Dynkin base (NotDynkinError otherwise)."""
     diamond = set()
     if tilting_record is not None:
         for m in tilting_record.free:
@@ -33,13 +34,12 @@ def ar_quiver_dot(cat: DupCatalog, tilting_record=None) -> str:
             attrs.append("shape=diamond")
         else:
             attrs.append("shape=ellipse")
-        if cat.in_sigma and cat.in_sigma[i]:
+        if cat.in_sigma[i]:
             attrs.append("style=bold")
         return f'  n{i} [{", ".join(attrs)}];'
 
-    in_l = cat.in_L or tuple(False for _ in cat.entries)
-    inside = [i for i in range(len(cat.entries)) if in_l[i]]
-    outside = [i for i in range(len(cat.entries)) if not in_l[i]]
+    inside = [i for i in range(len(cat.entries)) if cat.in_L[i]]
+    outside = [i for i in range(len(cat.entries)) if not cat.in_L[i]]
     if inside:
         lines.append("  subgraph cluster_left_part {")
         lines.append('    label="left part";')

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import CatalogError
 from .linalg import RMatrix, rank
@@ -190,19 +190,40 @@ def _copies(q: Quiver, cat: ModuleCategory, cap) -> dict:
 
 
 class DupCatalog:
-    """ind of the duplicated algebra with flags; left-part flags are filled
-    by :mod:`dupcat.leftpart` after the catalog is built."""
+    """ind of the duplicated algebra of ``base`` (its knitted ``catalog``),
+    with per-entry flags read off the catalog and, for ``in_L`` and
+    ``in_sigma``, off the left part (NotDynkinError off Dynkin type)."""
 
-    def __init__(
-        self, base: Quiver, catalog: ARCatalog, proj_injective: tuple, in_ind_A: tuple,
-        in_L: Optional[tuple] = None, in_sigma: Optional[tuple] = None
-    ):
+    def __init__(self, base: Quiver, catalog: ARCatalog):
         self.base = base
         self.catalog = catalog
-        self.proj_injective = proj_injective
-        self.in_ind_A = in_ind_A
-        self.in_L = in_L
-        self.in_sigma = in_sigma
+
+    @cached_property
+    def proj_injective(self) -> tuple:
+        """Per entry, whether it is projective-injective."""
+        return tuple(p and i for p, i in zip(self.catalog.projective, self.catalog.injective))
+
+    @cached_property
+    def in_ind_A(self) -> tuple:
+        """Per entry, whether it is zero at the primed vertices (in ind A)."""
+        return tuple(not any(dim_vectors(e)[1]) for e in self.entries)
+
+    @cached_property
+    def _member_of(self) -> tuple:
+        """Per entry, the index of its left-part member, or None."""
+        lpc = session(self.base).left_part
+        return tuple(lpc.member_index(e) for e in self.entries)
+
+    @cached_property
+    def in_L(self) -> tuple:
+        """Per entry, whether it lies in the left part."""
+        return tuple(k is not None for k in self._member_of)
+
+    @cached_property
+    def in_sigma(self) -> tuple:
+        """Per entry, whether it is Ext-injective in the left part."""
+        sigma = set(session(self.base).left_part.sigma_indices)
+        return tuple(k in sigma for k in self._member_of)
 
     @property
     def entries(self):
@@ -274,13 +295,7 @@ def knit_ind_dup(q: Quiver, cap: int = 10000) -> DupCatalog:
 def build_dup_catalog(q: Quiver) -> DupCatalog:
     # knit_ind_dup has knitted under its cap; this reads the kept knit
     ar = dup_category(q).knit(math.inf)
-    return DupCatalog(q, ar, *entry_flags(ar))
-
-
-def entry_flags(ar: ARCatalog) -> tuple:
-    """(proj_injective, in_ind_A) of a catalog of the duplicated algebra."""
-    proj_inj = tuple(p and i for p, i in zip(ar.projective, ar.injective))
-    return proj_inj, tuple(not any(dim_vectors(e)[1]) for e in ar.entries)
+    return DupCatalog(q, ar)
 
 
 # -- junction diagnostics -------------------------------------------------------

@@ -46,13 +46,6 @@ class Report:
         return self.passed
 
 
-def _require_dynkin(q: Quiver):
-    d = classify_dynkin(q)
-    if d is None:
-        raise NotDynkinError("operation requires a Dynkin quiver")
-    return d
-
-
 class LeftPartCatalog:
     """Members of the left part, partitioned by how they arise.
 
@@ -107,7 +100,7 @@ def left_part_catalog(q: Quiver) -> LeftPartCatalog:
     """Structure-based left part: embedded ind A plus the Ext-injectives.
 
     The session's catalog, so the checks that read it share its members and
-    their Hom/Ext caches.
+    their Hom/Ext caches; NotDynkinError off Dynkin type, on every call.
 
     A projective-injective lies in the left part iff all its predecessors
     do, and its predecessors are itself plus those of its radical summands.
@@ -117,7 +110,6 @@ def left_part_catalog(q: Quiver) -> LeftPartCatalog:
     candidates, recursing along the primed arrows.  No knitting of the
     duplicated category is needed.
     """
-    _require_dynkin(q)
     return session(q).left_part
 
 
@@ -136,6 +128,9 @@ def build_cosyzygies(q: Quiver) -> dict:
 
 
 def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
+    # once per session; a build that raises keeps nothing, so it raises again
+    if classify_dynkin(q) is None:
+        raise NotDynkinError("operation requires a Dynkin quiver")
     cat_a = knit_ind_A(q)
     embeds = [embed_A(e) for e in cat_a.entries]
     cosyz = session(q).cosyzygies
@@ -186,20 +181,6 @@ def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
             if ctx.iso(m, members[j]):
                 raise CatalogError("duplicate member")
     return lpc
-
-
-def annotate_catalog(cat: DupCatalog, lpc: LeftPartCatalog) -> DupCatalog:
-    """Fill the in_L / in_sigma flags of a knitted catalog from the left part."""
-    in_l = []
-    in_sigma = []
-    sigma_set = set(lpc.sigma_indices)
-    for m in cat.entries:
-        idx = lpc.member_index(m)
-        in_l.append(idx is not None)
-        in_sigma.append(idx in sigma_set if idx is not None else False)
-    cat.in_L = tuple(in_l)
-    cat.in_sigma = tuple(in_sigma)
-    return cat
 
 
 # -- verification reports ---------------------------------------------------
@@ -373,8 +354,6 @@ def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
     a hom table that fails its certificate (``DupCatalog.reach``) is
     reported after the paths into the left part.
     """
-    if cat.in_L is None:
-        annotate_catalog(cat, lpc)
     q = cat.base
     sinks, _ = sinks_and_sources(q)
     ctx = dup_category(q)
@@ -428,7 +407,6 @@ class CanonicalTilting(NamedTuple):
 def canonical_tilting(q: Quiver) -> CanonicalTilting:
     """The canonical tilting module: Ext-injectives plus the projectives
     not in the left part (always the primed ones here)."""
-    _require_dynkin(q)
     from .tilting import is_tilting_module
 
     lpc = left_part_catalog(q)

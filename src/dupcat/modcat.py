@@ -140,23 +140,31 @@ class ARSequence(NamedTuple):
 class ARCatalog:
     """Indecomposables of a representation-finite category with AR structure.
 
-    The first entries are the projectives P_z in the order of the quiver's
-    vertices.  The knit fills ``arrows`` and ``sequences`` after
-    construction.
+    The first entries are the projectives P_z in vertex order, and the
+    injectives are the entries with no tau^{-1}; the flags say so.  The knit
+    fills ``arrows`` and ``sequences`` after construction.
     """
 
     def __init__(
-        self, category: "ModuleCategory", entries: tuple, projective: tuple, injective: tuple,
-        tau_inv_of: dict, tau_of: dict, arrows: tuple = (), sequences: Optional[dict] = None
+        self, category: "ModuleCategory", entries: tuple, tau_inv_of: dict, tau_of: dict,
+        arrows: tuple = (), sequences: Optional[dict] = None
     ):
         self.category = category
         self.entries = entries
-        self.projective = projective
-        self.injective = injective
         self.tau_inv_of = tau_inv_of  # index -> index of tau^{-1}
         self.tau_of = tau_of  # inverse of the above
         self.arrows = arrows  # (source index, target index, multiplicity)
         self.sequences = {} if sequences is None else sequences  # right entry -> ARSequence
+
+    @cached_property
+    def projective(self) -> tuple:
+        """Per entry, whether it is projective: the first |Q_0| entries."""
+        return tuple(k < len(self.category.proj) for k in range(len(self.entries)))
+
+    @cached_property
+    def injective(self) -> tuple:
+        """Per entry, whether it is injective: it has no tau^{-1} link."""
+        return tuple(k not in self.tau_inv_of for k in range(len(self.entries)))
 
     @cached_property
     def index(self) -> dict:
@@ -733,16 +741,7 @@ class ModuleCategory:
                 tau_inv_of[i] = j
                 tau_of[j] = i
             i += 1
-        projective = tuple(k < len(self.proj) for k in range(len(entries)))
-        injective = tuple(k not in tau_inv_of for k in range(len(entries)))
-        catalog = ARCatalog(
-            self,
-            tuple(entries),
-            projective,
-            injective,
-            tau_inv_of,
-            tau_of,
-        )
+        catalog = ARCatalog(self, tuple(entries), tau_inv_of, tau_of)
         self._fill_ar_structure(catalog)
         self._catalog = catalog
         return catalog

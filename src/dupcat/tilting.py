@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import CatalogError, NotDynkinError
-from .quiver import Quiver, classify_dynkin
+from .errors import CatalogError
+from .quiver import Quiver
 from .cluster import cliques, enumerate_cluster_tilting, fundamental_domain, pi_bar
 from .dup import dup_category, knit_ind_dup, proj_primed
 from .leftpart import left_part_catalog
@@ -76,9 +76,8 @@ def enumerate_L_tilting(q: Quiver):
 
     Every candidate has projective dimension <= 1 (certified when the left
     part is built), so Ext^1 between candidates is read off the hom table
-    of the knitted catalog by the AR formula (``DupCatalog.ext1_dim``)."""
-    if classify_dynkin(q) is None:
-        raise NotDynkinError("tilting enumeration requires Dynkin type")
+    of the knitted catalog by the AR formula (``DupCatalog.ext1_dim``).
+    Off Dynkin type the left part raises NotDynkinError."""
     lpc = left_part_catalog(q)
     candidates = sorted(
         lpc.non_proj_inj_members(),

@@ -10,12 +10,11 @@ from __future__ import annotations
 from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
 from . import reps
-from .cluster import ext1_cluster_dim, fundamental_domain, pi_bar
+from .cluster import ext1_cluster_dim, ext1_in_catalog, fundamental_domain, pi_bar
 from .dup import dim_vectors, dup_category, embed_A, knit_ind_dup, standard_dup_modules
 from .hereditary import euler_form, knit_ind_A, path_category
 from .leftpart import (
     Report,
-    annotate_catalog,
     canonical_tilting,
     left_part_catalog,
     sectional_check,
@@ -129,14 +128,15 @@ def check_fundamental_domain_counts(q: Quiver, cat_a, lpc) -> Report:
 
 def check_ext_symmetry_and_cross_model(q: Quiver, lpc) -> Report:
     """Extension pairing is symmetric on the fundamental domain, and its
-    vanishing matches both-direction Ext-vanishing across the projection;
-    the duplicated side reads Ext^1 off the hom table of the knitted
-    catalog (``DupCatalog.ext1_dim``)."""
+    vanishing matches both-direction Ext-vanishing across the projection:
+    the cluster side by ``ext1_cluster_dim``, the duplicated side off the
+    hom table of the knitted catalog (``DupCatalog.ext1_dim``)."""
     witnesses = []
     objs = fundamental_domain(q)
+    cat_a = knit_ind_A(q)
     for o1 in objs:
         for o2 in objs:
-            if ext1_cluster_dim(o1, o2) != ext1_cluster_dim(o2, o1):
+            if ext1_in_catalog(cat_a, o1, o2) != ext1_in_catalog(cat_a, o2, o1):
                 witnesses.append(f"asymmetric pair {o1}, {o2}")
     dup_cat = knit_ind_dup(q)
     members = lpc.non_proj_inj_members()
@@ -180,7 +180,7 @@ def run_all_checks(q: Quiver, cap: int = 10000):
         raise NotDynkinError("the verification suite requires a Dynkin quiver")
     cat_a = knit_ind_A(q, cap)
     lpc = left_part_catalog(q)
-    dup_cat = annotate_catalog(knit_ind_dup(q, cap), lpc)
+    dup_cat = knit_ind_dup(q, cap)
     checks = [
         check_embedding_fidelity(q, cat_a),
         verify_pd_criterion(dup_cat),

@@ -19,7 +19,6 @@ from dupcat.errors import CapExceededError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import injective_rep, knit_ind_A, projective_rep, simple_rep
 from dupcat.leftpart import (
-    annotate_catalog,
     canonical_tilting,
     left_part_catalog,
     sectional_check,
@@ -152,7 +151,7 @@ def test_criterion_6_ext_injective_characterization():
         # projective-injectives, by construction; cross-check its size against
         # a brute-force pass over the full knitted catalog where available
         if name != "A4":
-            cat = annotate_catalog(knit_ind_dup(q), lpc)
+            cat = knit_ind_dup(q)
             ctx = dup_category(q)
             brute = []
             for i, m in enumerate(cat.entries):
@@ -173,7 +172,7 @@ def test_criterion_6_ext_injective_characterization():
 def test_criterion_7_sectional_paths():
     for name, q in [("A3-linear", a_n(3)), ("D4", d4_subspace())]:
         lpc = left_part_catalog(q)
-        cat = annotate_catalog(knit_ind_dup(q), lpc)
+        cat = knit_ind_dup(q)
         report = sectional_check(lpc, cat)
         assert report.passed, (name, report.witnesses)
     _ok("7: all sink-to-left-part irreducible paths sectional on A3 and D4")

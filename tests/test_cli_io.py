@@ -17,10 +17,9 @@ from dupcat.cli import RunConfig, main
 from dupcat.cluster import ClusterObject
 from dupcat.dot import ar_quiver_dot
 from dupcat.dup import dim_vectors, dup_category, knit_ind_dup
-from dupcat.errors import CatalogError
+from dupcat.errors import CatalogError, NotDynkinError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A
-from dupcat.leftpart import annotate_catalog, left_part_catalog
 from dupcat.quiver import parse_quiver
 from dupcat.reps import is_isomorphic
 from dupcat.session import session
@@ -220,7 +219,7 @@ def test_cli_non_utf8_quiver_names_the_file(tmp_path, src_env):
 
 def test_dot_d4_node_shapes():
     q = d4_subspace()
-    cat = annotate_catalog(knit_ind_dup(q), left_part_catalog(q))
+    cat = knit_ind_dup(q)
     records = enumerate_L_tilting(q)
     dot = ar_quiver_dot(cat, records[0])
     assert dot.count("shape=circle") == 4
@@ -248,7 +247,7 @@ def test_catalog_json_roundtrip_hereditary():
 
 def test_catalog_json_roundtrip_dup():
     q = a_n(2)
-    cat = annotate_catalog(knit_ind_dup(q), left_part_catalog(q))
+    cat = knit_ind_dup(q)
     body = json.loads(dumps(dup_catalog_to_dict(cat)))
     back = catalog_from_dict(body)
     assert len(back.entries) == 9
@@ -264,7 +263,7 @@ def test_catalog_json_roundtrip_dup():
 
 def _a2_dup_body():
     q = a_n(2)
-    cat = annotate_catalog(knit_ind_dup(q), left_part_catalog(q))
+    cat = knit_ind_dup(q)
     return json.loads(dumps(dup_catalog_to_dict(cat)))
 
 
@@ -321,7 +320,7 @@ _NOT_A_MODULE = "entry 4 is not a module: at vertex 1', the square at arrow be d
 _LOAD_EXPECTING_CATALOG_ERROR = """
 import json, sys
 from dupcat.catalog_io import catalog_from_dict
-from dupcat.errors import CatalogError
+from dupcat.errors import CatalogError, NotDynkinError
 try:
     catalog_from_dict(json.loads(open(sys.argv[1], encoding="utf-8").read()))
 except CatalogError as exc:
@@ -349,23 +348,32 @@ def test_catalog_json_import_rejects_non_module(tmp_path, src_env):
     assert proc.returncode == 0, proc.stderr
 
 
+# test id -> (body, path of the flag list, entry flipped, message); in the
+# D4 export entry 0 is P_1, projective but not injective, in ind A and not
+# Ext-injective in the left part, entry 4 (P_1') has a nonzero primed half
+# and entry 5 lies outside the left part; in the A3 one entry 0 is P_1
 _FLAG_TAMPERS = {
-    # entry 4 has primed half (1, 0, 0, 0); entry 0 is projective, not injective
-    "in_ind_A": (4, "entry 4: flags.in_ind_A is True, but its body says False"),
-    "proj_injective": (0, "entry 0: flags.proj_injective is True, but its body says False"),
+    "in_ind_A": ("d4", ("flags", "in_ind_A"), 4, "entry 4: flags.in_ind_A is True, but its body says False"),
+    "proj_injective": ("d4", ("flags", "proj_injective"), 0,
+                       "entry 0: flags.proj_injective is True, but its body says False"),
+    "in_L": ("d4", ("flags", "in_L"), 5, "entry 5: flags.in_L is True, but its body says False"),
+    "in_sigma": ("d4", ("flags", "in_sigma"), 0, "entry 0: flags.in_sigma is True, but its body says False"),
+    "projective": ("d4", ("projective",), 0, "entry 0: projective is False, but its body says True"),
+    "injective": ("d4", ("injective",), 0, "entry 0: injective is True, but its body says False"),
+    "hereditary-projective": ("a3", ("projective",), 0, "entry 0: projective is False, but its body says True"),
+    "hereditary-injective": ("a3", ("injective",), 0, "entry 0: injective is True, but its body says False"),
 }
 
 
-@pytest.mark.parametrize("flag", sorted(_FLAG_TAMPERS))
-def test_catalog_json_import_rejects_a_flag_its_body_contradicts(flag, tmp_path, src_env):
-    """A D4 export with one flag set against its body (in_ind_A on an entry
-    with a nonzero primed half, proj_injective on an entry the body marks
-    not injective) raises CatalogError naming the entry and the flag, also
-    under python -O."""
-    body = json.loads(dumps(dup_catalog_to_dict(knit_ind_dup(d4_subspace()))))
-    k, message = _FLAG_TAMPERS[flag]
-    assert body["flags"][flag][k] is False
-    body["flags"][flag][k] = True
+def _exported(name):
+    """The JSON body `export` writes for ind of the duplicated algebra of D4
+    (``d4``) or for ind A of A3 (``a3``)."""
+    if name == "d4":
+        return json.loads(dumps(dup_catalog_to_dict(knit_ind_dup(d4_subspace()))))
+    return json.loads(dumps(catalog_to_dict(knit_ind_A(a_n(3)))))
+
+
+def _rejects_in_process_and_under_O(body, message, tmp_path, src_env):
     with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
         catalog_from_dict(body)
     path = tmp_path / "tampered.json"
@@ -375,6 +383,79 @@ def test_catalog_json_import_rejects_a_flag_its_body_contradicts(flag, tmp_path,
         env=src_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_TAMPERS))
+def test_catalog_json_import_rejects_a_flag_its_body_contradicts(flag, tmp_path, src_env):
+    """Every flag is read off the rebuilt catalog, so an export with one
+    flag flipped against it raises CatalogError naming the entry and the
+    flag, also under python -O."""
+    name, path, k, message = _FLAG_TAMPERS[flag]
+    body = _exported(name)
+    *parents, field = path
+    holder = body
+    for key in parents:
+        holder = holder[key]
+    assert catalog_from_dict(body) is not None  # the untouched export loads
+    holder[field][k] = not holder[field][k]
+    _rejects_in_process_and_under_O(body, message, tmp_path, src_env)
+
+
+def _without(path):
+    def tamper(body):
+        *parents, name = path
+        for key in parents:
+            body = body[key]
+        del body[name]
+    return tamper
+
+
+def _dims_off(body):
+    entry = body["entries"][0]
+    entry["dims"]["1"] += 1
+
+
+# test id -> (the tampering of the A2 export, message)
+_MALFORMED = {
+    "no-flags": (_without(["flags"]), "flags is missing"),
+    "no-in_ind_A": (_without(["flags", "in_ind_A"]), "flags.in_ind_A is missing"),
+    "no-entries": (_without(["entries"]), "entries is missing"),
+    "no-quiver-arrows": (_without(["quiver", "arrows"]), "quiver.arrows is missing"),
+    "one-index-tau-link": (lambda body: body["tau_links"].append([0]), "tau_links has the link [0], not a list of 2 items"),
+    "two-item-arrow": (lambda body: body["arrows"][0].pop(), "arrows has the link [0, 1], not a list of 3 items"),
+    "dims-against-matrices": (_dims_off, "entry 0: matrix for arrow a2 has shape (1, 0), expected (2, 0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_catalog_json_import_names_the_malformed_field(case, tmp_path, src_env):
+    """A body with a field missing, a link of the wrong length or an entry
+    whose dimensions disagree with its matrices raises CatalogError naming
+    the field, in process and under python -O."""
+    tamper, message = _MALFORMED[case]
+    body = _a2_dup_body()
+    tamper(body)
+    _rejects_in_process_and_under_O(body, message, tmp_path, src_env)
+
+
+def test_export_of_a_non_dynkin_quiver_has_no_left_part_flags(tmp_path, capsys):
+    """A2 + A1 is representation-finite but not Dynkin: its export lists
+    only the flags read off the catalog, imports back to the same bytes,
+    and the imported catalog's left-part flags raise NotDynkinError."""
+    path = tmp_path / "a2_a1.quiver"
+    path.write_text("vertices 1 2 3\narrow a 2 1\n", encoding="utf-8")
+    out = tmp_path / "export.json"
+    assert main(["export", "--quiver", str(path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    body = payload["ind_dup"]
+    assert sorted(body["flags"]) == ["in_ind_A", "proj_injective"]
+    back = catalog_from_dict(body)
+    assert dumps(dup_catalog_to_dict(back)) == dumps(body)
+    assert dumps(catalog_to_dict(catalog_from_dict(payload["ind_A"]))) == dumps(payload["ind_A"])
+    with pytest.raises(NotDynkinError):
+        back.in_L
+    with pytest.raises(NotDynkinError):
+        back.in_sigma
 
 
 def _tampered_cells(fixture_dir, name, sample):

@@ -18,7 +18,6 @@ from dupcat.dup import dup_category, knit_ind_dup
 from dupcat.errors import CatalogError
 from dupcat.hereditary import euler_form, knit_ind_A, path_category
 from dupcat.leftpart import (
-    annotate_catalog,
     left_part_catalog,
     sectional_check,
     verify_left_part_definition,
@@ -126,7 +125,7 @@ def test_tampered_catalog_fails_the_certificate(fixture_dir, name, tamper):
         with pytest.raises(CatalogError, match="hom table"):
             tamper(cat).hom_table
     lpc = left_part_catalog(q)
-    good = annotate_catalog(knit_ind_dup(q), lpc)
+    good = knit_ind_dup(q)
     broken = rebuilt(good, catalog=tamper(good.catalog))
     for check in (verify_pd_criterion, lambda c: verify_sink_reachability(lpc, c),
                   lambda c: verify_left_part_definition(lpc, c)):

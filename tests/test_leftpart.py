@@ -7,7 +7,6 @@ from dupcat.errors import NotDynkinError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import knit_ind_A, projective_rep, simple_rep
 from dupcat.leftpart import (
-    annotate_catalog,
     canonical_tilting,
     definition_left_part_indices,
     left_part_catalog,
@@ -82,7 +81,7 @@ def test_two_route_left_part_a2():
 def test_annotate_and_auxiliary_checks_a2():
     q = a_n(2)
     lpc = left_part_catalog(q)
-    cat = annotate_catalog(knit_ind_dup(q), lpc)
+    cat = knit_ind_dup(q)
     assert sum(cat.in_L) == 7
     assert sum(cat.in_sigma) == 4
     assert verify_pd_criterion(cat).passed
@@ -93,7 +92,7 @@ def test_annotate_and_auxiliary_checks_a2():
 def test_sectional_check_leaves_no_reference_cycles():
     q = d4_subspace()
     lpc = left_part_catalog(q)
-    cat = annotate_catalog(knit_ind_dup(q), lpc)
+    cat = knit_ind_dup(q)
     first = sectional_check(lpc, cat)
     gc.collect()
     gc.disable()
@@ -109,7 +108,7 @@ def test_sectional_check_leaves_no_reference_cycles():
 def test_sectional_check_reports_an_oriented_cycle():
     q = a_n(2)
     lpc = left_part_catalog(q)
-    cat = annotate_catalog(knit_ind_dup(q), lpc)
+    cat = knit_ind_dup(q)
     arrows = cat.catalog.arrows
     back = tuple((t, s, k) for s, t, k in arrows)
     cyclic = rebuilt(cat, catalog=rebuilt(cat.catalog, arrows=arrows + back))

@@ -2,13 +2,17 @@
 
 import sys
 
-from dupcat import reps, session
+import pytest
+
+from dupcat import quiver, reps, session
 from dupcat.cli import main
 from dupcat.cluster import pi_bar, shifted_projective
-from dupcat.dup import dup_category, embed_A, proj_primed, standard_dup_modules
-from dupcat.fixtures import d4_subspace
+from dupcat.dup import dup_category, embed_A, knit_ind_dup, proj_primed, standard_dup_modules
+from dupcat.errors import NotDynkinError
+from dupcat.fixtures import d4_subspace, kronecker
 from dupcat.hereditary import path_category
-from dupcat.leftpart import left_part_catalog
+from dupcat.leftpart import canonical_tilting, left_part_catalog
+from dupcat.tilting import enumerate_L_tilting
 from dupcat.modcat import ModuleCategory
 from dupcat.quiver import Quiver, opposite, parse_quiver, prime
 from dupcat.reps import Rep
@@ -127,3 +131,64 @@ def test_pi_bar_compares_against_the_left_part_cosyzygy():
         copy = Rep(member.quiver, member.dims, dict(member.mats))
         assert lpc.member_index(member) == lpc.member_index(copy) == i
         assert pi_bar(q, member) == pi_bar(q, copy) == shifted_projective(q, x)
+
+
+def test_a_warm_e7_enumerate_reads_the_catalog_once_per_pass(monkeypatch, fixture_dir, capsys):
+    """A warm in-process E7 ``enumerate`` hashes a Quiver at most 250 times
+    (155 now): each pass over pairs of fundamental-domain objects reads the
+    catalog of ind A once instead of making a session lookup per pair
+    (2,639 hashes when it did)."""
+    path = str(fixture_dir / "e7.quiver")
+    assert main(["enumerate", "--quiver", path]) == 0
+    hashes = []
+    inner = Quiver.__hash__
+    monkeypatch.setattr(Quiver, "__hash__", lambda q: hashes.append(q) or inner(q))
+    assert main(["enumerate", "--quiver", path]) == 0
+    capsys.readouterr()
+    assert 0 < len(hashes) <= 250
+
+
+def _count_classifications(monkeypatch):
+    """Record every call of ``classify_dynkin`` through any dupcat module
+    that binds it."""
+    calls = []
+    inner = quiver.classify_dynkin
+
+    def counting(q):
+        calls.append(q)
+        return inner(q)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dupcat") and getattr(module, "classify_dynkin", None) is inner:
+            monkeypatch.setattr(module, "classify_dynkin", counting)
+    return calls
+
+
+def test_a_session_classifies_its_quiver_once_for_the_left_part(monkeypatch, fixture_dir):
+    """One cold E6 run_all_checks classifies the quiver at most 6 times (4
+    now: the suite's guard, the left part's build, the cluster enumeration
+    and the degree-product count), not once per read of the left part (92
+    times when every read was guarded)."""
+    _start_cold(monkeypatch)
+    calls = _count_classifications(monkeypatch)
+    q = parse_quiver((fixture_dir / "e6.quiver").read_text(encoding="utf-8"))
+    assert all(c.passed for c in run_all_checks(q))
+    assert 0 < len(calls) <= 6
+
+
+def test_a_non_dynkin_quiver_raises_on_every_read_of_the_left_part(monkeypatch):
+    """The left part's build raises NotDynkinError and keeps nothing, so
+    every later read raises again, through each route that reaches it; the
+    Kronecker quiver raises before any knit."""
+    _start_cold(monkeypatch)
+    a2_a1 = Quiver(["1", "2", "3"], [("a", "2", "1")])
+    cat = knit_ind_dup(a2_a1)
+    for q, reads in (
+        (a2_a1, (left_part_catalog, canonical_tilting, enumerate_L_tilting,
+                 lambda q: cat.in_L, lambda q: cat.in_sigma)),
+        (kronecker(), (left_part_catalog, canonical_tilting, enumerate_L_tilting)),
+    ):
+        for read in reads:
+            for _ in range(2):
+                with pytest.raises(NotDynkinError, match="^operation requires a Dynkin quiver$"):
+                    read(q)

@@ -11,7 +11,6 @@ from dupcat.hereditary import knit_ind_A, path_category
 from dupcat.linalg import RMatrix
 from dupcat.leftpart import (
     Report,
-    annotate_catalog,
     left_part_catalog,
     nonsectional_targets,
     sectional_check,
@@ -74,8 +73,6 @@ def _enumerated_nonsectional_targets(cat, start):
 def _sectional_check_by_enumeration(lpc, cat) -> Report:
     """The sectional check with every AR path from each sink enumerated: a
     witness per non-sectional path into the left part."""
-    if cat.in_L is None:
-        annotate_catalog(cat, lpc)
     reach, pd_table = _hom_reach(list(cat.entries)), cat.pd_table
     witnesses = []
     for a, start in _sink_starts(cat).items():
@@ -103,9 +100,8 @@ def _d5():
     )
 
 
-def _annotated(q):
-    lpc = left_part_catalog(q)
-    return lpc, annotate_catalog(knit_ind_dup(q), lpc)
+def _left_part_and_catalog(q):
+    return left_part_catalog(q), knit_ind_dup(q)
 
 
 def _sink_starts(cat):
@@ -134,7 +130,7 @@ def test_sectional_dp_equals_enumeration(quiver):
     """The (previous, current) worklist finds the non-sectional targets the
     path enumeration finds, each witness path is non-sectional and ends at
     its target, and both routes pass."""
-    lpc, cat = _annotated(quiver())
+    lpc, cat = _left_part_and_catalog(quiver())
     arrows = {(s, t) for s, t, _ in cat.catalog.arrows}
     for start in _sink_starts(cat).values():
         targets = nonsectional_targets(cat.catalog.arrows, cat.catalog.tau_of, start)
@@ -151,7 +147,7 @@ def test_sectional_dp_equals_enumeration(quiver):
 def test_tampered_tau_fails_both_sectional_routes(quiver):
     """A tau_of that makes a sink path into the left part non-sectional
     fails the DP and the enumeration; the DP names one path per target."""
-    lpc, cat = _annotated(quiver())
+    lpc, cat = _left_part_and_catalog(quiver())
     broken = _tamper_tau(cat)
     assert not sectional_check(lpc, broken).passed
     assert not _sectional_check_by_enumeration(lpc, broken).passed
@@ -416,7 +412,7 @@ def test_pd_criterion_hom_system_budget(monkeypatch, fixture_dir, fixture):
     solved them with a top-support zero test; 60 and 897 before that)."""
     _start_cold(monkeypatch)
     q = parse_quiver((fixture_dir / f"{fixture}.quiver").read_text(encoding="utf-8"))
-    cat = annotate_catalog(knit_ind_dup(q), left_part_catalog(q))
+    cat = knit_ind_dup(q)
     systems = _count_hom_systems(monkeypatch)
     assert leftpart.verify_pd_criterion(cat).passed
     assert systems == []
@@ -536,7 +532,7 @@ def test_four_way_sigma_equivalence_pointwise():
     = (sink path exists and every irreducible refinement is sectional)."""
     for q in (a_n(2), a_n(3)):
         lpc = left_part_catalog(q)
-        cat = annotate_catalog(knit_ind_dup(q), lpc)
+        cat = knit_ind_dup(q)
         sinks, _ = sinks_and_sources(q)
         reach = _hom_reach(list(cat.entries))
         starts = _sink_starts(cat)

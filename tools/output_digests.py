@@ -9,8 +9,9 @@ code, stdout, stderr and, for a run with ``--out``, the file written.  The
 runs:
 
 * analyze, verify, verify --out, enumerate, enumerate --out, export and
-  emit-dot on the A1-A4 (both A3), D4 and E6 fixtures and on every
-  orientation of A5 and of D5 (16 each);
+  emit-dot on the A1-A4 (both A3), D4 and E6 fixtures, on every
+  orientation of A5 and of D5 (16 each), and on A2 + A1 (representation-
+  finite but not Dynkin, so ``export`` writes no left-part flags);
 * verify --out and export --out on the E7 and E8 fixtures;
 * analyze on the Kronecker fixture at --cap 15 and 50.
 
@@ -43,6 +44,8 @@ EVERY_COMMAND = [  # (command, writes --out)
     ("export", False),
     ("emit-dot", False),
 ]
+# representation-finite, not Dynkin: A2 and an isolated vertex
+NOT_DYNKIN = {"a2_a1.quiver": "vertices 1 2 3\narrow a 2 1\n"}
 EDGES = {
     "a5": [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5")],
     "d5": [("1", "2"), ("2", "3"), ("3", "4"), ("3", "5")],
@@ -66,12 +69,13 @@ def inputs() -> dict:
     texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.quiver"))}
     for graph in EDGES:
         texts.update((f"{name}.quiver", text) for name, text in orientations(graph))
+    texts.update(NOT_DYNKIN)
     return texts
 
 
 def runs(names) -> list:
     """(run name, quiver file name, command words, writes --out) per run."""
-    everything = ["a1", "a2", "a3_linear", "a3_zigzag", "a4", "d4", "e6"]
+    everything = ["a1", "a2", "a2_a1", "a3_linear", "a3_zigzag", "a4", "d4", "e6"]
     everything += sorted(n[: -len(".quiver")] for n in names if n.startswith(("a5_", "d5_")))
     plan = [(name, command, (), to_file) for name in everything for command, to_file in EVERY_COMMAND]
     plan += [(name, command, (), True) for name in ("e7", "e8") for command in ("verify", "export")]
