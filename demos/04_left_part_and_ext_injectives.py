@@ -31,7 +31,7 @@ for name, q in [("A2", a_n(2)), ("A3 linear", a_n(3)), ("D4", d4_subspace())]:
     cat = knit_ind_dup(q)
     print("two-route equality:", verify_left_part_definition(lpc, cat).passed)
     print("Ext-injective brute force:", verify_ext_injectives(lpc).passed)
-    print("sectional-path property:", sectional_check(lpc, cat).passed)
+    print("sectional-path property:", sectional_check(cat).passed)
 
     res = canonical_tilting(q)
     print(f"canonical tilting module: {len(res.summands)} summands, "

@@ -11,7 +11,7 @@ from .quiver import (
     sinks_and_sources,
 )
 from .linalg import RMatrix, cokernel_basis, nullspace_basis, rank
-from .reps import Rep, RepMap, hom_basis, is_isomorphic, structure_maps, sum_rep
+from .reps import Rep, RepMap, hom_basis, is_isomorphic, sum_rep
 from .hereditary import (
     injective_rep,
     knit_ind_A,
@@ -37,7 +37,6 @@ from .leftpart import (
 from .cluster import (
     ClusterObject,
     enumerate_cluster_tilting,
-    ext1_cluster_dim,
     fundamental_domain,
     pi_bar,
     shifted_projective,

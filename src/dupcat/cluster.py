@@ -81,13 +81,6 @@ def pi_bar(q: Quiver, m: Rep) -> ClusterObject:
     return shifted_projective(q, next(x for x, k in lpc.cosyzygy_by_vertex.items() if k == i))
 
 
-def ext1_cluster_dim(o1: ClusterObject, o2: ClusterObject) -> int:
-    """:func:`ext1_in_catalog` on the catalog of ind A of their quiver."""
-    if o1.quiver != o2.quiver:
-        raise CatalogError("cluster objects over different quivers")
-    return ext1_in_catalog(knit_ind_A(o1.quiver), o1, o2)
-
-
 def ext1_in_catalog(cat, o1: ClusterObject, o2: ClusterObject) -> int:
     """Extension dimension between fundamental-domain representatives over
     the quiver of ``cat``, the catalog of ind A (read once per pass).

@@ -244,7 +244,7 @@ def verify_left_part_definition(lpc: LeftPartCatalog, cat: DupCatalog) -> Report
     return Report("left-part-two-route-equality", not witnesses, witnesses)
 
 
-def verify_sink_reachability(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
+def verify_sink_reachability(cat: DupCatalog) -> Report:
     """Every indecomposable outside the embedded module category admits a
     path from a projective-injective at a sink."""
     q = cat.base
@@ -343,7 +343,7 @@ def nonsectional_targets(arrows, tau_of: dict, start: int) -> dict:
     return {t: path_to(t) for t in sorted(closure)}
 
 
-def sectional_check(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
+def sectional_check(cat: DupCatalog) -> Report:
     """Paths of irreducible maps from sink projective-injectives into the
     left part must be sectional; targets outside it must exhibit either a
     non-sectional path or a predecessor of projective dimension >= 2.

@@ -113,14 +113,15 @@ class RMatrix:
 
     @staticmethod
     def from_columns(columns, rows: int) -> "RMatrix":
+        """The matrix with the given columns, each a ``rows``-sequence of
+        canonical entries (an RMatrix's entries or a nullspace vector), so
+        they are taken as they are, with no ``_canon`` pass."""
         cols = len(columns)
         if any(len(c) != rows for c in columns):
             raise ValueError("ragged columns")
         if rows == 0 or cols == 0:
             return RMatrix.zeros(rows, cols)
-        return RMatrix(
-            [[columns[j][i] for j in range(cols)] for i in range(rows)], rows, cols
-        )
+        return RMatrix._raw(tuple(zip(*columns)), rows, cols)
 
     @staticmethod
     def column(entries) -> "RMatrix":

@@ -18,7 +18,9 @@ generic:
   presentation, tau through tau^{-1});
 * projective covers lift a basis of the top through Yoneda evaluation at the
   generator: a per-vertex frame of arrow paths from the generator, built once,
-  gives the map P_z -> N with generator |-> v without a Hom solve;
+  gives the map P_z -> N with generator |-> v without a Hom solve, and the
+  cover's blocks are those maps' blocks side by side, certified onto by the
+  kernel elimination of the presentation;
   injective envelopes extend the socle, each socle functional fixing its map
   into I_z by the same evaluation in the opposite category, and cosyzygies
   are their cokernels; the first syzygy is read inside its cover P0, never
@@ -74,7 +76,7 @@ from .errors import CapExceededError, CatalogError, CycleDetectedError
 from .linalg import RMatrix, nullspace_basis, pivot_columns, rank, solve_matrix
 from .quiver import Quiver, opposite
 from . import reps
-from .reps import Rep, RepMap, hom_basis, kernel, cokernel, structure_maps, sum_rep
+from .reps import Rep, RepMap, hom_basis, kernel, cokernel, sum_rep
 
 
 class CoverData(NamedTuple):
@@ -84,7 +86,7 @@ class CoverData(NamedTuple):
 
     parts: list  # [(vertex z, lift RMatrix column)]
     p0: Rep
-    q: RepMap  # p0 -> M, surjective
+    q: RepMap  # p0 -> M, certified onto by the presentation
 
 
 class Presentation(NamedTuple):
@@ -398,23 +400,22 @@ class ModuleCategory:
         return steps, order, binv
 
     def yoneda_map(self, z, n: Rep, vec: RMatrix) -> RepMap:
-        """The unique map P_z -> n sending the generator to ``vec``.
+        """The unique map P_z -> n sending the generator to ``vec``, from its
+        blocks (:meth:`_yoneda_blocks`).  The commuting squares certify a
+        module map (a ValueError when n breaks a relation P_z satisfies),
+        and it is unique because the generator generates P_z."""
+        return RepMap(self.proj[z], n, self._yoneda_blocks(z, n, vec))
 
-        Evaluated on the frame of P_z: the image of the step along a path is
-        n(path) @ vec.  The commuting squares certify a module map (a
-        ValueError when n breaks a relation P_z satisfies), and it is unique
-        because the generator generates P_z.
-        """
+    def _yoneda_blocks(self, z, n: Rep, vec: RMatrix) -> dict:
+        """The blocks, at the vertices where neither side is zero, of the
+        map P_z -> n sending the generator to ``vec``, not yet certified.
+        Evaluated on the frame of P_z: the image of the step along a path
+        is n(path) @ vec."""
         steps, order, binv = self._frame(z)
         images = []
         for _, parent, arrow in steps:
             images.append(vec if parent is None else n.mats[arrow] @ images[parent])
-        mats = {
-            v: RMatrix.hstack([images[i] for i in order[v]]) @ binv[v]
-            for v in n.support
-            if order[v]
-        }
-        return RepMap(self.proj[z], n, mats)
+        return {v: RMatrix.hstack([images[i] for i in order[v]]) @ binv[v] for v in n.support if order[v]}
 
     def lam(self, arrow_name: str) -> RepMap:
         """Left multiplication P_z -> P_w along the arrow w -> z, built once."""
@@ -465,20 +466,26 @@ class ModuleCategory:
     # -- covers and envelopes -------------------------------------------------
 
     def _complement_columns(self, sub: RMatrix):
-        """Standard basis vectors completing the column span of ``sub``: in
-        order, each e_i independent of sub and of the e_k before it, i.e.
-        the pivot columns of [sub | I] past sub."""
+        """Standard basis vectors completing the column span W of ``sub``:
+        in order, each e_i independent of sub and of the e_k before it.
+        W + span(e_k, k < i) holds e_i exactly when some vector of W has
+        its last nonzero coordinate at i, and those positions are the
+        pivot columns of the transpose of sub with its coordinates
+        reversed: one elimination of a (cols x rows) matrix."""
         d = sub.rows
+        t = sub.transpose()
+        reversed_rows = RMatrix._raw(tuple(row[::-1] for row in t.data), t.rows, d)
+        taken = {d - 1 - p for p in pivot_columns(reversed_rows)}
         ident = RMatrix.identity(d)
-        return [
-            RMatrix.column(ident.data[j - sub.cols])
-            for j in pivot_columns(RMatrix.hstack([sub, ident]))
-            if j >= sub.cols
-        ]
+        return [RMatrix.column(ident.data[i]) for i in range(d) if i not in taken]
 
     def cover(self, m: Rep) -> CoverData:
-        """Minimal projective cover of m, computed on every call: it is read
-        through the kept :meth:`presentation`."""
+        """Projective cover parts of m with the map q: P0 -> m, computed on
+        every call: it is read through the kept :meth:`presentation`, which
+        certifies that q is onto.  The block of q at v is the Yoneda blocks
+        (:meth:`_yoneda_blocks`) of the parts side by side; P0's arrows are
+        block diagonal, so q's squares, checked once, commute exactly when
+        every part's squares do."""
         parts = []
         for z in m.support:
             for e in self._complement_columns(self._arrow_images(m, z)):
@@ -490,12 +497,9 @@ class ModuleCategory:
                 raise CatalogError("nonzero module with zero top")
             return CoverData([], p0, q)
         p0 = self._proj_sum(tuple(z for z, _ in parts))
-        part_maps = [self.yoneda_map(z, m, vec) for z, vec in parts]
-        mats = {v: RMatrix.hstack([pm.mats[v] for pm in part_maps]) for v in m.support}
-        q = RepMap(p0, m, mats, check=False)
-        if not q.is_surjective():
-            raise CatalogError("projective cover not surjective")
-        return CoverData(parts, p0, q)
+        blocks = [self._yoneda_blocks(z, m, vec) for z, vec in parts]
+        mats = {v: RMatrix.hstack(row) for v in m.support if (row := [b[v] for b in blocks if v in b])}
+        return CoverData(parts, p0, RepMap(p0, m, mats))
 
     def presentation(self, m: Rep) -> Presentation:
         """Minimal projective presentation of m, kept per content."""
@@ -504,9 +508,13 @@ class ModuleCategory:
     def _presentation(self, m: Rep) -> Presentation:
         """The kernel bases of the cover q: P0 -> m, and the top of Omega m
         at z: the pivot columns of [arrow images into z | kernel[z]] past
-        the images, as the cover of Omega m would pick them."""
+        the images, as the cover of Omega m would pick them.  The kernel's
+        elimination also certifies q onto: rank q_v = dim P0_v - nullity
+        must be dim m_v at every vertex of m's support."""
         cover = self.cover(m)
         p0, bases = cover.p0, reps.kernel_bases(cover.q)
+        if any(p0.dims[v] - bases[v].cols != m.dims[v] for v in m.support):
+            raise CatalogError("projective cover not surjective")
         gens = []
         for z in self.quiver.vertices:
             if bases[z].cols:
@@ -850,8 +858,11 @@ class ModuleCategory:
         f has the held components M -> E_t, E is the direct sum of the
         ``middle`` entries E_t, and g is the projection onto coker f
         followed by an invertible map coker f -> N from a basis of
-        Hom(coker f, N).  The certificate: f is injective, the basis holds
-        an invertible map (coker f = N) and has one element (dim End(N) = 1).
+        Hom(coker f, N); the component E_t -> N of g is its columns at E_t's
+        offset, with no injection built.  The certificate: f is injective,
+        read off its cokernel (dim coker f_v = dim E_v - dim M_v on M's
+        support), the basis holds an invertible map (coker f = N) and has
+        one element (dim End(N) = 1).
         By the AR formula Ext^1(N, M) is dual to End(N) modulo the maps
         through projectives, so its dimension is at most 1; the E_t are
         distinct entries other than M, so by Krull-Schmidt the sequence does
@@ -876,9 +887,9 @@ class ModuleCategory:
         summands = [entries[t] for t, _ in middle]
         e = sum_rep(summands)
         f = RepMap(m, e, {v: RMatrix.vstack([c.mats[v] for c in comps]) for v in m.support}, check=False)
-        if not f.is_injective():
-            raise CatalogError(f"{what}: the source map of entry {left} is not injective")
         coker, proj = cokernel(f)
+        if any(coker.dims[v] != e.dims[v] - m.dims[v] for v in m.support):
+            raise CatalogError(f"{what}: the source map of entry {left} is not injective")
         basis = hom_basis(coker, n)
         phi = next((h for h in basis if h.is_isomorphism()), None)
         if phi is None:
@@ -886,6 +897,12 @@ class ModuleCategory:
         if len(basis) != 1:
             raise CatalogError(f"{what}: dim End(entry {idx}) is {len(basis)}, not 1")
         g = phi.compose(proj)
-        for (t, _), inj in zip(middle, structure_maps(summands, e)):
-            held[t, idx] = g.compose(inj)
+        offset = dict.fromkeys(n.support, 0)
+        for (t, _), s in zip(middle, summands):
+            mats = {}
+            for v in (v for v in s.support if n.dims[v]):
+                gv, o, d = g.mats[v], offset[v], s.dims[v]
+                mats[v] = gv if d == gv.cols else RMatrix._raw(tuple(r[o : o + d] for r in gv.data), gv.rows, d)
+                offset[v] = o + d
+            held[t, idx] = RepMap(s, n, mats, check=False)
         return ARSequence(left, idx, tuple(middle), f, g, e)

@@ -151,9 +151,6 @@ class RepMap:
     def is_injective(self) -> bool:
         return all(rank(self.mats[v]) == self.source.dims[v] for v in self.source.support)
 
-    def is_surjective(self) -> bool:
-        return all(rank(self.mats[v]) == self.target.dims[v] for v in self.target.support)
-
     def is_isomorphism(self) -> bool:
         return self.source.dims == self.target.dims and self.is_injective()
 
@@ -315,8 +312,8 @@ def cokernel(f: RepMap) -> tuple:
 
 def sum_rep(parts) -> Rep:
     """The direct sum of ``parts`` (block-diagonal arrow matrices), with no
-    structure map built: :func:`structure_maps` builds the family a caller
-    reads."""
+    structure map built: part i holds the coordinates past those of the
+    parts before it, and a caller reads its maps off that offset."""
     parts = list(parts)
     if not parts:
         raise ValueError("empty direct sum needs an explicit quiver; use zero_rep")
@@ -328,23 +325,6 @@ def sum_rep(parts) -> Rep:
         if dims[a.source] and dims[a.target]
     }
     return Rep(q, dims, mats)
-
-
-def structure_maps(parts, total: Rep) -> list:
-    """The canonical injections of ``parts`` into their sum ``total``."""
-    maps = []
-    offset = dict.fromkeys(total.quiver.vertices, 0)
-    for p in parts:
-        mats = {}
-        for v in p.support:
-            d, o, n = p.dims[v], offset[v], total.dims[v]
-            offset[v] = o + d
-            if d == n:
-                mats[v] = RMatrix.identity(d)
-                continue
-            mats[v] = RMatrix.vstack([RMatrix.zeros(o, d), RMatrix.identity(d), RMatrix.zeros(n - o - d, d)])
-        maps.append(RepMap(p, total, mats, check=False))
-    return maps
 
 
 # -- duality ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import CatalogError, NotDynkinError
 from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
 from . import reps
-from .cluster import ext1_cluster_dim, ext1_in_catalog, fundamental_domain, pi_bar
+from .cluster import ext1_in_catalog, fundamental_domain, pi_bar
 from .dup import dim_vectors, dup_category, embed_A, knit_ind_dup, standard_dup_modules
 from .hereditary import euler_form, knit_ind_A, path_category
 from .leftpart import (
@@ -129,8 +129,9 @@ def check_fundamental_domain_counts(q: Quiver, cat_a, lpc) -> Report:
 def check_ext_symmetry_and_cross_model(q: Quiver, lpc) -> Report:
     """Extension pairing is symmetric on the fundamental domain, and its
     vanishing matches both-direction Ext-vanishing across the projection:
-    the cluster side by ``ext1_cluster_dim``, the duplicated side off the
-    hom table of the knitted catalog (``DupCatalog.ext1_dim``)."""
+    the cluster side by ``ext1_in_catalog`` on the catalog of ind A, the
+    duplicated side off the hom table of the knitted catalog
+    (``DupCatalog.ext1_dim``)."""
     witnesses = []
     objs = fundamental_domain(q)
     cat_a = knit_ind_A(q)
@@ -144,7 +145,7 @@ def check_ext_symmetry_and_cross_model(q: Quiver, lpc) -> Report:
     projected = [pi_bar(q, m) for m in members]
     for m, k, pm in zip(members, found, projected):
         for n, l, pn in zip(members, found, projected):
-            lhs = ext1_cluster_dim(pm, pn) == 0
+            lhs = ext1_in_catalog(cat_a, pm, pn) == 0
             rhs = dup_cat.ext1_dim(k, l) == 0 and dup_cat.ext1_dim(l, k) == 0
             if lhs != rhs:
                 witnesses.append(
@@ -184,8 +185,8 @@ def run_all_checks(q: Quiver, cap: int = 10000):
     checks = [
         check_embedding_fidelity(q, cat_a),
         verify_pd_criterion(dup_cat),
-        verify_sink_reachability(lpc, dup_cat),
-        sectional_check(lpc, dup_cat),
+        verify_sink_reachability(dup_cat),
+        sectional_check(dup_cat),
         verify_ext_injectives(lpc),
         verify_left_part_definition(lpc, dup_cat),
         check_cosyzygy_tau_identity(q),

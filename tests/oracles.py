@@ -34,6 +34,15 @@ opposite quiver, as the path category or the duplicated category of
 ``rebuilt`` makes the tampered copies of catalogs that the tamper tests
 feed to the checks.
 
+The library reads the rank of a cover off the kernel elimination of its
+presentation, and the component E_t -> N of an almost split sequence off
+the columns of its end map at E_t's offset.  ``is_surjective`` takes the
+rank of each block by a pass of its own, and ``structure_maps`` builds the
+canonical injections of a direct sum, so g_t can be composed as g after
+the injection of E_t.  ``ext1_cluster_dim`` looks up the catalog of ind A
+of its objects' quiver on every call; the library passes the catalog it
+holds to ``cluster.ext1_in_catalog`` instead.
+
 The triple model is the other description of a module M over the
 duplicated algebra: its restrictions X and Y to the two copies of the base
 quiver and the map theta: nu(Y) -> X that the connecting arrows determine
@@ -46,9 +55,10 @@ import inspect
 from typing import NamedTuple, Optional
 
 from dupcat import reps
+from dupcat.cluster import ext1_in_catalog
 from dupcat.dup import _dual_path_matrix, dup_category
 from dupcat.errors import CatalogError
-from dupcat.hereditary import path_category
+from dupcat.hereditary import knit_ind_A, path_category
 from dupcat.linalg import RMatrix, coordinates_in_span, nullspace_basis, rank, solve_matrix
 from dupcat.modcat import CoverData
 from dupcat.quiver import opposite, prime
@@ -267,13 +277,45 @@ def tau_inv_by_opposite_algebra(category, q, m) -> Optional[Rep]:
     return dualize_renamed(t, category(q).quiver, back_v, back_a)
 
 
+def is_surjective(f: RepMap) -> bool:
+    """Whether f is onto: the rank of each block is the target's dimension,
+    by a Bareiss pass of its own (the library reads it off the kernel
+    elimination of the cover instead)."""
+    return all(rank(f.mats[v]) == f.target.dims[v] for v in f.target.support)
+
+
+def structure_maps(parts, total: Rep) -> list:
+    """The canonical injections of ``parts`` into their sum ``total``: at
+    each vertex the identity of the part between zero blocks (the library
+    slices a map out of the sum's columns at the part's offset instead)."""
+    maps = []
+    offset = dict.fromkeys(total.quiver.vertices, 0)
+    for p in parts:
+        mats = {}
+        for v in p.support:
+            d, o, n = p.dims[v], offset[v], total.dims[v]
+            offset[v] = o + d
+            mats[v] = RMatrix.vstack([RMatrix.zeros(o, d), RMatrix.identity(d), RMatrix.zeros(n - o - d, d)])
+        maps.append(RepMap(p, total, mats, check=False))
+    return maps
+
+
 def projections(parts, total):
     """The canonical projections of the direct sum ``total`` onto its
-    ``parts``: the transposes of ``reps.structure_maps``."""
+    ``parts``: the transposes of ``structure_maps``."""
     return [
         RepMap(total, inj.source, {v: m.transpose() for v, m in inj.mats.items()}, check=False)
-        for inj in reps.structure_maps(parts, total)
+        for inj in structure_maps(parts, total)
     ]
+
+
+def ext1_cluster_dim(o1, o2) -> int:
+    """``cluster.ext1_in_catalog`` on the catalog of ind A of the quiver of
+    o1 and o2, looked up per call; CatalogError for objects over different
+    quivers.  The library passes the catalog it holds instead."""
+    if o1.quiver != o2.quiver:
+        raise CatalogError("cluster objects over different quivers")
+    return ext1_in_catalog(knit_ind_A(o1.quiver), o1, o2)
 
 
 # -- the triple model of the duplicated algebra --------------------------------

@@ -8,7 +8,7 @@ criterion.
 import pytest
 
 from dupcat.cli import main
-from dupcat.cluster import ext1_cluster_dim, fundamental_domain
+from dupcat.cluster import fundamental_domain
 from dupcat.dup import (
     dup_category,
     embed_A,
@@ -29,7 +29,7 @@ from dupcat.quiver import duplicated_quiver
 from dupcat.reps import is_isomorphic
 from dupcat.tilting import enumerate_L_tilting, is_tilting_module, verify_bijection
 from dupcat.verify import check_ext_symmetry_and_cross_model
-from oracles import ext1_by_bases
+from oracles import ext1_by_bases, ext1_cluster_dim
 
 ALL_FIXTURES = [
     ("A1", a_n(1)),
@@ -171,9 +171,8 @@ def test_criterion_6_ext_injective_characterization():
 
 def test_criterion_7_sectional_paths():
     for name, q in [("A3-linear", a_n(3)), ("D4", d4_subspace())]:
-        lpc = left_part_catalog(q)
         cat = knit_ind_dup(q)
-        report = sectional_check(lpc, cat)
+        report = sectional_check(cat)
         assert report.passed, (name, report.witnesses)
     _ok("7: all sink-to-left-part irreducible paths sectional on A3 and D4")
 

@@ -8,7 +8,6 @@ from dupcat.cluster import (
     ClusterObject,
     cliques,
     enumerate_cluster_tilting,
-    ext1_cluster_dim,
     fundamental_domain,
     module_object,
     pi_bar,
@@ -35,7 +34,7 @@ from dupcat.tilting import (
     is_tilting_module,
     verify_bijection,
 )
-from oracles import ext1_by_bases, hom_dim_by_rank, restrict
+from oracles import ext1_by_bases, ext1_cluster_dim, hom_dim_by_rank, restrict
 
 
 def _find(q, rep):

@@ -127,13 +127,13 @@ def test_tampered_catalog_fails_the_certificate(fixture_dir, name, tamper):
     lpc = left_part_catalog(q)
     good = knit_ind_dup(q)
     broken = rebuilt(good, catalog=tamper(good.catalog))
-    for check in (verify_pd_criterion, lambda c: verify_sink_reachability(lpc, c),
+    for check in (verify_pd_criterion, verify_sink_reachability,
                   lambda c: verify_left_part_definition(lpc, c)):
         with pytest.raises(CatalogError, match="hom table"):
             check(broken)
-    report = sectional_check(lpc, broken)
+    report = sectional_check(broken)
     assert not report.passed and report.witnesses[-1].startswith("hom table")
-    assert good.catalog.hom_table and sectional_check(lpc, good).passed
+    assert good.catalog.hom_table and sectional_check(good).passed
 
 
 _TAMPERED_CHILD = """

@@ -80,24 +80,22 @@ def test_two_route_left_part_a2():
 
 def test_annotate_and_auxiliary_checks_a2():
     q = a_n(2)
-    lpc = left_part_catalog(q)
     cat = knit_ind_dup(q)
     assert sum(cat.in_L) == 7
     assert sum(cat.in_sigma) == 4
     assert verify_pd_criterion(cat).passed
-    assert verify_sink_reachability(lpc, cat).passed
-    assert sectional_check(lpc, cat).passed
+    assert verify_sink_reachability(cat).passed
+    assert sectional_check(cat).passed
 
 
 def test_sectional_check_leaves_no_reference_cycles():
     q = d4_subspace()
-    lpc = left_part_catalog(q)
     cat = knit_ind_dup(q)
-    first = sectional_check(lpc, cat)
+    first = sectional_check(cat)
     gc.collect()
     gc.disable()
     try:
-        report = sectional_check(lpc, cat)
+        report = sectional_check(cat)
         garbage = gc.collect()
     finally:
         gc.enable()
@@ -107,12 +105,11 @@ def test_sectional_check_leaves_no_reference_cycles():
 
 def test_sectional_check_reports_an_oriented_cycle():
     q = a_n(2)
-    lpc = left_part_catalog(q)
     cat = knit_ind_dup(q)
     arrows = cat.catalog.arrows
     back = tuple((t, s, k) for s, t, k in arrows)
     cyclic = rebuilt(cat, catalog=rebuilt(cat.catalog, arrows=arrows + back))
-    report = sectional_check(lpc, cyclic)
+    report = sectional_check(cyclic)
     assert not report.passed
     assert report.witnesses == ["AR quiver has an oriented cycle"]
 

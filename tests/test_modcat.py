@@ -3,6 +3,7 @@ one direct sum per list of projectives, and every module fact that is read
 again (presentation, tau^{-1}, Nakayama image) once per module content."""
 
 import itertools
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -731,6 +732,87 @@ def test_wrong_source_map_component_raises(monkeypatch, src_env, builder, args, 
     assert proc.returncode == 0, proc.stderr
 
 
+_SHORT_TOP = """
+from dupcat import modcat
+from dupcat.errors import CatalogError
+from dupcat.fixtures import a_n
+from dupcat.hereditary import path_category, simple_rep
+from dupcat.reps import sum_rep
+
+inner = modcat.ModuleCategory._complement_columns
+modcat.ModuleCategory._complement_columns = lambda self, sub: inner(self, sub)[:1]
+cat = path_category(a_n(3))
+m = sum_rep([simple_rep(cat.quiver, "1")] * 2)
+try:
+    cat.presentation(m)
+except CatalogError as exc:
+    kept = ("presentation", cat.content_id(m)) in cat._facts
+    raise SystemExit(0 if str(exc) == "projective cover not surjective" and not kept else 2)
+raise SystemExit(1)
+"""
+
+
+def test_cover_with_a_top_cut_short_is_not_surjective(src_env):
+    """S_1 + S_1 on A3 with one of its two top vectors dropped: the cover
+    P_1 -> S_1 + S_1 is a module map but not onto, so the presentation,
+    which reads the rank of q off its kernel, raises CatalogError and keeps
+    nothing, also under python -O."""
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _SHORT_TOP], env=src_env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+
+
+_HELD_COMPONENTS = """
+from dupcat import modcat
+from dupcat.dup import dup_category
+from dupcat.fixtures import a_n, d4_subspace
+from dupcat.hereditary import path_category
+from oracles import structure_maps
+
+inner = modcat.ModuleCategory._almost_split
+knits = {}  # id of the held dict -> (catalog, held)
+
+
+def sequence(self, catalog, idx, middle, held):
+    knits[id(held)] = (catalog, held)
+    return inner(self, catalog, idx, middle, held)
+
+
+modcat.ModuleCategory._almost_split = sequence
+for q in (a_n(3, "zigzag"), d4_subspace()):
+    path_category(q).knit()
+    dup_category(q).knit()
+compared = 0
+for catalog, held in knits.values():
+    assert set(catalog.sequences) == set(catalog.tau_of)
+    for idx, seq in catalog.sequences.items():
+        summands = [catalog.entries[t] for t, _ in seq.middle]
+        for (t, _), inj in zip(seq.middle, structure_maps(summands, seq.middle_rep)):
+            got, want = held[t, idx], seq.g.compose(inj)
+            if got.source is not catalog.entries[t] or got.target is not catalog.entries[idx]:
+                raise SystemExit(2)
+            if got.mats != want.mats:
+                raise SystemExit(3)
+            compared += 1
+raise SystemExit(0 if len(knits) == 4 and compared else 1)
+"""
+
+
+def test_held_components_are_g_after_the_injections(src_env):
+    """On every almost split sequence of both catalogs of the A3 zigzag and
+    of D4, each component E_t -> N the knit holds (sliced out of g's columns)
+    equals g after the canonical injection of E_t into E, also under
+    python -O."""
+    env = dict(src_env, PYTHONPATH=os.pathsep.join([src_env["PYTHONPATH"], str(Path(__file__).parent)]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _HELD_COMPONENTS], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (flags, proc.returncode, proc.stderr)
+
+
 _EXTRA_END_MAP = """
 from dupcat import modcat
 from dupcat.errors import CatalogError
@@ -828,7 +910,7 @@ def _tau_by_flattened_spans(cat, m):
     pres = oracles.presentation(cat, m)
     f1 = pres.incl.compose(pres.cover1.q)
     parts0, parts1 = pres.cover0.parts, pres.cover1.parts
-    injections = reps.structure_maps([cat.proj[wj] for wj, _ in parts1], pres.cover1.p0)
+    injections = oracles.structure_maps([cat.proj[wj] for wj, _ in parts1], pres.cover1.p0)
     comps = {}
     projections0 = projections([cat.proj[zi] for zi, _ in parts0], pres.cover0.p0)
     for j in range(len(parts1)):

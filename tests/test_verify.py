@@ -70,7 +70,7 @@ def _enumerated_nonsectional_targets(cat, start):
     return {p[-1] for p in _ar_paths(cat, start) if not _is_sectional(p, cat.catalog.tau_of)}
 
 
-def _sectional_check_by_enumeration(lpc, cat) -> Report:
+def _sectional_check_by_enumeration(cat) -> Report:
     """The sectional check with every AR path from each sink enumerated: a
     witness per non-sectional path into the left part."""
     reach, pd_table = _hom_reach(list(cat.entries)), cat.pd_table
@@ -100,10 +100,6 @@ def _d5():
     )
 
 
-def _left_part_and_catalog(q):
-    return left_part_catalog(q), knit_ind_dup(q)
-
-
 def _sink_starts(cat):
     ctx = dup_category(cat.base)
     sinks, _ = sinks_and_sources(cat.base)
@@ -130,7 +126,7 @@ def test_sectional_dp_equals_enumeration(quiver):
     """The (previous, current) worklist finds the non-sectional targets the
     path enumeration finds, each witness path is non-sectional and ends at
     its target, and both routes pass."""
-    lpc, cat = _left_part_and_catalog(quiver())
+    cat = knit_ind_dup(quiver())
     arrows = {(s, t) for s, t, _ in cat.catalog.arrows}
     for start in _sink_starts(cat).values():
         targets = nonsectional_targets(cat.catalog.arrows, cat.catalog.tau_of, start)
@@ -139,7 +135,7 @@ def test_sectional_dp_equals_enumeration(quiver):
             assert path[0] == start and path[-1] == j
             assert set(zip(path, path[1:])) <= arrows
             assert not _is_sectional(path, cat.catalog.tau_of)
-    dp, enum = sectional_check(lpc, cat), _sectional_check_by_enumeration(lpc, cat)
+    dp, enum = sectional_check(cat), _sectional_check_by_enumeration(cat)
     assert dp.passed and enum.passed, (dp.witnesses, enum.witnesses)
 
 
@@ -147,10 +143,10 @@ def test_sectional_dp_equals_enumeration(quiver):
 def test_tampered_tau_fails_both_sectional_routes(quiver):
     """A tau_of that makes a sink path into the left part non-sectional
     fails the DP and the enumeration; the DP names one path per target."""
-    lpc, cat = _left_part_and_catalog(quiver())
+    cat = knit_ind_dup(quiver())
     broken = _tamper_tau(cat)
-    assert not sectional_check(lpc, broken).passed
-    assert not _sectional_check_by_enumeration(lpc, broken).passed
+    assert not sectional_check(broken).passed
+    assert not _sectional_check_by_enumeration(broken).passed
     expected = []
     for a, start in _sink_starts(broken).items():
         targets = nonsectional_targets(broken.catalog.arrows, broken.catalog.tau_of, start)
@@ -160,7 +156,7 @@ def test_tampered_tau_fails_both_sectional_routes(quiver):
             for j, path in targets.items()
             if broken.in_L[j]
         ]
-    witnesses = sectional_check(lpc, broken).witnesses
+    witnesses = sectional_check(broken).witnesses
     assert expected and [w for w in witnesses if w.startswith("non-sectional")] == expected
 
 
@@ -610,3 +606,26 @@ def test_each_member_projected_at_most_twice(monkeypatch):
     members = left_part_catalog(q).non_proj_inj_members()
     assert calls
     assert len(calls) <= 2 * len(members)
+
+
+def test_cross_model_check_looks_up_the_quiver_linearly(monkeypatch, fixture_dir):
+    """On E6 the extension check reads Ext^1 on the cluster side off the
+    catalog of ind A it holds: once its catalogs are built, it hashes the
+    quiver at most twice per projected member (the left-part lookup of
+    ``pi_bar``) plus a few times per call, not once per ordered pair of
+    members (42^2 = 1,764 on E6)."""
+    q = parse_quiver((fixture_dir / "e6.quiver").read_text(encoding="utf-8"))
+    lpc = left_part_catalog(q)
+    assert verify.check_ext_symmetry_and_cross_model(q, lpc).passed
+    calls = []
+    inner = Quiver.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(Quiver, "__hash__", counting)
+    assert verify.check_ext_symmetry_and_cross_model(q, lpc).passed
+    members = lpc.non_proj_inj_members()
+    assert len(members) == 42
+    assert 0 < len(calls) <= 2 * len(members) + 8
