@@ -19,18 +19,18 @@ from dupcat.fixtures import a_n, d4_subspace
 
 for name, q in [("A2", a_n(2)), ("A3 linear", a_n(3)), ("D4", d4_subspace())]:
     print(f"== {name} ==")
-    lpc = left_part_catalog(q)
+    lp = left_part_catalog(q)
     n = len(q.vertices)
-    print(f"left part: {len(lpc.members)} members, "
-          f"{len(lpc.non_proj_inj_members())} of them not projective-injective "
+    print(f"left part: {len(lp.members)} members, "
+          f"{len(lp.non_proj_inj)} of them not projective-injective "
           f"(= |ind A| + {n})")
-    print(f"Ext-injectives: {len(lpc.sigma_indices)} "
-          f"({sum(lpc.cosyzygy_flags)} translates of injectives, "
-          f"{sum(lpc.proj_inj_flags)} projective-injectives)")
+    print(f"Ext-injectives: {len(lp.sigma)} "
+          f"({len(lp.cosyzygies)} translates of injectives, "
+          f"{len(lp.proj_inj)} projective-injectives)")
 
     cat = knit_ind_dup(q)
-    print("two-route equality:", verify_left_part_definition(lpc, cat).passed)
-    print("Ext-injective brute force:", verify_ext_injectives(lpc).passed)
+    print("two-route equality:", verify_left_part_definition(lp, cat).passed)
+    print("Ext-injective brute force:", verify_ext_injectives(lp).passed)
     print("sectional-path property:", sectional_check(cat).passed)
 
     res = canonical_tilting(q)

@@ -118,15 +118,18 @@ def _ar_catalog_from_body(category, quiver, body) -> ARCatalog:
         except (CatalogError, ValueError) as exc:
             raise CatalogError(f"entry {k}: {exc}") from None
     n = len(entries)
-    # an arrow is (source, target, multiplicity), a tau link (M, tau^{-1} M)
+    # an arrow is (source, target, multiplicity >= 1), a tau link
+    # (M, tau^{-1} M), each item a plain int (a bool is no index or count)
     for name, length in (("arrows", 3), ("tau_links", 2)):
-        links = _field(body, name)
-        short = next((link for link in links if not (isinstance(link, list) and len(link) == length)), None)
-        if short is not None:
-            raise CatalogError(f"{name} has the link {short!r}, not a list of {length} items")
-        bad = [k for link in links for k in link[:2] if not (isinstance(k, int) and 0 <= k < n)]
-        if bad:
-            raise CatalogError(f"{name} names entry {bad[0]!r}, but the catalog has {n} entries")
+        for link in _field(body, name):
+            if not (isinstance(link, list) and len(link) == length):
+                raise CatalogError(f"{name} has the link {link!r}, not a list of {length} items")
+            if any(type(k) is not int for k in link):
+                raise CatalogError(f"{name} has the link {link!r}, whose items are not all ints")
+            if not all(0 <= k < n for k in link[:2]):
+                raise CatalogError(f"{name} has the link {link!r}, but the catalog has {n} entries")
+            if length == 3 and link[2] < 1:
+                raise CatalogError(f"{name} has the link {link!r}, whose multiplicity is below 1")
     tau_inv_of = {m: t for m, t in body["tau_links"]}
     tau_of = {t: m for m, t in tau_inv_of.items()}
     if not len(tau_of) == len(tau_inv_of) == len(body["tau_links"]):

@@ -84,14 +84,14 @@ def _analysis(cfg: RunConfig) -> list:
         return out
     if dynkin is None:
         return out
-    lpc = left_part_catalog(q)
+    lp = left_part_catalog(q)  # knits the duplicated algebra under the default cap
     n = len(q.vertices)
     out.append(
-        f"left part: {len(lpc.members)} members, "
-        f"{len(lpc.non_proj_inj_members())} non-projective-injective "
+        f"left part: {len(lp.members)} members, "
+        f"{len(lp.non_proj_inj)} non-projective-injective "
         f"(= {len(cat_a.entries)} + {n})"
     )
-    out.append(f"ext-injectives: {len(lpc.sigma_indices)}")
+    out.append(f"ext-injectives: {len(lp.sigma)}")
     try:
         dup_cat = knit_ind_dup(q, cfg.cap)
         out.append(
@@ -130,10 +130,10 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     cat_a = knit_ind_A(q, cfg.cap)
     bij = verify_bijection(q)
     records, cluster_sets = bij.records, bij.cluster_sets
-    lpc = left_part_catalog(q)
+    lp = left_part_catalog(q)
     lines = [
         f"|ind A| = {len(cat_a.entries)}",
-        f"left part (non-projective-injective) = {len(lpc.non_proj_inj_members())}",
+        f"left part (non-projective-injective) = {len(lp.non_proj_inj)}",
         f"tilting modules with left-part free summands = {len(records)}",
         f"cluster-tilting collections = {len(cluster_sets)}",
         f"degree-product count = {expected_count(dynkin)}",

@@ -14,7 +14,6 @@ from typing import NamedTuple, Union
 from .errors import CatalogError, NotDynkinError, NotInDomainError
 from .quiver import Quiver, classify_dynkin
 from .hereditary import knit_ind_A
-from .leftpart import left_part_catalog
 from .reps import Rep
 from .session import session
 
@@ -64,21 +63,23 @@ def pi_bar(q: Quiver, m: Rep) -> ClusterObject:
     """Stable projection of a non-projective-injective left-part module of
     the duplicated algebra of q.
 
-    One lookup among the left-part members decides it: ind A member i (the
-    members list ind A first, in catalog order) goes to itself; the
-    cosyzygy of the projective at x (equivalently tau^{-1} of the injective
-    at x) goes to the shifted projective at x.  Projective-injectives and
-    non-members are outside the domain.
+    One lookup in the knitted catalog of the duplicated algebra decides it,
+    by the entry index it finds (:class:`dupcat.leftpart.LeftPart`): the
+    embedding of entry i of ind A goes to module i; the cosyzygy of the
+    projective at x (equivalently tau^{-1} of the injective at x) goes to
+    the shifted projective at x.  Projective-injectives and non-members are
+    outside the domain.
     """
-    lpc = left_part_catalog(q)
-    i = lpc.member_index(m)
-    if i is None:
-        raise NotInDomainError("module is not in the left part")
-    if lpc.proj_inj_flags[i]:
+    s = session(q)
+    lp = s.left_part  # knits the duplicated algebra under the default cap
+    k = s.dup_catalog.catalog.find(m)
+    if k in lp.proj_inj:
         raise NotInDomainError("projective-injectives vanish under projection")
-    if lpc.ind_a_flags[i]:
-        return module_object(q, i)
-    return shifted_projective(q, next(x for x, k in lpc.cosyzygy_by_vertex.items() if k == i))
+    if k in lp.ind_a:
+        return module_object(q, lp.ind_a.index(k))
+    if k in lp.cosyzygies:
+        return shifted_projective(q, q.vertices[lp.cosyzygies.index(k)])
+    raise NotInDomainError("module is not in the left part")
 
 
 def ext1_in_catalog(cat, o1: ClusterObject, o2: ClusterObject) -> int:

@@ -10,17 +10,18 @@ dimension vectors on the two copies of the base quiver
 (:func:`dim_vectors`).
 
 :func:`embed_A` returns one module per A-module ``Rep``, kept by the
-quiver's session (:mod:`dupcat.session`), so the facts the category keeps
-for an embedded module (its presentation, tau and tau^{-1}) are shared by
-every caller; so are the standard modules and the category.  Hom, Ext^1,
-syzygies, AR translates, projective dimension and isomorphism are methods
-of the category :func:`dup_category` returns.
+quiver's session (:mod:`dupcat.session`), so every caller shares the
+module and the facts the category keeps for it (its presentation); so are
+the standard modules and the category.  Hom, Ext^1, syzygies, AR
+translates, projective dimension and isomorphism are methods of the
+category :func:`dup_category` returns.
 
 Its AR quiver holds two copies of ind A: the A-modules on the unprimed
 vertices, closed under predecessors, and the A'-modules on the primed
 vertices, closed under successors.  Its knit takes tau^{-1} on both from
-the knit of ind A (:func:`_copies`) and runs the Nakayama route only on the
-entries injective in a copy and on those between the copies.
+the knit of ind A (:func:`_copies`), whose entries it embeds with
+:func:`embed_A`, and runs the Nakayama route only on the entries injective
+in a copy and on those between the copies.
 """
 
 from __future__ import annotations
@@ -136,51 +137,37 @@ def build_standard_dup_modules(q: Quiver) -> StandardModules:
     )
 
 
-def _one_dim_at(m: Rep, v: str, what: str) -> Rep:
-    if m.dims[v] != 1:
-        raise CatalogError(f"{what} must be 1-dimensional at {v}, not {m.dims[v]}")
-    return m
-
-
 def dup_category(q: Quiver) -> ModuleCategory:
     """The module category of the duplicated algebra (its session's)."""
     return session(q).dup_category
 
 
 def build_dup_category(q: Quiver) -> ModuleCategory:
-    report = session(q).report
     std = standard_dup_modules(q)
-    projectives = {}
-    injectives = {}
-    simples = {}
-    for x in q.vertices:
-        pbar = _one_dim_at(std.projective[x], x, f"projective at {x}")
-        projectives[x] = (pbar, RMatrix.column([1]))
-        ppr = _one_dim_at(std.projective_primed[x], prime(x), f"projective at {prime(x)}")
-        projectives[prime(x)] = (ppr, RMatrix.column([1]))
+    primed = {prime(x): x for x in q.vertices}
+    return ModuleCategory(
+        session(q).report.dup,
+        {**std.projective, **{z: std.projective_primed[x] for z, x in primed.items()}},
         # the injective at the unprimed vertex is the projective-injective
-        injectives[x] = (_one_dim_at(ppr, x, f"injective at {x}"), RMatrix([[1]], 1, 1))
-        ipr = _one_dim_at(std.injective_primed[x], prime(x), f"injective at {prime(x)}")
-        injectives[prime(x)] = (ipr, RMatrix([[1]], 1, 1))
-        simples[x] = std.simple[x]
-        simples[prime(x)] = std.simple_primed[x]
-
-    return ModuleCategory(report.dup, projectives, injectives, simples, lambda cat, cap: _copies(q, cat, cap))
+        {**std.projective_primed, **{z: std.injective_primed[x] for z, x in primed.items()}},
+        {**std.simple, **{z: std.simple_primed[x] for z, x in primed.items()}},
+        lambda cat, cap: _copies(q, cat, cap),
+    )
 
 
 def _copies(q: Quiver, cat: ModuleCategory, cap) -> dict:
     """tau^{-1} on the two copies of ind A in mod of the duplicated algebra
     of q, by content id in ``cat``: for each entry M of ``knit_ind_A(q, cap)``
-    that is not injective in A, the copy of M on the unprimed vertices maps
-    to the copy of tau_A^{-1} M there, and the copy on the primed vertices
-    to the primed copy.  mod A is closed under predecessors in mod of the
-    duplicated algebra and mod A' under successors, so the almost split
-    sequence of M in either copy is almost split there too (Assem-Simson-
-    Skowronski vol. 1, IV.3)."""
+    that is not injective in A, the copy of M on the unprimed vertices
+    (:func:`embed_A`) maps to the copy of tau_A^{-1} M there, and the copy on
+    the primed vertices to the primed copy.  mod A is closed under
+    predecessors in mod of the duplicated algebra and mod A' under
+    successors, so the almost split sequence of M in either copy is almost
+    split there too (Assem-Simson-Skowronski vol. 1, IV.3)."""
     ar = knit_ind_A(q, cap)
     table = {}
-    for rename in (str, prime):
-        copies = [_copy(e, cat.quiver, rename) for e in ar.entries]
+    for copy in (embed_A, lambda e: _copy(e, cat.quiver, prime)):
+        copies = [copy(e) for e in ar.entries]
         for i, j in ar.tau_inv_of.items():
             table[cat.content_id(copies[i])] = copies[j]
     return table
@@ -209,21 +196,25 @@ class DupCatalog:
         return tuple(not any(dim_vectors(e)[1]) for e in self.entries)
 
     @cached_property
-    def _member_of(self) -> tuple:
-        """Per entry, the index of its left-part member, or None."""
-        lpc = session(self.base).left_part
-        return tuple(lpc.member_index(e) for e in self.entries)
-
-    @cached_property
     def in_L(self) -> tuple:
         """Per entry, whether it lies in the left part."""
-        return tuple(k is not None for k in self._member_of)
+        return self._at(session(self.base).left_part.members)
 
     @cached_property
     def in_sigma(self) -> tuple:
         """Per entry, whether it is Ext-injective in the left part."""
-        sigma = set(session(self.base).left_part.sigma_indices)
-        return tuple(k in sigma for k in self._member_of)
+        return self._at(session(self.base).left_part.sigma)
+
+    def _at(self, indices) -> tuple:
+        """Per entry, whether it is at one of ``indices``, entry indices of
+        the session's knit.  This catalog must list the knit's dimension
+        vectors in its order (CatalogError otherwise), so it lists the same
+        entries: the modules of the duplicated algebra are directing."""
+        knit = session(self.base).dup_catalog.entries
+        if [e.dim_vector() for e in self.entries] != [e.dim_vector() for e in knit]:
+            raise CatalogError("the catalog lists other entries than the knit, or in another order")
+        chosen = set(indices)
+        return tuple(k in chosen for k in range(len(self.entries)))
 
     @property
     def entries(self):

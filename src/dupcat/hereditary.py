@@ -11,7 +11,6 @@ methods of the category :func:`path_category` returns
 
 from __future__ import annotations
 
-from .errors import CatalogError
 from .linalg import RMatrix
 from .modcat import ARCatalog, ModuleCategory
 from .quiver import Quiver, opposite, paths_from
@@ -49,21 +48,12 @@ def path_category(q: Quiver) -> ModuleCategory:
 
 
 def build_path_category(q: Quiver) -> ModuleCategory:
-    projectives = {}
-    injectives = {}
-    simples = {}
-    for x in q.vertices:
-        p = projective_rep(q, x)
-        if p.dims[x] != 1:
-            raise CatalogError(f"projective at {x} must be 1-dimensional at {x}")
-        projectives[x] = (p, RMatrix.column([1]))
-        i = injective_rep(q, x)
-        if i.dims[x] != 1:
-            raise CatalogError(f"injective at {x} must be 1-dimensional at {x}")
-        injectives[x] = (i, RMatrix([[1]], 1, 1))
-        simples[x] = simple_rep(q, x)
-
-    return ModuleCategory(q, projectives, injectives, simples)
+    return ModuleCategory(
+        q,
+        {x: projective_rep(q, x) for x in q.vertices},
+        {x: injective_rep(q, x) for x in q.vertices},
+        {x: simple_rep(q, x) for x in q.vertices},
+    )
 
 
 def knit_ind_A(q: Quiver, cap: int = 10000) -> ARCatalog:

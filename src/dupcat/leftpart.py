@@ -5,29 +5,21 @@ The left part consists of the indecomposables all of whose predecessors
 Structurally it is the embedded module category of the base algebra together
 with the Ext-injectives: the cosyzygy-type modules tau^{-1} of the embedded
 injectives, plus the projective-injectives that happen to lie in the left
-part.  Every characterization has a brute-force counterpart here, used by
-the verification suite.
+part.  It is read off the knit of the duplicated algebra as a set of entry
+indices (:class:`LeftPart`): its links give the tau^{-1}, and its AR arrows
+the radical summands of the projective-injectives.  Every characterization
+has a brute-force counterpart here, used by the verification suite.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional
 
 from .errors import CatalogError, NotDynkinError
-from .quiver import Quiver, classify_dynkin, prime, sinks_and_sources
-from .dup import (
-    DupCatalog,
-    dim_vectors,
-    dup_category,
-    embed_A,
-    knit_ind_dup,
-    standard_dup_modules,
-)
+from .quiver import Quiver, classify_dynkin, sinks_and_sources
+from .dup import DupCatalog, dim_vectors, dup_category, embed_A, knit_ind_dup
 from .hereditary import knit_ind_A
-from .modcat import dim_index
-from .reps import Rep
 from .session import session
 
 
@@ -46,170 +38,109 @@ class Report:
         return self.passed
 
 
-class LeftPartCatalog:
-    """Members of the left part, partitioned by how they arise.
+class LeftPart(NamedTuple):
+    """The left part as entry indices of the session's knitted catalog of
+    the duplicated algebra of ``base`` (:func:`knit_ind_dup`)."""
 
-    Frozen (assigning an attribute raises AttributeError): one catalog per
-    quiver is shared by every caller of :func:`left_part_catalog`.
-    """
-
-    def __init__(
-        self, base: Quiver, members: tuple, ind_a_flags: tuple, cosyzygy_flags: tuple,
-        proj_inj_flags: tuple, cosyzygy_by_vertex: dict, sigma_indices: tuple
-    ):
-        """``members`` are ``Rep``s of the duplicated quiver;
-        ``cosyzygy_flags`` mark the tau^{-1} of the embedded injectives;
-        ``cosyzygy_by_vertex`` maps a vertex to its member index."""
-        self.__dict__.update(
-            base=base,
-            members=members,
-            ind_a_flags=ind_a_flags,
-            cosyzygy_flags=cosyzygy_flags,
-            proj_inj_flags=proj_inj_flags,
-            cosyzygy_by_vertex=cosyzygy_by_vertex,
-            sigma_indices=sigma_indices,
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    base: Quiver
+    ind_a: tuple  # each entry of ind A embedded, in ind A order
+    cosyzygies: tuple  # tau^{-1} of the embedded injective I_x, x in vertex order
+    proj_inj: tuple  # the P_y' in the left part, y in vertex order
 
     @property
-    def sigma(self):
-        return tuple(self.members[i] for i in self.sigma_indices)
+    def non_proj_inj(self) -> tuple:
+        return self.ind_a + self.cosyzygies
 
-    def non_proj_inj_members(self):
-        return tuple(
-            m for m, f in zip(self.members, self.proj_inj_flags) if not f
-        )
+    @property
+    def sigma(self) -> tuple:
+        """The Ext-injectives: the cosyzygies, then the P_y' in the left part."""
+        return self.cosyzygies + self.proj_inj
 
-    @cached_property
-    def _by_dim(self):
-        """The members' :func:`dim_index`."""
-        return dim_index(self.members)
-
-    def member_index(self, m: Rep) -> Optional[int]:
-        """Index of the member isomorphic to m, or None; exact because the
-        members are indecomposable."""
-        return dup_category(self.base).find_iso(m, self.members, self._by_dim)
+    @property
+    def members(self) -> tuple:
+        return self.ind_a + self.sigma
 
 
-def left_part_catalog(q: Quiver) -> LeftPartCatalog:
+def left_part_catalog(q: Quiver) -> LeftPart:
     """Structure-based left part: embedded ind A plus the Ext-injectives.
 
-    The session's catalog, so the checks that read it share its members and
-    their Hom/Ext caches; NotDynkinError off Dynkin type, on every call.
+    The session's, as entry indices of the session's knit of the
+    duplicated algebra, which it knits under the default cap if no caller
+    has; NotDynkinError off Dynkin type, on every call.
 
-    A projective-injective lies in the left part iff all its predecessors
-    do, and its predecessors are itself plus those of its radical summands.
-    Since the left part is exactly the embedded modules, the translates of
-    the embedded injectives and the qualifying projective-injectives, the
-    membership test reduces to decomposing the radical into these
-    candidates, recursing along the primed arrows.  No knitting of the
-    duplicated category is needed.
+    The left part is the embedded ind A, tau^{-1} of the embedded
+    injectives and the projective-injectives all of whose predecessors lie
+    in it (Happel-Reiten-Smalo, Memoirs AMS 575).  The predecessors of P_y'
+    are itself and those of its radical summands, the sources of the AR
+    arrows into it (Assem-Simson-Skowronski vol. 1, IV.3), so membership
+    recurses along the primed arrows.
     """
     return session(q).left_part
 
 
-def build_cosyzygies(q: Quiver) -> dict:
-    """Vertex x -> tau^{-1} of the embedded injective at x."""
-    ctx = dup_category(q)
-    cosyz = {}
-    for x, i in standard_dup_modules(q).embedded_injective.items():
-        t = ctx.tau_inv(i)
-        if t is None:
-            raise CatalogError("embedded injective cannot be injective here")
-        if not any(dim_vectors(t)[1]):
-            raise CatalogError("cosyzygy candidate fell into ind A")
-        cosyz[x] = t
-    return cosyz
+def primed_projective_entry(q: Quiver, x) -> int:
+    """The entry of P_x' in a catalog of the duplicated algebra of q: P_z is
+    entry k when z is vertex k, and the primed vertices follow the base ones
+    in the same order."""
+    return len(q.vertices) + q.vertices.index(x)
 
 
-def build_left_part_catalog(q: Quiver) -> LeftPartCatalog:
+def build_left_part(q: Quiver) -> LeftPart:
     # once per session; a build that raises keeps nothing, so it raises again
     if classify_dynkin(q) is None:
         raise NotDynkinError("operation requires a Dynkin quiver")
-    cat_a = knit_ind_A(q)
-    embeds = [embed_A(e) for e in cat_a.entries]
-    cosyz = session(q).cosyzygies
-    pis = standard_dup_modules(q).projective_primed
-    ctx = dup_category(q)
-    # the modules always in the left part, then P_y' for the vertices y
-    candidates = embeds + [cosyz[x] for x in q.vertices]
-    n_always = len(candidates)
-    candidates += [pis[y] for y in q.vertices]
-    index = dim_index(candidates)
-    pi_in_l: dict = {}
+    cat_a, cat = knit_ind_A(q), knit_ind_dup(q)
+    ind_a = tuple(cat.indices([embed_A(e) for e in cat_a.entries]))
+    cosyzygies = tuple(cat.catalog.tau_inv_of.get(ind_a[k]) for k in cat_a.injective_at)
+    if None in cosyzygies:
+        raise CatalogError("embedded injective cannot be injective here")
+    if any(cat.in_ind_A[k] for k in cosyzygies):
+        raise CatalogError("cosyzygy candidate fell into ind A")
+    sources = {}
+    for s, t, _ in cat.catalog.arrows:
+        sources.setdefault(t, []).append(s)
+    in_l = dict.fromkeys(ind_a + cosyzygies, True)
+    primed = [primed_projective_entry(q, y) for y in q.vertices]
 
-    def pbar_in_left_part(x) -> bool:
-        # dependency runs along primed arrows, hence is acyclic
-        if x not in pi_in_l:
-            rad, _ = ctx.radical(pis[x])
-            mults, residual = ctx.try_decompose(rad, candidates, index)
-            pi_in_l[x] = residual.is_zero() and all(
-                pbar_in_left_part(q.vertices[i - n_always]) for i, _ in mults if i >= n_always
-            )
-        return pi_in_l[x]
+    def in_left_part(k) -> bool:
+        # only a P_y' is decided here; the arrows between them are acyclic
+        if k not in in_l:
+            in_l[k] = k in primed and all(in_left_part(s) for s in sources.get(k, ()))
+        return in_l[k]
 
-    for x in q.vertices:
-        pbar_in_left_part(x)
-    # members: ind A, then one cosyzygy per vertex, then the P_y' in the left part
-    n_embed, n = len(embeds), len(q.vertices)
-    members = tuple(embeds) + tuple(cosyz[x] for x in q.vertices)
-    members += tuple(pis[y] for y in q.vertices if pi_in_l[y])
-    sizes = (n_embed, n, len(members) - n_embed - n)
-
-    def block(k):
-        return tuple(b == k for b, size in enumerate(sizes) for _ in range(size))
-
-    lpc = LeftPartCatalog(
-        q,
-        members,
-        block(0),
-        block(1),
-        block(2),
-        {x: n_embed + k for k, x in enumerate(q.vertices)},
-        tuple(range(n_embed, len(members))),
-    )
+    lp = LeftPart(q, ind_a, cosyzygies, tuple(k for k in primed if in_left_part(k)))
     # structural invariants
-    for i, m in enumerate(members):
-        if not ctx.pd_at_most_one(m):
+    if len(set(lp.members)) != len(lp.members):
+        raise CatalogError("duplicate member")
+    ctx = dup_category(q)
+    for i, k in enumerate(lp.members):
+        if not ctx.pd_at_most_one(cat.entries[k]):
             raise CatalogError(f"left-part member {i} has projective dimension > 1")
-        for j in range(i + 1, len(members)):
-            if ctx.iso(m, members[j]):
-                raise CatalogError("duplicate member")
-    return lpc
+    return lp
 
 
 # -- verification reports ---------------------------------------------------
 
 
-def verify_ext_injectives(lpc: LeftPartCatalog) -> Report:
+def verify_ext_injectives(lp: LeftPart) -> Report:
     """Brute-force check that sigma is exactly the Ext-injectives of the left
     part, and that they are exactly the members whose tau^{-1} leaves it.
 
     Both read the session's knitted catalog: Ext^1 between members from its
     hom table (every member has projective dimension <= 1, see
     ``DupCatalog.ext1_dim``) and tau^{-1} from its links."""
-    cat = knit_ind_dup(lpc.base)
+    cat = knit_ind_dup(lp.base)
     witnesses = []
-    sigma_set = set(lpc.sigma_indices)
-    found = cat.indices(lpc.members)
-    in_l = set(found)
-    for i, (m, k) in enumerate(zip(lpc.members, found)):
-        ext_vanishes = all(cat.ext1_dim(l, k) == 0 for l in found)
-        if ext_vanishes != (i in sigma_set):
-            witnesses.append(
-                f"member {i} {dim_vectors(m)}: Ext-injective={ext_vanishes} but sigma={i in sigma_set}"
-            )
+    sigma, members = set(lp.sigma), lp.members
+    for i, k in enumerate(members):
+        dims = dim_vectors(cat.entries[k])
+        ext_vanishes = all(cat.ext1_dim(l, k) == 0 for l in members)
+        if ext_vanishes != (k in sigma):
+            witnesses.append(f"member {i} {dims}: Ext-injective={ext_vanishes} but sigma={k in sigma}")
         # injective members have no tau^{-1}
-        leaves = cat.catalog.tau_inv_of.get(k) not in in_l
-        if leaves != (i in sigma_set):
-            witnesses.append(
-                f"member {i} {dim_vectors(m)}: tau-inverse outside L={leaves} but sigma={i in sigma_set}"
-            )
+        leaves = cat.catalog.tau_inv_of.get(k) not in members
+        if leaves != (k in sigma):
+            witnesses.append(f"member {i} {dims}: tau-inverse outside L={leaves} but sigma={k in sigma}")
     return Report("ext-injectives-characterization", not witnesses, witnesses)
 
 
@@ -225,18 +156,12 @@ def definition_left_part_indices(cat: DupCatalog):
     return tuple(out)
 
 
-def verify_left_part_definition(lpc: LeftPartCatalog, cat: DupCatalog) -> Report:
+def verify_left_part_definition(lp: LeftPart, cat: DupCatalog) -> Report:
     """The definition-based left part of the knitted catalog must equal the
     structure-based one as a set."""
     witnesses = []
     def_indices = set(definition_left_part_indices(cat))
-    struct_indices = set()
-    for m in lpc.members:
-        idx = cat.catalog.find(m)
-        if idx is None:
-            witnesses.append(f"structural member {dim_vectors(m)} missing from the catalog")
-        else:
-            struct_indices.add(idx)
+    struct_indices = set(lp.members)
     for j in sorted(def_indices - struct_indices):
         witnesses.append(f"catalog entry {j} is in the definition-based left part only")
     for j in sorted(struct_indices - def_indices):
@@ -250,12 +175,12 @@ def verify_sink_reachability(cat: DupCatalog) -> Report:
     q = cat.base
     sinks, _ = sinks_and_sources(q)
     reach = cat.reach
-    pi_idx = {a: cat.catalog.entries.index(dup_category(q).proj[prime(a)]) for a in sinks}
+    starts = [primed_projective_entry(q, a) for a in sinks]
     witnesses = []
     for j, m in enumerate(cat.entries):
         if not any(dim_vectors(m)[1]):
             continue
-        if not any(reach[pi_idx[a]][j] for a in sinks):
+        if not any(reach[start][j] for start in starts):
             witnesses.append(f"entry {j} {dim_vectors(m)} unreachable from any sink projective")
     return Report("sink-reachability", not witnesses, witnesses)
 
@@ -356,8 +281,7 @@ def sectional_check(cat: DupCatalog) -> Report:
     """
     q = cat.base
     sinks, _ = sinks_and_sources(q)
-    ctx = dup_category(q)
-    starts = {a: cat.catalog.entries.index(ctx.proj[prime(a)]) for a in sinks}
+    starts = {a: primed_projective_entry(q, a) for a in sinks}
     try:
         by_sink = {
             a: nonsectional_targets(cat.catalog.arrows, cat.catalog.tau_of, start)
@@ -409,10 +333,11 @@ def canonical_tilting(q: Quiver) -> CanonicalTilting:
     not in the left part (always the primed ones here)."""
     from .tilting import is_tilting_module
 
-    lpc = left_part_catalog(q)
-    u = lpc.sigma
-    # sigma holds the session's own P_x' objects, so membership is identity
-    v = [p for p in standard_dup_modules(q).projective_primed.values() if p not in u]
-    summands = u + tuple(v)
+    lp = left_part_catalog(q)
+    entries = knit_ind_dup(q).entries
+    u = tuple(entries[k] for k in lp.sigma)
+    primed = (primed_projective_entry(q, y) for y in q.vertices)
+    v = tuple(entries[k] for k in primed if k not in lp.proj_inj)
+    summands = u + v
     verdict = is_tilting_module(q, list(summands))
-    return CanonicalTilting(u, tuple(v), summands, verdict)
+    return CanonicalTilting(u, v, summands, verdict)

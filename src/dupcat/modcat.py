@@ -2,20 +2,19 @@
 
 Both the hereditary path algebra and its duplicated algebra are driven
 through this one engine.  A category instance knows, for every vertex z of
-its quiver, the indecomposable projective P_z (with a generator in its
-z-component), the indecomposable injective I_z (with an evaluation
-functional on its z-component) and the simple S_z.  Everything else is
-generic:
+its quiver, the indecomposable projective P_z, generated by the basis vector
+of its one-dimensional z-component, the indecomposable injective I_z,
+evaluated there, and the simple S_z.  Everything else is generic:
 
 * the facts that are read again are kept per content, not per object, in
   one fact table on the category (:meth:`ModuleCategory._fact`): a content
   table gives each dimension vector with its arrow matrices a small id, and
-  presentations, tau^{-1} and Nakayama images are kept under (fact, id), so
-  a module rebuilt as another object (a twin) reuses them; the per-vertex
-  frames, the arrow maps and the sums of projectives are kept in the same
-  table by value; covers, tau, Hom bases and isomorphism verdicts are
+  presentations and Nakayama images are kept under (fact, id), so a module
+  rebuilt as another object (a twin) reuses them; the per-vertex frames,
+  the arrow maps and the sums of projectives are kept in the same table by
+  value; covers, tau, tau^{-1}, Hom bases and isomorphism verdicts are
   computed on each call, since each is read once (a cover through its
-  presentation, tau through tau^{-1});
+  presentation, tau^{-1} by the knit, once per entry);
 * projective covers lift a basis of the top through Yoneda evaluation at the
   generator: a per-vertex frame of arrow paths from the generator, built once,
   gives the map P_z -> N with generator |-> v without a Hom solve, and the
@@ -35,10 +34,9 @@ generic:
   components are the columns of the top of Omega M in P0 (their values at
   the generators), and pd M <= 1 exactly when that Omega M is projective;
 * tau^{-1} = D tau D (Assem-Simson-Skowronski vol. 1, IV.2) is computed
-  through the opposite category and kept per content; that category is
-  this one transposed, built once from its standard modules over the
-  opposite quiver (every vertex and arrow name kept), so no second algebra
-  is built;
+  through the opposite category, which is this one transposed, built once
+  from its standard modules over the opposite quiver (every vertex and
+  arrow name kept), so no second algebra is built;
 * the AR quiver of a representation-finite category is knitted as the
   tau^{-1}-closure of the projectives (an entry is injective exactly when
   it has no tau^{-1}), with tau^{-1} taken from a table of copies where
@@ -169,6 +167,25 @@ class ARCatalog:
         return tuple(k not in self.tau_inv_of for k in range(len(self.entries)))
 
     @cached_property
+    def injective_at(self) -> tuple:
+        """Per vertex z in order, the entry that is I_z, matched by dimension
+        vector, which is exact: I_z is one-dimensional at z, and equal
+        dimension vectors for z != w would give paths z -> w and w -> z in a
+        quiver without oriented cycles.  CatalogError unless the injective
+        entries are the I_z, each once."""
+        vertices = self.category.quiver.vertices
+        inj_vertex = {self.category.inj[z].dim_vector(): k for k, z in enumerate(vertices)}
+        injectives = {}  # vertex position -> entry index
+        for e in (e for e, flag in enumerate(self.injective) if flag):
+            k = inj_vertex.get(self.entries[e].dim_vector())
+            if k is None or k in injectives:
+                raise CatalogError(f"hom table: injective entry {e} is not one of the I_z")
+            injectives[k] = e
+        if len(injectives) != len(vertices):
+            raise CatalogError("hom table: the injective entries are not the I_z")
+        return tuple(injectives[k] for k in range(len(vertices)))
+
+    @cached_property
     def index(self) -> dict:
         """The entries by dimension vector (:func:`dim_index`)."""
         return dim_index(self.entries)
@@ -220,12 +237,8 @@ class ARCatalog:
         """CatalogError naming an entry unless every dim Hom is >= 0, every
         dim End is 1, the row of each projective P_z is coordinate z of the
         dimension vectors (dim Hom(P_z, N) = dim N_z) and the column of each
-        injective I_z is the same (dim Hom(N, I_z) = dim N_z).  The injective
-        entries are matched to the I_z by dimension vector, which is exact:
-        I_z is one-dimensional at z, and equal dimension vectors for z != w
-        would give paths z -> w and w -> z in a quiver without oriented
-        cycles."""
-        vertices = self.category.quiver.vertices
+        injective I_z (:attr:`injective_at`) is the same (dim Hom(N, I_z) =
+        dim N_z)."""
         dims = [e.dim_vector() for e in self.entries]
         for i, row in enumerate(rows):
             if row[i] != 1:
@@ -233,17 +246,7 @@ class ARCatalog:
             if min(row) < 0:
                 j = row.index(min(row))
                 raise CatalogError(f"hom table: dim Hom(entry {i}, entry {j}) is {row[j]} < 0")
-        inj_vertex = {self.category.inj[z].dim_vector(): k for k, z in enumerate(vertices)}
-        injectives = {}  # vertex position -> entry index
-        for e in (e for e, flag in enumerate(self.injective) if flag):
-            k = inj_vertex.get(dims[e])
-            if k is None or k in injectives:
-                raise CatalogError(f"hom table: injective entry {e} is not one of the I_z")
-            injectives[k] = e
-        if len(injectives) != len(vertices):
-            raise CatalogError("hom table: the injective entries are not the I_z")
-        for k, z in enumerate(vertices):
-            inj = injectives[k]
+        for k, (z, inj) in enumerate(zip(self.category.quiver.vertices, self.injective_at)):
             for j, d in enumerate(dims):
                 if rows[k][j] != d[k]:
                     raise CatalogError(
@@ -267,16 +270,20 @@ class ARCatalog:
 
 class ModuleCategory:
     def __init__(self, quiver: Quiver, projectives, injectives, simples, copies=None):
-        """``projectives[z] = (Rep, generator column)``;
-        ``injectives[z] = (Rep, evaluation row)``; ``simples[z] = Rep``.
+        """``projectives``, ``injectives`` and ``simples`` map each vertex z
+        to P_z, I_z and S_z; CatalogError unless P_z and I_z are
+        1-dimensional at z, where the basis vector generates P_z (checked by
+        its frame, :meth:`_frame`) and evaluates I_z.
         ``copies(category, cap)``, when given, returns the table of tau^{-1}
         by content id that :meth:`knit` tries before the Nakayama route.
         """
+        for what, modules in (("projective", projectives), ("injective", injectives)):
+            for z, m in modules.items():
+                if m.dims[z] != 1:
+                    raise CatalogError(f"{what} at {z} must be 1-dimensional at {z}, not {m.dims[z]}")
         self.quiver = quiver
-        self.proj = {z: p for z, (p, _) in projectives.items()}
-        self.gen = {z: g for z, (_, g) in projectives.items()}
-        self.inj = {z: i for z, (i, _) in injectives.items()}
-        self.inj_eval = {z: e for z, (_, e) in injectives.items()}
+        self.proj = dict(projectives)
+        self.inj = dict(injectives)
         self.simple = dict(simples)
         self._copies = copies
         self._op = None
@@ -291,15 +298,14 @@ class ModuleCategory:
     def opposite(self) -> "ModuleCategory":
         """The category of the opposite algebra, built once from this one's
         standard modules over ``quiver.opposite(self.quiver)``, which keeps
-        every vertex and arrow name: D I_z is its projective at z, generated
-        by the transposed evaluation, D P_z its injective at z, evaluated by
-        the transposed generator, and D S_z its simple."""
+        every vertex and arrow name: D I_z is its projective at z, D P_z its
+        injective at z, and D S_z its simple."""
         if self._op is None:
             oq = opposite(self.quiver)
             self._op = ModuleCategory(
                 oq,
-                {z: (reps.dualize(i, oq), self.inj_eval[z].transpose()) for z, i in self.inj.items()},
-                {z: (reps.dualize(p, oq), self.gen[z].transpose()) for z, p in self.proj.items()},
+                {z: reps.dualize(i, oq) for z, i in self.inj.items()},
+                {z: reps.dualize(p, oq) for z, p in self.proj.items()},
                 {z: reps.dualize(s, oq) for z, s in self.simple.items()},
             )
         return self._op
@@ -383,7 +389,7 @@ class ModuleCategory:
                 steps.append((v, parent, arrow))
                 images.append(image)
 
-        keep(z, None, None, self.gen[z])
+        keep(z, None, None, RMatrix.column([1]))
         i = 0
         while i < len(steps):
             v = steps[i][0]
@@ -423,9 +429,8 @@ class ModuleCategory:
 
     def _build_lam(self, arrow_name: str) -> RepMap:
         a = self.quiver.arrow_by_name[arrow_name]
-        w, z = a.source, a.target
-        vec = self.proj[w].mats[arrow_name] @ self.gen[w]
-        return self.yoneda_map(z, self.proj[w], vec)
+        # the generator of P_w spans P_w(w), so its image is the arrow's matrix
+        return self.yoneda_map(a.target, self.proj[a.source], self.proj[a.source].mats[arrow_name])
 
     # -- radical / socle / top ----------------------------------------------
 
@@ -622,7 +627,7 @@ class ModuleCategory:
     def tau(self, m: Rep) -> Optional[Rep]:
         """D Tr of m, the kernel of nu(f1): nu(P1) -> nu(P0) for the minimal
         presentation f1: P1 -> P0 of m; None when m is projective.  Not kept:
-        the library reads tau only inside tau^{-1} = D tau D, which is kept.
+        the library reads tau only inside tau^{-1} = D tau D.
 
         By Yoneda a map P_w -> P_z is its value at the generator of P_w, so
         the component P_wj -> P_zi of f1 is one vector x_ji in P_zi(w_j): the
@@ -672,11 +677,9 @@ class ModuleCategory:
         return t
 
     def tau_inv(self, m: Rep) -> Optional[Rep]:
-        """Tr D of m = D tau D m, with tau taken in :meth:`opposite`, kept
-        per content; None if injective."""
-        return self._fact("tau_inv", self._tau_inv, m)
-
-    def _tau_inv(self, m: Rep) -> Optional[Rep]:
+        """Tr D of m = D tau D m, with tau taken in :meth:`opposite`; None if
+        injective.  Not kept: the knit asks once per entry, and the left part
+        reads the knit's links."""
         op = self.opposite()
         t = op.tau(reps.dualize(m, op.quiver))
         return None if t is None else reps.dualize(t, self.quiver)
@@ -754,25 +757,24 @@ class ModuleCategory:
         self._catalog = catalog
         return catalog
 
-    def try_decompose(self, e: Rep, candidates, index):
-        """Peel candidate indecomposables off e; returns (mults, residual).
+    def decompose(self, e: Rep, catalog: ARCatalog):
+        """(entry index, multiplicity) of the catalog entries in e, sorted by
+        index; CatalogError when a summand of e is no entry.
 
-        ``mults`` lists (candidate index, multiplicity) sorted by index, and
-        the residual is what no candidate splits off.  ``index`` is
-        :func:`dim_index` of the candidates.  The residual's dimension vector
-        is looked up first, and again after each peel; only on a miss are
-        the smaller candidates scanned in order.  A split_pair certificate
-        decides every peel, so by Krull-Schmidt the multiplicities do not
-        depend on the order.
+        The dimension vector of what is left is looked up in the catalog's
+        index first, and again after each peel; only on a miss are the
+        smaller entries scanned in order.  A split_pair certificate decides
+        every peel, so by Krull-Schmidt the multiplicities do not depend on
+        the order.
         """
+        candidates, index = catalog.entries, catalog.index
         mults = {}
         current = e
-        k = 0  # candidates before k do not split off current
+        k = 0  # entries before k do not split off current
         while not current.is_zero():
             hit = self.find_iso(current, candidates, index)
             if hit is not None:
                 mults[hit] = mults.get(hit, 0) + 1
-                current = reps.zero_rep(self.quiver)
                 break
             pair = None
             while pair is None and k < len(candidates):
@@ -786,17 +788,10 @@ class ModuleCategory:
                 if pair is None:
                     k += 1
             if pair is None:
-                break
+                raise CatalogError("module has a summand outside the catalog")
             current, _ = cokernel(pair[0])
             mults[k] = mults.get(k, 0) + 1
-        return sorted(mults.items()), current
-
-    def decompose(self, e: Rep, catalog: ARCatalog):
-        """Multiplicities of catalog entries in e; e must decompose fully."""
-        result, current = self.try_decompose(e, catalog.entries, catalog.index)
-        if not current.is_zero():
-            raise CatalogError("module has a summand outside the catalog")
-        return result
+        return sorted(mults.items())
 
     def _fill_ar_structure(self, catalog: ARCatalog) -> None:
         """Irreducible arrows and almost split sequences, knitted along the

@@ -52,16 +52,11 @@ class Session:
         return build_dup_catalog(self.quiver)
 
     @cached_property
-    def cosyzygies(self) -> dict:
-        """Vertex x -> tau^{-1} of the embedded injective at x."""
-        from .leftpart import build_cosyzygies
-        return build_cosyzygies(self.quiver)
-
-    @cached_property
     def left_part(self):
-        """The structure-based left part (a LeftPartCatalog)."""
-        from .leftpart import build_left_part_catalog
-        return build_left_part_catalog(self.quiver)
+        """The structure-based left part (a LeftPart): entry indices of
+        ``dup_catalog``."""
+        from .leftpart import build_left_part
+        return build_left_part(self.quiver)
 
     @cached_property
     def fundamental_domain(self) -> tuple:

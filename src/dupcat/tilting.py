@@ -78,15 +78,15 @@ def enumerate_L_tilting(q: Quiver):
     part is built), so Ext^1 between candidates is read off the hom table
     of the knitted catalog by the AR formula (``DupCatalog.ext1_dim``).
     Off Dynkin type the left part raises NotDynkinError."""
-    lpc = left_part_catalog(q)
-    candidates = sorted(
-        lpc.non_proj_inj_members(),
-        key=lambda m: (m.total_dim(), m.dim_vector()),  # the vector is X, then Y
+    lp = left_part_catalog(q)
+    cat = knit_ind_dup(q)
+    entries = cat.entries
+    found = sorted(
+        lp.non_proj_inj,
+        key=lambda k: (entries[k].total_dim(), entries[k].dim_vector()),  # the vector is X, then Y
     )
     forced = tuple(proj_primed(q, x) for x in q.vertices)
     n = len(q.vertices)
-    cat = knit_ind_dup(q)
-    found = cat.indices(candidates)
     rigid = [0] * len(found)
     for i, k in enumerate(found):
         if cat.ext1_dim(k, k) != 0:
@@ -97,7 +97,7 @@ def enumerate_L_tilting(q: Quiver):
                 rigid[i] |= 1 << j
                 rigid[j] |= 1 << i
     return [
-        TiltingModuleRecord(forced, tuple(candidates[i] for i in c))
+        TiltingModuleRecord(forced, tuple(entries[found[i]] for i in c))
         for c in cliques(rigid, n)
     ]
 

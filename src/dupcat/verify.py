@@ -23,7 +23,6 @@ from .leftpart import (
     verify_pd_criterion,
     verify_sink_reachability,
 )
-from .session import session
 from .tilting import expected_count, verify_bijection
 
 
@@ -61,12 +60,15 @@ def check_embedding_fidelity(q: Quiver, cat_a) -> Report:
 
 def check_cosyzygy_tau_identity(q: Quiver) -> Report:
     """Cosyzygies of embedded projectives coincide with the translates of the
-    embedded injectives; the two sides use disjoint code paths."""
+    embedded injectives; the two sides use disjoint code paths: injective
+    envelopes, and the links of the knit."""
     witnesses = []
     ctx = dup_category(q)
     projectives = standard_dup_modules(q).projective
-    for x, rhs in session(q).cosyzygies.items():
+    entries = knit_ind_dup(q).entries
+    for x, k in zip(q.vertices, left_part_catalog(q).cosyzygies):
         lhs, _ = ctx.cosyzygy(projectives[x])
+        rhs = entries[k]  # the knit's tau^{-1} of the embedded injective at x
         # exact: the translate of an indecomposable is indecomposable
         if not ctx.iso(lhs, rhs):
             witnesses.append(
@@ -113,11 +115,11 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
     return Report("socle-quotient-sequences", not witnesses, witnesses)
 
 
-def check_fundamental_domain_counts(q: Quiver, cat_a, lpc) -> Report:
+def check_fundamental_domain_counts(q: Quiver, cat_a, lp) -> Report:
     witnesses = []
     n = len(q.vertices)
     expected = len(cat_a.entries) + n
-    got = len(lpc.non_proj_inj_members())
+    got = len(lp.non_proj_inj)
     if got != expected:
         witnesses.append(f"non-projective-injective left part has {got} members, expected {expected}")
     domain = fundamental_domain(q)
@@ -126,7 +128,7 @@ def check_fundamental_domain_counts(q: Quiver, cat_a, lpc) -> Report:
     return Report("fundamental-domain-count", not witnesses, witnesses)
 
 
-def check_ext_symmetry_and_cross_model(q: Quiver, lpc) -> Report:
+def check_ext_symmetry_and_cross_model(q: Quiver, lp) -> Report:
     """Extension pairing is symmetric on the fundamental domain, and its
     vanishing matches both-direction Ext-vanishing across the projection:
     the cluster side by ``ext1_in_catalog`` on the catalog of ind A, the
@@ -140,16 +142,15 @@ def check_ext_symmetry_and_cross_model(q: Quiver, lpc) -> Report:
             if ext1_in_catalog(cat_a, o1, o2) != ext1_in_catalog(cat_a, o2, o1):
                 witnesses.append(f"asymmetric pair {o1}, {o2}")
     dup_cat = knit_ind_dup(q)
-    members = lpc.non_proj_inj_members()
-    found = dup_cat.indices(members)
-    projected = [pi_bar(q, m) for m in members]
-    for m, k, pm in zip(members, found, projected):
-        for n, l, pn in zip(members, found, projected):
+    entries, members = dup_cat.entries, lp.non_proj_inj
+    projected = [pi_bar(q, entries[k]) for k in members]
+    for k, pm in zip(members, projected):
+        for l, pn in zip(members, projected):
             lhs = ext1_in_catalog(cat_a, pm, pn) == 0
             rhs = dup_cat.ext1_dim(k, l) == 0 and dup_cat.ext1_dim(l, k) == 0
             if lhs != rhs:
                 witnesses.append(
-                    f"cross-model mismatch at {dim_vectors(m)} / {dim_vectors(n)}"
+                    f"cross-model mismatch at {dim_vectors(entries[k])} / {dim_vectors(entries[l])}"
                 )
     return Report("extension-symmetry-and-cross-model", not witnesses, witnesses)
 
@@ -180,19 +181,19 @@ def run_all_checks(q: Quiver, cap: int = 10000):
     if classify_dynkin(q) is None:
         raise NotDynkinError("the verification suite requires a Dynkin quiver")
     cat_a = knit_ind_A(q, cap)
-    lpc = left_part_catalog(q)
     dup_cat = knit_ind_dup(q, cap)
+    lp = left_part_catalog(q)
     checks = [
         check_embedding_fidelity(q, cat_a),
         verify_pd_criterion(dup_cat),
         verify_sink_reachability(dup_cat),
         sectional_check(dup_cat),
-        verify_ext_injectives(lpc),
-        verify_left_part_definition(lpc, dup_cat),
+        verify_ext_injectives(lp),
+        verify_left_part_definition(lp, dup_cat),
         check_cosyzygy_tau_identity(q),
         check_socle_quotient_sequences(q),
-        check_fundamental_domain_counts(q, cat_a, lpc),
-        check_ext_symmetry_and_cross_model(q, lpc),
+        check_fundamental_domain_counts(q, cat_a, lp),
+        check_ext_symmetry_and_cross_model(q, lp),
         check_tilting_bijection(q),
         check_canonical_tilting(q),
     ]

@@ -34,6 +34,13 @@ opposite quiver, as the path category or the duplicated category of
 ``rebuilt`` makes the tampered copies of catalogs that the tamper tests
 feed to the checks.
 
+The library reads the left part off the knit of the duplicated algebra:
+tau^{-1} of the embedded injectives off its links, and the radical
+summands of each P_y' off its AR arrows.  ``left_part_by_radicals`` takes
+the structure route instead: it computes each tau^{-1} through the
+opposite category and peels the candidates off each radical with
+``split_pair``.
+
 The library reads the rank of a cover off the kernel elimination of its
 presentation, and the component E_t -> N of an almost split sequence off
 the columns of its end map at E_t's offset.  ``is_surjective`` takes the
@@ -56,7 +63,7 @@ from typing import NamedTuple, Optional
 
 from dupcat import reps
 from dupcat.cluster import ext1_in_catalog
-from dupcat.dup import _dual_path_matrix, dup_category
+from dupcat.dup import _dual_path_matrix, dup_category, embed_A, standard_dup_modules
 from dupcat.errors import CatalogError
 from dupcat.hereditary import knit_ind_A, path_category
 from dupcat.linalg import RMatrix, coordinates_in_span, nullspace_basis, rank, solve_matrix
@@ -145,7 +152,7 @@ def generator_values_inv(cat, w, z) -> RMatrix:
     unless it is square and invertible (Yoneda: Hom(P_w, P_z) = P_z(w))."""
     basis = cat.nak_data(cat.proj[w])[1][z]
     d = cat.proj[z].dims[w]
-    values = [b.mats[w] @ cat.gen[w] for b in basis]
+    values = [b.mats[w] for b in basis]  # P_w(w) is spanned by the generator
     e = RMatrix.hstack(values) if values else RMatrix.zeros(d, 0)
     inv = solve_matrix(e, RMatrix.identity(d)) if e.rows == e.cols else None
     if inv is None:
@@ -168,7 +175,7 @@ def envelope(cat, m):
         basis = reps.hom_basis(m, cat.inj[z])
         if len(basis) != m.dims[z]:
             raise CatalogError("injective hom dimension mismatch")
-        rows = [(cat.inj_eval[z] @ b.mats[z]).data[0] for b in basis]
+        rows = [b.mats[z].data[0] for b in basis]  # I_z(z) is one-dimensional
         sol = coordinates_in_span(rows, functional)
         if sol is None:
             raise CatalogError("socle functional not realizable")
@@ -275,6 +282,44 @@ def tau_inv_by_opposite_algebra(category, q, m) -> Optional[Rep]:
     back_v = {w: v for v, w in vmap.items()}
     back_a = {w: a for a, w in amap.items()}
     return dualize_renamed(t, category(q).quiver, back_v, back_a)
+
+
+def _peel(e: Rep, candidates) -> tuple:
+    """(the indices of the candidates split off e, in order and with
+    repeats, what is left): each candidate is peeled off as often as
+    ``split_pair`` finds it a summand."""
+    found, current = [], e
+    for i, c in enumerate(candidates):
+        while not current.is_zero() and all(c.dims[v] <= current.dims[v] for v in c.quiver.vertices):
+            pair = reps.split_pair(c, current)
+            if pair is None:
+                break
+            current = reps.cokernel(pair[0])[0]
+            found.append(i)
+    return found, current
+
+
+def left_part_by_radicals(q) -> list:
+    """The members of the left part as modules, in the library's order: ind
+    A embedded in ind A order, tau^{-1} of the embedded injective I_x for x
+    in vertex order, then each P_y' whose radical decomposes into those
+    modules and the P_z' in the left part."""
+    ctx, std = dup_category(q), standard_dup_modules(q)
+    candidates = [embed_A(e) for e in knit_ind_A(q).entries]
+    candidates += [ctx.tau_inv(std.embedded_injective[x]) for x in q.vertices]
+    always = len(candidates)
+    pis = [std.projective_primed[y] for y in q.vertices]
+    candidates += pis
+    in_l = {}
+
+    def pi_in_l(k) -> bool:
+        # the radical summands of P_y' are along primed arrows: acyclic
+        if k not in in_l:
+            found, left = _peel(ctx.radical(pis[k])[0], candidates)
+            in_l[k] = left.is_zero() and all(pi_in_l(i - always) for i in found if i >= always)
+        return in_l[k]
+
+    return candidates[:always] + [p for k, p in enumerate(pis) if pi_in_l(k)]
 
 
 def is_surjective(f: RepMap) -> bool:

@@ -82,7 +82,7 @@ def test_criterion_3_fundamental_domain_counts():
     expected = {"A1": 2, "A2": 5, "A3-linear": 9, "A3-zigzag": 9, "D4": 16}
     for name, q in KNITTED_FIXTURES:
         lpc = left_part_catalog(q)
-        got = len(lpc.non_proj_inj_members())
+        got = len(lpc.non_proj_inj)
         assert got == expected[name] == len(knit_ind_A(q).entries) + len(q.vertices)
         assert len(fundamental_domain(q)) == got
     _ok("3: fundamental-domain counts 2, 5, 9, 16")
@@ -185,8 +185,8 @@ def test_criterion_8_canonical_tilting():
         assert is_tilting_module(q, list(res.summands)).passed, name
         # its non-projective-injective part (the translates of the embedded
         # injectives) is the free part of one of the enumerated records
-        lpc = left_part_catalog(q)
-        cosyz = [lpc.members[i] for i in lpc.cosyzygy_by_vertex.values()]
+        entries = knit_ind_dup(q).entries
+        cosyz = [entries[k] for k in left_part_catalog(q).cosyzygies]
 
         def matches(rec):
             used = set()

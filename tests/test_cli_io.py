@@ -16,15 +16,16 @@ from dupcat.catalog_io import (
 from dupcat.cli import RunConfig, main
 from dupcat.cluster import ClusterObject
 from dupcat.dot import ar_quiver_dot
-from dupcat.dup import dim_vectors, dup_category, knit_ind_dup
+from dupcat.dup import DupCatalog, dim_vectors, dup_category, knit_ind_dup
 from dupcat.errors import CatalogError, NotDynkinError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A
+from dupcat.leftpart import sectional_check, verify_sink_reachability
 from dupcat.quiver import parse_quiver
 from dupcat.reps import is_isomorphic
 from dupcat.session import session
 from dupcat.tilting import enumerate_L_tilting
-from oracles import theta
+from oracles import rebuilt, theta
 
 
 def test_runconfig_validation():
@@ -261,6 +262,32 @@ def test_catalog_json_roundtrip_dup():
         assert dim_vectors(a) == dim_vectors(b)
 
 
+def test_sink_checks_pass_on_an_imported_d4_catalog():
+    """Sink reachability and the sectional check take P_a' at its place in
+    the vertex order, so both pass on a D4 catalog rebuilt from its export,
+    whose entries are not the session's objects; looked up by identity,
+    P_a' was not found there and both raised a bare ValueError."""
+    good = knit_ind_dup(d4_subspace())
+    back = catalog_from_dict(json.loads(dumps(dup_catalog_to_dict(good))))
+    assert not set(map(id, back.entries)) & set(map(id, good.entries))
+    for check in (verify_sink_reachability, sectional_check):
+        report = check(back)
+        assert report.passed and report.as_dict() == check(good).as_dict(), report.witnesses
+
+
+def test_left_part_flags_refuse_a_catalog_in_another_order():
+    """The left part holds entry indices of the session's knit, so a catalog
+    listing the entries in another order has no left-part flags."""
+    q = a_n(2)
+    good = knit_ind_dup(q)
+    *head, one, two = good.entries
+    swapped = DupCatalog(q, rebuilt(good.catalog, entries=(*head, two, one)))
+    for flags in (lambda c: c.in_L, lambda c: c.in_sigma):
+        with pytest.raises(CatalogError, match="in another order"):
+            flags(swapped)
+    assert sum(good.in_L) == 7
+
+
 def _a2_dup_body():
     q = a_n(2)
     cat = knit_ind_dup(q)
@@ -436,6 +463,31 @@ def test_catalog_json_import_names_the_malformed_field(case, tmp_path, src_env):
     body = _a2_dup_body()
     tamper(body)
     _rejects_in_process_and_under_O(body, message, tmp_path, src_env)
+
+
+# test id -> (the field, the link's position, the item changed, its new
+# value, the end of the message); JSON has no tuple, and True loads as a bool
+_LINK_ITEMS = {
+    "string-multiplicity": ("arrows", 0, 2, "1", "whose items are not all ints"),
+    "true-multiplicity": ("arrows", 0, 2, True, "whose items are not all ints"),
+    "true-arrow-source": ("arrows", 0, 0, True, "whose items are not all ints"),
+    "true-tau-link-entry": ("tau_links", 0, 1, True, "whose items are not all ints"),
+    "zero-multiplicity": ("arrows", 0, 2, 0, "whose multiplicity is below 1"),
+    "negative-multiplicity": ("arrows", 1, 2, -1, "whose multiplicity is below 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINK_ITEMS))
+def test_catalog_json_import_takes_only_plain_int_links(case, tmp_path, src_env):
+    """Every item of an arrow or a tau link must be an int and no bool, and
+    an arrow's multiplicity at least 1, or the import raises CatalogError
+    naming the link, in process and under python -O; a string multiplicity
+    once imported, and the hom table then raised a bare TypeError."""
+    field, position, item, value, reason = _LINK_ITEMS[case]
+    body = _a2_dup_body()
+    link = body[field][position]
+    link[item] = value
+    _rejects_in_process_and_under_O(body, f"{field} has the link {link!r}, {reason}", tmp_path, src_env)
 
 
 def test_export_of_a_non_dynkin_quiver_has_no_left_part_flags(tmp_path, capsys):

@@ -27,7 +27,6 @@ from dupcat.hereditary import knit_ind_A, path_category, projective_rep, simple_
 from dupcat.leftpart import left_part_catalog
 from dupcat.quiver import Quiver, classify_dynkin
 from dupcat.reps import is_isomorphic, sum_rep
-from dupcat.session import session
 from dupcat.tilting import (
     enumerate_L_tilting,
     expected_count,
@@ -64,7 +63,8 @@ def _pi_bar_by_scan(q, m):
         if idx is None:
             raise NotInDomainError("not an indecomposable of the base category")
         return module_object(q, idx)
-    for x, z in session(q).cosyzygies.items():
+    for x in q.vertices:
+        z = dup_category(q).tau_inv(std.embedded_injective[x])
         if is_isomorphic(m, z):
             return shifted_projective(q, x)
     raise NotInDomainError("module is not in the left part")
@@ -375,8 +375,9 @@ def test_both_enumerations_match_backtracking(q):
     table = [[ext1_cluster_dim(o, p) == 0 for p in objects] for o in objects]
     want = [tuple(objects[i] for i in c) for c in _backtrack_cliques(table, n)]
     assert enumerate_cluster_tilting(q) == want
+    entries = knit_ind_dup(q).entries
     candidates = sorted(
-        left_part_catalog(q).non_proj_inj_members(),
+        (entries[k] for k in left_part_catalog(q).non_proj_inj),
         key=lambda m: (m.total_dim(), dim_vectors(m)),
     )
     ctx = dup_category(q)

@@ -250,13 +250,15 @@ def test_rep_to_triple_roundtrip():
 
 def test_embed_A_is_shared_per_module():
     """One embedded module per A-module: the fidelity check's embeds are
-    the left-part members, with their caches."""
+    the entries of the knit of the duplicated algebra that are left-part
+    members, with their caches."""
     q = d4_subspace()
     x = projective_rep(q, "2")
     assert embed_A(x) is embed_A(x)
     assert embed_A(projective_rep(q, "2")) is not embed_A(x)
     entries = knit_ind_A(q).entries
-    members = left_part_catalog(q).members
+    dup_entries = knit_ind_dup(q).entries
+    members = [dup_entries[k] for k in left_part_catalog(q).members]
     assert all(embed_A(e) is m for e, m in zip(entries, members))
 
 

@@ -1,6 +1,6 @@
 """The module-category engine: Yoneda maps by evaluation at the generator,
 one direct sum per list of projectives, and every module fact that is read
-again (presentation, tau^{-1}, Nakayama image) once per module content."""
+again (presentation, Nakayama image) once per module content."""
 
 import itertools
 import os
@@ -30,7 +30,7 @@ def _yoneda_by_hom_solve(cat, z, n, vec):
     """The map P_z -> n with generator |-> vec, found in a basis of Hom(P_z, n)."""
     basis = reps.hom_basis(cat.proj[z], n)
     assert len(basis) == n.dims[z]
-    cols = [(b.mats[z] @ cat.gen[z]).column_at(0) for b in basis]
+    cols = [b.mats[z].column_at(0) for b in basis]  # the values at the generator, which spans P_z(z)
     coeffs = coordinates_in_span(cols, vec.column_at(0))
     assert coeffs is not None
     out = reps.zero_map(cat.proj[z], n)
@@ -69,33 +69,36 @@ def test_yoneda_map_rejects_representation_breaking_a_relation():
         cat.yoneda_map("2'", bad, RMatrix.column([1]))
 
 
-_ZERO_GENERATOR = """
+_NOT_GENERATED = """
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n
 from dupcat.hereditary import injective_rep, projective_rep, simple_rep
 from dupcat.linalg import RMatrix
 from dupcat.modcat import ModuleCategory
+from dupcat.reps import sum_rep
 
 q = a_n(2)  # 2 -> 1
-projectives = {x: (projective_rep(q, x), RMatrix.column([1])) for x in q.vertices}
-projectives["2"] = (projectives["2"][0], RMatrix.column([0]))
-injectives = {x: (injective_rep(q, x), RMatrix([[1]], 1, 1)) for x in q.vertices}
+projectives = {x: projective_rep(q, x) for x in q.vertices}
+# S_2 + S_1 has the dimensions of P_2, but its vector at 2 maps to zero
+projectives["2"] = sum_rep([simple_rep(q, "2"), simple_rep(q, "1")])
+injectives = {x: injective_rep(q, x) for x in q.vertices}
 simples = {x: simple_rep(q, x) for x in q.vertices}
 cat = ModuleCategory(q, projectives, injectives, simples)
 try:
     cat.yoneda_map("2", cat.proj["2"], RMatrix.column([1]))
-except CatalogError:
-    raise SystemExit(0)
+except CatalogError as exc:
+    raise SystemExit(0 if "not generated" in str(exc) else 2)
 raise SystemExit(1)
 """
 
 
-def test_zero_generator_raises_catalog_error(src_env):
-    """A projective whose generator is a zero column does not generate it:
-    the frame check raises CatalogError, also under python -O."""
+def test_projective_not_generated_at_its_vertex_raises_catalog_error(src_env):
+    """A "projective" one-dimensional at its vertex whose vector there does
+    not generate it passes the dimension check of ``ModuleCategory``, and
+    its frame raises CatalogError, also under python -O."""
     for flags in ([], ["-O"]):
         proc = subprocess.run(
-            [sys.executable, *flags, "-c", _ZERO_GENERATOR],
+            [sys.executable, *flags, "-c", _NOT_GENERATED],
             env=src_env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, (flags, proc.stderr)
@@ -110,11 +113,12 @@ def test_covers_with_equal_top_vertices_share_the_sum():
 
 
 def test_one_dual_per_module(monkeypatch):
-    """From a cold session, the dual of a module is built once per content:
-    a twin (equal dimension vector and matrices, another object) gets the
-    tau^{-1} object kept for the first, so it is not dualized again.  The
-    opposite category is built first: its standard modules are the duals
-    of this one's, and they are not the category's duals of modules."""
+    """From a cold session, each tau^{-1} dualizes its module once, and a
+    twin (equal dimension vector and matrices, another object) gets a
+    tau^{-1} of equal content: tau^{-1} is not kept, since the knit asks
+    once per entry.  The opposite category is built first: its standard
+    modules are the duals of this one's, and they are not the category's
+    duals of modules."""
     monkeypatch.setattr(session, "_sessions", {})
     cat = path_category(d4_subspace())
     cat.opposite()
@@ -128,12 +132,10 @@ def test_one_dual_per_module(monkeypatch):
         return inner(rep, *args)
 
     monkeypatch.setattr(reps, "dualize", counting)
-    for module in (m, twin):
-        assert cat.tau_inv(module) is not None
-    assert cat.tau_inv(twin) is cat.tau_inv(m)
+    t, t_twin = cat.tau_inv(m), cat.tau_inv(twin)
+    assert t is not None and (t_twin.dims, t_twin.mats) == (t.dims, t.mats)
     ids = [cat.content_id(r) for r in duals if r.quiver == cat.quiver]
-    assert ids.count(cat.content_id(m)) == 1
-    assert len(ids) == len(set(ids))
+    assert ids == [cat.content_id(m)] * 2
 
 
 def test_frame_is_built_once_per_vertex():
@@ -157,7 +159,7 @@ def _d5():
 
 
 def _scan_decompose(cat, e, candidates):
-    """The full scan the indexed try_decompose replaced: peel every
+    """The full scan the indexed decompose replaced: peel every
     candidate in order, as often as it splits off."""
     result = []
     current = e
@@ -194,7 +196,7 @@ def _mixed(m: Rep) -> Rep:
 @pytest.mark.parametrize("quiver", [d4_subspace, _d5], ids=["D4", "D5"])
 def test_indexed_decomposition_equals_full_scan(category, quiver):
     """On every AR middle term, out of block form, and every projective
-    radical, the indexed try_decompose finds the multiplicities of the full
+    radical, the indexed decompose finds the multiplicities of the full
     scan, and on the middle terms those of the sequence."""
     cat = category(quiver())
     catalog = cat.knit()
@@ -202,10 +204,9 @@ def test_indexed_decomposition_equals_full_scan(category, quiver):
     assert any(e.mats != catalog.sequences[idx].middle_rep.mats for idx, e in middles.items())
     modules = list(middles.values()) + [cat.radical(p)[0] for p in cat.proj.values()]
     for e in modules:
-        got, residual = cat.try_decompose(e, catalog.entries, catalog.index)
         want, want_residual = _scan_decompose(cat, e, catalog.entries)
-        assert got == want
-        assert residual.is_zero() and want_residual.is_zero()
+        assert cat.decompose(e, catalog) == want
+        assert want_residual.is_zero()
     assert all(cat.decompose(e, catalog) == list(catalog.sequences[idx].middle)
                for idx, e in middles.items())
 
@@ -219,9 +220,6 @@ def test_summand_outside_the_catalog_raises():
     assert cat.decompose(both, catalog) == [(0, 1), (last, 1)]
     with pytest.raises(CatalogError, match="outside the catalog"):
         cat.decompose(both, short)
-    mults, residual = cat.try_decompose(both, short.entries, short.index)
-    assert mults == [(0, 1)]
-    assert residual.dim_vector() == catalog.entries[last].dim_vector()
 
 
 @pytest.mark.parametrize("category", [path_category, dup_category], ids=["path", "dup"])
@@ -401,9 +399,9 @@ def test_pivot_columns_equal_the_greedy_picks(category, quiver):
 
 
 def _count_computations(monkeypatch):
-    """Record the module of every cover, presentation and tau^{-1} the
-    category computes."""
-    computed = {"cover": [], "_presentation": [], "_tau_inv": []}
+    """Record the module of every cover and presentation the category
+    computes."""
+    computed = {"cover": [], "_presentation": []}
     for name, calls in computed.items():
         inner = getattr(modcat.ModuleCategory, name)
 
@@ -425,8 +423,9 @@ def _twin(m: Rep) -> Rep:
 )
 def test_twins_share_every_fact(category, quiver, monkeypatch):
     """A twin of a catalog entry (same content, another object) gets the
-    entry's presentation and tau^{-1} objects, with no cover, presentation
-    or tau^{-1} computed, and the entry's Ext^1 dimensions."""
+    entry's presentation object, with no cover or presentation computed, a
+    tau^{-1} of equal content (computed on each call), and the entry's
+    Ext^1 dimensions."""
     cat = category(quiver())
     entries = cat.knit().entries
     facts = {
@@ -439,16 +438,20 @@ def test_twins_share_every_fact(category, quiver, monkeypatch):
         t = _twin(e)
         pres, tau_inv, exts = facts[id(e)]
         assert t is not e and cat.content_id(t) == cat.content_id(e)
-        assert cat.presentation(t) is pres and cat.tau_inv(t) is tau_inv
+        assert cat.presentation(t) is pres
+        twin_tau_inv = cat.tau_inv(t)
+        assert (tau_inv is None) == (twin_tau_inv is None)
+        assert tau_inv is None or (twin_tau_inv.dims, twin_tau_inv.mats) == (tau_inv.dims, tau_inv.mats)
         assert [(ext1_by_bases(cat, t, f), ext1_by_bases(cat, f, t)) for f in entries] == exts
-    assert computed == {"cover": [], "_presentation": [], "_tau_inv": []}
+    assert computed == {"cover": [], "_presentation": []}
 
 
 @pytest.mark.parametrize("fixture", ["d4", "e6"])
 def test_fact_table_keeps_only_facts_read_again(fixture_dir, tmp_path, monkeypatch, capsys, fixture):
     """After the five commands in one cold session, no category's fact
-    table holds a cover, dual, tau, isomorphism or generator-values fact,
-    and every kind of fact the tables hold is read again at least once."""
+    table holds a cover, dual, tau, tau^{-1}, isomorphism or
+    generator-values fact, and every kind of fact the tables hold is read
+    again at least once."""
     monkeypatch.setattr(session, "_sessions", {})
     cats, reads = {}, {}  # id -> category; kind -> lookups that found it kept
     inner = modcat.ModuleCategory._kept
@@ -465,8 +468,8 @@ def test_fact_table_keeps_only_facts_read_again(fixture_dir, tmp_path, monkeypat
         assert cli.main([command, "--quiver", str(path), "--out", str(tmp_path / command)]) == 0
     capsys.readouterr()
     kinds = {key[0] for cat in cats.values() for key in cat._facts}
-    assert {"presentation", "tau_inv", "nakayama"} <= kinds
-    assert not kinds & {"cover", "dual", "tau", "iso", "generator values"}
+    assert {"presentation", "nakayama"} <= kinds
+    assert not kinds & {"cover", "dual", "tau", "tau_inv", "iso", "generator values"}
     assert [kind for kind in kinds if not reads.get(kind)] == []
 
 
@@ -579,12 +582,14 @@ def test_different_modules_never_share_an_id():
     "category, quiver", [(path_category, d4_subspace), (dup_category, lambda: a_n(3))],
     ids=["D4-path", "A3-dup"],
 )
-def test_tau_inv_is_kept_per_content(category, quiver):
-    """A repeated tau^{-1} returns one object, and so does a twin's."""
+def test_tau_inv_is_computed_on_each_call(category, quiver):
+    """A repeated tau^{-1}, and a twin's, is a new object of equal content."""
     cat = category(quiver())
     for e in cat.knit().entries:
         t = cat.tau_inv(e)
-        assert cat.tau_inv(e) is t and cat.tau_inv(_twin(e)) is t
+        for again in (cat.tau_inv(e), cat.tau_inv(_twin(e))):
+            assert (again is None) == (t is None)
+            assert t is None or (again is not t and (again.dims, again.mats) == (t.dims, t.mats))
 
 
 def _d4_orientation(bits) -> Quiver:

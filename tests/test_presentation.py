@@ -78,7 +78,7 @@ def test_tau_and_pd_equal_the_oracle(fixture_dir, case):
             assert cat.pd(m) == pd
             checked += 1
     ctx = dup_category(q)
-    members = left_part_catalog(q).members
+    members = [entries[k] for k in left_part_catalog(q).members]  # the entries of ind dup
     for m in members:
         assert ctx.pd_at_most_one(m) and ctx.pd(m) == oracles.pd(ctx, m) <= 1
     assert checked > len(members) > 0

@@ -10,7 +10,7 @@ from dupcat.cluster import pi_bar, shifted_projective
 from dupcat.dup import dup_category, embed_A, knit_ind_dup, proj_primed, standard_dup_modules
 from dupcat.errors import NotDynkinError
 from dupcat.fixtures import d4_subspace, kronecker
-from dupcat.hereditary import path_category
+from dupcat.hereditary import knit_ind_A, path_category
 from dupcat.leftpart import canonical_tilting, left_part_catalog
 from dupcat.tilting import enumerate_L_tilting
 from dupcat.modcat import ModuleCategory
@@ -89,15 +89,18 @@ def test_translate_budget(monkeypatch):
 
 
 def test_cosyzygies_are_computed_once(monkeypatch):
-    """tau^{-1} of each embedded injective is computed once per quiver,
-    although the left part, pi_bar and the cosyzygy check all read it."""
+    """tau^{-1} of each embedded injective is computed once per quiver, by
+    the knit, although the left part, pi_bar and the cosyzygy check all
+    read it: they read the knit's links."""
     _start_cold(monkeypatch)
     q = d4_subspace()
     calls = _count_calls(monkeypatch, ("tau_inv",))
     assert all(c.passed for c in run_all_checks(q))
-    cat = dup_category(q)
-    for i in standard_dup_modules(q).embedded_injective.values():
+    cat, entries, lpc = dup_category(q), knit_ind_dup(q).entries, left_part_catalog(q)
+    for k in knit_ind_A(q).injective_at:
+        i = entries[lpc.ind_a[k]]  # the embedded injective
         assert sum(1 for c, m in calls if c is cat and m is i) == 1
+        assert sum(1 for c, m in calls if c is cat and cat.content_id(m) == cat.content_id(i)) == 1
 
 
 def test_proj_primed_is_the_category_projective():
@@ -121,15 +124,16 @@ def test_standard_reps_are_the_category_modules():
 
 
 def test_pi_bar_compares_against_the_left_part_cosyzygy():
-    """pi_bar looks the module up among the left-part members, so a module
-    with the content of a cosyzygy (another object) projects to the shifted
-    projective at its vertex."""
+    """pi_bar looks the module up in the knitted catalog and projects the
+    entry index it finds, so a module with the content of a cosyzygy
+    (another object) projects to the shifted projective at its vertex."""
     q = d4_subspace()
     lpc = left_part_catalog(q)
-    for x, i in lpc.cosyzygy_by_vertex.items():
-        member = lpc.members[i]
+    catalog = knit_ind_dup(q).catalog
+    for x, i in zip(q.vertices, lpc.cosyzygies):
+        member = catalog.entries[i]
         copy = Rep(member.quiver, member.dims, dict(member.mats))
-        assert lpc.member_index(member) == lpc.member_index(copy) == i
+        assert catalog.find(member) == catalog.find(copy) == i
         assert pi_bar(q, member) == pi_bar(q, copy) == shifted_projective(q, x)
 
 

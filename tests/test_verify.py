@@ -603,7 +603,7 @@ def test_each_member_projected_at_most_twice(monkeypatch):
     q = d4_subspace()
     checks = run_all_checks(q)
     assert all(c.passed for c in checks)
-    members = left_part_catalog(q).non_proj_inj_members()
+    members = left_part_catalog(q).non_proj_inj
     assert calls
     assert len(calls) <= 2 * len(members)
 
@@ -626,6 +626,6 @@ def test_cross_model_check_looks_up_the_quiver_linearly(monkeypatch, fixture_dir
 
     monkeypatch.setattr(Quiver, "__hash__", counting)
     assert verify.check_ext_symmetry_and_cross_model(q, lpc).passed
-    members = lpc.non_proj_inj_members()
+    members = lpc.non_proj_inj
     assert len(members) == 42
     assert 0 < len(calls) <= 2 * len(members) + 8

@@ -13,7 +13,9 @@ runs:
   orientation of A5 and of D5 (16 each), and on A2 + A1 (representation-
   finite but not Dynkin, so ``export`` writes no left-part flags);
 * verify --out and export --out on the E7 and E8 fixtures;
-* analyze on the Kronecker fixture at --cap 15 and 50.
+* analyze on the Kronecker fixture at --cap 15 and 50;
+* analyze and verify on D4 at --cap 20, between |ind A| = 12 and the 36
+  entries of the duplicated algebra.
 
 With ``--check FILE`` (a saved output of this script, say of the parent
 commit) it exits 1 and names each run whose digest differs or is missing.
@@ -80,6 +82,7 @@ def runs(names) -> list:
     plan = [(name, command, (), to_file) for name in everything for command, to_file in EVERY_COMMAND]
     plan += [(name, command, (), True) for name in ("e7", "e8") for command in ("verify", "export")]
     plan += [("kronecker", "analyze", ("--cap", cap), False) for cap in ("15", "50")]
+    plan += [("d4", command, ("--cap", "20"), False) for command in ("analyze", "verify")]
     return [
         (" ".join([command, f"{name}.quiver", *extra] + ["--out"] * to_file),
          f"{name}.quiver", [command, *extra], to_file)
