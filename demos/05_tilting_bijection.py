@@ -4,7 +4,10 @@ Every tilting module over the duplicated algebra contains all
 projective-injectives; projecting away the projective-injectives and
 passing to the orbit category identifies the remaining summands with a
 maximal rigid collection of fundamental-domain objects.  Both sides are
-enumerated independently and matched set by set.
+n-cliques of a compatibility graph, so the bijection is checked on the
+graphs: pi_bar maps the summands one-to-one onto the fundamental domain,
+and Ext^1 vanishes on one side exactly where it does on the other.  The
+tilting modules are enumerated, and the cluster side is their image.
 """
 
 from dupcat import (
@@ -12,16 +15,17 @@ from dupcat import (
     dim_vectors,
     enumerate_L_tilting,
     expected_count,
+    fundamental_domain,
     pi_bar,
     verify_bijection,
 )
-from dupcat.cluster import describe_object
 from dupcat.fixtures import a_n, d4_subspace
 
 print("== the pentagon for A2 ==")
 q = a_n(2)
+names = fundamental_domain(q).names
 for rec in enumerate_L_tilting(q):
-    image = sorted(describe_object(pi_bar(q, m)) for m in rec.free)
+    image = sorted(names[pi_bar(q, m)] for m in rec.free)
     frees = ", ".join(f"(X={x},Y={y})" for x, y in map(dim_vectors, rec.free))
     print(f"free part [{frees}]  ->  {image}")
 

@@ -34,13 +34,7 @@ from .leftpart import (
     verify_ext_injectives,
     verify_left_part_definition,
 )
-from .cluster import (
-    ClusterObject,
-    enumerate_cluster_tilting,
-    fundamental_domain,
-    pi_bar,
-    shifted_projective,
-)
+from .cluster import fundamental_domain, pi_bar
 from .tilting import (
     enumerate_L_tilting,
     expected_count,

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .catalog_io import catalog_to_dict, dup_catalog_to_dict, dumps
-from .cluster import describe_object, fundamental_domain
+from .cluster import fundamental_domain
 from .dot import ar_quiver_dot
 from .dup import dim_vectors, knit_ind_dup
 from .errors import CapExceededError, DupcatError, NotDynkinError, QuiverSyntaxError
@@ -84,7 +84,12 @@ def _analysis(cfg: RunConfig) -> list:
         return out
     if dynkin is None:
         return out
-    lp = left_part_catalog(q)  # knits the duplicated algebra under the default cap
+    try:
+        dup_cat = knit_ind_dup(q, cfg.cap)
+    except CapExceededError:
+        out.append(f"|ind dup| > {cfg.cap}: representation-infinite")
+        return out
+    lp = left_part_catalog(q)
     n = len(q.vertices)
     out.append(
         f"left part: {len(lp.members)} members, "
@@ -92,14 +97,10 @@ def _analysis(cfg: RunConfig) -> list:
         f"(= {len(cat_a.entries)} + {n})"
     )
     out.append(f"ext-injectives: {len(lp.sigma)}")
-    try:
-        dup_cat = knit_ind_dup(q, cfg.cap)
-        out.append(
-            f"|ind dup| = {len(dup_cat.entries)} "
-            f"({sum(dup_cat.proj_injective)} projective-injective)"
-        )
-    except CapExceededError:
-        out.append(f"|ind dup| > {cfg.cap}: representation-infinite")
+    out.append(
+        f"|ind dup| = {len(dup_cat.entries)} "
+        f"({sum(dup_cat.proj_injective)} projective-injective)"
+    )
     return out
 
 
@@ -126,8 +127,9 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     dynkin = classify_dynkin(q)
     if dynkin is None:
         raise NotDynkinError("tilting enumeration requires Dynkin type")
-    # the cap bounds the knit before the bijection runs, as in verify
+    # the cap bounds both knits before the bijection runs, as in verify
     cat_a = knit_ind_A(q, cfg.cap)
+    knit_ind_dup(q, cfg.cap)
     bij = verify_bijection(q)
     records, cluster_sets = bij.records, bij.cluster_sets
     lp = left_part_catalog(q)
@@ -141,11 +143,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     ]
     print("\n".join(lines))
     if cfg.out:
-        # the sets share their objects: name each fundamental-domain
-        # position once, so no object is hashed
-        objects = fundamental_domain(q)
-        position = {(o.kind, o.key): k for k, o in enumerate(objects)}
-        names = [describe_object(o) for o in objects]
+        names = fundamental_domain(q).names
         payload = {
             "counts": {
                 "tilting": len(records),
@@ -162,7 +160,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
                 for rec in records
             ],
             "cluster_tilting": [
-                sorted(names[position[o.kind, o.key]] for o in s) for s in cluster_sets
+                sorted(names[k] for k in s) for s in cluster_sets
             ],
         }
         Path(cfg.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")

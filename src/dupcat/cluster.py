@@ -1,148 +1,153 @@
-"""The cluster category on fundamental-domain representatives.
+"""The cluster category on the positions of its fundamental domain.
 
-Objects are the indecomposables of the base category together with one
-shifted projective per vertex.  Morphism and extension dimensions between
-representatives reduce to base-category Hom/Ext data: only finitely many
-orbit indices contribute for a hereditary algebra, and the surviving terms
-are tabulated in closed form here.
+The fundamental domain holds the indecomposables of the base category,
+by (total dimension, dimension vector), then one shifted projective P_x[1]
+per vertex x, in vertex order; an object is its position there.  Extension
+dimensions between positions reduce to base-category Hom/Ext data: only
+finitely many orbit indices contribute for a hereditary algebra, and the
+surviving terms are tabulated in closed form here, once per session
+(:class:`Domain`).  The stable projection pi_bar of the left part of the
+duplicated algebra is a table from its entry indices to positions.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from functools import cached_property
 
-from .errors import CatalogError, NotDynkinError, NotInDomainError
-from .quiver import Quiver, classify_dynkin
+from .dup import dim_vectors, knit_ind_dup
+from .errors import NotInDomainError
+from .quiver import Quiver
 from .hereditary import knit_ind_A
 from .reps import Rep
 from .session import session
 
 
-class ClusterObject(NamedTuple):
-    """Module(index into ind A) or ShiftedProjective(vertex)."""
+class Domain:
+    """The fundamental domain of one quiver, as positions."""
 
-    quiver: Quiver
-    kind: str  # "module" | "shift"
-    key: Union[int, str]
+    def __init__(self, names: tuple, ext1: tuple, of_ind_a: tuple):
+        self.names = names  # per position: "M" + its dimension vector, or "P[x][1]"
+        self.ext1 = ext1  # ext1[i][j] = dim Ext^1_C(position i, position j)
+        self.of_ind_a = of_ind_a  # the position of each entry of ind A, in ind A order
 
-
-def module_object(q: Quiver, index: int) -> ClusterObject:
-    return ClusterObject(q, "module", index)
-
-
-def shifted_projective(q: Quiver, vertex: str) -> ClusterObject:
-    return ClusterObject(q, "shift", vertex)
-
-
-def fundamental_domain(q: Quiver):
-    """All cluster objects: ind A plus one shifted projective per vertex."""
-    return list(session(q).fundamental_domain)
+    @cached_property
+    def compat(self) -> tuple:
+        """Per position i, the bit mask of the positions j with Ext^1_C zero
+        between i and j both ways (i itself when it is rigid)."""
+        cols = list(zip(*self.ext1))
+        return tuple(
+            sum(1 << j for j, (a, b) in enumerate(zip(row, col)) if a == b == 0)
+            for row, col in zip(self.ext1, cols)
+        )
 
 
-def build_fundamental_domain(q: Quiver) -> tuple:
-    entries = knit_ind_A(q).entries
+def fundamental_domain(q: Quiver) -> Domain:
+    """The session's fundamental domain of the cluster category of q."""
+    return session(q).fundamental_domain
+
+
+def build_fundamental_domain(q: Quiver) -> Domain:
+    """The positions with their names and the Ext^1_C table, read off the
+    hom table of ind A (A is hereditary, so every module has projective
+    dimension <= 1): between modules, the base Ext^1 both ways by the AR
+    formula; between a module M and P_x[1], the dimension of M at x;
+    between shifted projectives, zero."""
+    cat = knit_ind_A(q)
+    entries = cat.entries
     modules = sorted(
         range(len(entries)),
         key=lambda i: (entries[i].total_dim(), entries[i].dim_vector()),
     )
-    return tuple(
-        [module_object(q, i) for i in modules]
-        + [shifted_projective(q, x) for x in q.vertices]
+    dims = [entries[i].dim_vector() for i in modules]  # in vertex order
+    n = len(q.vertices)
+    ext1 = [
+        tuple([cat.ext1_by_tau(a, b) + cat.ext1_by_tau(b, a) for b in modules] + list(d))
+        for a, d in zip(modules, dims)
+    ]
+    ext1 += [tuple([d[x] for d in dims] + [0] * n) for x in range(n)]
+    return Domain(
+        tuple(["M" + "".join(map(str, d)) for d in dims] + [f"P[{x}][1]" for x in q.vertices]),
+        tuple(ext1),
+        tuple(sorted(range(len(modules)), key=modules.__getitem__)),  # the inverse permutation
     )
 
 
-def describe_object(o: ClusterObject) -> str:
-    """Name an object by its dimension vector, or by the P[x][1] tag."""
-    if o.kind == "shift":
-        return f"P[{o.key}][1]"
-    entry = knit_ind_A(o.quiver).entries[o.key]
-    return "M" + "".join(str(d) for d in entry.dim_vector())
+def build_pi_bar_table(q: Quiver) -> dict:
+    """pi_bar on the left part (:class:`dupcat.leftpart.LeftPart`): the
+    embedding of entry i of ind A goes to the position of entry i; the
+    cosyzygy of the projective at the k-th vertex (tau^{-1} of the injective
+    there) goes to P_x[1], the k-th position past ind A."""
+    s = session(q)
+    lp, domain = s.left_part, s.fundamental_domain
+    table = dict(zip(lp.ind_a, domain.of_ind_a))
+    table.update((k, len(lp.ind_a) + x) for x, k in enumerate(lp.cosyzygies))
+    return table
 
 
-def pi_bar(q: Quiver, m: Rep) -> ClusterObject:
+def pi_bar(q: Quiver, m: Rep) -> int:
     """Stable projection of a non-projective-injective left-part module of
-    the duplicated algebra of q.
+    the duplicated algebra of q: its position in the fundamental domain.
 
-    One lookup in the knitted catalog of the duplicated algebra decides it,
-    by the entry index it finds (:class:`dupcat.leftpart.LeftPart`): the
-    embedding of entry i of ind A goes to module i; the cosyzygy of the
-    projective at x (equivalently tau^{-1} of the injective at x) goes to
-    the shifted projective at x.  Projective-injectives and non-members are
-    outside the domain.
+    One lookup in the knitted catalog of the duplicated algebra finds its
+    entry index, and the session's table projects it.  Projective-
+    injectives and non-members are outside the domain.
     """
     s = session(q)
-    lp = s.left_part  # knits the duplicated algebra under the default cap
+    lp = s.left_part
     k = s.dup_catalog.catalog.find(m)
     if k in lp.proj_inj:
         raise NotInDomainError("projective-injectives vanish under projection")
-    if k in lp.ind_a:
-        return module_object(q, lp.ind_a.index(k))
-    if k in lp.cosyzygies:
-        return shifted_projective(q, q.vertices[lp.cosyzygies.index(k)])
-    raise NotInDomainError("module is not in the left part")
+    if k not in s.pi_bar_table:
+        raise NotInDomainError("module is not in the left part")
+    return s.pi_bar_table[k]
 
 
-def ext1_in_catalog(cat, o1: ClusterObject, o2: ClusterObject) -> int:
-    """Extension dimension between fundamental-domain representatives over
-    the quiver of ``cat``, the catalog of ind A (read once per pass).
-
-    module/module: both-direction base Ext, read off the hom table of ind A
-    by the AR formula (A is hereditary, so every module has projective
-    dimension <= 1); shift(x)/module(M): the dimension of M at x;
-    shift/shift: zero.
-    """
-    if o1.kind == "module" and o2.kind == "module":
-        return cat.ext1_by_tau(o1.key, o2.key) + cat.ext1_by_tau(o2.key, o1.key)
-    if o1.kind == "shift" and o2.kind == "shift":
-        return 0
-    shift, mod = (o1, o2) if o1.kind == "shift" else (o2, o1)
-    return cat.entries[mod.key].dims[shift.key]
-
-
-def enumerate_cluster_tilting(q: Quiver):
-    """All maximal rigid collections of fundamental-domain objects.
-
-    Returns a deterministically ordered list of n-element tuples.
-    """
-    if classify_dynkin(q) is None:
-        raise NotDynkinError("cluster-tilting enumeration requires Dynkin type")
-    objects = fundamental_domain(q)
-    cat = knit_ind_A(q)
-    n = len(q.vertices)
-    count = len(objects)
-    for i, o in enumerate(objects):
-        if ext1_in_catalog(cat, o, o) != 0:
-            raise CatalogError("fundamental-domain object not rigid")
-    compat = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if ext1_in_catalog(cat, objects[i], objects[j]) == 0:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    return [tuple(objects[i] for i in c) for c in cliques(compat, n)]
+def ext1_mismatches(q: Quiver, members) -> list:
+    """A witness for each ordered pair of ``members``, left-part entries of
+    the knit of the duplicated algebra (:func:`knit_ind_dup`) in the pi_bar
+    table, where Ext^1 vanishing both ways in the knit
+    (``DupCatalog.ext1_dim``) disagrees with Ext^1_C vanishing both ways at
+    their positions (``Domain.compat``)."""
+    cat = knit_ind_dup(q)
+    s = session(q)
+    compat, table = s.fundamental_domain.compat, s.pi_bar_table
+    positions = [table[k] for k in members]
+    witnesses = []
+    for k, p in zip(members, positions):
+        for l, r in zip(members, positions):
+            if (compat[p] >> r & 1) != (cat.ext1_dim(k, l) == 0 == cat.ext1_dim(l, k)):
+                witnesses.append(
+                    f"cross-model mismatch at {dim_vectors(cat.entries[k])} / {dim_vectors(cat.entries[l])}"
+                )
+    return witnesses
 
 
 def cliques(compat, size: int) -> list:
     """Every ``size``-set of pairwise compatible indices, as ascending
     tuples in lexicographic order.
 
-    ``compat[i]`` is the int bit mask of the indices compatible with i.  The
-    search keeps as one mask the candidates past the last chosen index that
-    are compatible with every chosen one, takes its lowest bit first, and
-    stops a branch once fewer candidates are left than places to fill.
+    ``compat[i]`` is the int bit mask of the indices compatible with i
+    (bit i itself is never read).  The search keeps as one mask the
+    candidates past the last chosen index that are compatible with every
+    chosen one, takes its lowest bit first, and enters a branch only when
+    it has as many candidates as places to fill.
     """
     out = []
 
-    def extend(chosen, cand):
-        need = size - len(chosen)
-        if not need:
-            out.append(tuple(chosen))
-            return
+    def extend(chosen, cand, need):
         while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
-            extend(chosen + [i], cand & compat[i])
+            if need == 1:
+                out.append((*chosen, i))
+                continue
+            nxt = cand & compat[i]
+            if nxt.bit_count() >= need - 1:
+                extend((*chosen, i), nxt, need - 1)
 
-    extend([], (1 << len(compat)) - 1)
+    if size:
+        extend((), (1 << len(compat)) - 1, size)
+    else:
+        out.append(())
     return out

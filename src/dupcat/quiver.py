@@ -84,7 +84,7 @@ class Quiver:
         )
 
     def __hash__(self):
-        # hashed on every session lookup and every cluster-object hash
+        # hashed on every session lookup
         return self._hash
 
     @cached_property

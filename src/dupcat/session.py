@@ -59,10 +59,17 @@ class Session:
         return build_left_part(self.quiver)
 
     @cached_property
-    def fundamental_domain(self) -> tuple:
-        """ind A by (total dimension, dimension vector), then P_x[1] per vertex."""
+    def fundamental_domain(self):
+        """The positions of the fundamental domain of the cluster category,
+        with their names and Ext^1 table (a Domain)."""
         from .cluster import build_fundamental_domain
         return build_fundamental_domain(self.quiver)
+
+    @cached_property
+    def pi_bar_table(self) -> dict:
+        """pi_bar on the left part: entry index -> position."""
+        from .cluster import build_pi_bar_table
+        return build_pi_bar_table(self.quiver)
 
 
 _sessions: dict = {}

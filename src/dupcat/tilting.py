@@ -9,13 +9,14 @@ is the n-subsets of the non-projective-injective left-part members.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import CatalogError
 from .quiver import Quiver
-from .cluster import cliques, enumerate_cluster_tilting, fundamental_domain, pi_bar
+from .cluster import cliques, ext1_mismatches, fundamental_domain
 from .dup import dup_category, knit_ind_dup, proj_primed
 from .leftpart import left_part_catalog
+from .session import session
 
 
 class TiltingVerdict(NamedTuple):
@@ -96,28 +97,17 @@ def enumerate_L_tilting(q: Quiver):
             if cat.ext1_dim(k, l) == 0 and cat.ext1_dim(l, k) == 0:
                 rigid[i] |= 1 << j
                 rigid[j] |= 1 << i
-    return [
-        TiltingModuleRecord(forced, tuple(entries[found[i]] for i in c))
-        for c in cliques(rigid, n)
-    ]
+    candidates = [entries[k] for k in found].__getitem__
+    return [TiltingModuleRecord(forced, tuple(map(candidates, c))) for c in cliques(rigid, n)]
 
 
-class BijectionReport:
-    def __init__(
-        self, left_count: int, right_count: int, matched: bool, witnesses: list,
-        records: Optional[list] = None, cluster_sets: Optional[list] = None
-    ):
-        self.left_count = left_count
-        self.right_count = right_count
-        self.matched = matched
-        self.witnesses = witnesses
-        # what was compared: the tilting-module records and the cluster side
-        self.records = [] if records is None else records
-        self.cluster_sets = [] if cluster_sets is None else cluster_sets
-
-    @property
-    def passed(self):
-        return self.matched
+class BijectionReport(NamedTuple):
+    left_count: int
+    right_count: int
+    matched: bool
+    witnesses: list
+    records: list  # the tilting-module records
+    cluster_sets: list  # their images, sorted tuples of positions, sorted
 
     def __bool__(self):
         return self.matched
@@ -133,60 +123,32 @@ class BijectionReport:
 
 
 def verify_bijection(q: Quiver) -> BijectionReport:
-    """Project every enumerated tilting module summand-wise and compare the
-    image, as a set of sets, with the cluster-side enumeration.
+    """Check that pi_bar carries the left-part tilting modules one-to-one
+    onto the cluster-tilting sets of the fundamental domain.
 
-    The sets compare as bit masks over the positions of the fundamental
-    domain, so no object is hashed; a witness names a set by the first
-    tuple of objects that gave its mask."""
+    Both sides are the n-cliques of a compatibility graph, so it does
+    whenever pi_bar maps the distinct free summands one-to-one onto the
+    positions and the two Ext^1-vanishing relations agree on every pair of
+    them (:func:`dupcat.cluster.ext1_mismatches`).  The cluster side is the
+    image of each tilting module, a sorted tuple of positions, in sorted
+    order: the order of a clique search on the domain."""
     records = enumerate_L_tilting(q)
-    cluster_side = enumerate_cluster_tilting(q)
-    objects = fundamental_domain(q)
-    position = {(o.kind, o.key): k for k, o in enumerate(objects)}
-
-    def mask(positions) -> int:
-        bits = 0
-        for k in positions:
-            bits |= 1 << k
-        return bits
-
-    cluster_sets = {}  # mask -> the first cluster-tilting set with it
-    for s in cluster_side:
-        cluster_sets.setdefault(mask(position[o.kind, o.key] for o in s), s)
-    # records share their summands: project each distinct one once, onto its
-    # position in the domain (an object outside it gets a position past it)
-    projected = {}
-    for m in dict.fromkeys(m for rec in records for m in rec.free):
-        o = pi_bar(q, m)
-        if (o.kind, o.key) not in position:
-            position[o.kind, o.key] = len(objects)
-            objects.append(o)
-        projected[m] = position[o.kind, o.key]
-
-    def image(rec) -> list:
-        """The distinct objects rec's free summands project to, in order."""
-        return [objects[k] for k in dict.fromkeys(projected[m] for m in rec.free)]
-
-    witnesses = []
-    images = {}  # mask -> the first record projecting to it
-    for rec in records:
-        img = mask(projected[m] for m in rec.free)
-        if img.bit_count() != len(rec.free):
-            witnesses.append(f"projection not injective on {rec.free}")
-        if img in images:
-            witnesses.append(f"two tilting modules project to {sorted(map(str, image(rec)))}")
-        else:
-            images[img] = rec
-    for img, rec in images.items():
-        if img not in cluster_sets:
-            witnesses.append(f"projected set not cluster-tilting: {frozenset(image(rec))}")
-    for extra, s in cluster_sets.items():
-        if extra not in images:
-            witnesses.append(f"cluster-tilting set not hit: {frozenset(s)}")
+    cat, table = knit_ind_dup(q), session(q).pi_bar_table
+    # the records hold the catalog's entries: project each distinct one once
+    index = {cat.entries[k]: k for k in left_part_catalog(q).non_proj_inj}
+    found = sorted(index[m] for m in set().union(*(rec.free for rec in records)))
+    size = len(fundamental_domain(q).names)
+    if sorted(table[k] for k in found) != list(range(size)):
+        witnesses = [
+            f"pi_bar does not map the {len(found)} distinct free summands "
+            f"one-to-one onto the {size} positions of the fundamental domain"
+        ]
+    else:
+        witnesses = ext1_mismatches(q, found)
+    position = {cat.entries[k]: table[k] for k in found}.__getitem__
+    cluster_sets = sorted({tuple(sorted(map(position, rec.free))) for rec in records})
     matched = not witnesses and len(records) == len(cluster_sets)
-    return BijectionReport(
-        len(records), len(cluster_sets), matched, witnesses, records, cluster_side
-    )
+    return BijectionReport(len(records), len(cluster_sets), matched, witnesses, records, cluster_sets)
 
 
 _DEGREES = {

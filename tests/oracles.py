@@ -46,9 +46,15 @@ presentation, and the component E_t -> N of an almost split sequence off
 the columns of its end map at E_t's offset.  ``is_surjective`` takes the
 rank of each block by a pass of its own, and ``structure_maps`` builds the
 canonical injections of a direct sum, so g_t can be composed as g after
-the injection of E_t.  ``ext1_cluster_dim`` looks up the catalog of ind A
-of its objects' quiver on every call; the library passes the catalog it
-holds to ``cluster.ext1_in_catalog`` instead.
+the injection of E_t.
+
+The library tabulates Ext^1 in the cluster category between the positions
+of the fundamental domain once per session, off the hom table of ind A
+(``cluster.Domain``), and checks the bijection with one clique search, on
+the side of the duplicated algebra.  ``ext1_cluster_dim`` computes an
+entry from full Hom bases instead, and ``enumerate_cluster_tilting`` is
+the clique search on the cluster side, over the domain's masks: the
+reference the library's list of projected sets is compared with.
 
 The triple model is the other description of a module M over the
 duplicated algebra: its restrictions X and Y to the two copies of the base
@@ -62,13 +68,13 @@ import inspect
 from typing import NamedTuple, Optional
 
 from dupcat import reps
-from dupcat.cluster import ext1_in_catalog
+from dupcat.cluster import cliques, fundamental_domain
 from dupcat.dup import _dual_path_matrix, dup_category, embed_A, standard_dup_modules
-from dupcat.errors import CatalogError
-from dupcat.hereditary import knit_ind_A, path_category
+from dupcat.errors import CatalogError, NotDynkinError
+from dupcat.hereditary import knit_ind_A, path_category, projective_rep
 from dupcat.linalg import RMatrix, coordinates_in_span, nullspace_basis, rank, solve_matrix
 from dupcat.modcat import CoverData
-from dupcat.quiver import opposite, prime
+from dupcat.quiver import classify_dynkin, opposite, prime
 from dupcat.reps import Rep, RepMap
 from dupcat.session import session
 
@@ -354,13 +360,41 @@ def projections(parts, total):
     ]
 
 
-def ext1_cluster_dim(o1, o2) -> int:
-    """``cluster.ext1_in_catalog`` on the catalog of ind A of the quiver of
-    o1 and o2, looked up per call; CatalogError for objects over different
-    quivers.  The library passes the catalog it holds instead."""
-    if o1.quiver != o2.quiver:
-        raise CatalogError("cluster objects over different quivers")
-    return ext1_in_catalog(knit_ind_A(o1.quiver), o1, o2)
+def domain_objects(q) -> list:
+    """The fundamental domain of q in the order of its positions:
+    ``("module", M)`` for ind A by (total dimension, dimension vector),
+    then ``("shift", x)`` for P_x[1], x in vertex order."""
+    modules = sorted(knit_ind_A(q).entries, key=lambda e: (e.total_dim(), e.dim_vector()))
+    return [("module", m) for m in modules] + [("shift", x) for x in q.vertices]
+
+
+def ext1_cluster_dim(q, i, j) -> int:
+    """dim Ext^1 in the cluster category between positions i and j of the
+    fundamental domain of q: between modules, Ext^1 both ways from full Hom
+    bases (``ext1_by_bases``); between P_x[1] and M, dim Hom(P_x, M) by the
+    rank of its Hom system; between shifted projectives, zero."""
+    objects = domain_objects(q)
+    (kind_i, o_i), (kind_j, o_j) = objects[i], objects[j]
+    if kind_i == kind_j == "module":
+        cat = path_category(q)
+        return ext1_by_bases(cat, o_i, o_j) + ext1_by_bases(cat, o_j, o_i)
+    if kind_i == kind_j == "shift":
+        return 0
+    x, m = (o_i, o_j) if kind_i == "shift" else (o_j, o_i)
+    return hom_dim_by_rank(projective_rep(q, x), m)
+
+
+def enumerate_cluster_tilting(q) -> list:
+    """The clique search on the cluster side: every n-set of pairwise
+    compatible positions of the fundamental domain (``Domain.compat``), as
+    ascending tuples in lexicographic order.  NotDynkinError off Dynkin
+    type; CatalogError for a position that is not rigid."""
+    if classify_dynkin(q) is None:
+        raise NotDynkinError("cluster-tilting enumeration requires Dynkin type")
+    compat = fundamental_domain(q).compat
+    if any(not mask >> i & 1 for i, mask in enumerate(compat)):
+        raise CatalogError("fundamental-domain object not rigid")
+    return cliques(compat, len(q.vertices))
 
 
 # -- the triple model of the duplicated algebra --------------------------------

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dupcat import catalog_io, cli
+from dupcat import catalog_io, cli, cluster
 from dupcat.catalog_io import (
     catalog_from_dict,
     catalog_to_dict,
@@ -14,7 +14,6 @@ from dupcat.catalog_io import (
     dumps,
 )
 from dupcat.cli import RunConfig, main
-from dupcat.cluster import ClusterObject
 from dupcat.dot import ar_quiver_dot
 from dupcat.dup import DupCatalog, dim_vectors, dup_category, knit_ind_dup
 from dupcat.errors import CatalogError, NotDynkinError
@@ -42,6 +41,18 @@ def test_cli_analyze_a2(fixture_dir, capsys):
     assert "|ind A| = 3" in out
     assert "|ind dup| = 9 (2 projective-injective)" in out
     assert "5 non-projective-injective" in out
+
+
+def test_cli_analyze_applies_the_cap_before_the_left_part(fixture_dir, capsys, monkeypatch):
+    """analyze --cap knits the duplicated algebra under the cap before it
+    builds the left part: on D4 at --cap 20, between |ind A| = 12 and the
+    36 entries of the duplicated algebra, it reports the cap and no
+    left-part line, and never asks for the left part."""
+    monkeypatch.setattr(cli, "left_part_catalog", lambda q: pytest.fail("built the left part"))
+    assert main(["analyze", "--quiver", str(fixture_dir / "d4.quiver"), "--cap", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("|ind A| = 12\n|ind dup| > 20: representation-infinite\n")
+    assert "left part" not in out and "ext-injectives" not in out
 
 
 def test_cli_analyze_kronecker(fixture_dir, capsys):
@@ -100,43 +111,55 @@ def test_cli_enumerate_a2(fixture_dir, capsys, tmp_path):
     assert len(payload["tilting_modules"]) == 5
 
 
-def test_cli_enumerate_names_each_cluster_object_once(fixture_dir, capsys, tmp_path, monkeypatch):
-    """enumerate --out describes each distinct cluster object once, not once
-    per cluster-tilting set it lies in (D4: 16 objects in 50 sets of 4),
-    and hashes no cluster object: it names them by fundamental-domain
-    position."""
-    calls, hashed = [], []
-    inner = cli.describe_object
+def test_cli_enumerate_names_each_position_once(fixture_dir, capsys, tmp_path, monkeypatch):
+    """enumerate --out names each position of the fundamental domain once,
+    when its session builds the domain, not once per cluster-tilting set
+    it lies in (D4: 16 positions in 50 sets of 4); the sets it names are
+    tuples of positions, plain ints."""
+    monkeypatch.setattr("dupcat.session._sessions", {})
+    built, reports = [], []
+    build, bijection = cluster.build_fundamental_domain, cli.verify_bijection
 
-    def counting(o):
-        calls.append(o)
-        return inner(o)
+    def counting(q):
+        built.append(build(q))
+        return built[-1]
 
-    def hashing(o):
-        hashed.append(o)
-        return tuple.__hash__(o)
+    def keeping(q):
+        reports.append(bijection(q))
+        return reports[-1]
 
-    monkeypatch.setattr(cli, "describe_object", counting)
-    monkeypatch.setattr(ClusterObject, "__hash__", hashing)
+    monkeypatch.setattr(cluster, "build_fundamental_domain", counting)
+    monkeypatch.setattr(cli, "verify_bijection", keeping)
     out_file = tmp_path / "enum.json"
     assert main(["enumerate", "--quiver", str(fixture_dir / "d4.quiver"), "--out", str(out_file)]) == 0
     capsys.readouterr()
-    assert hashed == []
+    assert len(built) == len(reports) == 1
+    names = built[0].names
+    assert len(names) == len(set(names)) == 16
     payload = json.loads(out_file.read_text())
     assert len(payload["cluster_tilting"]) == 50
-    assert len(calls) == len(set(calls)) == 16
+    assert payload["cluster_tilting"] == [sorted(names[k] for k in s) for s in reports[0].cluster_sets]
+    assert {type(k) for s in reports[0].cluster_sets for k in s} == {int}
 
 
 def test_cli_enumerate_applies_the_cap_before_the_bijection(fixture_dir, capsys, monkeypatch):
-    """enumerate --cap fails on the knit of ind A with verify's message,
-    before any tilting module is enumerated; a non-Dynkin quiver still
-    fails on the Dynkin guard, before any knit."""
+    """enumerate --cap fails on the knit of ind A, and on that of the
+    duplicated algebra, with verify's message, before any tilting module is
+    enumerated; a non-Dynkin quiver still fails on the Dynkin guard, before
+    any knit."""
     monkeypatch.setattr(cli, "verify_bijection", lambda q: pytest.fail("ran the bijection"))
     e6 = str(fixture_dir / "e6.quiver")
     assert main(["verify", "--quiver", e6, "--cap", "5"]) == 2
     err = capsys.readouterr().err
     assert err == "error: more than 5 indecomposables; representation-infinite\n"
     assert main(["enumerate", "--quiver", e6, "--cap", "5"]) == 2
+    assert capsys.readouterr().err == err
+    # D4 has 12 indecomposables and its duplicated algebra 36
+    d4 = str(fixture_dir / "d4.quiver")
+    assert main(["verify", "--quiver", d4, "--cap", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: more than 20 indecomposables; representation-infinite\n"
+    assert main(["enumerate", "--quiver", d4, "--cap", "20"]) == 2
     assert capsys.readouterr().err == err
     assert main(["enumerate", "--quiver", str(fixture_dir / "kronecker.quiver")]) == 2
     assert capsys.readouterr().err == "error: tilting enumeration requires Dynkin type\n"

@@ -3,16 +3,7 @@ import random
 
 import pytest
 
-from dupcat import tilting
-from dupcat.cluster import (
-    ClusterObject,
-    cliques,
-    enumerate_cluster_tilting,
-    fundamental_domain,
-    module_object,
-    pi_bar,
-    shifted_projective,
-)
+from dupcat.cluster import cliques, fundamental_domain, pi_bar
 from dupcat.dup import (
     dim_vectors,
     dup_category,
@@ -25,27 +16,42 @@ from dupcat.errors import CatalogError, NotDynkinError, NotInDomainError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import knit_ind_A, path_category, projective_rep, simple_rep
 from dupcat.leftpart import left_part_catalog
-from dupcat.quiver import Quiver, classify_dynkin
+from dupcat.quiver import Quiver, classify_dynkin, parse_quiver
 from dupcat.reps import is_isomorphic, sum_rep
+from dupcat.session import session
 from dupcat.tilting import (
     enumerate_L_tilting,
     expected_count,
     is_tilting_module,
     verify_bijection,
 )
-from oracles import ext1_by_bases, ext1_cluster_dim, hom_dim_by_rank, restrict
+from oracles import (
+    domain_objects,
+    enumerate_cluster_tilting,
+    ext1_by_bases,
+    ext1_cluster_dim,
+    hom_dim_by_rank,
+    rebuilt,
+    restrict,
+)
 
 
 def _find(q, rep):
+    """The position of the ind A module ``rep`` in the fundamental domain."""
     idx = knit_ind_A(q).find(rep)
     assert idx is not None
-    return module_object(q, idx)
+    return fundamental_domain(q).of_ind_a[idx]
+
+
+def _shift(q, x):
+    """The position of P_x[1]: past ind A, in vertex order."""
+    return len(knit_ind_A(q).entries) + q.vertices.index(x)
 
 
 def test_pi_bar_a2():
     q = a_n(2)
     z1 = dup_category(q).cosyzygy(embed_A(projective_rep(q, "1")))[0]
-    assert pi_bar(q, z1) == shifted_projective(q, "1")
+    assert pi_bar(q, z1) == _shift(q, "1")
     p2 = embed_A(projective_rep(q, "2"))
     assert pi_bar(q, p2) == _find(q, projective_rep(q, "2"))
     with pytest.raises(NotInDomainError):
@@ -62,11 +68,11 @@ def _pi_bar_by_scan(q, m):
         idx = knit_ind_A(q).find(restrict(m, q, str))
         if idx is None:
             raise NotInDomainError("not an indecomposable of the base category")
-        return module_object(q, idx)
+        return fundamental_domain(q).of_ind_a[idx]
     for x in q.vertices:
         z = dup_category(q).tau_inv(std.embedded_injective[x])
         if is_isomorphic(m, z):
-            return shifted_projective(q, x)
+            return _shift(q, x)
     raise NotInDomainError("module is not in the left part")
 
 
@@ -86,7 +92,7 @@ def test_pi_bar_agrees_with_the_isomorphism_scan(make):
         (_outcome(pi_bar, q, m), _outcome(_pi_bar_by_scan, q, m)) for m in knit_ind_dup(q).entries
     ]
     assert all(new == old for new, old in outcomes)
-    assert {new for new, _ in outcomes} == set(fundamental_domain(q)) | {NotInDomainError}
+    assert {new for new, _ in outcomes} == set(range(len(fundamental_domain(q).names))) | {NotInDomainError}
 
 
 def test_pi_bar_refuses_modules_outside_the_left_part():
@@ -100,7 +106,7 @@ def test_pi_bar_refuses_modules_outside_the_left_part():
 
 def test_fundamental_domain_count():
     for q in (a_n(1), a_n(2), a_n(3), d4_subspace()):
-        assert len(fundamental_domain(q)) == len(knit_ind_A(q).entries) + len(
+        assert len(fundamental_domain(q).names) == len(knit_ind_A(q).entries) + len(
             q.vertices
         )
 
@@ -110,18 +116,20 @@ def test_ext1_cluster_examples_a2():
     s2 = _find(q, simple_rep(q, "2"))
     p1 = _find(q, projective_rep(q, "1"))
     p2 = _find(q, projective_rep(q, "2"))
-    assert ext1_cluster_dim(s2, p1) == 1
-    assert ext1_cluster_dim(shifted_projective(q, "1"), shifted_projective(q, "2")) == 0
-    assert ext1_cluster_dim(shifted_projective(q, "1"), p2) == 1
-    assert ext1_cluster_dim(shifted_projective(q, "2"), p1) == 0
+    sp1, sp2 = _shift(q, "1"), _shift(q, "2")
+    table = fundamental_domain(q).ext1
+    for i, j, dim in ((s2, p1, 1), (sp1, sp2, 0), (sp1, p2, 1), (sp2, p1, 0)):
+        assert table[i][j] == ext1_cluster_dim(q, i, j) == dim
 
 
 def test_ext1_cluster_symmetry():
+    """The Ext^1 table of the fundamental domain is symmetric and equals the
+    one computed from full Hom bases."""
     for q in (a_n(2), a_n(3), a_n(3, "zigzag")):
-        objs = fundamental_domain(q)
-        for o1 in objs:
-            for o2 in objs:
-                assert ext1_cluster_dim(o1, o2) == ext1_cluster_dim(o2, o1)
+        table = fundamental_domain(q).ext1
+        size = len(table)
+        assert table == tuple(tuple(ext1_cluster_dim(q, i, j) for j in range(size)) for i in range(size))
+        assert all(table[i][j] == table[j][i] for i in range(size) for j in range(size))
 
 
 def _hom_cluster_dim_modules(m, n):
@@ -132,13 +140,14 @@ def _hom_cluster_dim_modules(m, n):
     return hom_dim_by_rank(m, n) + (0 if t is None else ext1_by_bases(cat, t, n))
 
 
-def _is_maximal_rigid(q, objs):
-    """No further rigid fundamental-domain object is compatible with ``objs``."""
-    return not any(
-        o not in objs
-        and ext1_cluster_dim(o, o) == 0
-        and all(ext1_cluster_dim(o, c) == 0 for c in objs)
-        for o in fundamental_domain(q)
+def _is_maximal_rigid(q, positions):
+    """The positions are rigid and pairwise compatible, and no further
+    rigid position is compatible with them, by Ext^1 from full Hom bases."""
+    return all(ext1_cluster_dim(q, i, j) == 0 for i in positions for j in positions) and not any(
+        o not in positions
+        and ext1_cluster_dim(q, o, o) == 0
+        and all(ext1_cluster_dim(q, o, c) == 0 for c in positions)
+        for o in range(len(fundamental_domain(q).names))
     )
 
 
@@ -166,8 +175,12 @@ def test_enumerate_cluster_tilting_small():
 
 
 def test_enumerated_sets_maximal_d4():
+    """The projected sets of the D4 bijection are maximal rigid by Ext^1
+    from full Hom bases, and so are the sets of the reference search."""
     q = d4_subspace()
-    for s in enumerate_cluster_tilting(q):
+    sets = verify_bijection(q).cluster_sets
+    assert len(sets) == 50 and sets == enumerate_cluster_tilting(q)
+    for s in sets:
         assert _is_maximal_rigid(q, s)
 
 
@@ -176,16 +189,15 @@ def test_pentagon_a2():
     p1 = _find(q, projective_rep(q, "1"))
     p2 = _find(q, projective_rep(q, "2"))
     s2 = _find(q, simple_rep(q, "2"))
-    sp1 = shifted_projective(q, "1")
-    sp2 = shifted_projective(q, "2")
-    expected = {
-        frozenset({p1, p2}),
-        frozenset({p2, s2}),
-        frozenset({s2, sp1}),
-        frozenset({sp1, sp2}),
-        frozenset({sp2, p1}),
-    }
-    assert {frozenset(s) for s in enumerate_cluster_tilting(q)} == expected
+    sp1, sp2 = _shift(q, "1"), _shift(q, "2")
+    expected = sorted(
+        tuple(sorted(s)) for s in ((p1, p2), (p2, s2), (s2, sp1), (sp1, sp2), (sp2, p1))
+    )
+    assert verify_bijection(q).cluster_sets == enumerate_cluster_tilting(q) == expected
+    names = fundamental_domain(q).names
+    assert sorted(sorted(names[k] for k in s) for s in expected) == [
+        ["M01", "M11"], ["M01", "P[1][1]"], ["M10", "M11"], ["M10", "P[2][1]"], ["P[1][1]", "P[2][1]"]
+    ]
 
 
 def test_is_tilting_module_examples_a2():
@@ -244,60 +256,87 @@ def test_verify_bijection_small():
         assert rep.left_count == rep.right_count == expected_count(classify_dynkin(q))
 
 
-def test_cluster_objects_are_values():
-    """On D4 each object of the fundamental domain equals a fresh object
-    with equal fields, hashes as the tuple of its fields and prints in the
-    ``ClusterObject(quiver=..., kind=..., key=...)`` form: the frozenset
-    and sorted-string witnesses of the bijection are made of these."""
+def test_domain_positions_are_named_once():
+    """On D4 the fundamental domain names each of its 16 positions once: ind
+    A by (total dimension, dimension vector) as M and its dimension vector,
+    then P_x[1] per vertex; each entry of ind A has its own position, and
+    pi_bar returns a position, a plain int."""
     q = d4_subspace()
     domain = fundamental_domain(q)
-    for o in domain:
-        twin = ClusterObject(Quiver(q.vertices, q.arrows), o.kind, o.key)
-        assert twin == o and not twin != o and twin.quiver is not o.quiver
-        assert hash(twin) == hash(o) == hash((o.quiver, o.kind, o.key))
-        assert str(o) == repr(o) == f"ClusterObject(quiver={o.quiver!r}, kind={o.kind!r}, key={o.key!r})"
-    assert len(set(domain)) == len(domain)
+    assert fundamental_domain(q) is domain
+    entries = knit_ind_A(q).entries
+    assert sorted(domain.of_ind_a) == list(range(12))
+    assert domain.names == tuple(
+        ["M" + "".join(map(str, m.dim_vector())) for _, m in domain_objects(q)[:12]]
+        + [f"P[{x}][1]" for x in q.vertices]
+    )
+    for i, p in enumerate(domain.of_ind_a):
+        assert domain.names[p] == "M" + "".join(map(str, entries[i].dim_vector()))
+    assert len(set(domain.names)) == 16
+    lp = left_part_catalog(q)
+    assert all(type(pi_bar(q, knit_ind_dup(q).entries[k])) is int for k in lp.non_proj_inj)
 
 
-def _bijection_by_frozensets(q):
-    """(matched, right count, witnesses) of the bijection with every set a
-    frozenset of cluster objects: the comparison the bit masks replaced."""
-    records, cluster_side = tilting.enumerate_L_tilting(q), tilting.enumerate_cluster_tilting(q)
+def _bijection_by_two_searches(q):
+    """(matched, witnesses) of the bijection as two clique searches and a
+    comparison of frozensets: the projected free parts of the left-part
+    tilting modules against the reference search on the cluster side."""
+    records, cluster_side = enumerate_L_tilting(q), enumerate_cluster_tilting(q)
     cluster_sets = {frozenset(s) for s in cluster_side}
-    domain = {o: o for o in fundamental_domain(q)}
     witnesses, images = [], set()
     for rec in records:
-        img = frozenset(domain.get(o, o) for o in (tilting.pi_bar(q, m) for m in rec.free))
+        img = frozenset(pi_bar(q, m) for m in rec.free)
         if len(img) != len(rec.free):
             witnesses.append(f"projection not injective on {rec.free}")
         if img in images:
-            witnesses.append(f"two tilting modules project to {sorted(map(str, img))}")
+            witnesses.append(f"two tilting modules project to {sorted(img)}")
         images.add(img)
-    witnesses += [f"projected set not cluster-tilting: {img}" for img in images - cluster_sets]
-    witnesses += [f"cluster-tilting set not hit: {extra}" for extra in cluster_sets - images]
-    return not witnesses and len(records) == len(cluster_sets), len(cluster_sets), sorted(witnesses)
+    witnesses += [f"projected set not cluster-tilting: {sorted(img)}" for img in images - cluster_sets]
+    witnesses += [f"cluster-tilting set not hit: {sorted(extra)}" for extra in cluster_sets - images]
+    return not witnesses and len(records) == len(cluster_sets), sorted(witnesses)
 
 
 @pytest.mark.parametrize("tamper", ["none", "set dropped", "outside the domain", "one object"])
 def test_bijection_by_masks_equals_frozensets(monkeypatch, tamper):
-    """On A3, the bijection compared by bit masks reports what the
-    comparison of frozensets reports, witness for witness: as it is, with
-    the cluster side missing its last set, with one summand projected
-    outside the fundamental domain, and with every summand projected to one
-    object."""
+    """On A3, the bijection checked on the compatibility graphs (the bit
+    masks of ``Domain.compat`` against Ext^1 in the knit) reports a failure
+    exactly when the comparison of two searches as frozensets does: as it is,
+    with one compatible pair of positions made incompatible in the Ext^1
+    table (so the cluster side drops the sets holding both), with one
+    summand projected outside the fundamental domain, and with every
+    summand projected to one position.  Untampered, its cluster side is
+    the reference search's list."""
     q = a_n(3)
-    side, first = enumerate_cluster_tilting(q), enumerate_L_tilting(q)[0].free[0]
-    inner = tilting.pi_bar
+    s = session(q)
+    domain, table = fundamental_domain(q), s.pi_bar_table
+    first = knit_ind_dup(q).catalog.find(enumerate_L_tilting(q)[0].free[0])
     if tamper == "set dropped":
-        monkeypatch.setattr(tilting, "enumerate_cluster_tilting", lambda q: side[:-1])
+        i, j = 0, next(j for j in range(1, len(domain.names)) if domain.compat[0] >> j & 1)
+        ext1 = [list(row) for row in domain.ext1]
+        ext1[i][j] = ext1[j][i] = 1
+        monkeypatch.setattr(s, "fundamental_domain", rebuilt(domain, ext1=tuple(map(tuple, ext1))))
     if tamper == "outside the domain":
-        monkeypatch.setattr(tilting, "pi_bar", lambda q, m: shifted_projective(q, "9") if m is first else inner(q, m))
+        monkeypatch.setattr(s, "pi_bar_table", {**table, first: len(domain.names)})
     if tamper == "one object":
-        monkeypatch.setattr(tilting, "pi_bar", lambda q, m: side[0][0])
+        monkeypatch.setattr(s, "pi_bar_table", dict.fromkeys(table, 0))
     rep = verify_bijection(q)
-    matched, right, witnesses = _bijection_by_frozensets(q)
-    assert (rep.matched, rep.right_count, sorted(rep.witnesses)) == (matched, right, witnesses)
-    assert matched == (tamper == "none") and bool(witnesses) != matched
+    matched, witnesses = _bijection_by_two_searches(q)
+    assert rep.matched == matched == (tamper == "none")
+    assert bool(rep.witnesses) == bool(witnesses) != matched
+    if matched:
+        assert rep.cluster_sets == enumerate_cluster_tilting(q) and rep.right_count == 14
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3_linear", "a3_zigzag", "a4", "d4", "e6", "e7"])
+def test_cluster_sets_equal_the_reference_search(name, fixture_dir):
+    """On every fixture through E7 the cluster side of the bijection, the
+    sorted projected sets, is the list of the clique search on the
+    fundamental domain, in its order."""
+    q = parse_quiver((fixture_dir / f"{name}.quiver").read_text(encoding="utf-8"))
+    rep = verify_bijection(q)
+    assert rep.matched, rep.witnesses
+    assert rep.cluster_sets == enumerate_cluster_tilting(q)
+    assert rep.right_count == len(rep.cluster_sets) == expected_count(classify_dynkin(q))
 
 
 def _branched(n, at):
@@ -371,10 +410,10 @@ def test_cliques_match_backtracking_in_order():
 @pytest.mark.parametrize("q", [a_n(3), d4_subspace()], ids=["A3", "D4"])
 def test_both_enumerations_match_backtracking(q):
     n = len(q.vertices)
-    objects = fundamental_domain(q)
-    table = [[ext1_cluster_dim(o, p) == 0 for p in objects] for o in objects]
-    want = [tuple(objects[i] for i in c) for c in _backtrack_cliques(table, n)]
-    assert enumerate_cluster_tilting(q) == want
+    size = len(fundamental_domain(q).names)
+    table = [[ext1_cluster_dim(q, i, j) == 0 for j in range(size)] for i in range(size)]
+    want = _backtrack_cliques(table, n)
+    assert enumerate_cluster_tilting(q) == verify_bijection(q).cluster_sets == want
     entries = knit_ind_dup(q).entries
     candidates = sorted(
         (entries[k] for k in left_part_catalog(q).non_proj_inj),

@@ -5,12 +5,11 @@ import itertools
 import random
 
 from dupcat.cli import main
-from dupcat.cluster import enumerate_cluster_tilting
 from dupcat.hereditary import knit_ind_A, path_category
 from dupcat.quiver import Quiver, classify_dynkin
 from dupcat.reps import is_isomorphic
 from dupcat.tilting import expected_count, verify_bijection
-from oracles import ext1_by_bases, hom_dim_by_rank
+from oracles import enumerate_cluster_tilting, ext1_by_bases, hom_dim_by_rank
 
 
 def positive_root_count(dynkin) -> int:

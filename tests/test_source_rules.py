@@ -36,6 +36,7 @@ NO_CALLER_IN_SRC = {
     "ModuleCategory.top": ("demos/03_duplicated_modules.py", "cat.top(pp)"),
     "DupQuiverReport.connecting_pairs": ("demos/01_quivers_and_duplication.py", "rep.connecting_pairs()"),
     "catalog_io.catalog_from_dict": ("demos/06_dot_and_json_export.py", "catalog_from_dict(json.loads(dumps(payload)))"),
+    "cluster.pi_bar": ("demos/05_tilting_bijection.py", "names[pi_bar(q, m)]"),
 }
 
 

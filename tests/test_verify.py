@@ -1,10 +1,11 @@
+import json
 import subprocess
 import sys
 
 import pytest
 
-from dupcat import cli, leftpart, linalg, modcat, reps, session, tilting, verify
-from dupcat.dup import dup_category, knit_ind_dup
+from dupcat import cli, cluster, leftpart, linalg, modcat, reps, session, tilting, verify
+from dupcat.dup import dim_vectors, dup_category, knit_ind_dup
 from dupcat.errors import CatalogError
 from dupcat.fixtures import a_n, d4_subspace
 from dupcat.hereditary import knit_ind_A, path_category
@@ -17,6 +18,7 @@ from dupcat.leftpart import (
 )
 from dupcat.quiver import Quiver, parse_quiver, prime, sinks_and_sources
 from dupcat.reps import Rep, is_isomorphic
+from dupcat.tilting import enumerate_L_tilting
 from dupcat.verify import run_all_checks
 from oracles import hom_dim_by_rank, rebuilt
 
@@ -490,8 +492,9 @@ _D4_CHECKS = [
 
 def test_report_dicts_on_d4():
     """``Report.as_dict`` and ``BijectionReport.as_dict`` give the dicts
-    that ``verify --out`` and ``enumerate --out`` write, and a report made
-    without witnesses has a list of its own."""
+    that ``verify --out`` and ``enumerate --out`` write, a report made
+    without witnesses has a list of its own, and a bijection report is
+    false exactly when it did not match."""
     q = d4_subspace()
     assert [c.as_dict() for c in run_all_checks(q)] == [
         {"check": name, "passed": True,
@@ -510,9 +513,9 @@ def test_report_dicts_on_d4():
     assert failed.as_dict() == {"check": "a", "passed": False, "witnesses": ["w"]}
     assert passed.as_dict() == {"check": "b", "passed": True, "witnesses": []}
     assert not failed and passed
-    empty = [tilting.BijectionReport(0, 0, False, []) for _ in range(2)]
-    empty[0].records.append(None)
-    assert empty[1].records == empty[1].cluster_sets == [] and not empty[0]
+    bij = tilting.verify_bijection(q)
+    assert bij and not bij._replace(matched=False)
+    assert bij._replace(matched=False, witnesses=["w"]).as_dict()["witnesses"] == ["w"]
 
 
 def test_run_all_checks_remaining_fixtures():
@@ -585,35 +588,104 @@ def test_cli_verify_fails_on_injected_failure(fixture_dir, capsys, monkeypatch):
 
 
 def test_each_member_projected_at_most_twice(monkeypatch):
-    """The full suite projects each non-projective-injective left-part
-    member once for the cross-model check and once for the bijection."""
-    calls = []
+    """The full suite on a cold D4 session projects each non-projective-
+    injective left-part member once, when it builds the pi_bar table, and
+    the cross-model check and the bijection read that table: neither calls
+    ``pi_bar``, which looks a module up in the catalog first."""
+    monkeypatch.setattr(session, "_sessions", {})
+    tables, calls = [], []
+    build, inner = cluster.build_pi_bar_table, cluster.pi_bar
 
-    def counting(module, name):
-        inner = getattr(module, name)
+    def counting(q):
+        tables.append(build(q))
+        return tables[-1]
 
-        def wrapper(q, m):
-            calls.append(m)
-            return inner(q, m)
+    def projecting(q, m):
+        calls.append(m)
+        return inner(q, m)
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(verify, "pi_bar")
-    counting(tilting, "pi_bar")
+    monkeypatch.setattr(cluster, "build_pi_bar_table", counting)
+    monkeypatch.setattr(cluster, "pi_bar", projecting)
     q = d4_subspace()
     checks = run_all_checks(q)
     assert all(c.passed for c in checks)
     members = left_part_catalog(q).non_proj_inj
-    assert calls
-    assert len(calls) <= 2 * len(members)
+    assert len(tables) == 1 and sorted(tables[0]) == sorted(members)
+    assert calls == []
+
+
+# Runs the D4 suite with one Ext^1 value tampered and prints the dicts of the
+# bijection check and the cross-model check: "cluster" gives one compatible
+# pair of positions Ext^1_C = 1 one way in the table of the fundamental
+# domain; "dup" gives the first two free summands of the first tilting
+# module Ext^1 = 1 one way in the knit of the duplicated algebra.
+_TAMPERED_CHECKS = """
+import json, sys
+from dupcat.cluster import Domain, fundamental_domain
+from dupcat.dup import DupCatalog, knit_ind_dup
+from dupcat.fixtures import d4_subspace
+from dupcat.session import session
+from dupcat.tilting import enumerate_L_tilting
+from dupcat.verify import run_all_checks
+
+q = d4_subspace()
+if sys.argv[1] == "cluster":
+    domain = fundamental_domain(q)
+    j = next(j for j in range(1, len(domain.names)) if domain.compat[0] >> j & 1)
+    ext1 = [list(row) for row in domain.ext1]
+    ext1[0][j] = 1
+    session(q).fundamental_domain = Domain(domain.names, tuple(map(tuple, ext1)), domain.of_ind_a)
+else:
+    k, l = knit_ind_dup(q).indices(enumerate_L_tilting(q)[0].free[:2])
+    inner = DupCatalog.ext1_dim
+    DupCatalog.ext1_dim = lambda self, i, j: 1 if (i, j) == (k, l) else inner(self, i, j)
+checks = {c.name: c.as_dict() for c in run_all_checks(q)}
+print(json.dumps([checks["tilting-bijection"], checks["extension-symmetry-and-cross-model"]]))
+"""
+
+
+@pytest.mark.parametrize("side", ["cluster", "dup"])
+def test_a_tampered_ext1_value_fails_the_bijection_and_the_cross_model_check(side, src_env):
+    """One Ext^1 value changed on either side of the projection makes both
+    the bijection check and the cross-model check fail, each with a
+    witness naming the pair by its dimension vectors both ways (and the
+    cross-model check, for the cluster side, the asymmetric pair by its
+    position names), also under python -O."""
+    q = d4_subspace()
+    cat, domain = knit_ind_dup(q), cluster.fundamental_domain(q)
+    if side == "cluster":
+        j = next(j for j in range(1, len(domain.names)) if domain.compat[0] >> j & 1)
+        at = {p: k for k, p in session.session(q).pi_bar_table.items()}
+        k, l = at[0], at[j]
+    else:
+        k, l = cat.indices(enumerate_L_tilting(q)[0].free[:2])
+    pair = [dim_vectors(cat.entries[k]), dim_vectors(cat.entries[l])]
+    mismatches = [f"cross-model mismatch at {a} / {b}" for a, b in (pair, pair[::-1])]
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _TAMPERED_CHECKS, side],
+            env=src_env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+    bijection, cross = outputs[0]
+    assert not bijection["passed"] and not cross["passed"]
+    assert sorted(mismatches) == sorted(w for w in bijection["witnesses"] if w.startswith("cross-model"))
+    asymmetric = []
+    if side == "cluster":
+        names = (domain.names[0], domain.names[j])
+        asymmetric = [f"asymmetric pair {names[0]}, {names[1]}", f"asymmetric pair {names[1]}, {names[0]}"]
+    assert sorted(cross["witnesses"]) == sorted(asymmetric + mismatches)
 
 
 def test_cross_model_check_looks_up_the_quiver_linearly(monkeypatch, fixture_dir):
     """On E6 the extension check reads Ext^1 on the cluster side off the
-    catalog of ind A it holds: once its catalogs are built, it hashes the
-    quiver at most twice per projected member (the left-part lookup of
-    ``pi_bar``) plus a few times per call, not once per ordered pair of
-    members (42^2 = 1,764 on E6)."""
+    session's table of the fundamental domain: once its facts are built,
+    it hashes the quiver a few times per call (each session lookup), not
+    once per projected member or per ordered pair of members (42^2 = 1,764
+    on E6)."""
     q = parse_quiver((fixture_dir / "e6.quiver").read_text(encoding="utf-8"))
     lpc = left_part_catalog(q)
     assert verify.check_ext_symmetry_and_cross_model(q, lpc).passed
@@ -628,4 +700,4 @@ def test_cross_model_check_looks_up_the_quiver_linearly(monkeypatch, fixture_dir
     assert verify.check_ext_symmetry_and_cross_model(q, lpc).passed
     members = lpc.non_proj_inj
     assert len(members) == 42
-    assert 0 < len(calls) <= 2 * len(members) + 8
+    assert 0 < len(calls) <= 8

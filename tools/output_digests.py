@@ -12,7 +12,8 @@ runs:
   emit-dot on the A1-A4 (both A3), D4 and E6 fixtures, on every
   orientation of A5 and of D5 (16 each), and on A2 + A1 (representation-
   finite but not Dynkin, so ``export`` writes no left-part flags);
-* verify --out and export --out on the E7 and E8 fixtures;
+* verify --out and export --out on the E7 and E8 fixtures, and
+  enumerate --out on E7 (its 4,160 cluster-tilting sets);
 * analyze on the Kronecker fixture at --cap 15 and 50;
 * analyze and verify on D4 at --cap 20, between |ind A| = 12 and the 36
   entries of the duplicated algebra.
@@ -81,6 +82,7 @@ def runs(names) -> list:
     everything += sorted(n[: -len(".quiver")] for n in names if n.startswith(("a5_", "d5_")))
     plan = [(name, command, (), to_file) for name in everything for command, to_file in EVERY_COMMAND]
     plan += [(name, command, (), True) for name in ("e7", "e8") for command in ("verify", "export")]
+    plan += [("e7", "enumerate", (), True)]
     plan += [("kronecker", "analyze", ("--cap", cap), False) for cap in ("15", "50")]
     plan += [("d4", command, ("--cap", "20"), False) for command in ("analyze", "verify")]
     return [
