@@ -16,6 +16,7 @@ from dupcat import (
     enumerate_L_tilting,
     expected_count,
     fundamental_domain,
+    knit_ind_dup,
     pi_bar,
     verify_bijection,
 )
@@ -24,9 +25,11 @@ from dupcat.fixtures import a_n, d4_subspace
 print("== the pentagon for A2 ==")
 q = a_n(2)
 names = fundamental_domain(q).names
-for rec in enumerate_L_tilting(q):
-    image = sorted(names[pi_bar(q, m)] for m in rec.free)
-    frees = ", ".join(f"(X={x},Y={y})" for x, y in map(dim_vectors, rec.free))
+entries = knit_ind_dup(q).entries
+for free in enumerate_L_tilting(q):
+    summands = [entries[k] for k in free]
+    image = sorted(names[pi_bar(q, m)] for m in summands)
+    frees = ", ".join(f"(X={x},Y={y})" for x, y in map(dim_vectors, summands))
     print(f"free part [{frees}]  ->  {image}")
 
 print("\n== counts across fixtures ==")

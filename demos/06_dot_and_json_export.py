@@ -14,13 +14,13 @@ out_dir.mkdir(exist_ok=True)
 
 q = d4_subspace()
 cat = knit_ind_dup(q)
-record = enumerate_L_tilting(q)[0]
+free = enumerate_L_tilting(q)[0]
 
-dot = ar_quiver_dot(cat, record)
+dot = ar_quiver_dot(cat, free)
 (out_dir / "d4_ar_quiver.dot").write_text(dot)
 print(f"wrote {out_dir / 'd4_ar_quiver.dot'}")
 print(f"  {len(cat.entries)} nodes, {sum(cat.proj_injective)} circles "
-      f"(projective-injectives), {len(record.free)} diamonds (chosen tilting)")
+      f"(projective-injectives), {len(free)} diamonds (chosen tilting)")
 
 payload = dup_catalog_to_dict(cat)
 (out_dir / "d4_ind_dup.json").write_text(dumps(payload))

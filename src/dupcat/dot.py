@@ -15,15 +15,12 @@ def _label(cat: DupCatalog, idx: int) -> str:
     return "".join(str(d) for d in x) + "|" + "".join(str(d) for d in y)
 
 
-def ar_quiver_dot(cat: DupCatalog, tilting_record=None) -> str:
-    """Render the knitted AR quiver; the left part, read off the catalog's
-    flags, needs a Dynkin base (NotDynkinError otherwise)."""
-    diamond = set()
-    if tilting_record is not None:
-        for m in tilting_record.free:
-            idx = cat.catalog.find(m)
-            if idx is not None:
-                diamond.add(idx)
+def ar_quiver_dot(cat: DupCatalog, free=()) -> str:
+    """Render the knitted AR quiver, with the entries at the indices
+    ``free`` (the free part of a tilting module) as diamonds; the left
+    part, read off the catalog's flags, needs a Dynkin base
+    (NotDynkinError otherwise)."""
+    diamond = set(free)
     lines = ["digraph ar_quiver {", "  rankdir=LR;", '  node [fontsize=10];']
 
     def node_line(i):

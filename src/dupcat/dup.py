@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import CatalogError
 from .linalg import RMatrix, rank
-from .modcat import ARCatalog, ModuleCategory
+from .modcat import DEFAULT_CAP, ARCatalog, ModuleCategory
 from .quiver import Quiver, paths_from, prime
 from .hereditary import knit_ind_A, path_category
 from .reps import Rep
@@ -88,11 +88,6 @@ def embed_A(x: Rep) -> Rep:
     if x.uid not in s.embedded:
         s.embedded[x.uid] = _copy(x, s.report.dup, str)
     return s.embedded[x.uid]
-
-
-def proj_primed(q: Quiver, x: str) -> Rep:
-    """The projective-injective at the primed vertex: (nu P_x, P_x, id)."""
-    return standard_dup_modules(q).projective_primed[x]
 
 
 def _projective_injective(p: Rep) -> Rep:
@@ -273,7 +268,7 @@ def _close(rows) -> None:
                 rows[i] = row_i | row_k
 
 
-def knit_ind_dup(q: Quiver, cap: int = 10000) -> DupCatalog:
+def knit_ind_dup(q: Quiver, cap: int = DEFAULT_CAP) -> DupCatalog:
     """The catalog of ind of the duplicated algebra, one per quiver (its
     session's), so its reachability, projective dimensions and hom table
     are built once.  Cap-guarded like ``ModuleCategory.knit``: a call with

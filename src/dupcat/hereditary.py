@@ -11,8 +11,10 @@ methods of the category :func:`path_category` returns
 
 from __future__ import annotations
 
+from operator import mul
+
 from .linalg import RMatrix
-from .modcat import ARCatalog, ModuleCategory
+from .modcat import DEFAULT_CAP, ARCatalog, ModuleCategory
 from .quiver import Quiver, opposite, paths_from
 from . import reps
 from .reps import Rep
@@ -56,7 +58,7 @@ def build_path_category(q: Quiver) -> ModuleCategory:
     )
 
 
-def knit_ind_A(q: Quiver, cap: int = 10000) -> ARCatalog:
+def knit_ind_A(q: Quiver, cap: int = DEFAULT_CAP) -> ARCatalog:
     """The complete AR catalog of ind A for a representation-finite quiver.
 
     Raises CapExceededError past the cap, which diagnoses representation-
@@ -66,12 +68,16 @@ def knit_ind_A(q: Quiver, cap: int = 10000) -> ARCatalog:
     return path_category(q).knit(cap)
 
 
-def euler_form(q: Quiver, x, y) -> int:
-    """<x, y> = sum of x_v y_v over the vertices minus sum of x_s y_t over
-    the arrows s -> t, for dimension vectors in vertex order: dim Hom(M, N)
-    - dim Ext^1(M, N) for modules M, N of the path algebra (Ringel, LNM
-    1099, 2.4)."""
+def euler_form(q: Quiver):
+    """The Euler form of q as a function of two dimension vectors in vertex
+    order: <x, y> = sum of x_v y_v over the vertices minus sum of x_s y_t
+    over the arrows s -> t, which is dim Hom(M, N) - dim Ext^1(M, N) for
+    modules M, N of the path algebra (Ringel, LNM 1099, 2.4).  The arrows'
+    vertex positions are found once, here."""
     pos = {v: k for k, v in enumerate(q.vertices)}
-    return sum(a * b for a, b in zip(x, y)) - sum(
-        x[pos[a.source]] * y[pos[a.target]] for a in q.arrows
-    )
+    arrows = [(pos[a.source], pos[a.target]) for a in q.arrows]
+
+    def form(x, y) -> int:
+        return sum(map(mul, x, y)) - sum(x[s] * y[t] for s, t in arrows)
+
+    return form

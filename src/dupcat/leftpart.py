@@ -322,6 +322,8 @@ def sectional_check(cat: DupCatalog) -> Report:
 
 
 class CanonicalTilting(NamedTuple):
+    """Entry indices of the knit of the duplicated algebra."""
+
     u_part: tuple  # the Ext-injectives
     v_part: tuple  # projective-injectives outside the left part
     summands: tuple
@@ -334,10 +336,7 @@ def canonical_tilting(q: Quiver) -> CanonicalTilting:
     from .tilting import is_tilting_module
 
     lp = left_part_catalog(q)
-    entries = knit_ind_dup(q).entries
-    u = tuple(entries[k] for k in lp.sigma)
     primed = (primed_projective_entry(q, y) for y in q.vertices)
-    v = tuple(entries[k] for k in primed if k not in lp.proj_inj)
-    summands = u + v
-    verdict = is_tilting_module(q, list(summands))
-    return CanonicalTilting(u, v, summands, verdict)
+    v = tuple(k for k in primed if k not in lp.proj_inj)
+    summands = lp.sigma + v
+    return CanonicalTilting(lp.sigma, v, summands, is_tilting_module(q, summands))

@@ -17,13 +17,13 @@ shared zero matrix of its shape, a one-block stack returns its block, and a
 product with an identity factor (or a solve against the identity) returns
 the other matrix, which is immutable and canonical already.
 
-Elimination runs on Python integers.  A row holding a Fraction is first
-scaled by the lcm of its denominators; all-int rows are taken as they are.
-Ranks then use fraction-free (Bareiss) elimination; reduced row echelon
-forms use Gauss-Jordan with integer row operations, each updated row divided
-by its content (the gcd of its entries), and every pivot row divided by its
-pivot once at the end, by exact division where it is whole.  The reduced row
-echelon form is unique, so rref, nullspace, solve and cokernel return the
+Elimination runs on Python integers, in one routine (``_int_rref``).  A row
+holding a Fraction is first scaled by the lcm of its denominators; all-int
+rows are taken as they are.  Gauss-Jordan then runs with integer row
+operations, each updated row divided by its content (the gcd of its
+entries); a pivot row is divided by its pivot only where a caller reads
+it, by exact division where it is whole.  The reduced row echelon form is
+unique, so rank (its pivot count), nullspace, solve and cokernel return the
 same values as Gauss-Jordan over Fraction would.
 """
 
@@ -158,9 +158,6 @@ class RMatrix:
             self.cols,
         )
 
-    def __sub__(self, other: "RMatrix") -> "RMatrix":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "RMatrix":
         c = _canon(c)
         return RMatrix._raw(
@@ -285,31 +282,6 @@ def _int_rows(m: RMatrix):
     return out
 
 
-def rank(m: RMatrix) -> int:
-    """Rank over Q via Bareiss fraction-free elimination on integer rows."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a = _int_rows(m)
-    nrows, ncols = m.rows, m.cols
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def _int_rref(m: RMatrix):
     """Integer Gauss-Jordan: (rows, pivot columns).
 
@@ -356,16 +328,9 @@ def pivot_columns(m: RMatrix) -> list:
     return _int_rref(m)[1]
 
 
-def rref(m: RMatrix):
-    """Reduced row echelon form.  Returns (rows as lists, pivot columns)."""
-    a, pivots = _int_rref(m)
-    out = []
-    for k, row in enumerate(a):
-        if k < len(pivots):
-            out.append(_divided(row, row[pivots[k]]))
-        else:
-            out.append([0] * m.cols)
-    return out, pivots
+def rank(m: RMatrix) -> int:
+    """Rank over Q: the number of pivot columns."""
+    return len(_int_rref(m)[1])
 
 
 def nullspace_basis(m: RMatrix):

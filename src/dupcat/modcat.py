@@ -99,6 +99,8 @@ class Presentation(NamedTuple):
 
 _MISSING = object()  # a fact not yet in the table (a kept fact may be None)
 
+DEFAULT_CAP = 10000  # entries a knit may hold before it raises CapExceededError
+
 
 def dim_index(modules) -> dict:
     """Dimension vector -> ascending indices of the modules that have it."""
@@ -338,11 +340,6 @@ class ModuleCategory:
         if value is _MISSING:
             value = self._facts[key] = compute(*args)
         return value
-
-    def hom(self, m: Rep, n: Rep):
-        """Basis of Hom(m, n) (``reps.hom_basis``), solved on every call:
-        no caller asks twice for one pair of contents."""
-        return tuple(hom_basis(m, n))
 
     def iso(self, m: Rep, n: Rep) -> bool:
         """Decide m = n by dimension vector, then content id (equal contents
@@ -702,7 +699,7 @@ class ModuleCategory:
 
     # -- knitting ----------------------------------------------------------------
 
-    def knit(self, cap: int = 10000) -> ARCatalog:
+    def knit(self, cap: int = DEFAULT_CAP) -> ARCatalog:
         """The AR catalog: the tau^{-1}-closure of the projectives.
 
         The projectives count against ``cap`` like every later entry.  The

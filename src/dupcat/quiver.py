@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional
 
 from .errors import CyclicQuiverError, QuiverSyntaxError
@@ -60,21 +61,11 @@ class Quiver:
             self.arrows_from[a.source].append(a)
             self.arrows_into[a.target].append(a)
         self.arrow_by_name = {a.name: a for a in self.arrows}
-        if self._has_cycle():
-            raise CyclicQuiverError("quiver has an oriented cycle")
-
-    def _has_cycle(self) -> bool:
-        indeg = {v: len(self.arrows_into[v]) for v in self.vertices}
-        queue = deque(v for v in self.vertices if indeg[v] == 0)
-        seen = 0
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for a in self.arrows_from[v]:
-                indeg[a.target] -= 1
-                if indeg[a.target] == 0:
-                    queue.append(a.target)
-        return seen != len(self.vertices)
+        preds = {v: [a.source for a in self.arrows_into[v]] for v in self.vertices}
+        try:
+            TopologicalSorter(preds).prepare()
+        except CycleError:
+            raise CyclicQuiverError("quiver has an oriented cycle") from None
 
     def __eq__(self, other):
         return (
@@ -225,17 +216,6 @@ def paths_from(q: Quiver, x: str):
             queue.append((a.target, path + (a.name,)))
     return out
 
-def paths_into(q: Quiver, x: str):
-    """All paths ending at x, grouped by start vertex (same encoding)."""
-    out = {v: [] for v in q.vertices}
-    queue = deque([(x, ())])
-    while queue:
-        v, path = queue.popleft()
-        out[v].append(path)
-        for a in q.arrows_into[v]:
-            queue.append((a.source, (a.name,) + path))
-    return out
-
 
 class MaximalPath(NamedTuple):
     start: str
@@ -343,8 +323,8 @@ def duplicated_quiver(q: Quiver) -> DupQuiverReport:
         + [(name, src, tgt) for name, src, tgt, _ in connecting],
     )
     hom_dims = {}
-    for x in q.vertices:
-        table = paths_into(q, x)
-        for y in q.vertices:
-            hom_dims[(x, y)] = len(table[y])
+    for y in q.vertices:
+        table = paths_from(q, y)
+        for x in q.vertices:
+            hom_dims[(x, y)] = len(table[x])
     return DupQuiverReport(q, primed_q, dup, tuple(connecting), hom_dims)

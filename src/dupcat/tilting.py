@@ -3,7 +3,9 @@
 A tilting module here is classical: projective dimension at most one,
 no self-extensions, and as many indecomposable summands as simples (2n).
 Every projective-injective is forced to be a summand, so the search space
-is the n-subsets of the non-projective-injective left-part members.
+is the n-subsets of the non-projective-injective left-part members.  A
+tilting module is a tuple of entry indices of the knitted catalog of the
+duplicated algebra (:func:`dupcat.dup.knit_ind_dup`).
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import NamedTuple
 from .errors import CatalogError
 from .quiver import Quiver
 from .cluster import cliques, ext1_mismatches, fundamental_domain
-from .dup import dup_category, knit_ind_dup, proj_primed
-from .leftpart import left_part_catalog
+from .dup import dup_category, knit_ind_dup
+from .leftpart import left_part_catalog, primed_projective_entry
 from .session import session
 
 
@@ -27,53 +29,47 @@ class TiltingVerdict(NamedTuple):
         return self.passed
 
 
-class TiltingModuleRecord(NamedTuple):
-    forced: tuple  # the n projective-injectives
-    free: tuple  # n non-projective-injective left-part members
-
-    @property
-    def summands(self):
-        return self.free + self.forced
-
-
 def is_tilting_module(q: Quiver, summands) -> TiltingVerdict:
-    """Check the tilting axioms for pairwise non-isomorphic indecomposable
-    modules of the duplicated algebra of q.
+    """Check the tilting axioms for entry indices of the knitted catalog of
+    the duplicated algebra of q (:func:`knit_ind_dup`); a repeated index
+    fails, since a tilting module here is basic.
 
-    The summands are looked up in the knitted catalog of the duplicated
-    algebra, whose ``pd_table`` says which have projective dimension <= 1
-    (the exact one is computed only for a failure) and whose
+    The catalog's ``pd_table`` says which summands have projective
+    dimension <= 1 (the exact one is computed only for a failure) and its
     ``ext1_dim`` gives Ext^1 off the hom table.  Ext^1 is checked from the
     summands of projective dimension <= 1 only: each other one has already
-    failed the first axiom."""
+    failed the first axiom.  The P_x' are the entries
+    :func:`primed_projective_entry` names."""
     failures = []
     if not summands:
         return TiltingVerdict(False, ["empty summand list"])
     cat = knit_ind_dup(q)
-    found = cat.indices(summands)
     n2 = 2 * len(q.vertices)
     if len(summands) != n2:
         failures.append(f"expected {n2} summands, got {len(summands)}")
-    for i, k in enumerate(found):
+    if len(set(summands)) != len(summands):
+        failures.append("a summand is repeated")
+    for i, k in enumerate(summands):
         if not cat.pd_table[k]:
             failures.append(f"summand {i} has projective dimension {dup_category(q).pd(cat.entries[k])}")
-    for i, k in enumerate(found):
+    for i, k in enumerate(summands):
         if not cat.pd_table[k]:
             continue
-        for j, l in enumerate(found):
+        for j, l in enumerate(summands):
             if cat.ext1_dim(k, l) != 0:
                 failures.append(f"Ext^1(summand {i}, summand {j}) is nonzero")
-    primed = cat.indices([proj_primed(q, x) for x in q.vertices])
-    for x, k in zip(q.vertices, primed):
-        if k not in found:
+    for x in q.vertices:
+        if primed_projective_entry(q, x) not in summands:
             failures.append(f"projective-injective at {x}' is not a summand")
     return TiltingVerdict(not failures, failures)
 
 
-def enumerate_L_tilting(q: Quiver):
-    """All tilting modules whose non-projective-injective summands lie in
-    the left part: the forced projective-injectives plus every rigid
-    n-subset of the candidates.
+def enumerate_L_tilting(q: Quiver) -> list:
+    """The free part of every tilting module whose non-projective-injective
+    summands lie in the left part, as a tuple of entry indices of the
+    knitted catalog of the duplicated algebra: every rigid n-subset of the
+    candidates.  The rest of each module is forced: the n
+    projective-injectives P_x' (:func:`primed_projective_entry`).
 
     Every candidate has projective dimension <= 1 (certified when the left
     part is built), so Ext^1 between candidates is read off the hom table
@@ -86,7 +82,6 @@ def enumerate_L_tilting(q: Quiver):
         lp.non_proj_inj,
         key=lambda k: (entries[k].total_dim(), entries[k].dim_vector()),  # the vector is X, then Y
     )
-    forced = tuple(proj_primed(q, x) for x in q.vertices)
     n = len(q.vertices)
     rigid = [0] * len(found)
     for i, k in enumerate(found):
@@ -97,8 +92,7 @@ def enumerate_L_tilting(q: Quiver):
             if cat.ext1_dim(k, l) == 0 and cat.ext1_dim(l, k) == 0:
                 rigid[i] |= 1 << j
                 rigid[j] |= 1 << i
-    candidates = [entries[k] for k in found].__getitem__
-    return [TiltingModuleRecord(forced, tuple(map(candidates, c))) for c in cliques(rigid, n)]
+    return [tuple(map(found.__getitem__, c)) for c in cliques(rigid, n)]
 
 
 class BijectionReport(NamedTuple):
@@ -106,7 +100,7 @@ class BijectionReport(NamedTuple):
     right_count: int
     matched: bool
     witnesses: list
-    records: list  # the tilting-module records
+    free_parts: list  # the free part of each tilting module (enumerate_L_tilting)
     cluster_sets: list  # their images, sorted tuples of positions, sorted
 
     def __bool__(self):
@@ -132,11 +126,9 @@ def verify_bijection(q: Quiver) -> BijectionReport:
     them (:func:`dupcat.cluster.ext1_mismatches`).  The cluster side is the
     image of each tilting module, a sorted tuple of positions, in sorted
     order: the order of a clique search on the domain."""
-    records = enumerate_L_tilting(q)
-    cat, table = knit_ind_dup(q), session(q).pi_bar_table
-    # the records hold the catalog's entries: project each distinct one once
-    index = {cat.entries[k]: k for k in left_part_catalog(q).non_proj_inj}
-    found = sorted(index[m] for m in set().union(*(rec.free for rec in records)))
+    free_parts = enumerate_L_tilting(q)
+    table = session(q).pi_bar_table
+    found = sorted(set().union(*free_parts))
     size = len(fundamental_domain(q).names)
     if sorted(table[k] for k in found) != list(range(size)):
         witnesses = [
@@ -145,10 +137,9 @@ def verify_bijection(q: Quiver) -> BijectionReport:
         ]
     else:
         witnesses = ext1_mismatches(q, found)
-    position = {cat.entries[k]: table[k] for k in found}.__getitem__
-    cluster_sets = sorted({tuple(sorted(map(position, rec.free))) for rec in records})
-    matched = not witnesses and len(records) == len(cluster_sets)
-    return BijectionReport(len(records), len(cluster_sets), matched, witnesses, records, cluster_sets)
+    cluster_sets = sorted({tuple(sorted(map(table.__getitem__, free))) for free in free_parts})
+    matched = not witnesses and len(free_parts) == len(cluster_sets)
+    return BijectionReport(len(free_parts), len(cluster_sets), matched, witnesses, free_parts, cluster_sets)
 
 
 _DEGREES = {

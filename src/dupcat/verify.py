@@ -13,6 +13,7 @@ from . import reps
 from .cluster import ext1_mismatches, fundamental_domain
 from .dup import dim_vectors, dup_category, embed_A, knit_ind_dup, standard_dup_modules
 from .hereditary import euler_form, knit_ind_A, path_category
+from .modcat import DEFAULT_CAP
 from .leftpart import (
     Report,
     canonical_tilting,
@@ -26,7 +27,7 @@ from .leftpart import (
 from .tilting import expected_count, verify_bijection
 
 
-def check_embedding_fidelity(q: Quiver, cat_a) -> Report:
+def check_embedding_fidelity(q: Quiver, cat_a, lp) -> Report:
     """The embedding of the base module category is full, exact on Ext, and
     commutes with the AR translate off the projectives.
 
@@ -35,16 +36,17 @@ def check_embedding_fidelity(q: Quiver, cat_a) -> Report:
     and Ext^1(M, N) is nonzero, so their dimensions are the positive and
     the negative part of <dim M, dim N>.  The duplicated side reads Hom and
     Ext^1 off the hom table of the knitted catalog and tau off its links,
-    at the entries the embedded modules are found at."""
+    at the entries of the embedded modules (``LeftPart.ind_a``)."""
     witnesses = []
     dup_cat = knit_ind_dup(q)
     ar = dup_cat.catalog
-    found = dup_cat.indices([embed_A(m) for m in cat_a.entries])
+    found = lp.ind_a
     dims = [m.dim_vector() for m in cat_a.entries]
     table = ar.hom_table
+    form = euler_form(q)
     for i, k in enumerate(found):
         for j, l in enumerate(found):
-            euler = euler_form(q, dims[i], dims[j])
+            euler = form(dims[i], dims[j])
             ha, ea = max(euler, 0), max(-euler, 0)
             hd = table[k][l]
             if ha != hd:
@@ -87,12 +89,13 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
     witnesses = []
     ctx = dup_category(q)
     base_ctx = path_category(q)
+    injective_at = knit_ind_A(q).injective_at
+    ind_a = left_part_catalog(q).ind_a
     sinks, _ = sinks_and_sources(q)
     for a in sinks:
-        ia = standard_dup_modules(q).embedded_injective[a]
         pia = ctx.proj[prime(a)]
         # I_a / S_a computed in the base category, then embedded
-        incl_candidates = base_ctx.hom(base_ctx.simple[a], base_ctx.inj[a])
+        incl_candidates = reps.hom_basis(base_ctx.simple[a], base_ctx.inj[a])
         if len(incl_candidates) != 1:
             raise CatalogError(
                 f"sink {a}: Hom(S_a, I_a) has dimension {len(incl_candidates)}, not 1"
@@ -107,7 +110,7 @@ def check_socle_quotient_sequences(q: Quiver) -> Report:
         if seq is None:
             witnesses.append(f"sink {a}: no almost split sequence ends at the socle quotient")
             continue
-        if not ctx.iso(catalog.entries[seq.left], ia):
+        if seq.left != ind_a[injective_at[q.vertices.index(a)]]:
             witnesses.append(f"sink {a}: left term is not the embedded injective")
         middle = tuple(ctx.decompose(reps.sum_rep([pia, ia_mod_sa]), catalog))
         if seq.middle != middle:
@@ -166,7 +169,7 @@ def check_canonical_tilting(q: Quiver) -> Report:
     return Report("canonical-tilting", not witnesses, witnesses)
 
 
-def run_all_checks(q: Quiver, cap: int = 10000):
+def run_all_checks(q: Quiver, cap: int = DEFAULT_CAP):
     """Run the full verification suite on a Dynkin quiver."""
     if classify_dynkin(q) is None:
         raise NotDynkinError("the verification suite requires a Dynkin quiver")
@@ -174,7 +177,7 @@ def run_all_checks(q: Quiver, cap: int = 10000):
     dup_cat = knit_ind_dup(q, cap)
     lp = left_part_catalog(q)
     checks = [
-        check_embedding_fidelity(q, cat_a),
+        check_embedding_fidelity(q, cat_a, lp),
         verify_pd_criterion(dup_cat),
         verify_sink_reachability(dup_cat),
         sectional_check(dup_cat),

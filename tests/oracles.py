@@ -44,7 +44,7 @@ opposite category and peels the candidates off each radical with
 The library reads the rank of a cover off the kernel elimination of its
 presentation, and the component E_t -> N of an almost split sequence off
 the columns of its end map at E_t's offset.  ``is_surjective`` takes the
-rank of each block by a pass of its own, and ``structure_maps`` builds the
+rank of each block by ``linalg.rank``, and ``structure_maps`` builds the
 canonical injections of a direct sum, so g_t can be composed as g after
 the injection of E_t.
 
@@ -330,8 +330,10 @@ def left_part_by_radicals(q) -> list:
 
 def is_surjective(f: RepMap) -> bool:
     """Whether f is onto: the rank of each block is the target's dimension,
-    by a Bareiss pass of its own (the library reads it off the kernel
-    elimination of the cover instead)."""
+    by ``linalg.rank``, the pivot count of the library's one elimination,
+    which ``test_linalg`` checks against sympy and a Fraction Gauss-Jordan
+    (the library reads it off the kernel elimination of the cover
+    instead)."""
     return all(rank(f.mats[v]) == f.target.dims[v] for v in f.target.support)
 
 

@@ -13,7 +13,7 @@ from dupcat.catalog_io import (
     dup_catalog_to_dict,
     dumps,
 )
-from dupcat.cli import RunConfig, main
+from dupcat.cli import main
 from dupcat.dot import ar_quiver_dot
 from dupcat.dup import DupCatalog, dim_vectors, dup_category, knit_ind_dup
 from dupcat.errors import CatalogError, NotDynkinError
@@ -25,13 +25,6 @@ from dupcat.reps import is_isomorphic
 from dupcat.session import session
 from dupcat.tilting import enumerate_L_tilting
 from oracles import rebuilt, theta
-
-
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig("x.quiver", "analyze", cap=0)
-    with pytest.raises(ValueError):
-        RunConfig("x.quiver", "frobnicate")
 
 
 def test_cli_analyze_a2(fixture_dir, capsys):
@@ -207,6 +200,8 @@ def _bad_input(case, fixture_dir, tmp_path):
     a1 = str(fixture_dir / "a1.quiver")
     if case == "cap-zero":
         return ["analyze", "--quiver", a1, "--cap", "0"]
+    if case == "unknown-command":
+        return ["frobnicate", "--quiver", a1]
     if case == "quiver-is-a-directory":
         return ["analyze", "--quiver", str(fixture_dir)]
     if case == "quiver-not-utf8":
@@ -217,7 +212,8 @@ def _bad_input(case, fixture_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["cap-zero", "quiver-is-a-directory", "quiver-not-utf8", "out-is-a-directory"]
+    "case",
+    ["cap-zero", "unknown-command", "quiver-is-a-directory", "quiver-not-utf8", "out-is-a-directory"],
 )
 def test_cli_bad_input_exits_2_without_traceback(case, fixture_dir, tmp_path, src_env):
     proc = subprocess.run(
@@ -244,10 +240,11 @@ def test_cli_non_utf8_quiver_names_the_file(tmp_path, src_env):
 def test_dot_d4_node_shapes():
     q = d4_subspace()
     cat = knit_ind_dup(q)
-    records = enumerate_L_tilting(q)
-    dot = ar_quiver_dot(cat, records[0])
+    free = enumerate_L_tilting(q)[0]
+    dot = ar_quiver_dot(cat, free)
     assert dot.count("shape=circle") == 4
     assert dot.count("shape=diamond") == 4
+    assert {int(k) for k in re.findall(r"n(\d+) \[[^]]*shape=diamond", dot)} == set(free)
     assert "cluster_left_part" in dot
 
     node_lines = [

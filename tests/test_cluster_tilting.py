@@ -9,13 +9,12 @@ from dupcat.dup import (
     dup_category,
     embed_A,
     knit_ind_dup,
-    proj_primed,
     standard_dup_modules,
 )
 from dupcat.errors import CatalogError, NotDynkinError, NotInDomainError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import knit_ind_A, path_category, projective_rep, simple_rep
-from dupcat.leftpart import left_part_catalog
+from dupcat.leftpart import left_part_catalog, primed_projective_entry
 from dupcat.quiver import Quiver, classify_dynkin, parse_quiver
 from dupcat.reps import is_isomorphic, sum_rep
 from dupcat.session import session
@@ -55,7 +54,7 @@ def test_pi_bar_a2():
     p2 = embed_A(projective_rep(q, "2"))
     assert pi_bar(q, p2) == _find(q, projective_rep(q, "2"))
     with pytest.raises(NotInDomainError):
-        pi_bar(q, proj_primed(q, "1"))
+        pi_bar(q, standard_dup_modules(q).projective_primed["1"])
 
 
 def _pi_bar_by_scan(q, m):
@@ -200,19 +199,32 @@ def test_pentagon_a2():
     ]
 
 
+def _entries_of(q, *modules):
+    """The entry indices of ``modules`` in the knit of the duplicated
+    algebra of q."""
+    return knit_ind_dup(q).indices(list(modules))
+
+
 def test_is_tilting_module_examples_a2():
+    """The axioms on entry indices: the P_x' with P_1 + P_2 or with S_2 and
+    the cosyzygy of P_1 are tilting; without the P_x' a nonzero Ext^1 and
+    both missing P_x' are named, and a repeated summand is named."""
     q = a_n(2)
     p1 = embed_A(projective_rep(q, "1"))
     p2 = embed_A(projective_rep(q, "2"))
     s2 = embed_A(simple_rep(q, "2"))
     z1 = dup_category(q).cosyzygy(p1)[0]
-    pp1, pp2 = proj_primed(q, "1"), proj_primed(q, "2")
-    assert is_tilting_module(q, [pp1, pp2, p1, p2]).passed
+    p1, p2, s2, z1 = _entries_of(q, p1, p2, s2, z1)
+    pp1, pp2 = primed_projective_entry(q, "1"), primed_projective_entry(q, "2")
+    assert is_tilting_module(q, (pp1, pp2, p1, p2)).passed
     assert is_tilting_module(q, [pp1, pp2, s2, z1]).passed
     verdict = is_tilting_module(q, [p1, p2, s2, z1])
     assert not verdict.passed
-    assert any("Ext" in f for f in verdict.failures)
-    assert any("projective-injective" in f for f in verdict.failures)
+    assert any(f.startswith("Ext^1(summand ") and f.endswith(") is nonzero") for f in verdict.failures)
+    assert "projective-injective at 1' is not a summand" in verdict.failures
+    assert "projective-injective at 2' is not a summand" in verdict.failures
+    # P_1 twice has the right count and no Ext^1, but is not basic
+    assert is_tilting_module(q, [pp1, pp2, p1, p1]).failures == ["a summand is repeated"]
 
 
 def test_pd_two_summand_fails_the_first_axiom_and_has_no_ext1():
@@ -224,8 +236,8 @@ def test_pd_two_summand_fails_the_first_axiom_and_has_no_ext1():
     q = a_n(2)
     cat = knit_ind_dup(q)
     k = cat.pd_table.index(False)
-    p1 = embed_A(projective_rep(q, "1"))
-    verdict = is_tilting_module(q, [cat.entries[k], p1, proj_primed(q, "1"), proj_primed(q, "2")])
+    (p1,) = _entries_of(q, embed_A(projective_rep(q, "1")))
+    verdict = is_tilting_module(q, [k, p1, primed_projective_entry(q, "1"), primed_projective_entry(q, "2")])
     assert not verdict.passed
     assert "summand 0 has projective dimension 2" in verdict.failures
     assert not any(f.startswith("Ext^1(summand 0,") for f in verdict.failures)
@@ -235,13 +247,18 @@ def test_pd_two_summand_fails_the_first_axiom_and_has_no_ext1():
 
 
 def test_enumerate_l_tilting_pentagon():
+    """The five free parts of A2 project to five sets, and each with the
+    forced P_x' is a tilting module."""
     q = a_n(2)
-    records = enumerate_L_tilting(q)
-    assert len(records) == 5
-    images = {frozenset(pi_bar(q, m) for m in rec.free) for rec in records}
+    free_parts = enumerate_L_tilting(q)
+    assert len(free_parts) == 5
+    entries = knit_ind_dup(q).entries
+    images = {frozenset(pi_bar(q, entries[k]) for k in free) for free in free_parts}
     assert len(images) == 5
-    for rec in records:
-        assert is_tilting_module(q, list(rec.summands)).passed
+    forced = tuple(primed_projective_entry(q, x) for x in q.vertices)
+    for free in free_parts:
+        assert all(type(k) is int for k in free)
+        assert is_tilting_module(q, free + forced).passed
 
 
 def test_enumerate_l_tilting_a1():
@@ -281,19 +298,20 @@ def _bijection_by_two_searches(q):
     """(matched, witnesses) of the bijection as two clique searches and a
     comparison of frozensets: the projected free parts of the left-part
     tilting modules against the reference search on the cluster side."""
-    records, cluster_side = enumerate_L_tilting(q), enumerate_cluster_tilting(q)
+    free_parts, cluster_side = enumerate_L_tilting(q), enumerate_cluster_tilting(q)
+    entries = knit_ind_dup(q).entries
     cluster_sets = {frozenset(s) for s in cluster_side}
     witnesses, images = [], set()
-    for rec in records:
-        img = frozenset(pi_bar(q, m) for m in rec.free)
-        if len(img) != len(rec.free):
-            witnesses.append(f"projection not injective on {rec.free}")
+    for free in free_parts:
+        img = frozenset(pi_bar(q, entries[k]) for k in free)
+        if len(img) != len(free):
+            witnesses.append(f"projection not injective on {free}")
         if img in images:
             witnesses.append(f"two tilting modules project to {sorted(img)}")
         images.add(img)
     witnesses += [f"projected set not cluster-tilting: {sorted(img)}" for img in images - cluster_sets]
     witnesses += [f"cluster-tilting set not hit: {sorted(extra)}" for extra in cluster_sets - images]
-    return not witnesses and len(records) == len(cluster_sets), sorted(witnesses)
+    return not witnesses and len(free_parts) == len(cluster_sets), sorted(witnesses)
 
 
 @pytest.mark.parametrize("tamper", ["none", "set dropped", "outside the domain", "one object"])
@@ -309,7 +327,7 @@ def test_bijection_by_masks_equals_frozensets(monkeypatch, tamper):
     q = a_n(3)
     s = session(q)
     domain, table = fundamental_domain(q), s.pi_bar_table
-    first = knit_ind_dup(q).catalog.find(enumerate_L_tilting(q)[0].free[0])
+    first = enumerate_L_tilting(q)[0][0]
     if tamper == "set dropped":
         i, j = 0, next(j for j in range(1, len(domain.names)) if domain.compat[0] >> j & 1)
         ext1 = [list(row) for row in domain.ext1]
@@ -416,11 +434,12 @@ def test_both_enumerations_match_backtracking(q):
     assert enumerate_cluster_tilting(q) == verify_bijection(q).cluster_sets == want
     entries = knit_ind_dup(q).entries
     candidates = sorted(
-        (entries[k] for k in left_part_catalog(q).non_proj_inj),
-        key=lambda m: (m.total_dim(), dim_vectors(m)),
+        left_part_catalog(q).non_proj_inj,
+        key=lambda k: (entries[k].total_dim(), dim_vectors(entries[k])),
     )
     ctx = dup_category(q)
-    table = [[ext1_by_bases(ctx, a, b) == 0 == ext1_by_bases(ctx, b, a) for b in candidates] for a in candidates]
+    modules = [entries[k] for k in candidates]
+    table = [[ext1_by_bases(ctx, a, b) == 0 == ext1_by_bases(ctx, b, a) for b in modules] for a in modules]
     want = [tuple(candidates[i] for i in c) for c in _backtrack_cliques(table, n)]
-    assert [r.free for r in enumerate_L_tilting(q)] == want
+    assert enumerate_L_tilting(q) == want
     assert len(want) == expected_count(classify_dynkin(q))

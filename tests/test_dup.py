@@ -10,7 +10,6 @@ from dupcat.dup import (
     embed_A,
     junction_composite_pattern,
     knit_ind_dup,
-    proj_primed,
     standard_dup_modules,
 )
 from dupcat.errors import CapExceededError, CatalogError
@@ -42,14 +41,14 @@ def test_standard_dup_dimensions_a2():
     # triple model soundness: dims of P_x' match I_x on the base and P_x primed
     for quiver in (q, d4_subspace(), a_n(3, "zigzag")):
         for x in quiver.vertices:
-            pp = proj_primed(quiver, x)
+            pp = standard_dup_modules(quiver).projective_primed[x]
             assert dim_vectors(pp)[0] == injective_rep(quiver, x).dim_vector()
             assert dim_vectors(pp)[1] == projective_rep(quiver, x).dim_vector()
 
 
 def test_dup_a1_is_a2_path_algebra():
     q = a_n(1)
-    p = proj_primed(q, "1")
+    p = standard_dup_modules(q).projective_primed["1"]
     assert p.total_dim() == 2
     r = p
     assert r.dims["1"] == 1 and r.dims["1'"] == 1

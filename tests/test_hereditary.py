@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 
@@ -8,7 +9,7 @@ from dupcat.dup import dup_category, knit_ind_dup
 from dupcat.errors import CapExceededError, CatalogError
 from dupcat.fixtures import a_n, d4_subspace, kronecker
 from dupcat.hereditary import injective_rep, knit_ind_A, path_category
-from dupcat.quiver import classify_dynkin, parse_quiver, paths_into
+from dupcat.quiver import classify_dynkin, parse_quiver
 from dupcat import reps
 from dupcat.linalg import RMatrix, coordinates_in_span
 from dupcat.reps import RepMap, hom_basis, identity_map, is_isomorphic, sum_rep
@@ -52,10 +53,23 @@ def test_standard_reps_a2():
     assert dims(s.inj["2"]) == (0, 1)
 
 
+def _paths_into(q, x):
+    """All paths ending at x, grouped by start vertex: tuples of arrow
+    names, by length, then discovery."""
+    out = {v: [] for v in q.vertices}
+    queue = deque([(x, ())])
+    while queue:
+        v, path = queue.popleft()
+        out[v].append(path)
+        for a in q.arrows_into[v]:
+            queue.append((a.source, (a.name,) + path))
+    return out
+
+
 def _injective_on_paths(q, x):
     """The injective at x on the paths ending at x, each arrow stripping
     the first arrow of a path: the oracle for the dual construction."""
-    table = paths_into(q, x)
+    table = _paths_into(q, x)
     dim = {v: len(table[v]) for v in q.vertices}
     index = {v: {p: i for i, p in enumerate(table[v])} for v in q.vertices}
     mats = {}

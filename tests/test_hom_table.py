@@ -81,9 +81,10 @@ def test_euler_form_equals_the_path_table(fixture_dir, name):
     q = _quiver(fixture_dir, name)
     cat = knit_ind_A(q)
     dims = [m.dim_vector() for m in cat.entries]
+    form = euler_form(q)
     for i, x in enumerate(dims):
         for j, y in enumerate(dims):
-            euler = euler_form(q, x, y)
+            euler = form(x, y)
             assert cat.hom_table[i][j] == max(euler, 0), (i, j)
             assert cat.ext1_by_tau(i, j) == max(-euler, 0), (i, j)
 

@@ -10,8 +10,8 @@ from dupcat.linalg import (
     cokernel_basis,
     coordinates_in_span,
     nullspace_basis,
+    pivot_columns,
     rank,
-    rref,
     solve_matrix,
 )
 
@@ -67,14 +67,17 @@ def _random_matrix(rng, rows, cols):
 
 
 def test_rank_nullity_and_two_route_rank():
+    import sympy
+
     rng = random.Random(7)
     for _ in range(60):
         rows, cols = rng.randint(0, 5), rng.randint(0, 5)
         m = _random_matrix(rng, rows, cols)
         r = rank(m)
         assert r + len(nullspace_basis(m)) == cols
-        # Bareiss agrees with Gauss-Jordan pivot count
-        assert r == len(rref(m)[1])
+        # the pivot count agrees with sympy's rank, an independent route
+        entries = [sympy.Rational(x.numerator, x.denominator) for x in map(Fraction, m.flatten())]
+        assert r == sympy.Matrix(rows, cols, entries).rank()
         for v in nullspace_basis(m):
             assert (m @ RMatrix.column(v)).is_zero()
         q, free = cokernel_basis(m)
@@ -216,10 +219,15 @@ _PROPS = settings(derandomize=True, database=None, max_examples=150, deadline=No
 def test_rref_rank_nullspace_match_oracle(m):
     rows = [list(r) for r in m.data]
     want, want_pivots = _oracle_rref(rows, m.cols)
-    got, pivots = rref(m)
-    assert (got, pivots) == (want, want_pivots)
-    assert _canonical(got)
+    assert pivot_columns(m) == want_pivots
     assert rank(m) == len(want_pivots)
+    # m is its pivot columns times the nonzero rows of its reduced row
+    # echelon form, and the pivot columns are independent: solving for m
+    # on them returns exactly those rows
+    pivot_cols = RMatrix.from_columns([m.column_at(c) for c in want_pivots], m.rows)
+    got = solve_matrix(pivot_cols, m)
+    assert got == RMatrix(want[: len(want_pivots)], len(want_pivots), m.cols)
+    assert _canonical(got.data)
     basis = nullspace_basis(m)
     if m.cols and m.rows:
         assert basis == _oracle_nullspace(rows, m.cols)
@@ -277,7 +285,7 @@ def test_matrix_algebra_matches_entrywise_definition(m, n, c):
     check(m.transpose(), t, m.cols, m.rows)
     check(m.scale(c), [[c * x for x in r] for r in d], m.rows, m.cols)
     check(m + m.scale(c), [[x + c * x for x in r] for r in d], m.rows, m.cols)
-    check(m - m, [[0] * m.cols for _ in d], m.rows, m.cols)
+    check(m + m.scale(-1), [[0] * m.cols for _ in d], m.rows, m.cols)
     check(RMatrix.zeros(m.rows, m.cols), [[0] * m.cols for _ in d], m.rows, m.cols)
     check(RMatrix.identity(m.cols), [[int(i == j) for j in range(m.cols)] for i in range(m.cols)], m.cols, m.cols)
     check(m @ m.transpose(), [[sum((x * y for x, y in zip(r, s)), Fraction(0)) for s in d] for r in d], m.rows, m.rows)
@@ -318,7 +326,7 @@ def test_fractions_that_meet_integers_come_out_as_ints():
         "2 * 1/2": (half.scale(2), [[1, -3]]),
         "1/2 * 2": (half.scale(Fraction(2)), [[1, -3]]),
         "product": (half @ M([[2], [Fraction(2, 3)]]), [[0]]),
-        "difference": (half - half, [[0, 0]]),
+        "difference": (half + half.scale(-1), [[0, 0]]),
         "mixed": (half + M([[Fraction(1, 2), 1]]), [[1, Fraction(-1, 2)]]),
         "constructor": (M([[Fraction(4, 2), "3/1", 2.0, True]]), [[2, 3, 2, 1]]),
     }
@@ -329,8 +337,8 @@ def test_fractions_that_meet_integers_come_out_as_ints():
     assert v == (-1, 1) and _canonical([v])
     sol = solve_matrix(M([[Fraction(1, 3)]]), M([[Fraction(2, 3)]]))
     assert sol == M([[2]]) and _canonical(sol.data)
-    rows, _ = rref(M([[2, 4, 3]]))
-    assert rows == [[1, 2, Fraction(3, 2)]] and _canonical(rows)
+    rows = solve_matrix(M([[2]]), M([[2, 4, 3]]))  # the reduced row echelon form of [2 4 3]
+    assert rows == M([[1, 2, Fraction(3, 2)]]) and _canonical(rows.data)
 
 
 def test_zeros_and_identity_are_shared_per_shape():

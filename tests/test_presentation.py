@@ -162,7 +162,7 @@ def test_ext1_and_tilting_from_pd_above_one_name_the_exact_pd():
         assert not cat.pd_table[k]
         with pytest.raises(CatalogError, match=f"^Ext\\^1 from entry {k}: its projective dimension is {pd}, not <= 1$"):
             cat.ext1_dim(k, 0)
-        verdict = is_tilting_module(q, [cat.entries[k]])
+        verdict = is_tilting_module(q, [k])
         assert f"summand 0 has projective dimension {pd}" in verdict.failures
 
 

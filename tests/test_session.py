@@ -7,11 +7,11 @@ import pytest
 from dupcat import quiver, reps, session
 from dupcat.cli import main
 from dupcat.cluster import pi_bar
-from dupcat.dup import dup_category, embed_A, knit_ind_dup, proj_primed, standard_dup_modules
+from dupcat.dup import dup_category, embed_A, knit_ind_dup, standard_dup_modules
 from dupcat.errors import NotDynkinError
 from dupcat.fixtures import d4_subspace, kronecker
 from dupcat.hereditary import knit_ind_A, path_category
-from dupcat.leftpart import canonical_tilting, left_part_catalog
+from dupcat.leftpart import canonical_tilting, left_part_catalog, primed_projective_entry
 from dupcat.tilting import enumerate_L_tilting
 from dupcat.modcat import ModuleCategory
 from dupcat.quiver import Quiver, opposite, parse_quiver, prime
@@ -103,11 +103,17 @@ def test_cosyzygies_are_computed_once(monkeypatch):
         assert sum(1 for c, m in calls if c is cat and cat.content_id(m) == cat.content_id(i)) == 1
 
 
-def test_proj_primed_is_the_category_projective():
+def test_primed_projective_entry_is_the_category_projective():
+    """P_x' is one module, kept by the session: the standard module, the
+    category's projective and the knit's entry that
+    ``primed_projective_entry`` names."""
     q = d4_subspace()
+    entries = knit_ind_dup(q).entries
     for x in q.vertices:
-        assert proj_primed(q, x) is proj_primed(q, x)
-        assert proj_primed(q, x) is dup_category(q).proj[prime(x)]
+        pp = standard_dup_modules(q).projective_primed[x]
+        assert pp is standard_dup_modules(q).projective_primed[x]
+        assert pp is dup_category(q).proj[prime(x)]
+        assert entries[primed_projective_entry(q, x)] is pp
 
 
 def test_standard_reps_are_the_category_modules():

@@ -622,7 +622,7 @@ def test_each_member_projected_at_most_twice(monkeypatch):
 _TAMPERED_CHECKS = """
 import json, sys
 from dupcat.cluster import Domain, fundamental_domain
-from dupcat.dup import DupCatalog, knit_ind_dup
+from dupcat.dup import DupCatalog
 from dupcat.fixtures import d4_subspace
 from dupcat.session import session
 from dupcat.tilting import enumerate_L_tilting
@@ -636,7 +636,7 @@ if sys.argv[1] == "cluster":
     ext1[0][j] = 1
     session(q).fundamental_domain = Domain(domain.names, tuple(map(tuple, ext1)), domain.of_ind_a)
 else:
-    k, l = knit_ind_dup(q).indices(enumerate_L_tilting(q)[0].free[:2])
+    k, l = enumerate_L_tilting(q)[0][:2]
     inner = DupCatalog.ext1_dim
     DupCatalog.ext1_dim = lambda self, i, j: 1 if (i, j) == (k, l) else inner(self, i, j)
 checks = {c.name: c.as_dict() for c in run_all_checks(q)}
@@ -658,7 +658,7 @@ def test_a_tampered_ext1_value_fails_the_bijection_and_the_cross_model_check(sid
         at = {p: k for k, p in session.session(q).pi_bar_table.items()}
         k, l = at[0], at[j]
     else:
-        k, l = cat.indices(enumerate_L_tilting(q)[0].free[:2])
+        k, l = enumerate_L_tilting(q)[0][:2]
     pair = [dim_vectors(cat.entries[k]), dim_vectors(cat.entries[l])]
     mismatches = [f"cross-model mismatch at {a} / {b}" for a, b in (pair, pair[::-1])]
     outputs = []
@@ -701,3 +701,39 @@ def test_cross_model_check_looks_up_the_quiver_linearly(monkeypatch, fixture_dir
     members = lpc.non_proj_inj
     assert len(members) == 42
     assert 0 < len(calls) <= 8
+
+
+def _caller() -> str:
+    """The name of the function that called the caller of this function,
+    past any comprehension frames."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+@pytest.mark.parametrize("fixture, members", [("d4", 12), ("e6", 36)], ids=["D4", "E6"])
+def test_checks_look_up_no_entry_the_left_part_holds(monkeypatch, fixture_dir, fixture, members):
+    """In a cold run_all_checks, a module is looked up in a catalog only by
+    the knit, by ``decompose``, by the left part's own lookup of embedded
+    ind A (``DupCatalog.indices``: 12 modules on D4, 36 on E6) and once per
+    sink by the socle check; an isomorphism is decided only by a lookup and
+    by the cosyzygy check.  Every other checker and reader takes its entry
+    indices from the left part or ``primed_projective_entry`` (36 modules
+    looked up on D4 and 90 on E6 when they found them again)."""
+    _start_cold(monkeypatch)
+    q = parse_quiver((fixture_dir / f"{fixture}.quiver").read_text(encoding="utf-8"))
+    callers = {"find_iso": {}, "find": {}, "iso": {}}
+    for owner, name in ((modcat.ModuleCategory, "find_iso"), (modcat.ARCatalog, "find"),
+                        (modcat.ModuleCategory, "iso")):
+        def counting(*args, _inner=getattr(owner, name), _seen=callers[name]):
+            caller = _caller()
+            _seen[caller] = _seen.get(caller, 0) + 1
+            return _inner(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    assert all(c.passed for c in run_all_checks(q))
+    assert set(callers["find_iso"]) == {"knit", "decompose", "find"}
+    sinks, _ = sinks_and_sources(q)
+    assert callers["find"] == {"indices": members, "check_socle_quotient_sequences": len(sinks)}
+    assert set(callers["iso"]) == {"find_iso", "check_cosyzygy_tau_identity"}

@@ -16,7 +16,10 @@ runs:
   enumerate --out on E7 (its 4,160 cluster-tilting sets);
 * analyze on the Kronecker fixture at --cap 15 and 50;
 * analyze and verify on D4 at --cap 20, between |ind A| = 12 and the 36
-  entries of the duplicated algebra.
+  entries of the duplicated algebra;
+* emit-dot --tilting-index K on D4 (K = 7) and on E6 (K = 400), whose
+  diamonds are the free summands of tilting module K, and on D4 at K = 50,
+  one past its last tilting module.
 
 With ``--check FILE`` (a saved output of this script, say of the parent
 commit) it exits 1 and names each run whose digest differs or is missing.
@@ -85,6 +88,10 @@ def runs(names) -> list:
     plan += [("e7", "enumerate", (), True)]
     plan += [("kronecker", "analyze", ("--cap", cap), False) for cap in ("15", "50")]
     plan += [("d4", command, ("--cap", "20"), False) for command in ("analyze", "verify")]
+    plan += [
+        (name, "emit-dot", ("--tilting-index", k), False)
+        for name, k in (("d4", "7"), ("e6", "400"), ("d4", "50"))
+    ]
     return [
         (" ".join([command, f"{name}.quiver", *extra] + ["--out"] * to_file),
          f"{name}.quiver", [command, *extra], to_file)
